@@ -35,6 +35,7 @@ from .pipeline import (
     _mesh_rect,
     _prepare_samples,
     _variogram_model,
+    _write_text,
 )
 
 
@@ -216,8 +217,7 @@ def _cmd_compare(args) -> int:
         f"roughness_uk_deg,{cmp.roughness_uk_deg:.9g}",
         f"roughness_idw_deg,{cmp.roughness_idw_deg:.9g}",
     ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     print(
         f"uk vs idw over {cmp.n_vertices} vertices: max |dz| = "
         f"{cmp.max_abs_difference:.4f} m, mean |dz| = {cmp.mean_abs_difference:.4f} m"

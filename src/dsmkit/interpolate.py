@@ -1,11 +1,28 @@
 """Elevation prediction at arbitrary planar locations.
 
+Neighbour search: a GridIndex buckets the samples into square cells (about
+two samples per cell) and answers k-nearest queries for many targets at
+once (Friedman, Bentley & Finkel 1977). A query orders the samples of a
+square window of cells around each target's cell by squared distance, then
+sample index, and accepts the window only when the k-th candidate's squared
+distance is strictly below the squared distance to the window's nearest side
+with unsearched samples beyond it; otherwise the window grows by one ring.
+Squared distances use the same expression as a scan over all samples, so the
+result is exactly the first k entries of the (distance, index) order over
+all samples, ties included; with k at or above the sample count it is that
+whole order.
+
 Universal kriging solves the bordered semivariogram system (weights
-constrained to reproduce the drift basis at the target) with a dense LU
-factorization; coordinates are centered on the target before assembly for
-conditioning, and the drift multipliers are reported in the original basis.
-IDW implements the classic Shepard weighting. Both support global or
-k-nearest neighborhoods with ties broken by sample index.
+constrained to reproduce the drift basis at the target) by dense LU;
+coordinates are centered on the target before assembly for conditioning, and
+the drift multipliers are reported in the original basis. Targets are
+processed in chunks: a chunk's local systems are assembled as one
+(chunk, k+m, k+m) stack and solved by one batched np.linalg.solve, with the
+coincident-sample snap, the drift-rank check and the conditioning check
+vectorised over the chunk. The chunk size is a fixed byte budget divided by
+the size of one system, so a global neighbourhood (all samples) solves one
+target at a time. A singular or degenerate system fails only its own target.
+IDW implements the classic Shepard weighting on the same index and chunks.
 """
 
 from __future__ import annotations
@@ -25,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 COINCIDENT_TOL = 1e-9  # meters; closer targets snap to the sample value
 _DRIFT_NAMES = ("1", "x", "y")
+_CHUNK_BYTES = 1 << 20  # float64 work per chunk of targets
+_SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
+_CELL_OCCUPANCY = 2.0  # mean samples per grid cell
 
 
 def drift_basis(degree: int, x) -> np.ndarray:
@@ -36,19 +56,134 @@ def drift_basis(degree: int, x) -> np.ndarray:
     raise ConfigError(f"unsupported drift degree {degree}; only 0 and 1 are available")
 
 
-def _check_distinct(locations: np.ndarray, tol: float = COINCIDENT_TOL):
-    # hash points to a tol-sized grid and compare within 3x3 neighborhoods
-    keys = np.round(locations / tol).astype(np.int64)
-    cells = {}
-    for i, (kx, ky) in enumerate(keys):
-        for nx in (kx - 1, kx, kx + 1):
-            for ny in (ky - 1, ky, ky + 1):
-                for j in cells.get((nx, ny), ()):
-                    if np.hypot(*(locations[i] - locations[j])) < tol:
-                        raise DataError(
-                            f"samples {j} and {i} coincide within {tol} m"
-                        )
-        cells.setdefault((int(kx), int(ky)), []).append(i)
+def _chunk_size(bytes_per_target: int) -> int:
+    return max(1, _CHUNK_BYTES // bytes_per_target)
+
+
+class GridIndex:
+    """Exact k-nearest-neighbour queries over fixed 2D sample locations."""
+
+    def __init__(self, locations: np.ndarray):
+        self.locations = locations
+        n = len(locations)
+        self.lo = locations.min(axis=0)
+        span = locations.max(axis=0) - self.lo
+        # the second bound keeps thin, nearly collinear sets at O(n) cells
+        h = max(
+            math.sqrt(_CELL_OCCUPANCY * float(span[0] * span[1]) / n),
+            _CELL_OCCUPANCY * float(span.max()) / n,
+        )
+        self.h = h if h > 0 else 1.0
+        self.shape = (span // self.h).astype(np.intp) + 1
+        cells = self._cells(locations)
+        flat = cells[:, 0] * self.shape[1] + cells[:, 1]
+        self.order = np.argsort(flat, kind="stable")  # by cell, then index
+        n_cells = int(self.shape.prod())
+        # one extra, always empty cell stands for window cells off the grid
+        self.counts = np.bincount(flat, minlength=n_cells + 1)
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)])
+        # summed-area table: samples in any rectangle of cells in O(1)
+        self.area_sums = np.zeros(self.shape + 1, dtype=np.intp)
+        self.area_sums[1:, 1:] = self.counts[:-1].reshape(self.shape).cumsum(0).cumsum(1)
+        # rounding slack (meters) when bounding distances by cell boundaries
+        self.slack = 1e-12 * (float(np.abs(self.lo).max() + span.max()) + self.h)
+
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        """Integer cell coordinates, clipped onto the grid."""
+        c = np.floor((points - self.lo) / self.h)
+        return np.clip(c, 0, self.shape - 1).astype(np.intp)
+
+    def knn(self, targets: np.ndarray, k: int | None) -> np.ndarray:
+        """(len(targets), min(k, n)) sample indices: each row is the start of
+        that target's (squared distance, index) order over all samples."""
+        locs = self.locations
+        n = len(locs)
+        out = np.empty((len(targets), n if k is None else min(k, n)), dtype=np.intp)
+        if k is None or k >= n:
+            # about four (targets, n) float64 temporaries
+            block = _chunk_size(32 * n)
+            for s in range(0, len(targets), block):
+                t = targets[s : s + block]
+                d2 = (locs[:, 0] - t[:, :1]) ** 2 + (locs[:, 1] - t[:, 1:]) ** 2
+                out[s : s + block] = np.argsort(d2, axis=1, kind="stable")
+            return out
+        cells = self._cells(targets)
+        # a ring r window holds about (2r+1)^2 * occupancy samples
+        occupancy = n / (len(self.counts) - 1)
+        ring = max(1, math.ceil(math.sqrt(k / (math.pi * occupancy))))
+        todo = np.arange(len(targets))
+        while len(todo):
+            # bytes per target: about ten 8-byte entries per candidate and
+            # four per window cell; split the targets to stay in budget
+            lo = np.maximum(cells[todo] - ring, 0)
+            hi = np.minimum(cells[todo] + ring + 1, self.shape)
+            sums = self.area_sums
+            found = sums[hi[:, 0], hi[:, 1]] - sums[lo[:, 0], hi[:, 1]]
+            found += sums[lo[:, 0], lo[:, 1]] - sums[hi[:, 0], lo[:, 1]]
+            cost = np.cumsum(80 * found + 32 * (2 * ring + 1) ** 2)
+            left = []
+            for part in np.split(todo, np.flatnonzero(np.diff(cost // _CHUNK_BYTES)) + 1):
+                done, nearest = self._window(targets[part], cells[part], ring, k)
+                out[part[done]] = nearest
+                left.append(part[~done])
+            todo = np.concatenate(left)
+            ring += max(1, ring // 2)
+        return out
+
+    def _window(self, targets, cells, ring, k):
+        """Certified k nearest within a (2 ring + 1)^2 window of cells."""
+        nx, ny = self.shape
+        off = np.arange(-ring, ring + 1)
+        gx = cells[:, :1] + off
+        gy = cells[:, 1:] + off
+        inside = ((gx >= 0) & (gx < nx))[:, :, None] & ((gy >= 0) & (gy < ny))[:, None, :]
+        window = np.where(inside, gx[:, :, None] * ny + gy[:, None, :], nx * ny).reshape(-1)
+
+        counts = self.counts[window]
+        per_target = counts.reshape(len(targets), -1).sum(axis=1)
+        owner = np.repeat(np.arange(len(targets)), per_target)
+        ends = np.cumsum(counts)
+        pos = np.repeat(self.starts[window] - ends + counts, counts) + np.arange(ends[-1])
+        cand = self.order[pos]
+        locs = self.locations
+        d2 = (locs[cand, 0] - targets[owner, 0]) ** 2 + (locs[cand, 1] - targets[owner, 1]) ** 2
+        srt = np.lexsort((cand, d2, owner))
+        cand = cand[srt]
+        d2 = d2[srt]
+
+        seg = np.cumsum(per_target) - per_target
+        enough = per_target >= k
+        kth = np.full(len(targets), np.inf)
+        kth[enough] = d2[seg[enough] + k - 1]
+        # distance to the nearest window side that has cells beyond it
+        low = np.where(cells - ring > 0, targets - (self.lo + (cells - ring) * self.h), np.inf)
+        high = np.where(
+            cells + ring < self.shape - 1,
+            self.lo + (cells + ring + 1) * self.h - targets,
+            np.inf,
+        )
+        gap = np.minimum(low, high).min(axis=1) - self.slack - 1e-12 * np.abs(targets).max(axis=1)
+        gap = np.maximum(gap, 0.0)
+        # a window that covers the grid holds every sample, whatever the
+        # (possibly overflowing) distances say
+        done = enough & ((kth < gap * gap) | (ring >= self.shape.max() - 1))
+        rows = seg[done][:, None] + np.arange(k)
+        return done, cand[rows]
+
+
+def _check_distinct(index: GridIndex, tol: float = COINCIDENT_TOL):
+    """Raise DataError when two samples lie within tol of each other."""
+    locs = index.locations
+    own = np.arange(len(locs))
+    # each sample's two nearest include itself or a coincident twin
+    pair = index.knn(locs, 2)
+    other = np.where(pair[:, 0] == own, pair[:, 1], pair[:, 0])
+    close = np.hypot(locs[:, 0] - locs[other, 0], locs[:, 1] - locs[other, 1]) < tol
+    if close.any():
+        lo = np.minimum(own, other)[close]
+        hi = np.maximum(own, other)[close]
+        first = np.lexsort((lo, hi))[0]
+        raise DataError(f"samples {lo[first]} and {hi[first]} coincide within {tol} m")
 
 
 @dataclass
@@ -64,6 +199,7 @@ class KrigingSystem:
     model: VariogramModel
     drift_degree: int = 1
     neighborhood: int | None = 16
+    index: GridIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=float)
@@ -90,7 +226,8 @@ class KrigingSystem:
                     f"neighborhood {self.neighborhood} too small for drift degree "
                     f"{self.drift_degree} (needs >= {n_drift + 1})"
                 )
-        _check_distinct(locs)
+        self.index = GridIndex(locs)
+        _check_distinct(self.index)
         self.locations = locs
         self.values = vals
 
@@ -135,16 +272,6 @@ class UkConfig:
     neighborhood: int | None = 16
 
 
-def _nearest_subset(locations: np.ndarray, target: np.ndarray, k: int | None) -> np.ndarray:
-    """Indices of the k nearest samples, distance then index order."""
-    d2 = (locations[:, 0] - target[0]) ** 2 + (locations[:, 1] - target[1]) ** 2
-    if k is None or k >= len(locations):
-        order = np.lexsort((np.arange(len(locations)), d2))
-        return order
-    order = np.lexsort((np.arange(len(locations)), d2))
-    return order[:k]
-
-
 def _diagnose_singular(locs: np.ndarray, degree: int) -> str:
     if degree == 1:
         F = np.column_stack([np.ones(len(locs)), locs[:, 0], locs[:, 1]])
@@ -158,83 +285,153 @@ def _diagnose_singular(locs: np.ndarray, degree: int) -> str:
     return "the variogram produced a singular coefficient block"
 
 
+def _targets(targets) -> np.ndarray:
+    t = np.asarray(targets, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(t)):
+        raise DataError("non-finite target location")
+    return t
+
+
+def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
+    """Assemble and solve the target-centered UK systems of targets x0.
+
+    Returns (sample_indices, weights, drift_multipliers, prediction,
+    variance, errors), one row per target; errors maps a failed row to its
+    message, and a failed row's prediction is NaN.
+    """
+    idx = sys.index.knn(x0, sys.neighborhood)
+    locs = sys.locations[idx]
+    vals = sys.values[idx]
+    t, n = idx.shape
+    m = sys.n_drift_terms
+    weights = np.zeros((t, n))
+    mu = np.zeros((t, m))
+    prediction = np.full(t, np.nan)
+    variance = np.zeros(t)
+    errors = {}
+
+    def singular(row):
+        errors[int(row)] = f"singular kriging system at target {tuple(x0[row])}: " + (
+            _diagnose_singular(locs[row], sys.drift_degree)
+        )
+
+    # center on the target: drift columns become [1, dx, dy], rhs [1, 0, 0]
+    d = locs - x0[:, None, :]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    nearest = dist.argmin(axis=1)
+    snap = dist[np.arange(t), nearest] < COINCIDENT_TOL
+    rows = np.flatnonzero(snap)
+    weights[rows, nearest[rows]] = 1.0
+    prediction[rows] = vals[rows, nearest[rows]]
+
+    live = np.flatnonzero(~snap)
+    if sys.drift_degree == 0:
+        F = np.ones((len(live), n, 1))
+    else:
+        F = np.concatenate([np.ones((len(live), n, 1)), d[live]], axis=2)
+        # LU happily "solves" an exactly rank-deficient border with a tiny
+        # pivot, so reject degenerate drift geometry up front
+        full = np.linalg.matrix_rank(F) == 3
+        for row in live[~full]:
+            singular(row)
+        live = live[full]
+        F = F[full]
+    if len(live) == 0:
+        return idx, weights, mu, prediction, variance, errors
+
+    dl = d[live]
+    A = np.zeros((len(live), n + m, n + m))
+    # fill the semivariogram block a few rows at a time: full-size
+    # temporaries, freed after every target of a global system, made the
+    # allocator hand their pages back and fault them in again per target
+    slab = max(1, _SLAB_ELEMS // (len(live) * n))
+    for r in range(0, n, slab):
+        s = slice(r, min(r + slab, n))
+        pair_dist = np.hypot(
+            dl[:, s, None, 0] - dl[:, None, :, 0], dl[:, s, None, 1] - dl[:, None, :, 1]
+        )
+        A[:, s, :n] = model_gamma(sys.model, pair_dist)
+    A[:, :n, n:] = F
+    A[:, n:, :n] = F.transpose(0, 2, 1)
+    b = np.zeros((len(live), n + m))
+    b[:, :n] = model_gamma(sys.model, dist[live])
+    b[:, n] = 1.0
+
+    solved = np.ones(len(live), dtype=bool)
+    try:
+        sol = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve them one by one
+        sol = np.zeros_like(b)
+        for j in range(len(live)):
+            try:
+                sol[j] = np.linalg.solve(A[j], b[j])
+            except np.linalg.LinAlgError:
+                solved[j] = False
+                singular(live[j])
+        A, b, sol, live = A[solved], b[solved], sol[solved], live[solved]
+
+    if n + m <= 200:
+        cond = np.linalg.cond(A)
+        for j in np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12))):
+            logger.warning(
+                "ill-conditioned kriging system at %s (cond=%.3g)", tuple(x0[live[j]]), cond[j]
+            )
+    else:
+        for j in range(len(live)):
+            resid = float(np.linalg.norm(A[j] @ sol[j] - b[j]))
+            if resid > 1e-6 * max(1.0, float(np.linalg.norm(b[j]))):
+                logger.warning("large kriging residual at %s (%.3g)", tuple(x0[live[j]]), resid)
+
+    w = sol[:, :n]
+    weights[live] = w
+    mult = sol[:, n:].copy()
+    if sys.drift_degree == 1:
+        # express multipliers in the uncentered basis [1, x, y]
+        mult[:, 0] -= mult[:, 1] * x0[live, 0] + mult[:, 2] * x0[live, 1]
+    mu[live] = mult
+    prediction[live] = _rowdot(w, vals[live])
+    variance[live] = _rowdot(w, b[:, :n]) + sol[:, n]
+    return idx, weights, mu, prediction, variance, errors
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each summed as a 1-D `a @ b` would be."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Predictions for many targets plus {target position: error message}."""
+    n = len(sys.locations)
+    k = n if sys.neighborhood is None else min(sys.neighborhood, n)
+    width = k + sys.n_drift_terms
+    step = _chunk_size(8 * width * width)
+    out = np.empty(len(targets))
+    errors = {}
+    for s in range(0, len(targets), step):
+        *_, prediction, _, chunk_errors = _krige_chunk(sys, targets[s : s + step])
+        out[s : s + step] = prediction
+        errors.update((s + row, msg) for row, msg in chunk_errors.items())
+    return out, errors
+
+
 def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
     """Solve the universal kriging system for one target location."""
     x0 = np.asarray(target, dtype=float)
     if x0.shape != (2,):
         raise DataError(f"target must be a 2D location, got shape {x0.shape}")
-
-    idx = _nearest_subset(sys.locations, x0, sys.neighborhood)
-    locs = sys.locations[idx]
-    vals = sys.values[idx]
-    n = len(locs)
-    m = sys.n_drift_terms
-
-    dist = np.hypot(locs[:, 0] - x0[0], locs[:, 1] - x0[1])
-    nearest = int(np.argmin(dist))
-    if dist[nearest] < COINCIDENT_TOL:
-        weights = np.zeros(n)
-        weights[nearest] = 1.0
-        return KrigingSolution(weights, np.zeros(m), float(vals[nearest]), 0.0, idx)
-
-    # center on the target: drift columns become [1, dx, dy], rhs [1, 0, 0]
-    d = locs - x0
-    pair_dist = np.hypot(d[:, 0, None] - d[None, :, 0], d[:, 1, None] - d[None, :, 1])
-    A = np.zeros((n + m, n + m))
-    A[:n, :n] = model_gamma(sys.model, pair_dist)
-    if sys.drift_degree == 0:
-        F = np.ones((n, 1))
-        f0 = np.array([1.0])
-    else:
-        F = np.column_stack([np.ones(n), d[:, 0], d[:, 1]])
-        f0 = np.array([1.0, 0.0, 0.0])
-        # LU happily "solves" an exactly rank-deficient border with a tiny
-        # pivot, so reject degenerate drift geometry up front
-        if np.linalg.matrix_rank(F) < 3:
-            raise NumericalError(
-                f"singular kriging system at target {tuple(x0)}: "
-                + _diagnose_singular(locs, sys.drift_degree)
-            )
-    A[:n, n:] = F
-    A[n:, :n] = F.T
-    b = np.concatenate([model_gamma(sys.model, dist), f0])
-
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"singular kriging system at target {tuple(x0)}: "
-            + _diagnose_singular(locs, sys.drift_degree)
-        ) from None
-
-    if n + m <= 200:
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1e12:
-            logger.warning("ill-conditioned kriging system at %s (cond=%.3g)", tuple(x0), cond)
-    else:
-        resid = float(np.linalg.norm(A @ sol - b))
-        if resid > 1e-6 * max(1.0, float(np.linalg.norm(b))):
-            logger.warning("large kriging residual at %s (%.3g)", tuple(x0), resid)
-
-    weights = sol[:n]
-    mu = sol[n:].copy()
-    if sys.drift_degree == 1:
-        # express multipliers in the uncentered basis [1, x, y]
-        mu[0] -= mu[1] * x0[0] + mu[2] * x0[1]
-    prediction = float(weights @ vals)
-    variance = float(weights @ b[:n] + sol[n:] @ f0)
-    return KrigingSolution(weights, mu, prediction, variance, idx)
+    idx, weights, mu, prediction, variance, errors = _krige_chunk(sys, _targets(x0))
+    if errors:
+        raise NumericalError(errors[0])
+    return KrigingSolution(weights[0], mu[0], float(prediction[0]), float(variance[0]), idx[0])
 
 
 def uk_predict(sys: KrigingSystem, targets) -> np.ndarray:
     """Kriging predictions for many targets, in input order."""
-    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
-    out = np.empty(len(targets))
-    for i, t in enumerate(targets):
-        try:
-            out[i] = uk_solve(sys, t).prediction
-        except NumericalError as e:
-            raise NumericalError(f"target {i}: {e}") from e
+    out, errors = _krige(sys, _targets(targets))
+    if errors:
+        i = min(errors)
+        raise NumericalError(f"target {i}: {errors[i]}")
     return out
 
 
@@ -245,23 +442,30 @@ def idw_predict(locations, values, targets, cfg: IdwConfig = IdwConfig()) -> np.
     sample's value exactly (lowest index wins ties).
     """
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
-    vals = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(locs) == 0:
         raise DataError("IDW needs at least one sample")
-    if vals.shape != (len(locs),):
+    if values.shape != (len(locs),):
         raise DataError("values length must match locations")
-    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
-
+    if not np.all(np.isfinite(locs)):
+        raise DataError("non-finite sample location")
+    targets = _targets(targets)
+    index = GridIndex(locs)
+    k = len(locs) if cfg.neighborhood is None else min(cfg.neighborhood, len(locs))
+    step = _chunk_size(64 * k)  # about eight (chunk, k) arrays
     out = np.empty(len(targets))
-    for i, t in enumerate(targets):
-        idx = _nearest_subset(locs, t, cfg.neighborhood)
-        d = np.hypot(locs[idx, 0] - t[0], locs[idx, 1] - t[1])
-        if d[0] < COINCIDENT_TOL:
-            out[i] = vals[idx[0]]
-            continue
+    for s in range(0, len(targets), step):
+        t = targets[s : s + step]
+        idx = index.knn(t, cfg.neighborhood)
+        d = np.hypot(locs[idx, 0] - t[:, :1], locs[idx, 1] - t[:, 1:])
+        vals = values[idx]
+        chunk = vals[:, 0].copy()
+        live = d[:, 0] >= COINCIDENT_TOL
+        dl = d[live]
         # normalize by the smallest distance so huge powers cannot overflow
-        w = (d[0] / d) ** cfg.power
-        out[i] = float((w @ vals[idx]) / w.sum())
+        w = (dl[:, :1] / dl) ** cfg.power
+        chunk[live] = _rowdot(w, vals[live]) / w.sum(axis=1)
+        out[s : s + step] = chunk
     return out
 
 
@@ -294,7 +498,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
 
     xy = samples.coords()
     z = samples.altitudes()
-    verts = planar.vertices
+    verts = _targets(planar.vertices)
     fallbacks = []
 
     if isinstance(method, IdwConfig):
@@ -302,20 +506,16 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         name = "idw"
     elif isinstance(method, UkConfig):
         sys = KrigingSystem(xy, z, method.model, method.drift_degree, method.neighborhood)
-        idw_cfg = IdwConfig(power=2.0, neighborhood=method.neighborhood)
-        heights = np.empty(len(verts))
-        for i, v in enumerate(verts):
-            try:
-                heights[i] = uk_solve(sys, v).prediction
-            except NumericalError:
-                heights[i] = idw_predict(xy, z, [v], idw_cfg)[0]
-                fallbacks.append(i)
+        heights, errors = _krige(sys, verts)
+        fallbacks = sorted(errors)
         if len(fallbacks) > 0.01 * len(verts):
             raise NumericalError(
                 f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "
                 f"(first: {fallbacks[:5]})"
             )
         if fallbacks:
+            idw_cfg = IdwConfig(power=2.0, neighborhood=method.neighborhood)
+            heights[fallbacks] = idw_predict(xy, z, verts[fallbacks], idw_cfg)
             logger.warning(
                 "kriging fell back to IDW at %d vertices: %s", len(fallbacks), fallbacks[:10]
             )

@@ -181,9 +181,6 @@ class PipelineConfig:
                 kind, number("variogram_c0"), number("variogram_c"), number("variogram_a")
             )
 
-        neighbors_raw = raw["neighbors"]
-        neighbors = None if neighbors_raw == "global" else int(neighbors_raw)
-
         formats = tuple(f for f in raw["format"].split(",") if f)
         bad = set(formats) - {"obj", "vtk", "csv"}
         if bad:
@@ -192,6 +189,19 @@ class PipelineConfig:
         drift = number("drift", int)
         if drift not in (0, 1):
             raise ConfigError(f"drift must be 0 or 1, got {drift}")
+
+        # the lift keys are checked here so a bad value fails before any stage
+        neighbors = None if raw["neighbors"] == "global" else number("neighbors", int)
+        # kriging needs one sample more than it has drift terms
+        least = (2 if drift == 0 else 4) if method == "uk" else 1
+        if neighbors is not None and neighbors < least:
+            raise ConfigError(
+                f"neighbors must be 'global' or at least {least} "
+                f"(method {method}, drift {drift}), got {neighbors}"
+            )
+        power = number("power")
+        if not (power > 0 and math.isfinite(power)):
+            raise ConfigError(f"power must be positive and finite, got {raw['power']!r}")
 
         terrain_params = {
             k.removeprefix("terrain_"): number(k) for k in _TERRAIN_PARAM_KEYS
@@ -219,7 +229,7 @@ class PipelineConfig:
             ),
             drift=drift,
             neighbors=neighbors,
-            power=number("power"),
+            power=power,
             seed=number("seed", int),
             out_dir=Path(raw["out"]),
             formats=formats,

@@ -1,14 +1,26 @@
 """Interpolation tests: kriging constraints and oracle, IDW formula, lifts."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from _oracles import assemble_uk_system, gauss_solve, spherical_gamma
+import dsmkit.interpolate as interpolate
+from _oracles import (
+    assemble_uk_system,
+    gauss_solve,
+    idw_reference,
+    nearest_subset,
+    spherical_gamma,
+    uk_lift_reference,
+    uk_solve_reference,
+)
 from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError, NumericalError
 from dsmkit.geodesy import UtmPoint
 from dsmkit.geometry import Rect
 from dsmkit.interpolate import (
+    GridIndex,
     IdwConfig,
     KrigingSystem,
     UkConfig,
@@ -19,6 +31,13 @@ from dsmkit.interpolate import (
     uk_solve,
 )
 from dsmkit.mesh import delaunay_triangulate, seed_region
+from dsmkit.pipeline import (
+    PipelineConfig,
+    _build_planar_mesh,
+    _mesh_rect,
+    _prepare_samples,
+    _variogram_model,
+)
 from dsmkit.variogram import VariogramModel
 
 SPH = VariogramModel("spherical", 0.5, 2.0, 8.0)
@@ -163,6 +182,97 @@ class TestUkSolve:
         single = np.array([uk_solve(sys, t).prediction for t in targets])
         assert np.array_equal(batch, single)
 
+    def test_batch_equals_single_across_chunk_boundaries(self, monkeypatch):
+        # a few targets per chunk, so most stacks start mid-way through the input
+        monkeypatch.setattr(interpolate, "_CHUNK_BYTES", 5 * 8 * 11 * 11)
+        rng = np.random.default_rng(92)
+        locs = rng.uniform(0, 40, size=(60, 2))
+        vals = rng.uniform(0, 5, size=60)
+        sys = KrigingSystem(locs, vals, SPH, drift_degree=1, neighborhood=8)
+        targets = np.vstack([rng.uniform(-5, 45, size=(37, 2)), locs[:3]])
+        batch = uk_predict(sys, targets)
+        single = np.array([uk_solve(sys, t).prediction for t in targets])
+        assert np.array_equal(batch, single)
+
+    def test_matches_per_target_reference(self):
+        rng = np.random.default_rng(93)
+        locs = rng.uniform(0, 60, size=(40, 2))
+        vals = rng.uniform(0, 5, size=40)
+        targets = np.vstack([rng.uniform(-10, 70, size=(15, 2)), locs[:2]])
+        for degree in (0, 1):
+            for k in (None, 6):
+                sys = KrigingSystem(locs, vals, SPH, drift_degree=degree, neighborhood=k)
+                for t in targets:
+                    sol = uk_solve(sys, t)
+                    w, mu, pred, var, idx = uk_solve_reference(locs, vals, SPH, degree, k, t)
+                    assert np.array_equal(sol.sample_indices, idx)
+                    assert np.array_equal(sol.weights, w)
+                    assert np.array_equal(sol.drift_multipliers, mu)
+                    assert (sol.prediction, sol.variance) == (pred, var)
+
+    def test_near_coincident_samples_rejected(self):
+        # a pair closer than the tolerance, hidden in a lattice, at UTM scale
+        gx, gy = np.meshgrid(np.arange(15) * 3.0, np.arange(12) * 3.0)
+        locs = np.column_stack([gx.ravel(), gy.ravel()]) + [412000.0, 5398000.0]
+        locs = np.vstack([locs, locs[17] + [4e-10, 3e-10]])
+        with pytest.raises(DataError, match="samples 17 and 180 coincide"):
+            KrigingSystem(locs, np.zeros(len(locs)), SPH, 1, 16)
+        locs[-1] = locs[17] + [2e-9, 0.0]
+        KrigingSystem(locs, np.zeros(len(locs)), SPH, 1, 16)
+
+
+class TestGridIndex:
+    """The index returns exactly the brute-force (distance, index) order."""
+
+    KS = (1, 2, 3, 4, 5, 8, 9, 16, 25, 34, 35, 36, None)
+
+    @staticmethod
+    def _check(locs, targets, ks):
+        index = GridIndex(locs)
+        for k in ks:
+            want = np.array([nearest_subset(locs, t, k) for t in targets])
+            assert np.array_equal(index.knn(targets, k), want), k
+
+    @pytest.mark.parametrize(
+        "offset, spacing", [((0.0, 0.0), 1.0), ((412345.0, 5398765.0), 3.3)]
+    )
+    def test_lattice_ties(self, offset, spacing):
+        # 7 x 5 lattice: nodes, cell centres and edge midpoints all have
+        # many equidistant samples, so the index tie-break decides
+        gx, gy = np.meshgrid(np.arange(7.0), np.arange(5.0), indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        locs = grid * spacing + offset
+        outside = np.array([[-3.0, 2.0], [10.0, 10.0], [2.5, -7.0], [-40.0, -40.0], [3.0, 60.0]])
+        targets = np.vstack([grid, grid + 0.5, grid + [0.5, 0.0], grid + [0.0, 0.5], outside])
+        self._check(locs, targets * spacing + offset, self.KS)
+
+    def test_random_scatter(self):
+        rng = np.random.default_rng(5)
+        locs = rng.uniform(0, 300, size=(400, 2))
+        far = [[1e200, -1e200], [-5e3, 150.0], [150.0, 1e5]]
+        targets = np.vstack([rng.uniform(-50, 350, size=(300, 2)), locs[:20], far])
+        with np.errstate(over="ignore"):  # squared distances to 1e200 overflow
+            self._check(locs, targets, (1, 7, 16, 50, 399, 400))
+
+    def test_clustered_samples_in_a_small_budget(self, monkeypatch):
+        # nearly all samples share one cell, and the budget forces the
+        # targets to be split into many small batches
+        monkeypatch.setattr(interpolate, "_CHUNK_BYTES", 1 << 14)
+        rng = np.random.default_rng(6)
+        locs = np.vstack([rng.uniform(0, 1, (600, 2)), [[500.0, 500.0], [-80.0, 20.0]]])
+        targets = np.vstack([rng.uniform(-1, 2, (60, 2)), [[400.0, 450.0]]])
+        self._check(locs, targets, (1, 16, 601))
+
+    def test_degenerate_sample_sets(self):
+        targets = np.array([[0.0, 0.0], [3.0, 4.0], [-7.5, 2.0], [100.0, -3.0]])
+        # one sample, one point repeated (a single cell), one horizontal line
+        for locs in (
+            np.array([[3.0, 4.0]]),
+            np.tile([[1.0, 2.0]], (5, 1)),
+            np.column_stack([np.arange(20.0), np.zeros(20)]),
+        ):
+            self._check(locs, targets, (1, 2, 4, 19, 20, None))
+
 
 class TestIdw:
     def test_exact_at_sample(self):
@@ -226,6 +336,26 @@ class TestIdw:
     def test_empty_samples_rejected(self):
         with pytest.raises(DataError):
             idw_predict(np.empty((0, 2)), np.empty(0), [[0, 0]])
+
+    def test_matches_per_target_reference(self):
+        rng = np.random.default_rng(64)
+        locs = rng.uniform(0, 50, size=(80, 2))
+        vals = rng.uniform(-5, 5, size=80)
+        targets = np.vstack([rng.uniform(-10, 60, size=(120, 2)), locs[:5]])
+        for p in (1.0, 2.0, 3.5):
+            for k in (None, 1, 5, 16):
+                got = idw_predict(locs, vals, targets, IdwConfig(power=p, neighborhood=k))
+                assert np.array_equal(got, idw_reference(locs, vals, targets, p, k))
+
+    def test_non_finite_input_rejected(self):
+        locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="non-finite target"):
+            idw_predict(locs, [1.0, 2.0, 3.0], [[0.5, np.nan]])
+        with pytest.raises(DataError, match="non-finite sample"):
+            idw_predict(np.vstack([locs, [[np.nan, 0.0]]]), [1.0, 2.0, 3.0, 4.0], [[0.5, 0.5]])
+        sys = KrigingSystem(np.vstack([locs, [[1.0, 1.0]]]), np.arange(4.0), SPH, 1, None)
+        with pytest.raises(DataError, match="non-finite target"):
+            uk_predict(sys, [[0.5, 0.5], [np.inf, 0.0]])
 
     def test_bad_power_rejected(self):
         with pytest.raises(ConfigError):
@@ -305,3 +435,91 @@ class TestLiftMesh:
         )
         with pytest.raises(DataError):
             lift_mesh(lifted, _utm_pointset(np.array([[0.0, 0.0]]), [1.0]), IdwConfig())
+
+
+class TestLiftAgainstOracle:
+    """The batched lift against the per-vertex reference loop."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_demo_uk_lift(self, seed):
+        cfg = PipelineConfig.from_mapping({"seed": seed})
+        _, _, samples = _prepare_samples(cfg)
+        rect = _mesh_rect(cfg, samples)
+        planar, _, _ = _build_planar_mesh(cfg, rect)
+        model, _ = _variogram_model(cfg, samples, rect)
+        lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
+        want, fallbacks = uk_lift_reference(
+            samples.coords(), samples.altitudes(), model, cfg.drift, cfg.neighbors,
+            planar.vertices,
+        )
+        assert list(summary.fallback_vertices) == fallbacks
+        assert np.max(np.abs(lifted.vertices[:, 2] - want)) <= 1e-9
+
+    @staticmethod
+    def _line_and_scatter():
+        # 40 samples on the line y = 0 and 200 scattered at y >= 5: a target
+        # close to the line has only line samples among its 4 nearest
+        rng = np.random.default_rng(8)
+        line = np.column_stack([np.arange(40.0), np.zeros(40)])
+        xy = np.vstack([line, np.column_stack([rng.uniform(0, 40, 200), rng.uniform(5, 40, 200)])])
+        return xy, rng.uniform(0, 10, len(xy))
+
+    @staticmethod
+    def _grid_targets(nx, ny):
+        gx, gy = np.meshgrid(np.linspace(1, 39, nx), np.linspace(8, 39, ny))
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    def test_collinear_neighbourhoods_fall_back_like_oracle(self):
+        xy, z = self._line_and_scatter()
+        near_line = np.array([[10.3, 0.2], [20.6, 0.3], [30.1, 0.1]])
+        targets = np.vstack([self._grid_targets(20, 20), near_line])
+        planar = delaunay_triangulate(targets)
+        lifted, summary = lift_mesh(planar, _utm_pointset(xy, z), UkConfig(SPH, 1, 4))
+        want, fallbacks = uk_lift_reference(xy, z, SPH, 1, 4, planar.vertices)
+        assert len(fallbacks) == 3
+        assert list(summary.fallback_vertices) == fallbacks
+        assert np.array_equal(lifted.vertices[:, 2], want)
+
+        sys = KrigingSystem(xy, z, SPH, 1, 4)
+        with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
+            uk_predict(sys, [targets[0], near_line[0]])
+
+    def test_more_than_one_percent_failing_aborts(self):
+        xy, z = self._line_and_scatter()
+        targets = np.vstack([self._grid_targets(10, 10), [[10.3, 0.2], [20.6, 0.3]]])
+        with pytest.raises(NumericalError, match="kriging failed at 2 of 102 vertices"):
+            lift_mesh(delaunay_triangulate(targets), _utm_pointset(xy, z), UkConfig(SPH, 1, 4))
+
+    def test_singular_system_fails_only_its_target(self):
+        # the gaussian model's semivariogram rounds to exactly 0 at micrometre
+        # lags, so a target inside the micrometre cluster gets an all-zero
+        # block and LU raises for the whole stack it is in; the far cluster's
+        # systems are regular
+        rng = np.random.default_rng(9)
+        gx, gy = np.meshgrid(np.arange(3) * 1e-6, np.arange(3) * 1e-6)
+        xy = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), rng.uniform(5e3, 6e3, (60, 2))])
+        z = rng.uniform(0, 10, len(xy))
+        model = VariogramModel("gaussian", 0.0, 2.0, 1e3)
+        targets = np.vstack([rng.uniform(5e3, 6e3, (150, 2)), [[0.5e-6, 0.7e-6]]])
+        planar = delaunay_triangulate(targets)
+        lifted, summary = lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, 0, 4))
+        want, fallbacks = uk_lift_reference(xy, z, model, 0, 4, planar.vertices)
+        assert fallbacks == [150]
+        assert list(summary.fallback_vertices) == fallbacks
+        assert np.array_equal(lifted.vertices[:, 2], want)
+        with pytest.raises(NumericalError, match="singular coefficient block"):
+            uk_solve(KrigingSystem(xy, z, model, 0, 4), targets[150])
+
+    def test_ill_conditioned_warning_per_target(self, caplog):
+        # two samples a micrometre apart make every system that holds both
+        # numerically singular, but LU still solves it
+        rng = np.random.default_rng(10)
+        xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
+        sys = KrigingSystem(xy, rng.uniform(0, 10, 42), VariogramModel("gaussian", 0, 2, 50), 1, 8)
+        targets = np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
+        with caplog.at_level(logging.WARNING, logger="dsmkit.interpolate"):
+            uk_predict(sys, targets)
+        warned = [r.getMessage() for r in caplog.records if "ill-conditioned" in r.getMessage()]
+        assert len(warned) == 2
+        assert str(tuple(targets[0])) in warned[0]
+        assert str(tuple(targets[2])) in warned[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dsmkit.pipeline as pipeline
 from dsmkit.cli import main
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geodesy import GeoPoint, wgs84_to_utm
@@ -415,19 +416,66 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--neighbors", "foo"],
+            ["--neighbors", "0"],
+            ["--neighbors", "-5"],
+            ["--neighbors", "3"],
+            ["--neighbors", "1", "--drift", "0"],
+            ["--method", "idw", "--neighbors", "0"],
+            ["--power", "inf"],
+            ["--power", "nan"],
+            ["--power", "0"],
+            ["--power", "-2"],
+            ["--method", "idw", "--power", "inf"],
+        ],
+    )
+    def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):
+        def stage_ran(*_args):
+            raise AssertionError("a stage ran before the config was rejected")
+
+        monkeypatch.setattr(pipeline, "_acquire", stage_ran)
+        out = tmp_path / "o"
+        code = main(["run", "--config", self._cfg(tmp_path), "--out", str(out)] + args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_unwritable_csv_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        (out / "compare.csv").mkdir(parents=True)
+        code = main(
+            ["compare", "--config", self._cfg(tmp_path), "--spacing", "30", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot write" in err and "Traceback" not in err
+
     def test_convert_without_input(self, tmp_path, capsys):
         code = main(["convert", "--out", str(tmp_path / "y")])
         assert code == 1
 
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import dsmkit
+
+        # the child imports the same dsmkit as this process, installed or not
+        src = os.path.dirname(os.path.dirname(dsmkit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
         result = subprocess.run(
             [sys.executable, "-m", "dsmkit", "run", "--spacing", "30",
              "--config", self._cfg(tmp_path), "--out", str(tmp_path / "sub")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "sub" / "report.csv").exists()
