@@ -40,20 +40,22 @@ from .pipeline import (
 
 
 def _add_common(p: argparse.ArgumentParser):
+    # values are strings here: PipelineConfig.from_mapping parses and checks
+    # them, so a bad value is a configuration error (exit 1), not a usage one
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     p.add_argument("--input", metavar="PATH", help="point file, or 'synthetic'")
-    p.add_argument("--method", choices=["uk", "idw"], help="interpolation method")
-    p.add_argument("--power", type=float, metavar="P", help="IDW power parameter")
+    p.add_argument("--method", metavar="uk|idw", help="interpolation method")
+    p.add_argument("--power", metavar="P", help="IDW power parameter")
     p.add_argument(
         "--variogram",
-        choices=["spherical", "gaussian", "exponential"],
+        metavar="spherical|gaussian|exponential",
         help="theoretical variogram kind",
     )
-    p.add_argument("--drift", type=int, choices=[0, 1], help="kriging drift degree")
+    p.add_argument("--drift", metavar="0|1", help="kriging drift degree")
     p.add_argument("--neighbors", metavar="N|global", help="neighborhood size")
-    p.add_argument("--spacing", type=float, metavar="M", help="mesh vertex spacing, meters")
-    p.add_argument("--smooth-iters", type=int, metavar="K", help="Laplacian sweeps")
-    p.add_argument("--seed", type=int, metavar="S", help="RNG seed")
+    p.add_argument("--spacing", metavar="M", help="mesh vertex spacing, meters")
+    p.add_argument("--smooth-iters", metavar="K", help="Laplacian sweeps")
+    p.add_argument("--seed", metavar="S", help="RNG seed")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--format", metavar="LIST", help="comma list from obj,vtk,csv")
 

@@ -13,15 +13,24 @@ all samples, ties included; with k at or above the sample count it is that
 whole order.
 
 Universal kriging solves the bordered semivariogram system (weights
-constrained to reproduce the drift basis at the target) by dense LU;
-coordinates are centered on the target before assembly for conditioning, and
-the drift multipliers are reported in the original basis. Targets are
-processed in chunks: a chunk's local systems are assembled as one
-(chunk, k+m, k+m) stack and solved by one batched np.linalg.solve, with the
-coincident-sample snap, the drift-rank check and the conditioning check
-vectorised over the chunk. The chunk size is a fixed byte budget divided by
-the size of one system, so a global neighbourhood (all samples) solves one
-target at a time. A singular or degenerate system fails only its own target.
+constrained to reproduce the drift basis at the target) by dense LU. A local
+(k-nearest) neighbourhood differs per target: coordinates are centered on
+the target before assembly for conditioning, and the drift multipliers are
+reported in the original basis. Targets are processed in chunks: a chunk's
+local systems are assembled as one (chunk, k+m, k+m) stack and solved by one
+batched np.linalg.solve, with the coincident-sample snap, the drift-rank
+check and the conditioning check vectorised over the chunk. The chunk size
+is a fixed byte budget divided by the size of one system. A singular or
+degenerate system fails only its own target.
+
+A global neighbourhood (all samples) gives every target the same system once
+it is centered on the sample centroid, so predictions solve it once, in dual
+form (Royer & Vieira 1984; Cressie 1993, 3.4): alpha = A^-1 [z; 0], and
+z(x0) = gamma(|x_i - x0|) . alpha_w + f(x0) . alpha_mu. The x/y drift
+columns are scaled by the samples' half-span so the border is O(1). If that
+system is singular, every target off the samples fails. uk_solve, which
+reports weights and variance, always solves the target-centered system.
+
 IDW implements the classic Shepard weighting on the same index and chunks.
 """
 
@@ -292,12 +301,50 @@ def _targets(targets) -> np.ndarray:
     return t
 
 
+def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Stack of bordered semivariogram matrices [[G, F], [F^T, 0]] for the
+    sample coordinates d (stack, n, 2) and drift columns F (stack, n, m)."""
+    L, n, m = F.shape
+    A = np.zeros((L, n + m, n + m))
+    # fill the semivariogram block a few rows at a time: full-size
+    # temporaries, freed after every target of a large system, made the
+    # allocator hand their pages back and fault them in again per target
+    slab = max(1, _SLAB_ELEMS // (L * n))
+    for r in range(0, n, slab):
+        s = slice(r, min(r + slab, n))
+        pair_dist = np.hypot(
+            d[:, s, None, 0] - d[:, None, :, 0], d[:, s, None, 1] - d[:, None, :, 1]
+        )
+        A[:, s, :n] = model_gamma(model, pair_dist)
+    A[:, :n, n:] = F
+    A[:, n:, :n] = F.transpose(0, 2, 1)
+    return A
+
+
+def _conditioning(A: np.ndarray, sol: np.ndarray, b: np.ndarray):
+    """(measure name, per-system values, bad mask) for a stack of solved
+    systems: the 2-norm condition number of small systems, the relative
+    residual of the solve for large ones."""
+    if A.shape[-1] <= 200:
+        value = np.linalg.cond(A)
+        limit = 1e12
+        name = "cond"
+    else:
+        resid = np.linalg.norm(np.matmul(A, sol[..., None])[..., 0] - b, axis=-1)
+        value = resid / np.maximum(1.0, np.linalg.norm(b, axis=-1))
+        limit = 1e-6
+        name = "residual"
+    return name, value, ~(np.isfinite(value) & (value <= limit))
+
+
 def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     """Assemble and solve the target-centered UK systems of targets x0.
 
     Returns (sample_indices, weights, drift_multipliers, prediction,
-    variance, errors), one row per target; errors maps a failed row to its
-    message, and a failed row's prediction is NaN.
+    variance, errors, worst), one row per target; errors maps a failed row
+    to its message, and a failed row's prediction is NaN. worst is the
+    largest conditioning value over the solved systems (NaN if none was
+    solved).
     """
     idx = sys.index.knn(x0, sys.neighborhood)
     locs = sys.locations[idx]
@@ -337,22 +384,9 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
         live = live[full]
         F = F[full]
     if len(live) == 0:
-        return idx, weights, mu, prediction, variance, errors
+        return idx, weights, mu, prediction, variance, errors, np.nan
 
-    dl = d[live]
-    A = np.zeros((len(live), n + m, n + m))
-    # fill the semivariogram block a few rows at a time: full-size
-    # temporaries, freed after every target of a global system, made the
-    # allocator hand their pages back and fault them in again per target
-    slab = max(1, _SLAB_ELEMS // (len(live) * n))
-    for r in range(0, n, slab):
-        s = slice(r, min(r + slab, n))
-        pair_dist = np.hypot(
-            dl[:, s, None, 0] - dl[:, None, :, 0], dl[:, s, None, 1] - dl[:, None, :, 1]
-        )
-        A[:, s, :n] = model_gamma(sys.model, pair_dist)
-    A[:, :n, n:] = F
-    A[:, n:, :n] = F.transpose(0, 2, 1)
+    A = _bordered(sys.model, d[live], F)
     b = np.zeros((len(live), n + m))
     b[:, :n] = model_gamma(sys.model, dist[live])
     b[:, n] = 1.0
@@ -370,18 +404,14 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
                 solved[j] = False
                 singular(live[j])
         A, b, sol, live = A[solved], b[solved], sol[solved], live[solved]
+        if len(live) == 0:
+            return idx, weights, mu, prediction, variance, errors, np.nan
 
-    if n + m <= 200:
-        cond = np.linalg.cond(A)
-        for j in np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12))):
-            logger.warning(
-                "ill-conditioned kriging system at %s (cond=%.3g)", tuple(x0[live[j]]), cond[j]
-            )
-    else:
-        for j in range(len(live)):
-            resid = float(np.linalg.norm(A[j] @ sol[j] - b[j]))
-            if resid > 1e-6 * max(1.0, float(np.linalg.norm(b[j]))):
-                logger.warning("large kriging residual at %s (%.3g)", tuple(x0[live[j]]), resid)
+    measure, value, bad = _conditioning(A, sol, b)
+    for j in np.flatnonzero(bad):
+        logger.warning(
+            "ill-conditioned kriging system at %s (%s=%.3g)", tuple(x0[live[j]]), measure, value[j]
+        )
 
     w = sol[:, :n]
     weights[live] = w
@@ -392,7 +422,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     mu[live] = mult
     prediction[live] = _rowdot(w, vals[live])
     variance[live] = _rowdot(w, b[:, :n]) + sol[:, n]
-    return idx, weights, mu, prediction, variance, errors
+    return idx, weights, mu, prediction, variance, errors, value.max()
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,19 +430,77 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Predictions for many targets plus {target position: error message}."""
+def _krige_global(sys: KrigingSystem, targets: np.ndarray):
+    """Dual-form predictions from one system over all samples; returns
+    what _krige returns."""
+    locs = sys.locations
+    n, m = len(locs), sys.n_drift_terms
+    center = locs.mean(axis=0)
+    c = locs - center
+    # distinct samples, at least two: the span is positive
+    half = 0.5 * float((locs.max(axis=0) - locs.min(axis=0)).max())
+    F = np.ones((n, m))
+    if m == 3:
+        F[:, 1:] = c / half
+    out = np.full(len(targets), np.nan)
+    errors = {}
+
+    nearest = sys.index.knn(targets, 1)[:, 0]
+    gap = np.hypot(targets[:, 0] - locs[nearest, 0], targets[:, 1] - locs[nearest, 1])
+    snap = gap < COINCIDENT_TOL
+    out[snap] = sys.values[nearest[snap]]
+    live = np.flatnonzero(~snap)
+
+    rhs = np.concatenate([sys.values, np.zeros(m)])
+    alpha = None
+    # as in _krige_chunk, reject a rank-deficient border before LU
+    if m == 1 or np.linalg.matrix_rank(F) == 3:
+        A = _bordered(sys.model, c[None], F[None])[0]
+        try:
+            alpha = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if alpha is None:
+        why = _diagnose_singular(locs, sys.drift_degree)
+        for row in live:
+            errors[int(row)] = f"singular kriging system at target {tuple(targets[row])}: {why}"
+        return out, errors, "global neighbourhood, singular system"
+
+    measure, value, bad = _conditioning(A[None], alpha[None], rhs[None])
+    if bad[0]:
+        logger.warning("ill-conditioned global kriging system (%s=%.3g)", measure, value[0])
+
+    # about eight (chunk, n) float64 temporaries per chunk of targets
+    step = _chunk_size(64 * n)
+    for s in range(0, len(live), step):
+        rows = live[s : s + step]
+        t = targets[rows] - center
+        g = model_gamma(sys.model, np.hypot(c[:, 0] - t[:, :1], c[:, 1] - t[:, 1:]))
+        z = g @ alpha[:n] + alpha[n]
+        if m == 3:
+            z += t @ alpha[n + 1 :] / half
+        out[rows] = z
+    return out, errors, f"global neighbourhood, {measure} {value[0]:.3g}"
+
+
+def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, str]:
+    """Predictions for many targets, {target position: error message}, and
+    a one-line note naming the path and its worst conditioning value."""
     n = len(sys.locations)
-    k = n if sys.neighborhood is None else min(sys.neighborhood, n)
-    width = k + sys.n_drift_terms
+    if sys.neighborhood is None or sys.neighborhood >= n:
+        return _krige_global(sys, targets)
+    width = sys.neighborhood + sys.n_drift_terms
     step = _chunk_size(8 * width * width)
     out = np.empty(len(targets))
     errors = {}
+    worst = np.nan
     for s in range(0, len(targets), step):
-        *_, prediction, _, chunk_errors = _krige_chunk(sys, targets[s : s + step])
+        *_, prediction, _, chunk_errors, chunk_worst = _krige_chunk(sys, targets[s : s + step])
         out[s : s + step] = prediction
         errors.update((s + row, msg) for row, msg in chunk_errors.items())
-    return out, errors
+        worst = np.fmax(worst, chunk_worst)
+    measure = "cond" if width <= 200 else "residual"
+    return out, errors, f"local neighbourhood of {sys.neighborhood}, worst {measure} {worst:.3g}"
 
 
 def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
@@ -420,7 +508,7 @@ def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
     x0 = np.asarray(target, dtype=float)
     if x0.shape != (2,):
         raise DataError(f"target must be a 2D location, got shape {x0.shape}")
-    idx, weights, mu, prediction, variance, errors = _krige_chunk(sys, _targets(x0))
+    idx, weights, mu, prediction, variance, errors, _ = _krige_chunk(sys, _targets(x0))
     if errors:
         raise NumericalError(errors[0])
     return KrigingSolution(weights[0], mu[0], float(prediction[0]), float(variance[0]), idx[0])
@@ -428,7 +516,7 @@ def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
 
 def uk_predict(sys: KrigingSystem, targets) -> np.ndarray:
     """Kriging predictions for many targets, in input order."""
-    out, errors = _krige(sys, _targets(targets))
+    out, errors, _ = _krige(sys, _targets(targets))
     if errors:
         i = min(errors)
         raise NumericalError(f"target {i}: {errors[i]}")
@@ -506,8 +594,12 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         name = "idw"
     elif isinstance(method, UkConfig):
         sys = KrigingSystem(xy, z, method.model, method.drift_degree, method.neighborhood)
-        heights, errors = _krige(sys, verts)
+        heights, errors, note = _krige(sys, verts)
         fallbacks = sorted(errors)
+        logger.debug(
+            "uk lift: %d samples, %d vertices, %s, %d fallbacks",
+            len(xy), len(verts), note, len(fallbacks),
+        )
         if len(fallbacks) > 0.01 * len(verts):
             raise NumericalError(
                 f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "

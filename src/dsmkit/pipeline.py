@@ -8,8 +8,10 @@ run writes is byte-identical across runs for a fixed config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -658,8 +660,16 @@ def ensure_dir(path) -> Path:
 
 
 def _write_text(path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and
+    os.replace, so a failed write leaves neither a partial artifact nor the
+    temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", newline="\n") as fh:
+        with open(tmp, "w", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise DataError(f"cannot write {path}: {e}") from e

@@ -469,16 +469,21 @@ class TestLiftAgainstOracle:
         gx, gy = np.meshgrid(np.linspace(1, 39, nx), np.linspace(8, 39, ny))
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def test_collinear_neighbourhoods_fall_back_like_oracle(self):
+    def test_collinear_neighbourhoods_fall_back_like_oracle(self, caplog):
         xy, z = self._line_and_scatter()
         near_line = np.array([[10.3, 0.2], [20.6, 0.3], [30.1, 0.1]])
         targets = np.vstack([self._grid_targets(20, 20), near_line])
         planar = delaunay_triangulate(targets)
-        lifted, summary = lift_mesh(planar, _utm_pointset(xy, z), UkConfig(SPH, 1, 4))
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+            lifted, summary = lift_mesh(planar, _utm_pointset(xy, z), UkConfig(SPH, 1, 4))
         want, fallbacks = uk_lift_reference(xy, z, SPH, 1, 4, planar.vertices)
         assert len(fallbacks) == 3
         assert list(summary.fallback_vertices) == fallbacks
         assert np.array_equal(lifted.vertices[:, 2], want)
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
+        assert len(notes) == 1
+        assert "240 samples, 403 vertices, local neighbourhood of 4, worst cond" in notes[0]
+        assert notes[0].endswith("3 fallbacks")
 
         sys = KrigingSystem(xy, z, SPH, 1, 4)
         with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
@@ -523,3 +528,74 @@ class TestLiftAgainstOracle:
         assert len(warned) == 2
         assert str(tuple(targets[0])) in warned[0]
         assert str(tuple(targets[2])) in warned[1]
+
+
+class TestGlobalNeighbourhood:
+    """One shared dual-form system against the per-target solves."""
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_lift_matches_per_vertex_reference(self, degree, caplog):
+        model = VariogramModel("spherical", 0.2, 2.0, 60.0)
+        rng = np.random.default_rng(20 + degree)
+        xy = rng.uniform(0, 100, (200, 2))
+        z = 400.0 + 0.05 * xy[:, 0] - 0.03 * xy[:, 1] + rng.uniform(0, 5, 200)
+        # the last 12 targets sit on samples (the mesh keeps the input order)
+        targets = np.vstack([rng.uniform(-5, 105, (60, 2)), xy[:12]])
+        planar = delaunay_triangulate(targets)
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+            lifted, summary = lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, degree, None))
+        want, fallbacks = uk_lift_reference(xy, z, model, degree, None, targets)
+        assert fallbacks == [] and summary.fallback_vertices == ()
+        assert np.max(np.abs(lifted.vertices[:, 2] - want)) <= 1e-8
+        assert np.array_equal(lifted.vertices[60:, 2], z[:12])
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
+        assert len(notes) == 1
+        assert "200 samples, 72 vertices, global" in notes[0] and notes[0].endswith("0 fallbacks")
+
+        # a neighbourhood of at least n samples is the same global system
+        pred = uk_predict(KrigingSystem(xy, z, model, degree, 500), targets)
+        assert np.max(np.abs(pred - want)) <= 1e-8
+        assert np.array_equal(pred[60:], z[:12])
+
+    def test_predict_matches_uk_solve_at_utm_offsets(self):
+        offset = np.array([412000.0, 5398000.0])
+        rng = np.random.default_rng(23)
+        xy = rng.uniform(0, 300, (150, 2)) + offset
+        z = rng.uniform(380, 460, 150)
+        sys = KrigingSystem(xy, z, VariogramModel("exponential", 0.5, 30.0, 150.0), 1, None)
+        targets = np.vstack([rng.uniform(-20, 320, (40, 2)) + offset, xy[:3]])
+        single = np.array([uk_solve(sys, t).prediction for t in targets])
+        pred = uk_predict(sys, targets)
+        assert np.max(np.abs(pred - single)) <= 1e-8
+        assert np.array_equal(pred[-3:], z[:3])
+
+    def test_collinear_samples_name_drift_term(self):
+        locs = np.column_stack([np.linspace(0, 10, 6), np.linspace(0, 20, 6)])
+        sys = KrigingSystem(locs, np.arange(6.0), SPH, drift_degree=1, neighborhood=None)
+        assert uk_predict(sys, [locs[2]])[0] == 2.0
+        with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
+            uk_predict(sys, [locs[2], (5.0, 5.0)])
+
+    def test_singular_system_aborts_lift(self):
+        # the micrometre cluster's semivariogram rows are exactly equal, so
+        # the one shared system is singular and every vertex fails
+        rng = np.random.default_rng(9)
+        gx, gy = np.meshgrid(np.arange(3) * 1e-6, np.arange(3) * 1e-6)
+        xy = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), rng.uniform(5e3, 6e3, (60, 2))])
+        z = rng.uniform(0, 10, len(xy))
+        model = VariogramModel("gaussian", 0.0, 2.0, 1e3)
+        planar = delaunay_triangulate(rng.uniform(5e3, 6e3, (40, 2)))
+        with pytest.raises(NumericalError, match="kriging failed at 40 of 40 vertices"):
+            lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, 0, None))
+        with pytest.raises(NumericalError, match="^target 0: .*singular coefficient block"):
+            uk_predict(KrigingSystem(xy, z, model, 0, None), planar.vertices)
+
+    def test_ill_conditioned_system_warns_once(self, caplog):
+        rng = np.random.default_rng(10)
+        xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
+        sys = KrigingSystem(xy, rng.uniform(0, 10, 42), VariogramModel("gaussian", 0, 2, 50), 1, None)
+        targets = np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
+        with caplog.at_level(logging.WARNING, logger="dsmkit.interpolate"):
+            uk_predict(sys, targets)
+        warned = [r.getMessage() for r in caplog.records if "ill-conditioned" in r.getMessage()]
+        assert len(warned) == 1 and "global" in warned[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dsmkit.pipeline as pipeline
-from dsmkit.cli import main
+from dsmkit.cli import _config_from_args, build_parser, main
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geodesy import GeoPoint, wgs84_to_utm
 from dsmkit.mesh import TriMesh
@@ -227,6 +227,33 @@ class TestRun:
         assert not (out / "dsm_uk.obj").exists()
         assert not (out / "dsm_uk.vtk").exists()
 
+    def test_failed_write_leaves_old_artifact_and_no_temp(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        path = tmp_path / "report.csv"
+        path.write_text("old contents\n")
+        monkeypatch.setattr(pipeline, "open", HalfWriter, raising=False)
+        for target in (path, tmp_path / "new.csv"):
+            with pytest.raises(DataError, match="cannot write .*No space left"):
+                pipeline._write_text(target, "key,value\n" * 1000)
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     def test_point_file_input(self, tmp_path):
         # run from a file produced by serializing a scan
         from dsmkit.acquisition import ScanSpec, scan_grid, serialize_point_file, synthetic_terrain
@@ -430,6 +457,14 @@ class TestCli:
             ["--power", "0"],
             ["--power", "-2"],
             ["--method", "idw", "--power", "inf"],
+            # typed flags: from_mapping, not argparse, rejects the value
+            ["--power", "foo"],
+            ["--drift", "5"],
+            ["--spacing", "wide"],
+            ["--smooth-iters", "1.5"],
+            ["--seed", "x"],
+            ["--method", "krige"],
+            ["--variogram", "cubic"],
         ],
     )
     def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):
@@ -443,6 +478,16 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_typed_flags_reach_the_config(self, tmp_path):
+        argv = ["run", "--seed", "3", "--power", "2.5", "--drift", "0", "--spacing", "30"]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert (cfg.seed, cfg.power, cfg.drift, cfg.spacing) == (3, 2.5, 0, 30.0)
+        code = main(
+            ["run", "--config", self._cfg(tmp_path), "--method", "idw", "--seed", "3",
+             "--power", "2.5", "--spacing", "30", "--out", str(tmp_path / "o")]
+        )
+        assert code == 0
 
     def test_compare_unwritable_csv_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "cmp"
