@@ -1,18 +1,29 @@
 """Incremental Delaunay triangulation (Bowyer-Watson) with robust predicates.
 
 Orientation and in-circle tests run as floating-point computations guarded by
-forward error bounds; uncertain signs fall back to exact rational arithmetic,
-so cocircular and collinear configurations are decided exactly. The hull is
-represented by ghost triangles (third vertex GHOST), which makes insertion
-outside the current hull the same cavity operation as an interior insertion.
+forward error bounds; uncertain signs fall back to exact integer arithmetic
+(every float is an integer multiple of a power of two), so cocircular and
+collinear configurations are decided exactly. The hull is represented by
+ghost triangles (third vertex GHOST), which makes insertion outside the
+current hull the same cavity operation as an interior insertion.
 
-Determinism: points are inserted in input order and every tie is resolved by
-that order, so identical input always yields the identical triangulation.
+Insertion order: a biased randomized insertion order (BRIO; Amenta, Choi &
+Rote 2003). A shuffle with a fixed seed is cut into rounds that double in
+size, and each round is sorted along a Hilbert curve, so every point is found
+by a short walk from the previous one and opens a small cavity.
+
+Determinism: an exact in-circle tie (four cocircular points) is decided as if
+every point were lifted off the paraboloid by an infinitesimal amount that
+grows with its input index, the larger index dominating (simulation of
+simplicity; Edelsbrunner & Mücke 1990). The triangle set therefore does not
+depend on the insertion order. Triangles are emitted counter-clockwise,
+rotated to start at their smallest vertex index, in sorted order, so the
+output depends on the point set alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import numpy as np
 
 from .errors import DataError
 
@@ -22,20 +33,31 @@ _EPS = 2.220446049250313e-16
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
+# the insertion order must not depend on the run's seed: it is fixed
+_BRIO_SEED = 0x5EED
+_FIRST_ROUND = 64
+_HILBERT_BITS = 16
+
+
+def _integers(*coords):
+    """The coordinates as integers over their common power-of-two denominator."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    shift = max(d for _, d in ratios).bit_length()
+    return [n << (shift - d.bit_length()) for n, d in ratios]
+
 
 def _orient_exact(ax, ay, bx, by, cx, cy):
-    det = (Fraction(ax) - Fraction(cx)) * (Fraction(by) - Fraction(cy)) - (
-        Fraction(ay) - Fraction(cy)
-    ) * (Fraction(bx) - Fraction(cx))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    ax, ay, bx, by, cx, cy = _integers(ax, ay, bx, by, cx, cy)
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
 
 
-def orient2d(ax, ay, bx, by, cx, cy):
-    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear."""
+def orient2d(ax, ay, bx, by, cx, cy, tally=None):
+    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear.
+
+    tally, when given, is a dict whose "exact_orient" entry counts the calls
+    the float filter could not decide.
+    """
     detleft = (ax - cx) * (by - cy)
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
@@ -44,30 +66,30 @@ def orient2d(ax, ay, bx, by, cx, cy):
         return 1
     if -det > _ORIENT_BOUND * detsum:
         return -1
+    if tally is not None:
+        tally["exact_orient"] += 1
     return _orient_exact(ax, ay, bx, by, cx, cy)
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
-    adx = Fraction(ax) - Fraction(dx)
-    ady = Fraction(ay) - Fraction(dy)
-    bdx = Fraction(bx) - Fraction(dx)
-    bdy = Fraction(by) - Fraction(dy)
-    cdx = Fraction(cx) - Fraction(dx)
-    cdy = Fraction(cy) - Fraction(dy)
+    ax, ay, bx, by, cx, cy, dx, dy = _integers(ax, ay, bx, by, cx, cy, dx, dy)
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
     det = (
         (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
         + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c)."""
+def incircle(ax, ay, bx, by, cx, cy, dx, dy, tally=None):
+    """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c),
+    -1 strictly outside, 0 on it. tally as for orient2d ("exact_incircle")."""
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
@@ -102,200 +124,253 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
         return 1
     if -det > errbound:
         return -1
+    if tally is not None:
+        tally["exact_incircle"] += 1
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
 
-def _within_open_segment(pa, pb, q):
-    # assumes q collinear with a-b; True iff q lies strictly between them
-    if pa[0] != pb[0]:
-        lo, hi = (pa[0], pb[0]) if pa[0] < pb[0] else (pb[0], pa[0])
-        return lo < q[0] < hi
-    lo, hi = (pa[1], pb[1]) if pa[1] < pb[1] else (pb[1], pa[1])
-    return lo < q[1] < hi
+def _hilbert_keys(xy):
+    """Position of each point along a Hilbert curve over the points' bounding
+    square, on a 2**_HILBERT_BITS grid per side."""
+    side = 1 << _HILBERT_BITS
+    lo = xy.min(axis=0)
+    span = float((xy.max(axis=0) - lo).max()) or 1.0
+    q = np.minimum((xy - lo) * (side / span), side - 1).astype(np.int64)
+    x, y = q[:, 0], q[:, 1]
+    keys = np.zeros(len(xy), dtype=np.int64)
+    s = side >> 1
+    while s:
+        rx = (x & s) > 0
+        ry = (y & s) > 0
+        keys += s * s * ((3 * rx) ^ ry)
+        flip = rx & ~ry
+        x = np.where(flip, side - 1 - x, x)
+        y = np.where(flip, side - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return keys
+
+
+def _brio_order(points):
+    """Insertion order and its number of rounds: a fixed-seed shuffle cut into
+    rounds that double in size (the last holds half the points), each round
+    sorted along the Hilbert curve."""
+    n = len(points)
+    perm = np.random.default_rng(_BRIO_SEED).permutation(n)
+    keys = _hilbert_keys(np.asarray(points, dtype=float))
+    cuts = [n]
+    while cuts[-1] > _FIRST_ROUND:
+        cuts.append(cuts[-1] // 2)
+    cuts.append(0)
+    cuts.reverse()
+    rounds = [perm[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    order = np.concatenate([r[np.argsort(keys[r], kind="stable")] for r in rounds])
+    return order.tolist(), len(rounds)
 
 
 class _Triangulation:
-    """Mutable triangle soup with neighbor links, ghosts included."""
+    """Triangles with neighbour links, ghosts included, in flat lists.
 
-    def __init__(self, pts):
-        self.pts = pts
-        self.tris = []  # vertex index triples; ghosts carry GHOST at slot 2
-        self.nbrs = []  # nbrs[t][i] = triangle across edge (tris[t][i], tris[t][(i+1)%3])
-        self.alive = []
-        self.last_real = 0
+    Triangle t has vertices verts[3t:3t+3] (ghosts carry GHOST in the last
+    slot) and nbrs[3t+i] is the triangle across the edge from slot i to slot
+    (i+1) % 3. An insertion reuses the slots of the triangles it destroys, so
+    every slot holds a live triangle.
+    """
 
-    def _new_tri(self, a, b, c):
-        self.tris.append((a, b, c))
-        self.nbrs.append([None, None, None])
-        self.alive.append(True)
-        return len(self.tris) - 1
-
-    def _wire(self, tri_ids):
-        # link mutual neighbors among the given triangles by directed edges
-        edge_of = {}
-        for t in tri_ids:
-            a, b, c = self.tris[t]
-            for i, e in enumerate(((a, b), (b, c), (c, a))):
-                edge_of[e] = (t, i)
-        for (u, v), (t, i) in edge_of.items():
-            other = edge_of.get((v, u))
-            if other is not None:
-                self.nbrs[t][i] = other[0]
+    def __init__(self, points):
+        self.xs = [p[0] for p in points]
+        self.ys = [p[1] for p in points]
+        self.verts = []
+        self.nbrs = []
+        self.last = 0  # a real triangle near the last insertion: walks start here
+        self.tally = {"created": 0, "exact_orient": 0, "exact_incircle": 0, "ties": 0}
 
     def seed(self, i0, i1, i2):
-        if orient2d(*self.pts[i0], *self.pts[i1], *self.pts[i2]) < 0:
+        xs, ys = self.xs, self.ys
+        if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[i2], ys[i2], self.tally) < 0:
             i1, i2 = i2, i1
-        t = self._new_tri(i0, i1, i2)
-        g0 = self._new_tri(i1, i0, GHOST)
-        g1 = self._new_tri(i2, i1, GHOST)
-        g2 = self._new_tri(i0, i2, GHOST)
-        self._wire([t, g0, g1, g2])
-        self.last_real = t
+        # triangle 0 and the ghosts across its edges (i0,i1), (i1,i2), (i2,i0)
+        self.verts = [i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST]
+        self.nbrs = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
+        self.tally["created"] += 4
 
     def _in_disk(self, t, p):
-        a, b, c = self.tris[t]
-        pa = self.pts[a]
-        pb = self.pts[b]
+        """Whether p lies in the (perturbed) circumdisk of triangle t; for a
+        ghost, the open half-plane beyond its hull edge plus the open edge."""
+        verts, xs, ys = self.verts, self.xs, self.ys
+        a = verts[3 * t]
+        b = verts[3 * t + 1]
+        c = verts[3 * t + 2]
+        px = xs[p]
+        py = ys[p]
         if c == GHOST:
             # stored (a, b, GHOST) for hull edge (b, a): outside is left of a->b
-            o = orient2d(pa[0], pa[1], pb[0], pb[1], p[0], p[1])
-            if o > 0:
-                return True
-            if o < 0:
-                return False
-            return _within_open_segment(pa, pb, p)
-        pc = self.pts[c]
-        return (
-            incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], p[0], p[1]) > 0
-        )
+            o = orient2d(xs[a], ys[a], xs[b], ys[b], px, py, self.tally)
+            if o:
+                return o > 0
+            return _within_open_segment(xs[a], ys[a], xs[b], ys[b], px, py)
+        s = incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py, self.tally)
+        if s:
+            return s > 0
+        # Cocircular: lift point i by eps**f(i), f growing with i. The largest
+        # index decides; its term is orient(b, c, p) for a, orient(c, a, p)
+        # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
+        # distinct cocircular points are never collinear, so the term is
+        # never zero.
+        self.tally["ties"] += 1
+        top = max(a, b, c)
+        if p > top:
+            return False
+        if top == a:
+            a, b, c = b, c, a
+        elif top == b:
+            a, b, c = c, a, b
+        return orient2d(xs[a], ys[a], xs[b], ys[b], px, py, self.tally) > 0
 
     def _locate(self, p):
-        t = self.last_real
-        limit = 4 * len(self.tris) + 64
-        for _ in range(limit):
-            tri = self.tris[t]
-            if tri[2] == GHOST:
+        """A triangle whose closure holds p, or a ghost whose half-plane does."""
+        verts, nbrs, xs, ys, tally = self.verts, self.nbrs, self.xs, self.ys, self.tally
+        px = xs[p]
+        py = ys[p]
+        t = self.last
+        for _ in range(len(verts) + 64):
+            k = 3 * t
+            a = verts[k]
+            b = verts[k + 1]
+            c = verts[k + 2]
+            if c == GHOST:
                 return t
-            moved = False
-            for i in range(3):
-                u = tri[i]
-                v = tri[(i + 1) % 3]
-                pu = self.pts[u]
-                pv = self.pts[v]
-                if orient2d(pu[0], pu[1], pv[0], pv[1], p[0], p[1]) < 0:
-                    t = self.nbrs[t][i]
-                    moved = True
-                    break
-            if not moved:
+            if orient2d(xs[a], ys[a], xs[b], ys[b], px, py, tally) < 0:
+                t = nbrs[k]
+            elif orient2d(xs[b], ys[b], xs[c], ys[c], px, py, tally) < 0:
+                t = nbrs[k + 1]
+            elif orient2d(xs[c], ys[c], xs[a], ys[a], px, py, tally) < 0:
+                t = nbrs[k + 2]
+            else:
                 return t
         # walk did not settle (should not happen on a Delaunay mesh): scan
-        for t in range(len(self.tris)):
-            if self.alive[t] and self._in_disk(t, p):
+        for t in range(len(verts) // 3):
+            if self._in_disk(t, p):
                 return t
-        raise DataError("point location failed")
+        raise DataError(f"point location failed for point {p}")
 
-    def insert(self, pid):
-        p = self.pts[pid]
+    def insert(self, p):
+        verts, nbrs = self.verts, self.nbrs
         t0 = self._locate(p)
-        if not self._in_disk(t0, p):
-            raise DataError(
-                f"cannot insert point {pid}: coincides with an existing vertex"
-            )
 
-        # grow the cavity: every triangle whose circumdisk holds p
+        # grow the cavity: every triangle whose circumdisk holds p; collect its
+        # boundary edges (u, v) with the triangle outside each
         cavity = [t0]
-        in_cavity = {t0}
+        inside = {t0}
+        outside = set()
+        edges = []
         stack = [t0]
         while stack:
             t = stack.pop()
-            for n in self.nbrs[t]:
-                if n not in in_cavity and self._in_disk(n, p):
-                    in_cavity.add(n)
+            for i in range(3):
+                n = nbrs[3 * t + i]
+                if n in inside:
+                    continue
+                if n not in outside and self._in_disk(n, p):
+                    inside.add(n)
                     cavity.append(n)
                     stack.append(n)
+                else:
+                    outside.add(n)
+                    edges.append((verts[3 * t + i], verts[3 * t + (i + 1) % 3], n))
 
-        boundary = []  # (u, v, outside triangle)
-        for t in cavity:
-            tri = self.tris[t]
-            for i in range(3):
-                n = self.nbrs[t][i]
-                if n not in in_cavity:
-                    boundary.append((tri[i], tri[(i + 1) % 3], n))
-
-        for t in cavity:
-            self.alive[t] = False
-
-        new_ids = []
-        outside_of = {}
-        for u, v, out in boundary:
+        # one new triangle per boundary edge (u, v): (u, v, p), or a ghost
+        # when u or v is GHOST; the cavity's slots are reused, two appended
+        free = cavity + [len(verts) // 3, len(verts) // 3 + 1]
+        verts.extend((0, 0, 0, 0, 0, 0))
+        nbrs.extend((0, 0, 0, 0, 0, 0))
+        into_p = {}  # v -> flat slot of edge (v, p)
+        from_p = {}  # u -> flat slot of edge (p, u)
+        for (u, v, out), nt in zip(edges, free, strict=True):
+            k = 3 * nt
             if v == GHOST:
-                nt = self._new_tri(pid, u, GHOST)  # keeps directed edge (u, GHOST)
+                verts[k : k + 3] = (p, u, GHOST)
+                outer, into_p[v], from_p[u] = k + 1, k + 2, k
             elif u == GHOST:
-                nt = self._new_tri(v, pid, GHOST)  # keeps directed edge (GHOST, v)
+                verts[k : k + 3] = (v, p, GHOST)
+                outer, into_p[v], from_p[u] = k + 2, k, k + 1
             else:
-                nt = self._new_tri(u, v, pid)
-            new_ids.append(nt)
-            outside_of[(u, v)] = out
-
-        # wire spokes among the new fan and stitch the fan to the old mesh
-        edge_of = {}
-        for t in new_ids:
-            a, b, c = self.tris[t]
-            for i, e in enumerate(((a, b), (b, c), (c, a))):
-                edge_of[e] = (t, i)
-        for (u, v), (t, i) in edge_of.items():
-            internal = edge_of.get((v, u))
-            if internal is not None:
-                self.nbrs[t][i] = internal[0]
-                continue
-            out = outside_of[(u, v)]
-            self.nbrs[t][i] = out
-            out_tri = self.tris[out]
-            for j in range(3):
-                if out_tri[j] == v and out_tri[(j + 1) % 3] == u:
-                    self.nbrs[out][j] = t
-                    break
-
-        for t in new_ids:
-            if self.tris[t][2] != GHOST:
-                self.last_real = t
-                break
+                verts[k : k + 3] = (u, v, p)
+                outer, into_p[v], from_p[u] = k, k + 1, k + 2
+                self.last = nt
+            nbrs[outer] = out
+            m = 3 * out
+            if verts[m] == v:
+                nbrs[m] = nt
+            elif verts[m + 1] == v:
+                nbrs[m + 1] = nt
+            else:
+                nbrs[m + 2] = nt
+        for x, k in into_p.items():
+            j = from_p[x]
+            nbrs[k] = j // 3
+            nbrs[j] = k // 3
+        self.tally["created"] += len(edges)
 
 
-def triangulate(points):
+def _within_open_segment(ax, ay, bx, by, qx, qy):
+    # assumes q collinear with a-b; True iff q lies strictly between them
+    if ax != bx:
+        return min(ax, bx) < qx < max(ax, bx)
+    return min(ay, by) < qy < max(ay, by)
+
+
+def triangulate(points, _order=None):
     """Delaunay-triangulate unique 2D points.
 
     points: sequence of (x, y) float pairs, all distinct.
-    Returns (triangles, hull_mask): CCW vertex-index triples in creation
-    order, and a per-vertex boolean list marking convex hull membership.
+    Returns (triangles, hull_mask, stats): CCW vertex-index triples, each
+    starting at its smallest index, in sorted order; a per-vertex boolean
+    list marking convex hull membership; and a dict of counts (points,
+    rounds, created triangles, exact orient and incircle fallbacks, ties).
+    _order, a permutation of the indices, replaces the BRIO order (tests).
     """
     n = len(points)
     if n < 3:
         raise DataError(f"triangulation needs at least 3 points, got {n}")
+    first = {}
+    for i, p in enumerate(points):
+        j = first.setdefault((p[0], p[1]), i)
+        if j != i:
+            raise DataError(f"cannot insert point {i}: coincides with point {j}")
 
-    seed_third = None
+    if _order is None:
+        order, rounds = _brio_order(points)
+    else:
+        order, rounds = list(_order), 1
+    tr = _Triangulation(points)
+    xs, ys = tr.xs, tr.ys
+    i0, i1 = order[0], order[1]
     for k in range(2, n):
-        if orient2d(*points[0], *points[1], *points[k]) != 0:
-            seed_third = k
+        i2 = order[k]
+        if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[i2], ys[i2], tr.tally):
             break
-    if seed_third is None:
+    else:
         raise DataError("all points are collinear; cannot triangulate")
 
-    tr = _Triangulation(points)
-    tr.seed(0, 1, seed_third)
-    for pid in range(2, n):
-        if pid == seed_third:
-            continue
-        tr.insert(pid)
+    tr.seed(i0, i1, i2)
+    for p in order[2:]:
+        if p != i2:
+            tr.insert(p)
 
     triangles = []
     hull_mask = [False] * n
-    for t, tri in enumerate(tr.tris):
-        if not tr.alive[t]:
-            continue
-        if tri[2] == GHOST:
-            hull_mask[tri[0]] = True
-            hull_mask[tri[1]] = True
+    verts = tr.verts
+    for k in range(0, len(verts), 3):
+        a, b, c = verts[k], verts[k + 1], verts[k + 2]
+        if c == GHOST:
+            hull_mask[a] = hull_mask[b] = True
+        elif a < b and a < c:
+            triangles.append((a, b, c))
+        elif b < c:
+            triangles.append((b, c, a))
         else:
-            triangles.append(tri)
-    return triangles, hull_mask
+            triangles.append((c, a, b))
+    triangles.sort()
+    stats = {"points": n, "rounds": rounds, **tr.tally}
+    return triangles, hull_mask, stats

@@ -14,6 +14,8 @@ from .geometry import Rect
 
 logger = logging.getLogger(__name__)
 
+SEED_STRATEGIES = ("grid", "jittered")
+
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
@@ -147,7 +149,13 @@ def delaunay_triangulate(points) -> TriMesh:
         logger.warning(
             "deduplicated %d duplicate points (%d unique remain)", duplicates, len(unique)
         )
-    tris, hull = delaunay.triangulate(unique)
+    tris, hull, stats = delaunay.triangulate(unique)
+    logger.debug(
+        "delaunay: %(points)d points, %(rounds)d BRIO rounds, %(created)d triangles "
+        "created, exact fallbacks %(exact_orient)d orient / %(exact_incircle)d "
+        "incircle, %(ties)d cocircular ties decided by input index",
+        stats,
+    )
     return TriMesh(
         np.array(unique, dtype=float),
         np.array(tris, dtype=np.int64),
@@ -164,7 +172,7 @@ def seed_region(
     strategy "jittered" offsets interior vertices by a uniform perturbation
     of up to 0.3 of the per-axis step, drawn from a seeded generator.
     """
-    if strategy not in ("grid", "jittered"):
+    if strategy not in SEED_STRATEGIES:
         raise ConfigError(f"unknown seeding strategy {strategy!r}")
     if not (target_spacing > 0):
         raise ConfigError(f"spacing must be positive, got {target_spacing}")

@@ -35,6 +35,7 @@ from .geodesy import GeoPoint, wgs84_to_utm
 from .geometry import Rect
 from .interpolate import IdwConfig, UkConfig, lift_mesh
 from .mesh import (
+    SEED_STRATEGIES,
     MeshQuality,
     TriMesh,
     delaunay_triangulate,
@@ -205,6 +206,22 @@ class PipelineConfig:
         if not (power > 0 and math.isfinite(power)):
             raise ConfigError(f"power must be positive and finite, got {raw['power']!r}")
 
+        # so are the mesh, variogram and contour keys
+        seed_strategy = raw["seed_strategy"]
+        if seed_strategy not in SEED_STRATEGIES:
+            raise ConfigError(
+                f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
+            )
+        spacing = number("spacing")
+        if not (spacing > 0 and math.isfinite(spacing)):
+            raise ConfigError(f"spacing must be positive and finite, got {raw['spacing']!r}")
+
+        def at_least(key, least):
+            value = number(key, int)
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+            return value
+
         terrain_params = {
             k.removeprefix("terrain_"): number(k) for k in _TERRAIN_PARAM_KEYS
         }
@@ -219,13 +236,13 @@ class PipelineConfig:
             rows=number("rows", int),
             cols=number("cols", int),
             margin=number("margin"),
-            spacing=number("spacing"),
-            smooth_iters=number("smooth_iters", int),
-            seed_strategy=raw["seed_strategy"],
+            spacing=spacing,
+            smooth_iters=at_least("smooth_iters", 0),
+            seed_strategy=seed_strategy,
             method=method,
             variogram_kind=kind,
             explicit_model=explicit,
-            variogram_bins=number("variogram_bins", int),
+            variogram_bins=at_least("variogram_bins", 1),
             variogram_max_lag=(
                 number("variogram_max_lag") if raw["variogram_max_lag"] else None
             ),
@@ -235,7 +252,7 @@ class PipelineConfig:
             seed=number("seed", int),
             out_dir=Path(raw["out"]),
             formats=formats,
-            contour_levels=number("contour_levels", int),
+            contour_levels=at_least("contour_levels", 0),
         )
 
     @staticmethod

@@ -5,7 +5,11 @@ are computed from explicit circumcenters, kriging systems are solved by a
 local Gaussian elimination, and variogram values are evaluated from scratch.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from dsmkit.errors import DataError
 
 
 def circumcircle_violations(points: np.ndarray, triangles: np.ndarray, rel_tol=1e-9) -> int:
@@ -225,3 +229,238 @@ def uk_lift_reference(locations, values, model, drift_degree, k, targets):
             heights[i] = idw_reference(locations, values, [t], 2.0, k)[0]
             fallbacks.append(i)
     return heights, fallbacks
+
+
+# ---------------------------------------------------------------------------
+# Input-order reference for the Delaunay engine: the Bowyer-Watson it
+# replaced. Points go in by input order, the seed triangle is (0, 1, first
+# point off their line), every strictly positive in-circle test enlarges the
+# cavity (so a cocircular tie is resolved by insertion order), and uncertain
+# float signs are decided with `Fraction`.
+
+_DT_EPS = 2.220446049250313e-16
+_DT_ORIENT_BOUND = (3.0 + 16.0 * _DT_EPS) * _DT_EPS
+_DT_INCIRCLE_BOUND = (10.0 + 96.0 * _DT_EPS) * _DT_EPS
+REF_GHOST = -1
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def orient_fraction(ax, ay, bx, by, cx, cy):
+    """Exact orientation sign in rational arithmetic."""
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+
+
+def incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy):
+    """Exact in-circle sign in rational arithmetic."""
+    adx, ady = Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy)
+    bdx, bdy = Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy)
+    cdx, cdy = Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy)
+    return _sign(
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+
+
+def _ref_orient(ax, ay, bx, by, cx, cy):
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if det > _DT_ORIENT_BOUND * detsum:
+        return 1
+    if -det > _DT_ORIENT_BOUND * detsum:
+        return -1
+    return orient_fraction(ax, ay, bx, by, cx, cy)
+
+
+def _ref_incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
+    cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
+    adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    permanent = (
+        (abs(bdxcdy) + abs(cdxbdy)) * alift
+        + (abs(cdxady) + abs(adxcdy)) * blift
+        + (abs(adxbdy) + abs(bdxady)) * clift
+    )
+    errbound = _DT_INCIRCLE_BOUND * permanent
+    if det > errbound:
+        return 1
+    if -det > errbound:
+        return -1
+    return incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy)
+
+
+def _ref_within_open_segment(pa, pb, q):
+    # assumes q collinear with a-b; True iff q lies strictly between them
+    if pa[0] != pb[0]:
+        lo, hi = (pa[0], pb[0]) if pa[0] < pb[0] else (pb[0], pa[0])
+        return lo < q[0] < hi
+    lo, hi = (pa[1], pb[1]) if pa[1] < pb[1] else (pb[1], pa[1])
+    return lo < q[1] < hi
+
+
+class _RefTriangulation:
+    """Triangle soup with neighbour links, ghosts included."""
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.tris = []  # vertex index triples; ghosts carry REF_GHOST at slot 2
+        self.nbrs = []  # nbrs[t][i]: triangle across edge (tris[t][i], tris[t][(i+1)%3])
+        self.alive = []
+        self.last_real = 0
+
+    def _new_tri(self, a, b, c):
+        self.tris.append((a, b, c))
+        self.nbrs.append([None, None, None])
+        self.alive.append(True)
+        return len(self.tris) - 1
+
+    def _wire(self, tri_ids):
+        edge_of = {}
+        for t in tri_ids:
+            a, b, c = self.tris[t]
+            for i, e in enumerate(((a, b), (b, c), (c, a))):
+                edge_of[e] = (t, i)
+        for (u, v), (t, i) in edge_of.items():
+            other = edge_of.get((v, u))
+            if other is not None:
+                self.nbrs[t][i] = other[0]
+
+    def seed(self, i0, i1, i2):
+        if _ref_orient(*self.pts[i0], *self.pts[i1], *self.pts[i2]) < 0:
+            i1, i2 = i2, i1
+        t = self._new_tri(i0, i1, i2)
+        g0 = self._new_tri(i1, i0, REF_GHOST)
+        g1 = self._new_tri(i2, i1, REF_GHOST)
+        g2 = self._new_tri(i0, i2, REF_GHOST)
+        self._wire([t, g0, g1, g2])
+        self.last_real = t
+
+    def _in_disk(self, t, p):
+        a, b, c = self.tris[t]
+        pa, pb = self.pts[a], self.pts[b]
+        if c == REF_GHOST:
+            o = _ref_orient(pa[0], pa[1], pb[0], pb[1], p[0], p[1])
+            if o != 0:
+                return o > 0
+            return _ref_within_open_segment(pa, pb, p)
+        pc = self.pts[c]
+        return _ref_incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], p[0], p[1]) > 0
+
+    def _locate(self, p):
+        t = self.last_real
+        for _ in range(4 * len(self.tris) + 64):
+            tri = self.tris[t]
+            if tri[2] == REF_GHOST:
+                return t
+            for i in range(3):
+                pu, pv = self.pts[tri[i]], self.pts[tri[(i + 1) % 3]]
+                if _ref_orient(pu[0], pu[1], pv[0], pv[1], p[0], p[1]) < 0:
+                    t = self.nbrs[t][i]
+                    break
+            else:
+                return t
+        for t in range(len(self.tris)):
+            if self.alive[t] and self._in_disk(t, p):
+                return t
+        raise DataError("point location failed")
+
+    def insert(self, pid):
+        p = self.pts[pid]
+        t0 = self._locate(p)
+        if not self._in_disk(t0, p):
+            raise DataError(f"cannot insert point {pid}: coincides with an existing vertex")
+        cavity, in_cavity, stack = [t0], {t0}, [t0]
+        while stack:
+            t = stack.pop()
+            for n in self.nbrs[t]:
+                if n not in in_cavity and self._in_disk(n, p):
+                    in_cavity.add(n)
+                    cavity.append(n)
+                    stack.append(n)
+        boundary = []  # (u, v, outside triangle)
+        for t in cavity:
+            tri = self.tris[t]
+            for i in range(3):
+                n = self.nbrs[t][i]
+                if n not in in_cavity:
+                    boundary.append((tri[i], tri[(i + 1) % 3], n))
+        for t in cavity:
+            self.alive[t] = False
+        new_ids, outside_of = [], {}
+        for u, v, out in boundary:
+            if v == REF_GHOST:
+                nt = self._new_tri(pid, u, REF_GHOST)
+            elif u == REF_GHOST:
+                nt = self._new_tri(v, pid, REF_GHOST)
+            else:
+                nt = self._new_tri(u, v, pid)
+            new_ids.append(nt)
+            outside_of[(u, v)] = out
+        edge_of = {}
+        for t in new_ids:
+            a, b, c = self.tris[t]
+            for i, e in enumerate(((a, b), (b, c), (c, a))):
+                edge_of[e] = (t, i)
+        for (u, v), (t, i) in edge_of.items():
+            internal = edge_of.get((v, u))
+            if internal is not None:
+                self.nbrs[t][i] = internal[0]
+                continue
+            out = outside_of[(u, v)]
+            self.nbrs[t][i] = out
+            out_tri = self.tris[out]
+            for j in range(3):
+                if out_tri[j] == v and out_tri[(j + 1) % 3] == u:
+                    self.nbrs[out][j] = t
+                    break
+        for t in new_ids:
+            if self.tris[t][2] != REF_GHOST:
+                self.last_real = t
+                break
+
+
+def triangulate_reference(points):
+    """Input-order Delaunay triangulation of unique 2D points: (CCW triangles
+    in creation order, per-vertex hull mask)."""
+    n = len(points)
+    if n < 3:
+        raise DataError(f"triangulation needs at least 3 points, got {n}")
+    seed_third = next(
+        (k for k in range(2, n) if _ref_orient(*points[0], *points[1], *points[k]) != 0), None
+    )
+    if seed_third is None:
+        raise DataError("all points are collinear; cannot triangulate")
+    tr = _RefTriangulation(points)
+    tr.seed(0, 1, seed_third)
+    for pid in range(2, n):
+        if pid != seed_third:
+            tr.insert(pid)
+    triangles, hull_mask = [], [False] * n
+    for t, tri in enumerate(tr.tris):
+        if not tr.alive[t]:
+            continue
+        if tri[2] == REF_GHOST:
+            hull_mask[tri[0]] = hull_mask[tri[1]] = True
+        else:
+            triangles.append(tri)
+    return triangles, hull_mask
+
+
+def rotation_canonical(triangles) -> set:
+    """Triangles as a set of triples, each rotated to start at its smallest index."""
+    out = set()
+    for a, b, c in triangles:
+        a, b, c = int(a), int(b), int(c)
+        m = min(a, b, c)
+        while a != m:
+            a, b, c = b, c, a
+        out.add((a, b, c))
+    return out

@@ -1,11 +1,23 @@
 """Mesh tests: Delaunay property, seeding, smoothing, quality, contours."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import circumcircle_violations, euler_characteristic, triangle_min_angles
+from _oracles import (
+    circumcircle_violations,
+    euler_characteristic,
+    incircle_fraction,
+    orient_fraction,
+    rotation_canonical,
+    triangle_min_angles,
+    triangulate_reference,
+)
+from dsmkit import delaunay
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geometry import Rect
 from dsmkit.mesh import (
@@ -121,6 +133,83 @@ class TestDelaunay:
         expected = np.zeros(m.n_vertices, dtype=bool)
         expected[uniq[counts == 1].ravel()] = True
         assert np.array_equal(m.boundary_flags, expected)
+
+
+# A 6 x 6 lattice: most 4-subsets of its nodes are cocircular or contain a
+# collinear triple, so in-circle ties and hull-edge cases are everywhere.
+# Offsets and steps move it to UTM-sized coordinates and to a step that is
+# not a binary fraction (nearly but not exactly cocircular nodes).
+_LATTICE = [(i, j) for i in range(6) for j in range(6)]
+_PLACEMENTS = [(0.0, 0.0, 1.0), (684321.0, 5398765.0, 3.0), (540000.0, 0.0, 0.1)]
+
+
+class TestDelaunayOrderIndependence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_insertion_order_gives_the_reference_triangles(self, data):
+        nodes = data.draw(
+            st.lists(st.sampled_from(_LATTICE), min_size=3, max_size=len(_LATTICE), unique=True)
+        )
+        x0, y0, step = data.draw(st.sampled_from(_PLACEMENTS))
+        pts = [(x0 + step * i, y0 + step * j) for i, j in nodes]
+        order = data.draw(st.permutations(range(len(pts))))
+        try:
+            ref, ref_hull = triangulate_reference(pts)
+        except DataError:
+            with pytest.raises(DataError, match="collinear"):
+                delaunay.triangulate(pts, _order=order)
+            return
+        tris, hull, stats = delaunay.triangulate(pts, _order=order)
+        assert len(tris) == len(ref)
+        assert set(tris) == rotation_canonical(ref)
+        assert hull == ref_hull
+        # canonical output: the same list whatever the insertion order
+        assert tris == delaunay.triangulate(pts)[0]
+        assert stats["points"] == len(pts)
+
+    @pytest.mark.parametrize("strategy, seed", [("grid", 0), ("jittered", 0), ("jittered", 7)])
+    def test_brio_order_gives_the_reference_triangles(self, strategy, seed):
+        rect = Rect(684000.0, 5400000.0, 684400.0, 5400300.0)
+        pts = [tuple(p) for p in seed_region(rect, 10.0, strategy, seed).tolist()]
+        ref, ref_hull = triangulate_reference(pts)
+        tris, hull, stats = delaunay.triangulate(pts)
+        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
+        assert hull == ref_hull
+        assert tris == sorted(tris) and all(t[0] == min(t) for t in tris)
+        assert stats["rounds"] > 1
+
+    def test_errors_name_input_indices(self):
+        with pytest.raises(DataError, match="point 4: coincides with point 1"):
+            delaunay.triangulate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (1.0, 0.0)])
+        with pytest.raises(DataError, match="collinear"):
+            delaunay.triangulate([(float(i), 2.0 * i) for i in range(40)])
+
+    def test_debug_line_reports_the_counts(self, caplog):
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
+            delaunay_triangulate(np.column_stack([xs.ravel(), ys.ravel()]))
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delaunay:")]
+        assert "48 points" in line and "BRIO rounds" in line and "triangles created" in line
+        assert "exact fallbacks" in line and "cocircular ties" in line
+
+
+# magnitudes from 1e-300 to 1e300, and small integers scaled by one power of
+# two, so that exact zeros (collinear, cocircular) occur too
+_SPANNING = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0, allow_nan=False), st.integers(-300, 300)
+)
+_ON_A_LATTICE = st.builds(
+    lambda ks, e: [k * 2.0**e for k in ks],
+    st.lists(st.integers(-4, 4), min_size=8, max_size=8),
+    st.integers(-990, 990),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_SPANNING, min_size=8, max_size=8), _ON_A_LATTICE))
+def test_integer_exact_predicates_match_fractions(c):
+    assert delaunay._orient_exact(*c[:6]) == orient_fraction(*c[:6])
+    assert delaunay._incircle_exact(*c) == incircle_fraction(*c)
 
 
 class TestSeedRegion:

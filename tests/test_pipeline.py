@@ -381,9 +381,10 @@ class TestCli:
         assert "samples:" in out
         assert (tmp_path / "o" / "dsm_uk.obj").exists()
 
-    def _cfg(self, tmp_path):
+    def _cfg(self, tmp_path, extra=()):
         path = tmp_path / "fast.cfg"
-        path.write_text("rows = 12\ncols = 18\nvariogram_bins = 10\n")
+        lines = ["rows = 12", "cols = 18", "variogram_bins = 10", *extra]
+        path.write_text("".join(f"{line}\n" for line in lines))
         return str(path)
 
     def test_scan_subcommand(self, tmp_path):
@@ -465,6 +466,16 @@ class TestCli:
             ["--seed", "x"],
             ["--method", "krige"],
             ["--variogram", "cubic"],
+            # seeding, smoothing, variogram and contour keys; "key = value"
+            # entries go into the config file
+            ["seed_strategy = hex"],
+            ["--spacing", "0"],
+            ["--spacing", "-5"],
+            ["--spacing", "inf"],
+            ["--spacing", "nan"],
+            ["--smooth-iters", "-1"],
+            ["variogram_bins = 0"],
+            ["contour_levels = -2"],
         ],
     )
     def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):
@@ -473,11 +484,20 @@ class TestCli:
 
         monkeypatch.setattr(pipeline, "_acquire", stage_ran)
         out = tmp_path / "o"
-        code = main(["run", "--config", self._cfg(tmp_path), "--out", str(out)] + args)
+        cfg = self._cfg(tmp_path, [a for a in args if " = " in a])
+        flags = [a for a in args if " = " not in a]
+        code = main(["run", "--config", cfg, "--out", str(out)] + flags)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_zero_contour_levels_is_valid(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["run", "--config", self._cfg(tmp_path, ["contour_levels = 0"]),
+                     "--spacing", "30", "--out", str(out)])
+        assert code == 0
+        assert len((out / "contours.csv").read_text().splitlines()) == 1
 
     def test_typed_flags_reach_the_config(self, tmp_path):
         argv = ["run", "--seed", "3", "--power", "2.5", "--drift", "0", "--spacing", "30"]
