@@ -243,7 +243,9 @@ class _Ridge(SyntheticTerrain):
         return p["base"] + p["amplitude"] * math.exp(-d * d / (2.0 * p["sigma"] ** 2))
 
 
-_TERRAIN_KINDS = {
+# Each terrain kind's provider class and the parameters it takes, with their
+# defaults; the pipeline's config checks read the parameter names from here.
+TERRAIN_KINDS = {
     "constant": (_Constant, {"base": 0.0}),
     "inclined_plane": (_InclinedPlane, {"base": 0.0, "slope_x": 0.0, "slope_y": 0.0}),
     "gaussian_hill": (
@@ -264,10 +266,10 @@ def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvide
       ridge:          base, amplitude, sigma, angle_deg (ridge azimuth)
     """
     try:
-        cls, defaults = _TERRAIN_KINDS[kind]
+        cls, defaults = TERRAIN_KINDS[kind]
     except KeyError:
         raise ConfigError(
-            f"unknown terrain kind {kind!r}; expected one of {sorted(_TERRAIN_KINDS)}"
+            f"unknown terrain kind {kind!r}; expected one of {sorted(TERRAIN_KINDS)}"
         ) from None
     unknown = set(params) - set(defaults)
     if unknown:

@@ -1,10 +1,13 @@
 """Command line interface.
 
 Subcommands map to pipeline stages: scan, convert, mesh, variogram, lift,
-run, compare. Options override config-file keys, which override built-in
-defaults (the defaults reproduce the bundled Haut-Barr-sized synthetic demo).
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
-error.
+run, compare. Each one composes the public stage functions of `pipeline`,
+every one inside a `pipeline.Stage`, so an error names its stage, a failed
+stage leaves no partial artifact and `-v` logs each stage's wall time.
+Options override config-file keys, which override built-in defaults (the
+defaults reproduce the bundled Haut-Barr-sized synthetic demo); the config is
+checked in full before any stage runs. Exit codes: 0 success, 1
+configuration error, 2 data error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -12,30 +15,29 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 
-from .acquisition import convert_pointset, parse_point_file
+from .acquisition import convert_pointset
 from .errors import ConfigError, DataError, DsmError, NumericalError
-from .interpolate import lift_mesh
 from .mesh import TriMesh
 from .pipeline import (
+    DEFAULTS,
     PipelineConfig,
+    Stage,
+    acquire,
+    build_planar_mesh,
     compare_methods,
     config_from_sources,
     ensure_dir,
     export_mesh,
+    prepare_samples,
     run,
+    variogram_model,
+    write_compare_csv,
     write_point_file,
     write_variogram_csv,
-    _acquire,
-    _build_planar_mesh,
-    _lift_config,
-    _mesh_rect,
-    _prepare_samples,
-    _variogram_model,
-    _write_text,
 )
 
 
@@ -60,36 +62,19 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", metavar="LIST", help="comma list from obj,vtk,csv")
 
 
-_OVERRIDE_KEYS = (
-    ("input", "input"),
-    ("method", "method"),
-    ("power", "power"),
-    ("variogram", "variogram"),
-    ("drift", "drift"),
-    ("neighbors", "neighbors"),
-    ("spacing", "spacing"),
-    ("smooth_iters", "smooth_iters"),
-    ("seed", "seed"),
-    ("out", "out"),
-    ("format", "format"),
-)
-
-
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {}
-    for attr, key in _OVERRIDE_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    # every override flag's dest is the config key it sets
+    overrides = {k: v for k, v in vars(args).items() if k in DEFAULTS}
     return config_from_sources(args.config, overrides)
 
 
 def _cmd_scan(args) -> int:
     config = _config_from_args(args)
-    ps = _acquire(config)
-    ensure_dir(config.out_dir)
-    path = config.out_dir / "points.txt"
-    write_point_file(path, ps, header="latitude longitude altitude (wgs84)")
+    with Stage("acquire"):
+        ps = acquire(config)
+    with Stage("export"):
+        path = ensure_dir(config.out_dir) / "points.txt"
+        write_point_file(path, ps, header="latitude longitude altitude (wgs84)")
     print(f"scanned {len(ps)} points -> {path}")
     return 0
 
@@ -98,34 +83,34 @@ def _cmd_convert(args) -> int:
     config = _config_from_args(args)
     if config.input == "synthetic":
         raise ConfigError("convert needs --input pointing at a point file")
-    src = Path(config.input)
-    if not src.exists():
-        raise DataError(f"input file not found: {src}")
-    ps = parse_point_file(src.read_text())
-    utm = convert_pointset(ps, "utm")
-    ensure_dir(config.out_dir)
-    path = config.out_dir / "points_utm.txt"
-    write_point_file(
-        path, utm, header=f"easting northing altitude (utm zone={utm.crs.zone} "
-        f"hemisphere={utm.crs.hemisphere})"
-    )
+    with Stage("acquire"):
+        ps = acquire(config)
+    with Stage("convert"):
+        utm = convert_pointset(ps, "utm")
+    with Stage("export"):
+        path = ensure_dir(config.out_dir) / "points_utm.txt"
+        write_point_file(
+            path, utm, header=f"easting northing altitude (utm zone={utm.crs.zone} "
+            f"hemisphere={utm.crs.hemisphere})"
+        )
     print(f"converted {len(utm)} points to zone {utm.crs.zone} -> {path}")
     return 0
 
 
 def _cmd_mesh(args) -> int:
     config = _config_from_args(args)
-    _, _, utm_ps = _prepare_samples(config)
-    rect = _mesh_rect(config, utm_ps)
-    planar, q_before, q_after = _build_planar_mesh(config, rect)
-    ensure_dir(config.out_dir)
-    path = config.out_dir / "planar_mesh.obj"
-    flat = TriMesh(
-        np.column_stack([planar.vertices, np.zeros(planar.n_vertices)]),
-        planar.triangles,
-        planar.boundary_flags,
-    )
-    export_mesh(flat, "obj", path)
+    with Stage("acquire"):
+        samples = prepare_samples(config)
+    with Stage("mesh"):
+        planar, q_before, q_after = build_planar_mesh(config, samples.region)
+    with Stage("export"):
+        path = ensure_dir(config.out_dir) / "planar_mesh.obj"
+        flat = TriMesh(
+            np.column_stack([planar.vertices, np.zeros(planar.n_vertices)]),
+            planar.triangles,
+            planar.boundary_flags,
+        )
+        export_mesh(flat, "obj", path)
     print(
         f"planar mesh: {planar.n_vertices} vertices, {planar.n_triangles} triangles -> {path}"
     )
@@ -139,13 +124,14 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_variogram(args) -> int:
     config = _config_from_args(args)
-    _, _, utm_ps = _prepare_samples(config)
-    rect = _mesh_rect(config, utm_ps)
-    model, ev = _variogram_model(config, utm_ps, rect)
+    with Stage("acquire"):
+        samples = prepare_samples(config)
+    with Stage("variogram"):
+        model, ev = variogram_model(config, samples)
     if ev is not None:
-        ensure_dir(config.out_dir)
-        path = config.out_dir / "variogram.csv"
-        write_variogram_csv(path, ev)
+        with Stage("export"):
+            path = ensure_dir(config.out_dir) / "variogram.csv"
+            write_variogram_csv(path, ev)
         print(f"experimental variogram ({len(ev)} bins) -> {path}")
     print(
         f"{model.kind} model: nugget={model.nugget:.6g} partial_sill="
@@ -156,25 +142,14 @@ def _cmd_variogram(args) -> int:
 
 def _cmd_lift(args) -> int:
     config = _config_from_args(args)
-    _, _, utm_ps = _prepare_samples(config)
-    rect = _mesh_rect(config, utm_ps)
-    planar, _, _ = _build_planar_mesh(config, rect)
-    model = None
-    if config.method == "uk":
-        model, _ = _variogram_model(config, utm_ps, rect)
-    lifted, summary = lift_mesh(planar, utm_ps, _lift_config(config, model))
-    ensure_dir(config.out_dir)
-    written = []
-    for fmt in ("obj", "vtk"):
-        if fmt in config.formats:
-            path = config.out_dir / f"dsm_{config.method}.{fmt}"
-            export_mesh(lifted, fmt, path)
-            written.append(str(path))
+    # the DSM alone: the full run without its CSV artifacts
+    mesh_formats = tuple(f for f in config.formats if f != "csv")
+    report = run(replace(config, formats=mesh_formats))
     print(
-        f"lifted {lifted.n_vertices} vertices with {summary.method}: "
-        f"z in [{summary.z_min:.3f}, {summary.z_max:.3f}] m"
+        f"lifted {report.mesh_vertices} vertices with {report.method}: "
+        f"z in [{report.z_min:.3f}, {report.z_max:.3f}] m"
     )
-    for path in written:
+    for path in report.artifacts:
         print(f"wrote {path}")
     return 0
 
@@ -209,17 +184,9 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
     cmp = compare_methods(config)
-    ensure_dir(config.out_dir)
-    path = config.out_dir / "compare.csv"
-    lines = [
-        "key,value",
-        f"n_vertices,{cmp.n_vertices}",
-        f"max_abs_difference,{cmp.max_abs_difference:.9g}",
-        f"mean_abs_difference,{cmp.mean_abs_difference:.9g}",
-        f"roughness_uk_deg,{cmp.roughness_uk_deg:.9g}",
-        f"roughness_idw_deg,{cmp.roughness_idw_deg:.9g}",
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    with Stage("export"):
+        path = ensure_dir(config.out_dir) / "compare.csv"
+        write_compare_csv(path, cmp)
     print(
         f"uk vs idw over {cmp.n_vertices} vertices: max |dz| = "
         f"{cmp.max_abs_difference:.4f} m, mean |dz| = {cmp.mean_abs_difference:.4f} m"

@@ -1,9 +1,17 @@
 """End-to-end workflow: acquire -> clip -> convert -> mesh -> interpolate ->
 export, plus a two-method comparison and the mesh/CSV writers.
 
+The workflow is a chain of stage functions (`acquire`/`prepare_samples`,
+`build_planar_mesh`, `variogram_model`, `lift_surface`, then the writers),
+each called inside a `Stage`, which times it, names it in errors and removes
+its partial artifacts. `run`, `compare_methods` and every CLI subcommand
+compose these.
+
 Configuration is a flat key = value text file (see DEFAULTS for the full key
-set and the bundled demo config for a commented example); every artifact a
-run writes is byte-identical across runs for a fixed config and seed.
+set and the bundled demo config for a commented example). Every key is
+checked in `PipelineConfig.from_mapping`, so a bad value fails before any
+stage runs; every artifact a run writes is byte-identical across runs for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -13,12 +21,13 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import (
+    TERRAIN_KINDS,
     PointSet,
     ScanSpec,
     UtmCrs,
@@ -33,7 +42,7 @@ from .acquisition import (
 from .errors import ConfigError, DataError, DsmError
 from .geodesy import GeoPoint, wgs84_to_utm
 from .geometry import Rect
-from .interpolate import IdwConfig, UkConfig, lift_mesh
+from .interpolate import IdwConfig, LiftSummary, UkConfig, lift_mesh
 from .mesh import (
     SEED_STRATEGIES,
     MeshQuality,
@@ -53,17 +62,6 @@ from .variogram import (
 )
 
 logger = logging.getLogger(__name__)
-
-_TERRAIN_PARAM_KEYS = (
-    "terrain_base",
-    "terrain_amplitude",
-    "terrain_sigma",
-    "terrain_center_x",
-    "terrain_center_y",
-    "terrain_slope_x",
-    "terrain_slope_y",
-    "terrain_angle_deg",
-)
 
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
@@ -152,6 +150,24 @@ class PipelineConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw[key]!r}") from None
 
+        def positive(key):
+            value = number(key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be positive and finite, got {raw[key]!r}")
+            return value
+
+        def finite(key):
+            value = number(key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
+            return value
+
+        def at_least(key, least):
+            value = number(key, int)
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+            return value
+
         region_crs = raw["region_crs"]
         utm_crs = None
         if region_crs == "wgs84":
@@ -161,10 +177,29 @@ class PipelineConfig:
         elif region_crs == "utm":
             if not raw["zone"]:
                 raise ConfigError("utm region needs a zone")
-            utm_crs = UtmCrs(number("zone", int), raw["hemisphere"])
+            if raw["input"] == "synthetic":
+                raise ConfigError("synthetic scanning needs a wgs84 region")
+            try:
+                utm_crs = UtmCrs(number("zone", int), raw["hemisphere"])
+            except DataError as e:
+                raise ConfigError(str(e)) from None
             region = Rect(number("x_min"), number("y_min"), number("x_max"), number("y_max"))
         else:
             raise ConfigError(f"region_crs must be wgs84 or utm, got {region_crs!r}")
+
+        # the scan keys: a bad value used to fail only once acquisition began
+        terrain = raw["terrain"]
+        if terrain not in TERRAIN_KINDS:
+            raise ConfigError(f"terrain must be one of {sorted(TERRAIN_KINDS)}, got {terrain!r}")
+        terrain_params = {
+            k.removeprefix("terrain_"): finite(k) for k in DEFAULTS if k.startswith("terrain_")
+        }
+        _, takes = TERRAIN_KINDS[terrain]
+        if "sigma" in takes:
+            positive("terrain_sigma")
+        margin = finite("margin")
+        if not margin > -0.5:
+            raise ConfigError(f"margin must be > -0.5, got {raw['margin']!r}")
 
         method = raw["method"]
         if method not in ("uk", "idw"):
@@ -202,9 +237,6 @@ class PipelineConfig:
                 f"neighbors must be 'global' or at least {least} "
                 f"(method {method}, drift {drift}), got {neighbors}"
             )
-        power = number("power")
-        if not (power > 0 and math.isfinite(power)):
-            raise ConfigError(f"power must be positive and finite, got {raw['power']!r}")
 
         # so are the mesh, variogram and contour keys
         seed_strategy = raw["seed_strategy"]
@@ -212,31 +244,18 @@ class PipelineConfig:
             raise ConfigError(
                 f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
             )
-        spacing = number("spacing")
-        if not (spacing > 0 and math.isfinite(spacing)):
-            raise ConfigError(f"spacing must be positive and finite, got {raw['spacing']!r}")
-
-        def at_least(key, least):
-            value = number(key, int)
-            if value < least:
-                raise ConfigError(f"{key} must be >= {least}, got {value}")
-            return value
-
-        terrain_params = {
-            k.removeprefix("terrain_"): number(k) for k in _TERRAIN_PARAM_KEYS
-        }
 
         return PipelineConfig(
             input=raw["input"],
-            terrain=raw["terrain"],
+            terrain=terrain,
             terrain_params=terrain_params,
             region_crs=region_crs,
             region=region,
             utm_crs=utm_crs,
-            rows=number("rows", int),
-            cols=number("cols", int),
-            margin=number("margin"),
-            spacing=spacing,
+            rows=at_least("rows", 2),
+            cols=at_least("cols", 2),
+            margin=margin,
+            spacing=positive("spacing"),
             smooth_iters=at_least("smooth_iters", 0),
             seed_strategy=seed_strategy,
             method=method,
@@ -244,11 +263,11 @@ class PipelineConfig:
             explicit_model=explicit,
             variogram_bins=at_least("variogram_bins", 1),
             variogram_max_lag=(
-                number("variogram_max_lag") if raw["variogram_max_lag"] else None
+                positive("variogram_max_lag") if raw["variogram_max_lag"] else None
             ),
             drift=drift,
             neighbors=neighbors,
-            power=power,
+            power=positive("power"),
             seed=number("seed", int),
             out_dir=Path(raw["out"]),
             formats=formats,
@@ -321,22 +340,54 @@ class MethodComparison:
     n_vertices: int
 
 
-def _fail(stage: str, artifacts: list, exc: DsmError):
-    for path in artifacts:
-        try:
-            Path(path).unlink(missing_ok=True)
-        except OSError:
-            pass
-    raise type(exc)(f"stage '{stage}': {exc}") from exc
+class Stage:
+    """One pipeline stage, run as `with Stage(name) as stage:`.
+
+    Every stage gets the same policy: its wall time is logged at DEBUG and
+    kept in `seconds`, a DsmError it raises gets the prefix "stage '<name>': "
+    on its message, and the files it recorded in `artifacts` before it
+    failed are removed.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.artifacts = []
+        self.seconds = None
+
+    def __enter__(self) -> "Stage":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.seconds = time.perf_counter() - self._start
+        logger.debug("stage %s: %.3f s", self.name, self.seconds)
+        if isinstance(exc, DsmError):
+            for path in self.artifacts:
+                with contextlib.suppress(OSError):
+                    Path(path).unlink(missing_ok=True)
+            # the same exception goes on, so its type and fields are kept
+            exc.args = (f"stage '{self.name}': {exc}",)
+        return False
 
 
-def _acquire(config: PipelineConfig) -> PointSet:
+@dataclass(frozen=True)
+class Samples:
+    """What stage 'acquire' hands on: the samples inside the region, in UTM,
+    the region in the same frame, and how many samples were acquired."""
+
+    utm: PointSet
+    region: Rect
+    acquired_count: int
+
+
+def acquire(config: PipelineConfig) -> PointSet:
+    """Scan the synthetic terrain over the region plus its margin, or read
+    the point file named by `input`."""
     if config.input == "synthetic":
-        if config.region_crs != "wgs84":
-            raise ConfigError("synthetic scanning needs a wgs84 region")
         r = config.region
         center = GeoPoint(0.5 * (r.y_min + r.y_max), 0.5 * (r.x_min + r.x_max))
-        params = _terrain_kwargs(config)
+        _, takes = TERRAIN_KINDS[config.terrain]
+        params = {name: config.terrain_params[name] for name in takes}
         provider = synthetic_terrain(config.terrain, center, **params)
         extended = r.expanded(config.margin)
         return scan_grid(provider, ScanSpec(extended, config.rows, config.cols))
@@ -346,63 +397,35 @@ def _acquire(config: PipelineConfig) -> PointSet:
     return parse_point_file(path.read_text())
 
 
-def _terrain_kwargs(config: PipelineConfig) -> dict:
-    kind = config.terrain
-    p = config.terrain_params
-    if kind == "constant":
-        return {"base": p["base"]}
-    if kind == "inclined_plane":
-        return {"base": p["base"], "slope_x": p["slope_x"], "slope_y": p["slope_y"]}
-    if kind == "gaussian_hill":
-        return {
-            "base": p["base"],
-            "amplitude": p["amplitude"],
-            "sigma": p["sigma"],
-            "center_x": p["center_x"],
-            "center_y": p["center_y"],
-        }
-    if kind == "ridge":
-        return {
-            "base": p["base"],
-            "amplitude": p["amplitude"],
-            "sigma": p["sigma"],
-            "angle_deg": p["angle_deg"],
-        }
-    raise ConfigError(f"unknown terrain kind {kind!r}")
-
-
-def _mesh_rect(config: PipelineConfig, utm_ps: PointSet) -> Rect:
-    if config.region_crs == "utm":
-        return config.region
-    zone = utm_ps.crs.zone
-    corners = [
-        wgs84_to_utm(GeoPoint(lat, lon), zone=zone)
-        for lon, lat in config.region.corners()
-    ]
-    es = [c.easting for c in corners]
-    ns = [c.northing for c in corners]
-    return Rect(min(es), min(ns), max(es), max(ns))
-
-
-def _prepare_samples(config: PipelineConfig):
-    """Stages acquire/clip/convert shared by run, lift and compare."""
-    acquired = _acquire(config)
+def prepare_samples(config: PipelineConfig) -> Samples:
+    """Acquire, clip to the region and convert to UTM; the region, in UTM,
+    is what the mesh covers."""
+    acquired = acquire(config)
     if config.region_crs == "wgs84":
         clipped = clip_to_region(acquired, config.region)
         if len(clipped) == 0:
             raise DataError("no samples inside the target region after clipping")
         utm_ps = convert_pointset(clipped, "utm")
+        # the mesh covers the region's corners projected into the samples' zone
+        corners = [
+            wgs84_to_utm(GeoPoint(lat, lon), zone=utm_ps.crs.zone)
+            for lon, lat in config.region.corners()
+        ]
+        es = [c.easting for c in corners]
+        ns = [c.northing for c in corners]
+        region = Rect(min(es), min(ns), max(es), max(ns))
     else:
         utm_all = convert_pointset(acquired, config.utm_crs)
         utm_ps = clip_to_region(utm_all, config.region)
         if len(utm_ps) == 0:
             raise DataError("no samples inside the target region after clipping")
-        clipped = utm_ps
-    return acquired, clipped, utm_ps
+        region = config.region
+    return Samples(utm_ps, region, len(acquired))
 
 
-def _build_planar_mesh(config: PipelineConfig, rect: Rect):
-    seeds = seed_region(rect, config.spacing, config.seed_strategy, config.seed)
+def build_planar_mesh(config: PipelineConfig, region: Rect):
+    """Seed, triangulate and smooth; (mesh, quality before, quality after)."""
+    seeds = seed_region(region, config.spacing, config.seed_strategy, config.seed)
     planar = delaunay_triangulate(seeds)
     q_before = mesh_quality(planar)
     smoothed = laplacian_smooth(planar, config.smooth_iters)
@@ -410,71 +433,63 @@ def _build_planar_mesh(config: PipelineConfig, rect: Rect):
     return smoothed, q_before, q_after
 
 
-def _variogram_model(config: PipelineConfig, utm_ps: PointSet, rect: Rect):
-    """(model, empirical-or-None) for the kriging path."""
+def variogram_model(config: PipelineConfig, samples: Samples):
+    """(model, empirical-or-None): the configured model, or one fitted to
+    the experimental variogram out to half the region's diagonal."""
     if config.explicit_model is not None:
         return config.explicit_model, None
     max_lag = config.variogram_max_lag
     if max_lag is None:
-        max_lag = 0.5 * math.hypot(rect.width, rect.height)
-    ev = empirical_variogram(utm_ps, max_lag, config.variogram_bins)
+        max_lag = 0.5 * math.hypot(samples.region.width, samples.region.height)
+    ev = empirical_variogram(samples.utm, max_lag, config.variogram_bins)
     return fit_model(ev, config.variogram_kind), ev
 
 
-def _lift_config(config: PipelineConfig, model: VariogramModel | None):
+def lift_surface(
+    config: PipelineConfig, planar: TriMesh, samples: Samples, model: VariogramModel | None
+) -> tuple[TriMesh, LiftSummary]:
+    """Lift the planar mesh with the configured method (UK needs `model`)."""
     if config.method == "idw":
-        return IdwConfig(power=config.power, neighborhood=config.neighbors)
-    return UkConfig(model=model, drift_degree=config.drift, neighborhood=config.neighbors)
+        method = IdwConfig(power=config.power, neighborhood=config.neighbors)
+    else:
+        method = UkConfig(model=model, drift_degree=config.drift, neighborhood=config.neighbors)
+    return lift_mesh(planar, samples.utm, method)
 
 
 def run(config: PipelineConfig) -> RunReport:
     """Execute the full workflow and write the configured artifacts."""
-    artifacts = []
-    stage = "acquire"
-    try:
-        acquired, clipped, utm_ps = _prepare_samples(config)
-
-        stage = "mesh"
-        rect = _mesh_rect(config, utm_ps)
-        planar, q_before, q_after = _build_planar_mesh(config, rect)
-
-        stage = "variogram"
-        model, ev = (None, None)
-        if config.method == "uk":
-            model, ev = _variogram_model(config, utm_ps, rect)
-
-        stage = "lift"
-        t0 = time.perf_counter()
-        lifted, summary = lift_mesh(planar, utm_ps, _lift_config(config, model))
-        lift_seconds = time.perf_counter() - t0
-
-        stage = "export"
+    with Stage("acquire"):
+        samples = prepare_samples(config)
+    with Stage("mesh"):
+        planar, q_before, q_after = build_planar_mesh(config, samples.region)
+    model, ev = None, None
+    if config.method == "uk":
+        with Stage("variogram"):
+            model, ev = variogram_model(config, samples)
+    with Stage("lift") as lift:
+        lifted, summary = lift_surface(config, planar, samples, model)
+    with Stage("export") as export:
         out = ensure_dir(config.out_dir)
-        base = f"dsm_{config.method}"
-        if "obj" in config.formats:
-            path = out / f"{base}.obj"
-            export_mesh(lifted, "obj", path)
-            artifacts.append(path)
-        if "vtk" in config.formats:
-            path = out / f"{base}.vtk"
-            export_mesh(lifted, "vtk", path)
-            artifacts.append(path)
+        for fmt in ("obj", "vtk"):
+            if fmt in config.formats:
+                path = out / f"dsm_{config.method}.{fmt}"
+                export_mesh(lifted, fmt, path)
+                export.artifacts.append(path)
         if "csv" in config.formats:
             levels = contour_levels(summary.z_min, summary.z_max, config.contour_levels)
             contours = extract_contours(lifted, levels) if levels else []
             path = out / "contours.csv"
             write_contours_csv(path, levels, contours)
-            artifacts.append(path)
+            export.artifacts.append(path)
             if ev is not None:
                 path = out / "variogram.csv"
                 write_variogram_csv(path, ev)
-                artifacts.append(path)
-
+                export.artifacts.append(path)
         report = RunReport(
-            sample_count=len(acquired),
-            clipped_count=len(clipped),
-            zone=utm_ps.crs.zone,
-            hemisphere=utm_ps.crs.hemisphere,
+            sample_count=samples.acquired_count,
+            clipped_count=len(samples.utm),
+            zone=samples.utm.crs.zone,
+            hemisphere=samples.utm.crs.hemisphere,
             mesh_vertices=lifted.n_vertices,
             mesh_edges=len(lifted.edges()),
             mesh_triangles=lifted.n_triangles,
@@ -485,38 +500,28 @@ def run(config: PipelineConfig) -> RunReport:
             z_min=summary.z_min,
             z_max=summary.z_max,
             fallback_count=len(summary.fallback_vertices),
-            interpolation_seconds=lift_seconds,
-            artifacts=tuple(artifacts),
+            interpolation_seconds=lift.seconds,
+            artifacts=(),
         )
         if "csv" in config.formats:
             path = out / "report.csv"
             write_report_csv(path, report)
-            artifacts.append(path)
-            report.artifacts = tuple(artifacts)
-        return report
-    except DsmError as e:
-        _fail(stage, artifacts, e)
+            export.artifacts.append(path)
+    report.artifacts = tuple(export.artifacts)
+    return report
 
 
 def compare_methods(config: PipelineConfig) -> MethodComparison:
     """Lift one planar mesh with both methods and compare the surfaces."""
-    stage = "acquire"
-    try:
-        _, _, utm_ps = _prepare_samples(config)
-        stage = "mesh"
-        rect = _mesh_rect(config, utm_ps)
-        planar, _, _ = _build_planar_mesh(config, rect)
-        stage = "variogram"
-        model, _ = _variogram_model(config, utm_ps, rect)
-        stage = "lift"
-        uk_mesh, _ = lift_mesh(
-            planar, utm_ps, UkConfig(model, config.drift, config.neighbors)
-        )
-        idw_mesh, _ = lift_mesh(
-            planar, utm_ps, IdwConfig(config.power, config.neighbors)
-        )
-    except DsmError as e:
-        _fail(stage, [], e)
+    with Stage("acquire"):
+        samples = prepare_samples(config)
+    with Stage("mesh"):
+        planar, _, _ = build_planar_mesh(config, samples.region)
+    with Stage("variogram"):
+        model, _ = variogram_model(config, samples)
+    with Stage("lift"):
+        uk_mesh, _ = lift_surface(replace(config, method="uk"), planar, samples, model)
+        idw_mesh, _ = lift_surface(replace(config, method="idw"), planar, samples, model)
 
     diff = np.abs(uk_mesh.vertices[:, 2] - idw_mesh.vertices[:, 2])
     return MethodComparison(
@@ -653,6 +658,18 @@ def write_report_csv(path, report: RunReport) -> None:
             ("variogram_range", f"{vm.range_:.9g}"),
         ]
     # wall-clock timing stays off the artifact so runs are byte-identical
+    lines = ["key,value"] + [f"{k},{v}" for k, v in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_compare_csv(path, cmp: MethodComparison) -> None:
+    rows = [
+        ("n_vertices", cmp.n_vertices),
+        ("max_abs_difference", f"{cmp.max_abs_difference:.9g}"),
+        ("mean_abs_difference", f"{cmp.mean_abs_difference:.9g}"),
+        ("roughness_uk_deg", f"{cmp.roughness_uk_deg:.9g}"),
+        ("roughness_idw_deg", f"{cmp.roughness_idw_deg:.9g}"),
+    ]
     lines = ["key,value"] + [f"{k},{v}" for k, v in rows]
     _write_text(path, "\n".join(lines) + "\n")
 

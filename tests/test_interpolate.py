@@ -33,10 +33,9 @@ from dsmkit.interpolate import (
 from dsmkit.mesh import delaunay_triangulate, seed_region
 from dsmkit.pipeline import (
     PipelineConfig,
-    _build_planar_mesh,
-    _mesh_rect,
-    _prepare_samples,
-    _variogram_model,
+    build_planar_mesh,
+    prepare_samples,
+    variogram_model,
 )
 from dsmkit.variogram import VariogramModel
 
@@ -443,10 +442,10 @@ class TestLiftAgainstOracle:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_demo_uk_lift(self, seed):
         cfg = PipelineConfig.from_mapping({"seed": seed})
-        _, _, samples = _prepare_samples(cfg)
-        rect = _mesh_rect(cfg, samples)
-        planar, _, _ = _build_planar_mesh(cfg, rect)
-        model, _ = _variogram_model(cfg, samples, rect)
+        prepared = prepare_samples(cfg)
+        samples = prepared.utm
+        planar, _, _ = build_planar_mesh(cfg, prepared.region)
+        model, _ = variogram_model(cfg, prepared)
         lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
         want, fallbacks = uk_lift_reference(
             samples.coords(), samples.altitudes(), model, cfg.drift, cfg.neighbors,

@@ -1,13 +1,15 @@
 """Pipeline tests: config parsing, exporters, end-to-end runs, CLI."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 import dsmkit.pipeline as pipeline
 from dsmkit.cli import _config_from_args, build_parser, main
-from dsmkit.errors import ConfigError, DataError
+from dsmkit.errors import ConfigError, DataError, ParseError
 from dsmkit.geodesy import GeoPoint, wgs84_to_utm
 from dsmkit.mesh import TriMesh
 from dsmkit.pipeline import (
@@ -18,11 +20,12 @@ from dsmkit.pipeline import (
     dihedral_roughness,
     export_mesh,
     parse_config_file,
+    build_planar_mesh,
+    lift_surface,
+    prepare_samples,
     read_obj,
     run,
-    _build_planar_mesh,
-    _mesh_rect,
-    _prepare_samples,
+    variogram_model,
 )
 
 # fast variant of the default demo for end-to-end tests
@@ -31,6 +34,61 @@ FAST = {"spacing": "25", "rows": "12", "cols": "18", "variogram_bins": "10"}
 
 def _fast_config(tmp_path, **extra):
     return PipelineConfig.from_mapping({**FAST, "out": str(tmp_path / "out"), **extra})
+
+
+def _stage_ran(*_args):
+    raise AssertionError("a stage ran before the config was rejected")
+
+
+# A UTM region read from a point file: the only context in which the x/y
+# bounds, zone and hemisphere are read.
+_UTM = {"input": "points.txt", "region_crs": "utm", "zone": "32",
+        "x_min": "0", "x_max": "300", "y_min": "0", "y_max": "400"}
+_EXPLICIT = {"variogram_c0": "0", "variogram_c": "1", "variogram_a": "100"}
+
+# One bad value for every config key other than input and out (those two are
+# data errors), with the keys that make the bad value the only fault.
+BAD_VALUES = {
+    "terrain": ("volcano", {}),
+    "terrain_base": ("nan", {}),
+    "terrain_amplitude": ("inf", {}),
+    "terrain_sigma": ("0", {}),
+    "terrain_center_x": ("-inf", {}),
+    "terrain_center_y": ("nan", {}),
+    "terrain_slope_x": ("inf", {"terrain": "inclined_plane"}),
+    "terrain_slope_y": ("nan", {"terrain": "inclined_plane"}),
+    "terrain_angle_deg": ("inf", {"terrain": "ridge"}),
+    "region_crs": ("ecef", {}),
+    "lat_min": ("48.8", {}),
+    "lat_max": ("north", {}),
+    "lon_min": ("nan", {}),
+    "lon_max": ("7.3", {}),
+    "x_min": ("300", _UTM),
+    "x_max": ("inf", _UTM),
+    "y_min": ("low", _UTM),
+    "y_max": ("-1", _UTM),
+    "zone": ("61", _UTM),
+    "hemisphere": ("west", _UTM),
+    "rows": ("1", {}),
+    "cols": ("0", {}),
+    "margin": ("-0.5", {}),
+    "spacing": ("0", {}),
+    "smooth_iters": ("-1", {}),
+    "seed_strategy": ("hex", {}),
+    "method": ("krige", {}),
+    "variogram": ("cubic", {}),
+    "variogram_c0": ("-1", _EXPLICIT),
+    "variogram_c": ("inf", _EXPLICIT),
+    "variogram_a": ("0", _EXPLICIT),
+    "variogram_bins": ("0", {}),
+    "variogram_max_lag": ("-5", {}),
+    "drift": ("2", {}),
+    "neighbors": ("3", {}),
+    "power": ("0", {}),
+    "seed": ("1.5", {}),
+    "format": ("obj,stl", {}),
+    "contour_levels": ("-1", {}),
+}
 
 
 class TestConfig:
@@ -81,6 +139,7 @@ class TestConfig:
     def test_utm_region(self):
         cfg = PipelineConfig.from_mapping(
             {
+                "input": "points.txt",
                 "region_crs": "utm",
                 "x_min": "0",
                 "x_max": "300",
@@ -211,6 +270,13 @@ class TestRun:
         with pytest.raises(DataError) as err:
             run(cfg)
         assert "stage 'acquire'" in str(err.value)
+        # the prefixed error keeps its type and its fields
+        src = tmp_path / "points.txt"
+        src.write_text("48.7 7.3 400\n48.7 east 400\n")
+        with pytest.raises(ParseError) as err:
+            run(_fast_config(tmp_path, input=str(src)))
+        assert str(err.value) == "stage 'acquire': non-numeric longitude 'east' (line 2)"
+        assert err.value.line == 2
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         import dsmkit.pipeline as pl
@@ -277,16 +343,12 @@ class TestRun:
 
     def test_stage_composability(self, tmp_path):
         # library-level stage calls must reproduce the run() artifact exactly
-        from dsmkit.interpolate import lift_mesh
-        from dsmkit.pipeline import _lift_config, _variogram_model
-
         cfg = _fast_config(tmp_path)
         report = run(cfg)
-        _, _, utm_ps = _prepare_samples(cfg)
-        rect = _mesh_rect(cfg, utm_ps)
-        planar, _, _ = _build_planar_mesh(cfg, rect)
-        model, _ = _variogram_model(cfg, utm_ps, rect)
-        lifted, _ = lift_mesh(planar, utm_ps, _lift_config(cfg, model))
+        samples = prepare_samples(cfg)
+        planar, _, _ = build_planar_mesh(cfg, samples.region)
+        model, _ = variogram_model(cfg, samples)
+        lifted, _ = lift_surface(cfg, planar, samples, model)
         exported = read_obj(tmp_path / "out" / "dsm_uk.obj")
         assert np.allclose(exported.vertices, lifted.vertices, atol=1e-6)
         assert np.array_equal(exported.triangles, lifted.triangles)
@@ -319,9 +381,9 @@ class TestCompareMethods:
         )
         cmp = compare_methods(cfg)
 
-        _, _, utm_ps = _prepare_samples(cfg)
-        rect = _mesh_rect(cfg, utm_ps)
-        planar, _, _ = _build_planar_mesh(cfg, rect)
+        samples = prepare_samples(cfg)
+        utm_ps = samples.utm
+        planar, _, _ = build_planar_mesh(cfg, samples.region)
         center = wgs84_to_utm(GeoPoint(48.7242, 7.3386), zone=utm_ps.crs.zone)
         xy = utm_ps.coords()
         z = utm_ps.altitudes()
@@ -476,13 +538,13 @@ class TestCli:
             ["--smooth-iters", "-1"],
             ["variogram_bins = 0"],
             ["contour_levels = -2"],
+            # a synthetic scan needs a wgs84 region
+            ["region_crs = utm", "zone = 32", "x_min = 0", "x_max = 300",
+             "y_min = 0", "y_max = 400"],
         ],
     )
     def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):
-        def stage_ran(*_args):
-            raise AssertionError("a stage ran before the config was rejected")
-
-        monkeypatch.setattr(pipeline, "_acquire", stage_ran)
+        monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
         out = tmp_path / "o"
         cfg = self._cfg(tmp_path, [a for a in args if " = " in a])
         flags = [a for a in args if " = " not in a]
@@ -491,6 +553,94 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_bad_value_table_covers_every_key(self):
+        assert set(BAD_VALUES) == set(pipeline.DEFAULTS) - {"input", "out"}
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_every_key_has_a_bad_value_rejected_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        bad, context = BAD_VALUES[key]
+        PipelineConfig.from_mapping(context)  # the context alone is valid
+        monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
+        out = tmp_path / "o"
+        lines = [f"{k} = {v}" for k, v in {**context, key: bad}.items()]
+        code = main(["run", "--config", self._cfg(tmp_path, lines), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "stage" not in err
+        assert not out.exists()
+
+    def test_missing_input_and_unusable_out_are_data_errors(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--config", self._cfg(tmp_path), "--input",
+                     str(tmp_path / "missing.txt"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage 'acquire': input file not found")
+        assert "Traceback" not in err and not out.exists()
+
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        code = main(["run", "--config", self._cfg(tmp_path), "--spacing", "30",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage 'export': cannot create output directory")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_failed_lift_export_leaves_no_partial_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "l"
+        (out / "dsm_uk.vtk").mkdir(parents=True)
+        code = main(["lift", "--config", self._cfg(tmp_path), "--spacing", "30",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage 'export': cannot write")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["dsm_uk.vtk"]
+
+    @pytest.mark.parametrize(
+        "argv, code, stage",
+        [
+            (["mesh", "--spacing", "100000"], 1, "mesh"),
+            (["variogram"], 2, "variogram"),
+        ],
+    )
+    def test_subcommand_errors_name_their_stage(self, tmp_path, capsys, argv, code, stage):
+        cfg = self._cfg(tmp_path, ["variogram_max_lag = 0.001"])
+        out = tmp_path / "o"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}': ")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_verbose_logs_each_stage_wall_time(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="dsmkit.pipeline")
+        code = main(["-v", "mesh", "--config", self._cfg(tmp_path), "--spacing", "30",
+                     "--out", str(tmp_path / "m")])
+        assert code == 0
+        timed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
+        assert [m.split(":")[0] for m in timed] == ["stage acquire", "stage mesh", "stage export"]
+        assert all(re.fullmatch(r"stage \w+: \d+\.\d{3} s", m) for m in timed)
+
+    def test_cli_imports_no_private_name(self):
+        import ast
+
+        import dsmkit.cli
+
+        tree = ast.parse(open(dsmkit.cli.__file__).read())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("dsmkit"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
     def test_zero_contour_levels_is_valid(self, tmp_path):
         out = tmp_path / "o"
