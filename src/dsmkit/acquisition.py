@@ -15,8 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
-from .geodesy import GeoPoint, UtmPoint, utm_to_wgs84, utm_zone_for, wgs84_to_utm
+from .errors import ConfigError, DataError, DsmError, ParseError
+from .geodesy import (
+    FALSE_NORTHING_SOUTH,
+    GeoPoint,
+    UtmPoint,
+    elementwise,
+    normalize_longitudes,
+    utm_forward,
+    utm_inverse,
+    utm_zone_for,
+    wgs84_to_utm,
+)
 from .geometry import Rect
 
 
@@ -48,42 +58,88 @@ class UtmCrs:
 WGS84 = Wgs84Crs()
 
 
-@dataclass
 class PointSet:
-    """Ordered elevation samples sharing one CRS."""
+    """Ordered elevation samples sharing one CRS, stored as columns.
 
-    points: list
-    crs: Wgs84Crs | UtmCrs = WGS84
+    `x`, `y` and `z` are read-only float arrays: longitude, latitude and
+    altitude for WGS-84; easting, northing and altitude for UTM. Build a set
+    from GeoPoint/UtmPoint objects with `PointSet(points, crs)` or from
+    columns with `PointSet.from_arrays`; iterating makes the point objects
+    on demand.
+    """
 
-    def __post_init__(self):
-        want = GeoPoint if isinstance(self.crs, Wgs84Crs) else UtmPoint
-        for p in self.points:
+    def __init__(self, points=(), crs: Wgs84Crs | UtmCrs = WGS84):
+        points = list(points)
+        want = GeoPoint if isinstance(crs, Wgs84Crs) else UtmPoint
+        for p in points:
             if not isinstance(p, want):
+                raise DataError(f"point {p!r} does not match point-set CRS {crs!r}")
+            if want is UtmPoint and (p.zone, p.hemisphere) != (crs.zone, crs.hemisphere):
                 raise DataError(
-                    f"point {p!r} does not match point-set CRS {self.crs!r}"
+                    f"point zone {p.zone}{p.hemisphere[0]} differs from set CRS {crs!r}"
                 )
-            if isinstance(p, UtmPoint) and (p.zone, p.hemisphere) != (
-                self.crs.zone,
-                self.crs.hemisphere,
-            ):
-                raise DataError(
-                    f"point zone {p.zone}{p.hemisphere[0]} differs from set CRS {self.crs!r}"
-                )
+        if want is GeoPoint:
+            rows = [(p.longitude, p.latitude, p.altitude) for p in points]
+        else:
+            rows = [(p.easting, p.northing, p.altitude) for p in points]
+        x, y, z = np.array(rows, dtype=float).reshape(-1, 3).T
+        self._store(x, y, z, crs)
+
+    @classmethod
+    def from_arrays(cls, x, y, z, crs: Wgs84Crs | UtmCrs = WGS84) -> "PointSet":
+        """A point set over copies of the columns x, y, z (see the class)."""
+        ps = cls.__new__(cls)
+        ps._store(x, y, z, crs)
+        return ps
+
+    def _store(self, x, y, z, crs):
+        if not isinstance(crs, (Wgs84Crs, UtmCrs)):
+            raise DataError(f"unknown point-set CRS {crs!r}")
+        xy = np.column_stack([np.ravel(x), np.ravel(y)]).astype(float, copy=False)
+        z = np.array(z, dtype=float).ravel()
+        if len(xy) != len(z):
+            raise DataError(f"column lengths differ: {len(xy)} positions, {len(z)} altitudes")
+        finite = np.isfinite(xy).all(axis=1) & np.isfinite(z)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DataError(f"point {k}: non-finite coordinates {xy[k].tolist() + [z[k].item()]}")
+        if isinstance(crs, Wgs84Crs):
+            lat = xy[:, 1]
+            outside = ~((lat >= -90.0) & (lat <= 90.0))
+            if outside.any():
+                k = int(np.argmax(outside))
+                raise DataError(f"point {k}: latitude {lat[k].item()} outside [-90, 90]")
+            xy[:, 0] = normalize_longitudes(xy[:, 0])
+        xy.setflags(write=False)
+        z.setflags(write=False)
+        self._xy = xy
+        self.x, self.y, self.z = xy[:, 0], xy[:, 1], z
+        self.crs = crs
 
     def __len__(self):
-        return len(self.points)
+        return len(self.z)
 
     def __iter__(self):
-        return iter(self.points)
+        columns = zip(self.x.tolist(), self.y.tolist(), self.z.tolist())
+        if isinstance(self.crs, Wgs84Crs):
+            return (GeoPoint(lat, lon, alt) for lon, lat, alt in columns)
+        zone, hemisphere = self.crs.zone, self.crs.hemisphere
+        return (UtmPoint(e, n, zone, hemisphere, alt) for e, n, alt in columns)
+
+    @property
+    def points(self) -> list:
+        """The samples as GeoPoint/UtmPoint objects, built on each access."""
+        return list(self)
+
+    def __repr__(self):
+        return f"PointSet({len(self)} points, {self.crs!r})"
 
     def coords(self) -> np.ndarray:
         """Plan-view coordinates, shape (n, 2): (lon, lat) or (easting, northing)."""
-        if isinstance(self.crs, Wgs84Crs):
-            return np.array([(p.longitude, p.latitude) for p in self.points], dtype=float).reshape(-1, 2)
-        return np.array([(p.easting, p.northing) for p in self.points], dtype=float).reshape(-1, 2)
+        return self._xy
 
     def altitudes(self) -> np.ndarray:
-        return np.array([p.altitude for p in self.points], dtype=float)
+        return self.z
 
 
 @dataclass(frozen=True)
@@ -105,6 +161,22 @@ class ElevationProvider(ABC):
     @abstractmethod
     def elevation_at(self, latitude: float, longitude: float) -> float:
         """Terrain elevation in meters at a geographic position."""
+
+    def elevations(self, latitudes: np.ndarray, longitudes: np.ndarray) -> np.ndarray:
+        """Elevations at arrays of positions of one shape, in that shape.
+
+        The default asks elevation_at node by node; a provider that can
+        evaluate whole arrays overrides it.
+        """
+        lat = np.asarray(latitudes, dtype=float)
+        lon = np.asarray(longitudes, dtype=float)
+        out = np.empty(lat.shape)
+        for node in np.ndindex(lat.shape):
+            try:
+                out[node] = self.elevation_at(lat[node].item(), lon[node].item())
+            except Exception as e:
+                raise DataError(f"elevation provider failed at node {node}: {e}") from e
+        return out
 
 
 def parse_point_file(text: str) -> PointSet:
@@ -145,8 +217,8 @@ def serialize_point_file(ps: PointSet) -> str:
     """Inverse of parse_point_file; shortest round-trip float formatting."""
     if not isinstance(ps.crs, Wgs84Crs):
         raise DataError("point files are WGS-84; convert the point set first")
-    lines = [f"{p.latitude!r} {p.longitude!r} {p.altitude!r}" for p in ps.points]
-    return "\n".join(lines) + "\n"
+    columns = zip(ps.y.tolist(), ps.x.tolist(), ps.z.tolist())
+    return "\n".join(f"{lat!r} {lon!r} {alt!r}" for lat, lon, alt in columns) + "\n"
 
 
 def scan_grid(provider: ElevationProvider, spec: ScanSpec) -> PointSet:
@@ -159,19 +231,24 @@ def scan_grid(provider: ElevationProvider, spec: ScanSpec) -> PointSet:
     r = spec.region
     dlat = r.height / spec.rows
     dlon = r.width / spec.cols
-    points = []
-    for i in range(spec.rows):
-        lat = r.y_max - i * dlat
-        for j in range(spec.cols):
-            lon = r.x_min + j * dlon
-            try:
-                alt = provider.elevation_at(lat, lon)
-            except Exception as e:
-                raise DataError(f"elevation provider failed at node ({i}, {j}): {e}") from e
-            if not math.isfinite(alt):
-                raise DataError(f"elevation provider returned {alt!r} at node ({i}, {j})")
-            points.append(GeoPoint(lat, lon, alt))
-    return PointSet(points, WGS84)
+    lat, lon = np.meshgrid(
+        r.y_max - np.arange(spec.rows) * dlat, r.x_min + np.arange(spec.cols) * dlon, indexing="ij"
+    )
+    # a provider need not subclass ElevationProvider: elevation_at will do
+    elevations = getattr(type(provider), "elevations", ElevationProvider.elevations)
+    try:
+        alt = np.asarray(elevations(provider, lat, lon), dtype=float)
+    except DsmError:
+        raise
+    except Exception as e:
+        raise DataError(f"elevation provider failed: {e}") from e
+    if alt.shape != lat.shape:
+        raise DataError(f"elevation provider returned shape {alt.shape}, expected {lat.shape}")
+    bad = ~np.isfinite(alt)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise DataError(f"elevation provider returned {alt[i, j].item()!r} at node ({i}, {j})")
+    return PointSet.from_arrays(lon, lat, alt, WGS84)
 
 
 def clip_to_region(ps: PointSet, rect: Rect, rect_crs=None) -> PointSet:
@@ -181,11 +258,9 @@ def clip_to_region(ps: PointSet, rect: Rect, rect_crs=None) -> PointSet:
     """
     if rect_crs is not None and rect_crs != ps.crs:
         raise DataError(f"clip rectangle CRS {rect_crs!r} does not match point set {ps.crs!r}")
-    if isinstance(ps.crs, Wgs84Crs):
-        kept = [p for p in ps.points if rect.contains(p.longitude, p.latitude)]
-    else:
-        kept = [p for p in ps.points if rect.contains(p.easting, p.northing)]
-    return PointSet(kept, ps.crs)
+    x, y = ps.x, ps.y
+    keep = (rect.x_min <= x) & (x <= rect.x_max) & (rect.y_min <= y) & (y <= rect.y_max)
+    return PointSet.from_arrays(x[keep], y[keep], ps.z[keep], ps.crs)
 
 
 class SyntheticTerrain(ElevationProvider):
@@ -204,21 +279,24 @@ class SyntheticTerrain(ElevationProvider):
         self._origin_e = u.easting
         self._origin_n = u.northing
 
-    def _offsets(self, latitude: float, longitude: float) -> tuple[float, float]:
-        u = wgs84_to_utm(GeoPoint(latitude, longitude), zone=self._zone)
-        return u.easting - self._origin_e, u.northing - self._origin_n
-
     def elevation_at(self, latitude: float, longitude: float) -> float:
-        dx, dy = self._offsets(latitude, longitude)
-        return self._evaluate(dx, dy)
+        return self.elevations(np.array([latitude]), np.array([longitude])).item()
 
-    def _evaluate(self, dx: float, dy: float) -> float:
+    def elevations(self, latitudes, longitudes) -> np.ndarray:
+        lat = np.asarray(latitudes, dtype=float)
+        easting, northing = utm_forward(lat, longitudes, self._zone)
+        dx = easting - self._origin_e
+        dy = northing - self._origin_n
+        return self._evaluate(dx, dy).reshape(lat.shape)
+
+    def _evaluate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        # transcendental calls go through `math` (see geodesy.elementwise)
         raise NotImplementedError
 
 
 class _Constant(SyntheticTerrain):
     def _evaluate(self, dx, dy):
-        return self.params["base"]
+        return np.full(dx.shape, float(self.params["base"]))
 
 
 class _InclinedPlane(SyntheticTerrain):
@@ -231,7 +309,9 @@ class _GaussianHill(SyntheticTerrain):
         p = self.params
         rx = dx - p["center_x"]
         ry = dy - p["center_y"]
-        return p["base"] + p["amplitude"] * math.exp(-(rx * rx + ry * ry) / (2.0 * p["sigma"] ** 2))
+        return p["base"] + p["amplitude"] * elementwise(
+            math.exp, -(rx * rx + ry * ry) / (2.0 * p["sigma"] ** 2)
+        )
 
 
 class _Ridge(SyntheticTerrain):
@@ -240,7 +320,7 @@ class _Ridge(SyntheticTerrain):
         theta = math.radians(p["angle_deg"])
         # perpendicular distance from the ridge line through the origin
         d = -dx * math.sin(theta) + dy * math.cos(theta)
-        return p["base"] + p["amplitude"] * math.exp(-d * d / (2.0 * p["sigma"] ** 2))
+        return p["base"] + p["amplitude"] * elementwise(math.exp, -d * d / (2.0 * p["sigma"] ** 2))
 
 
 # Each terrain kind's provider class and the parameters it takes, with their
@@ -295,28 +375,33 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
     if target == "wgs84" or isinstance(target, Wgs84Crs):
         if isinstance(ps.crs, Wgs84Crs):
             return ps
-        return PointSet([utm_to_wgs84(p) for p in ps.points], WGS84)
+        lat, lon = utm_inverse(ps.x, ps.y, ps.crs.zone, ps.crs.hemisphere)
+        return PointSet.from_arrays(lon, lat, ps.z, WGS84)
 
     if target == "utm":
         if isinstance(ps.crs, UtmCrs):
             return ps
-        lons = [p.longitude for p in ps.points]
-        lats = [p.latitude for p in ps.points]
-        c_lon = sum(lons) / len(lons)
-        c_lat = sum(lats) / len(lats)
+        # sum() adds left to right; np.sum's pairwise order could move a
+        # centroid that sits on a zone edge into the other zone
+        c_lon = sum(ps.x.tolist()) / len(ps)
+        c_lat = sum(ps.y.tolist()) / len(ps)
         target = UtmCrs(utm_zone_for(c_lon, c_lat), "north" if c_lat >= 0 else "south")
     elif not isinstance(target, UtmCrs):
         raise ConfigError(f"unknown target CRS {target!r}")
 
     if ps.crs == target:
         return ps
-    geo = ps.points if isinstance(ps.crs, Wgs84Crs) else [utm_to_wgs84(p) for p in ps.points]
-    out = []
-    for g in geo:
-        u = wgs84_to_utm(g, zone=target.zone)
-        if u.hemisphere != target.hemisphere:
-            # force the target hemisphere's false-northing frame
-            shift = 10000000.0 if target.hemisphere == "south" else -10000000.0
-            u = UtmPoint(u.easting, u.northing + shift, u.zone, target.hemisphere, u.altitude)
-        out.append(u)
-    return PointSet(out, target)
+    if isinstance(ps.crs, Wgs84Crs):
+        lat, lon = ps.y, ps.x
+    else:
+        lat, lon = utm_inverse(ps.x, ps.y, ps.crs.zone, ps.crs.hemisphere)
+    easting, northing = utm_forward(lat, lon, target.zone)
+    # a point on the other side of the equator is forced into the target
+    # hemisphere's false-northing frame
+    if target.hemisphere == "south":
+        other = lat >= 0.0
+        northing[other] += FALSE_NORTHING_SOUTH
+    else:
+        other = lat < 0.0
+        northing[other] -= FALSE_NORTHING_SOUTH
+    return PointSet.from_arrays(easting, northing, ps.z, target)

@@ -2,14 +2,18 @@
 
 Forward and inverse transverse Mercator use the 6th-order Krüger series in
 the third flattening n, which is accurate to well under a millimeter inside
-a UTM zone. Degree/minute/second parsing accepts both ASCII and typographic
-marks.
+a UTM zone. The series exist once, over arrays (`utm_forward`,
+`utm_inverse`); `wgs84_to_utm` and `utm_to_wgs84` are one-point wrappers.
+Degree/minute/second parsing accepts both ASCII and typographic marks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -124,27 +128,136 @@ def zone_central_meridian(zone: int) -> float:
     return float(zone * 6 - 183)
 
 
-def _tau_prime(tau: float) -> float:
+def elementwise(fn, *args) -> np.ndarray:
+    """`fn`, a function of `math`, applied element by element to 1-D arrays
+    (a Python float argument is used for every element).
+
+    numpy's own transcendental functions are not bit-identical to `math`'s:
+    on an AVX-512 host np.tan, sinh, cosh, exp, arctanh, arcsinh, arctan2,
+    hypot and arctan differ in the last bit on 0.3-27% of inputs. The global
+    kriging solve amplifies such 1-ulp coordinate changes: with numpy's
+    functions in the series the `neighbors = global` lift moved by up to
+    2.6e-9 m. So the array series leave only + - * / and comparisons to
+    numpy.
+    """
+    n = len(next(a for a in args if isinstance(a, np.ndarray)))
+    lists = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, *lists), float, n)
+
+
+def normalize_longitudes(longitudes) -> np.ndarray:
+    """normalize_longitude over an array (a new 1-D array)."""
+    lon = np.array(longitudes, dtype=float).ravel()
+    wrap = ~((lon >= -180.0) & (lon < 180.0))
+    if wrap.any():
+        lon[wrap] = [normalize_longitude(v) for v in lon[wrap].tolist()]
+    return lon
+
+
+def _tau_prime(tau: np.ndarray) -> np.ndarray:
     # tan of the conformal latitude from tan of the geodetic latitude
-    sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
-    return tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau)
+    h = elementwise(math.hypot, 1.0, tau)
+    sigma = elementwise(math.sinh, _E * elementwise(math.atanh, _E * tau / h))
+    return tau * elementwise(math.hypot, 1.0, sigma) - sigma * h
 
 
-def _tau_from_tau_prime(taup: float) -> float:
-    # Invert tau' = tau sqrt(1+sigma^2) - sigma sqrt(1+tau^2) by Newton
+def _tau_from_tau_prime(taup: np.ndarray) -> np.ndarray:
+    # Invert tau' = tau sqrt(1+sigma^2) - sigma sqrt(1+tau^2) by Newton; each
+    # element stops on its own once its step is negligible
     e2 = _E * _E
     tau = taup / math.sqrt(1.0 - e2)
+    active = np.arange(len(tau))
     for _ in range(8):
-        taup_i = _tau_prime(tau)
+        t, tp = tau[active], taup[active]
+        tp_i = _tau_prime(t)
         dtau = (
-            (taup - taup_i)
-            * (1.0 + (1.0 - e2) * tau * tau)
-            / ((1.0 - e2) * math.hypot(1.0, taup_i) * math.hypot(1.0, tau))
+            (tp - tp_i)
+            * (1.0 + (1.0 - e2) * t * t)
+            / ((1.0 - e2) * elementwise(math.hypot, 1.0, tp_i) * elementwise(math.hypot, 1.0, t))
         )
-        tau += dtau
-        if abs(dtau) < 1e-16 * max(1.0, abs(tau)):
+        t = t + dtau
+        tau[active] = t
+        active = active[~(np.abs(dtau) < 1e-16 * np.maximum(1.0, np.abs(t)))]
+        if not len(active):
             break
     return tau
+
+
+def _check_zone(zone) -> None:
+    if not (isinstance(zone, int) and 1 <= zone <= 60):
+        raise DataError(f"UTM zone {zone!r} outside [1, 60]")
+
+
+def utm_forward(latitudes, longitudes, zone: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project arrays of WGS-84 latitudes/longitudes (degrees) into one UTM
+    zone: (eastings, northings) in meters. A point south of the equator gets
+    the southern false northing, as in wgs84_to_utm.
+    """
+    _check_zone(zone)
+    lat = np.array(latitudes, dtype=float).ravel()
+    lon = normalize_longitudes(longitudes)
+    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
+        raise DataError("non-finite latitude or longitude")
+    outside = np.abs(lat) > UTM_LAT_BAND
+    if outside.any():
+        bad = lat[outside][0].item()
+        raise DataError(f"latitude {bad} outside the UTM band [-{UTM_LAT_BAND}, {UTM_LAT_BAND}]")
+
+    phi = lat * (math.pi / 180.0)  # math.radians, bit for bit
+    lam = normalize_longitudes(lon - zone_central_meridian(zone)) * (math.pi / 180.0)
+
+    taup = _tau_prime(elementwise(math.tan, phi))
+    cos_lam = elementwise(math.cos, lam)
+    sin_lam = elementwise(math.sin, lam)
+    xi_p = elementwise(math.atan2, taup, cos_lam)
+    eta_p = elementwise(math.asinh, sin_lam / elementwise(math.hypot, taup, cos_lam))
+
+    xi = xi_p.copy()
+    eta = eta_p.copy()
+    for j, alpha in enumerate(_ALPHA, start=1):
+        xi += alpha * elementwise(math.sin, 2 * j * xi_p) * elementwise(math.cosh, 2 * j * eta_p)
+        eta += alpha * elementwise(math.cos, 2 * j * xi_p) * elementwise(math.sinh, 2 * j * eta_p)
+
+    easting = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
+    northing = UTM_SCALE * _RECTIFYING_RADIUS * xi
+    south = lat < 0.0
+    northing[south] += FALSE_NORTHING_SOUTH
+    return easting, northing
+
+
+def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of utm_forward for points of one zone and hemisphere:
+    (latitudes, longitudes) in degrees."""
+    _check_zone(zone)
+    east = np.array(eastings, dtype=float).ravel()
+    north = np.array(northings, dtype=float).ravel()
+    bad = ~((100000.0 < east) & (east < 900000.0))
+    if bad.any():
+        raise DataError(f"easting {east[bad][0].item()} outside (100000, 900000)")
+    bad = ~((0.0 <= north) & (north < 10000000.0))
+    if bad.any():
+        raise DataError(f"northing {north[bad][0].item()} outside [0, 10000000)")
+
+    if hemisphere == "south":
+        north = north - FALSE_NORTHING_SOUTH
+    xi = north / (UTM_SCALE * _RECTIFYING_RADIUS)
+    eta = (east - FALSE_EASTING) / (UTM_SCALE * _RECTIFYING_RADIUS)
+
+    xi_p = xi.copy()
+    eta_p = eta.copy()
+    for j, beta in enumerate(_BETA, start=1):
+        xi_p -= beta * elementwise(math.sin, 2 * j * xi) * elementwise(math.cosh, 2 * j * eta)
+        eta_p -= beta * elementwise(math.cos, 2 * j * xi) * elementwise(math.sinh, 2 * j * eta)
+
+    sinh_eta = elementwise(math.sinh, eta_p)
+    cos_xi = elementwise(math.cos, xi_p)
+    taup = elementwise(math.sin, xi_p) / elementwise(math.hypot, sinh_eta, cos_xi)
+    lam = elementwise(math.atan2, sinh_eta, cos_xi)
+
+    # math.degrees, bit for bit
+    latitude = elementwise(math.atan, _tau_from_tau_prime(taup)) * (180.0 / math.pi)
+    longitude = normalize_longitudes(lam * (180.0 / math.pi) + zone_central_meridian(zone))
+    return latitude, longitude
 
 
 def wgs84_to_utm(p: GeoPoint, zone: int | None = None) -> UtmPoint:
@@ -153,66 +266,17 @@ def wgs84_to_utm(p: GeoPoint, zone: int | None = None) -> UtmPoint:
     The zone defaults to the point's own 6-degree zone; pass an explicit
     zone to keep a whole dataset in one projection frame.
     """
-    if abs(p.latitude) > UTM_LAT_BAND:
-        raise DataError(
-            f"latitude {p.latitude} outside the UTM band [-{UTM_LAT_BAND}, {UTM_LAT_BAND}]"
-        )
     if zone is None:
         zone = utm_zone_for(p.longitude, p.latitude)
-    elif not (isinstance(zone, int) and 1 <= zone <= 60):
-        raise DataError(f"UTM zone {zone!r} outside [1, 60]")
-
-    lat = math.radians(p.latitude)
-    lam = math.radians(normalize_longitude(p.longitude - zone_central_meridian(zone)))
-
-    taup = _tau_prime(math.tan(lat))
-    cos_lam = math.cos(lam)
-    sin_lam = math.sin(lam)
-    xi_p = math.atan2(taup, cos_lam)
-    eta_p = math.asinh(sin_lam / math.hypot(taup, cos_lam))
-
-    xi = xi_p
-    eta = eta_p
-    for j, alpha in enumerate(_ALPHA, start=1):
-        xi += alpha * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += alpha * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
-
-    easting = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
-    northing = UTM_SCALE * _RECTIFYING_RADIUS * xi
+    easting, northing = utm_forward([p.latitude], [p.longitude], zone)
     hemisphere = "north" if p.latitude >= 0.0 else "south"
-    if hemisphere == "south":
-        northing += FALSE_NORTHING_SOUTH
-    return UtmPoint(easting, northing, zone, hemisphere, p.altitude)
+    return UtmPoint(easting.item(), northing.item(), zone, hemisphere, p.altitude)
 
 
 def utm_to_wgs84(p: UtmPoint) -> GeoPoint:
     """Inverse projection back to WGS-84 geographic coordinates."""
-    if not 100000.0 < p.easting < 900000.0:
-        raise DataError(f"easting {p.easting} outside (100000, 900000)")
-    if not 0.0 <= p.northing < 10000000.0:
-        raise DataError(f"northing {p.northing} outside [0, 10000000)")
-
-    northing = p.northing
-    if p.hemisphere == "south":
-        northing -= FALSE_NORTHING_SOUTH
-
-    xi = northing / (UTM_SCALE * _RECTIFYING_RADIUS)
-    eta = (p.easting - FALSE_EASTING) / (UTM_SCALE * _RECTIFYING_RADIUS)
-
-    xi_p = xi
-    eta_p = eta
-    for j, beta in enumerate(_BETA, start=1):
-        xi_p -= beta * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
-        eta_p -= beta * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
-
-    sinh_eta = math.sinh(eta_p)
-    cos_xi = math.cos(xi_p)
-    taup = math.sin(xi_p) / math.hypot(sinh_eta, cos_xi)
-    lam = math.atan2(sinh_eta, cos_xi)
-
-    latitude = math.degrees(math.atan(_tau_from_tau_prime(taup)))
-    longitude = normalize_longitude(math.degrees(lam) + zone_central_meridian(p.zone))
-    return GeoPoint(latitude, longitude, p.altitude)
+    latitude, longitude = utm_inverse([p.easting], [p.northing], p.zone, p.hemisphere)
+    return GeoPoint(latitude.item(), longitude.item(), p.altitude)
 
 
 # DMS parsing: tolerate typographic degree/minute/second marks

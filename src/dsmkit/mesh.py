@@ -16,6 +16,9 @@ logger = logging.getLogger(__name__)
 
 SEED_STRATEGIES = ("grid", "jittered")
 
+# Seeds beyond this many would exhaust memory long before triangulation ends.
+MAX_SEEDS = 5_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
@@ -163,6 +166,29 @@ def delaunay_triangulate(points) -> TriMesh:
     )
 
 
+def seed_grid_shape(rect: Rect, target_spacing: float) -> tuple[int, int]:
+    """(rows, columns) of the seed grid seed_region lays over rect; raises
+    ConfigError when the spacing does not fit the rectangle or the grid
+    would exceed MAX_SEEDS."""
+    if not (target_spacing > 0):
+        raise ConfigError(f"spacing must be positive, got {target_spacing}")
+    if target_spacing >= rect.width or target_spacing >= rect.height:
+        raise ConfigError(
+            f"spacing {target_spacing} too large for a "
+            f"{rect.width:.6g} x {rect.height:.6g} region"
+        )
+    # in floats first: a tiny spacing must not overflow int(round(...))
+    estimate = (rect.width / target_spacing + 1.0) * (rect.height / target_spacing + 1.0)
+    if estimate > MAX_SEEDS:
+        raise ConfigError(
+            f"spacing {target_spacing} over a {rect.width:.6g} x {rect.height:.6g} region "
+            f"needs about {estimate:.3g} mesh vertices, more than {MAX_SEEDS:,}"
+        )
+    ncols = max(2, int(round(rect.width / target_spacing)) + 1)
+    nrows = max(2, int(round(rect.height / target_spacing)) + 1)
+    return nrows, ncols
+
+
 def seed_region(
     rect: Rect, target_spacing: float, strategy: str = "jittered", seed: int = 42
 ) -> np.ndarray:
@@ -174,15 +200,7 @@ def seed_region(
     """
     if strategy not in SEED_STRATEGIES:
         raise ConfigError(f"unknown seeding strategy {strategy!r}")
-    if not (target_spacing > 0):
-        raise ConfigError(f"spacing must be positive, got {target_spacing}")
-    if target_spacing >= rect.width or target_spacing >= rect.height:
-        raise ConfigError(
-            f"spacing {target_spacing} too large for a "
-            f"{rect.width:.6g} x {rect.height:.6g} region"
-        )
-    ncols = max(2, int(round(rect.width / target_spacing)) + 1)
-    nrows = max(2, int(round(rect.height / target_spacing)) + 1)
+    nrows, ncols = seed_grid_shape(rect, target_spacing)
     xs = np.linspace(rect.x_min, rect.x_max, ncols)
     ys = np.linspace(rect.y_min, rect.y_max, nrows)
     gx, gy = np.meshgrid(xs, ys)

@@ -40,7 +40,7 @@ from .acquisition import (
     synthetic_terrain,
 )
 from .errors import ConfigError, DataError, DsmError
-from .geodesy import GeoPoint, wgs84_to_utm
+from .geodesy import UTM_LAT_BAND, GeoPoint, utm_zone_for
 from .geometry import Rect
 from .interpolate import IdwConfig, LiftSummary, UkConfig, lift_mesh
 from .mesh import (
@@ -51,6 +51,7 @@ from .mesh import (
     extract_contours,
     laplacian_smooth,
     mesh_quality,
+    seed_grid_shape,
     seed_region,
 )
 from .variogram import (
@@ -174,6 +175,10 @@ class PipelineConfig:
             region = Rect(
                 number("lon_min"), number("lat_min"), number("lon_max"), number("lat_max")
             )
+            if not (-180.0 <= region.x_min and region.x_max <= 180.0):
+                raise ConfigError(
+                    f"longitudes [{region.x_min}, {region.x_max}] must lie in [-180, 180]"
+                )
         elif region_crs == "utm":
             if not raw["zone"]:
                 raise ConfigError("utm region needs a zone")
@@ -200,6 +205,14 @@ class PipelineConfig:
         margin = finite("margin")
         if not margin > -0.5:
             raise ConfigError(f"margin must be > -0.5, got {raw['margin']!r}")
+        if region_crs == "wgs84":
+            # a synthetic scan covers the region plus its margin
+            scanned = region.expanded(margin) if raw["input"] == "synthetic" else region
+            if scanned.y_min < -UTM_LAT_BAND or scanned.y_max > UTM_LAT_BAND:
+                raise ConfigError(
+                    f"acquired latitudes [{scanned.y_min:.9g}, {scanned.y_max:.9g}] "
+                    f"leave the UTM band [-{UTM_LAT_BAND:g}, {UTM_LAT_BAND:g}]"
+                )
 
         method = raw["method"]
         if method not in ("uk", "idw"):
@@ -244,6 +257,16 @@ class PipelineConfig:
             raise ConfigError(
                 f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
             )
+        spacing = positive("spacing")
+        if region_crs == "wgs84":
+            center_lon, center_lat = region.center
+            center_crs = UtmCrs(
+                utm_zone_for(center_lon, center_lat), "north" if center_lat >= 0 else "south"
+            )
+            mesh_rect = utm_extent(region, center_crs)
+        else:
+            mesh_rect = region
+        seed_grid_shape(mesh_rect, spacing)
 
         return PipelineConfig(
             input=raw["input"],
@@ -255,7 +278,7 @@ class PipelineConfig:
             rows=at_least("rows", 2),
             cols=at_least("cols", 2),
             margin=margin,
-            spacing=positive("spacing"),
+            spacing=spacing,
             smooth_iters=at_least("smooth_iters", 0),
             seed_strategy=seed_strategy,
             method=method,
@@ -406,14 +429,7 @@ def prepare_samples(config: PipelineConfig) -> Samples:
         if len(clipped) == 0:
             raise DataError("no samples inside the target region after clipping")
         utm_ps = convert_pointset(clipped, "utm")
-        # the mesh covers the region's corners projected into the samples' zone
-        corners = [
-            wgs84_to_utm(GeoPoint(lat, lon), zone=utm_ps.crs.zone)
-            for lon, lat in config.region.corners()
-        ]
-        es = [c.easting for c in corners]
-        ns = [c.northing for c in corners]
-        region = Rect(min(es), min(ns), max(es), max(ns))
+        region = utm_extent(config.region, utm_ps.crs)
     else:
         utm_all = convert_pointset(acquired, config.utm_crs)
         utm_ps = clip_to_region(utm_all, config.region)
@@ -421,6 +437,16 @@ def prepare_samples(config: PipelineConfig) -> Samples:
             raise DataError("no samples inside the target region after clipping")
         region = config.region
     return Samples(utm_ps, region, len(acquired))
+
+
+def utm_extent(region: Rect, crs: UtmCrs) -> Rect:
+    """The bounding rectangle of a WGS-84 region's corners in the UTM frame
+    `crs` (the frame its samples are converted into): the area the mesh
+    covers."""
+    lon, lat = np.array(region.corners()).T
+    corners = convert_pointset(PointSet.from_arrays(lon, lat, np.zeros(4)), crs)
+    return Rect(float(corners.x.min()), float(corners.y.min()),
+                float(corners.x.max()), float(corners.y.max()))
 
 
 def build_planar_mesh(config: PipelineConfig, region: Rect):
@@ -679,7 +705,8 @@ def write_point_file(path, ps: PointSet, header: str | None = None) -> None:
     if isinstance(ps.crs, Wgs84Crs):
         body = serialize_point_file(ps)
     else:
-        body = "\n".join(f"{p.easting!r} {p.northing!r} {p.altitude!r}" for p in ps) + "\n"
+        columns = zip(ps.x.tolist(), ps.y.tolist(), ps.z.tolist())
+        body = "\n".join(f"{e!r} {n!r} {alt!r}" for e, n, alt in columns) + "\n"
     text = (f"# {header}\n" if header else "") + body
     _write_text(path, text)
 

@@ -92,21 +92,71 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
 
-    xy = samples.coords()
-    z = samples.altitudes()
+    # contiguous copies: every row reads slices of these
+    x = np.ascontiguousarray(samples.x)
+    y = np.ascontiguousarray(samples.y)
+    z = samples.z
+    n = len(z)
     width = max_lag / n_bins
+    stops = _row_stops(y, max_lag).tolist()
+    # A pair's bin is trunc(np.hypot(dx, dy) / width), kept when d < max_lag.
+    # The fast path needs fl(max_lag / width) >= n_bins: then d < max_lag is
+    # exactly trunc(.) < n_bins (rounding is monotone), so far pairs are
+    # clamped into a spill bin that is cut off rather than masked out. It
+    # also needs coordinates whose squares can neither overflow nor matter
+    # below the normal range: then sqrt(dx*dx + dy*dy) / width, a few times
+    # cheaper than np.hypot, is off from the np.hypot quotient by a few ulps,
+    # and only a quotient within `edge` of an integer, where the two might
+    # truncate apart, is redone with np.hypot.
+    fast = (
+        max_lag / width >= n_bins
+        and np.abs(samples.coords()).max() <= 1e150
+        and width >= 1e-150
+    )
+    top = n_bins + 0.5
+    edge = 1e-12 * (n_bins + 1)
+
     sums = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
-    n = len(xy)
-    for i in range(n - 1):
-        d = np.hypot(xy[i + 1 :, 0] - xy[i, 0], xy[i + 1 :, 1] - xy[i, 1])
-        sq = (z[i + 1 :] - z[i]) ** 2
-        bins = (d / width).astype(np.int64)
-        keep = d < max_lag
-        if not keep.any():
+    # per-row buffers, allocated once; row i uses the first stop - i - 1
+    t_buf = np.empty(n)
+    u_buf = np.empty(n)
+    sq_buf = np.empty(n)
+    bin_buf = np.empty(n, dtype=np.int64)
+    # one bincount per row, rows in order: the sums stay bit-identical to a
+    # scan over every pair
+    for i, stop in enumerate(stops[:-1]):
+        m = stop - i - 1
+        if m <= 0:
             continue
-        sums += np.bincount(bins[keep], weights=sq[keep], minlength=n_bins)[:n_bins]
-        counts += np.bincount(bins[keep], minlength=n_bins)[:n_bins]
+        t, u, q, b = t_buf[:m], u_buf[:m], sq_buf[:m], bin_buf[:m]
+        np.subtract(x[i + 1 : stop], x[i], out=t)
+        np.subtract(y[i + 1 : stop], y[i], out=u)
+        np.subtract(z[i + 1 : stop], z[i], out=q)
+        np.multiply(q, q, out=q)
+        if fast:
+            np.multiply(t, t, out=t)
+            np.multiply(u, u, out=u)
+            np.add(t, u, out=t)
+            np.sqrt(t, out=t)
+            np.divide(t, width, out=t)
+            np.minimum(t, top, out=t)
+            np.copyto(b, t, casting="unsafe")
+            np.rint(t, out=u)
+            np.subtract(t, u, out=u)
+            np.abs(u, out=u)
+            near = np.flatnonzero(u < edge)
+            if len(near):
+                j = near + (i + 1)
+                exact = np.hypot(x[j] - x[i], y[j] - y[i]) / width
+                b[near] = np.minimum(exact, top).astype(np.int64)
+        else:
+            d = np.hypot(t, u, out=t)
+            keep = d < max_lag
+            b = (d[keep] / width).astype(np.int64)
+            q = q[keep]
+        sums += np.bincount(b, weights=q, minlength=n_bins + 1)[:n_bins]
+        counts += np.bincount(b, minlength=n_bins + 1)[:n_bins]
 
     filled = counts > 0
     if not filled.any():
@@ -114,6 +164,25 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     centers = (np.arange(n_bins) + 0.5) * width
     gammas = sums[filled] / (2.0 * counts[filled])
     return ExperimentalVariogram(centers[filled], gammas, counts[filled], max_lag)
+
+
+def _row_stops(y: np.ndarray, max_lag: float) -> np.ndarray:
+    """For each row i, an index past which every sample j has
+    |y_j - y_i| > max_lag, so its pair with i lies outside every bin.
+
+    The suffix minima and maxima of y are monotone, so one searchsorted on
+    each finds where the remaining samples all lie above or all below the
+    row's northing window. Correct for any order; it only prunes work when
+    the samples come sorted by northing, as a lattice scan does. The window
+    is widened by a relative 1e-9 and two ulps of the largest |y| so that
+    rounding in the comparison can never cut a pair that is in range.
+    """
+    reach = max_lag * (1.0 + 1e-9) + 2.0 * np.spacing(np.abs(y).max())
+    suffix_min = np.minimum.accumulate(y[::-1])[::-1]
+    suffix_max = np.maximum.accumulate(y[::-1])[::-1]
+    above = np.searchsorted(suffix_min, y + reach, side="right")
+    below = np.searchsorted(-suffix_max, reach - y, side="right")
+    return np.minimum(above, below)
 
 
 def model_gamma(model: VariogramModel, h):

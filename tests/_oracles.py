@@ -5,6 +5,7 @@ are computed from explicit circumcenters, kriging systems are solved by a
 local Gaussian elimination, and variogram values are evaluated from scratch.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -464,3 +465,147 @@ def rotation_canonical(triangles) -> set:
             a, b, c = b, c, a
         out.add((a, b, c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sample side: the scalar UTM series, the list-based clip/convert and the
+# row-loop variogram that the array code paths replaced.
+
+
+def wgs84_to_utm_reference(latitude, longitude, zone):
+    """(easting, northing) of one point by the scalar Krüger series, with the
+    southern false northing south of the equator."""
+    from dsmkit.geodesy import (
+        _ALPHA,
+        _RECTIFYING_RADIUS,
+        FALSE_EASTING,
+        FALSE_NORTHING_SOUTH,
+        UTM_SCALE,
+        normalize_longitude,
+        zone_central_meridian,
+    )
+
+    lat = math.radians(latitude)
+    lam = math.radians(normalize_longitude(longitude - zone_central_meridian(zone)))
+    taup = _tau_prime_reference(math.tan(lat))
+    cos_lam = math.cos(lam)
+    sin_lam = math.sin(lam)
+    xi_p = math.atan2(taup, cos_lam)
+    eta_p = math.asinh(sin_lam / math.hypot(taup, cos_lam))
+    xi = xi_p
+    eta = eta_p
+    for j, alpha in enumerate(_ALPHA, start=1):
+        xi += alpha * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
+        eta += alpha * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+    easting = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
+    northing = UTM_SCALE * _RECTIFYING_RADIUS * xi
+    if latitude < 0.0:
+        northing += FALSE_NORTHING_SOUTH
+    return easting, northing
+
+
+def utm_to_wgs84_reference(easting, northing, zone, hemisphere):
+    """(latitude, longitude) of one UTM point by the scalar inverse series."""
+    from dsmkit.geodesy import (
+        _BETA,
+        _E,
+        _RECTIFYING_RADIUS,
+        FALSE_EASTING,
+        FALSE_NORTHING_SOUTH,
+        UTM_SCALE,
+        normalize_longitude,
+        zone_central_meridian,
+    )
+
+    if hemisphere == "south":
+        northing -= FALSE_NORTHING_SOUTH
+    xi = northing / (UTM_SCALE * _RECTIFYING_RADIUS)
+    eta = (easting - FALSE_EASTING) / (UTM_SCALE * _RECTIFYING_RADIUS)
+    xi_p = xi
+    eta_p = eta
+    for j, beta in enumerate(_BETA, start=1):
+        xi_p -= beta * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
+        eta_p -= beta * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
+    sinh_eta = math.sinh(eta_p)
+    cos_xi = math.cos(xi_p)
+    taup = math.sin(xi_p) / math.hypot(sinh_eta, cos_xi)
+    lam = math.atan2(sinh_eta, cos_xi)
+
+    # Newton on tau' = tau sqrt(1+sigma^2) - sigma sqrt(1+tau^2)
+    e2 = _E * _E
+    tau = taup / math.sqrt(1.0 - e2)
+    for _ in range(8):
+        taup_i = _tau_prime_reference(tau)
+        dtau = (
+            (taup - taup_i)
+            * (1.0 + (1.0 - e2) * tau * tau)
+            / ((1.0 - e2) * math.hypot(1.0, taup_i) * math.hypot(1.0, tau))
+        )
+        tau += dtau
+        if abs(dtau) < 1e-16 * max(1.0, abs(tau)):
+            break
+    latitude = math.degrees(math.atan(tau))
+    longitude = normalize_longitude(math.degrees(lam) + zone_central_meridian(zone))
+    return latitude, longitude
+
+
+def _tau_prime_reference(tau):
+    from dsmkit.geodesy import _E
+
+    sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
+    return tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau)
+
+
+def clip_to_region_reference(ps, rect):
+    """The points of ps inside rect (boundary inclusive), one at a time."""
+    from dsmkit.acquisition import PointSet, Wgs84Crs
+
+    if isinstance(ps.crs, Wgs84Crs):
+        kept = [p for p in ps if rect.contains(p.longitude, p.latitude)]
+    else:
+        kept = [p for p in ps if rect.contains(p.easting, p.northing)]
+    return PointSet(kept, ps.crs)
+
+
+def convert_pointset_reference(ps, target):
+    """A WGS-84 point set in the UTM frame `target` (a UtmCrs), or a UTM
+    point set in WGS-84 (`target` None), one point at a time."""
+    from dsmkit.acquisition import WGS84, PointSet
+    from dsmkit.geodesy import GeoPoint, UtmPoint
+
+    if target is None:
+        geo = []
+        for p in ps:
+            lat, lon = utm_to_wgs84_reference(p.easting, p.northing, p.zone, p.hemisphere)
+            geo.append(GeoPoint(lat, lon, p.altitude))
+        return PointSet(geo, WGS84)
+    out = []
+    for g in ps:
+        e, n = wgs84_to_utm_reference(g.latitude, g.longitude, target.zone)
+        hemisphere = "north" if g.latitude >= 0.0 else "south"
+        if hemisphere != target.hemisphere:
+            n += 10000000.0 if target.hemisphere == "south" else -10000000.0
+        out.append(UtmPoint(e, n, target.zone, target.hemisphere, g.altitude))
+    return PointSet(out, target)
+
+
+def empirical_variogram_reference(samples, max_lag, n_bins):
+    """(lag centers, gammas, pair counts) of the filled bins, by one masked
+    bincount per sample over every later sample."""
+    xy = samples.coords()
+    z = samples.altitudes()
+    width = max_lag / n_bins
+    sums = np.zeros(n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for i in range(len(xy) - 1):
+        d = np.hypot(xy[i + 1 :, 0] - xy[i, 0], xy[i + 1 :, 1] - xy[i, 1])
+        sq = (z[i + 1 :] - z[i]) ** 2
+        bins = (d / width).astype(np.int64)
+        keep = d < max_lag
+        if not keep.any():
+            continue
+        sums += np.bincount(bins[keep], weights=sq[keep], minlength=n_bins)[:n_bins]
+        counts += np.bincount(bins[keep], minlength=n_bins)[:n_bins]
+    filled = counts > 0
+    centers = (np.arange(n_bins) + 0.5) * width
+    return centers[filled], sums[filled] / (2.0 * counts[filled]), counts[filled]

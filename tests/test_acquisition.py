@@ -5,6 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import (
+    clip_to_region_reference,
+    convert_pointset_reference,
+    wgs84_to_utm_reference,
+)
 from dsmkit.acquisition import (
     WGS84,
     ElevationProvider,
@@ -278,3 +283,102 @@ class TestConvertPointSet:
         ps = PointSet([GeoPoint(1.0, 2.0, 3.0)], WGS84)
         assert np.allclose(ps.coords(), [[2.0, 1.0]])
         assert np.allclose(ps.altitudes(), [3.0])
+
+
+def _columns(ps):
+    return ps.x, ps.y, ps.z
+
+
+class TestColumnarPointSet:
+    REGION = Rect(7.3368, 48.7224, 7.3404, 48.726)
+
+    def _scan(self):
+        origin = GeoPoint(48.7242, 7.3386)
+        hill = synthetic_terrain("gaussian_hill", origin, base=400.0, amplitude=60.0, sigma=80.0)
+        return scan_grid(hill, ScanSpec(self.REGION.expanded(0.1), rows=50, cols=100))
+
+    def test_columns_are_stored_read_only_arrays(self):
+        ps = self._scan()
+        assert ps.coords() is ps.coords() and ps.altitudes() is ps.z
+        assert np.shares_memory(ps.coords(), ps.x) and np.shares_memory(ps.coords(), ps.y)
+        for column in (ps.x, ps.y, ps.z, ps.coords()):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_from_arrays_validates_whole_columns(self):
+        with pytest.raises(DataError, match="point 2: latitude 91.5 outside"):
+            PointSet.from_arrays([0.0, 1.0, 2.0], [0.0, 1.0, 91.5], [0.0, 0.0, 0.0], WGS84)
+        with pytest.raises(DataError, match="point 1: non-finite"):
+            PointSet.from_arrays([0.0, 1.0], [0.0, 1.0], [0.0, float("inf")], WGS84)
+        with pytest.raises(DataError, match="lengths differ"):
+            PointSet.from_arrays([0.0, 1.0], [0.0, 1.0], [0.0], WGS84)
+        ps = PointSet.from_arrays([185.0, -180.0, 7.5], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], WGS84)
+        assert ps.x.tolist() == [-175.0, -180.0, 7.5]
+
+    def test_iteration_builds_points_on_demand(self):
+        crs = UtmCrs(32, "south")
+        ps = PointSet.from_arrays([500000.0, 500001.5], [10.0, 20.0], [1.0, 2.0], crs)
+        assert list(ps) == [
+            UtmPoint(500000.0, 10.0, 32, "south", 1.0),
+            UtmPoint(500001.5, 20.0, 32, "south", 2.0),
+        ]
+
+    def test_scan_matches_scalar_evaluation(self):
+        # the hill evaluated point by point through the scalar series
+        ps = self._scan()
+        e0, n0 = wgs84_to_utm_reference(48.7242, 7.3386, 32)
+        expected = []
+        for p in ps:
+            e, n = wgs84_to_utm_reference(p.latitude, p.longitude, 32)
+            dx, dy = e - e0, n - n0
+            expected.append(400.0 + 60.0 * math.exp(-(dx * dx + dy * dy) / (2.0 * 80.0**2)))
+        assert ps.z.tolist() == expected
+        hill = synthetic_terrain(
+            "gaussian_hill", GeoPoint(48.7242, 7.3386), base=400.0, amplitude=60.0, sigma=80.0
+        )
+        assert hill.elevation_at(ps.y[7], ps.x[7]) == expected[7]
+
+    def test_default_elevations_loops_over_elevation_at(self):
+        provider = _FieldProvider(lambda lat, lon: lat * 1000.0 + lon)
+        lat = np.array([[50.0, 50.5], [51.0, 51.5]])
+        lon = np.array([[10.0, 10.25], [10.5, 10.75]])
+        out = provider.elevations(lat, lon)
+        assert out.shape == (2, 2)
+        assert out.tolist() == [[50010.0, 50510.25], [51010.5, 51510.75]]
+
+    def test_clip_matches_point_by_point_oracle(self):
+        ps = self._scan()
+        kept = clip_to_region(ps, self.REGION)
+        ref = clip_to_region_reference(ps, self.REGION)
+        assert 0 < len(kept) < len(ps)
+        for a, b in zip(_columns(kept), _columns(ref)):
+            assert np.array_equal(a, b)
+
+    def test_convert_matches_point_by_point_oracle(self):
+        ps = clip_to_region(self._scan(), self.REGION)
+        utm = convert_pointset(ps, "utm")
+        assert utm.crs == UtmCrs(32, "north")
+        for a, b in zip(_columns(utm), _columns(convert_pointset_reference(ps, utm.crs))):
+            assert np.array_equal(a, b)
+        back = convert_pointset(utm, "wgs84")
+        for a, b in zip(_columns(back), _columns(convert_pointset_reference(utm, None))):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("target", [UtmCrs(31, "north"), UtmCrs(31, "south")])
+    def test_convert_across_equator_into_a_forced_frame(self, target):
+        lat, lon = (a.ravel() for a in np.meshgrid(np.linspace(-0.5, 0.5, 9), [5.5, 6.0, 6.5]))
+        ps = PointSet.from_arrays(lon, lat, np.arange(lat.size, dtype=float), WGS84)
+        out = convert_pointset(ps, target)
+        for a, b in zip(_columns(out), _columns(convert_pointset_reference(ps, target))):
+            assert np.array_equal(a, b)
+
+    def test_point_file_round_trip_byte_for_byte(self):
+        ps = self._scan()
+        text = serialize_point_file(ps)
+        # numpy 2 reprs a scalar as np.float64(...): format Python floats
+        rows = zip(ps.y.tolist(), ps.x.tolist(), ps.z.tolist())
+        assert text == "".join(f"{lat!r} {lon!r} {alt!r}\n" for lat, lon, alt in rows)
+        again = parse_point_file(text)
+        assert serialize_point_file(again) == text
+        for a, b in zip(_columns(again), _columns(ps)):
+            assert np.array_equal(a, b)

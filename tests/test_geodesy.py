@@ -2,14 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from _oracles import utm_to_wgs84_reference, wgs84_to_utm_reference
 from dsmkit.errors import DataError, ParseError
 from dsmkit.geodesy import (
     GeoPoint,
     UtmPoint,
     normalize_longitude,
     parse_dms,
+    utm_forward,
+    utm_inverse,
     utm_to_wgs84,
     utm_zone_for,
     wgs84_to_utm,
@@ -184,3 +188,58 @@ class TestGeoPoint:
             GeoPoint(float("nan"), 0.0)
         with pytest.raises(DataError):
             GeoPoint(0.0, 0.0, float("inf"))
+
+
+class TestArraySeries:
+    """The array series against the scalar series they replaced, bit for bit."""
+
+    # a lattice across the equator and the zone 31/32 edge at 6 degrees east
+    LAT, LON = (
+        a.ravel() for a in np.meshgrid(np.linspace(-1.5, 1.5, 31), np.linspace(5.2, 6.8, 33))
+    )
+
+    @pytest.mark.parametrize("zone", [31, 32])
+    def test_forward_matches_scalar_series(self, zone):
+        easting, northing = utm_forward(self.LAT, self.LON, zone)
+        ref = [
+            wgs84_to_utm_reference(a, b, zone)
+            for a, b in zip(self.LAT.tolist(), self.LON.tolist())
+        ]
+        assert np.array_equal(easting, [e for e, _ in ref])
+        assert np.array_equal(northing, [n for _, n in ref])
+
+    @pytest.mark.parametrize("hemisphere", ["north", "south"])
+    def test_inverse_matches_scalar_series(self, hemisphere):
+        # eastings across the whole zone, northings up to the equator
+        e, n = (
+            a.ravel()
+            for a in np.meshgrid(np.linspace(166021.0, 833978.0, 29), np.linspace(0.0, 3e5, 31))
+        )
+        if hemisphere == "south":
+            n = 10000000.0 - 1.0 - n
+        lat, lon = utm_inverse(e, n, 32, hemisphere)
+        ref = [
+            utm_to_wgs84_reference(a, b, 32, hemisphere) for a, b in zip(e.tolist(), n.tolist())
+        ]
+        assert np.array_equal(lat, [a for a, _ in ref])
+        assert np.array_equal(lon, [b for _, b in ref])
+
+    def test_point_wrappers_are_one_element_series(self):
+        for lat, lon in zip(self.LAT.tolist()[::37], self.LON.tolist()[::37]):
+            u = wgs84_to_utm(GeoPoint(lat, lon, 5.0))
+            assert (u.easting, u.northing) == wgs84_to_utm_reference(lat, lon, u.zone)
+            assert u.hemisphere == ("north" if lat >= 0 else "south") and u.altitude == 5.0
+            g = utm_to_wgs84(u)
+            assert (g.latitude, g.longitude) == utm_to_wgs84_reference(
+                u.easting, u.northing, u.zone, u.hemisphere
+            )
+
+    def test_out_of_band_and_non_finite_rejected(self):
+        with pytest.raises(DataError, match="UTM band"):
+            utm_forward([10.0, 84.5], [7.0, 7.0], 32)
+        with pytest.raises(DataError, match="non-finite"):
+            utm_forward([float("nan")], [7.0], 32)
+        with pytest.raises(DataError, match="easting"):
+            utm_inverse([500000.0, 50000.0], [0.0, 0.0], 32, "north")
+        with pytest.raises(DataError, match="zone"):
+            utm_forward([10.0], [7.0], 61)

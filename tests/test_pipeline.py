@@ -92,6 +92,17 @@ BAD_VALUES = {
 
 
 class TestConfig:
+    def test_region_across_the_equator_meshes_in_one_frame(self):
+        # every corner goes into the samples' false-northing frame, so the
+        # mesh covers 333 m of northing, not 10,000 km
+        cfg = PipelineConfig.from_mapping(
+            {**FAST, "lat_min": "-0.001", "lat_max": "0.002", "spacing": "20"}
+        )
+        samples = prepare_samples(cfg)
+        assert samples.utm.crs.hemisphere == "north"
+        assert 300.0 < samples.region.height < 400.0
+        assert samples.region.y_min < 0.0 < samples.region.y_max
+
     def test_defaults_parse(self):
         cfg = PipelineConfig.from_mapping({})
         assert cfg.method == "uk"
@@ -605,7 +616,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, code, stage",
         [
-            (["mesh", "--spacing", "100000"], 1, "mesh"),
+            (["mesh", "--input", "missing.txt"], 2, "acquire"),
             (["variogram"], 2, "variogram"),
         ],
     )
@@ -616,6 +627,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage '{stage}': ")
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, flags, message",
+        [
+            ([], ["--spacing", "100000"], "too large"),
+            ([], ["--spacing", "0.1"], "mesh vertices"),
+            # the region once reached np.meshgrid as a 3.22 TiB seed grid
+            (["lon_max = 190"], [], "[-180, 180]"),
+            (["lon_min = -181"], [], "[-180, 180]"),
+            (["lat_max = 95"], [], "UTM band"),
+            (["lat_min = -95"], [], "UTM band"),
+            # inside the band, but the scan margin crosses 84
+            (["lat_min = 83.5", "lat_max = 83.9", "margin = 0.3"], [], "UTM band"),
+        ],
+        ids=[
+            "spacing_too_large",
+            "vertex_cap",
+            "lon_max_190",
+            "lon_min_-181",
+            "lat_max_95",
+            "lat_min_-95",
+            "margin_past_band",
+        ],
+    )
+    def test_region_and_mesh_size_fail_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, lines, flags, message
+    ):
+        monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
+        out = tmp_path / "o"
+        code = main(["mesh", "--config", self._cfg(tmp_path, lines), "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and message in err
+        assert "stage" not in err and "Traceback" not in err and not out.exists()
 
     def test_verbose_logs_each_stage_wall_time(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="dsmkit.pipeline")

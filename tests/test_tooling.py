@@ -1,0 +1,77 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps dsmkit functions by
+module and name, and its hooks read sizes off their arguments and results.
+These tests read its target lists and hooks; they change neither."""
+
+import importlib
+import importlib.util
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from dsmkit.acquisition import (
+    ScanSpec,
+    clip_to_region,
+    convert_pointset,
+    scan_grid,
+    synthetic_terrain,
+)
+from dsmkit.geodesy import GeoPoint
+from dsmkit.geometry import Rect
+from dsmkit.variogram import empirical_variogram
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+# the first positional parameter of each function whose calls the hooks read
+FIRST_PARAMETER = {
+    ("dsmkit.acquisition", "scan_grid"): "provider",
+    ("dsmkit.acquisition", "clip_to_region"): "ps",
+    ("dsmkit.acquisition", "convert_pointset"): "ps",
+    ("dsmkit.geodesy", "wgs84_to_utm"): "p",
+    ("dsmkit.variogram", "empirical_variogram"): "samples",
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", sorted({(m, f) for _, m, f in tracing.SPANS + tracing.COUNTERS})
+)
+def test_every_traced_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None))
+
+
+@pytest.mark.parametrize("target, parameter", sorted(FIRST_PARAMETER.items()))
+def test_hooked_functions_keep_their_first_parameter(target, parameter):
+    module, name = target
+    fn = getattr(importlib.import_module(module), name)
+    assert next(iter(inspect.signature(fn).parameters)) == parameter
+
+
+def test_hooks_read_sizes_off_real_calls():
+    region = Rect(7.3368, 48.7224, 7.3404, 48.726)
+    hill = synthetic_terrain(
+        "gaussian_hill", GeoPoint(48.7242, 7.3386), amplitude=60.0, sigma=80.0
+    )
+    scanned = scan_grid(hill, ScanSpec(region.expanded(0.1), 12, 18))
+    clipped = clip_to_region(scanned, region)
+    utm = convert_pointset(clipped, "utm")
+    ev = empirical_variogram(utm, 200.0, 10)
+
+    notes = Counter()
+    tracing._after_scan(notes, (hill,), scanned)
+    tracing._after_clip(notes, (scanned, region), clipped)
+    tracing._after_estimate(notes, (utm, 200.0, 10), ev)
+    n = len(utm)
+    assert notes["scan_nodes"] == 12 * 18
+    assert notes["clip_in"] == 12 * 18 and notes["clip_kept"] == len(clipped) == n
+    assert notes["pairs_scanned"] == n * (n - 1) // 2
+    assert 0 < notes["pairs_binned"] <= notes["pairs_scanned"]

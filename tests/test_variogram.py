@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import spherical_gamma
+from _oracles import empirical_variogram_reference, spherical_gamma
 from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geodesy import UtmPoint
@@ -95,6 +95,88 @@ class TestEmpiricalVariogram:
         ps = PointSet([GeoPoint(48.7, 7.3, 100.0), GeoPoint(48.8, 7.4, 120.0)], WGS84)
         with pytest.raises(DataError):
             empirical_variogram(ps, max_lag=1.0, n_bins=3)
+
+
+def _assert_matches_row_loop(ps, max_lag, n_bins):
+    ev = empirical_variogram(ps, max_lag, n_bins)
+    lags, gammas, counts = empirical_variogram_reference(ps, max_lag, n_bins)
+    assert np.array_equal(ev.pair_counts, counts)
+    assert np.array_equal(ev.gammas, gammas)
+    assert np.array_equal(ev.lags, lags)
+    return ev
+
+
+def _reordered(ps, order):
+    return PointSet.from_arrays(ps.x[order], ps.y[order], ps.z[order], ps.crs)
+
+
+class TestAgainstRowLoop:
+    """Bit-for-bit agreement with the masked per-sample scan over every pair."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        from dsmkit.pipeline import PipelineConfig, prepare_samples
+
+        samples = prepare_samples(PipelineConfig.from_mapping({}))
+        max_lag = 0.5 * np.hypot(samples.region.width, samples.region.height)
+        return samples.utm, max_lag
+
+    def test_demo_samples(self, demo):
+        ps, max_lag = demo
+        _assert_matches_row_loop(ps, max_lag, 15)
+
+    def test_shuffled_demo_samples(self, demo):
+        ps, max_lag = demo
+        order = np.random.default_rng(11).permutation(len(ps))
+        _assert_matches_row_loop(_reordered(ps, order), max_lag, 15)
+
+    def test_ascending_northing(self, demo):
+        ps, max_lag = demo
+        _assert_matches_row_loop(_reordered(ps, np.argsort(ps.y, kind="stable")), max_lag, 15)
+
+    # 7.001: pairs one row spacing short of max_lag in northing are in range
+    @pytest.mark.parametrize("max_lag, n_bins", [(8.0, 8), (5.0, 5), (12.0, 3), (7.001, 7)])
+    def test_integer_lattice_pairs_on_bin_edges(self, max_lag, n_bins):
+        # many pairs sit exactly on a bin edge or at exactly max_lag
+        gx, gy = np.meshgrid(np.arange(13.0), np.arange(11.0))
+        z = np.random.default_rng(5).normal(size=gx.size)
+        ps = _utm_samples(np.column_stack([gx.ravel(), gy.ravel()]), z)
+        ev = _assert_matches_row_loop(ps, max_lag, n_bins)
+        assert ev.pair_counts.sum() > 0
+
+    def test_masked_path(self):
+        # fl(max_lag / width) < n_bins: a pair at exactly max_lag has
+        # trunc(d / width) == n_bins - 1, and only the d < max_lag mask drops it
+        max_lag, n_bins = 18 * 0.1, 7
+        assert max_lag / (max_lag / n_bins) < n_bins
+        rng = np.random.default_rng(9)
+        x, y = np.concatenate([rng.uniform(0, 3, size=(40, 2)), [[0.0, 0.0], [max_lag, 0.0]]]).T
+        ps = PointSet.from_arrays(x, y, rng.normal(size=len(x)), CRS)
+        ev = _assert_matches_row_loop(ps, max_lag, n_bins)
+        # of these three pairs only the 0.1 m one is within max_lag
+        three = PointSet.from_arrays([0.0, max_lag, 0.0], [0.0, 0.0, 0.1], [0.0, 1.0, 3.0], CRS)
+        assert _assert_matches_row_loop(three, max_lag, n_bins).pair_counts.tolist() == [1]
+        assert ev.pair_counts.sum() > 0
+
+    def test_quotient_on_an_edge_where_sqrt_and_hypot_differ(self):
+        # a pair whose sqrt(dx^2 + dy^2) is below np.hypot(dx, dy): with
+        # width = hypot / 4 the hypot quotient is exactly 4, the sqrt one
+        # just below it, and the bin must be 4
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            x0, y0 = 400000.0 + rng.uniform(0, 100), 5000000.0 + rng.uniform(0, 100)
+            x1, y1 = x0 + rng.uniform(1, 100), y0 + rng.uniform(1, 100)
+            dx, dy = x1 - x0, y1 - y0
+            if np.sqrt(dx * dx + dy * dy) < np.hypot(dx, dy):
+                break
+        else:
+            pytest.skip("no pair where sqrt and hypot differ")
+        width = np.hypot(dx, dy) / 4
+        ps = PointSet(
+            [UtmPoint(x0, y0, 32, "north", 0.0), UtmPoint(x1, y1, 32, "north", 2.0)], CRS
+        )
+        ev = _assert_matches_row_loop(ps, 8 * width, 8)
+        assert ev.lags.tolist() == [4.5 * width]
 
 
 class TestModelGamma:
