@@ -20,6 +20,7 @@ from .geodesy import (
     FALSE_NORTHING_SOUTH,
     GeoPoint,
     UtmPoint,
+    check_utm_frame,
     elementwise,
     normalize_longitudes,
     utm_forward,
@@ -46,10 +47,7 @@ class UtmCrs:
     hemisphere: str
 
     def __post_init__(self):
-        if not (isinstance(self.zone, int) and 1 <= self.zone <= 60):
-            raise DataError(f"UTM zone {self.zone!r} outside [1, 60]")
-        if self.hemisphere not in ("north", "south"):
-            raise DataError(f"hemisphere must be 'north' or 'south', got {self.hemisphere!r}")
+        check_utm_frame(self.zone, self.hemisphere)
 
     def __repr__(self):
         return f"utm zone={self.zone} hemisphere={self.hemisphere}"

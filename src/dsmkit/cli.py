@@ -4,6 +4,9 @@ Subcommands map to pipeline stages: scan, convert, mesh, variogram, lift,
 run, compare. Each one composes the public stage functions of `pipeline`,
 every one inside a `pipeline.Stage`, so an error names its stage, a failed
 stage leaves no partial artifact and `-v` logs each stage's wall time.
+`mesh` reads no input: the config alone fixes the rectangle it covers.
+`convert` puts a point file into its centroid's UTM zone; every other
+subcommand uses the config's one frame, `PipelineConfig.utm_crs`.
 Options override config-file keys, which override built-in defaults (the
 defaults reproduce the bundled Haut-Barr-sized synthetic demo); the config is
 checked in full before any stage runs. Exit codes: 0 success, 1
@@ -99,10 +102,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_mesh(args) -> int:
     config = _config_from_args(args)
-    with Stage("acquire"):
-        samples = prepare_samples(config)
     with Stage("mesh"):
-        planar, q_before, q_after = build_planar_mesh(config, samples.region)
+        planar, q_before, q_after = build_planar_mesh(config)
     with Stage("export"):
         path = ensure_dir(config.out_dir) / "planar_mesh.obj"
         flat = TriMesh(

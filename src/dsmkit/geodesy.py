@@ -92,6 +92,15 @@ class GeoPoint:
         object.__setattr__(self, "longitude", normalize_longitude(self.longitude))
 
 
+def check_utm_frame(zone, hemisphere: str | None = None) -> None:
+    """Raise DataError unless `zone` is an int in [1, 60] and `hemisphere`,
+    when given, is 'north' or 'south'."""
+    if not (isinstance(zone, int) and 1 <= zone <= 60):
+        raise DataError(f"UTM zone {zone!r} outside [1, 60]")
+    if hemisphere is not None and hemisphere not in ("north", "south"):
+        raise DataError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
+
+
 @dataclass(frozen=True)
 class UtmPoint:
     """Projected sample: easting/northing in meters plus zone and hemisphere."""
@@ -106,10 +115,7 @@ class UtmPoint:
         if not (math.isfinite(self.easting) and math.isfinite(self.northing)
                 and math.isfinite(self.altitude)):
             raise DataError(f"non-finite UtmPoint: {self}")
-        if not (isinstance(self.zone, int) and 1 <= self.zone <= 60):
-            raise DataError(f"UTM zone {self.zone!r} outside [1, 60]")
-        if self.hemisphere not in ("north", "south"):
-            raise DataError(f"hemisphere must be 'north' or 'south', got {self.hemisphere!r}")
+        check_utm_frame(self.zone, self.hemisphere)
 
 
 def utm_zone_for(longitude: float, latitude: float) -> int:
@@ -183,17 +189,12 @@ def _tau_from_tau_prime(taup: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _check_zone(zone) -> None:
-    if not (isinstance(zone, int) and 1 <= zone <= 60):
-        raise DataError(f"UTM zone {zone!r} outside [1, 60]")
-
-
 def utm_forward(latitudes, longitudes, zone: int) -> tuple[np.ndarray, np.ndarray]:
     """Project arrays of WGS-84 latitudes/longitudes (degrees) into one UTM
     zone: (eastings, northings) in meters. A point south of the equator gets
     the southern false northing, as in wgs84_to_utm.
     """
-    _check_zone(zone)
+    check_utm_frame(zone)
     lat = np.array(latitudes, dtype=float).ravel()
     lon = normalize_longitudes(longitudes)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
@@ -228,7 +229,7 @@ def utm_forward(latitudes, longitudes, zone: int) -> tuple[np.ndarray, np.ndarra
 def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of utm_forward for points of one zone and hemisphere:
     (latitudes, longitudes) in degrees."""
-    _check_zone(zone)
+    check_utm_frame(zone, hemisphere)
     east = np.array(eastings, dtype=float).ravel()
     north = np.array(northings, dtype=float).ravel()
     bad = ~((100000.0 < east) & (east < 900000.0))

@@ -45,11 +45,7 @@ class TriMesh:
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise DataError("triangle index out of range")
         if len(t):
-            a, b, c = v[t[:, 0], :2], v[t[:, 1], :2], v[t[:, 2], :2]
-            area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-                b[:, 1] - a[:, 1]
-            ) * (c[:, 0] - a[:, 0])
-            bad = np.nonzero(area2 <= 0.0)[0]
+            bad = np.nonzero(_doubled_area(*v[t.T]) <= 0.0)[0]
             if len(bad):
                 raise DataError(
                     f"{len(bad)} triangles are degenerate or clockwise in plan view "
@@ -220,10 +216,9 @@ def seed_region(
     return pts
 
 
-def _plan_orientation(verts, tris):
-    a = verts[tris[:, 0], :2]
-    b = verts[tris[:, 1], :2]
-    c = verts[tris[:, 2], :2]
+def _doubled_area(a, b, c):
+    """Twice the signed plan-view area of the triangles with corners a, b, c
+    (rows of x, y[, z]): positive when counter-clockwise, (b-a) x (c-a)."""
     return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
@@ -268,13 +263,7 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
             moved = tris[:, corner]
             o1 = tris[:, (corner + 1) % 3]
             o2 = tris[:, (corner + 2) % 3]
-            pa = candidate[moved]
-            pb = verts[o1]
-            pc = verts[o2]
-            area2 = (pb[:, 0] - pa[:, 0]) * (pc[:, 1] - pa[:, 1]) - (
-                pb[:, 1] - pa[:, 1]
-            ) * (pc[:, 0] - pa[:, 0])
-            bad = area2 <= 0.0
+            bad = _doubled_area(candidate[moved], verts[o1], verts[o2]) <= 0.0
             rejected[moved[bad]] = True
 
         accept = interior & ~rejected
@@ -284,8 +273,7 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
         # simultaneous moves can conspire against a shared triangle: revert
         moved_mask = accept.copy()
         while True:
-            area2 = _plan_orientation(new_verts, tris)
-            bad_tris = np.nonzero(area2 <= 0.0)[0]
+            bad_tris = np.nonzero(_doubled_area(*new_verts[tris.T]) <= 0.0)[0]
             if not len(bad_tris):
                 break
             culprits = np.unique(tris[bad_tris].ravel())
@@ -318,10 +306,7 @@ def mesh_quality(m: TriMesh) -> MeshQuality:
     if v.shape[1] == 3:
         area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     else:
-        area = 0.5 * np.abs(
-            (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        )
+        area = 0.5 * np.abs(_doubled_area(a, b, c))
 
     good = area > 0.0
     degenerate = tuple(int(i) for i in np.nonzero(~good)[0])

@@ -12,6 +12,9 @@ set and the bundled demo config for a commented example). Every key is
 checked in `PipelineConfig.from_mapping`, so a bad value fails before any
 stage runs; every artifact a run writes is byte-identical across runs for a
 fixed config and seed.
+
+The config also fixes the run's one UTM frame (`utm_crs`) and the rectangle
+the mesh covers in it (`mesh_region`), so meshing reads no samples.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ from .variogram import (
 )
 
 logger = logging.getLogger(__name__)
+
+# A synthetic scan of more nodes would exhaust memory in scan_grid's lattice;
+# the same order as mesh.MAX_SEEDS.
+MAX_SCAN_NODES = 5_000_000
 
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
@@ -118,7 +125,8 @@ class PipelineConfig:
     terrain_params: dict
     region_crs: str
     region: Rect  # degrees (x=lon, y=lat) or meters, per region_crs
-    utm_crs: UtmCrs | None
+    utm_crs: UtmCrs  # the run's frame: the given zone, or the region centre's
+    mesh_region: Rect  # the rectangle the mesh covers, in utm_crs
     rows: int
     cols: int
     margin: float
@@ -129,7 +137,7 @@ class PipelineConfig:
     variogram_kind: str
     explicit_model: VariogramModel | None
     variogram_bins: int
-    variogram_max_lag: float | None
+    variogram_max_lag: float
     drift: int
     neighbors: int | None
     power: float
@@ -170,7 +178,6 @@ class PipelineConfig:
             return value
 
         region_crs = raw["region_crs"]
-        utm_crs = None
         if region_crs == "wgs84":
             region = Rect(
                 number("lon_min"), number("lat_min"), number("lon_max"), number("lat_max")
@@ -179,6 +186,11 @@ class PipelineConfig:
                 raise ConfigError(
                     f"longitudes [{region.x_min}, {region.x_max}] must lie in [-180, 180]"
                 )
+            # the run's one UTM frame, for the samples and the mesh alike
+            center_lon, center_lat = region.center
+            utm_crs = UtmCrs(
+                utm_zone_for(center_lon, center_lat), "north" if center_lat >= 0 else "south"
+            )
         elif region_crs == "utm":
             if not raw["zone"]:
                 raise ConfigError("utm region needs a zone")
@@ -258,15 +270,14 @@ class PipelineConfig:
                 f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
             )
         spacing = positive("spacing")
-        if region_crs == "wgs84":
-            center_lon, center_lat = region.center
-            center_crs = UtmCrs(
-                utm_zone_for(center_lon, center_lat), "north" if center_lat >= 0 else "south"
+        mesh_region = utm_extent(region, utm_crs) if region_crs == "wgs84" else region
+        seed_grid_shape(mesh_region, spacing)
+
+        rows, cols = at_least("rows", 2), at_least("cols", 2)
+        if rows * cols > MAX_SCAN_NODES:
+            raise ConfigError(
+                f"a {rows} x {cols} scan has {rows * cols:,} nodes, more than {MAX_SCAN_NODES:,}"
             )
-            mesh_rect = utm_extent(region, center_crs)
-        else:
-            mesh_rect = region
-        seed_grid_shape(mesh_rect, spacing)
 
         return PipelineConfig(
             input=raw["input"],
@@ -275,8 +286,9 @@ class PipelineConfig:
             region_crs=region_crs,
             region=region,
             utm_crs=utm_crs,
-            rows=at_least("rows", 2),
-            cols=at_least("cols", 2),
+            mesh_region=mesh_region,
+            rows=rows,
+            cols=cols,
             margin=margin,
             spacing=spacing,
             smooth_iters=at_least("smooth_iters", 0),
@@ -285,9 +297,9 @@ class PipelineConfig:
             variogram_kind=kind,
             explicit_model=explicit,
             variogram_bins=at_least("variogram_bins", 1),
-            variogram_max_lag=(
-                positive("variogram_max_lag") if raw["variogram_max_lag"] else None
-            ),
+            # blank: half the diagonal of the mesh rectangle
+            variogram_max_lag=(positive("variogram_max_lag") if raw["variogram_max_lag"]
+                               else 0.5 * math.hypot(mesh_region.width, mesh_region.height)),
             drift=drift,
             neighbors=neighbors,
             power=positive("power"),
@@ -307,8 +319,12 @@ def parse_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {p}: {e}") from None
     mapping = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -395,11 +411,10 @@ class Stage:
 
 @dataclass(frozen=True)
 class Samples:
-    """What stage 'acquire' hands on: the samples inside the region, in UTM,
-    the region in the same frame, and how many samples were acquired."""
+    """What stage 'acquire' hands on: the samples inside the region, in the
+    config's UTM frame, and how many samples were acquired."""
 
     utm: PointSet
-    region: Rect
     acquired_count: int
 
 
@@ -417,41 +432,38 @@ def acquire(config: PipelineConfig) -> PointSet:
     path = Path(config.input)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    return parse_point_file(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read input file {path}: {e}") from None
+    return parse_point_file(text)
 
 
 def prepare_samples(config: PipelineConfig) -> Samples:
-    """Acquire, clip to the region and convert to UTM; the region, in UTM,
-    is what the mesh covers."""
+    """Acquire, clip to the region (in the region's CRS) and convert to the
+    config's UTM frame."""
     acquired = acquire(config)
-    if config.region_crs == "wgs84":
-        clipped = clip_to_region(acquired, config.region)
-        if len(clipped) == 0:
-            raise DataError("no samples inside the target region after clipping")
-        utm_ps = convert_pointset(clipped, "utm")
-        region = utm_extent(config.region, utm_ps.crs)
-    else:
-        utm_all = convert_pointset(acquired, config.utm_crs)
-        utm_ps = clip_to_region(utm_all, config.region)
-        if len(utm_ps) == 0:
-            raise DataError("no samples inside the target region after clipping")
-        region = config.region
-    return Samples(utm_ps, region, len(acquired))
+    if config.region_crs == "utm":
+        acquired = convert_pointset(acquired, config.utm_crs)
+    inside = clip_to_region(acquired, config.region)
+    if len(inside) == 0:
+        raise DataError("no samples inside the target region after clipping")
+    return Samples(convert_pointset(inside, config.utm_crs), len(acquired))
 
 
 def utm_extent(region: Rect, crs: UtmCrs) -> Rect:
     """The bounding rectangle of a WGS-84 region's corners in the UTM frame
-    `crs` (the frame its samples are converted into): the area the mesh
-    covers."""
+    `crs`: the area the mesh covers."""
     lon, lat = np.array(region.corners()).T
     corners = convert_pointset(PointSet.from_arrays(lon, lat, np.zeros(4)), crs)
     return Rect(float(corners.x.min()), float(corners.y.min()),
                 float(corners.x.max()), float(corners.y.max()))
 
 
-def build_planar_mesh(config: PipelineConfig, region: Rect):
-    """Seed, triangulate and smooth; (mesh, quality before, quality after)."""
-    seeds = seed_region(region, config.spacing, config.seed_strategy, config.seed)
+def build_planar_mesh(config: PipelineConfig):
+    """Seed the config's mesh rectangle, triangulate and smooth; (mesh,
+    quality before, quality after)."""
+    seeds = seed_region(config.mesh_region, config.spacing, config.seed_strategy, config.seed)
     planar = delaunay_triangulate(seeds)
     q_before = mesh_quality(planar)
     smoothed = laplacian_smooth(planar, config.smooth_iters)
@@ -461,13 +473,10 @@ def build_planar_mesh(config: PipelineConfig, region: Rect):
 
 def variogram_model(config: PipelineConfig, samples: Samples):
     """(model, empirical-or-None): the configured model, or one fitted to
-    the experimental variogram out to half the region's diagonal."""
+    the experimental variogram out to `variogram_max_lag`."""
     if config.explicit_model is not None:
         return config.explicit_model, None
-    max_lag = config.variogram_max_lag
-    if max_lag is None:
-        max_lag = 0.5 * math.hypot(samples.region.width, samples.region.height)
-    ev = empirical_variogram(samples.utm, max_lag, config.variogram_bins)
+    ev = empirical_variogram(samples.utm, config.variogram_max_lag, config.variogram_bins)
     return fit_model(ev, config.variogram_kind), ev
 
 
@@ -487,7 +496,7 @@ def run(config: PipelineConfig) -> RunReport:
     with Stage("acquire"):
         samples = prepare_samples(config)
     with Stage("mesh"):
-        planar, q_before, q_after = build_planar_mesh(config, samples.region)
+        planar, q_before, q_after = build_planar_mesh(config)
     model, ev = None, None
     if config.method == "uk":
         with Stage("variogram"):
@@ -514,8 +523,8 @@ def run(config: PipelineConfig) -> RunReport:
         report = RunReport(
             sample_count=samples.acquired_count,
             clipped_count=len(samples.utm),
-            zone=samples.utm.crs.zone,
-            hemisphere=samples.utm.crs.hemisphere,
+            zone=config.utm_crs.zone,
+            hemisphere=config.utm_crs.hemisphere,
             mesh_vertices=lifted.n_vertices,
             mesh_edges=len(lifted.edges()),
             mesh_triangles=lifted.n_triangles,
@@ -542,7 +551,7 @@ def compare_methods(config: PipelineConfig) -> MethodComparison:
     with Stage("acquire"):
         samples = prepare_samples(config)
     with Stage("mesh"):
-        planar, _, _ = build_planar_mesh(config, samples.region)
+        planar, _, _ = build_planar_mesh(config)
     with Stage("variogram"):
         model, _ = variogram_model(config, samples)
     with Stage("lift"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import utm_to_wgs84_reference, wgs84_to_utm_reference
+from dsmkit.acquisition import UtmCrs
 from dsmkit.errors import DataError, ParseError
 from dsmkit.geodesy import (
     GeoPoint,
@@ -243,3 +244,19 @@ class TestArraySeries:
             utm_inverse([500000.0, 50000.0], [0.0, 0.0], 32, "north")
         with pytest.raises(DataError, match="zone"):
             utm_forward([10.0], [7.0], 61)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda zone, hemisphere: UtmCrs(zone, hemisphere),
+            lambda zone, hemisphere: UtmPoint(500000.0, 0.0, zone, hemisphere),
+            lambda zone, hemisphere: utm_inverse([500000.0], [0.0], zone, hemisphere),
+        ],
+        ids=["UtmCrs", "UtmPoint", "utm_inverse"],
+    )
+    def test_one_zone_and_hemisphere_check(self, make):
+        for zone in (0, 61, 32.0):
+            with pytest.raises(DataError, match=rf"^UTM zone {zone!r} outside \[1, 60\]$"):
+                make(zone, "north")
+        with pytest.raises(DataError, match="^hemisphere must be 'north' or 'south', got 'west'$"):
+            make(32, "west")

@@ -444,7 +444,7 @@ class TestLiftAgainstOracle:
         cfg = PipelineConfig.from_mapping({"seed": seed})
         prepared = prepare_samples(cfg)
         samples = prepared.utm
-        planar, _, _ = build_planar_mesh(cfg, prepared.region)
+        planar, _, _ = build_planar_mesh(cfg)
         model, _ = variogram_model(cfg, prepared)
         lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
         want, fallbacks = uk_lift_reference(

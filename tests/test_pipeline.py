@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 
 import dsmkit.pipeline as pipeline
+from dsmkit.acquisition import (
+    ScanSpec,
+    UtmCrs,
+    clip_to_region,
+    convert_pointset,
+    scan_grid,
+    serialize_point_file,
+    synthetic_terrain,
+)
 from dsmkit.cli import _config_from_args, build_parser, main
 from dsmkit.errors import ConfigError, DataError, ParseError
 from dsmkit.geodesy import GeoPoint, wgs84_to_utm
+from dsmkit.geometry import Rect
 from dsmkit.mesh import TriMesh
 from dsmkit.pipeline import (
     PipelineConfig,
@@ -93,15 +103,59 @@ BAD_VALUES = {
 
 class TestConfig:
     def test_region_across_the_equator_meshes_in_one_frame(self):
-        # every corner goes into the samples' false-northing frame, so the
+        # every corner goes into the run's false-northing frame, so the
         # mesh covers 333 m of northing, not 10,000 km
         cfg = PipelineConfig.from_mapping(
             {**FAST, "lat_min": "-0.001", "lat_max": "0.002", "spacing": "20"}
         )
         samples = prepare_samples(cfg)
         assert samples.utm.crs.hemisphere == "north"
-        assert 300.0 < samples.region.height < 400.0
-        assert samples.region.y_min < 0.0 < samples.region.y_max
+        assert 300.0 < cfg.mesh_region.height < 400.0
+        assert cfg.mesh_region.y_min < 0.0 < cfg.mesh_region.y_max
+
+    @pytest.mark.parametrize(
+        "region, frame",
+        [
+            ({}, UtmCrs(32, "north")),
+            # scans straddling 6 degrees E, the zone 31/32 edge
+            ({"lon_min": "5.995", "lon_max": "6.002"}, UtmCrs(31, "north")),
+            ({"lon_min": "5.998", "lon_max": "6.005"}, UtmCrs(32, "north")),
+            ({"lon_min": "5.998", "lon_max": "6.002"}, UtmCrs(32, "north")),
+            # scans across the equator
+            ({"lat_min": "-0.001", "lat_max": "0.002"}, UtmCrs(32, "north")),
+            ({"lat_min": "-0.0005", "lat_max": "0.0025"}, UtmCrs(32, "north")),
+        ],
+        ids=["demo", "6E_west", "6E_east", "6E_centred", "equator", "equator_2"],
+    )
+    def test_config_frame_is_the_scanned_samples_centroid_frame(self, region, frame):
+        # a run takes the region centre's frame; on a scan it is the frame
+        # `convert` picks from the clipped samples' centroid
+        cfg = PipelineConfig.from_mapping(region)
+        clipped = clip_to_region(pipeline.acquire(cfg), cfg.region)
+        assert cfg.utm_crs == convert_pointset(clipped, "utm").crs == frame
+        assert prepare_samples(cfg).utm.crs == frame
+
+    def test_point_file_across_the_zone_edge_takes_the_region_centre_zone(self, tmp_path):
+        # every sample lies west of 6 degrees E (zone 31); the region's
+        # centre, 6.001 degrees E, lies in zone 32
+        provider = synthetic_terrain("gaussian_hill", GeoPoint(48.7242, 5.998),
+                                     base=400.0, amplitude=60.0, sigma=80.0)
+        ps = scan_grid(provider, ScanSpec(Rect(5.9965, 48.7224, 5.9995, 48.726), 12, 18))
+        src = tmp_path / "points.txt"
+        src.write_text(serialize_point_file(ps))
+        cfg = _fast_config(tmp_path, input=str(src), lon_min="5.996", lon_max="6.006")
+        assert convert_pointset(ps, "utm").crs == UtmCrs(31, "north")
+        assert cfg.utm_crs == prepare_samples(cfg).utm.crs == UtmCrs(32, "north")
+        report = run(cfg)
+        assert report.clipped_count == 12 * 18
+        assert (report.zone, report.hemisphere) == (32, "north")
+
+    def test_scan_node_cap(self):
+        # config only: nothing is allocated for a rejected scan
+        cap = pipeline.MAX_SCAN_NODES
+        assert PipelineConfig.from_mapping({"rows": "2", "cols": str(cap // 2)}).cols == cap // 2
+        with pytest.raises(ConfigError, match="scan has"):
+            PipelineConfig.from_mapping({"rows": "2", "cols": str(cap // 2 + 1)})
 
     def test_defaults_parse(self):
         cfg = PipelineConfig.from_mapping({})
@@ -357,7 +411,7 @@ class TestRun:
         cfg = _fast_config(tmp_path)
         report = run(cfg)
         samples = prepare_samples(cfg)
-        planar, _, _ = build_planar_mesh(cfg, samples.region)
+        planar, _, _ = build_planar_mesh(cfg)
         model, _ = variogram_model(cfg, samples)
         lifted, _ = lift_surface(cfg, planar, samples, model)
         exported = read_obj(tmp_path / "out" / "dsm_uk.obj")
@@ -394,7 +448,7 @@ class TestCompareMethods:
 
         samples = prepare_samples(cfg)
         utm_ps = samples.utm
-        planar, _, _ = build_planar_mesh(cfg, samples.region)
+        planar, _, _ = build_planar_mesh(cfg)
         center = wgs84_to_utm(GeoPoint(48.7242, 7.3386), zone=utm_ps.crs.zone)
         xy = utm_ps.coords()
         z = utm_ps.altitudes()
@@ -616,7 +670,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, code, stage",
         [
-            (["mesh", "--input", "missing.txt"], 2, "acquire"),
+            (["run", "--input", "missing.txt"], 2, "acquire"),
             (["variogram"], 2, "variogram"),
         ],
     )
@@ -640,6 +694,8 @@ class TestCli:
             (["lat_min = -95"], [], "UTM band"),
             # inside the band, but the scan margin crosses 84
             (["lat_min = 83.5", "lat_max = 83.9", "margin = 0.3"], [], "UTM band"),
+            # np.meshgrid would ask for about 596 GiB of scan lattice
+            (["rows = 200000", "cols = 200000"], [], "scan has"),
         ],
         ids=[
             "spacing_too_large",
@@ -649,6 +705,7 @@ class TestCli:
             "lat_max_95",
             "lat_min_-95",
             "margin_past_band",
+            "scan_nodes",
         ],
     )
     def test_region_and_mesh_size_fail_before_any_stage(
@@ -668,8 +725,36 @@ class TestCli:
                      "--out", str(tmp_path / "m")])
         assert code == 0
         timed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
-        assert [m.split(":")[0] for m in timed] == ["stage acquire", "stage mesh", "stage export"]
+        assert [m.split(":")[0] for m in timed] == ["stage mesh", "stage export"]
         assert all(re.fullmatch(r"stage \w+: \d+\.\d{3} s", m) for m in timed)
+
+    def test_mesh_reads_no_input(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="dsmkit.pipeline")
+        code = main(["-v", "mesh", "--config", self._cfg(tmp_path), "--spacing", "30",
+                     "--input", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "m")])
+        assert code == 0
+        timed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
+        assert [m.split(":")[0] for m in timed] == ["stage mesh", "stage export"]
+        main(["mesh", "--config", self._cfg(tmp_path), "--spacing", "30",
+              "--out", str(tmp_path / "s")])
+        mesh = (tmp_path / "m" / "planar_mesh.obj").read_bytes()
+        assert mesh == (tmp_path / "s" / "planar_mesh.obj").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("flag, code", [("--config", 1), ("--input", 2)])
+    def test_unreadable_config_or_input_is_a_clean_error(
+        self, tmp_path, capsys, flag, code, kind
+    ):
+        path = tmp_path / "unreadable"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"spacing = 30\n\xff\xfe \x80\n")
+        out = tmp_path / "o"
+        assert main(["run", flag, str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"cannot read {flag[2:]} file" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_cli_imports_no_private_name(self):
         import ast

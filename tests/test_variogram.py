@@ -117,8 +117,9 @@ class TestAgainstRowLoop:
     def demo(self):
         from dsmkit.pipeline import PipelineConfig, prepare_samples
 
-        samples = prepare_samples(PipelineConfig.from_mapping({}))
-        max_lag = 0.5 * np.hypot(samples.region.width, samples.region.height)
+        cfg = PipelineConfig.from_mapping({})
+        samples = prepare_samples(cfg)
+        max_lag = 0.5 * np.hypot(cfg.mesh_region.width, cfg.mesh_region.height)
         return samples.utm, max_lag
 
     def test_demo_samples(self, demo):
