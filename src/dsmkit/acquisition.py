@@ -383,7 +383,9 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
         # centroid that sits on a zone edge into the other zone
         c_lon = sum(ps.x.tolist()) / len(ps)
         c_lat = sum(ps.y.tolist()) / len(ps)
-        target = UtmCrs(utm_zone_for(c_lon, c_lat), "north" if c_lat >= 0 else "south")
+        # a centroid within the sum's rounding error of 0 is on the equator: north
+        tie = len(ps) * 2.0**-53 * float(np.abs(ps.y).max())
+        target = UtmCrs(utm_zone_for(c_lon, c_lat), "south" if c_lat < -tie else "north")
     elif not isinstance(target, UtmCrs):
         raise ConfigError(f"unknown target CRS {target!r}")
 

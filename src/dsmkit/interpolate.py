@@ -18,18 +18,20 @@ constrained to reproduce the drift basis at the target) by dense LU. A local
 the target before assembly for conditioning, and the drift multipliers are
 reported in the original basis. Targets are processed in chunks: a chunk's
 local systems are assembled as one (chunk, k+m, k+m) stack and solved by one
-batched np.linalg.solve, with the coincident-sample snap, the drift-rank
-check and the conditioning check vectorised over the chunk. The chunk size
-is a fixed byte budget divided by the size of one system. A singular or
-degenerate system fails only its own target.
+batched np.linalg.solve. The chunk size is a fixed byte budget divided by the
+size of one system. One rule, for local stacks and the global system alike,
+fails a system whose degree-1 drift border is rank-deficient, that LU finds
+singular, or that is ill-conditioned (2-norm condition number above 1e12 up
+to width 200, relative residual above 1e-6 beyond); it fails only its own
+targets, with a message naming the cause and the measured value.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
 form (Royer & Vieira 1984; Cressie 1993, 3.4): alpha = A^-1 [z; 0], and
 z(x0) = gamma(|x_i - x0|) . alpha_w + f(x0) . alpha_mu. The x/y drift
 columns are scaled by the samples' half-span so the border is O(1). If that
-system is singular, every target off the samples fails. uk_solve, which
-reports weights and variance, always solves the target-centered system.
+system fails, every target off the samples fails. uk_solve, which reports
+weights and variance, always solves the target-centered system.
 
 IDW implements the classic Shepard weighting on the same index and chunks.
 """
@@ -50,7 +52,7 @@ from .variogram import VariogramModel, model_gamma
 logger = logging.getLogger(__name__)
 
 COINCIDENT_TOL = 1e-9  # meters; closer targets snap to the sample value
-_DRIFT_NAMES = ("1", "x", "y")
+_COND_LIMIT = 1e12  # largest 2-norm condition number a system may have
 _CHUNK_BYTES = 1 << 20  # float64 work per chunk of targets
 _SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
 _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
@@ -223,18 +225,17 @@ class KrigingSystem:
             raise ConfigError(
                 f"unsupported drift degree {self.drift_degree}; only 0 and 1 are available"
             )
-        n_drift = 1 if self.drift_degree == 0 else 3
-        if len(locs) < n_drift + 1:
+        need = self.n_drift_terms + 1
+        if len(locs) < need:
             raise DataError(
-                f"need at least {n_drift + 1} samples for drift degree "
-                f"{self.drift_degree}, got {len(locs)}"
+                f"need at least {need} samples for drift degree {self.drift_degree}, "
+                f"got {len(locs)}"
             )
-        if self.neighborhood is not None:
-            if self.neighborhood < n_drift + 1:
-                raise ConfigError(
-                    f"neighborhood {self.neighborhood} too small for drift degree "
-                    f"{self.drift_degree} (needs >= {n_drift + 1})"
-                )
+        if self.neighborhood is not None and self.neighborhood < need:
+            raise ConfigError(
+                f"neighborhood {self.neighborhood} too small for drift degree "
+                f"{self.drift_degree} (needs >= {need})"
+            )
         self.index = GridIndex(locs)
         _check_distinct(self.index)
         self.locations = locs
@@ -281,16 +282,21 @@ class UkConfig:
     neighborhood: int | None = 16
 
 
-def _diagnose_singular(locs: np.ndarray, degree: int) -> str:
-    if degree == 1:
-        F = np.column_stack([np.ones(len(locs)), locs[:, 0], locs[:, 1]])
-        for col in range(1, 3):
-            sub = F[:, : col + 1]
-            if np.linalg.matrix_rank(sub) <= col:
-                return (
-                    f"drift term '{_DRIFT_NAMES[col]}' is linearly dependent on the "
-                    "previous terms (degenerate sample geometry, e.g. collinear samples)"
-                )
+def _diagnose_singular(border: np.ndarray) -> str:
+    """Name the likely cause of a failed system from its drift border
+    (n, m). Centred coordinates whose smallest-to-largest singular value
+    ratio r is at most 1/sqrt(_COND_LIMIT) are collinear: a border alone
+    puts the condition number near 1/r^2."""
+    if border.shape[1] == 3:
+        c = border[:, 1:] - border[:, 1:].mean(axis=0)
+        s = np.linalg.svd(c, compute_uv=False)
+        tol = s[0] / math.sqrt(_COND_LIMIT)
+        if s[1] <= tol:
+            term = "x" if np.linalg.norm(c[:, 0]) <= tol else "y"
+            return (
+                f"drift term '{term}' is linearly dependent on the previous terms "
+                f"(collinear samples: spread ratio {s[1] / s[0]:.2g})"
+            )
     return "the variogram produced a singular coefficient block"
 
 
@@ -309,7 +315,7 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     # fill the semivariogram block a few rows at a time: full-size
     # temporaries, freed after every target of a large system, made the
     # allocator hand their pages back and fault them in again per target
-    slab = max(1, _SLAB_ELEMS // (L * n))
+    slab = max(1, _SLAB_ELEMS // max(1, L * n))
     for r in range(0, n, slab):
         s = slice(r, min(r + slab, n))
         pair_dist = np.hypot(
@@ -321,30 +327,65 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     return A
 
 
-def _conditioning(A: np.ndarray, sol: np.ndarray, b: np.ndarray):
-    """(measure name, per-system values, bad mask) for a stack of solved
-    systems: the 2-norm condition number of small systems, the relative
-    residual of the solve for large ones."""
-    if A.shape[-1] <= 200:
-        value = np.linalg.cond(A)
-        limit = 1e12
-        name = "cond"
+def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
+    """Solve a stack of bordered systems A x = b (m drift terms) under the
+    one failure rule; targets holds each system's target, or is None for the
+    one system over all samples. Returns (ok, sol, measure, value, failed):
+    ok masks the systems that passed, value is the conditioning measure per
+    solved system (NaN elsewhere) and failed maps a stack position to its
+    reason."""
+    L, w = b.shape
+    n = w - m
+    failed = {}
+
+    def fail(j, kind, measured):
+        where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
+        cause = _diagnose_singular(A[j, :n, n:])
+        failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
+
+    ok = np.ones(L, dtype=bool)
+    if m == 3:
+        # LU happily "solves" an exactly rank-deficient border with a tiny
+        # pivot, so reject degenerate drift geometry up front
+        rank = np.linalg.matrix_rank(A[:, :n, n:])
+        for j in np.flatnonzero(rank < 3):
+            fail(j, "singular", f"drift border of rank {rank[j]}")
+        ok = rank == 3
+    sol = np.zeros((L, w))
+    Ao, bo = (A, b) if ok.all() else (A[ok], b[ok])
+    try:
+        sol[ok] = np.linalg.solve(Ao, bo[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve them one by one
+        for j in np.flatnonzero(ok):
+            try:
+                sol[j] = np.linalg.solve(A[j], b[j])
+            except np.linalg.LinAlgError:
+                ok[j] = False
+                fail(j, "singular", "LU found a zero pivot")
+        Ao, bo = A[ok], b[ok]
+
+    value = np.full(L, np.nan)
+    if w <= 200:
+        measure, limit = "cond", _COND_LIMIT
+        value[ok] = np.linalg.cond(Ao)
     else:
-        resid = np.linalg.norm(np.matmul(A, sol[..., None])[..., 0] - b, axis=-1)
-        value = resid / np.maximum(1.0, np.linalg.norm(b, axis=-1))
-        limit = 1e-6
-        name = "residual"
-    return name, value, ~(np.isfinite(value) & (value <= limit))
+        measure, limit = "residual", 1e-6
+        resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
+        value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
+    for j in np.flatnonzero(ok & ~(value <= limit)):
+        ok[j] = False
+        fail(j, "ill-conditioned", f"{measure} {value[j]:.3g} > {limit:g}")
+    return ok, sol, measure, value, failed
 
 
 def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     """Assemble and solve the target-centered UK systems of targets x0.
 
     Returns (sample_indices, weights, drift_multipliers, prediction,
-    variance, errors, worst), one row per target; errors maps a failed row
-    to its message, and a failed row's prediction is NaN. worst is the
-    largest conditioning value over the solved systems (NaN if none was
-    solved).
+    variance, errors, measure, value): one row per target up to errors,
+    which maps a failed row to its message (its prediction is NaN); value
+    holds the conditioning measure of each system solved (NaN elsewhere).
     """
     idx = sys.index.knn(x0, sys.neighborhood)
     locs = sys.locations[idx]
@@ -355,12 +396,6 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     mu = np.zeros((t, m))
     prediction = np.full(t, np.nan)
     variance = np.zeros(t)
-    errors = {}
-
-    def singular(row):
-        errors[int(row)] = f"singular kriging system at target {tuple(x0[row])}: " + (
-            _diagnose_singular(locs[row], sys.drift_degree)
-        )
 
     # center on the target: drift columns become [1, dx, dy], rhs [1, 0, 0]
     d = locs - x0[:, None, :]
@@ -372,46 +407,16 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     prediction[rows] = vals[rows, nearest[rows]]
 
     live = np.flatnonzero(~snap)
-    if sys.drift_degree == 0:
-        F = np.ones((len(live), n, 1))
-    else:
-        F = np.concatenate([np.ones((len(live), n, 1)), d[live]], axis=2)
-        # LU happily "solves" an exactly rank-deficient border with a tiny
-        # pivot, so reject degenerate drift geometry up front
-        full = np.linalg.matrix_rank(F) == 3
-        for row in live[~full]:
-            singular(row)
-        live = live[full]
-        F = F[full]
-    if len(live) == 0:
-        return idx, weights, mu, prediction, variance, errors, np.nan
-
+    F = np.ones((len(live), n, 1))
+    if sys.drift_degree == 1:
+        F = np.concatenate([F, d[live]], axis=2)
     A = _bordered(sys.model, d[live], F)
     b = np.zeros((len(live), n + m))
     b[:, :n] = model_gamma(sys.model, dist[live])
     b[:, n] = 1.0
-
-    solved = np.ones(len(live), dtype=bool)
-    try:
-        sol = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # one singular system fails the whole stack: solve them one by one
-        sol = np.zeros_like(b)
-        for j in range(len(live)):
-            try:
-                sol[j] = np.linalg.solve(A[j], b[j])
-            except np.linalg.LinAlgError:
-                solved[j] = False
-                singular(live[j])
-        A, b, sol, live = A[solved], b[solved], sol[solved], live[solved]
-        if len(live) == 0:
-            return idx, weights, mu, prediction, variance, errors, np.nan
-
-    measure, value, bad = _conditioning(A, sol, b)
-    for j in np.flatnonzero(bad):
-        logger.warning(
-            "ill-conditioned kriging system at %s (%s=%.3g)", tuple(x0[live[j]]), measure, value[j]
-        )
+    ok, sol, measure, value, failed = _solve_or_fail(A, b, m, x0[live].tolist())
+    errors = {int(live[j]): why for j, why in failed.items()}
+    live, b, sol = live[ok], b[ok], sol[ok]
 
     w = sol[:, :n]
     weights[live] = w
@@ -422,7 +427,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     mu[live] = mult
     prediction[live] = _rowdot(w, vals[live])
     variance[live] = _rowdot(w, b[:, :n]) + sol[:, n]
-    return idx, weights, mu, prediction, variance, errors, value.max()
+    return idx, weights, mu, prediction, variance, errors, measure, value
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -443,7 +448,6 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
     if m == 3:
         F[:, 1:] = c / half
     out = np.full(len(targets), np.nan)
-    errors = {}
 
     nearest = sys.index.knn(targets, 1)[:, 0]
     gap = np.hypot(targets[:, 0] - locs[nearest, 0], targets[:, 1] - locs[nearest, 1])
@@ -451,24 +455,12 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
     out[snap] = sys.values[nearest[snap]]
     live = np.flatnonzero(~snap)
 
+    A = _bordered(sys.model, c[None], F[None])
     rhs = np.concatenate([sys.values, np.zeros(m)])
-    alpha = None
-    # as in _krige_chunk, reject a rank-deficient border before LU
-    if m == 1 or np.linalg.matrix_rank(F) == 3:
-        A = _bordered(sys.model, c[None], F[None])[0]
-        try:
-            alpha = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    if alpha is None:
-        why = _diagnose_singular(locs, sys.drift_degree)
-        for row in live:
-            errors[int(row)] = f"singular kriging system at target {tuple(targets[row])}: {why}"
-        return out, errors, "global neighbourhood, singular system"
-
-    measure, value, bad = _conditioning(A[None], alpha[None], rhs[None])
-    if bad[0]:
-        logger.warning("ill-conditioned global kriging system (%s=%.3g)", measure, value[0])
+    ok, sol, measure, value, failed = _solve_or_fail(A, rhs[None], m, None)
+    if not ok[0]:
+        return out, dict.fromkeys(live.tolist(), failed[0]), f"global neighbourhood, {failed[0]}"
+    alpha = sol[0]
 
     # about eight (chunk, n) float64 temporaries per chunk of targets
     step = _chunk_size(64 * n)
@@ -480,12 +472,12 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
         if m == 3:
             z += t @ alpha[n + 1 :] / half
         out[rows] = z
-    return out, errors, f"global neighbourhood, {measure} {value[0]:.3g}"
+    return out, {}, f"global neighbourhood, {measure} {value[0]:.3g}"
 
 
 def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, str]:
     """Predictions for many targets, {target position: error message}, and
-    a one-line note naming the path and its worst conditioning value."""
+    a one-line note naming the path and its worst conditioning measure."""
     n = len(sys.locations)
     if sys.neighborhood is None or sys.neighborhood >= n:
         return _krige_global(sys, targets)
@@ -495,11 +487,10 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
     errors = {}
     worst = np.nan
     for s in range(0, len(targets), step):
-        *_, prediction, _, chunk_errors, chunk_worst = _krige_chunk(sys, targets[s : s + step])
+        *_, prediction, _, chunk_errors, measure, value = _krige_chunk(sys, targets[s : s + step])
         out[s : s + step] = prediction
         errors.update((s + row, msg) for row, msg in chunk_errors.items())
-        worst = np.fmax(worst, chunk_worst)
-    measure = "cond" if width <= 200 else "residual"
+        worst = np.fmax.reduce(value, initial=worst)
     return out, errors, f"local neighbourhood of {sys.neighborhood}, worst {measure} {worst:.3g}"
 
 
@@ -508,7 +499,7 @@ def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
     x0 = np.asarray(target, dtype=float)
     if x0.shape != (2,):
         raise DataError(f"target must be a 2D location, got shape {x0.shape}")
-    idx, weights, mu, prediction, variance, errors, _ = _krige_chunk(sys, _targets(x0))
+    idx, weights, mu, prediction, variance, errors, *_ = _krige_chunk(sys, _targets(x0))
     if errors:
         raise NumericalError(errors[0])
     return KrigingSolution(weights[0], mu[0], float(prediction[0]), float(variance[0]), idx[0])
@@ -573,9 +564,10 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     """Assign elevations to every vertex of a planar mesh.
 
     samples must be a projected (UTM) PointSet in the same zone as the mesh
-    coordinates. method is a UkConfig or IdwConfig. Kriging failures at
-    individual vertices fall back to IDW and are flagged; more than 1%
-    failing aborts.
+    coordinates. method is a UkConfig or IdwConfig. A vertex whose kriging
+    system fails (rank-deficient drift, singular or ill-conditioned) falls
+    back to IDW and is flagged; when more than 1% fail, NumericalError
+    aborts the lift, naming the first failed vertex's reason.
     """
     if planar.is_3d:
         raise DataError("lift_mesh expects a planar (2D) mesh")
@@ -603,7 +595,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         if len(fallbacks) > 0.01 * len(verts):
             raise NumericalError(
                 f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "
-                f"(first: {fallbacks[:5]})"
+                f"(first: {fallbacks[:5]}); vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
             )
         if fallbacks:
             idw_cfg = IdwConfig(power=2.0, neighborhood=method.neighborhood)

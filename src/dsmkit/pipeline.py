@@ -693,20 +693,22 @@ def write_report_csv(path, report: RunReport) -> None:
             ("variogram_range", f"{vm.range_:.9g}"),
         ]
     # wall-clock timing stays off the artifact so runs are byte-identical
-    lines = ["key,value"] + [f"{k},{v}" for k, v in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_key_values(path, rows)
 
 
 def write_compare_csv(path, cmp: MethodComparison) -> None:
-    rows = [
+    _write_key_values(path, [
         ("n_vertices", cmp.n_vertices),
         ("max_abs_difference", f"{cmp.max_abs_difference:.9g}"),
         ("mean_abs_difference", f"{cmp.mean_abs_difference:.9g}"),
         ("roughness_uk_deg", f"{cmp.roughness_uk_deg:.9g}"),
         ("roughness_idw_deg", f"{cmp.roughness_idw_deg:.9g}"),
-    ]
-    lines = ["key,value"] + [f"{k},{v}" for k, v in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    ])
+
+
+def _write_key_values(path, rows) -> None:
+    """Write (key, value) rows as a two-column `key,value` CSV."""
+    _write_text(path, "".join(f"{k},{v}\n" for k, v in [("key", "value"), *rows]))
 
 
 def write_point_file(path, ps: PointSet, header: str | None = None) -> None:

@@ -154,7 +154,8 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
     """One target's universal kriging solution, assembled and solved alone.
 
     Returns (weights, drift_multipliers, prediction, variance, indices) or
-    raises SingularSystem with the package's message text."""
+    raises SingularSystem when the drift border is rank-deficient, LU fails
+    or the solved system is ill-conditioned."""
     from dsmkit.variogram import model_gamma
 
     x0 = np.asarray(target, dtype=float)
@@ -196,6 +197,15 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         raise singular() from None
+    # an ill-conditioned system fails like a singular one: 2-norm condition
+    # number up to width 200, relative residual beyond
+    if n + m <= 200:
+        conditioning, limit = np.linalg.cond(A), 1e12
+    else:
+        conditioning = np.linalg.norm(A @ sol - b) / max(1.0, np.linalg.norm(b))
+        limit = 1e-6
+    if not conditioning <= limit:
+        raise singular()
 
     weights = sol[:n]
     mu = sol[n:].copy()

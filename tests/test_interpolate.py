@@ -369,6 +369,17 @@ def _utm_pointset(xy, z):
     return PointSet(pts, crs)
 
 
+def _micrometre_pair(neighborhood):
+    """A kriging system whose samples include two a micrometre apart, and
+    three targets: every system that holds both samples is numerically
+    singular, but LU still solves it."""
+    rng = np.random.default_rng(10)
+    xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
+    model = VariogramModel("gaussian", 0, 2, 50)
+    sys = KrigingSystem(xy, rng.uniform(0, 10, 42), model, 1, neighborhood)
+    return sys, np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
+
+
 class TestLiftMesh:
     def _planar(self):
         pts = seed_region(Rect(0.0, 0.0, 100.0, 80.0), 20.0, strategy="jittered", seed=42)
@@ -514,19 +525,33 @@ class TestLiftAgainstOracle:
         with pytest.raises(NumericalError, match="singular coefficient block"):
             uk_solve(KrigingSystem(xy, z, model, 0, 4), targets[150])
 
-    def test_ill_conditioned_warning_per_target(self, caplog):
-        # two samples a micrometre apart make every system that holds both
-        # numerically singular, but LU still solves it
-        rng = np.random.default_rng(10)
-        xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
-        sys = KrigingSystem(xy, rng.uniform(0, 10, 42), VariogramModel("gaussian", 0, 2, 50), 1, 8)
-        targets = np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
+    def test_ill_conditioned_system_fails_per_target(self, caplog):
+        sys, targets = _micrometre_pair(8)
+        for i in (0, 2):
+            with pytest.raises(
+                NumericalError,
+                match=rf"^target 0: ill-conditioned kriging system at target "
+                rf"\({targets[i][0]}, {targets[i][1]}\): cond \S+ > 1e\+12; ",
+            ):
+                uk_predict(sys, [targets[i]])
+        assert np.isfinite(uk_predict(sys, [targets[1]])).all()
+
+        # with 225 more vertices far from the pair, two failures stay under
+        # 1% and fall back to IDW, as in the per-vertex reference
+        gx, gy = np.meshgrid(np.linspace(0, 25, 15), np.linspace(75, 100, 15))
+        verts = np.vstack([targets, np.column_stack([gx.ravel(), gy.ravel()])])
         with caplog.at_level(logging.WARNING, logger="dsmkit.interpolate"):
-            uk_predict(sys, targets)
-        warned = [r.getMessage() for r in caplog.records if "ill-conditioned" in r.getMessage()]
-        assert len(warned) == 2
-        assert str(tuple(targets[0])) in warned[0]
-        assert str(tuple(targets[2])) in warned[1]
+            lifted, summary = lift_mesh(
+                delaunay_triangulate(verts), _utm_pointset(sys.locations, sys.values),
+                UkConfig(sys.model, 1, 8),
+            )
+        assert summary.fallback_vertices == (0, 2)
+        idw = idw_predict(sys.locations, sys.values, targets[[0, 2]], IdwConfig(2.0, 8))
+        assert np.array_equal(lifted.vertices[[0, 2], 2], idw)
+        want, fallbacks = uk_lift_reference(sys.locations, sys.values, sys.model, 1, 8, verts)
+        assert fallbacks == [0, 2]
+        assert np.array_equal(lifted.vertices[:, 2], want)
+        assert not any("ill-conditioned" in r.getMessage() for r in caplog.records)
 
 
 class TestGlobalNeighbourhood:
@@ -589,12 +614,22 @@ class TestGlobalNeighbourhood:
         with pytest.raises(NumericalError, match="^target 0: .*singular coefficient block"):
             uk_predict(KrigingSystem(xy, z, model, 0, None), planar.vertices)
 
-    def test_ill_conditioned_system_warns_once(self, caplog):
-        rng = np.random.default_rng(10)
-        xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
-        sys = KrigingSystem(xy, rng.uniform(0, 10, 42), VariogramModel("gaussian", 0, 2, 50), 1, None)
-        targets = np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
+    def test_ill_conditioned_system_fails_every_target(self, caplog):
+        sys, targets = _micrometre_pair(None)
+        on_sample = sys.locations[5]
+        assert uk_predict(sys, [on_sample])[0] == sys.values[5]
+        with pytest.raises(
+            NumericalError,
+            match=r"^target 1: ill-conditioned kriging system over all samples: cond \S+ > 1e\+12",
+        ):
+            uk_predict(sys, [on_sample, targets[1]])
+        planar = delaunay_triangulate(np.vstack([targets, [on_sample]]))
         with caplog.at_level(logging.WARNING, logger="dsmkit.interpolate"):
-            uk_predict(sys, targets)
-        warned = [r.getMessage() for r in caplog.records if "ill-conditioned" in r.getMessage()]
-        assert len(warned) == 1 and "global" in warned[0]
+            with pytest.raises(
+                NumericalError,
+                match=r"^kriging failed at 3 of 4 vertices \(first: \[0, 1, 2\]\); "
+                r"vertex 0: ill-conditioned kriging system over all samples",
+            ):
+                lift_mesh(planar, _utm_pointset(sys.locations, sys.values),
+                          UkConfig(sys.model, 1, None))
+        assert not any("ill-conditioned" in r.getMessage() for r in caplog.records)

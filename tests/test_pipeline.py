@@ -1,5 +1,6 @@
 """Pipeline tests: config parsing, exporters, end-to-end runs, CLI."""
 
+import hashlib
 import logging
 import math
 import re
@@ -124,8 +125,15 @@ class TestConfig:
             # scans across the equator
             ({"lat_min": "-0.001", "lat_max": "0.002"}, UtmCrs(32, "north")),
             ({"lat_min": "-0.0005", "lat_max": "0.0025"}, UtmCrs(32, "north")),
+            # scans centred on the equator: a centroid within rounding of 0
+            # is on it, so north
+            ({"lat_min": "-0.001", "lat_max": "0.001"}, UtmCrs(32, "north")),
+            ({"lat_min": "-0.001", "lat_max": "0.001", "rows": "12", "cols": "18"},
+             UtmCrs(32, "north")),
+            ({"lat_min": "-0.0015", "lat_max": "0.0015"}, UtmCrs(32, "north")),
         ],
-        ids=["demo", "6E_west", "6E_east", "6E_centred", "equator", "equator_2"],
+        ids=["demo", "6E_west", "6E_east", "6E_centred", "equator", "equator_2",
+             "equator_centred", "equator_centred_12x18", "equator_centred_wide"],
     )
     def test_config_frame_is_the_scanned_samples_centroid_frame(self, region, frame):
         # a run takes the region centre's frame; on a scan it is the frame
@@ -284,7 +292,26 @@ class TestContourLevels:
         assert contour_levels(5.0, 5.0, 10) == []
 
 
+# sha256 of the demo `run` artifacts (built-in defaults): a change that
+# moves one of them must say why
+DEMO_SHA256 = {
+    "dsm_uk.obj": "b300ca0363dcdfafc1d2122332b2beea546d468546f9b79b93f0d162873ca254",
+    "dsm_uk.vtk": "3e5503c1c8b7cc9f6e073be1a76e38b43f369569f9e54447e0fbb9e1e6c8202e",
+    "contours.csv": "dc17296034540eb39c66ac8a81e7ea798e7ac9c67e04c094fc2c3a44ae299cb1",
+    "variogram.csv": "da2df9f6d25f0d7eb9074dbb3a9d81b404325dc64e51d575551d89e705cb8172",
+    "report.csv": "033d48eab165e99f74a083db4fe55d99027e9d75503876386d1cd4dc7b26fea4",
+}
+
+
 class TestRun:
+    def test_demo_artifacts_keep_their_sha256(self, tmp_path):
+        report = run(PipelineConfig.from_mapping({"out": str(tmp_path)}))
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in report.artifacts
+        }
+        assert digests == DEMO_SHA256
+
     def test_fast_demo_run(self, tmp_path):
         cfg = _fast_config(tmp_path)
         report = run(cfg)
@@ -507,6 +534,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "samples:" in out
         assert (tmp_path / "o" / "dsm_uk.obj").exists()
+
+    @pytest.mark.parametrize("rows, failed", [(20, 4227), (50, 2629), (100, 149)])
+    def test_collinear_scan_rows_abort_the_lift(self, tmp_path, capsys, rows, failed):
+        # 400 columns put many vertices' 16 nearest samples on one scan row,
+        # a near-collinear neighbourhood whose system is ill-conditioned;
+        # exporting those systems' solutions would put z at up to +-5e5 m
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"rows = {rows}\ncols = 400\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(
+            f"error: stage 'lift': kriging failed at {failed} of 4592 vertices (first: "
+        )
+        assert "ill-conditioned kriging system at target" in err and "drift term 'y'" in err
+        assert "Traceback" not in err
+        for name in ("dsm_uk.obj", "dsm_uk.vtk", "report.csv"):
+            assert not (out / name).exists()
 
     def _cfg(self, tmp_path, extra=()):
         path = tmp_path / "fast.cfg"
