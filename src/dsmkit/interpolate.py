@@ -23,7 +23,12 @@ size of one system. One rule, for local stacks and the global system alike,
 fails a system whose degree-1 drift border is rank-deficient, that LU finds
 singular, or that is ill-conditioned (2-norm condition number above 1e12 up
 to width 200, relative residual above 1e-6 beyond); it fails only its own
-targets, with a message naming the cause and the measured value.
+targets, with a message naming the cause and the measured value. The
+condition number is bounded from above through a computed inverse X:
+with r = ||XA - I||_F <= 1/2, cond(A) <= ||A||_F ||X||_F / (1 - r). A
+system passes on that bound when it is at most 1e10; every other system
+gets the SVD's condition number, so failures and their messages are the
+SVD's.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
@@ -53,6 +58,9 @@ logger = logging.getLogger(__name__)
 
 COINCIDENT_TOL = 1e-9  # meters; closer targets snap to the sample value
 _COND_LIMIT = 1e12  # largest 2-norm condition number a system may have
+# a system passes on a proven condition bound only this far under the limit,
+# which leaves room for the rounding in the bound itself
+_BOUND_LIMIT = _COND_LIMIT / 100
 _CHUNK_BYTES = 1 << 20  # float64 work per chunk of targets
 _SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
 _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
@@ -332,8 +340,9 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
     one failure rule; targets holds each system's target, or is None for the
     one system over all samples. Returns (ok, sol, measure, value, failed):
     ok masks the systems that passed, value is the conditioning measure per
-    solved system (NaN elsewhere) and failed maps a stack position to its
-    reason."""
+    solved system (NaN elsewhere), measure names it for a log note ("cond ≤":
+    an upper bound from _cond_bound, exact where it fails; or "residual") and
+    failed maps a stack position to its reason."""
     L, w = b.shape
     n = w - m
     failed = {}
@@ -367,16 +376,46 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
 
     value = np.full(L, np.nan)
     if w <= 200:
-        measure, limit = "cond", _COND_LIMIT
-        value[ok] = np.linalg.cond(Ao)
+        measure, name, limit = "cond ≤", "cond", _COND_LIMIT
+        value[ok] = _cond_bound(Ao)
     else:
-        measure, limit = "residual", 1e-6
+        measure = name = "residual"
+        limit = 1e-6
         resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
         value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
     for j in np.flatnonzero(ok & ~(value <= limit)):
         ok[j] = False
-        fail(j, "ill-conditioned", f"{measure} {value[j]:.3g} > {limit:g}")
+        fail(j, "ill-conditioned", f"{name} {value[j]:.3g} > {limit:g}")
     return ok, sol, measure, value, failed
+
+
+def _cond_bound(A: np.ndarray) -> np.ndarray:
+    """Per system of the stack A: an upper bound on its 2-norm condition
+    number, proven at most _BOUND_LIMIT, or else np.linalg.cond itself.
+
+    With X an inverse computed in floating point and r = ||XA - I||_F <= 1/2,
+    A^-1 = (XA)^-1 X and a Neumann series give ||A^-1|| <= ||X|| / (1 - r);
+    with ||.||_2 <= ||.||_F, cond(A) <= ||A||_F ||X||_F / (1 - r)."""
+    L, w, _ = A.shape
+    bound = np.full(L, np.inf)
+    eye = np.eye(w)
+    step = max(1, _SLAB_ELEMS // (w * w))
+    # an inverse with inf entries makes r and the bound inf or NaN: those
+    # systems take the SVD below
+    with np.errstate(all="ignore"):
+        for s in range(0, L, step):
+            As = A[s : s + step]
+            try:
+                X = np.linalg.inv(As)
+            except np.linalg.LinAlgError:
+                continue
+            r = np.linalg.norm(np.matmul(X, As) - eye, axis=(1, 2))
+            norms = np.linalg.norm(As, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
+            bound[s : s + step] = np.where(r <= 0.5, norms / (1.0 - r), np.inf)
+    slow = ~(bound <= _BOUND_LIMIT)
+    if slow.any():
+        bound[slow] = np.linalg.cond(A[slow])
+    return bound
 
 
 def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
@@ -566,8 +605,9 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     samples must be a projected (UTM) PointSet in the same zone as the mesh
     coordinates. method is a UkConfig or IdwConfig. A vertex whose kriging
     system fails (rank-deficient drift, singular or ill-conditioned) falls
-    back to IDW and is flagged; when more than 1% fail, NumericalError
-    aborts the lift, naming the first failed vertex's reason.
+    back to IDW and is flagged, and a warning names the first failed
+    vertex's reason; when more than 1% fail, NumericalError aborts the lift
+    with that reason instead.
     """
     if planar.is_3d:
         raise DataError("lift_mesh expects a planar (2D) mesh")
@@ -592,16 +632,18 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
             "uk lift: %d samples, %d vertices, %s, %d fallbacks",
             len(xy), len(verts), note, len(fallbacks),
         )
-        if len(fallbacks) > 0.01 * len(verts):
-            raise NumericalError(
-                f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "
-                f"(first: {fallbacks[:5]}); vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
-            )
         if fallbacks:
+            first = f"vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
+            if len(fallbacks) > 0.01 * len(verts):
+                raise NumericalError(
+                    f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "
+                    f"(first: {fallbacks[:5]}); {first}"
+                )
             idw_cfg = IdwConfig(power=2.0, neighborhood=method.neighborhood)
             heights[fallbacks] = idw_predict(xy, z, verts[fallbacks], idw_cfg)
             logger.warning(
-                "kriging fell back to IDW at %d vertices: %s", len(fallbacks), fallbacks[:10]
+                "kriging fell back to IDW at %d vertices: %s; %s",
+                len(fallbacks), fallbacks[:10], first,
             )
         name = "uk"
     else:

@@ -92,9 +92,15 @@ class TriMesh:
         """Unique undirected edges, shape (E, 2), each row sorted."""
         if not len(self.triangles):
             return np.empty((0, 2), dtype=np.int64)
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.unique(np.sort(e, axis=1), axis=0)
+        n = self.n_vertices
+        a = self.triangles.ravel()
+        b = self.triangles[:, [1, 2, 0]].ravel()
+        # lo * n + hi orders edges as their sorted (lo, hi) rows do, since hi < n
+        key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        # sort and drop repeats: np.unique's first 1-D call imports numpy.ma,
+        # which costs more than this whole method
+        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+        return np.column_stack([key // n, key % n])
 
     def vertex_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge-connected neighbors in CSR layout (indptr, indices)."""
@@ -352,32 +358,33 @@ def extract_contours(m: TriMesh, levels) -> list:
     if not levels:
         return []
     if len(levels) > 1:
-        diffs = np.diff(np.sort(np.unique(levels)))
+        diffs = np.diff(sorted(set(levels)))  # not np.unique: see TriMesh.edges
         spacing = float(diffs.min()) if len(diffs) else 1.0
     else:
         spacing = 1.0
     nudge = 1e-9 * (spacing if spacing > 0 else 1.0)
 
-    verts = m.vertices
     tris = m.triangles
-    z = verts[:, 2]
+    z = m.vertices[:, 2]
+    # the loop below reads Python floats and ints: indexing an array one
+    # element at a time makes a numpy scalar each time, several times slower
+    x = m.vertices[:, 0].tolist()
+    y = m.vertices[:, 1].tolist()
     out = []
     for level in levels:
-        s = z - level
-        s = np.where(s == 0.0, nudge, s)
-        s_tri = s[tris]
+        s_arr = z - level
+        s_arr = np.where(s_arr == 0.0, nudge, s_arr)
+        s_tri = s_arr[tris]
+        s = s_arr.tolist()
 
         segments = []  # pairs of edge keys
         edge_points = {}
-        tri_ids = np.nonzero(
-            ~(np.all(s_tri > 0.0, axis=1) | np.all(s_tri < 0.0, axis=1))
-        )[0]
-        for ti in tri_ids:
-            tri = tris[ti]
+        crossed = ~(np.all(s_tri > 0.0, axis=1) | np.all(s_tri < 0.0, axis=1))
+        for tri in tris[crossed].tolist():
             cuts = []
             for k in range(3):
-                u = int(tri[k])
-                v = int(tri[(k + 1) % 3])
+                u = tri[k]
+                v = tri[(k + 1) % 3]
                 su = s[u]
                 sv = s[v]
                 if (su > 0.0) == (sv > 0.0):
@@ -385,8 +392,7 @@ def extract_contours(m: TriMesh, levels) -> list:
                 key = (u, v) if u < v else (v, u)
                 if key not in edge_points:
                     t = su / (su - sv)
-                    p = verts[u, :2] + t * (verts[v, :2] - verts[u, :2])
-                    edge_points[key] = p
+                    edge_points[key] = (x[u] + t * (x[v] - x[u]), y[u] + t * (y[v] - y[u]))
                 cuts.append(key)
             if len(cuts) == 2:
                 segments.append((cuts[0], cuts[1]))

@@ -608,23 +608,24 @@ def export_mesh(m: TriMesh, fmt: str, path) -> None:
         raise DataError("export needs a lifted (3D) mesh; add elevations first")
     if m.n_triangles == 0 or m.n_vertices == 0:
         raise DataError("refusing to export an empty mesh")
+    nv, nt = m.n_vertices, m.n_triangles
+    # one %-format per block of lines over Python numbers; formatting numpy
+    # scalars one by one is several times slower
+    coords = tuple(m.vertices.ravel().tolist())
     if fmt == "obj":
-        lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in m.vertices]
-        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in m.triangles]
+        text = ("v %.6f %.6f %.6f\n" * nv) % coords
+        text += ("f %d %d %d\n" * nt) % tuple((m.triangles + 1).ravel().tolist())
     elif fmt == "vtk":
-        lines = [
-            "# vtk DataFile Version 3.0",
-            "terrain surface",
-            "ASCII",
-            "DATASET POLYDATA",
-            f"POINTS {m.n_vertices} double",
-        ]
-        lines += [f"{x:.6f} {y:.6f} {z:.6f}" for x, y, z in m.vertices]
-        lines.append(f"POLYGONS {m.n_triangles} {4 * m.n_triangles}")
-        lines += [f"3 {a} {b} {c}" for a, b, c in m.triangles]
+        text = (
+            "# vtk DataFile Version 3.0\nterrain surface\nASCII\nDATASET POLYDATA\n"
+            f"POINTS {nv} double\n"
+        )
+        text += ("%.6f %.6f %.6f\n" * nv) % coords
+        text += f"POLYGONS {nt} {4 * nt}\n"
+        text += ("3 %d %d %d\n" * nt) % tuple(m.triangles.ravel().tolist())
     else:
         raise ConfigError(f"unknown mesh format {fmt!r}; expected obj or vtk")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, text)
 
 
 def read_obj(path) -> TriMesh:
@@ -645,21 +646,20 @@ def read_obj(path) -> TriMesh:
 
 
 def write_contours_csv(path, levels, contours_per_level) -> None:
-    lines = ["level,polyline_id,x,y"]
+    parts = ["level,polyline_id,x,y\n"]
     polyline_id = 0
     for level, polylines in zip(levels, contours_per_level):
         for poly in polylines:
-            for x, y in poly:
-                lines.append(f"{level:.6f},{polyline_id},{x:.6f},{y:.6f}")
+            row = f"{level:.6f},{polyline_id},%.6f,%.6f\n"
+            parts.append((row * len(poly)) % tuple(np.ravel(poly).tolist()))
             polyline_id += 1
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "".join(parts))
 
 
 def write_variogram_csv(path, ev: ExperimentalVariogram) -> None:
-    lines = ["lag_center,gamma,pair_count"]
-    for lag, gamma, count in zip(ev.lags, ev.gammas, ev.pair_counts):
-        lines.append(f"{lag:.9g},{gamma:.9g},{count}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = zip(ev.lags.tolist(), ev.gammas.tolist(), ev.pair_counts.tolist())
+    text = "".join(f"{lag:.9g},{gamma:.9g},{count}\n" for lag, gamma, count in rows)
+    _write_text(path, "lag_center,gamma,pair_count\n" + text)
 
 
 def write_report_csv(path, report: RunReport) -> None:

@@ -45,6 +45,15 @@ def euler_characteristic(n_vertices: int, triangles: np.ndarray) -> int:
     return n_vertices - len(edges) + (len(T) + 1)
 
 
+def edges_reference(triangles: np.ndarray) -> np.ndarray:
+    """TriMesh.edges by a row-wise unique of the sorted edge pairs."""
+    t = np.asarray(triangles, dtype=np.int64)
+    if not len(t):
+        return np.empty((0, 2), dtype=np.int64)
+    e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
 def triangle_min_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Smallest interior angle per triangle, in degrees, from first principles."""
     V = np.asarray(vertices, dtype=float)
@@ -212,6 +221,54 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
     if drift_degree == 1:
         mu[0] -= mu[1] * x0[0] + mu[2] * x0[1]
     return weights, mu, float(weights @ vals), float(weights @ b[:n] + sol[n:] @ f0), idx
+
+
+def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
+    """interpolate._solve_or_fail as it was before the condition bound:
+    np.linalg.cond (an SVD) of every solved system up to width 200. Returns
+    (ok, sol, value, failed)."""
+    from dsmkit.interpolate import _diagnose_singular
+
+    L, w = b.shape
+    n = w - m
+    failed = {}
+
+    def fail(j, kind, measured):
+        where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
+        cause = _diagnose_singular(A[j, :n, n:])
+        failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
+
+    ok = np.ones(L, dtype=bool)
+    if m == 3:
+        rank = np.linalg.matrix_rank(A[:, :n, n:])
+        for j in np.flatnonzero(rank < 3):
+            fail(j, "singular", f"drift border of rank {rank[j]}")
+        ok = rank == 3
+    sol = np.zeros((L, w))
+    Ao, bo = (A, b) if ok.all() else (A[ok], b[ok])
+    try:
+        sol[ok] = np.linalg.solve(Ao, bo[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for j in np.flatnonzero(ok):
+            try:
+                sol[j] = np.linalg.solve(A[j], b[j])
+            except np.linalg.LinAlgError:
+                ok[j] = False
+                fail(j, "singular", "LU found a zero pivot")
+        Ao, bo = A[ok], b[ok]
+
+    value = np.full(L, np.nan)
+    if w <= 200:
+        measure, limit = "cond", 1e12
+        value[ok] = np.linalg.cond(Ao)
+    else:
+        measure, limit = "residual", 1e-6
+        resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
+        value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
+    for j in np.flatnonzero(ok & ~(value <= limit)):
+        ok[j] = False
+        fail(j, "ill-conditioned", f"{measure} {value[j]:.3g} > {limit:g}")
+    return ok, sol, value, failed
 
 
 def idw_reference(locations, values, targets, power, k) -> np.ndarray:

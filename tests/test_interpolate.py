@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmkit.interpolate as interpolate
 from _oracles import (
@@ -11,6 +13,7 @@ from _oracles import (
     gauss_solve,
     idw_reference,
     nearest_subset,
+    solve_or_fail_reference,
     spherical_gamma,
     uk_lift_reference,
     uk_solve_reference,
@@ -451,13 +454,19 @@ class TestLiftAgainstOracle:
     """The batched lift against the per-vertex reference loop."""
 
     @pytest.mark.parametrize("seed", [42, 7])
-    def test_demo_uk_lift(self, seed):
+    def test_demo_uk_lift(self, seed, monkeypatch):
         cfg = PipelineConfig.from_mapping({"seed": seed})
         prepared = prepare_samples(cfg)
         samples = prepared.utm
         planar, _, _ = build_planar_mesh(cfg)
         model, _ = variogram_model(cfg, prepared)
+        svd_conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: svd_conds.append(1) or cond(*a))
         lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
+        monkeypatch.undo()
+        # every demo system passes on the proven bound, without an SVD
+        assert svd_conds == []
         want, fallbacks = uk_lift_reference(
             samples.coords(), samples.altitudes(), model, cfg.drift, cfg.neighbors,
             planar.vertices,
@@ -551,7 +560,73 @@ class TestLiftAgainstOracle:
         want, fallbacks = uk_lift_reference(sys.locations, sys.values, sys.model, 1, 8, verts)
         assert fallbacks == [0, 2]
         assert np.array_equal(lifted.vertices[:, 2], want)
-        assert not any("ill-conditioned" in r.getMessage() for r in caplog.records)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "kriging fell back to IDW at 2 vertices: [0, 2]; vertex 0: ill-conditioned "
+            f"kriging system at target ({targets[0][0]}, {targets[0][1]}): cond "
+        )
+
+    def test_fallback_warning_names_the_first_reason(self, caplog):
+        xy, z = self._line_and_scatter()
+        targets = np.vstack([self._grid_targets(20, 20), [[20.6, 0.3], [10.3, 0.2]]])
+        with caplog.at_level(logging.WARNING, logger="dsmkit.interpolate"):
+            _, summary = lift_mesh(
+                delaunay_triangulate(targets), _utm_pointset(xy, z), UkConfig(SPH, 1, 4)
+            )
+        first = summary.fallback_vertices[0]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"kriging fell back to IDW at 2 vertices: {list(summary.fallback_vertices)}; "
+            f"vertex {first}: singular kriging system at target {tuple(targets[first].tolist())}: "
+            "drift border of rank 2; drift term 'y' is linearly dependent on the previous "
+            "terms (collinear samples: spread ratio 0)"
+        ]
+
+
+def _bordered_with_singular_values(rng, n, m, s):
+    """A symmetric [[G, F], [F^T, 0]] of width n + m whose singular values
+    are s[:m], each twice (the border), and s[m:] (G on the border's
+    orthogonal complement)."""
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    G = (V[:, m:] * (s[m:] * rng.choice([-1.0, 1.0], n - m))) @ V[:, m:].T
+    A = np.zeros((n + m, n + m))
+    A[:n, :n] = (G + G.T) / 2
+    A[:n, n:] = V[:, :m] * s[:m]
+    A[n:, :n] = A[:n, n:].T
+    return A
+
+
+class TestConditionBound:
+    """_solve_or_fail's bound against the SVD rule it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.sampled_from([4, 19, 200]),
+        three_drift_terms=st.booleans(),
+        log_conds=st.lists(st.floats(0.0, 17.0), min_size=1, max_size=3),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decides_like_the_svd_rule(self, w, three_drift_terms, log_conds, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        m = 3 if three_drift_terms and w > 4 else 1
+        n = w - m
+        stack = []
+        for log_cond in log_conds:
+            s = 10.0 ** rng.uniform(0.0, log_cond, n)
+            s[:2] = 1.0, 10.0**log_cond
+            stack.append(_bordered_with_singular_values(rng, n, m, rng.permutation(s)))
+        A = 10.0**log_scale * np.array(stack)
+        b = rng.normal(size=(len(A), w))
+        targets = [[float(j), 0.5] for j in range(len(A))]
+        ok, sol, measure, value, failed = interpolate._solve_or_fail(A, b, m, targets)
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
+        assert np.array_equal(ok, want_ok)
+        assert failed == want_failed
+        assert np.array_equal(sol, want_sol)
+        assert measure == "cond ≤"
+        # a passing system's value bounds its condition number from above
+        assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
 
 
 class TestGlobalNeighbourhood:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     circumcircle_violations,
+    edges_reference,
     euler_characteristic,
     incircle_fraction,
     orient_fraction,
@@ -28,6 +29,7 @@ from dsmkit.mesh import (
     mesh_quality,
     seed_region,
 )
+from dsmkit.pipeline import PipelineConfig, build_planar_mesh
 
 
 class TestTriMesh:
@@ -61,6 +63,19 @@ class TestTriMesh:
         assert m.edges().tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
         indptr, indices = m.vertex_neighbors()
         assert indices[indptr[0] : indptr[1]].tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "config", [{}, {"seed_strategy": "grid", "spacing": "3"}, None],
+        ids=["demo", "mesh_grid", "empty"],
+    )
+    def test_edges_match_row_unique_reference(self, config):
+        if config is None:
+            m = TriMesh(np.zeros((0, 2)), np.zeros((0, 3)))
+        else:
+            m, _, _ = build_planar_mesh(PipelineConfig.from_mapping(config))
+        got, want = m.edges(), edges_reference(m.triangles)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestDelaunay:
