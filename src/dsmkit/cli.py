@@ -24,7 +24,6 @@ import numpy as np
 
 from .acquisition import convert_pointset
 from .errors import ConfigError, DataError, DsmError, NumericalError
-from .mesh import TriMesh
 from .pipeline import (
     DEFAULTS,
     PipelineConfig,
@@ -106,10 +105,8 @@ def _cmd_mesh(args) -> int:
         planar, q_before, q_after = build_planar_mesh(config)
     with Stage("export"):
         path = ensure_dir(config.out_dir) / "planar_mesh.obj"
-        flat = TriMesh(
-            np.column_stack([planar.vertices, np.zeros(planar.n_vertices)]),
-            planar.triangles,
-            planar.boundary_flags,
+        flat = planar.with_vertices(
+            np.column_stack([planar.vertices, np.zeros(planar.n_vertices)])
         )
         export_mesh(flat, "obj", path)
     print(

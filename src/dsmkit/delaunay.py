@@ -18,7 +18,8 @@ grows with its input index, the larger index dominating (simulation of
 simplicity; Edelsbrunner & Mücke 1990). The triangle set therefore does not
 depend on the insertion order. Triangles are emitted counter-clockwise,
 rotated to start at their smallest vertex index, in sorted order, so the
-output depends on the point set alone.
+output depends on the point set alone. The ghosts are not emitted: the hull
+is the edges that only one triangle holds, which TriMesh works out.
 """
 
 from __future__ import annotations
@@ -324,9 +325,8 @@ def triangulate(points, _order=None):
     """Delaunay-triangulate unique 2D points.
 
     points: sequence of (x, y) float pairs, all distinct.
-    Returns (triangles, hull_mask, stats): CCW vertex-index triples, each
-    starting at its smallest index, in sorted order; a per-vertex boolean
-    list marking convex hull membership; and a dict of counts (points,
+    Returns (triangles, stats): CCW vertex-index triples, each starting at
+    its smallest index, in sorted order, and a dict of counts (points,
     rounds, created triangles, exact orient and incircle fallbacks, ties).
     _order, a permutation of the indices, replaces the BRIO order (tests).
     """
@@ -359,13 +359,12 @@ def triangulate(points, _order=None):
             tr.insert(p)
 
     triangles = []
-    hull_mask = [False] * n
     verts = tr.verts
     for k in range(0, len(verts), 3):
         a, b, c = verts[k], verts[k + 1], verts[k + 2]
         if c == GHOST:
-            hull_mask[a] = hull_mask[b] = True
-        elif a < b and a < c:
+            continue
+        if a < b and a < c:
             triangles.append((a, b, c))
         elif b < c:
             triangles.append((b, c, a))
@@ -373,4 +372,4 @@ def triangulate(points, _order=None):
             triangles.append((c, a, b))
     triangles.sort()
     stats = {"points": n, "rounds": rounds, **tr.tally}
-    return triangles, hull_mask, stats
+    return triangles, stats

@@ -649,9 +649,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     else:
         raise ConfigError(f"unknown lift method {method!r}")
 
-    lifted = TriMesh(
-        np.column_stack([verts, heights]), planar.triangles, planar.boundary_flags
-    )
+    lifted = planar.with_vertices(np.column_stack([verts, heights]))
     summary = LiftSummary(
         method=name,
         z_min=float(heights.min()),

@@ -1,15 +1,19 @@
 """Planar triangular meshes: seeding, Delaunay triangulation, Laplacian
-smoothing, quality metrics, and contour extraction."""
+smoothing, quality metrics, and a lifted mesh's contours and roughness."""
 
 from __future__ import annotations
 
+import copy
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import delaunay
 from .errors import ConfigError, DataError
+from .geodesy import elementwise
 from .geometry import Rect
 
 logger = logging.getLogger(__name__)
@@ -25,56 +29,40 @@ class TriMesh:
     """Immutable indexed triangle mesh.
 
     vertices: (n, 2) or (n, 3) float positions in meters; triangles: (m, 3)
-    vertex-index triples, counter-clockwise in plan view; boundary_flags:
-    per-vertex markers (computed from edge incidence when not supplied).
+    vertex-index triples, counter-clockwise in plan view, no edge shared by
+    more than two triangles. The edge table pairs half-edges 3t + k (corner
+    k to k+1 of triangle t) by one stable sort of their keys lo * n + hi:
+    per edge, in key order (an edge's id is its rank), `_edge_key` holds its
+    key and `_edge_halves` its lower and higher half-edge (-1 if none).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_flags: np.ndarray = None
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
         t = np.asarray(self.triangles, dtype=np.int64)
-        if v.ndim != 2 or v.shape[1] not in (2, 3):
-            raise DataError(f"vertices must be (n, 2) or (n, 3), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("vertices contain non-finite coordinates")
-        if t.ndim != 2 or t.shape[1] != 3:
-            raise DataError(f"triangles must be (m, 3), got {t.shape}")
-        if len(t) and (t.min() < 0 or t.max() >= len(v)):
-            raise DataError("triangle index out of range")
-        if len(t):
-            bad = np.nonzero(_doubled_area(*v[t.T]) <= 0.0)[0]
-            if len(bad):
-                raise DataError(
-                    f"{len(bad)} triangles are degenerate or clockwise in plan view "
-                    f"(first: index {bad[0]})"
-                )
-        if self.boundary_flags is None:
-            flags = self._hull_flags(v, t)
-        else:
-            flags = np.asarray(self.boundary_flags, dtype=bool)
-            if flags.shape != (len(v),):
-                raise DataError("boundary_flags length must match vertex count")
-        v.setflags(write=False)
+        v = _checked_vertices(self.vertices, t)
         t.setflags(write=False)
-        flags.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "boundary_flags", flags)
 
-    @staticmethod
-    def _hull_flags(v, t):
-        flags = np.zeros(len(v), dtype=bool)
-        if not len(t):
-            return flags
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        outer = uniq[counts == 1]
-        flags[outer.ravel()] = True
-        return flags
+        _, _, key = _half_edges(t, len(v))
+        # stable, so each edge's half-edges stay in triangle order
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # not np.unique: its first 1-D call imports numpy.ma, which costs
+        # more than this whole table
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(np.append(starts, len(key)))
+        if len(counts) and counts.max() > 2:
+            e = int(np.argmax(counts))
+            lo, hi = divmod(int(key[starts[e]]), len(v))
+            raise DataError(f"edge ({lo}, {hi}) is shared by {counts[e]} triangles")
+        higher = np.full(len(starts), -1)
+        shared = counts == 2
+        higher[shared] = order[starts[shared] + 1]
+        object.__setattr__(self, "_edge_key", key[starts])
+        object.__setattr__(self, "_edge_halves", np.column_stack([order[starts], higher]))
 
     @property
     def n_vertices(self) -> int:
@@ -88,19 +76,17 @@ class TriMesh:
     def is_3d(self) -> bool:
         return self.vertices.shape[1] == 3
 
+    @cached_property
+    def boundary_flags(self) -> np.ndarray:
+        """Per-vertex flags, read-only: True on an edge held by one triangle."""
+        flags = np.zeros(self.n_vertices, dtype=bool)
+        flags[self.edges()[self._edge_halves[:, 1] < 0]] = True
+        flags.setflags(write=False)
+        return flags
+
     def edges(self) -> np.ndarray:
         """Unique undirected edges, shape (E, 2), each row sorted."""
-        if not len(self.triangles):
-            return np.empty((0, 2), dtype=np.int64)
-        n = self.n_vertices
-        a = self.triangles.ravel()
-        b = self.triangles[:, [1, 2, 0]].ravel()
-        # lo * n + hi orders edges as their sorted (lo, hi) rows do, since hi < n
-        key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-        # sort and drop repeats: np.unique's first 1-D call imports numpy.ma,
-        # which costs more than this whole method
-        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
-        return np.column_stack([key // n, key % n])
+        return np.column_stack(np.divmod(self._edge_key, self.n_vertices))
 
     def vertex_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge-connected neighbors in CSR layout (indptr, indices)."""
@@ -113,7 +99,43 @@ class TriMesh:
         return indptr, both[:, 1].copy()
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
-        return TriMesh(vertices, self.triangles, self.boundary_flags)
+        """New positions of the same vertices, checked as the constructor
+        checks them; shares the edge table and any boundary flags read."""
+        v = _checked_vertices(vertices, self.triangles)
+        if len(v) != self.n_vertices:
+            raise DataError(f"expected {self.n_vertices} vertices, got {len(v)}")
+        m = copy.copy(self)
+        object.__setattr__(m, "vertices", v)
+        return m
+
+
+def _half_edges(t, n):
+    """Each half-edge's start and end vertex and its key lo * n + hi."""
+    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+    return a, b, np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _checked_vertices(vertices, t) -> np.ndarray:
+    """vertices as a read-only float array, checked: (n, 2) or (n, 3), finite,
+    and every triangle of t in range and counter-clockwise in plan view."""
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] not in (2, 3):
+        raise DataError(f"vertices must be (n, 2) or (n, 3), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DataError("vertices contain non-finite coordinates")
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise DataError(f"triangles must be (m, 3), got {t.shape}")
+    if len(t) and (t.min() < 0 or t.max() >= len(v)):
+        raise DataError("triangle index out of range")
+    if len(t):
+        bad = np.nonzero(_doubled_area(*v[t.T]) <= 0.0)[0]
+        if len(bad):
+            raise DataError(
+                f"{len(bad)} triangles are degenerate or clockwise in plan view "
+                f"(first: index {bad[0]})"
+            )
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -143,8 +165,7 @@ def delaunay_triangulate(points) -> TriMesh:
     seen = {}
     unique = []
     duplicates = 0
-    for x, y in arr:
-        key = (float(x), float(y))
+    for key in map(tuple, arr.tolist()):
         if key in seen:
             duplicates += 1
         else:
@@ -154,18 +175,14 @@ def delaunay_triangulate(points) -> TriMesh:
         logger.warning(
             "deduplicated %d duplicate points (%d unique remain)", duplicates, len(unique)
         )
-    tris, hull, stats = delaunay.triangulate(unique)
+    tris, stats = delaunay.triangulate(unique)
     logger.debug(
         "delaunay: %(points)d points, %(rounds)d BRIO rounds, %(created)d triangles "
         "created, exact fallbacks %(exact_orient)d orient / %(exact_incircle)d "
         "incircle, %(ties)d cocircular ties decided by input index",
         stats,
     )
-    return TriMesh(
-        np.array(unique, dtype=float),
-        np.array(tris, dtype=np.int64),
-        np.array(hull, dtype=bool),
-    )
+    return TriMesh(np.array(unique, dtype=float), np.array(tris, dtype=np.int64))
 
 
 def seed_grid_shape(rect: Rect, target_spacing: float) -> tuple[int, int]:
@@ -290,7 +307,7 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
             moved_mask[culprits] = False
         verts = new_verts
 
-    return TriMesh(verts, tris, m.boundary_flags)
+    return m.with_vertices(verts)
 
 
 def mesh_quality(m: TriMesh) -> MeshQuality:
@@ -357,91 +374,91 @@ def extract_contours(m: TriMesh, levels) -> list:
     levels = [float(l) for l in levels]
     if not levels:
         return []
-    if len(levels) > 1:
-        diffs = np.diff(sorted(set(levels)))  # not np.unique: see TriMesh.edges
-        spacing = float(diffs.min()) if len(diffs) else 1.0
-    else:
-        spacing = 1.0
+    diffs = np.diff(sorted(set(levels)))  # not np.unique: see TriMesh
+    spacing = float(diffs.min()) if len(diffs) else 1.0
     nudge = 1e-9 * (spacing if spacing > 0 else 1.0)
 
-    tris = m.triangles
-    z = m.vertices[:, 2]
-    # the loop below reads Python floats and ints: indexing an array one
-    # element at a time makes a numpy scalar each time, several times slower
-    x = m.vertices[:, 0].tolist()
-    y = m.vertices[:, 1].tolist()
+    a, b, key = _half_edges(m.triangles, m.n_vertices)
+    edge_of = np.searchsorted(m._edge_key, key)
+    x, y, z = m.vertices.T
+    # an edge is cut along its lower half-edge: the orientation of the
+    # lowest-numbered triangle that holds it
+    lower = m._edge_halves[:, 0]
+    u, w = a[lower], b[lower]
+    xu, yu = x[u], y[u]
+    dx, dy = x[w] - xu, y[w] - yu
     out = []
     for level in levels:
-        s_arr = z - level
-        s_arr = np.where(s_arr == 0.0, nudge, s_arr)
-        s_tri = s_arr[tris]
-        s = s_arr.tolist()
+        s = z - level
+        s = np.where(s == 0.0, nudge, s)
+        above = s > 0.0
+        cut = above[a] != above[b]
+        edges = np.flatnonzero(cut[lower])
+        su, sw = s[u[edges]], s[w[edges]]
+        t = su / (su - sw)
+        cx, cy = np.empty((2, len(lower)))
+        cx[edges] = xu[edges] + t * dx[edges]
+        cy[edges] = yu[edges] + t * dy[edges]
 
-        segments = []  # pairs of edge keys
-        edge_points = {}
-        crossed = ~(np.all(s_tri > 0.0, axis=1) | np.all(s_tri < 0.0, axis=1))
-        for tri in tris[crossed].tolist():
-            cuts = []
-            for k in range(3):
-                u = tri[k]
-                v = tri[(k + 1) % 3]
-                su = s[u]
-                sv = s[v]
-                if (su > 0.0) == (sv > 0.0):
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if key not in edge_points:
-                    t = su / (su - sv)
-                    edge_points[key] = (x[u] + t * (x[v] - x[u]), y[u] + t * (y[v] - y[u]))
-                cuts.append(key)
-            if len(cuts) == 2:
-                segments.append((cuts[0], cuts[1]))
-
-        out.append(_chain_segments(segments, edge_points))
+        # a triangle the level crosses is cut on exactly two of its edges;
+        # its segment joins them in corner order
+        cut = cut.reshape(-1, 3)
+        crossed = np.flatnonzero(cut.any(axis=1))
+        first = 3 * crossed + np.where(cut[crossed, 0], 0, 1)
+        second = 3 * crossed + np.where(cut[crossed, 2], 2, 1)
+        segments = zip(edge_of[first].tolist(), edge_of[second].tolist())
+        out.append(_chain_segments(segments, cx, cy))
     return out
 
 
-def _chain_segments(segments, edge_points):
-    """Join crossing segments (pairs of edge keys) into ordered polylines."""
+def _chain_segments(segments, cx, cy):
+    """Join crossing segments (pairs of edge ids) into polylines of the cut
+    points (cx, cy) of their edges: open chains from their ends first, then
+    closed loops, each started at its lowest edge id (edge ids follow the
+    (lo, hi) order of the edges). A closed loop repeats its first point."""
     adjacency = {}
     for e1, e2 in segments:
         adjacency.setdefault(e1, []).append(e2)
         adjacency.setdefault(e2, []).append(e1)
 
     visited = set()
-    polylines = []
-
-    def walk(start):
-        path = [start]
-        visited.add(start)
-        current = start
-        while True:
-            nxt = None
-            for cand in adjacency[current]:
-                if cand not in visited:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            visited.add(nxt)
-            path.append(nxt)
-            current = nxt
-        return path
-
-    keys_in_order = sorted(adjacency.keys())
-    # open chains start at degree-1 nodes
-    for key in keys_in_order:
-        if key not in visited and len(adjacency[key]) == 1:
-            polylines.append((walk(key), False))
-    # what remains are closed loops
-    for key in keys_in_order:
-        if key not in visited:
-            polylines.append((walk(key), True))
-
     result = []
-    for path, closed in polylines:
-        pts = [edge_points[k] for k in path]
-        if closed and len(pts) > 2:
-            pts.append(pts[0])
-        result.append(np.array(pts))
+    for closed in (False, True):
+        for start in sorted(adjacency):
+            if start in visited or (not closed and len(adjacency[start]) != 1):
+                continue
+            path = [start]
+            visited.add(start)
+            while True:
+                nxt = next((e for e in adjacency[path[-1]] if e not in visited), None)
+                if nxt is None:
+                    break
+                visited.add(nxt)
+                path.append(nxt)
+            if closed and len(path) > 2:
+                path.append(start)
+            result.append(np.column_stack([cx[path], cy[path]]))
     return result
+
+
+def dihedral_roughness(m: TriMesh) -> float:
+    """Mean angle (degrees) between normals of triangles sharing an edge."""
+    if not m.is_3d:
+        raise DataError("roughness needs a lifted (3D) mesh")
+    tris = m.triangles
+    v = m.vertices
+    normals = np.cross(v[tris[:, 1]] - v[tris[:, 0]], v[tris[:, 2]] - v[tris[:, 0]])
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    normals = normals / norms
+
+    lower, higher = m._edge_halves[m._edge_halves[:, 1] >= 0].T
+    # averaged in the order of the higher half-edges, as a walk over the
+    # triangles meets each shared edge the second time
+    order = np.argsort(higher)
+    t1, t2 = higher[order] // 3, lower[order] // 3
+    # (k, 1, 3) @ (k, 3, 1) sums each product as a 1-D `@` does
+    dots = normals[t1][:, None, :] @ normals[t2][:, :, None]
+    # math's acos (see geodesy.elementwise); math.degrees multiplies by 180/pi
+    angles = elementwise(math.acos, np.clip(dots.ravel(), -1.0, 1.0)) * (180.0 / math.pi)
+    return float(np.mean(angles)) if len(angles) else 0.0

@@ -42,7 +42,7 @@ from .acquisition import (
     serialize_point_file,
     synthetic_terrain,
 )
-from .errors import ConfigError, DataError, DsmError
+from .errors import ConfigError, DataError, DsmError, ParseError
 from .geodesy import UTM_LAT_BAND, GeoPoint, utm_zone_for
 from .geometry import Rect
 from .interpolate import IdwConfig, LiftSummary, UkConfig, lift_mesh
@@ -51,6 +51,7 @@ from .mesh import (
     MeshQuality,
     TriMesh,
     delaunay_triangulate,
+    dihedral_roughness,
     extract_contours,
     laplacian_smooth,
     mesh_quality,
@@ -568,32 +569,6 @@ def compare_methods(config: PipelineConfig) -> MethodComparison:
     )
 
 
-def dihedral_roughness(m: TriMesh) -> float:
-    """Mean angle (degrees) between normals of triangles sharing an edge."""
-    if not m.is_3d:
-        raise DataError("roughness needs a lifted (3D) mesh")
-    tris = m.triangles
-    v = m.vertices
-    normals = np.cross(v[tris[:, 1]] - v[tris[:, 0]], v[tris[:, 2]] - v[tris[:, 0]])
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    normals = normals / norms
-
-    edge_owner = {}
-    angles = []
-    for t, tri in enumerate(tris):
-        for k in range(3):
-            e = (int(tri[k]), int(tri[(k + 1) % 3]))
-            key = (min(e), max(e))
-            other = edge_owner.pop(key, None)
-            if other is None:
-                edge_owner[key] = t
-            else:
-                cosv = float(np.clip(normals[t] @ normals[other], -1.0, 1.0))
-                angles.append(math.degrees(math.acos(cosv)))
-    return float(np.mean(angles)) if angles else 0.0
-
-
 def contour_levels(z_min: float, z_max: float, count: int) -> list:
     """`count` evenly spaced interior levels across (z_min, z_max)."""
     if count < 1 or z_max <= z_min:
@@ -629,17 +604,30 @@ def export_mesh(m: TriMesh, fmt: str, path) -> None:
 
 
 def read_obj(path) -> TriMesh:
-    """Read back an OBJ written by export_mesh (v/f lines only)."""
+    """Read back an OBJ written by export_mesh (v/f lines only): a `v` line
+    needs three numbers, an `f` line exactly three 1-based vertex indices."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read mesh file {path}: {e}") from None
     vertices = []
     faces = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        if parts[0] == "v":
-            vertices.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+        try:  # a wrong count fails the unpacking
+            if parts[0] == "v":
+                x, y, z = (float(p) for p in parts[1:4])
+                vertices.append((x, y, z))
+            elif parts[0] == "f":
+                a, b, c = (int(p.split("/")[0]) - 1 for p in parts[1:])
+                if min(a, b, c) < 0:
+                    raise ValueError
+                faces.append((a, b, c))
+        except ValueError:
+            need = "three numbers" if parts[0] == "v" else "exactly three vertex indices from 1"
+            raise ParseError(f"{parts[0]!r} line needs {need}: {raw!r}", line=lineno) from None
     if not vertices or not faces:
         raise DataError(f"no mesh data in {path}")
     return TriMesh(np.array(vertices), np.array(faces))

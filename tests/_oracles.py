@@ -535,6 +535,118 @@ def rotation_canonical(triangles) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Mesh products after the lift: the per-triangle walks that the edge table of
+# TriMesh replaced, each pairing edges in a dict of its own.
+
+
+def dihedral_roughness_reference(m) -> float:
+    """Mean angle (degrees) between the normals of the two triangles of each
+    shared edge, by a dict walk over the half-edges in triangle order."""
+    tris = m.triangles
+    v = m.vertices
+    normals = np.cross(v[tris[:, 1]] - v[tris[:, 0]], v[tris[:, 2]] - v[tris[:, 0]])
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    normals = normals / norms
+
+    edge_owner = {}
+    angles = []
+    for t, tri in enumerate(tris):
+        for k in range(3):
+            e = (int(tri[k]), int(tri[(k + 1) % 3]))
+            key = (min(e), max(e))
+            other = edge_owner.pop(key, None)
+            if other is None:
+                edge_owner[key] = t
+            else:
+                cosv = float(np.clip(normals[t] @ normals[other], -1.0, 1.0))
+                angles.append(math.degrees(math.acos(cosv)))
+    return float(np.mean(angles)) if angles else 0.0
+
+
+def contours_reference(m, levels) -> list:
+    """extract_contours by a loop over the crossed triangles of each level,
+    cutting each edge the first time a triangle meets it; the nudge of
+    vertices exactly at a level is the same."""
+    levels = [float(l) for l in levels]
+    if not levels:
+        return []
+    diffs = np.diff(sorted(set(levels)))
+    spacing = float(diffs.min()) if len(diffs) else 1.0
+    nudge = 1e-9 * (spacing if spacing > 0 else 1.0)
+
+    tris = m.triangles
+    z = m.vertices[:, 2]
+    x = m.vertices[:, 0].tolist()
+    y = m.vertices[:, 1].tolist()
+    out = []
+    for level in levels:
+        s_arr = z - level
+        s_arr = np.where(s_arr == 0.0, nudge, s_arr)
+        s_tri = s_arr[tris]
+        s = s_arr.tolist()
+        segments = []
+        edge_points = {}
+        crossed = ~(np.all(s_tri > 0.0, axis=1) | np.all(s_tri < 0.0, axis=1))
+        for tri in tris[crossed].tolist():
+            cuts = []
+            for k in range(3):
+                u = tri[k]
+                v = tri[(k + 1) % 3]
+                su = s[u]
+                sv = s[v]
+                if (su > 0.0) == (sv > 0.0):
+                    continue
+                key = (u, v) if u < v else (v, u)
+                if key not in edge_points:
+                    t = su / (su - sv)
+                    edge_points[key] = (x[u] + t * (x[v] - x[u]), y[u] + t * (y[v] - y[u]))
+                cuts.append(key)
+            if len(cuts) == 2:
+                segments.append((cuts[0], cuts[1]))
+        out.append(_chain_reference(segments, edge_points))
+    return out
+
+
+def _chain_reference(segments, edge_points):
+    """Segments (pairs of (lo, hi) edge keys) joined into polylines: open
+    chains from their sorted degree-1 ends first, then closed loops."""
+    adjacency = {}
+    for e1, e2 in segments:
+        adjacency.setdefault(e1, []).append(e2)
+        adjacency.setdefault(e2, []).append(e1)
+    visited = set()
+    polylines = []
+
+    def walk(start):
+        path = [start]
+        visited.add(start)
+        current = start
+        while True:
+            nxt = next((c for c in adjacency[current] if c not in visited), None)
+            if nxt is None:
+                return path
+            visited.add(nxt)
+            path.append(nxt)
+            current = nxt
+
+    keys = sorted(adjacency)
+    for key in keys:
+        if key not in visited and len(adjacency[key]) == 1:
+            polylines.append((walk(key), False))
+    for key in keys:
+        if key not in visited:
+            polylines.append((walk(key), True))
+    result = []
+    for path, closed in polylines:
+        pts = [edge_points[k] for k in path]
+        if closed and len(pts) > 2:
+            pts.append(pts[0])
+        result.append(np.array(pts))
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Sample side: the scalar UTM series, the list-based clip/convert and the
 # row-loop variogram that the array code paths replaced.
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from _oracles import (
     circumcircle_violations,
+    contours_reference,
+    dihedral_roughness_reference,
     edges_reference,
     euler_characteristic,
     incircle_fraction,
@@ -24,12 +27,20 @@ from dsmkit.geometry import Rect
 from dsmkit.mesh import (
     TriMesh,
     delaunay_triangulate,
+    dihedral_roughness,
     extract_contours,
     laplacian_smooth,
     mesh_quality,
     seed_region,
 )
-from dsmkit.pipeline import PipelineConfig, build_planar_mesh
+from dsmkit.pipeline import (
+    PipelineConfig,
+    build_planar_mesh,
+    contour_levels,
+    lift_surface,
+    prepare_samples,
+    variogram_model,
+)
 
 
 class TestTriMesh:
@@ -57,6 +68,27 @@ class TestTriMesh:
         m = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
         with pytest.raises(ValueError):
             m.vertices[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            m.boundary_flags[0] = False
+
+    def test_with_vertices_shares_the_triangles_facts(self):
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        m = TriMesh(square, [[0, 1, 2], [0, 2, 3]])
+        assert "boundary_flags" not in vars(m)  # computed when first read
+        assert m.boundary_flags.tolist() == [True] * 4
+        lifted = m.with_vertices([[x, y, 1.0] for x, y in square])
+        assert lifted.is_3d and lifted.boundary_flags is m.boundary_flags
+        with pytest.raises(DataError, match="expected 4 vertices, got 5"):
+            m.with_vertices([*square, [2, 2]])
+        with pytest.raises(DataError, match="clockwise"):
+            m.with_vertices(square[::-1])
+
+    def test_edge_of_three_triangles_rejected(self):
+        with pytest.raises(DataError, match=r"edge \(0, 1\) is shared by 3 triangles"):
+            TriMesh(
+                [[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.3, 2]],
+                [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+            )
 
     def test_edges_and_neighbors(self):
         m = TriMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
@@ -174,10 +206,10 @@ class TestDelaunayOrderIndependence:
             with pytest.raises(DataError, match="collinear"):
                 delaunay.triangulate(pts, _order=order)
             return
-        tris, hull, stats = delaunay.triangulate(pts, _order=order)
+        tris, stats = delaunay.triangulate(pts, _order=order)
         assert len(tris) == len(ref)
         assert set(tris) == rotation_canonical(ref)
-        assert hull == ref_hull
+        assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
         # canonical output: the same list whatever the insertion order
         assert tris == delaunay.triangulate(pts)[0]
         assert stats["points"] == len(pts)
@@ -187,9 +219,9 @@ class TestDelaunayOrderIndependence:
         rect = Rect(684000.0, 5400000.0, 684400.0, 5400300.0)
         pts = [tuple(p) for p in seed_region(rect, 10.0, strategy, seed).tolist()]
         ref, ref_hull = triangulate_reference(pts)
-        tris, hull, stats = delaunay.triangulate(pts)
+        tris, stats = delaunay.triangulate(pts)
         assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
-        assert hull == ref_hull
+        assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
         assert tris == sorted(tris) and all(t[0] == min(t) for t in tris)
         assert stats["rounds"] > 1
 
@@ -421,3 +453,58 @@ class TestContours:
         m = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
         with pytest.raises(DataError):
             extract_contours(m, [0.5])
+
+
+def _assert_same_contours(got, want):
+    assert len(got) == len(want)
+    for polys, ref in zip(got, want):
+        assert len(polys) == len(ref)
+        for p, r in zip(polys, ref):
+            assert p.shape == r.shape and np.array_equal(p, r)
+
+
+@pytest.fixture(scope="module")
+def demo_lifted():
+    """The demo's planar mesh lifted by UK and by IDW, as `compare` does."""
+    config = PipelineConfig.from_mapping({})
+    samples = prepare_samples(config)
+    planar, _, _ = build_planar_mesh(config)
+    model, _ = variogram_model(config, samples)
+    return {
+        method: lift_surface(replace(config, method=method), planar, samples, model)[0]
+        for method in ("uk", "idw")
+    }
+
+
+class TestMeshProductsMatchOracles:
+    """The edge table's contours and roughness equal the per-triangle walks."""
+
+    @pytest.mark.parametrize("method", ["uk", "idw"])
+    def test_demo_contours(self, demo_lifted, method):
+        m = demo_lifted[method]
+        z = m.vertices[:, 2]
+        levels = contour_levels(float(z.min()), float(z.max()), 10)
+        got = extract_contours(m, levels)
+        _assert_same_contours(got, contours_reference(m, levels))
+        assert sum(len(polys) for polys in got) > 0
+
+    @pytest.mark.parametrize("method", ["uk", "idw"])
+    def test_demo_roughness(self, demo_lifted, method):
+        m = demo_lifted[method]
+        assert dihedral_roughness(m) == dihedral_roughness_reference(m)
+
+    def test_vertices_exactly_on_levels(self):
+        # the nudge path: a curved lattice surface, binary fractions only,
+        # so 12 of its vertices sit exactly on a level
+        m = _lifted_grid(lambda x, y: y + x * x / 8, half=2.0, spacing=0.5)
+        levels = [-1.0, 0.0, 0.5, 1.5]
+        assert np.isin(m.vertices[:, 2], levels).sum() == 12
+        got = extract_contours(m, levels)
+        _assert_same_contours(got, contours_reference(m, levels))
+        assert all(got)
+        assert dihedral_roughness(m) == dihedral_roughness_reference(m)
+
+    def test_single_triangle(self):
+        m = TriMesh([[0, 0, 0], [1, 0, 1], [0, 1, 2]], [[0, 1, 2]])
+        assert dihedral_roughness(m) == dihedral_roughness_reference(m) == 0.0
+        _assert_same_contours(extract_contours(m, [0.5, 1.5]), contours_reference(m, [0.5, 1.5]))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dsmkit.pipeline as pipeline
+from _oracles import dihedral_roughness_reference
 from dsmkit.acquisition import (
     ScanSpec,
     UtmCrs,
@@ -255,6 +256,27 @@ class TestExportMesh:
         assert np.allclose(again.vertices, m.vertices, atol=1e-6)
         assert np.array_equal(again.triangles, m.triangles)
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("v 1.0 2.0", "'v' line needs three numbers"),
+        ("v 1.0 x 2.0", "'v' line needs three numbers"),
+        ("f 1 2 x", "'f' line needs exactly three vertex indices from 1"),
+        ("f 1 2 3 3", "'f' line needs exactly three vertex indices from 1"),
+        ("f 0 1 2", "'f' line needs exactly three vertex indices from 1"),
+    ], ids=["short-v", "text-v", "text-f", "quad-f", "zero-f"])
+    def test_read_obj_names_the_malformed_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "m.obj"
+        path.write_text(f"v 0 0 1\nv 1 0 2\nv 0 1 3\n\n{bad_line}\nf 1 2 3\n")
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            read_obj(path)
+        assert info.value.line == 5
+
+    def test_read_obj_unreadable_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read mesh file"):
+            read_obj(tmp_path / "missing.obj")
+        (tmp_path / "dir.obj").mkdir()
+        with pytest.raises(DataError, match="cannot read mesh file"):
+            read_obj(tmp_path / "dir.obj")
+
     def test_vtk_structure(self, tmp_path):
         path = tmp_path / "m.vtk"
         export_mesh(self._tri(), "vtk", path)
@@ -302,8 +324,9 @@ DEMO_SHA256 = {
     "report.csv": "033d48eab165e99f74a083db4fe55d99027e9d75503876386d1cd4dc7b26fea4",
 }
 
-# sha256 of the other subcommands' mesh writer outputs: (argv, config file
-# text, {artifact: digest}); the second is the mesh_grid benchmark config
+# sha256 of the other subcommands' outputs: (argv, config file text,
+# {artifact: digest}); the second is the mesh_grid benchmark config, and
+# compare.csv holds the dihedral roughness of both lifts
 SUBCOMMAND_SHA256 = [
     (["mesh"], "", {
         "planar_mesh.obj": "848299cb8dcba18700e70ea0b95282ee028c1a8cf7f71925e5e83336359cd5ce",
@@ -314,6 +337,9 @@ SUBCOMMAND_SHA256 = [
     (["lift", "--method", "idw"], "", {
         "dsm_idw.obj": "666500771d64c8d26397ab333efa7d42a5643daf6084750008fa7de2a26e4d4a",
         "dsm_idw.vtk": "42d4c916f6ce83be38a7355854a1e0d809e2b416a2b57d6b985a2ac978521e9b",
+    }),
+    (["compare"], "", {
+        "compare.csv": "01cec1c4c88cad60d6b19da88a80978be45f6a54975fc47b6f152935dea964e3",
     }),
 ]
 
@@ -533,6 +559,7 @@ class TestDihedralRoughness:
             [[0, 0, 5], [1, 0, 5], [1, 1, 5], [0, 1, 5]], [[0, 1, 2], [0, 2, 3]]
         )
         assert dihedral_roughness(m) == pytest.approx(0.0, abs=1e-12)
+        assert dihedral_roughness(m) == dihedral_roughness_reference(m)
 
     def test_fold_angle(self):
         # two triangles folded along the diagonal: known dihedral angle
@@ -546,6 +573,7 @@ class TestDihedralRoughness:
         n2 = n2 / np.linalg.norm(n2)
         expected = math.degrees(math.acos(np.clip(n1 @ n2, -1, 1)))
         assert dihedral_roughness(m) == pytest.approx(expected, abs=1e-9)
+        assert dihedral_roughness(m) == dihedral_roughness_reference(m)
 
 
 class TestCli:

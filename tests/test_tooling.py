@@ -1,10 +1,14 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps dsmkit functions by
 module and name, and its hooks read sizes off their arguments and results.
-These tests read its target lists and hooks; they change neither."""
+These tests read its target lists and hooks; they change neither. The last
+test guards what a benchmarked process imports."""
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,3 +79,26 @@ def test_hooks_read_sizes_off_real_calls():
     assert notes["clip_in"] == 12 * 18 and notes["clip_kept"] == len(clipped) == n
     assert notes["pairs_scanned"] == n * (n - 1) // 2
     assert 0 < notes["pairs_binned"] <= notes["pairs_scanned"]
+
+
+def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
+    # np.unique's first 1-D call imports numpy.ma, about 16 ms of every
+    # process that reaches it; the demo's run and compare must not
+    import dsmkit
+
+    src = os.path.dirname(os.path.dirname(dsmkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = (
+        "import sys\n"
+        "from dsmkit.cli import main\n"
+        f"assert main(['run', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert main(['compare', '--out', {str(tmp_path / 'compare')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
