@@ -140,9 +140,15 @@ class PointSet:
         return self.z
 
 
+# A synthetic scan of more nodes would exhaust memory in scan_grid's lattice;
+# the same order as mesh.MAX_SEEDS.
+MAX_SCAN_NODES = 5_000_000
+
+
 @dataclass(frozen=True)
 class ScanSpec:
-    """Row-major lattice scan: region in WGS-84 degrees (x=lon, y=lat)."""
+    """Row-major lattice scan: region in WGS-84 degrees (x=lon, y=lat), at
+    most MAX_SCAN_NODES nodes."""
 
     region: Rect
     rows: int
@@ -151,6 +157,10 @@ class ScanSpec:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ConfigError(f"scan needs rows >= 2 and cols >= 2, got {self.rows}x{self.cols}")
+        nodes = self.rows * self.cols
+        if nodes > MAX_SCAN_NODES:
+            raise ConfigError(f"a {self.rows} x {self.cols} scan has {nodes:,} nodes, "
+                              f"more than {MAX_SCAN_NODES:,}")
 
 
 class ElevationProvider(ABC):

@@ -221,14 +221,7 @@ class KrigingSystem:
     index: GridIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if locs.ndim != 2 or locs.shape[1] != 2:
-            raise DataError(f"locations must be (n, 2), got {locs.shape}")
-        if vals.shape != (len(locs),):
-            raise DataError("values length must match locations")
-        if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(vals))):
-            raise DataError("non-finite sample data")
+        locs, vals = _samples(self.locations, self.values)
         if self.drift_degree not in (0, 1):
             raise ConfigError(
                 f"unsupported drift degree {self.drift_degree}; only 0 and 1 are available"
@@ -306,6 +299,19 @@ def _diagnose_singular(border: np.ndarray) -> str:
                 f"(collinear samples: spread ratio {s[1] / s[0]:.2g})"
             )
     return "the variogram produced a singular coefficient block"
+
+
+def _samples(locations, values) -> tuple[np.ndarray, np.ndarray]:
+    """Sample locations (n, 2) and values (n,) as float arrays, all finite."""
+    locs = np.asarray(locations, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if locs.ndim != 2 or locs.shape[1] != 2:
+        raise DataError(f"locations must be (n, 2), got {locs.shape}")
+    if vals.shape != (len(locs),):
+        raise DataError("values length must match locations")
+    if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(vals))):
+        raise DataError("non-finite sample data")
+    return locs, vals
 
 
 def _targets(targets) -> np.ndarray:
@@ -559,14 +565,9 @@ def idw_predict(locations, values, targets, cfg: IdwConfig = IdwConfig()) -> np.
     A target within the coincidence tolerance of a sample returns that
     sample's value exactly (lowest index wins ties).
     """
-    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
-    values = np.asarray(values, dtype=float)
+    locs, values = _samples(locations, values)
     if len(locs) == 0:
         raise DataError("IDW needs at least one sample")
-    if values.shape != (len(locs),):
-        raise DataError("values length must match locations")
-    if not np.all(np.isfinite(locs)):
-        raise DataError("non-finite sample location")
     targets = _targets(targets)
     index = GridIndex(locs)
     k = len(locs) if cfg.neighborhood is None else min(cfg.neighborhood, len(locs))

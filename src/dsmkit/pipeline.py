@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
+    MAX_SCAN_NODES,  # re-exported: ScanSpec enforces it
     TERRAIN_KINDS,
     PointSet,
     ScanSpec,
@@ -62,15 +63,12 @@ from .variogram import (
     MODEL_KINDS,
     ExperimentalVariogram,
     VariogramModel,
+    bin_width,
     empirical_variogram,
     fit_model,
 )
 
 logger = logging.getLogger(__name__)
-
-# A synthetic scan of more nodes would exhaust memory in scan_grid's lattice;
-# the same order as mesh.MAX_SEEDS.
-MAX_SCAN_NODES = 5_000_000
 
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
@@ -274,11 +272,13 @@ class PipelineConfig:
         mesh_region = utm_extent(region, utm_crs) if region_crs == "wgs84" else region
         seed_grid_shape(mesh_region, spacing)
 
-        rows, cols = at_least("rows", 2), at_least("cols", 2)
-        if rows * cols > MAX_SCAN_NODES:
-            raise ConfigError(
-                f"a {rows} x {cols} scan has {rows * cols:,} nodes, more than {MAX_SCAN_NODES:,}"
-            )
+        rows, cols = number("rows", int), number("cols", int)
+        ScanSpec(region, rows, cols)  # checks both counts and the node cap
+        variogram_bins = at_least("variogram_bins", 1)
+        # blank: half the diagonal of the mesh rectangle
+        max_lag = (positive("variogram_max_lag") if raw["variogram_max_lag"]
+                   else 0.5 * math.hypot(mesh_region.width, mesh_region.height))
+        bin_width(max_lag, variogram_bins)
 
         return PipelineConfig(
             input=raw["input"],
@@ -297,10 +297,8 @@ class PipelineConfig:
             method=method,
             variogram_kind=kind,
             explicit_model=explicit,
-            variogram_bins=at_least("variogram_bins", 1),
-            # blank: half the diagonal of the mesh rectangle
-            variogram_max_lag=(positive("variogram_max_lag") if raw["variogram_max_lag"]
-                               else 0.5 * math.hypot(mesh_region.width, mesh_region.height)),
+            variogram_bins=variogram_bins,
+            variogram_max_lag=max_lag,
             drift=drift,
             neighbors=neighbors,
             power=positive("power"),
@@ -309,10 +307,6 @@ class PipelineConfig:
             formats=formats,
             contour_levels=at_least("contour_levels", 0),
         )
-
-    @staticmethod
-    def from_file(path) -> "PipelineConfig":
-        return PipelineConfig.from_mapping(parse_config_file(path))
 
 
 def parse_config_file(path) -> dict:

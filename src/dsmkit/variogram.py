@@ -76,43 +76,48 @@ class VariogramModel:
         return self.nugget + self.partial_sill
 
 
+def bin_width(max_lag: float, n_bins: int) -> float:
+    """max_lag / n_bins, which must be a normal float so that 1 / width is finite."""
+    if not (max_lag > 0 and math.isfinite(max_lag)):
+        raise ConfigError(f"max_lag must be positive, got {max_lag}")
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    width = max_lag / n_bins
+    if not width >= np.finfo(float).tiny:
+        raise ConfigError(f"bin width {max_lag!r} / {n_bins} is below the smallest normal float")
+    return width
+
+
 def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> ExperimentalVariogram:
     """Matheron estimator over equal-width bins covering [0, max_lag).
 
     gamma_hat(bin) = sum (z_i - z_j)^2 / (2 N_bin) over pairs whose planar
-    separation falls in the bin. Empty bins are omitted. Requires projected
-    (UTM) samples so distances are meters.
+    separation d = np.hypot(dx, dy) is below max_lag, in bin
+    trunc(d / width). Empty bins are omitted. Requires projected (UTM)
+    samples so distances are meters.
     """
     if not isinstance(samples.crs, UtmCrs):
         raise DataError("empirical variogram needs projected (UTM) samples")
     if len(samples) < 2:
         raise DataError(f"need at least 2 samples, got {len(samples)}")
-    if not (max_lag > 0 and math.isfinite(max_lag)):
-        raise ConfigError(f"max_lag must be positive, got {max_lag}")
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    width = bin_width(max_lag, n_bins)
 
     # contiguous copies: every row reads slices of these
     x = np.ascontiguousarray(samples.x)
     y = np.ascontiguousarray(samples.y)
     z = samples.z
     n = len(z)
-    width = max_lag / n_bins
+    scale = 1.0 / width
     stops = _row_stops(y, max_lag).tolist()
-    # A pair's bin is trunc(np.hypot(dx, dy) / width), kept when d < max_lag.
-    # The fast path needs fl(max_lag / width) >= n_bins: then d < max_lag is
-    # exactly trunc(.) < n_bins (rounding is monotone), so far pairs are
-    # clamped into a spill bin that is cut off rather than masked out. It
-    # also needs coordinates whose squares can neither overflow nor matter
-    # below the normal range: then sqrt(dx*dx + dy*dy) / width, a few times
-    # cheaper than np.hypot, is off from the np.hypot quotient by a few ulps,
-    # and only a quotient within `edge` of an integer, where the two might
-    # truncate apart, is redone with np.hypot.
-    fast = (
-        max_lag / width >= n_bins
-        and np.abs(samples.coords()).max() <= 1e150
-        and width >= 1e-150
-    )
+    # A pair's bin is trunc(q), q = sqrt(t*t + u*u) with t = dx * scale and
+    # u = dy * scale, clamped at top; bin n_bins is a spill bin that is cut
+    # off. Unless a square overflows or underflows, q is a few ulps from
+    # Q = np.hypot(dx, dy) / width, far less than `edge`. So for q at least
+    # `edge` from every integer, trunc(q) == trunc(Q), and trunc(q) < n_bins
+    # exactly when d < max_lag. An overflow makes q = inf: spilled, as that
+    # large a Q must be. An underflow matters only for q near 0. Every q
+    # within `edge` of an integer is redone with np.hypot and kept only if
+    # d < max_lag.
     top = n_bins + 0.5
     edge = 1e-12 * (n_bins + 1)
 
@@ -125,21 +130,22 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     bin_buf = np.empty(n, dtype=np.int64)
     # one bincount per row, rows in order: the sums stay bit-identical to a
     # scan over every pair
-    for i, stop in enumerate(stops[:-1]):
-        m = stop - i - 1
-        if m <= 0:
-            continue
-        t, u, q, b = t_buf[:m], u_buf[:m], sq_buf[:m], bin_buf[:m]
-        np.subtract(x[i + 1 : stop], x[i], out=t)
-        np.subtract(y[i + 1 : stop], y[i], out=u)
-        np.subtract(z[i + 1 : stop], z[i], out=q)
-        np.multiply(q, q, out=q)
-        if fast:
+    with np.errstate(over="ignore"):
+        for i, stop in enumerate(stops[:-1]):
+            m = stop - i - 1
+            if m <= 0:
+                continue
+            t, u, q, b = t_buf[:m], u_buf[:m], sq_buf[:m], bin_buf[:m]
+            np.subtract(x[i + 1 : stop], x[i], out=t)
+            np.subtract(y[i + 1 : stop], y[i], out=u)
+            np.subtract(z[i + 1 : stop], z[i], out=q)
+            np.multiply(q, q, out=q)
+            np.multiply(t, scale, out=t)
+            np.multiply(u, scale, out=u)
             np.multiply(t, t, out=t)
             np.multiply(u, u, out=u)
             np.add(t, u, out=t)
             np.sqrt(t, out=t)
-            np.divide(t, width, out=t)
             np.minimum(t, top, out=t)
             np.copyto(b, t, casting="unsafe")
             np.rint(t, out=u)
@@ -148,15 +154,10 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
             near = np.flatnonzero(u < edge)
             if len(near):
                 j = near + (i + 1)
-                exact = np.hypot(x[j] - x[i], y[j] - y[i]) / width
-                b[near] = np.minimum(exact, top).astype(np.int64)
-        else:
-            d = np.hypot(t, u, out=t)
-            keep = d < max_lag
-            b = (d[keep] / width).astype(np.int64)
-            q = q[keep]
-        sums += np.bincount(b, weights=q, minlength=n_bins + 1)[:n_bins]
-        counts += np.bincount(b, minlength=n_bins + 1)[:n_bins]
+                d = np.hypot(x[j] - x[i], y[j] - y[i])
+                b[near] = np.where(d < max_lag, d / width, top).astype(np.int64)
+            sums += np.bincount(b, weights=q, minlength=n_bins + 1)[:n_bins]
+            counts += np.bincount(b, minlength=n_bins + 1)[:n_bins]
 
     filled = counts > 0
     if not filled.any():
@@ -193,16 +194,7 @@ def model_gamma(model: VariogramModel, h):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise DataError("lag distance must be non-negative")
-    c0 = model.nugget
-    c = model.partial_sill
-    a = model.range_
-    if model.kind == "spherical":
-        t = np.minimum(h_arr / a, 1.0)
-        values = c0 + c * (1.5 * t - 0.5 * t**3)
-    elif model.kind == "gaussian":
-        values = c0 + c * (1.0 - np.exp(-3.0 * (h_arr / a) ** 2))
-    else:  # exponential
-        values = c0 + c * (1.0 - np.exp(-3.0 * h_arr / a))
+    values = model.nugget + model.partial_sill * _unit_shape(model.kind, h_arr, model.range_)
     values = np.where(h_arr == 0.0, 0.0, values)
     if np.isscalar(h) or np.ndim(h) == 0:
         return float(values)
@@ -210,7 +202,7 @@ def model_gamma(model: VariogramModel, h):
 
 
 def _unit_shape(kind: str, h: np.ndarray, a: float) -> np.ndarray:
-    # model with c0 = 0, c = 1 at strictly positive lags
+    # model with c0 = 0, c = 1; model_gamma sets h = 0 to 0
     if kind == "spherical":
         t = np.minimum(h / a, 1.0)
         return 1.5 * t - 0.5 * t**3

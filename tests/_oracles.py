@@ -779,12 +779,12 @@ def empirical_variogram_reference(samples, max_lag, n_bins):
     for i in range(len(xy) - 1):
         d = np.hypot(xy[i + 1 :, 0] - xy[i, 0], xy[i + 1 :, 1] - xy[i, 1])
         sq = (z[i + 1 :] - z[i]) ** 2
-        bins = (d / width).astype(np.int64)
         keep = d < max_lag
         if not keep.any():
             continue
-        sums += np.bincount(bins[keep], weights=sq[keep], minlength=n_bins)[:n_bins]
-        counts += np.bincount(bins[keep], minlength=n_bins)[:n_bins]
+        bins = (d[keep] / width).astype(np.int64)
+        sums += np.bincount(bins, weights=sq[keep], minlength=n_bins)[:n_bins]
+        counts += np.bincount(bins, minlength=n_bins)[:n_bins]
     filled = counts > 0
     centers = (np.arange(n_bins) + 0.5) * width
     return centers[filled], sums[filled] / (2.0 * counts[filled]), counts[filled]

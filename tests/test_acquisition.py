@@ -11,6 +11,7 @@ from _oracles import (
     wgs84_to_utm_reference,
 )
 from dsmkit.acquisition import (
+    MAX_SCAN_NODES,
     WGS84,
     ElevationProvider,
     PointSet,
@@ -142,6 +143,12 @@ class TestScanGrid:
     def test_bad_spec_rejected(self):
         with pytest.raises(ConfigError):
             ScanSpec(Rect(0, 0, 1, 1), rows=1, cols=10)
+
+    def test_node_cap_in_the_spec(self):
+        # a library call is capped too, before scan_grid builds a lattice
+        assert ScanSpec(Rect(0, 0, 1, 1), 2, MAX_SCAN_NODES // 2).cols == MAX_SCAN_NODES // 2
+        with pytest.raises(ConfigError, match="200000 x 200000 scan has"):
+            ScanSpec(Rect(0, 0, 1, 1), 200000, 200000)
 
 
 class TestClip:

@@ -355,6 +355,12 @@ class TestIdw:
             idw_predict(locs, [1.0, 2.0, 3.0], [[0.5, np.nan]])
         with pytest.raises(DataError, match="non-finite sample"):
             idw_predict(np.vstack([locs, [[np.nan, 0.0]]]), [1.0, 2.0, 3.0, 4.0], [[0.5, 0.5]])
+        # a non-finite value once came back as a nan or inf prediction
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="non-finite sample data"):
+                idw_predict(locs, [1.0, bad, 2.0], [[0.5, 0.5]])
+            with pytest.raises(DataError, match="non-finite sample data"):
+                KrigingSystem(np.vstack([locs, [[1.0, 1.0]]]), [1.0, bad, 2.0, 3.0], SPH, 1, None)
         sys = KrigingSystem(np.vstack([locs, [[1.0, 1.0]]]), np.arange(4.0), SPH, 1, None)
         with pytest.raises(DataError, match="non-finite target"):
             uk_predict(sys, [[0.5, 0.5], [np.inf, 0.0]])

@@ -707,6 +707,8 @@ class TestCli:
             # a synthetic scan needs a wgs84 region
             ["region_crs = utm", "zone = 32", "x_min = 0", "x_max = 300",
              "y_min = 0", "y_max = 400"],
+            # max_lag / variogram_bins rounds to 0: a bin width below the normal range
+            ["variogram_max_lag = 5e-324"],
         ],
     )
     def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):

@@ -88,6 +88,13 @@ class TestEmpiricalVariogram:
         with pytest.raises(DataError):
             empirical_variogram(ps, max_lag=10.0, n_bins=5)
 
+    # max_lag / n_bins is 0 or subnormal
+    @pytest.mark.parametrize("max_lag, n_bins", [(5e-324, 15), (1e-307, 100)])
+    def test_bin_width_below_the_normal_range_rejected(self, max_lag, n_bins):
+        ps = _utm_samples([(0, 0), (1, 0)], [1.0, 3.0])
+        with pytest.raises(ConfigError):
+            empirical_variogram(ps, max_lag, n_bins)
+
     def test_wgs84_samples_rejected(self):
         from dsmkit.acquisition import WGS84
         from dsmkit.geodesy import GeoPoint
@@ -178,6 +185,44 @@ class TestAgainstRowLoop:
         )
         ev = _assert_matches_row_loop(ps, 8 * width, 8)
         assert ev.lags.tolist() == [4.5 * width]
+
+    def test_coordinates_near_1e200(self):
+        # a lattice at 1e200 with pairs on every bin edge, and the same
+        # lattice near the origin: its pairs with the far one square to inf
+        gx, gy = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        far = 1e200 + 2.5e199 * np.column_stack([gx.ravel(), gy.ravel()])
+        near = np.column_stack([gx.ravel(), gy.ravel()])
+        z = np.random.default_rng(31).normal(size=2 * gx.size)
+        for xy, max_lag, n_bins in [(far, 1e200, 4), (np.vstack([far, near]), 3.0, 6)]:
+            x, y = xy.T
+            ps = PointSet.from_arrays(x, y, z[: len(x)], CRS)
+            assert _assert_matches_row_loop(ps, max_lag, n_bins).pair_counts.sum() > 0
+
+    def test_bin_width_near_1e_169(self):
+        width, n_bins = 3e-169, 15
+        gx, gy = np.meshgrid(np.arange(7.0), np.arange(6.0))
+        rng = np.random.default_rng(37)
+        xy = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]) * width,
+                        rng.uniform(0, 10 * width, size=(30, 2))])
+        ps = PointSet.from_arrays(xy[:, 0], xy[:, 1], rng.normal(size=len(xy)), CRS)
+        assert _assert_matches_row_loop(ps, n_bins * width, n_bins).pair_counts.sum() > 0
+
+    def test_sweep_where_max_lag_over_width_rounds_below_n_bins(self):
+        # fl(max_lag / width) < n_bins: a pair at exactly d = max_lag has
+        # trunc(d / width) == n_bins - 1, and only d < max_lag drops it
+        rng = np.random.default_rng(41)
+        tried = 0
+        while tried < 25:
+            max_lag, n_bins = rng.uniform(10.0, 2000.0), int(rng.integers(2, 30))
+            width = max_lag / n_bins
+            if not max_lag / width < n_bins:
+                continue
+            tried += 1
+            edges = np.arange(n_bins + 2) * width
+            x = np.concatenate([edges, [max_lag, 0.0], rng.uniform(0, max_lag, 30)])
+            y = np.concatenate([np.zeros(n_bins + 2), [0.0, max_lag], rng.uniform(0, max_lag, 30)])
+            ps = PointSet.from_arrays(x, y, rng.normal(size=len(x)), CRS)
+            _assert_matches_row_loop(ps, max_lag, n_bins)
 
 
 class TestModelGamma:
