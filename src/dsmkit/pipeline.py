@@ -274,7 +274,8 @@ class PipelineConfig:
 
         rows, cols = number("rows", int), number("cols", int)
         ScanSpec(region, rows, cols)  # checks both counts and the node cap
-        variogram_bins = at_least("variogram_bins", 1)
+        # fit_model needs three filled bins, so a fitted model needs three bins
+        variogram_bins = at_least("variogram_bins", 1 if explicit else 3)
         # blank: half the diagonal of the mesh rectangle
         max_lag = (positive("variogram_max_lag") if raw["variogram_max_lag"]
                    else 0.5 * math.hypot(mesh_region.width, mesh_region.height))

@@ -9,6 +9,7 @@ forms (gamma reaches ~95% of the sill at h = a).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,11 @@ from .acquisition import PointSet, UtmCrs
 from .errors import ConfigError, DataError
 
 MODEL_KINDS = ("spherical", "gaussian", "exponential")
+
+# cells of the (rows x columns) rectangle empirical_variogram bins at a time
+_BLOCK_PAIRS = 1 << 15
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -102,69 +108,150 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
         raise DataError(f"need at least 2 samples, got {len(samples)}")
     width = bin_width(max_lag, n_bins)
 
-    # contiguous copies: every row reads slices of these
-    x = np.ascontiguousarray(samples.x)
-    y = np.ascontiguousarray(samples.y)
-    z = samples.z
+    x, y, z = samples.x, samples.y, samples.z
     n = len(z)
-    scale = 1.0 / width
-    stops = _row_stops(y, max_lag).tolist()
-    # A pair's bin is trunc(q), q = sqrt(t*t + u*u) with t = dx * scale and
-    # u = dy * scale, clamped at top; bin n_bins is a spill bin that is cut
-    # off. Unless a square overflows or underflows, q is a few ulps from
-    # Q = np.hypot(dx, dy) / width, far less than `edge`. So for q at least
-    # `edge` from every integer, trunc(q) == trunc(Q), and trunc(q) < n_bins
-    # exactly when d < max_lag. An overflow makes q = inf: spilled, as that
-    # large a Q must be. An underflow matters only for q near 0. Every q
-    # within `edge` of an integer is redone with np.hypot and kept only if
-    # d < max_lag.
-    top = n_bins + 0.5
-    edge = 1e-12 * (n_bins + 1)
-
+    stops = _row_stops(y, max_lag)
+    # row i pairs with the samples in [i + 1, stop_i)
+    row_pairs = stops - np.arange(1, n + 1)
+    scanned = int(row_pairs.sum())
+    top = np.float32(n_bins + 0.5)
     sums = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
-    # per-row buffers, allocated once; row i uses the first stop - i - 1
-    t_buf = np.empty(n)
-    u_buf = np.empty(n)
-    sq_buf = np.empty(n)
-    bin_buf = np.empty(n, dtype=np.int64)
-    # one bincount per row, rows in order: the sums stay bit-identical to a
-    # scan over every pair
-    with np.errstate(over="ignore"):
-        for i, stop in enumerate(stops[:-1]):
-            m = stop - i - 1
-            if m <= 0:
-                continue
-            t, u, q, b = t_buf[:m], u_buf[:m], sq_buf[:m], bin_buf[:m]
-            np.subtract(x[i + 1 : stop], x[i], out=t)
-            np.subtract(y[i + 1 : stop], y[i], out=u)
-            np.subtract(z[i + 1 : stop], z[i], out=q)
-            np.multiply(q, q, out=q)
-            np.multiply(t, scale, out=t)
-            np.multiply(u, scale, out=u)
+    redone = 0
+    # block buffers, allocated once; a block of rows [i, k) works on the
+    # rectangle of columns [i + 1, end) and uses the first (k - i) * (end - i - 1)
+    cap = max(_BLOCK_PAIRS, int(row_pairs.max()))
+    t_buf = np.empty(cap, dtype=np.float32)
+    u_buf = np.empty(cap, dtype=np.float32)
+    sq_buf = np.empty(cap)
+    bin_buf = np.empty(cap, dtype=np.intp)
+    ok_buf = np.empty(cap, dtype=bool)
+    stop_list = stops.tolist()
+    # A pair's bin is trunc(q), where q is its distance in bin widths,
+    # computed in float32 from coordinates centred on the bounding-box
+    # midpoint and scaled by 1/width:
+    #   X = fl32((x - m) / width), t = fl32(X_j - X_i) (likewise Y, u),
+    #   q = fl32(sqrt(fl32(fl32(t*t) + fl32(u*u)))),
+    # with q clamped at top = n_bins + 0.5; bin n_bins is a spill bin that
+    # is cut off. Every pair with frac = |q - rint(q)| < edge is redone
+    # with np.hypot and kept only if d < max_lag, and
+    #   edge = c * e * (R + N),  c = 8,  e = 2**-24,  N = n_bins + 1,
+    # R = the largest |scaled centred coordinate|. Proof that every other
+    # pair gets the oracle's bin trunc(Q), Q = np.hypot(dx, dy) / width,
+    # kept exactly when d < max_lag:
+    # - Coordinates. With xi = (x - m) / width exact, the two float64 steps
+    #   and the float32 rounding give |X - xi| <= 1.001 e |xi| + 2**-149
+    #   (the last term for float32 subnormals), and |xi| <= 1.001 R.
+    #   Centring keeps R, and with it edge, as small as the extent allows.
+    # - Differences. With D the exact distance in bin widths and T =
+    #   xi_j - xi_i, t = (X_j - X_i)(1 + d1), |d1| <= e (a subnormal
+    #   difference is exact), so |t - T| <= 2.01 e R + e |T| + 2**-147,
+    #   and the vector (t, u) is within 2.85 e R + e D + 2**-146 of (T, U).
+    # - Square root. The square, sum and root are each rounded once
+    #   (relative e), so q is within (2e + e*e) of |(t, u)|; an underflowed
+    #   square moves q by at most 2**-74. Hence
+    #   |q - D| <= 3.01 e D + 2.86 e R + 2**-73.
+    #   Q is within 5 * 2**-53 D of D (hypot within 1 ulp, one division),
+    #   so |q - Q| <= 3.02 e D + 2.86 e R + 2**-73.
+    # - Pairs with D <= N: |q - Q| < 3.1 e (R + N) < edge / 2, also after
+    #   edge is rounded to float32. frac >= edge then puts no integer
+    #   between q and Q, so trunc(q) == trunc(Q). A Q below n_bins is then
+    #   at least edge / 2 > 3 * 2**-53 n_bins below it, which makes
+    #   d < max_lag: trunc(q) < n_bins exactly when the oracle bins the
+    #   pair (d < max_lag and trunc(Q) < n_bins).
+    # - Pairs with D > N: the oracle drops them (Q > n_bins). If edge > 1/2
+    #   every pair is redone, since frac <= 1/2. Otherwise e R <= 1/16 and
+    #   D <= 2.84 R, so q >= D - 11.5 e R - 2**-73 > N - 0.72 > n_bins:
+    #   spilled.
+    # - The constant: edge = c e (R + N) needs c > 3.1 for the first case
+    #   and c > 11.5 / 2 for the second; c = 8 covers both with room for
+    #   the rounding of edge itself.
+    # - Overflow. An X that rounds to inf needs R > 2**127, and a square
+    #   that overflows needs R > 2**62; either makes edge > 1/2, so every
+    #   pair is redone. inf - inf gives a NaN q, and frac NaN, which the
+    #   test ~(frac >= edge) also redoes; it runs before the clamp. For
+    #   n_bins >= 2**23, where top is not a float32, edge > 1/2 as well.
+    # frac itself is exact (Sterbenz), and the z terms stay float64.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = (x - (0.5 * x.min() + 0.5 * x.max())) / width
+        ys = (y - (0.5 * y.min() + 0.5 * y.max())) / width
+        reach = max(np.abs(xs).max(), np.abs(ys).max())
+        xs = xs.astype(np.float32)
+        ys = ys.astype(np.float32)
+        edge = np.float32(8.0 * 2.0**-24 * (reach + n_bins + 1))
+        for i, k, end in _row_blocks(stop_list, cap):
+            shape = (k - i, end - i - 1)
+            size = shape[0] * shape[1]
+            t = t_buf[:size].reshape(shape)
+            u = u_buf[:size].reshape(shape)
+            sq = sq_buf[:size].reshape(shape)
+            b = bin_buf[:size].reshape(shape)
+            ok = ok_buf[:size].reshape(shape)
+            np.subtract(xs[i + 1 : end], xs[i:k, None], out=t)
+            np.subtract(ys[i + 1 : end], ys[i:k, None], out=u)
             np.multiply(t, t, out=t)
             np.multiply(u, u, out=u)
             np.add(t, u, out=t)
             np.sqrt(t, out=t)
-            np.minimum(t, top, out=t)
-            np.copyto(b, t, casting="unsafe")
             np.rint(t, out=u)
             np.subtract(t, u, out=u)
             np.abs(u, out=u)
-            near = np.flatnonzero(u < edge)
-            if len(near):
-                j = near + (i + 1)
-                d = np.hypot(x[j] - x[i], y[j] - y[i])
-                b[near] = np.where(d < max_lag, d / width, top).astype(np.int64)
-            sums += np.bincount(b, weights=q, minlength=n_bins + 1)[:n_bins]
-            counts += np.bincount(b, minlength=n_bins + 1)[:n_bins]
+            np.minimum(t, top, out=t)
+            np.copyto(b, t, casting="unsafe")
+            # row r of the block pairs with columns [r, hi); the cells
+            # outside are spilled and never redone
+            his = [stop - i - 1 for stop in stop_list[i:k]]
+            for r, hi in enumerate(his):
+                u[r, :r] = np.inf
+                u[r, hi:] = np.inf
+                b[r, :r] = n_bins
+                b[r, hi:] = n_bins
+            np.greater_equal(u, edge, out=ok)
+            if not ok.all():
+                near = np.flatnonzero(~ok)
+                rows, cols = np.divmod(near, shape[1])
+                rows += i
+                cols += i + 1
+                d = np.hypot(x[cols] - x[rows], y[cols] - y[rows])
+                bin_buf[near] = np.where(d < max_lag, d / width, top).astype(np.intp)
+                redone += len(near)
+            np.subtract(z[i + 1 : end], z[i:k, None], out=sq)
+            np.multiply(sq, sq, out=sq)
+            # one bincount per row, rows in order: the sums stay
+            # bit-identical to a scan over every pair
+            for r, hi in enumerate(his):
+                if hi > r:
+                    row = np.bincount(b[r, r:hi], weights=sq[r, r:hi], minlength=n_bins + 1)
+                    sums += row[:n_bins]
+            counts += np.bincount(bin_buf[:size], minlength=n_bins + 1)[:n_bins]
 
+    logger.debug(
+        "variogram: %d samples, %d pairs scanned, %d binned, %d redone with np.hypot",
+        n, scanned, counts.sum(), redone,
+    )
     filled = counts > 0
     if not filled.any():
         raise DataError(f"no sample pairs within max_lag = {max_lag}")
     centers = (np.arange(n_bins) + 0.5) * width
     gammas = sums[filled] / (2.0 * counts[filled])
     return ExperimentalVariogram(centers[filled], gammas, counts[filled], max_lag)
+
+
+def _row_blocks(stops: list, cap: int):
+    """Blocks (i, k, end) of consecutive rows [i, k) that have pairs, each
+    grown while its rectangle of columns [i + 1, end), end the largest stop
+    of its rows, has at most `cap` cells. A row longer than `cap` is a
+    block of its own."""
+    last = len(stops) - 1
+    i = 0
+    while i < last:
+        end, k = stops[i], i + 1
+        while k < last and (k + 1 - i) * (max(end, stops[k]) - i - 1) <= cap:
+            end = max(end, stops[k])
+            k += 1
+        if end > i + 1:
+            yield i, k, end
+        i = k
 
 
 def _row_stops(y: np.ndarray, max_lag: float) -> np.ndarray:

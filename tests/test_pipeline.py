@@ -193,6 +193,12 @@ class TestConfig:
         )
         assert cfg.explicit_model.nugget == 1.0
 
+    def test_fewer_than_three_bins_only_without_a_fit(self):
+        with pytest.raises(ConfigError, match="variogram_bins must be >= 3, got 2"):
+            PipelineConfig.from_mapping({"variogram_bins": "2"})
+        cfg = PipelineConfig.from_mapping({**_EXPLICIT, "variogram_bins": "1"})
+        assert cfg.variogram_bins == 1
+
     def test_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "demo.cfg"
         path.write_text("# demo\nspacing = 9\nmethod = idw\n")
@@ -709,6 +715,9 @@ class TestCli:
              "y_min = 0", "y_max = 400"],
             # max_lag / variogram_bins rounds to 0: a bin width below the normal range
             ["variogram_max_lag = 5e-324"],
+            # a fitted model needs three bins; before, this ran every stage
+            # up to the fit
+            ["variogram_bins = 2"],
         ],
     )
     def test_bad_lift_keys_fail_before_any_stage(self, tmp_path, capsys, monkeypatch, args):

@@ -1,9 +1,15 @@
 """Variogram tests: Matheron estimator, model branches, self-fit recovery."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import empirical_variogram_reference, spherical_gamma
+from dsmkit import variogram
 from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geodesy import UtmPoint
@@ -223,6 +229,143 @@ class TestAgainstRowLoop:
             y = np.concatenate([np.zeros(n_bins + 2), [0.0, max_lag], rng.uniform(0, max_lag, 30)])
             ps = PointSet.from_arrays(x, y, rng.normal(size=len(x)), CRS)
             _assert_matches_row_loop(ps, max_lag, n_bins)
+
+
+def _redo_log(caplog):
+    """(samples, scanned, binned, redone) from empirical_variogram's last
+    debug line."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "dsmkit.variogram"]
+    m = re.fullmatch(
+        r"variogram: (\d+) samples, (\d+) pairs scanned, (\d+) binned, "
+        r"(\d+) redone with np\.hypot",
+        lines[-1],
+    )
+    return tuple(int(g) for g in m.groups())
+
+
+class TestFloat32Bound:
+    """Inputs built to break a float32 kernel whose redo margin or overflow
+    handling is wrong; each must equal the float64 np.hypot scan."""
+
+    @pytest.mark.parametrize("ulps", range(1, 9))
+    def test_utm_lattice_quotients_within_float32_ulps_of_integers(self, caplog, ulps):
+        # width = spacing * (1 + ulps * 2**-24): a pair m lattice steps apart
+        # has a quotient m / (1 + ulps * 2**-24), between ulps / 2 and ulps
+        # float32 ulps below the integer m; so do 3-4-5 and 5-12-13 pairs
+        spacing, n_bins = 1.25, 12
+        gx, gy = np.meshgrid(np.arange(14.0), np.arange(14.0))
+        x = 4e5 + spacing * gx.ravel()
+        y = 5.4e6 + spacing * gy.ravel()
+        z = np.random.default_rng(ulps).normal(size=x.size)
+        width = spacing * (1.0 + ulps * 2.0**-24)
+        caplog.set_level(logging.DEBUG, logger="dsmkit.variogram")
+        ev = _assert_matches_row_loop(PointSet.from_arrays(x, y, z, CRS), n_bins * width, n_bins)
+        assert ev.pair_counts.sum() > 0
+        assert _redo_log(caplog)[3] > 0
+
+    def test_float32_overflow_of_a_scaled_coordinate(self):
+        # With width 2**-100 the centred, scaled x of a and b is 2**128 -
+        # 2**103, which rounds to float32 inf, and that of c is 2**75 lower,
+        # which rounds to the largest float32: a and b are 3 widths apart
+        # (a NaN difference in float32), a and c straddle the overflow.
+        width = 2.0**-100
+        xa = (2.0**128 - 2.0**103) * width
+        xc = (2.0**128 - 2.0**103 - 2.0**75) * width
+        x = np.array([-xa, xa, xa, xc])
+        y = np.array([0.0, 0.0, 3 * width, 0.0])
+        ps = PointSet.from_arrays(x, y, [0.0, 1.0, 4.0, 2.0], CRS)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float32(xa / width)) and np.isfinite(np.float32(xc / width))
+        ev = _assert_matches_row_loop(ps, 15 * width, 15)
+        assert ev.pair_counts.tolist() == [1] and ev.lags.tolist() == [3.5 * width]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        x0=st.floats(-1e7, 1e7),
+        y0=st.floats(-1e7, 1e7),
+        width=st.floats(1e-3, 1e3),
+        n_bins=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_against_the_hypot_scan(self, n, x0, y0, width, n_bins, seed):
+        # half the samples on a lattice of bin widths, so many pairs sit on
+        # or next to a bin edge; the rest uniform over the same square
+        rng = np.random.default_rng(seed)
+        side = n_bins + 2
+        k = n // 2
+        xy = np.vstack([rng.integers(0, side, size=(k, 2)) * width,
+                        rng.uniform(0, side * width, size=(n - k, 2))])
+        xy = xy[rng.permutation(n)] + [x0, y0]
+        ps = PointSet.from_arrays(xy[:, 0], xy[:, 1], rng.normal(size=n), CRS)
+        max_lag = n_bins * width
+        if empirical_variogram_reference(ps, max_lag, n_bins)[2].size:
+            _assert_matches_row_loop(ps, max_lag, n_bins)
+        else:
+            with pytest.raises(DataError):
+                empirical_variogram(ps, max_lag, n_bins)
+
+
+class TestBlocks:
+    """Rows are binned in blocks of at most _BLOCK_PAIRS rectangle cells;
+    every block split must give the hypot scan's counts and gammas."""
+
+    @pytest.fixture(params=[1, 5, 64, 1 << 15])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(variogram, "_BLOCK_PAIRS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_samples(self, budget, n):
+        x, y, z = [0.0, 1.0, 2.5][:n], [0.0, 0.5, 0.25][:n], [1.0, 3.0, 0.0][:n]
+        _assert_matches_row_loop(PointSet.from_arrays(x, y, z, CRS), 3.0, 6)
+
+    @pytest.mark.parametrize("budget", [1, 5, 64], indirect=True)
+    def test_rows_longer_than_the_budget(self, budget):
+        rng = np.random.default_rng(43)
+        xy = rng.uniform(0, 10, size=(80, 2))
+        ps = PointSet.from_arrays(xy[:, 0], np.sort(xy[:, 1]), rng.normal(size=80), CRS)
+        stops = variogram._row_stops(ps.y, 20.0)
+        assert stops[0] - 1 > budget
+        _assert_matches_row_loop(ps, 20.0, 7)
+
+    def test_rows_with_an_empty_northing_window_inside_a_block(self, budget):
+        # clusters 10 m apart in northing with max_lag 2: the last row of
+        # each cluster pairs with nothing
+        rng = np.random.default_rng(47)
+        y = np.concatenate([c + np.sort(rng.uniform(0, 1, size=6)) for c in (0.0, 10.0, 20.0)])
+        x = rng.uniform(0, 1.5, size=y.size)
+        ps = PointSet.from_arrays(x, y, rng.normal(size=y.size), CRS)
+        stops = variogram._row_stops(ps.y, 2.0)
+        empty = np.flatnonzero(stops == np.arange(1, y.size + 1))
+        assert empty[0] < y.size - 1
+        _assert_matches_row_loop(ps, 2.0, 4)
+
+    def test_non_monotone_stops(self, budget):
+        # northings in a zigzag: a row's window can end before the previous one's
+        rng = np.random.default_rng(53)
+        y = np.concatenate([np.arange(0.0, 30.0, 3.0), np.arange(1.5, 30.0, 3.0)[::-1]])
+        x = rng.uniform(0, 4, size=y.size)
+        ps = PointSet.from_arrays(x, y, rng.normal(size=y.size), CRS)
+        stops = variogram._row_stops(ps.y, 4.0)
+        assert (np.diff(stops) < 0).any()
+        _assert_matches_row_loop(ps, 4.0, 5)
+
+
+class TestRedoLog:
+    def test_demo_redoes_under_a_thousandth_of_the_pairs(self, caplog):
+        from dsmkit.pipeline import PipelineConfig, prepare_samples
+
+        cfg = PipelineConfig.from_mapping({})
+        ps = prepare_samples(cfg).utm
+        caplog.set_level(logging.DEBUG, logger="dsmkit.variogram")
+        ev = empirical_variogram(ps, cfg.variogram_max_lag, cfg.variogram_bins)
+        samples, scanned, binned, redone = _redo_log(caplog)
+        stops = variogram._row_stops(ps.y, cfg.variogram_max_lag)
+        assert samples == len(ps)
+        assert scanned == int((stops - np.arange(1, len(ps) + 1)).sum())
+        assert binned == ev.pair_counts.sum()
+        assert redone < 1e-3 * scanned
 
 
 class TestModelGamma:
