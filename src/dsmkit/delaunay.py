@@ -1,11 +1,15 @@
 """Incremental Delaunay triangulation (Bowyer-Watson) with robust predicates.
 
 Orientation and in-circle tests run as floating-point computations guarded by
-forward error bounds; uncertain signs fall back to exact integer arithmetic
-(every float is an integer multiple of a power of two), so cocircular and
-collinear configurations are decided exactly. The hull is represented by
-ghost triangles (third vertex GHOST), which makes insertion outside the
-current hull the same cavity operation as an interior insertion.
+forward error bounds (Shewchuk 1997); uncertain signs fall back to exact
+integer arithmetic, so cocircular and collinear configurations are decided
+exactly. The integers are made once per triangulation: every coordinate is
+an integer multiple of one power of two, found from the smallest nonzero
+|coordinate| (as_integer_ratio serves when that scale overflows a float).
+`triangulate` is one insertion loop whose hot float filters, the walk's
+orientation and the cavity's in-circle test, are written inline. The hull is
+represented by ghost triangles (third vertex GHOST), which makes insertion
+outside the current hull the same cavity operation as an interior insertion.
 
 Insertion order: a biased randomized insertion order (BRIO; Amenta, Choi &
 Rote 2003). A shuffle with a fixed seed is cut into rounds that double in
@@ -40,25 +44,35 @@ _FIRST_ROUND = 64
 _HILBERT_BITS = 16
 
 
-def _integers(*coords):
-    """The coordinates as integers over their common power-of-two denominator."""
-    ratios = [c.as_integer_ratio() for c in coords]
-    shift = max(d for _, d in ratios).bit_length()
-    return [n << (shift - d.bit_length()) for n, d in ratios]
+def _exact_integers(values):
+    """The floats of a 1-D array as Python ints on one power-of-two scale.
+
+    A float of frexp exponent e is a multiple of 2**(e - 53), and so is every
+    float of larger magnitude (subnormals are multiples of 2**-1074). With e
+    taken from the smallest nonzero |value|, every value times 2**(53 - e) is
+    therefore an integer, and np.ldexp scales by a power of two exactly. When
+    that overflows (values spanning more than the float range), the integers
+    come from as_integer_ratio over the largest denominator instead.
+    """
+    mag = np.abs(values)
+    nonzero = mag[mag > 0]
+    e = int(np.frexp(nonzero.min())[1]) if len(nonzero) else 53
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(values, 53 - e)
+    if np.isfinite(scaled).all():
+        return [int(v) for v in scaled.tolist()]
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
 
 
 def _orient_exact(ax, ay, bx, by, cx, cy):
-    ax, ay, bx, by, cx, cy = _integers(ax, ay, bx, by, cx, cy)
     det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
     return (det > 0) - (det < 0)
 
 
-def orient2d(ax, ay, bx, by, cx, cy, tally=None):
-    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear.
-
-    tally, when given, is a dict whose "exact_orient" entry counts the calls
-    the float filter could not decide.
-    """
+def orient2d(ax, ay, bx, by, cx, cy):
+    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear."""
     detleft = (ax - cx) * (by - cy)
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
@@ -67,13 +81,10 @@ def orient2d(ax, ay, bx, by, cx, cy, tally=None):
         return 1
     if -det > _ORIENT_BOUND * detsum:
         return -1
-    if tally is not None:
-        tally["exact_orient"] += 1
-    return _orient_exact(ax, ay, bx, by, cx, cy)
+    return _orient_exact(*_exact_integers(np.array([ax, ay, bx, by, cx, cy], dtype=float)))
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
-    ax, ay, bx, by, cx, cy, dx, dy = _integers(ax, ay, bx, by, cx, cy, dx, dy)
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
@@ -88,9 +99,9 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
     return (det > 0) - (det < 0)
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy, tally=None):
+def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c),
-    -1 strictly outside, 0 on it. tally as for orient2d ("exact_incircle")."""
+    -1 strictly outside, 0 on it."""
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
@@ -125,9 +136,8 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy, tally=None):
         return 1
     if -det > errbound:
         return -1
-    if tally is not None:
-        tally["exact_incircle"] += 1
-    return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
+    exact = _exact_integers(np.array([ax, ay, bx, by, cx, cy, dx, dy], dtype=float))
+    return _incircle_exact(*exact)
 
 
 def _hilbert_keys(xy):
@@ -169,149 +179,20 @@ def _brio_order(points):
     return order.tolist(), len(rounds)
 
 
-class _Triangulation:
-    """Triangles with neighbour links, ghosts included, in flat lists.
-
-    Triangle t has vertices verts[3t:3t+3] (ghosts carry GHOST in the last
-    slot) and nbrs[3t+i] is the triangle across the edge from slot i to slot
-    (i+1) % 3. An insertion reuses the slots of the triangles it destroys, so
-    every slot holds a live triangle.
-    """
-
-    def __init__(self, points):
-        self.xs = [p[0] for p in points]
-        self.ys = [p[1] for p in points]
-        self.verts = []
-        self.nbrs = []
-        self.last = 0  # a real triangle near the last insertion: walks start here
-        self.tally = {"created": 0, "exact_orient": 0, "exact_incircle": 0, "ties": 0}
-
-    def seed(self, i0, i1, i2):
-        xs, ys = self.xs, self.ys
-        if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[i2], ys[i2], self.tally) < 0:
-            i1, i2 = i2, i1
-        # triangle 0 and the ghosts across its edges (i0,i1), (i1,i2), (i2,i0)
-        self.verts = [i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST]
-        self.nbrs = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
-        self.tally["created"] += 4
-
-    def _in_disk(self, t, p):
-        """Whether p lies in the (perturbed) circumdisk of triangle t; for a
-        ghost, the open half-plane beyond its hull edge plus the open edge."""
-        verts, xs, ys = self.verts, self.xs, self.ys
-        a = verts[3 * t]
-        b = verts[3 * t + 1]
-        c = verts[3 * t + 2]
-        px = xs[p]
-        py = ys[p]
-        if c == GHOST:
-            # stored (a, b, GHOST) for hull edge (b, a): outside is left of a->b
-            o = orient2d(xs[a], ys[a], xs[b], ys[b], px, py, self.tally)
-            if o:
-                return o > 0
-            return _within_open_segment(xs[a], ys[a], xs[b], ys[b], px, py)
-        s = incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py, self.tally)
-        if s:
-            return s > 0
-        # Cocircular: lift point i by eps**f(i), f growing with i. The largest
-        # index decides; its term is orient(b, c, p) for a, orient(c, a, p)
-        # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
-        # distinct cocircular points are never collinear, so the term is
-        # never zero.
-        self.tally["ties"] += 1
-        top = max(a, b, c)
-        if p > top:
-            return False
-        if top == a:
-            a, b, c = b, c, a
-        elif top == b:
-            a, b, c = c, a, b
-        return orient2d(xs[a], ys[a], xs[b], ys[b], px, py, self.tally) > 0
-
-    def _locate(self, p):
-        """A triangle whose closure holds p, or a ghost whose half-plane does."""
-        verts, nbrs, xs, ys, tally = self.verts, self.nbrs, self.xs, self.ys, self.tally
-        px = xs[p]
-        py = ys[p]
-        t = self.last
-        for _ in range(len(verts) + 64):
-            k = 3 * t
-            a = verts[k]
-            b = verts[k + 1]
-            c = verts[k + 2]
-            if c == GHOST:
-                return t
-            if orient2d(xs[a], ys[a], xs[b], ys[b], px, py, tally) < 0:
-                t = nbrs[k]
-            elif orient2d(xs[b], ys[b], xs[c], ys[c], px, py, tally) < 0:
-                t = nbrs[k + 1]
-            elif orient2d(xs[c], ys[c], xs[a], ys[a], px, py, tally) < 0:
-                t = nbrs[k + 2]
-            else:
-                return t
-        # walk did not settle (should not happen on a Delaunay mesh): scan
-        for t in range(len(verts) // 3):
-            if self._in_disk(t, p):
-                return t
-        raise DataError(f"point location failed for point {p}")
-
-    def insert(self, p):
-        verts, nbrs = self.verts, self.nbrs
-        t0 = self._locate(p)
-
-        # grow the cavity: every triangle whose circumdisk holds p; collect its
-        # boundary edges (u, v) with the triangle outside each
-        cavity = [t0]
-        inside = {t0}
-        outside = set()
-        edges = []
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            for i in range(3):
-                n = nbrs[3 * t + i]
-                if n in inside:
-                    continue
-                if n not in outside and self._in_disk(n, p):
-                    inside.add(n)
-                    cavity.append(n)
-                    stack.append(n)
-                else:
-                    outside.add(n)
-                    edges.append((verts[3 * t + i], verts[3 * t + (i + 1) % 3], n))
-
-        # one new triangle per boundary edge (u, v): (u, v, p), or a ghost
-        # when u or v is GHOST; the cavity's slots are reused, two appended
-        free = cavity + [len(verts) // 3, len(verts) // 3 + 1]
-        verts.extend((0, 0, 0, 0, 0, 0))
-        nbrs.extend((0, 0, 0, 0, 0, 0))
-        into_p = {}  # v -> flat slot of edge (v, p)
-        from_p = {}  # u -> flat slot of edge (p, u)
-        for (u, v, out), nt in zip(edges, free, strict=True):
-            k = 3 * nt
-            if v == GHOST:
-                verts[k : k + 3] = (p, u, GHOST)
-                outer, into_p[v], from_p[u] = k + 1, k + 2, k
-            elif u == GHOST:
-                verts[k : k + 3] = (v, p, GHOST)
-                outer, into_p[v], from_p[u] = k + 2, k, k + 1
-            else:
-                verts[k : k + 3] = (u, v, p)
-                outer, into_p[v], from_p[u] = k, k + 1, k + 2
-                self.last = nt
-            nbrs[outer] = out
-            m = 3 * out
-            if verts[m] == v:
-                nbrs[m] = nt
-            elif verts[m + 1] == v:
-                nbrs[m + 1] = nt
-            else:
-                nbrs[m + 2] = nt
-        for x, k in into_p.items():
-            j = from_p[x]
-            nbrs[k] = j // 3
-            nbrs[j] = k // 3
-        self.tally["created"] += len(edges)
+def first_coincident(xy):
+    """For each point of the (n, 2) array xy, the smallest index of a point
+    equal to it (its own index when it is the first). One stable sort on
+    (x, y) puts equal points next to each other in index order; -0.0 and 0.0
+    compare equal, so they coincide."""
+    n = len(xy)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    ranked = xy[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head = order[np.maximum.accumulate(np.where(starts, np.arange(n), 0))]
+    first = np.empty(n, dtype=np.int64)
+    first[order] = head
+    return first
 
 
 def _within_open_segment(ax, ay, bx, by, qx, qy):
@@ -333,33 +214,228 @@ def triangulate(points, _order=None):
     n = len(points)
     if n < 3:
         raise DataError(f"triangulation needs at least 3 points, got {n}")
-    first = {}
-    for i, p in enumerate(points):
-        j = first.setdefault((p[0], p[1]), i)
-        if j != i:
-            raise DataError(f"cannot insert point {i}: coincides with point {j}")
+    xy = np.asarray(points, dtype=float)
+    first = first_coincident(xy)
+    (repeated,) = np.nonzero(first != np.arange(n))
+    if len(repeated):
+        i = int(repeated[0])
+        raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
 
     if _order is None:
-        order, rounds = _brio_order(points)
+        order, rounds = _brio_order(xy)
     else:
         order, rounds = list(_order), 1
-    tr = _Triangulation(points)
-    xs, ys = tr.xs, tr.ys
+    xs = xy[:, 0].tolist()
+    ys = xy[:, 1].tolist()
+    exact = _exact_integers(xy.ravel())
+    ix = exact[0::2]
+    iy = exact[1::2]
+    del exact
+    exact_orient = exact_incircle = ties = 0
+
+    def orient(a, b, c):
+        # orient2d of points a, b and c, with the exact fallbacks counted
+        nonlocal exact_orient
+        detleft = (xs[a] - xs[c]) * (ys[b] - ys[c])
+        detright = (ys[a] - ys[c]) * (xs[b] - xs[c])
+        det = detleft - detright
+        bound = _ORIENT_BOUND * (abs(detleft) + abs(detright))
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        exact_orient += 1
+        return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
+
     i0, i1 = order[0], order[1]
     for k in range(2, n):
-        i2 = order[k]
-        if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[i2], ys[i2], tr.tally):
+        third = order[k]
+        if orient(i0, i1, third):
             break
     else:
         raise DataError("all points are collinear; cannot triangulate")
+    i2 = third
+    if orient(i0, i1, i2) < 0:
+        i1, i2 = i2, i1
 
-    tr.seed(i0, i1, i2)
+    # Triangle t has vertices verts[3t:3t+3] (ghosts carry GHOST in the last
+    # slot) and nbrs[3t+i] is the triangle across the edge from slot i to
+    # slot (i+1) % 3. An insertion reuses the slots of the triangles it
+    # destroys, so every slot holds a live triangle. Triangle 0 is the seed,
+    # 1-3 the ghosts across its edges (i0,i1), (i1,i2), (i2,i0).
+    verts = [i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST]
+    nbrs = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
+    last = 0  # a real triangle near the last insertion: walks start here
+    created = 4
+
+    def in_disk(t, p):
+        # Whether p lies in the (perturbed) circumdisk of triangle t, decided
+        # in exact arithmetic; for a ghost, the open half-plane beyond its
+        # hull edge plus the open edge. The cavity runs the in-circle float
+        # filter itself and calls this for ghosts and the tests it leaves.
+        nonlocal exact_incircle, ties
+        a = verts[3 * t]
+        b = verts[3 * t + 1]
+        c = verts[3 * t + 2]
+        if c == GHOST:
+            # stored (a, b, GHOST) for hull edge (b, a): outside is left of a->b
+            o = orient(a, b, p)
+            if o:
+                return o > 0
+            return _within_open_segment(xs[a], ys[a], xs[b], ys[b], xs[p], ys[p])
+        exact_incircle += 1
+        s = _incircle_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c], ix[p], iy[p])
+        if s:
+            return s > 0
+        # Cocircular: lift point i by eps**f(i), f growing with i. The largest
+        # index decides; its term is orient(b, c, p) for a, orient(c, a, p)
+        # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
+        # distinct cocircular points are never collinear, so the term is
+        # never zero.
+        ties += 1
+        top = max(a, b, c)
+        if p > top:
+            return False
+        if top == a:
+            a, b = b, c
+        elif top == b:
+            a, b = c, a
+        return orient(a, b, p) > 0
+
     for p in order[2:]:
-        if p != i2:
-            tr.insert(p)
+        if p == third:
+            continue
+        px = xs[p]
+        py = ys[p]
+
+        # walk to a triangle whose closure holds p, or a ghost whose
+        # half-plane does: step across the first edge p lies right of
+        t = last
+        for _ in range(len(verts) + 64):
+            k = 3 * t
+            a = verts[k]
+            b = verts[k + 1]
+            c = verts[k + 2]
+            if c == GHOST:
+                break
+            for u, v, e in ((a, b, k), (b, c, k + 1), (c, a, k + 2)):
+                detleft = (xs[u] - px) * (ys[v] - py)
+                detright = (ys[u] - py) * (xs[v] - px)
+                det = detleft - detright
+                bound = _ORIENT_BOUND * (abs(detleft) + abs(detright))
+                if det > bound:
+                    continue
+                # not "<=": a NaN from overflow must go to the exact test too
+                if not -det > bound:
+                    exact_orient += 1
+                    if _orient_exact(ix[u], iy[u], ix[v], iy[v], ix[p], iy[p]) >= 0:
+                        continue
+                t = nbrs[e]
+                break
+            else:
+                break
+        else:
+            # walk did not settle (should not happen on a Delaunay mesh): scan,
+            # deciding every in-circle test exactly
+            t = next((s for s in range(len(verts) // 3) if in_disk(s, p)), None)
+            if t is None:
+                raise DataError(f"point location failed for point {p}")
+
+        # grow the cavity: every triangle whose circumdisk holds p; collect its
+        # boundary edges (u, v) with the triangle outside each
+        cavity = [t]
+        inside = {t}
+        outside = set()
+        edges = []
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            for i in range(3):
+                nb = nbrs[3 * t + i]
+                if nb in inside:
+                    continue
+                # the in-circle float filter; ghosts and the tests it cannot
+                # decide go to in_disk
+                hit = False
+                if nb not in outside:
+                    q = 3 * nb
+                    a = verts[q]
+                    b = verts[q + 1]
+                    c = verts[q + 2]
+                    if c == GHOST:
+                        hit = in_disk(nb, p)
+                    else:
+                        adx = xs[a] - px
+                        ady = ys[a] - py
+                        bdx = xs[b] - px
+                        bdy = ys[b] - py
+                        cdx = xs[c] - px
+                        cdy = ys[c] - py
+                        bdxcdy = bdx * cdy
+                        cdxbdy = cdx * bdy
+                        alift = adx * adx + ady * ady
+                        cdxady = cdx * ady
+                        adxcdy = adx * cdy
+                        blift = bdx * bdx + bdy * bdy
+                        adxbdy = adx * bdy
+                        bdxady = bdx * ady
+                        clift = cdx * cdx + cdy * cdy
+                        det = (
+                            alift * (bdxcdy - cdxbdy)
+                            + blift * (cdxady - adxcdy)
+                            + clift * (adxbdy - bdxady)
+                        )
+                        bound = _INCIRCLE_BOUND * (
+                            (abs(bdxcdy) + abs(cdxbdy)) * alift
+                            + (abs(cdxady) + abs(adxcdy)) * blift
+                            + (abs(adxbdy) + abs(bdxady)) * clift
+                        )
+                        if det > bound:
+                            hit = True
+                        elif not -det > bound:
+                            hit = in_disk(nb, p)
+                if hit:
+                    inside.add(nb)
+                    cavity.append(nb)
+                    stack.append(nb)
+                else:
+                    outside.add(nb)
+                    edges.append((verts[3 * t + i], verts[3 * t + (i + 1) % 3], nb))
+
+        # one new triangle per boundary edge (u, v): (u, v, p), or a ghost
+        # when u or v is GHOST; the cavity's slots are reused, two appended
+        free = cavity + [len(verts) // 3, len(verts) // 3 + 1]
+        verts.extend((0, 0, 0, 0, 0, 0))
+        nbrs.extend((0, 0, 0, 0, 0, 0))
+        into_p = {}  # v -> flat slot of edge (v, p)
+        from_p = {}  # u -> flat slot of edge (p, u)
+        for (u, v, out), nt in zip(edges, free, strict=True):
+            k = 3 * nt
+            if v == GHOST:
+                verts[k : k + 3] = (p, u, GHOST)
+                outer, into_p[v], from_p[u] = k + 1, k + 2, k
+            elif u == GHOST:
+                verts[k : k + 3] = (v, p, GHOST)
+                outer, into_p[v], from_p[u] = k + 2, k, k + 1
+            else:
+                verts[k : k + 3] = (u, v, p)
+                outer, into_p[v], from_p[u] = k, k + 1, k + 2
+                last = nt
+            nbrs[outer] = out
+            m = 3 * out
+            if verts[m] == v:
+                nbrs[m] = nt
+            elif verts[m + 1] == v:
+                nbrs[m + 1] = nt
+            else:
+                nbrs[m + 2] = nt
+        for x, k in into_p.items():
+            j = from_p[x]
+            nbrs[k] = j // 3
+            nbrs[j] = k // 3
+        created += len(edges)
 
     triangles = []
-    verts = tr.verts
     for k in range(0, len(verts), 3):
         a, b, c = verts[k], verts[k + 1], verts[k + 2]
         if c == GHOST:
@@ -371,5 +447,12 @@ def triangulate(points, _order=None):
         else:
             triangles.append((c, a, b))
     triangles.sort()
-    stats = {"points": n, "rounds": rounds, **tr.tally}
+    stats = {
+        "points": n,
+        "rounds": rounds,
+        "created": created,
+        "exact_orient": exact_orient,
+        "exact_incircle": exact_incircle,
+        "ties": ties,
+    }
     return triangles, stats

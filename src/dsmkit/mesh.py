@@ -162,15 +162,8 @@ def delaunay_triangulate(points) -> TriMesh:
     if not np.all(np.isfinite(arr)):
         raise DataError("points contain non-finite coordinates")
 
-    seen = {}
-    unique = []
-    duplicates = 0
-    for key in map(tuple, arr.tolist()):
-        if key in seen:
-            duplicates += 1
-        else:
-            seen[key] = len(unique)
-            unique.append(key)
+    unique = arr[delaunay.first_coincident(arr) == np.arange(len(arr))]
+    duplicates = len(arr) - len(unique)
     if duplicates:
         logger.warning(
             "deduplicated %d duplicate points (%d unique remain)", duplicates, len(unique)
@@ -182,7 +175,7 @@ def delaunay_triangulate(points) -> TriMesh:
         "incircle, %(ties)d cocircular ties decided by input index",
         stats,
     )
-    return TriMesh(np.array(unique, dtype=float), np.array(tris, dtype=np.int64))
+    return TriMesh(unique, np.array(tris, dtype=np.int64))
 
 
 def seed_grid_shape(rect: Rect, target_spacing: float) -> tuple[int, int]:

@@ -3,6 +3,7 @@
 import logging
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,10 +126,15 @@ class TestDelaunay:
         assert ((0, 2) in e) != ((1, 3) in e)
 
     def test_duplicates_deduplicated_with_report(self, caplog):
+        # -0.0 and 0.0 coincide; first occurrences are kept, in input order
+        pts = [(0.0, 0.0), (1, 0), (0, 1), (-0.0, 0.0), (1, 0), (0.0, -0.0)]
         with caplog.at_level("WARNING", logger="dsmkit.mesh"):
-            m = delaunay_triangulate([(0, 0), (1, 0), (0, 1), (0, 0), (1, 0)])
-        assert m.n_vertices == 3
-        assert any("deduplicated" in r.message for r in caplog.records)
+            m = delaunay_triangulate(pts)
+        assert m.vertices.tolist() == [[0, 0], [1, 0], [0, 1]]
+        assert not np.signbit(m.vertices).any()
+        assert [r.getMessage() for r in caplog.records] == [
+            "deduplicated 3 duplicate points (3 unique remain)"
+        ]
 
     def test_too_few_points(self):
         with pytest.raises(DataError):
@@ -228,16 +234,45 @@ class TestDelaunayOrderIndependence:
     def test_errors_name_input_indices(self):
         with pytest.raises(DataError, match="point 4: coincides with point 1"):
             delaunay.triangulate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (1.0, 0.0)])
+        # the smallest repeated index, not the first repeat in sorted order
+        with pytest.raises(DataError, match="point 3: coincides with point 1$"):
+            delaunay.triangulate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-0.0, 0.0)])
         with pytest.raises(DataError, match="collinear"):
             delaunay.triangulate([(float(i), 2.0 * i) for i in range(40)])
 
     def test_debug_line_reports_the_counts(self, caplog):
+        # the engine's own tally: a change in the sequence of predicates it
+        # evaluates (walk, cavity, seed step, ties) shows up here
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
-        with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
-            delaunay_triangulate(np.column_stack([xs.ravel(), ys.ravel()]))
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delaunay:")]
-        assert "48 points" in line and "BRIO rounds" in line and "triangles created" in line
-        assert "exact fallbacks" in line and "cocircular ties" in line
+        jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
+        for pts, counts in [
+            (np.column_stack([xs.ravel(), ys.ravel()]),
+             "48 points, 1 BRIO rounds, 236 triangles created, "
+             "exact fallbacks 58 orient / 52 incircle, 52 cocircular ties"),
+            (jittered,
+             "1271 points, 6 BRIO rounds, 7445 triangles created, "
+             "exact fallbacks 456 orient / 0 incircle, 0 cocircular ties"),
+        ]:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
+                delaunay_triangulate(pts)
+            (line,) = [m for m in caplog.messages if m.startswith("delaunay:")]
+            assert line == f"delaunay: {counts} decided by input index"
+
+    @pytest.mark.parametrize("far", [2.0**-200, 1e300], ids=["one-scale", "scale-overflows"])
+    def test_subnormal_and_far_coordinates_give_the_reference_triangles(self, far):
+        # a lattice of subnormals k * 2**-1074 and five points near `far`:
+        # the filters' products underflow or overflow, so the tests go exact.
+        # Near 2**-200 every coordinate fits one power-of-two integer scale;
+        # near 1e300 that scale overflows and as_integer_ratio takes over.
+        tiny = 2.0**-1074
+        pts = [(i * tiny, j * tiny) for i in range(4) for j in range(4)]
+        pts += [(far * x, far * y) for x, y in [(1, 0), (0, 1), (-1, 0.3), (0.7, -0.9), (1.1, 1.2)]]
+        ref, _ = triangulate_reference(pts)
+        tris, stats = delaunay.triangulate(pts)
+        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
+        assert tris == delaunay.triangulate(pts, _order=range(len(pts) - 1, -1, -1))[0]
+        assert stats["exact_incircle"] > 0 and stats["ties"] > 0
 
 
 # magnitudes from 1e-300 to 1e300, and small integers scaled by one power of
@@ -252,11 +287,28 @@ _ON_A_LATTICE = st.builds(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_LATTICE), min_size=4, max_size=4), st.sampled_from(_PLACEMENTS))
+def test_public_predicates_match_fractions(nodes, placement):
+    # lattice nodes: exact zeros (collinear, cocircular) go through the
+    # exact fallback; a step of 0.1 at UTM offsets gives near-zeros
+    x0, y0, step = placement
+    c = [v for i, j in nodes for v in (x0 + step * i, y0 + step * j)]
+    assert delaunay.orient2d(*c[:6]) == orient_fraction(*c[:6])
+    assert delaunay.incircle(*c) == incircle_fraction(*c)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.lists(_SPANNING, min_size=8, max_size=8), _ON_A_LATTICE))
 def test_integer_exact_predicates_match_fractions(c):
-    assert delaunay._orient_exact(*c[:6]) == orient_fraction(*c[:6])
-    assert delaunay._incircle_exact(*c) == incircle_fraction(*c)
+    # through the engine's float -> integer step: one power-of-two scale, or
+    # as_integer_ratio when the spanning magnitudes overflow that scale
+    ints = delaunay._exact_integers(np.array(c))
+    scales = {Fraction(i) / Fraction(v) for i, v in zip(ints, c) if v}
+    assert len(scales) <= 1 and all(s > 0 for s in scales)
+    assert all(i == 0 for i, v in zip(ints, c) if not v)
+    assert delaunay._orient_exact(*ints[:6]) == orient_fraction(*c[:6])
+    assert delaunay._incircle_exact(*ints) == incircle_fraction(*c)
 
 
 class TestSeedRegion:

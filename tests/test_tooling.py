@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps dsmkit functions by
 module and name, and its hooks read sizes off their arguments and results.
 These tests read its target lists and hooks; they change neither. The last
-test guards what a benchmarked process imports."""
+two run in a subprocess: one checks that the tracer still sees the Delaunay
+engine's exact fallbacks, the other guards what a benchmarked process
+imports."""
 
 import importlib
 import importlib.util
@@ -81,15 +83,46 @@ def test_hooks_read_sizes_off_real_calls():
     assert 0 < notes["pairs_binned"] <= notes["pairs_scanned"]
 
 
-def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
-    # np.unique's first 1-D call imports numpy.ma, about 16 ms of every
-    # process that reaches it; the demo's run and compare must not
+def _run_python(code, cwd):
     import dsmkit
 
     src = os.path.dirname(os.path.dirname(dsmkit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+def test_tracer_counts_every_exact_fallback_of_the_engine(tmp_path):
+    # the engine calls _orient_exact and _incircle_exact through module
+    # globals, so the tracer's patched wrappers see each call
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import numpy as np\n"
+        "import tracing\n"
+        "from dsmkit import delaunay\n"
+        "tracer = tracing.Tracer('t')\n"
+        "assert not tracing.patch(tracer.wrappers())\n"
+        "xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))\n"
+        "_, stats = delaunay.triangulate(np.column_stack([xs.ravel(), ys.ravel()]))\n"
+        "counts = tracer.counts\n"
+        "print(counts['delaunay.exact_orient_fallbacks'], stats['exact_orient'],\n"
+        "      counts['delaunay.exact_incircle_fallbacks'], stats['exact_incircle'])\n"
+    )
+    result = _run_python(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    traced_orient, orient, traced_incircle, incircle = map(int, result.stdout.split())
+    assert traced_orient == orient > 0
+    assert traced_incircle == incircle > 0
+
+
+def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
+    # np.unique's first 1-D call imports numpy.ma, about 16 ms of every
+    # process that reaches it; the demo's run and compare must not
     code = (
         "import sys\n"
         "from dsmkit.cli import main\n"
@@ -97,8 +130,6 @@ def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
         f"assert main(['compare', '--out', {str(tmp_path / 'compare')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
-    )
+    result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
