@@ -6,6 +6,9 @@ integer arithmetic, so cocircular and collinear configurations are decided
 exactly. The integers are made once per triangulation: every coordinate is
 an integer multiple of one power of two, found from the smallest nonzero
 |coordinate| (as_integer_ratio serves when that scale overflows a float).
+The filters' error bounds hold only while no product underflows or
+overflows; coordinates whose exponents allow that send every test to the
+exact predicates (_filters_sound), a choice made once per triangulation.
 `triangulate` is one insertion loop whose hot float filters, the walk's
 orientation and the cavity's in-circle test, are written inline. The hull is
 represented by ghost triangles (third vertex GHOST), which makes insertion
@@ -28,6 +31,8 @@ is the edges that only one triangle holds, which TriMesh works out.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataError
@@ -44,6 +49,16 @@ _FIRST_ROUND = 64
 _HILBERT_BITS = 16
 
 
+def _exponents(values):
+    """frexp exponents of the smallest and the largest nonzero |value| of a
+    1-D float array (53 and 53 when every value is zero)."""
+    mag = np.abs(values)
+    nonzero = mag[mag > 0]
+    if not len(nonzero):
+        return 53, 53
+    return int(np.frexp(nonzero.min())[1]), int(np.frexp(nonzero.max())[1])
+
+
 def _exact_integers(values):
     """The floats of a 1-D array as Python ints on one power-of-two scale.
 
@@ -54,9 +69,7 @@ def _exact_integers(values):
     that overflows (values spanning more than the float range), the integers
     come from as_integer_ratio over the largest denominator instead.
     """
-    mag = np.abs(values)
-    nonzero = mag[mag > 0]
-    e = int(np.frexp(nonzero.min())[1]) if len(nonzero) else 53
+    e = _exponents(values)[0]
     with np.errstate(over="ignore"):
         scaled = np.ldexp(values, 53 - e)
     if np.isfinite(scaled).all():
@@ -64,6 +77,30 @@ def _exact_integers(values):
     ratios = [v.as_integer_ratio() for v in values.tolist()]
     den = max(d for _, d in ratios)
     return [num * (den // d) for num, d in ratios]
+
+
+def _filters_sound(values):
+    """Whether the float filters' error bounds hold for every test on the
+    coordinates in the 1-D array values.
+
+    The bounds assume that no product underflows or overflows (a sum or
+    difference whose result is subnormal is exact). Every coordinate is a
+    multiple of q = 2**(lo - 53) and below 2**hi in magnitude, lo and hi the
+    _exponents of the values, so a nonzero coordinate difference lies in
+    [q, 2**(hi + 1)).
+    - Underflow. A nonzero product of two differences is at least q**2. A
+      float of at least q**2 is a multiple of q**2 * 2**-52, so a nonzero
+      difference of two such products is at least that. Every product the
+      filters form (two differences; a lift times a difference of products;
+      a bound constant, at least 2**-52, times a sum of such products) is
+      therefore 0 or at least min(q**2, q**4) * 2**-52, which is a normal
+      float when 4 (lo - 53) - 52 >= -1022: lo >= -189.
+    - Overflow. A lift, and a difference of two products, are below
+      2**(2 hi + 3); the in-circle determinant and its permanent are sums of
+      three terms below 2**(4 hi + 6), so every value stays below
+      2**(4 hi + 8), finite when hi <= 253."""
+    lo, hi = _exponents(values)
+    return lo >= -189 and hi <= 253
 
 
 def _orient_exact(ax, ay, bx, by, cx, cy):
@@ -77,11 +114,13 @@ def orient2d(ax, ay, bx, by, cx, cy):
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if det > _ORIENT_BOUND * detsum:
-        return 1
-    if -det > _ORIENT_BOUND * detsum:
-        return -1
-    return _orient_exact(*_exact_integers(np.array([ax, ay, bx, by, cx, cy], dtype=float)))
+    values = np.array([ax, ay, bx, by, cx, cy], dtype=float)
+    if _filters_sound(values):
+        if det > _ORIENT_BOUND * detsum:
+            return 1
+        if -det > _ORIENT_BOUND * detsum:
+            return -1
+    return _orient_exact(*_exact_integers(values))
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
@@ -132,12 +171,13 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
     errbound = _INCIRCLE_BOUND * permanent
-    if det > errbound:
-        return 1
-    if -det > errbound:
-        return -1
-    exact = _exact_integers(np.array([ax, ay, bx, by, cx, cy, dx, dy], dtype=float))
-    return _incircle_exact(*exact)
+    values = np.array([ax, ay, bx, by, cx, cy, dx, dy], dtype=float)
+    if _filters_sound(values):
+        if det > errbound:
+            return 1
+        if -det > errbound:
+            return -1
+    return _incircle_exact(*_exact_integers(values))
 
 
 def _hilbert_keys(xy):
@@ -146,7 +186,15 @@ def _hilbert_keys(xy):
     side = 1 << _HILBERT_BITS
     lo = xy.min(axis=0)
     span = float((xy.max(axis=0) - lo).max()) or 1.0
-    q = np.minimum((xy - lo) * (side / span), side - 1).astype(np.int64)
+    # side / span overflows for a span below about 2**-1008, so a span below
+    # 1/2 is first scaled into [1/2, 1) by 2**shift, and the offsets (at
+    # most the span) with it. Both scalings are exact and side / (span *
+    # 2**shift) is a normal float, so wherever side / span is finite each
+    # product is the same real number as (xy - lo) * (side / span), rounded
+    # the same way
+    shift = max(0, -math.frexp(span)[1])
+    scale = side / math.ldexp(span, shift)
+    q = np.minimum(np.ldexp(xy - lo, shift) * scale, side - 1).astype(np.int64)
     x, y = q[:, 0], q[:, 1]
     keys = np.zeros(len(xy), dtype=np.int64)
     s = side >> 1
@@ -231,6 +279,12 @@ def triangulate(points, _order=None):
     ix = exact[0::2]
     iy = exact[1::2]
     del exact
+    # where a product may underflow or overflow, an infinite bound sends
+    # every test to the exact predicates: no det exceeds inf, nor the NaN
+    # of inf * 0
+    orient_bound, incircle_bound = _ORIENT_BOUND, _INCIRCLE_BOUND
+    if not _filters_sound(xy.ravel()):
+        orient_bound = incircle_bound = math.inf
     exact_orient = exact_incircle = ties = 0
 
     def orient(a, b, c):
@@ -239,7 +293,7 @@ def triangulate(points, _order=None):
         detleft = (xs[a] - xs[c]) * (ys[b] - ys[c])
         detright = (ys[a] - ys[c]) * (xs[b] - xs[c])
         det = detleft - detright
-        bound = _ORIENT_BOUND * (abs(detleft) + abs(detright))
+        bound = orient_bound * (abs(detleft) + abs(detright))
         if det > bound:
             return 1
         if -det > bound:
@@ -322,7 +376,7 @@ def triangulate(points, _order=None):
                 detleft = (xs[u] - px) * (ys[v] - py)
                 detright = (ys[u] - py) * (xs[v] - px)
                 det = detleft - detright
-                bound = _ORIENT_BOUND * (abs(detleft) + abs(detright))
+                bound = orient_bound * (abs(detleft) + abs(detright))
                 if det > bound:
                     continue
                 # not "<=": a NaN from overflow must go to the exact test too
@@ -385,7 +439,7 @@ def triangulate(points, _order=None):
                             + blift * (cdxady - adxcdy)
                             + clift * (adxbdy - bdxady)
                         )
-                        bound = _INCIRCLE_BOUND * (
+                        bound = incircle_bound * (
                             (abs(bdxcdy) + abs(cdxbdy)) * alift
                             + (abs(cdxady) + abs(adxcdy)) * blift
                             + (abs(adxbdy) + abs(bdxady)) * clift

@@ -2,15 +2,18 @@
 
 Neighbour search: a GridIndex buckets the samples into square cells (about
 two samples per cell) and answers k-nearest queries for many targets at
-once (Friedman, Bentley & Finkel 1977). A query orders the samples of a
-square window of cells around each target's cell by squared distance, then
-sample index, and accepts the window only when the k-th candidate's squared
-distance is strictly below the squared distance to the window's nearest side
-with unsearched samples beyond it; otherwise the window grows by one ring.
-Squared distances use the same expression as a scan over all samples, so the
-result is exactly the first k entries of the (distance, index) order over
-all samples, ties included; with k at or above the sample count it is that
-whole order.
+once (Friedman, Bentley & Finkel 1977). A query lays the samples of a square
+window of cells around each target's cell out as that target's own row,
+padded to the widest window of its batch with a sentinel sample at infinity,
+and sorts every row by squared distance, then sample index. It accepts the
+window only when the k-th candidate's squared distance is strictly below the
+squared distance to the window's nearest side with unsearched samples beyond
+it; otherwise the window grows by one ring. Targets are batched in order of
+window size, so a batch's padding stays small and its padded size within a
+byte budget. Squared distances use the same expression as a scan over all
+samples, so the result is exactly the first k entries of the (distance,
+index) order over all samples, ties included; with k at or above the sample
+count it is that whole order.
 
 Universal kriging solves the bordered semivariogram system (weights
 constrained to reproduce the drift basis at the target) by dense LU. A local
@@ -19,16 +22,21 @@ the target before assembly for conditioning, and the drift multipliers are
 reported in the original basis. Targets are processed in chunks: a chunk's
 local systems are assembled as one (chunk, k+m, k+m) stack and solved by one
 batched np.linalg.solve. The chunk size is a fixed byte budget divided by the
-size of one system. One rule, for local stacks and the global system alike,
-fails a system whose degree-1 drift border is rank-deficient, that LU finds
-singular, or that is ill-conditioned (2-norm condition number above 1e12 up
-to width 200, relative residual above 1e-6 beyond); it fails only its own
-targets, with a message naming the cause and the measured value. The
-condition number is bounded from above through a computed inverse X:
-with r = ||XA - I||_F <= 1/2, cond(A) <= ||A||_F ||X||_F / (1 - r). A
-system passes on that bound when it is at most 1e10; every other system
-gets the SVD's condition number, so failures and their messages are the
-SVD's.
+size of one system. The semivariogram block is symmetric bit for bit, so
+each slab of rows is evaluated from its diagonal rightwards and mirrored
+below it: every pair's semivariogram is computed once. One rule, for local
+stacks and the global system alike, fails a system whose degree-1 drift
+border is rank-deficient, that LU finds singular, or that is ill-conditioned
+(2-norm condition number above 1e12 up to width 200, relative residual above
+1e-6 beyond); it fails only its own targets, with a message naming the cause
+and the measured value. The condition number is bounded from above through
+a computed inverse X: with r = ||XA - I||_F <= 1/2, cond(A) <= ||A||_F
+||X||_F / (1 - r). A system passes on that bound when it is at most 1e10;
+every other system gets the SVD's condition number, so failures and their
+messages are the SVD's. Up to width 200 the drift border's rank is computed
+only for the systems that LU or the bound fail: a border that matrix_rank
+calls rank-deficient puts cond(A) above 2e13 (see _solve_or_fail), so no
+system that passes the bound has one.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
@@ -106,6 +114,11 @@ class GridIndex:
         self.area_sums[1:, 1:] = self.counts[:-1].reshape(self.shape).cumsum(0).cumsum(1)
         # rounding slack (meters) when bounding distances by cell boundaries
         self.slack = 1e-12 * (float(np.abs(self.lo).max() + span.max()) + self.h)
+        # coordinate columns with a sentinel sample n at infinity, which pads
+        # the candidate rows of a query
+        self._x = np.append(locations[:, 0], np.inf)
+        self._y = np.append(locations[:, 1], np.inf)
+        self.scanned = 0  # candidates examined by all queries so far
 
     def _cells(self, points: np.ndarray) -> np.ndarray:
         """Integer cell coordinates, clipped onto the grid."""
@@ -121,6 +134,7 @@ class GridIndex:
         if k is None or k >= n:
             # about four (targets, n) float64 temporaries
             block = _chunk_size(32 * n)
+            self.scanned += len(targets) * n
             for s in range(0, len(targets), block):
                 t = targets[s : s + block]
                 d2 = (locs[:, 0] - t[:, :1]) ** 2 + (locs[:, 1] - t[:, 1:]) ** 2
@@ -132,19 +146,30 @@ class GridIndex:
         ring = max(1, math.ceil(math.sqrt(k / (math.pi * occupancy))))
         todo = np.arange(len(targets))
         while len(todo):
-            # bytes per target: about ten 8-byte entries per candidate and
-            # four per window cell; split the targets to stay in budget
             lo = np.maximum(cells[todo] - ring, 0)
             hi = np.minimum(cells[todo] + ring + 1, self.shape)
             sums = self.area_sums
             found = sums[hi[:, 0], hi[:, 1]] - sums[lo[:, 0], hi[:, 1]]
             found += sums[lo[:, 0], lo[:, 1]] - sums[hi[:, 0], lo[:, 1]]
-            cost = np.cumsum(80 * found + 32 * (2 * ring + 1) ** 2)
+            # a part is padded to its widest window, so take the targets by
+            # window size: a part [s, e) is then padded to found[e - 1].
+            # Bytes per target: about ten 8-byte entries per padded candidate
+            # and four per window cell; fits[i] targets padded to found[i]
+            # stay in budget, and fits only shrinks, so the part from s ends
+            # at the last e with e - fits[e - 1] <= s
+            by_size = np.argsort(found, kind="stable")
+            todo, found = todo[by_size], found[by_size]
+            fits = np.maximum(1, _CHUNK_BYTES // (80 * found + 32 * (2 * ring + 1) ** 2))
+            last = np.arange(1, len(todo) + 1) - fits
             left = []
-            for part in np.split(todo, np.flatnonzero(np.diff(cost // _CHUNK_BYTES)) + 1):
+            s = 0
+            while s < len(todo):
+                e = int(np.searchsorted(last, s, side="right"))
+                part = todo[s:e]
                 done, nearest = self._window(targets[part], cells[part], ring, k)
                 out[part[done]] = nearest
                 left.append(part[~done])
+                s = e
             todo = np.concatenate(left)
             ring += max(1, ring // 2)
         return out
@@ -152,6 +177,7 @@ class GridIndex:
     def _window(self, targets, cells, ring, k):
         """Certified k nearest within a (2 ring + 1)^2 window of cells."""
         nx, ny = self.shape
+        t = len(targets)
         off = np.arange(-ring, ring + 1)
         gx = cells[:, :1] + off
         gy = cells[:, 1:] + off
@@ -159,21 +185,26 @@ class GridIndex:
         window = np.where(inside, gx[:, :, None] * ny + gy[:, None, :], nx * ny).reshape(-1)
 
         counts = self.counts[window]
-        per_target = counts.reshape(len(targets), -1).sum(axis=1)
-        owner = np.repeat(np.arange(len(targets)), per_target)
+        per_target = counts.reshape(t, -1).sum(axis=1)
+        width = int(per_target.max())
+        self.scanned += int(per_target.sum())
+        if width < k:
+            return np.zeros(t, dtype=bool), np.empty((0, k), dtype=np.intp)
+        # one row per target, padded with the sentinel sample n at infinity:
+        # its squared distance is inf and its index the largest, so padding
+        # sorts after every candidate, inf distances included
         ends = np.cumsum(counts)
-        pos = np.repeat(self.starts[window] - ends + counts, counts) + np.arange(ends[-1])
-        cand = self.order[pos]
-        locs = self.locations
-        d2 = (locs[cand, 0] - targets[owner, 0]) ** 2 + (locs[cand, 1] - targets[owner, 1]) ** 2
-        srt = np.lexsort((cand, d2, owner))
-        cand = cand[srt]
-        d2 = d2[srt]
-
+        flat = np.arange(ends[-1])
+        pos = np.repeat(self.starts[window] - ends + counts, counts) + flat
         seg = np.cumsum(per_target) - per_target
-        enough = per_target >= k
-        kth = np.full(len(targets), np.inf)
-        kth[enough] = d2[seg[enough] + k - 1]
+        slot = np.repeat(np.arange(t) * width - seg, per_target) + flat
+        cand = np.full(t * width, len(self.locations), dtype=np.intp)
+        cand[slot] = self.order[pos]
+        cand = cand.reshape(t, width)
+        d2 = (self._x[cand] - targets[:, :1]) ** 2 + (self._y[cand] - targets[:, 1:]) ** 2
+        srt = np.lexsort((cand, d2), axis=-1)
+        kth = d2[np.arange(t), srt[:, k - 1]]
+
         # distance to the nearest window side that has cells beyond it
         low = np.where(cells - ring > 0, targets - (self.lo + (cells - ring) * self.h), np.inf)
         high = np.where(
@@ -185,9 +216,8 @@ class GridIndex:
         gap = np.maximum(gap, 0.0)
         # a window that covers the grid holds every sample, whatever the
         # (possibly overflowing) distances say
-        done = enough & ((kth < gap * gap) | (ring >= self.shape.max() - 1))
-        rows = seg[done][:, None] + np.arange(k)
-        return done, cand[rows]
+        done = (per_target >= k) & ((kth < gap * gap) | (ring >= self.shape.max() - 1))
+        return done, np.take_along_axis(cand[done], srt[done, :k], axis=1)
 
 
 def _check_distinct(index: GridIndex, tol: float = COINCIDENT_TOL):
@@ -328,14 +358,19 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     A = np.zeros((L, n + m, n + m))
     # fill the semivariogram block a few rows at a time: full-size
     # temporaries, freed after every target of a large system, made the
-    # allocator hand their pages back and fault them in again per target
+    # allocator hand their pages back and fault them in again per target.
+    # G is symmetric bit for bit (x - y == -(y - x) and hypot ignores
+    # signs), so a slab of rows [r, r + s) is evaluated at the columns >= r
+    # only and its transpose fills the columns [r, r + s) below it
     slab = max(1, _SLAB_ELEMS // max(1, L * n))
     for r in range(0, n, slab):
         s = slice(r, min(r + slab, n))
         pair_dist = np.hypot(
-            d[:, s, None, 0] - d[:, None, :, 0], d[:, s, None, 1] - d[:, None, :, 1]
+            d[:, s, None, 0] - d[:, None, r:, 0], d[:, s, None, 1] - d[:, None, r:, 1]
         )
-        A[:, s, :n] = model_gamma(model, pair_dist)
+        g = model_gamma(model, pair_dist)
+        A[:, s, r:n] = g
+        A[:, r:n, s] = g.transpose(0, 2, 1)
     A[:, :n, n:] = F
     A[:, n:, :n] = F.transpose(0, 2, 1)
     return A
@@ -348,7 +383,16 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
     ok masks the systems that passed, value is the conditioning measure per
     solved system (NaN elsewhere), measure names it for a log note ("cond ≤":
     an upper bound from _cond_bound, exact where it fails; or "residual") and
-    failed maps a stack position to its reason."""
+    failed maps a stack position to its reason.
+
+    A degree-1 drift border F (n, 3) of rank below 3 fails the system,
+    though LU may "solve" it with a tiny pivot. Up to width 200 its rank is
+    computed only for the systems that LU or the condition bound fail:
+    matrix_rank reports rank < 3 only when s3(F) <= n eps s1(F), n < 200,
+    and A (0, v) = (F v, 0) for every v gives cond(A) >= s1(F) / s3(F) >=
+    1 / (200 eps) > 2e13, so a system that passes the bound (<= 1e10) has a
+    full-rank border. The residual test beyond width 200 cannot tell, so a
+    wider system has its rank checked first."""
     L, w = b.shape
     n = w - m
     failed = {}
@@ -358,14 +402,19 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
         cause = _diagnose_singular(A[j, :n, n:])
         failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
 
+    def full_rank(rows):
+        # fail the systems at rows whose drift border is rank-deficient;
+        # returns which of them have a full-rank border
+        if m != 3:
+            return np.ones(len(rows), dtype=bool)
+        rank = np.linalg.matrix_rank(A[rows, :n, n:])
+        for j, r in zip(rows[rank < 3], rank[rank < 3]):
+            fail(j, "singular", f"drift border of rank {r}")
+        return rank == 3
+
     ok = np.ones(L, dtype=bool)
-    if m == 3:
-        # LU happily "solves" an exactly rank-deficient border with a tiny
-        # pivot, so reject degenerate drift geometry up front
-        rank = np.linalg.matrix_rank(A[:, :n, n:])
-        for j in np.flatnonzero(rank < 3):
-            fail(j, "singular", f"drift border of rank {rank[j]}")
-        ok = rank == 3
+    if w > 200:
+        ok = full_rank(np.arange(L))
     sol = np.zeros((L, w))
     Ao, bo = (A, b) if ok.all() else (A[ok], b[ok])
     try:
@@ -377,13 +426,23 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
                 sol[j] = np.linalg.solve(A[j], b[j])
             except np.linalg.LinAlgError:
                 ok[j] = False
-                fail(j, "singular", "LU found a zero pivot")
+                if full_rank(np.array([j]))[0]:
+                    fail(j, "singular", "LU found a zero pivot")
         Ao, bo = A[ok], b[ok]
 
     value = np.full(L, np.nan)
     if w <= 200:
         measure, name, limit = "cond ≤", "cond", _COND_LIMIT
         value[ok] = _cond_bound(Ao)
+        slow = np.flatnonzero(ok & ~(value <= _BOUND_LIMIT))
+        if len(slow):
+            rank_ok = full_rank(slow)
+            singular = slow[~rank_ok]
+            ok[singular] = False
+            sol[singular] = 0.0
+            value[singular] = np.nan
+            slow = slow[rank_ok]
+            value[slow] = np.linalg.cond(A[slow])
     else:
         measure = name = "residual"
         limit = 1e-6
@@ -397,7 +456,7 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
 
 def _cond_bound(A: np.ndarray) -> np.ndarray:
     """Per system of the stack A: an upper bound on its 2-norm condition
-    number, proven at most _BOUND_LIMIT, or else np.linalg.cond itself.
+    number, or inf where the bound cannot be proven.
 
     With X an inverse computed in floating point and r = ||XA - I||_F <= 1/2,
     A^-1 = (XA)^-1 X and a Neumann series give ||A^-1|| <= ||X|| / (1 - r);
@@ -406,8 +465,7 @@ def _cond_bound(A: np.ndarray) -> np.ndarray:
     bound = np.full(L, np.inf)
     eye = np.eye(w)
     step = max(1, _SLAB_ELEMS // (w * w))
-    # an inverse with inf entries makes r and the bound inf or NaN: those
-    # systems take the SVD below
+    # an inverse with inf entries makes r and the bound inf or NaN
     with np.errstate(all="ignore"):
         for s in range(0, L, step):
             As = A[s : s + step]
@@ -418,9 +476,6 @@ def _cond_bound(A: np.ndarray) -> np.ndarray:
             r = np.linalg.norm(np.matmul(X, As) - eye, axis=(1, 2))
             norms = np.linalg.norm(As, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
             bound[s : s + step] = np.where(r <= 0.5, norms / (1.0 - r), np.inf)
-    slow = ~(bound <= _BOUND_LIMIT)
-    if slow.any():
-        bound[slow] = np.linalg.cond(A[slow])
     return bound
 
 
@@ -627,11 +682,12 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         name = "idw"
     elif isinstance(method, UkConfig):
         sys = KrigingSystem(xy, z, method.model, method.drift_degree, method.neighborhood)
+        scanned = sys.index.scanned
         heights, errors, note = _krige(sys, verts)
         fallbacks = sorted(errors)
         logger.debug(
-            "uk lift: %d samples, %d vertices, %s, %d fallbacks",
-            len(xy), len(verts), note, len(fallbacks),
+            "uk lift: %d samples, %d vertices, %s, %d fallbacks, %d kNN candidates scanned",
+            len(xy), len(verts), note, len(fallbacks), sys.index.scanned - scanned,
         )
         if fallbacks:
             first = f"vertex {fallbacks[0]}: {errors[fallbacks[0]]}"

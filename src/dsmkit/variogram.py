@@ -288,8 +288,9 @@ def model_gamma(model: VariogramModel, h):
     return values
 
 
-def _unit_shape(kind: str, h: np.ndarray, a: float) -> np.ndarray:
-    # model with c0 = 0, c = 1; model_gamma sets h = 0 to 0
+def _unit_shape(kind: str, h: np.ndarray, a) -> np.ndarray:
+    # model with c0 = 0, c = 1 at range a (a float, or a column of ranges);
+    # model_gamma sets h = 0 to 0
     if kind == "spherical":
         t = np.minimum(h / a, 1.0)
         return 1.5 * t - 0.5 * t**3
@@ -298,36 +299,48 @@ def _unit_shape(kind: str, h: np.ndarray, a: float) -> np.ndarray:
     return 1.0 - np.exp(-3.0 * h / a)
 
 
-def _wls_for_range(kind, h, g, w, a):
-    """Best (c0, c) >= 0 for a fixed range; returns (sse, c0, c)."""
-    v = _unit_shape(kind, h, a)
+def _wls(kind, h, g, w, a):
+    """Best (c0, c) >= 0 for each range of the 1-D array a, all at once;
+    returns the arrays (sse, c0, c).
+
+    Each range's candidates are, in order, the unconstrained least-squares
+    solution (when its normal equations are regular and it is >= 0, else c
+    alone in its place), c alone, c0 alone and (0, 0); a later candidate
+    replaces the best so far only when its sse is smaller by more than
+    1e-18. Every sum runs along a contiguous row of bins, as a 1-D sum
+    would, so each range's result is the same whatever else a holds."""
+    v = _unit_shape(kind, h, a[:, None])
+    wv = w * v
     sw = w.sum()
-    swv = (w * v).sum()
-    swvv = (w * v * v).sum()
+    swv = wv.sum(axis=1)
+    swvv = (wv * v).sum(axis=1)
     swg = (w * g).sum()
-    swvg = (w * v * g).sum()
+    swvg = (wv * g).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = sw * swvv - swv * swv
+        c0_free = (swvv * swg - swv * swvg) / det
+        c_free = (sw * swvg - swv * swg) / det
+        c_only = np.where(swvv > 0, swvg / swvv, 0.0)
+    free = (det > 1e-15 * np.maximum(sw * swvv, 1.0)) & (c0_free >= 0.0) & (c_free >= 0.0)
+    c_only = np.where(c_only > 0.0, c_only, 0.0)
 
-    candidates = []
-    det = sw * swvv - swv * swv
-    if det > 1e-15 * max(sw * swvv, 1.0):
-        c0 = (swvv * swg - swv * swvg) / det
-        c = (sw * swvg - swv * swg) / det
-        if c0 >= 0.0 and c >= 0.0:
-            candidates.append((c0, c))
-    # constrained edges
-    c_only = swvg / swvv if swvv > 0 else 0.0
-    candidates.append((0.0, max(0.0, c_only)))
-    c0_only = swg / sw if sw > 0 else 0.0
-    candidates.append((max(0.0, c0_only), 0.0))
-    candidates.append((0.0, 0.0))
-
-    best = None
-    for c0, c in candidates:
-        resid = g - (c0 + c * v)
-        sse = float((w * resid * resid).sum())
-        if best is None or sse < best[0] - 1e-18:
-            best = (sse, c0, c)
-    return best
+    # candidate j of every range in row j
+    c0s = np.zeros((4, len(a)))
+    cs = np.zeros((4, len(a)))
+    c0s[0] = np.where(free, c0_free, 0.0)
+    cs[0] = np.where(free, c_free, c_only)
+    cs[1] = c_only
+    c0s[2] = max(0.0, swg / sw if sw > 0 else 0.0)
+    resid = g - (c0s[:, :, None] + cs[:, :, None] * v)
+    sse = (w * resid * resid).sum(axis=2)
+    pick = np.zeros(len(a), dtype=np.intp)
+    best = sse[0]
+    for j in (1, 2, 3):
+        take = sse[j] < best - 1e-18
+        best = np.where(take, sse[j], best)
+        pick[take] = j
+    ranges = np.arange(len(a))
+    return best, c0s[pick, ranges], cs[pick, ranges]
 
 
 def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramModel:
@@ -336,7 +349,9 @@ def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramMo
     Weights are the per-bin pair counts. The range is found by a
     deterministic coarse grid over (0, 2 max_lag] followed by golden-section
     refinement; nugget and partial sill solve in closed form for each
-    candidate range (non-negativity by active set).
+    candidate range (non-negativity by active set). The 256 grid ranges are
+    profiled in one array pass of _wls, which the refinement calls with one
+    range at a time, so the formulas exist once.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown variogram kind {kind!r}; expected {MODEL_KINDS}")
@@ -352,29 +367,31 @@ def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramMo
 
     a_max = 2.0 * ev.max_lag
     grid = np.linspace(0.0, a_max, 257)[1:]
-    sse = np.array([_wls_for_range(kind, h, g, w, a)[0] for a in grid])
-    k = int(np.argmin(sse))
+    k = int(np.argmin(_wls(kind, h, g, w, grid)[0]))
     lo = grid[k - 1] if k > 0 else grid[0] / 2.0
     hi = grid[k + 1] if k < len(grid) - 1 else a_max
+
+    def profile(a):
+        return float(_wls(kind, h, g, w, np.array([a]))[0][0])
 
     # golden-section refinement of the profiled objective
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1 = _wls_for_range(kind, h, g, w, x1)[0]
-    f2 = _wls_for_range(kind, h, g, w, x2)[0]
+    f1 = profile(x1)
+    f2 = profile(x2)
     for _ in range(120):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = _wls_for_range(kind, h, g, w, x1)[0]
+            f1 = profile(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = _wls_for_range(kind, h, g, w, x2)[0]
+            f2 = profile(x2)
 
     a_best = 0.5 * (lo + hi)
-    _, c0, c = _wls_for_range(kind, h, g, w, a_best)
-    return VariogramModel(kind, float(c0), float(c), float(a_best))
+    _, c0, c = _wls(kind, h, g, w, np.array([a_best]))
+    return VariogramModel(kind, float(c0[0]), float(c[0]), float(a_best))

@@ -788,3 +788,77 @@ def empirical_variogram_reference(samples, max_lag, n_bins):
     filled = counts > 0
     centers = (np.arange(n_bins) + 0.5) * width
     return centers[filled], sums[filled] / (2.0 * counts[filled]), counts[filled]
+
+
+def _wls_for_range_reference(kind, h, g, w, a):
+    """Best (c0, c) >= 0 for one fixed range; returns (sse, c0, c)."""
+    from dsmkit.variogram import _unit_shape
+
+    v = _unit_shape(kind, h, a)
+    sw = w.sum()
+    swv = (w * v).sum()
+    swvv = (w * v * v).sum()
+    swg = (w * g).sum()
+    swvg = (w * v * g).sum()
+
+    candidates = []
+    det = sw * swvv - swv * swv
+    if det > 1e-15 * max(sw * swvv, 1.0):
+        c0 = (swvv * swg - swv * swvg) / det
+        c = (sw * swvg - swv * swg) / det
+        if c0 >= 0.0 and c >= 0.0:
+            candidates.append((c0, c))
+    # constrained edges
+    c_only = swvg / swvv if swvv > 0 else 0.0
+    candidates.append((0.0, max(0.0, c_only)))
+    c0_only = swg / sw if sw > 0 else 0.0
+    candidates.append((max(0.0, c0_only), 0.0))
+    candidates.append((0.0, 0.0))
+
+    best = None
+    for c0, c in candidates:
+        resid = g - (c0 + c * v)
+        sse = float((w * resid * resid).sum())
+        if best is None or sse < best[0] - 1e-18:
+            best = (sse, c0, c)
+    return best
+
+
+def fit_model_reference(ev, kind):
+    """variogram.fit_model with the profiled least squares solved one range
+    at a time: the 256-range grid, then golden-section refinement."""
+    from dsmkit.variogram import VariogramModel
+
+    h = ev.lags
+    g = ev.gammas
+    w = ev.pair_counts.astype(float)
+    if np.all(g == 0.0):
+        return VariogramModel(kind, 0.0, 0.0, ev.max_lag)
+
+    a_max = 2.0 * ev.max_lag
+    grid = np.linspace(0.0, a_max, 257)[1:]
+    sse = np.array([_wls_for_range_reference(kind, h, g, w, a)[0] for a in grid])
+    k = int(np.argmin(sse))
+    lo = grid[k - 1] if k > 0 else grid[0] / 2.0
+    hi = grid[k + 1] if k < len(grid) - 1 else a_max
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1 = _wls_for_range_reference(kind, h, g, w, x1)[0]
+    f2 = _wls_for_range_reference(kind, h, g, w, x2)[0]
+    for _ in range(120):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = _wls_for_range_reference(kind, h, g, w, x1)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = _wls_for_range_reference(kind, h, g, w, x2)[0]
+
+    a_best = 0.5 * (lo + hi)
+    _, c0, c = _wls_for_range_reference(kind, h, g, w, a_best)
+    return VariogramModel(kind, float(c0), float(c), float(a_best))

@@ -1,6 +1,7 @@
 """Interpolation tests: kriging constraints and oracle, IDW formula, lifts."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,36 @@ class TestGridIndex:
         targets = np.vstack([rng.uniform(-1, 2, (60, 2)), [[400.0, 450.0]]])
         self._check(locs, targets, (1, 16, 601))
 
+    def test_parts_stay_in_budget_around_one_dense_window(self, monkeypatch):
+        # one target's window holds 600 candidates: it is a part of its own,
+        # and every other part, padded to its widest window, fits the budget
+        budget = 1 << 14
+        monkeypatch.setattr(interpolate, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(61)
+        gx, gy = np.meshgrid(np.arange(30.0), np.arange(30.0))
+        spread = np.column_stack([gx.ravel(), gy.ravel()]) * 10.0 + rng.uniform(0, 1, (900, 2))
+        locs = np.vstack([spread, 150.0 + rng.uniform(0, 0.01, (600, 2))])
+        targets = np.vstack([[[150.005, 150.005]], rng.uniform(0, 300, (200, 2))])
+        index = GridIndex(locs)
+        cells = index._cells(locs)
+        parts = []
+        window = GridIndex._window
+
+        def spy(self, t, c, ring, k):
+            # the widest window of the part, counted sample by sample
+            near = np.abs(cells[None, :, :] - c[:, None, :]).max(axis=2) <= ring
+            parts.append((len(t), int(near.sum(axis=1).max())))
+            return window(self, t, c, ring, k)
+
+        monkeypatch.setattr(GridIndex, "_window", spy)
+        for k in (1, 16):
+            parts.clear()
+            want = np.array([nearest_subset(locs, t, k) for t in targets])
+            assert np.array_equal(index.knn(targets, k), want)
+            assert max(width for _, width in parts) >= 600
+            # about ten 8-byte entries per padded candidate
+            assert all(t == 1 or 80 * t * width <= budget for t, width in parts)
+
     def test_degenerate_sample_sets(self):
         targets = np.array([[0.0, 0.0], [3.0, 4.0], [-7.5, 2.0], [100.0, -3.0]])
         # one sample, one point repeated (a single cell), one horizontal line
@@ -466,13 +497,18 @@ class TestLiftAgainstOracle:
         samples = prepared.utm
         planar, _, _ = build_planar_mesh(cfg)
         model, _ = variogram_model(cfg, prepared)
-        svd_conds = []
+        svds = []
         cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda *a: svd_conds.append(1) or cond(*a))
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: svds.append("cond") or cond(*a))
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda *a: svds.append("rank") or matrix_rank(*a)
+        )
         lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
         monkeypatch.undo()
-        # every demo system passes on the proven bound, without an SVD
-        assert svd_conds == []
+        # every demo system passes on the proven bound, without an SVD of
+        # the system or of its drift border
+        assert svds == []
         want, fallbacks = uk_lift_reference(
             samples.coords(), samples.altitudes(), model, cfg.drift, cfg.neighbors,
             planar.vertices,
@@ -508,7 +544,8 @@ class TestLiftAgainstOracle:
         notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
         assert len(notes) == 1
         assert "240 samples, 403 vertices, local neighbourhood of 4, worst cond" in notes[0]
-        assert notes[0].endswith("3 fallbacks")
+        scanned = re.fullmatch(r".*, 3 fallbacks, (\d+) kNN candidates scanned", notes[0])
+        assert scanned and int(scanned[1]) >= 403 * 4
 
         sys = KrigingSystem(xy, z, SPH, 1, 4)
         with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
@@ -634,6 +671,67 @@ class TestConditionBound:
         # a passing system's value bounds its condition number from above
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
 
+    @staticmethod
+    def _centred_system(model, d):
+        """The target-centred degree-1 system of samples at offsets d."""
+        n = len(d)
+        F = np.column_stack([np.ones(n), d])
+        A = interpolate._bordered(model, d[None], F[None])[0]
+        b = np.concatenate([interpolate.model_gamma(model, np.hypot(d[:, 0], d[:, 1])), [1, 0, 0]])
+        return A, b
+
+    def test_rank_is_checked_only_where_lu_or_the_bound_fails(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        t = rng.uniform(-5, 5, 16)
+        pair = np.vstack([rng.uniform(-5, 5, (14, 2)), [[1.0, 1.0], [1.0 + 1e-6, 1.0]]])
+        gaussian = VariogramModel("gaussian", 0.0, 2.0, 50.0)
+        systems = {
+            "regular": (SPH, rng.uniform(-5, 5, (16, 2))),
+            # on the line y = 0: a zero drift column, so LU raises
+            "collinear": (SPH, np.column_stack([t, np.zeros(16)])),
+            # on y = x / 3: rank 2 to matrix_rank, but LU solves it
+            "nearly collinear": (SPH, np.column_stack([t, t / 3])),
+            # a full-rank border, but two samples a micrometre apart
+            "ill-conditioned": (gaussian, pair),
+            "regular too": (SPH, rng.uniform(-5, 5, (16, 2))),
+        }
+        built = {name: self._centred_system(*spec) for name, spec in systems.items()}
+        A, _ = built["collinear"]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, np.ones(len(A)))
+        A, b = built["nearly collinear"]
+        np.linalg.solve(A, b)
+
+        ranks = []
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda M: ranks.append(len(M)) or matrix_rank(M)
+        )
+        for names, want_ranks in [
+            # one batched LU, then the rank of the two systems over the bound
+            (["regular", "nearly collinear", "ill-conditioned", "regular too"], 2),
+            # LU raises for the stack: one by one, a rank for each failure
+            (["regular", "collinear", "nearly collinear", "ill-conditioned", "regular too"], 3),
+        ]:
+            ranks.clear()
+            A = np.array([built[name][0] for name in names])
+            b = np.array([built[name][1] for name in names])
+            targets = [[float(j), 0.5] for j in range(len(A))]
+            ok, sol, measure, value, failed = interpolate._solve_or_fail(A, b, 3, targets)
+            assert sum(ranks) == want_ranks
+            want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
+            assert ok.tolist() == [name.startswith("regular") for name in names]
+            assert np.array_equal(ok, want_ok)
+            assert failed == want_failed
+            assert np.array_equal(sol, want_sol)
+            assert np.array_equal(np.isnan(value), np.isnan(svd_cond))
+            assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
+            for j, name in enumerate(names):
+                if "collinear" in name:
+                    assert "drift border of rank 2" in failed[j]
+                if name == "ill-conditioned":
+                    assert "ill-conditioned" in failed[j] and value[j] == svd_cond[j]
+
 
 class TestGlobalNeighbourhood:
     """One shared dual-form system against the per-target solves."""
@@ -655,7 +753,9 @@ class TestGlobalNeighbourhood:
         assert np.array_equal(lifted.vertices[60:, 2], z[:12])
         notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
         assert len(notes) == 1
-        assert "200 samples, 72 vertices, global" in notes[0] and notes[0].endswith("0 fallbacks")
+        assert "200 samples, 72 vertices, global" in notes[0]
+        scanned = re.fullmatch(r".*, 0 fallbacks, (\d+) kNN candidates scanned", notes[0])
+        assert scanned and int(scanned[1]) >= 72
 
         # a neighbourhood of at least n samples is the same global system
         pred = uk_predict(KrigingSystem(xy, z, model, degree, 500), targets)

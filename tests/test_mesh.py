@@ -2,12 +2,13 @@
 
 import logging
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -275,6 +276,31 @@ class TestDelaunayOrderIndependence:
         assert stats["exact_incircle"] > 0 and stats["ties"] > 0
 
 
+    def test_subnormal_lattice_alone_orders_without_warnings(self):
+        # a span of 3 * 2**-1074: side / span overflows, so the Hilbert keys
+        # are computed on the span scaled into [1/2, 1)
+        tiny = 2.0**-1074
+        pts = [(i * tiny, j * tiny) for i in range(4) for j in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tris, _ = delaunay.triangulate(pts)
+            keys = delaunay._hilbert_keys(np.array(pts))
+        ref, _ = triangulate_reference(pts)
+        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
+        # a power-of-two scale moves neither the keys nor the triangles
+        for shift in (60, 1100, 1150):
+            scaled = np.ldexp(np.array(pts), shift)
+            assert np.array_equal(delaunay._hilbert_keys(scaled), keys)
+            assert delaunay.triangulate(scaled)[0] == tris
+
+    def test_filters_are_sound_within_the_exponent_bounds(self):
+        # see _filters_sound: products of up to four coordinate differences
+        # neither underflow nor overflow
+        for lo, hi, sound in [(-189, 253, True), (-190, 0, False), (0, 254, False)]:
+            values = np.array([0.0, 2.0 ** (lo - 1), -(2.0 ** (hi - 1))])
+            assert delaunay._filters_sound(values) is sound
+
+
 # magnitudes from 1e-300 to 1e300, and small integers scaled by one power of
 # two, so that exact zeros (collinear, cocircular) occur too
 _SPANNING = st.builds(
@@ -294,6 +320,17 @@ def test_public_predicates_match_fractions(nodes, placement):
     # exact fallback; a step of 0.1 at UTM offsets gives near-zeros
     x0, y0, step = placement
     c = [v for i, j in nodes for v in (x0 + step * i, y0 + step * j)]
+    assert delaunay.orient2d(*c[:6]) == orient_fraction(*c[:6])
+    assert delaunay.incircle(*c) == incircle_fraction(*c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPANNING, min_size=8, max_size=8))
+# the float filter alone says -1 here: its products underflow
+@example([1e59, 0.0, 0.0, 0.0, 0.0, -1e-38, 1.25e-286, 1e-189])
+def test_public_predicates_match_fractions_across_magnitudes(c):
+    # products of such coordinates can underflow or overflow: the filters
+    # must then leave the sign to the exact predicates
     assert delaunay.orient2d(*c[:6]) == orient_fraction(*c[:6])
     assert delaunay.incircle(*c) == incircle_fraction(*c)
 

@@ -1,6 +1,7 @@
 """Variogram tests: Matheron estimator, model branches, self-fit recovery."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import empirical_variogram_reference, spherical_gamma
+from _oracles import (
+    _wls_for_range_reference,
+    empirical_variogram_reference,
+    fit_model_reference,
+    spherical_gamma,
+)
 from dsmkit import variogram
 from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError
@@ -481,6 +487,58 @@ class TestFitModel:
         fit = fit_model(ev, "spherical")
         assert fit.range_ == pytest.approx(50.0, rel=0.02)
         assert fit.partial_sill == pytest.approx(1.0, rel=0.02)
+
+
+def _assert_fit_matches_reference(ev):
+    h, g, w = ev.lags, ev.gammas, ev.pair_counts.astype(float)
+    grid = np.linspace(0.0, 2.0 * ev.max_lag, 257)[1:]
+    for kind in variogram.MODEL_KINDS:
+        # the one-pass grid gives each range the per-range result, bit for bit
+        want = np.array([_wls_for_range_reference(kind, h, g, w, a) for a in grid])
+        got = np.column_stack(variogram._wls(kind, h, g, w, grid))
+        assert np.array_equal(got, want), kind
+        fit, ref = fit_model(ev, kind), fit_model_reference(ev, kind)
+        assert fit == ref
+        assert [math.copysign(1.0, v) for v in (fit.nugget, fit.partial_sill)] == [
+            math.copysign(1.0, v) for v in (ref.nugget, ref.partial_sill)
+        ]
+
+
+class TestFitAgainstReference:
+    """fit_model's one-pass grid against the range-by-range least squares."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"rows": 120, "cols": 240}, {"rows": 16, "cols": 32}],
+        ids=["demo", "dense-scan", "global-uk"],
+    )
+    def test_workload_variograms(self, overrides):
+        from dsmkit.pipeline import PipelineConfig, prepare_samples
+
+        cfg = PipelineConfig.from_mapping(overrides)
+        samples = prepare_samples(cfg).utm
+        ev = empirical_variogram(samples, cfg.variogram_max_lag, cfg.variogram_bins)
+        _assert_fit_matches_reference(ev)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.lists(st.floats(1e-3, 50.0), min_size=3, max_size=40),
+        data=st.data(),
+        reach=st.floats(1.0, 4.0),
+    )
+    def test_generated_variograms(self, steps, data, reach):
+        lags = np.cumsum(steps)
+        g = data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+                min_size=len(lags), max_size=len(lags),
+            )
+        )
+        counts = data.draw(
+            st.lists(st.integers(1, 10**6), min_size=len(lags), max_size=len(lags))
+        )
+        ev = ExperimentalVariogram(lags, g, counts, float(lags[-1]) * reach)
+        _assert_fit_matches_reference(ev)
 
 
 class TestExperimentalVariogramValidation:
