@@ -29,14 +29,17 @@ stacks and the global system alike, fails a system whose degree-1 drift
 border is rank-deficient, that LU finds singular, or that is ill-conditioned
 (2-norm condition number above 1e12 up to width 200, relative residual above
 1e-6 beyond); it fails only its own targets, with a message naming the cause
-and the measured value. The condition number is bounded from above through
-a computed inverse X: with r = ||XA - I||_F <= 1/2, cond(A) <= ||A||_F
-||X||_F / (1 - r). A system passes on that bound when it is at most 1e10;
-every other system gets the SVD's condition number, so failures and their
-messages are the SVD's. Up to width 200 the drift border's rank is computed
-only for the systems that LU or the bound fail: a border that matrix_rank
-calls rank-deficient puts cond(A) above 2e13 (see _solve_or_fail), so no
-system that passes the bound has one.
+and the measured value. A kriging system's condition number is bounded from
+above by two small Cholesky factorisations, not by an SVD or an inverse: one
+of the covariance block K = sJ - G (s the sill, J = 11^T), shifted by s/1024,
+and one of the drift Gram matrix F^T F. Their proven eigenvalue floors tau_K
+and tau_F give, through the null-space form of the saddle-point inverse,
+cond(A) <= ||A||_F (b + max(1/tau_K, s, k/tau_F)), with k = ||K||_F and
+b = (1 + k/tau_K) / sqrt(tau_F) (see _factor_bound). A system passes on that
+bound when it is at most 1e10; every other system gets the SVD's condition
+number, so failures and their messages are the SVD's. tau_F > 0 proves a
+full-rank drift border, so up to width 200 the border's rank is computed
+only for the systems that LU or the bound fail.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
@@ -376,23 +379,29 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     return A
 
 
-def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
+def _solve_or_fail(
+    A: np.ndarray, b: np.ndarray, m: int, targets: list | None, sill=None, tally=None
+):
     """Solve a stack of bordered systems A x = b (m drift terms) under the
     one failure rule; targets holds each system's target, or is None for the
     one system over all samples. Returns (ok, sol, measure, value, failed):
     ok masks the systems that passed, value is the conditioning measure per
     solved system (NaN elsewhere), measure names it for a log note ("cond ≤":
-    an upper bound from _cond_bound, exact where it fails; or "residual") and
-    failed maps a stack position to its reason.
+    an upper bound from _factor_bound, exact where it fails; or "residual")
+    and failed maps a stack position to its reason.
+
+    sill, the semivariogram model's sill, declares A a stack of kriging
+    systems as _bordered builds them, which _factor_bound may clear; without
+    it every system up to width 200 is judged by the SVD. tally, a dict,
+    counts the systems cleared by their factors ("certified") and those
+    judged by an SVD ("svd").
 
     A degree-1 drift border F (n, 3) of rank below 3 fails the system,
-    though LU may "solve" it with a tiny pivot. Up to width 200 its rank is
-    computed only for the systems that LU or the condition bound fail:
-    matrix_rank reports rank < 3 only when s3(F) <= n eps s1(F), n < 200,
-    and A (0, v) = (F v, 0) for every v gives cond(A) >= s1(F) / s3(F) >=
-    1 / (200 eps) > 2e13, so a system that passes the bound (<= 1e10) has a
-    full-rank border. The residual test beyond width 200 cannot tell, so a
-    wider system has its rank checked first."""
+    though LU may "solve" it with a tiny pivot. A system the factors clear
+    has a proven tau_F > 0, so a full-rank border; up to width 200 the rank
+    is computed only for the other systems that LU solved. The residual
+    test beyond width 200 cannot tell, so a wider system has its rank
+    checked first."""
     L, w = b.shape
     n = w - m
     failed = {}
@@ -433,8 +442,12 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
     value = np.full(L, np.nan)
     if w <= 200:
         measure, name, limit = "cond ≤", "cond", _COND_LIMIT
-        value[ok] = _cond_bound(Ao)
+        if sill is not None:
+            value[ok] = _factor_bound(Ao, m, sill)
         slow = np.flatnonzero(ok & ~(value <= _BOUND_LIMIT))
+        if tally is not None:
+            tally["certified"] += int(ok.sum()) - len(slow)
+            tally["svd"] += len(slow)
         if len(slow):
             rank_ok = full_rank(slow)
             singular = slow[~rank_ok]
@@ -454,33 +467,150 @@ def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None):
     return ok, sol, measure, value, failed
 
 
-def _cond_bound(A: np.ndarray) -> np.ndarray:
-    """Per system of the stack A: an upper bound on its 2-norm condition
-    number, or inf where the bound cannot be proven.
+def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
+    """Per system of the stack A of bordered kriging systems: a proven upper
+    bound on its 2-norm condition number, or inf where none is proven.
 
-    With X an inverse computed in floating point and r = ||XA - I||_F <= 1/2,
-    A^-1 = (XA)^-1 X and a Neumann series give ||A^-1|| <= ||X|| / (1 - r);
-    with ||.||_2 <= ||.||_F, cond(A) <= ||A||_F ||X||_F / (1 - r)."""
+    A = [[G, F], [F^T, 0]] must be symmetric, as _bordered builds it, with
+    F's first column all ones; sill is a number s >= 0.
+    The bound rests on two Cholesky factors per system, of the covariance
+    block K = sJ - G (J = 11^T) and of the drift Gram matrix F^T F.
+
+    The bound. Let lmin(K) >= tau_K > 0 and lmin(F^T F) >= tau_F > 0, and
+    h = 1/tau_K, rho = tau_F^-1/2, k >= ||K||_F, b = rho (1 + h k). Then
+    ||A^-1||_2 <= b + max(h, s, rho^2 k), so cond(A) <= ||A||_F times that.
+    Proof (the null-space form of a saddle-point inverse; Benzi, Golub &
+    Liesen 2005, Acta Numerica 14:1, section 6). Let F = QR (tau_F > 0, so
+    R is invertible) and Z an orthonormal basis of the null space of F^T.
+    As 1 = F e1, Z^T 1 = 0 and Z^T G = -Z^T K. Solving A (x, y) = (r, t):
+    x = Q R^-T t + Z v, and Z^T (G x + F y) = Z^T r gives
+    v = -M^-1 Z^T (r + K Q R^-T t) with M = Z^T K Z, lmin(M) >= tau_K. So
+      (1,1) block of A^-1: -Z M^-1 Z^T, norm <= h;
+      (1,2) block: (I - P) Q R^-T, P = Z M^-1 Z^T K, norm <= (1 + h k) rho;
+      (2,2) block: -R^-1 Q^T G (I - P) Q R^-T. J Z = 0 gives J (I - P) = J
+      and R^-1 Q^T 1 = e1, so it is -s e1 e1^T + R^-1 Q^T C Q R^-T with
+      C = K - K Z M^-1 Z^T K = K^1/2 (I - W) K^1/2, W the orthogonal
+      projector onto the range of K^1/2 Z: C is PSD with ||C|| <= k, and a
+      difference of two PSD matrices has norm <= max(s, rho^2 k).
+    A^-1 is symmetric, and the 2-norm of a block matrix is at most that of
+    its matrix of block norms, [[h, b], [b, c]]: at most max(h, c) + b.
+    tau_F > 0 also proves the drift border has full rank.
+
+    Proving tau_K and tau_F. If a floating-point Cholesky factorisation of
+    a symmetric n x n B runs to completion (every pivot positive and
+    finite), then R^T R = B + E with |E| <= g |R^T| |R|, g = gamma_(n+2) =
+    (n+2) u / (1 - (n+2) u), u = 2^-53: the proof of Higham 2002, Thm 10.3,
+    needs only the completion, and holds in any order of summation, with or
+    without fused multiply-adds, and with one more rounding where a division
+    is a product with a rounded reciprocal, as in LAPACK. The column norms
+    of R are then <= (b_ii / (1 - g))^1/2, so ||E||_2 <= (g / (1 - g))
+    tr(B) and lmin(B) >= -1.01 (n+2) u tr(B) (Rump 2006, BIT 46:433).
+    Underflow adds at most 2^-1022 to a product or quotient, so under
+    2^-1005 (1 + max b_ii) to ||E||_2 for n <= 200. So B is factored
+    shifted by c, and Weyl's inequality adds up the rounding: in K~ = fl(s
+    - G) (u |K| per entry), in F^T F (gamma_n ||F||_F^2), in the shift (u
+    per diagonal entry) and in the factorisation. With mag the Frobenius
+    norm of K~, or the trace of the computed F^T F, all of it is below half
+    of
+      slack = 8 w^2 u (mag + c) + 2^-999    (w = n + m, the system width),
+    and tau = fl(c - slack) <= c - slack / 2 (slack >= 2 u c) is proven.
+    K is shifted by s / 1024 on the common path. F^T F (3 x 3) is shifted by
+    det / (2 e2), e2 the sum of its principal 2 x 2 minors: e2 >= l2 l3, the
+    product of its two larger eigenvalues, so in exact arithmetic the shift
+    is at most lmin / 2.
+
+    A slab of K factors that fails as a whole (numpy raises for the stack)
+    is tried again with each system shifted by the smallest tau_K whose
+    bound would still be half of _BOUND_LIMIT, then one system at a time.
+    The final bound takes a factor 1 + 2^-20 for the rounding of the norms
+    (relative 1.01 w^2 u <= 2^-37 up to width 200) and of its own few
+    operations, and 2^-500 on k for underflowed squares (||A||_F >= 1, from
+    the ones column, needs no such term)."""
     L, w, _ = A.shape
-    bound = np.full(L, np.inf)
-    eye = np.eye(w)
-    step = max(1, _SLAB_ELEMS // (w * w))
-    # an inverse with inf entries makes r and the bound inf or NaN
+    n = w - m
+    s = np.full(L, float(sill))
+    u = 2.0**-53
+
+    def slack(mag, c):
+        return 8.0 * w * w * u * (mag + c) + 2.0**-999
+
     with np.errstate(all="ignore"):
-        for s in range(0, L, step):
-            As = A[s : s + step]
-            try:
-                X = np.linalg.inv(As)
-            except np.linalg.LinAlgError:
-                continue
-            r = np.linalg.norm(np.matmul(X, As) - eye, axis=(1, 2))
-            norms = np.linalg.norm(As, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
-            bound[s : s + step] = np.where(r <= 0.5, norms / (1.0 - r), np.inf)
-    return bound
+        if m == 1:
+            tau_F = np.full(L, float(n))  # F = 1 exactly: F^T F = n
+        else:
+            P = np.matmul(A[:, n:, :n], A[:, :n, n:])
+            lower = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+            a, b, c, d, e, f = (P[:, i, j] for i, j in lower)
+            m11, m12, m13 = d * f - e * e, b * f - c * e, b * e - c * d
+            det = a * m11 - b * m12 + c * m13
+            shift = det / (2.0 * (m11 + (a * f - c * c) + (a * d - b * b)))
+            tau_F = np.where(_chol3_completes(P, shift), shift - slack(a + d + f, shift), np.nan)
+        rho2 = 1.0 / tau_F
+        rho = np.sqrt(rho2)
+        norm_A = np.sqrt(np.einsum("ijk,ijk->i", A, A))
+        k = np.empty(L)
+        tau_K = np.full(L, np.nan)
+        step = max(1, _SLAB_ELEMS // (w * w))
+        for lo in range(0, L, step):
+            sl = slice(lo, min(lo + step, L))
+            G, sv = A[sl, :n, :n], s[sl]
+            K = sv[:, None, None] - G
+            k[sl] = np.sqrt(np.einsum("ijk,ijk->i", K, K)) + 2.0**-500
+            shift = sv / 1024.0
+            done = _chol_completes(K, shift)
+            if done is None:
+                # shift each system by the smallest tau_K that could still
+                # pass, then, if the stack still fails, one at a time
+                q = 0.5 * _BOUND_LIMIT / norm_A[sl] - rho[sl] - np.maximum(sv, rho2[sl] * k[sl])
+                need = np.where(q > 0, (rho[sl] * k[sl] + 1.0) / q, np.nan)
+                shift = need + 2.0 * slack(k[sl], need)
+                tried = np.flatnonzero(shift > 0)
+
+                def attempt(rows):
+                    return _chol_completes(sv[rows, None, None] - G[rows], shift[rows])
+
+                passed = attempt(tried)
+                if passed is None:
+                    passed = [bool(attempt([j])) for j in tried]
+                done = np.zeros(len(sv), dtype=bool)
+                done[tried] = passed
+            tau_K[sl] = np.where(done, shift - slack(k[sl], shift), np.nan)
+        h = 1.0 / tau_K
+        b = rho * (1.0 + h * k)
+        bound = (1.0 + 2.0**-20) * norm_A * (b + np.maximum(h, np.maximum(s, rho2 * k)))
+    return np.where((tau_K > 0) & (tau_F > 0) & (s >= 0) & (bound < np.inf), bound, np.inf)
 
 
-def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
-    """Assemble and solve the target-centered UK systems of targets x0.
+def _chol_completes(K: np.ndarray, shift: np.ndarray):
+    """Whether the floating-point Cholesky factorisation of each K_j -
+    shift_j I runs to completion, as a mask; None when numpy's factorisation
+    of the stack raises. K is shifted in place (einsum's diagonal is a
+    writeable view)."""
+    np.einsum("ijj->ij", K)[...] -= shift[:, None]
+    try:
+        diag = np.einsum("ijj->ij", np.linalg.cholesky(K))
+    except np.linalg.LinAlgError:
+        return None
+    # a NaN or inf anywhere in the factor reaches a later pivot
+    return (diag.min(axis=1) > 0) & (diag.max(axis=1) < np.inf)
+
+
+def _chol3_completes(P: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Whether the Cholesky recurrences on each 3 x 3 P_j - shift_j I run to
+    completion in floating point (lower triangle)."""
+    l11 = np.sqrt(P[:, 0, 0] - shift)
+    l21 = P[:, 1, 0] / l11
+    l31 = P[:, 2, 0] / l11
+    l22 = np.sqrt(P[:, 1, 1] - shift - l21 * l21)
+    l32 = (P[:, 2, 1] - l31 * l21) / l22
+    l33 = np.sqrt(P[:, 2, 2] - shift - l31 * l31 - l32 * l32)
+    diag = np.stack([l11, l22, l33])
+    return (diag.min(axis=0) > 0) & (diag.max(axis=0) < np.inf)
+
+
+def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
+    """Assemble and solve the target-centered UK systems of targets x0
+    (tally as for _solve_or_fail).
 
     Returns (sample_indices, weights, drift_multipliers, prediction,
     variance, errors, measure, value): one row per target up to errors,
@@ -514,7 +644,9 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray):
     b = np.zeros((len(live), n + m))
     b[:, :n] = model_gamma(sys.model, dist[live])
     b[:, n] = 1.0
-    ok, sol, measure, value, failed = _solve_or_fail(A, b, m, x0[live].tolist())
+    ok, sol, measure, value, failed = _solve_or_fail(
+        A, b, m, x0[live].tolist(), sys.model.sill, tally
+    )
     errors = {int(live[j]): why for j, why in failed.items()}
     live, b, sol = live[ok], b[ok], sol[ok]
 
@@ -557,7 +689,7 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
 
     A = _bordered(sys.model, c[None], F[None])
     rhs = np.concatenate([sys.values, np.zeros(m)])
-    ok, sol, measure, value, failed = _solve_or_fail(A, rhs[None], m, None)
+    ok, sol, measure, value, failed = _solve_or_fail(A, rhs[None], m, None, sys.model.sill)
     if not ok[0]:
         return out, dict.fromkeys(live.tolist(), failed[0]), f"global neighbourhood, {failed[0]}"
     alpha = sol[0]
@@ -586,12 +718,18 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
     out = np.empty(len(targets))
     errors = {}
     worst = np.nan
+    tally = {"certified": 0, "svd": 0}
     for s in range(0, len(targets), step):
-        *_, prediction, _, chunk_errors, measure, value = _krige_chunk(sys, targets[s : s + step])
+        *_, prediction, _, chunk_errors, measure, value = _krige_chunk(
+            sys, targets[s : s + step], tally
+        )
         out[s : s + step] = prediction
         errors.update((s + row, msg) for row, msg in chunk_errors.items())
         worst = np.fmax.reduce(value, initial=worst)
-    return out, errors, f"local neighbourhood of {sys.neighborhood}, worst {measure} {worst:.3g}"
+    return out, errors, (
+        f"local neighbourhood of {sys.neighborhood}, worst {measure} {worst:.3g}, "
+        f"{tally['certified']} systems certified by their factors, {tally['svd']} by SVD"
+    )
 
 
 def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:

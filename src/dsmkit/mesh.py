@@ -266,8 +266,11 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
     src = np.repeat(np.arange(m.n_vertices), np.diff(indptr))
 
     for _ in range(iterations):
-        sums = np.zeros_like(verts)
-        np.add.at(sums, src, verts[indices])
+        # bincount adds each vertex's neighbours in order, as np.add.at does
+        sums = np.column_stack([
+            np.bincount(src, weights=verts[indices, c], minlength=m.n_vertices)
+            for c in range(verts.shape[1])
+        ])
         proposal = sums / counts[:, None]
 
         candidate = verts.copy()

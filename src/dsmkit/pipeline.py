@@ -469,11 +469,20 @@ def build_planar_mesh(config: PipelineConfig):
 
 def variogram_model(config: PipelineConfig, samples: Samples):
     """(model, empirical-or-None): the configured model, or one fitted to
-    the experimental variogram out to `variogram_max_lag`."""
+    the experimental variogram out to `variogram_max_lag`. A fitted model of
+    zero sill (every pair in range has equal elevations) makes every
+    kriging system singular, so it is rejected here, before the lift."""
     if config.explicit_model is not None:
         return config.explicit_model, None
     ev = empirical_variogram(samples.utm, config.variogram_max_lag, config.variogram_bins)
-    return fit_model(ev, config.variogram_kind), ev
+    model = fit_model(ev, config.variogram_kind)
+    if model.sill == 0:
+        raise DataError(
+            "the fitted variogram has zero sill (every sample pair within max_lag has the "
+            "same elevation), so kriging is undefined; use method = idw or an explicit "
+            "model (variogram_c0, variogram_c, variogram_a)"
+        )
+    return model, ev
 
 
 def lift_surface(

@@ -271,6 +271,34 @@ def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
     return ok, sol, value, failed
 
 
+def cond_bound_reference(A: np.ndarray) -> np.ndarray:
+    """interpolate._solve_or_fail's condition bound before the factor
+    certificate: per system of the stack A, an upper bound on its 2-norm
+    condition number, or inf where the bound cannot be proven.
+
+    With X an inverse computed in floating point and r = ||XA - I||_F <= 1/2,
+    A^-1 = (XA)^-1 X and a Neumann series give ||A^-1|| <= ||X|| / (1 - r);
+    with ||.||_2 <= ||.||_F, cond(A) <= ||A||_F ||X||_F / (1 - r)."""
+    from dsmkit.interpolate import _SLAB_ELEMS
+
+    L, w, _ = A.shape
+    bound = np.full(L, np.inf)
+    eye = np.eye(w)
+    step = max(1, _SLAB_ELEMS // (w * w))
+    # an inverse with inf entries makes r and the bound inf or NaN
+    with np.errstate(all="ignore"):
+        for s in range(0, L, step):
+            As = A[s : s + step]
+            try:
+                X = np.linalg.inv(As)
+            except np.linalg.LinAlgError:
+                continue
+            r = np.linalg.norm(np.matmul(X, As) - eye, axis=(1, 2))
+            norms = np.linalg.norm(As, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
+            bound[s : s + step] = np.where(r <= 0.5, norms / (1.0 - r), np.inf)
+    return bound
+
+
 def idw_reference(locations, values, targets, power, k) -> np.ndarray:
     """Shepard IDW, one target at a time."""
     out = np.empty(len(targets))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dsmkit.interpolate as interpolate
 from _oracles import (
     assemble_uk_system,
+    cond_bound_reference,
     gauss_solve,
     idw_reference,
     nearest_subset,
@@ -41,7 +42,7 @@ from dsmkit.pipeline import (
     prepare_samples,
     variogram_model,
 )
-from dsmkit.variogram import VariogramModel
+from dsmkit.variogram import MODEL_KINDS, VariogramModel
 
 SPH = VariogramModel("spherical", 0.5, 2.0, 8.0)
 
@@ -491,24 +492,31 @@ class TestLiftAgainstOracle:
     """The batched lift against the per-vertex reference loop."""
 
     @pytest.mark.parametrize("seed", [42, 7])
-    def test_demo_uk_lift(self, seed, monkeypatch):
+    def test_demo_uk_lift(self, seed, monkeypatch, caplog):
         cfg = PipelineConfig.from_mapping({"seed": seed})
         prepared = prepare_samples(cfg)
         samples = prepared.utm
         planar, _, _ = build_planar_mesh(cfg)
         model, _ = variogram_model(cfg, prepared)
-        svds = []
-        cond = np.linalg.cond
-        matrix_rank = np.linalg.matrix_rank
-        monkeypatch.setattr(np.linalg, "cond", lambda *a: svds.append("cond") or cond(*a))
-        monkeypatch.setattr(
-            np.linalg, "matrix_rank", lambda *a: svds.append("rank") or matrix_rank(*a)
-        )
-        lifted, summary = lift_mesh(planar, samples, UkConfig(model, cfg.drift, cfg.neighbors))
+        calls = []
+        for name in ("cond", "matrix_rank", "inv"):
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, f=getattr(np.linalg, name), name=name: (
+                    calls.append(name) or f(*a)
+                ),
+            )
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+            lifted, summary = lift_mesh(
+                planar, samples, UkConfig(model, cfg.drift, cfg.neighbors)
+            )
         monkeypatch.undo()
-        # every demo system passes on the proven bound, without an SVD of
-        # the system or of its drift border
-        assert svds == []
+        # every demo system passes on its two proven factors, without an
+        # inverse, or an SVD of the system or of its drift border
+        assert calls == []
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
+        assert "4592 systems certified by their factors, 0 by SVD, 0 fallbacks" in notes[0]
+        worst = float(re.search(r"worst cond ≤ (\S+),", notes[0])[1])
+        assert worst < 1e9
         want, fallbacks = uk_lift_reference(
             samples.coords(), samples.altitudes(), model, cfg.drift, cfg.neighbors,
             planar.vertices,
@@ -639,6 +647,20 @@ def _bordered_with_singular_values(rng, n, m, s):
     return A
 
 
+def _centred_stack(model, offsets, degree):
+    """The target-centred kriging systems (A, b) of sample offsets (L, n, 2),
+    assembled as _krige_chunk assembles them."""
+    L, n, _ = offsets.shape
+    F = np.ones((L, n, 1))
+    if degree == 1:
+        F = np.concatenate([F, offsets], axis=2)
+    A = interpolate._bordered(model, offsets, F)
+    b = np.zeros((L, n + F.shape[2]))
+    b[:, :n] = interpolate.model_gamma(model, np.hypot(offsets[..., 0], offsets[..., 1]))
+    b[:, n] = 1.0
+    return A, b
+
+
 class TestConditionBound:
     """_solve_or_fail's bound against the SVD rule it replaced."""
 
@@ -671,15 +693,6 @@ class TestConditionBound:
         # a passing system's value bounds its condition number from above
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
 
-    @staticmethod
-    def _centred_system(model, d):
-        """The target-centred degree-1 system of samples at offsets d."""
-        n = len(d)
-        F = np.column_stack([np.ones(n), d])
-        A = interpolate._bordered(model, d[None], F[None])[0]
-        b = np.concatenate([interpolate.model_gamma(model, np.hypot(d[:, 0], d[:, 1])), [1, 0, 0]])
-        return A, b
-
     def test_rank_is_checked_only_where_lu_or_the_bound_fails(self, monkeypatch):
         rng = np.random.default_rng(12)
         t = rng.uniform(-5, 5, 16)
@@ -695,7 +708,10 @@ class TestConditionBound:
             "ill-conditioned": (gaussian, pair),
             "regular too": (SPH, rng.uniform(-5, 5, (16, 2))),
         }
-        built = {name: self._centred_system(*spec) for name, spec in systems.items()}
+        built = {}
+        for name, (model, d) in systems.items():
+            A, b = _centred_stack(model, d[None], 1)
+            built[name] = A[0], b[0]
         A, _ = built["collinear"]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(A, np.ones(len(A)))
@@ -708,7 +724,8 @@ class TestConditionBound:
             np.linalg, "matrix_rank", lambda M: ranks.append(len(M)) or matrix_rank(M)
         )
         for names, want_ranks in [
-            # one batched LU, then the rank of the two systems over the bound
+            # one batched LU, then the rank of the two systems the factors
+            # do not clear
             (["regular", "nearly collinear", "ill-conditioned", "regular too"], 2),
             # LU raises for the stack: one by one, a rank for each failure
             (["regular", "collinear", "nearly collinear", "ill-conditioned", "regular too"], 3),
@@ -717,7 +734,11 @@ class TestConditionBound:
             A = np.array([built[name][0] for name in names])
             b = np.array([built[name][1] for name in names])
             targets = [[float(j), 0.5] for j in range(len(A))]
-            ok, sol, measure, value, failed = interpolate._solve_or_fail(A, b, 3, targets)
+            # one sill for the stack: 2.5 keeps the gaussian system's
+            # K = sJ - G positive definite, which the certificate needs
+            ok, sol, measure, value, failed = interpolate._solve_or_fail(
+                A, b, 3, targets, SPH.sill
+            )
             assert sum(ranks) == want_ranks
             want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
             assert ok.tolist() == [name.startswith("regular") for name in names]
@@ -731,6 +752,139 @@ class TestConditionBound:
                     assert "drift border of rank 2" in failed[j]
                 if name == "ill-conditioned":
                     assert "ill-conditioned" in failed[j] and value[j] == svd_cond[j]
+
+
+class TestFactorCertificate:
+    """_factor_bound, the certificate from two Cholesky factors, inside
+    _solve_or_fail against the SVD rule."""
+
+    @staticmethod
+    def _offsets(rng, geometry, k):
+        d = rng.uniform(-10.0, 10.0, (k, 2))
+        if geometry == "nearly collinear":
+            t = rng.uniform(-10.0, 10.0, k)
+            off = 10.0 ** -rng.uniform(1.0, 9.0) * rng.normal(size=k)
+            d = np.column_stack([t, 0.3 * t + off])
+        elif geometry == "micrometre pair":
+            d[-1] = d[0] + [1e-6, 0.0]
+        return d
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(MODEL_KINDS),
+        nugget=st.sampled_from([0.0, 0.2]),
+        log_sill=st.floats(-2.0, 6.0),
+        log_range=st.floats(0.0, 2.5),
+        degree=st.sampled_from([0, 1]),
+        k=st.integers(4, 24),
+        geometries=st.lists(
+            st.sampled_from(["scatter", "nearly collinear", "micrometre pair"]),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decides_like_the_svd_rule_on_kriging_stacks(
+        self, kind, nugget, log_sill, log_range, degree, k, geometries, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sill = 10.0**log_sill
+        model = VariogramModel(kind, nugget * sill, (1.0 - nugget) * sill, 10.0**log_range)
+        offsets = np.array([self._offsets(rng, g, k) for g in geometries])
+        A, b = _centred_stack(model, offsets, degree)
+        m = A.shape[1] - k
+        targets = [[float(j), 0.5] for j in range(len(A))]
+        tally = {"certified": 0, "svd": 0}
+        ok, sol, measure, value, failed = interpolate._solve_or_fail(
+            A, b, m, targets, model.sill, tally
+        )
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
+        assert np.array_equal(ok, want_ok)
+        assert failed == want_failed
+        assert np.array_equal(sol, want_sol)
+        assert measure == "cond ≤"
+        assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
+        # what the factors clear, they clear with a bound on the exact cond
+        bound = interpolate._factor_bound(A, m, model.sill)
+        cleared = bound <= interpolate._BOUND_LIMIT
+        assert np.all(bound[cleared] >= np.linalg.cond(A[cleared]))
+        assert tally["certified"] == np.count_nonzero(cleared & ok)
+
+    def test_factors_clear_what_the_inverse_cleared(self, monkeypatch):
+        # k = 8 gives the demo 219 vertices with nearly collinear samples:
+        # those go to the SVD, and the inverse-based bound the factors
+        # replaced clears none of them either
+        cfg = PipelineConfig.from_mapping({})
+        prepared = prepare_samples(cfg)
+        planar, _, _ = build_planar_mesh(cfg)
+        model, _ = variogram_model(cfg, prepared)
+        xy, z = prepared.utm.coords(), prepared.utm.altitudes()
+        stacks = []
+        factor_bound = interpolate._factor_bound
+        monkeypatch.setattr(
+            interpolate, "_factor_bound",
+            lambda A, m, s: stacks.append((A, factor_bound(A, m, s))) or stacks[-1][1],
+        )
+        _, errors, _ = interpolate._krige(KrigingSystem(xy, z, model, 1, 8), planar.vertices)
+        monkeypatch.undo()
+        assert len(errors) == 219
+        inverse_cleared = factors_cleared = 0
+        for A, bound in stacks:
+            by_inverse = cond_bound_reference(A) <= interpolate._BOUND_LIMIT
+            assert np.all(bound[by_inverse] <= interpolate._BOUND_LIMIT)
+            inverse_cleared += by_inverse.sum()
+            factors_cleared += (bound <= interpolate._BOUND_LIMIT).sum()
+        assert inverse_cleared == factors_cleared == 4592 - 219
+
+    @staticmethod
+    def _stack(pair_gaps):
+        """Degree-1 spherical systems of 16 samples, the last two samples of
+        system j pair_gaps[j] apart (None: scattered)."""
+        rng = np.random.default_rng(12)
+        offsets = rng.uniform(-5.0, 5.0, (len(pair_gaps), 16, 2))
+        for d, gap in zip(offsets, pair_gaps):
+            if gap is not None:
+                d[-1] = d[-2] + [gap, 0.0]
+        return _centred_stack(VariogramModel("spherical", 0.0, 2.0, 50.0), offsets, 1)
+
+    def _solve_counting_factors(self, A, b, monkeypatch):
+        sizes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda M: sizes.append(len(M)) or cholesky(M)
+        )
+        targets = [[float(j), 0.5] for j in range(len(A))]
+        tally = {"certified": 0, "svd": 0}
+        got = interpolate._solve_or_fail(A, b, 3, targets, 2.0, tally)
+        monkeypatch.undo()
+        ok, sol, _, value, failed = got
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
+        assert np.array_equal(ok, want_ok) and ok.all()
+        assert failed == want_failed == {}
+        assert np.array_equal(sol, want_sol)
+        assert np.all(value >= svd_cond)
+        return sizes, tally, value, svd_cond
+
+    def test_slab_retried_at_the_budget_shift(self, monkeypatch):
+        # a pair 1 cm apart puts lmin(K) near 3e-4 s, under the common shift
+        # s / 1024: the slab fails, and passes again shifted by the smallest
+        # tau_K each bound allows
+        A, b = self._stack([None, None, 0.01, None])
+        sizes, tally, value, _ = self._solve_counting_factors(A, b, monkeypatch)
+        assert sizes == [4, 4]
+        assert tally == {"certified": 4, "svd": 0}
+        assert np.all(value <= interpolate._BOUND_LIMIT)
+
+    def test_system_without_a_covariance_factor_goes_to_the_svd(self, monkeypatch):
+        # G -> 2sJ - G makes K = -K(before): negative definite, while A keeps
+        # its null-space block Z^T K Z and its good conditioning
+        A, b = self._stack([None, None, None, None, None])
+        n = 16
+        A[3, :n, :n] = 2 * 2.0 - A[3, :n, :n]
+        sizes, tally, value, svd_cond = self._solve_counting_factors(A, b, monkeypatch)
+        # the slab, its retry, then one system at a time
+        assert sizes == [5, 5, 1, 1, 1, 1, 1]
+        assert tally == {"certified": 4, "svd": 1}
+        assert value[3] == svd_cond[3]
 
 
 class TestGlobalNeighbourhood:

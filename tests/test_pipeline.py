@@ -673,6 +673,18 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_fitted_sill_is_rejected_before_the_lift(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "lift_surface", _stage_ran)
+        out = tmp_path / "flat"
+        code = main(["run", "--config", self._cfg(tmp_path, ["terrain = constant"]),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: stage 'variogram': the fitted variogram has zero sill")
+        assert "method = idw" in err and "explicit model" in err
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_exit_code_data_error(self, tmp_path, capsys):
         code = main(["run", "--input", "/nonexistent/pts.txt", "--out", str(tmp_path / "x")])
         assert code == 2

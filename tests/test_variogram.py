@@ -520,6 +520,23 @@ class TestFitAgainstReference:
         ev = empirical_variogram(samples, cfg.variogram_max_lag, cfg.variogram_bins)
         _assert_fit_matches_reference(ev)
 
+    def test_refinement_profiles_four_steps_per_call(self, monkeypatch):
+        from dsmkit.pipeline import PipelineConfig, prepare_samples
+
+        cfg = PipelineConfig.from_mapping({})
+        ev = empirical_variogram(prepare_samples(cfg).utm, cfg.variogram_max_lag, cfg.variogram_bins)
+        sizes = []
+        wls = variogram._wls
+        monkeypatch.setattr(variogram, "_wls", lambda *a: sizes.append(len(a[-1])) or wls(*a))
+        for kind in variogram.MODEL_KINDS:
+            sizes.clear()
+            fit = fit_model(ev, kind)
+            assert fit == fit_model_reference(ev, kind)
+            # the grid, the first two points, 2 + 4 + 8 + 16 points per four
+            # golden-section steps, and the fitted range
+            assert sizes[:2] == [256, 2] and sizes[-1] == 1
+            assert set(sizes[2:-1]) == {30} and len(sizes) <= 17
+
     @settings(max_examples=30, deadline=None)
     @given(
         steps=st.lists(st.floats(1e-3, 50.0), min_size=3, max_size=40),
