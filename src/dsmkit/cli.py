@@ -43,9 +43,12 @@ from .pipeline import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser):
-    # values are strings here: PipelineConfig.from_mapping parses and checks
-    # them, so a bad value is a configuration error (exit 1), not a usage one
+def _common_options() -> argparse.ArgumentParser:
+    # the options every subcommand takes, made once and given to each as a
+    # parent. Values are strings here: PipelineConfig.from_mapping parses
+    # and checks them, so a bad value is a configuration error (exit 1), not
+    # a usage one
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     p.add_argument("--input", metavar="PATH", help="point file, or 'synthetic'")
     p.add_argument("--method", metavar="uk|idw", help="interpolation method")
@@ -62,6 +65,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", metavar="S", help="RNG seed")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--format", metavar="LIST", help="comma list from obj,vtk,csv")
+    return p
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -215,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        sub.add_parser(name, help=help_text, parents=common)
     return parser
 
 

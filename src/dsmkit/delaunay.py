@@ -9,15 +9,19 @@ an integer multiple of one power of two, found from the smallest nonzero
 The filters' error bounds hold only while no product underflows or
 overflows; coordinates whose exponents allow that send every test to the
 exact predicates (_filters_sound), a choice made once per triangulation.
+The in-circle filter bounds Shewchuk's permanent by the products of the
+lifts (see _INCIRCLE_LIFT_BOUND): fewer operations, and every sign it decides
+the permanent's filter decides the same way.
 `triangulate` is one insertion loop whose hot float filters, the walk's
 orientation and the cavity's in-circle test, are written inline. The hull is
 represented by ghost triangles (third vertex GHOST), which makes insertion
 outside the current hull the same cavity operation as an interior insertion.
 
 Insertion order: a biased randomized insertion order (BRIO; Amenta, Choi &
-Rote 2003). A shuffle with a fixed seed is cut into rounds that double in
-size, and each round is sorted along a Hilbert curve, so every point is found
-by a short walk from the previous one and opens a small cavity.
+Rote 2003). A shuffle, the order of a fixed-seed integer hash of each index
+(splitmix64; no random generator), is cut into rounds that double in size,
+and each round is sorted along a Hilbert curve, so every point is found by a
+short walk from the previous one and opens a small cavity.
 
 Determinism: an exact in-circle tie (four cocircular points) is decided as if
 every point were lifted off the paraboloid by an infinitesimal amount that
@@ -42,6 +46,28 @@ GHOST = -1
 _EPS = 2.220446049250313e-16
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# The in-circle filter's bound B' * (alift*blift + blift*clift + clift*alift)
+# covers Shewchuk's B * permanent, where the permanent is
+#   (|bdx cdy| + |cdx bdy|) alift + (|cdx ady| + |adx cdy|) blift
+#     + (|adx bdy| + |bdx ady|) clift.
+# - Exactly, on the float differences: |x y| <= (x*x + y*y) / 2, so
+#   |bdx cdy| + |cdx bdy| <= (blift + clift) / 2 and likewise for the other
+#   two pairs; summed, the permanent is at most S = alift blift + blift clift
+#   + clift alift.
+# - In floats: with no product underflowing or overflowing (_filters_sound;
+#   a product of two lifts is a product of four differences, the range it
+#   covers), each operation is exact to a factor in [1 - u, 1 + u], u =
+#   2**-53. The float permanent's longest chain has seven roundings (product,
+#   sum of two, the lift's square and sum, the product with the lift, two
+#   sums), so it is at most (1 + u)**7 S; the float S has at most seven along
+#   each of its terms (a lift's two, the product, two sums), so it is at
+#   least (1 - u)**7 S.
+# - ((1 + u) / (1 - u))**7 < 1 + 16 u = 1 + 8 _EPS, and B' is the float
+#   nearest B (1 + 16 _EPS), at least B (1 + 16 _EPS)(1 - u) > B (1 + 8 _EPS).
+#   Hence B' * float S >= B * float permanent, and as rounding is monotone
+#   the float bound is at least the permanent's float bound: whenever
+#   det > bound (or -det > bound) here, the permanent's filter says so too.
+_INCIRCLE_LIFT_BOUND = _INCIRCLE_BOUND * (1.0 + 16.0 * _EPS)
 
 # the insertion order must not depend on the run's seed: it is fixed
 _BRIO_SEED = 0x5EED
@@ -91,12 +117,12 @@ def _filters_sound(values):
     - Underflow. A nonzero product of two differences is at least q**2. A
       float of at least q**2 is a multiple of q**2 * 2**-52, so a nonzero
       difference of two such products is at least that. Every product the
-      filters form (two differences; a lift times a difference of products;
-      a bound constant, at least 2**-52, times a sum of such products) is
-      therefore 0 or at least min(q**2, q**4) * 2**-52, which is a normal
-      float when 4 (lo - 53) - 52 >= -1022: lo >= -189.
+      filters form (two differences; a lift times a lift or a difference of
+      products; a bound constant, at least 2**-52, times a sum of such
+      products) is therefore 0 or at least min(q**2, q**4) * 2**-52, which
+      is a normal float when 4 (lo - 53) - 52 >= -1022: lo >= -189.
     - Overflow. A lift, and a difference of two products, are below
-      2**(2 hi + 3); the in-circle determinant and its permanent are sums of
+      2**(2 hi + 3); the in-circle determinant and its bound are sums of
       three terms below 2**(4 hi + 6), so every value stays below
       2**(4 hi + 8), finite when hi <= 253."""
     lo, hi = _exponents(values)
@@ -138,45 +164,40 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
     return (det > 0) - (det < 0)
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c),
-    -1 strictly outside, 0 on it."""
+def _incircle_filter(ax, ay, bx, by, cx, cy, dx, dy):
+    """The in-circle float filter: the sign of the determinant where its
+    error bound makes it certain, else 0. Sound only where _filters_sound
+    holds; triangulate's cavity runs the same formula inline."""
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
     bdy = by - dy
     cdx = cx - dx
     cdy = cy - dy
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
     alift = adx * adx + ady * ady
-
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
     blift = bdx * bdx + bdy * bdy
-
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
     clift = cdx * cdx + cdy * cdy
-
     det = (
-        alift * (bdxcdy - cdxbdy)
-        + blift * (cdxady - adxcdy)
-        + clift * (adxbdy - bdxady)
+        alift * (bdx * cdy - cdx * bdy)
+        + blift * (cdx * ady - adx * cdy)
+        + clift * (adx * bdy - bdx * ady)
     )
-    permanent = (
-        (abs(bdxcdy) + abs(cdxbdy)) * alift
-        + (abs(cdxady) + abs(adxcdy)) * blift
-        + (abs(adxbdy) + abs(bdxady)) * clift
-    )
-    errbound = _INCIRCLE_BOUND * permanent
+    bound = _INCIRCLE_LIFT_BOUND * (alift * blift + blift * clift + clift * alift)
+    if det > bound:
+        return 1
+    if -det > bound:
+        return -1
+    return 0
+
+
+def incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c),
+    -1 strictly outside, 0 on it."""
     values = np.array([ax, ay, bx, by, cx, cy, dx, dy], dtype=float)
     if _filters_sound(values):
-        if det > errbound:
-            return 1
-        if -det > errbound:
-            return -1
+        sign = _incircle_filter(ax, ay, bx, by, cx, cy, dx, dy)
+        if sign:
+            return sign
     return _incircle_exact(*_exact_integers(values))
 
 
@@ -210,12 +231,25 @@ def _hilbert_keys(xy):
     return keys
 
 
+def _hash_shuffle(n):
+    """A fixed permutation of range(n): the indices in the order of their
+    splitmix64 hashes (Steele, Lea & Flood 2014) from _BRIO_SEED. Its
+    finalizer is a bijection on 64-bit words, so no two hashes tie; uint64
+    arithmetic wraps, as the hash intends. The stable sort is the one the
+    Hilbert rounds use: numpy's default sort would load ~0.3 MB more code."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(_BRIO_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return np.argsort(z ^ (z >> np.uint64(31)), kind="stable")
+
+
 def _brio_order(points):
-    """Insertion order and its number of rounds: a fixed-seed shuffle cut into
-    rounds that double in size (the last holds half the points), each round
-    sorted along the Hilbert curve."""
+    """Insertion order and its number of rounds: a fixed hash shuffle cut
+    into rounds that double in size (the last holds half the points), each
+    round sorted along the Hilbert curve."""
     n = len(points)
-    perm = np.random.default_rng(_BRIO_SEED).permutation(n)
+    perm = _hash_shuffle(n)
     keys = _hilbert_keys(np.asarray(points, dtype=float))
     cuts = [n]
     while cuts[-1] > _FIRST_ROUND:
@@ -254,9 +288,10 @@ def triangulate(points, _order=None):
     """Delaunay-triangulate unique 2D points.
 
     points: sequence of (x, y) float pairs, all distinct.
-    Returns (triangles, stats): CCW vertex-index triples, each starting at
-    its smallest index, in sorted order, and a dict of counts (points,
-    rounds, created triangles, exact orient and incircle fallbacks, ties).
+    Returns (triangles, stats): an (m, 3) int64 array of CCW vertex-index
+    triples, each starting at its smallest index, in sorted order, and a dict
+    of counts (points, rounds, created triangles, exact orient and incircle
+    fallbacks, ties).
     _order, a permutation of the indices, replaces the BRIO order (tests).
     """
     n = len(points)
@@ -282,7 +317,7 @@ def triangulate(points, _order=None):
     # where a product may underflow or overflow, an infinite bound sends
     # every test to the exact predicates: no det exceeds inf, nor the NaN
     # of inf * 0
-    orient_bound, incircle_bound = _ORIENT_BOUND, _INCIRCLE_BOUND
+    orient_bound, incircle_bound = _ORIENT_BOUND, _INCIRCLE_LIFT_BOUND
     if not _filters_sound(xy.ravel()):
         orient_bound = incircle_bound = math.inf
     exact_orient = exact_incircle = ties = 0
@@ -314,13 +349,26 @@ def triangulate(points, _order=None):
 
     # Triangle t has vertices verts[3t:3t+3] (ghosts carry GHOST in the last
     # slot) and nbrs[3t+i] is the triangle across the edge from slot i to
-    # slot (i+1) % 3. An insertion reuses the slots of the triangles it
-    # destroys, so every slot holds a live triangle. Triangle 0 is the seed,
-    # 1-3 the ghosts across its edges (i0,i1), (i1,i2), (i2,i0).
-    verts = [i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST]
-    nbrs = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
+    # slot (i+1) % 3. Each insertion adds two triangles, so the final count,
+    # 2n - 2, is allocated up front; an insertion reuses the slots of the
+    # triangles it destroys and takes the next two, fresh and fresh + 1.
+    # Triangle 0 is the seed, 1-3 the ghosts across its edges (i0,i1),
+    # (i1,i2), (i2,i0).
+    slots = 2 * n - 2
+    verts = [0] * (3 * slots)
+    nbrs = [0] * (3 * slots)
+    verts[:12] = (i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST)
+    nbrs[:12] = (1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1)
+    fresh = 4
     last = 0  # a real triangle near the last insertion: walks start here
     created = 4
+    # mark[t] is 2p + 1 while inserting point p once t is in p's cavity, 2p + 2
+    # once t is known to be outside it: stamps, never cleared
+    mark = [0] * slots
+    # into_p[v] and from_p[v]: flat slots of the new edges (v, p) and (p, v);
+    # GHOST indexes the last entry
+    into_p = [0] * (n + 1)
+    from_p = [0] * (n + 1)
 
     def in_disk(t, p):
         # Whether p lies in the (perturbed) circumdisk of triangle t, decided
@@ -363,119 +411,126 @@ def triangulate(points, _order=None):
         py = ys[p]
 
         # walk to a triangle whose closure holds p, or a ghost whose
-        # half-plane does: step across the first edge p lies right of
+        # half-plane does: step across the first edge p lies right of, an
+        # edge (u, v) tested as orient(u, v, p) on differences to p that the
+        # triangle's edges share
         t = last
-        for _ in range(len(verts) + 64):
+        for _ in range(3 * fresh + 64):
             k = 3 * t
-            a = verts[k]
-            b = verts[k + 1]
             c = verts[k + 2]
             if c == GHOST:
                 break
-            for u, v, e in ((a, b, k), (b, c, k + 1), (c, a, k + 2)):
-                detleft = (xs[u] - px) * (ys[v] - py)
-                detright = (ys[u] - py) * (xs[v] - px)
-                det = detleft - detright
-                bound = orient_bound * (abs(detleft) + abs(detright))
-                if det > bound:
-                    continue
-                # not "<=": a NaN from overflow must go to the exact test too
-                if not -det > bound:
-                    exact_orient += 1
-                    if _orient_exact(ix[u], iy[u], ix[v], iy[v], ix[p], iy[p]) >= 0:
-                        continue
-                t = nbrs[e]
-                break
-            else:
-                break
+            a = verts[k]
+            b = verts[k + 1]
+            adx = xs[a] - px
+            ady = ys[a] - py
+            bdx = xs[b] - px
+            bdy = ys[b] - py
+            detleft = adx * bdy
+            detright = ady * bdx
+            det = detleft - detright
+            bound = orient_bound * (abs(detleft) + abs(detright))
+            # not "det <= bound": a NaN from overflow must go to the exact test
+            if not det > bound and (-det > bound or orient(a, b, p) < 0):
+                t = nbrs[k]
+                continue
+            cdx = xs[c] - px
+            cdy = ys[c] - py
+            detleft = bdx * cdy
+            detright = bdy * cdx
+            det = detleft - detright
+            bound = orient_bound * (abs(detleft) + abs(detright))
+            if not det > bound and (-det > bound or orient(b, c, p) < 0):
+                t = nbrs[k + 1]
+                continue
+            detleft = cdx * ady
+            detright = cdy * adx
+            det = detleft - detright
+            bound = orient_bound * (abs(detleft) + abs(detright))
+            if not det > bound and (-det > bound or orient(c, a, p) < 0):
+                t = nbrs[k + 2]
+                continue
+            break
         else:
             # walk did not settle (should not happen on a Delaunay mesh): scan,
             # deciding every in-circle test exactly
-            t = next((s for s in range(len(verts) // 3) if in_disk(s, p)), None)
+            t = next((s for s in range(fresh) if in_disk(s, p)), None)
             if t is None:
                 raise DataError(f"point location failed for point {p}")
 
         # grow the cavity: every triangle whose circumdisk holds p; collect its
         # boundary edges (u, v) with the triangle outside each
+        inside = 2 * p + 1
+        outside = inside + 1
+        mark[t] = inside
         cavity = [t]
-        inside = {t}
-        outside = set()
         edges = []
         stack = [t]
         while stack:
             t = stack.pop()
-            for i in range(3):
-                nb = nbrs[3 * t + i]
-                if nb in inside:
+            k = 3 * t
+            # edge i runs from slot i to slot (i + 1) % 3
+            for i, j in ((0, 1), (1, 2), (2, 0)):
+                nb = nbrs[k + i]
+                m = mark[nb]
+                if m == inside:
                     continue
-                # the in-circle float filter; ghosts and the tests it cannot
-                # decide go to in_disk
+                # the in-circle float filter of _incircle_filter; ghosts and
+                # the tests it cannot decide go to in_disk
                 hit = False
-                if nb not in outside:
+                if m != outside:
                     q = 3 * nb
-                    a = verts[q]
-                    b = verts[q + 1]
                     c = verts[q + 2]
                     if c == GHOST:
                         hit = in_disk(nb, p)
                     else:
+                        a = verts[q]
+                        b = verts[q + 1]
                         adx = xs[a] - px
                         ady = ys[a] - py
                         bdx = xs[b] - px
                         bdy = ys[b] - py
                         cdx = xs[c] - px
                         cdy = ys[c] - py
-                        bdxcdy = bdx * cdy
-                        cdxbdy = cdx * bdy
                         alift = adx * adx + ady * ady
-                        cdxady = cdx * ady
-                        adxcdy = adx * cdy
                         blift = bdx * bdx + bdy * bdy
-                        adxbdy = adx * bdy
-                        bdxady = bdx * ady
                         clift = cdx * cdx + cdy * cdy
                         det = (
-                            alift * (bdxcdy - cdxbdy)
-                            + blift * (cdxady - adxcdy)
-                            + clift * (adxbdy - bdxady)
+                            alift * (bdx * cdy - cdx * bdy)
+                            + blift * (cdx * ady - adx * cdy)
+                            + clift * (adx * bdy - bdx * ady)
                         )
-                        bound = incircle_bound * (
-                            (abs(bdxcdy) + abs(cdxbdy)) * alift
-                            + (abs(cdxady) + abs(adxcdy)) * blift
-                            + (abs(adxbdy) + abs(bdxady)) * clift
-                        )
+                        bound = incircle_bound * (alift * blift + blift * clift + clift * alift)
                         if det > bound:
                             hit = True
                         elif not -det > bound:
                             hit = in_disk(nb, p)
                 if hit:
-                    inside.add(nb)
+                    mark[nb] = inside
                     cavity.append(nb)
                     stack.append(nb)
                 else:
-                    outside.add(nb)
-                    edges.append((verts[3 * t + i], verts[3 * t + (i + 1) % 3], nb))
+                    mark[nb] = outside
+                    edges.append((verts[k + i], verts[k + j], nb))
 
         # one new triangle per boundary edge (u, v): (u, v, p), or a ghost
-        # when u or v is GHOST; the cavity's slots are reused, two appended
-        free = cavity + [len(verts) // 3, len(verts) // 3 + 1]
-        verts.extend((0, 0, 0, 0, 0, 0))
-        nbrs.extend((0, 0, 0, 0, 0, 0))
-        into_p = {}  # v -> flat slot of edge (v, p)
-        from_p = {}  # u -> flat slot of edge (p, u)
-        for (u, v, out), nt in zip(edges, free, strict=True):
+        # when u or v is GHOST; the cavity's slots are reused, two added
+        cavity.append(fresh)
+        cavity.append(fresh + 1)
+        fresh += 2
+        created += len(edges)
+        for (u, v, out), nt in zip(edges, cavity, strict=True):
             k = 3 * nt
             if v == GHOST:
                 verts[k : k + 3] = (p, u, GHOST)
-                outer, into_p[v], from_p[u] = k + 1, k + 2, k
+                nbrs[k + 1], into_p[v], from_p[u] = out, k + 2, k
             elif u == GHOST:
                 verts[k : k + 3] = (v, p, GHOST)
-                outer, into_p[v], from_p[u] = k + 2, k, k + 1
+                nbrs[k + 2], into_p[v], from_p[u] = out, k, k + 1
             else:
                 verts[k : k + 3] = (u, v, p)
-                outer, into_p[v], from_p[u] = k, k + 1, k + 2
+                nbrs[k], into_p[v], from_p[u] = out, k + 1, k + 2
                 last = nt
-            nbrs[outer] = out
             m = 3 * out
             if verts[m] == v:
                 nbrs[m] = nt
@@ -483,24 +538,19 @@ def triangulate(points, _order=None):
                 nbrs[m + 1] = nt
             else:
                 nbrs[m + 2] = nt
-        for x, k in into_p.items():
-            j = from_p[x]
+        # the boundary is a cycle: each of its vertices ends one edge and
+        # starts the next, so (v, p) and (p, v) are both new
+        for _, v, _ in edges:
+            k = into_p[v]
+            j = from_p[v]
             nbrs[k] = j // 3
             nbrs[j] = k // 3
-        created += len(edges)
 
-    triangles = []
-    for k in range(0, len(verts), 3):
-        a, b, c = verts[k], verts[k + 1], verts[k + 2]
-        if c == GHOST:
-            continue
-        if a < b and a < c:
-            triangles.append((a, b, c))
-        elif b < c:
-            triangles.append((b, c, a))
-        else:
-            triangles.append((c, a, b))
-    triangles.sort()
+    tris = np.array(verts, dtype=np.int64).reshape(-1, 3)
+    tris = tris[tris[:, 2] != GHOST]
+    start = tris.argmin(axis=1)
+    tris = tris[np.arange(len(tris))[:, None], (start[:, None] + np.arange(3)) % 3]
+    tris = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
     stats = {
         "points": n,
         "rounds": rounds,
@@ -509,4 +559,4 @@ def triangulate(points, _order=None):
         "exact_incircle": exact_incircle,
         "ties": ties,
     }
-    return triangles, stats
+    return tris, stats

@@ -175,7 +175,7 @@ def delaunay_triangulate(points) -> TriMesh:
         "incircle, %(ties)d cocircular ties decided by input index",
         stats,
     )
-    return TriMesh(unique, np.array(tris, dtype=np.int64))
+    return TriMesh(unique, tris)
 
 
 def seed_grid_shape(rect: Rect, target_spacing: float) -> tuple[int, int]:

@@ -70,6 +70,11 @@ from .variogram import (
 
 logger = logging.getLogger(__name__)
 
+# the altitudes a run accepts, in meters: ten times Earth's relief either
+# way, and small enough that every squared difference and every kriging sum
+# of them stays far inside the float range
+MAX_ALTITUDE = 1e5
+
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
 DEFAULTS = {
@@ -242,6 +247,11 @@ class PipelineConfig:
             explicit = VariogramModel(
                 kind, number("variogram_c0"), number("variogram_c"), number("variogram_a")
             )
+            # a zero sill makes every kriging system singular; IDW ignores it
+            if method == "uk" and explicit.sill == 0:
+                raise ConfigError(
+                    "method uk needs a positive sill: variogram_c0 + variogram_c is 0"
+                )
 
         formats = tuple(f for f in raw["format"].split(",") if f)
         bad = set(formats) - {"obj", "vtk", "csv"}
@@ -416,7 +426,8 @@ class Samples:
 
 def acquire(config: PipelineConfig) -> PointSet:
     """Scan the synthetic terrain over the region plus its margin, or read
-    the point file named by `input`."""
+    the point file named by `input`; altitudes must lie within
+    +-MAX_ALTITUDE."""
     if config.input == "synthetic":
         r = config.region
         center = GeoPoint(0.5 * (r.y_min + r.y_max), 0.5 * (r.x_min + r.x_max))
@@ -424,15 +435,24 @@ def acquire(config: PipelineConfig) -> PointSet:
         params = {name: config.terrain_params[name] for name in takes}
         provider = synthetic_terrain(config.terrain, center, **params)
         extended = r.expanded(config.margin)
-        return scan_grid(provider, ScanSpec(extended, config.rows, config.cols))
-    path = Path(config.input)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read input file {path}: {e}") from None
-    return parse_point_file(text)
+        ps = scan_grid(provider, ScanSpec(extended, config.rows, config.cols))
+    else:
+        path = Path(config.input)
+        if not path.exists():
+            raise DataError(f"input file not found: {path}")
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise DataError(f"cannot read input file {path}: {e}") from None
+        ps = parse_point_file(text)
+    (beyond,) = np.nonzero(np.abs(ps.z) > MAX_ALTITUDE)  # z is finite: PointSet checks
+    if len(beyond):
+        k = int(beyond[0])
+        raise DataError(
+            f"sample {k} (latitude {ps.y[k].item()!r}, longitude {ps.x[k].item()!r}): "
+            f"altitude {ps.z[k].item()!r} m is outside [-{MAX_ALTITUDE:g}, {MAX_ALTITUDE:g}] m"
+        )
+    return ps
 
 
 def prepare_samples(config: PipelineConfig) -> Samples:

@@ -374,7 +374,9 @@ def _ref_orient(ax, ay, bx, by, cx, cy):
     return orient_fraction(ax, ay, bx, by, cx, cy)
 
 
-def _ref_incircle(ax, ay, bx, by, cx, cy, dx, dy):
+def incircle_filter_reference(ax, ay, bx, by, cx, cy, dx, dy):
+    """Shewchuk's in-circle float filter, bounded by the permanent: the
+    determinant's sign where the bound makes it certain, else 0."""
     adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
     bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
     cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
@@ -390,7 +392,12 @@ def _ref_incircle(ax, ay, bx, by, cx, cy, dx, dy):
         return 1
     if -det > errbound:
         return -1
-    return incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy)
+    return 0
+
+
+def _ref_incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    sign = incircle_filter_reference(ax, ay, bx, by, cx, cy, dx, dy)
+    return sign or incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy)
 
 
 def _ref_within_open_segment(pa, pb, q):
@@ -890,3 +897,36 @@ def fit_model_reference(ev, kind):
     a_best = 0.5 * (lo + hi)
     _, c0, c = _wls_for_range_reference(kind, h, g, w, a_best)
     return VariogramModel(kind, float(c0), float(c), float(a_best))
+
+
+def cli_parser_reference(commands: dict):
+    """dsmkit's argument parser as built before its subcommands shared one
+    parent: each subcommand adds the common options itself. commands maps
+    each subcommand's name to its help text."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="dsmkit",
+        description="Build discrete surface models from scattered elevation samples.",
+    )
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="flat key=value config file")
+        p.add_argument("--input", metavar="PATH", help="point file, or 'synthetic'")
+        p.add_argument("--method", metavar="uk|idw", help="interpolation method")
+        p.add_argument("--power", metavar="P", help="IDW power parameter")
+        p.add_argument(
+            "--variogram",
+            metavar="spherical|gaussian|exponential",
+            help="theoretical variogram kind",
+        )
+        p.add_argument("--drift", metavar="0|1", help="kriging drift degree")
+        p.add_argument("--neighbors", metavar="N|global", help="neighborhood size")
+        p.add_argument("--spacing", metavar="M", help="mesh vertex spacing, meters")
+        p.add_argument("--smooth-iters", metavar="K", help="Laplacian sweeps")
+        p.add_argument("--seed", metavar="S", help="RNG seed")
+        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--format", metavar="LIST", help="comma list from obj,vtk,csv")
+    return parser

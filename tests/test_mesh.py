@@ -17,6 +17,7 @@ from _oracles import (
     dihedral_roughness_reference,
     edges_reference,
     euler_characteristic,
+    incircle_filter_reference,
     incircle_fraction,
     orient_fraction,
     rotation_canonical,
@@ -197,6 +198,12 @@ _LATTICE = [(i, j) for i in range(6) for j in range(6)]
 _PLACEMENTS = [(0.0, 0.0, 1.0), (684321.0, 5398765.0, 3.0), (540000.0, 0.0, 0.1)]
 
 
+def _triples(tris):
+    # triangulate's (m, 3) array as a list of vertex-index tuples
+    assert tris.dtype == np.int64 and tris.shape == (len(tris), 3)
+    return [tuple(t) for t in tris.tolist()]
+
+
 class TestDelaunayOrderIndependence:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -215,10 +222,10 @@ class TestDelaunayOrderIndependence:
             return
         tris, stats = delaunay.triangulate(pts, _order=order)
         assert len(tris) == len(ref)
-        assert set(tris) == rotation_canonical(ref)
+        assert set(_triples(tris)) == rotation_canonical(ref)
         assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
-        # canonical output: the same list whatever the insertion order
-        assert tris == delaunay.triangulate(pts)[0]
+        # canonical output: the same array whatever the insertion order
+        assert np.array_equal(tris, delaunay.triangulate(pts)[0])
         assert stats["points"] == len(pts)
 
     @pytest.mark.parametrize("strategy, seed", [("grid", 0), ("jittered", 0), ("jittered", 7)])
@@ -227,9 +234,10 @@ class TestDelaunayOrderIndependence:
         pts = [tuple(p) for p in seed_region(rect, 10.0, strategy, seed).tolist()]
         ref, ref_hull = triangulate_reference(pts)
         tris, stats = delaunay.triangulate(pts)
-        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
+        triples = _triples(tris)
+        assert set(triples) == rotation_canonical(ref) and len(tris) == len(ref)
         assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
-        assert tris == sorted(tris) and all(t[0] == min(t) for t in tris)
+        assert triples == sorted(triples) and all(t[0] == min(t) for t in triples)
         assert stats["rounds"] > 1
 
     def test_errors_name_input_indices(self):
@@ -251,8 +259,8 @@ class TestDelaunayOrderIndependence:
              "48 points, 1 BRIO rounds, 236 triangles created, "
              "exact fallbacks 58 orient / 52 incircle, 52 cocircular ties"),
             (jittered,
-             "1271 points, 6 BRIO rounds, 7445 triangles created, "
-             "exact fallbacks 456 orient / 0 incircle, 0 cocircular ties"),
+             "1271 points, 6 BRIO rounds, 7420 triangles created, "
+             "exact fallbacks 496 orient / 0 incircle, 0 cocircular ties"),
         ]:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
@@ -271,8 +279,8 @@ class TestDelaunayOrderIndependence:
         pts += [(far * x, far * y) for x, y in [(1, 0), (0, 1), (-1, 0.3), (0.7, -0.9), (1.1, 1.2)]]
         ref, _ = triangulate_reference(pts)
         tris, stats = delaunay.triangulate(pts)
-        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
-        assert tris == delaunay.triangulate(pts, _order=range(len(pts) - 1, -1, -1))[0]
+        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+        assert np.array_equal(tris, delaunay.triangulate(pts, _order=range(len(pts) - 1, -1, -1))[0])
         assert stats["exact_incircle"] > 0 and stats["ties"] > 0
 
 
@@ -286,12 +294,12 @@ class TestDelaunayOrderIndependence:
             tris, _ = delaunay.triangulate(pts)
             keys = delaunay._hilbert_keys(np.array(pts))
         ref, _ = triangulate_reference(pts)
-        assert set(tris) == rotation_canonical(ref) and len(tris) == len(ref)
+        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
         # a power-of-two scale moves neither the keys nor the triangles
         for shift in (60, 1100, 1150):
             scaled = np.ldexp(np.array(pts), shift)
             assert np.array_equal(delaunay._hilbert_keys(scaled), keys)
-            assert delaunay.triangulate(scaled)[0] == tris
+            assert np.array_equal(delaunay.triangulate(scaled)[0], tris)
 
     def test_filters_are_sound_within_the_exponent_bounds(self):
         # see _filters_sound: products of up to four coordinate differences
@@ -346,6 +354,54 @@ def test_integer_exact_predicates_match_fractions(c):
     assert all(i == 0 for i, v in zip(ints, c) if not v)
     assert delaunay._orient_exact(*ints[:6]) == orient_fraction(*c[:6])
     assert delaunay._incircle_exact(*ints) == incircle_fraction(*c)
+
+
+def _near_cocircular(x0, y0, radius, angles, nudge):
+    # four points on a circle at UTM offsets, the last pushed off it by a
+    # relative nudge: the float coordinates are off the circle by rounding
+    # alone when the nudge is 0
+    pts = [(x0 + radius * math.cos(t), y0 + radius * math.sin(t)) for t in angles]
+    x, y = pts[3]
+    pts[3] = (x0 + (x - x0) * (1.0 + nudge), y0 + (y - y0) * (1.0 + nudge))
+    return [v for p in pts for v in p]
+
+
+_NEAR_COCIRCULAR = st.builds(
+    _near_cocircular,
+    st.floats(5e5, 7e5),
+    st.floats(5.3e6, 5.5e6),
+    st.floats(0.01, 1e3),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+    st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9]),
+)
+_ON_PLACED_LATTICE = st.builds(
+    lambda nodes, placement: [
+        v for i, j in nodes for v in (placement[0] + placement[2] * i, placement[1] + placement[2] * j)
+    ],
+    st.lists(st.sampled_from(_LATTICE), min_size=4, max_size=4),
+    st.sampled_from(_PLACEMENTS),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_SPANNING, min_size=8, max_size=8),
+        _ON_A_LATTICE,
+        _ON_PLACED_LATTICE,
+        _NEAR_COCIRCULAR,
+    )
+)
+def test_lift_bounded_incircle_filter_decides_only_exact_signs(c):
+    # the filter runs only where _filters_sound holds; there, each sign it
+    # decides is the exact one, and the permanent-bounded filter it replaced
+    # decides the same sign (its bound covers that filter's)
+    if not delaunay._filters_sound(np.array(c)):
+        return
+    sign = delaunay._incircle_filter(*c)
+    if sign:
+        assert sign == incircle_fraction(*c)
+        assert incircle_filter_reference(*c) == sign
 
 
 class TestSeedRegion:

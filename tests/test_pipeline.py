@@ -4,12 +4,13 @@ import hashlib
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import dsmkit.pipeline as pipeline
-from _oracles import dihedral_roughness_reference
+from _oracles import cli_parser_reference, dihedral_roughness_reference
 from dsmkit.acquisition import (
     ScanSpec,
     UtmCrs,
@@ -19,7 +20,7 @@ from dsmkit.acquisition import (
     serialize_point_file,
     synthetic_terrain,
 )
-from dsmkit.cli import _config_from_args, build_parser, main
+from dsmkit.cli import _COMMANDS, _config_from_args, build_parser, main
 from dsmkit.errors import ConfigError, DataError, ParseError
 from dsmkit.geodesy import GeoPoint, wgs84_to_utm
 from dsmkit.geometry import Rect
@@ -684,6 +685,70 @@ class TestCli:
         assert "method = idw" in err and "explicit model" in err
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("method, code", [("uk", 1), ("idw", 0)])
+    def test_explicit_zero_sill_is_rejected_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, method, code
+    ):
+        # kriging with a zero sill has no weights to solve for (it used to
+        # lift every vertex and exit 3 on a zero pivot); IDW ignores the model
+        if method == "uk":
+            monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
+        cfg = self._cfg(tmp_path, ["variogram_c0 = 0", "variogram_c = 0", "variogram_a = 100"])
+        out = tmp_path / "o"
+        got = main(["run", "--config", cfg, "--spacing", "30", "--method", method,
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == code, err
+        if code:
+            assert err == "error: method uk needs a positive sill: variogram_c0 + variogram_c is 0\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["uk", "idw"])
+    def test_extreme_altitudes_are_rejected_at_acquire(self, tmp_path, capsys, method):
+        # the 100-sample lattice over the demo rectangle with z = 1e300 (i - j):
+        # UK used to exit 1 at the variogram and IDW to exit 0 with NaN
+        # quality figures and numpy RuntimeWarnings
+        path = tmp_path / "extreme.txt"
+        path.write_text("".join(
+            f"{48.7224 + 0.0036 * i / 9!r} {7.3368 + 0.0036 * j / 9!r} {1e300 * (i - j)!r}\n"
+            for i in range(10) for j in range(10)
+        ))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--input", str(path), "--method", method, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (
+            "error: stage 'acquire': sample 1 (latitude 48.7224, longitude 7.3372): "
+            "altitude -1e+300 m is outside [-100000, 100000] m\n"
+        )
+        assert not out.exists()
+
+    def test_altitude_bound_is_inclusive(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text("48.7224 7.3368 100000.0\n48.7230 7.3370 -100000.0\n")
+        config = PipelineConfig.from_mapping({"input": str(path)})
+        assert pipeline.acquire(config).z.tolist() == [1e5, -1e5]
+        path.write_text("48.7224 7.3368 100000.0\n48.7230 7.3370 -100000.00000001\n")
+        with pytest.raises(DataError, match="^sample 1 .* altitude -100000.00000001 m"):
+            pipeline.acquire(config)
+
+    @pytest.mark.parametrize("columns", ["80", "50", "200"])
+    def test_help_is_byte_identical_to_per_subcommand_options(self, monkeypatch, capsys, columns):
+        # the subcommands share one parent parser of common options; every
+        # help text must read as when each subcommand added them itself
+        monkeypatch.setenv("COLUMNS", columns)
+        helps = {name: text for name, (_, text) in _COMMANDS.items()}
+        for argv in [["--help"]] + [[name, "--help"] for name in helps]:
+            texts = []
+            for parser in (build_parser(), cli_parser_reference(helps)):
+                with pytest.raises(SystemExit) as stop:
+                    parser.parse_args(argv)
+                assert stop.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] and texts[0].startswith("usage: dsmkit")
 
     def test_exit_code_data_error(self, tmp_path, capsys):
         code = main(["run", "--input", "/nonexistent/pts.txt", "--out", str(tmp_path / "x")])

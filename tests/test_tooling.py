@@ -1,8 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps dsmkit functions by
 module and name, and its hooks read sizes off their arguments and results.
 These tests read its target lists and hooks; they change neither. The last
-two run in a subprocess: one checks that the tracer still sees the Delaunay
-engine's exact fallbacks, the other guards what a benchmarked process
+three run in a subprocess: one checks that the tracer still sees the Delaunay
+engine's exact fallbacks, the others guard what a benchmarked process
 imports."""
 
 import importlib
@@ -129,6 +129,23 @@ def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
         f"assert main(['run', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         f"assert main(['compare', '--out', {str(tmp_path / 'compare')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
+    )
+    result = _run_python(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_grid_mesh_never_imports_numpy_random(tmp_path):
+    # the insertion order's shuffle is an integer hash, not numpy's RNG, and
+    # grid seeding draws no jitter: importing numpy.random would cost about
+    # 15 ms and 2 MB of every `dsmkit mesh` run
+    config = tmp_path / "grid.cfg"
+    config.write_text("seed_strategy = grid\nspacing = 20\n")
+    code = (
+        "import sys\n"
+        "from dsmkit.cli import main\n"
+        f"assert main(['mesh', '--config', {str(config)!r}, '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
