@@ -21,7 +21,8 @@ constrained to reproduce the drift basis at the target) by dense LU. A local
 the target before assembly for conditioning, and the drift multipliers are
 reported in the original basis. Targets are processed in chunks: a chunk's
 local systems are assembled as one (chunk, k+m, k+m) stack and solved by one
-batched np.linalg.solve. The chunk size is a fixed byte budget divided by the
+call of numpy's stacked LAPACK solve, in which a system that LU rejects fails
+alone (see _lapack). The chunk size is a fixed byte budget divided by the
 size of one system. The semivariogram block is symmetric bit for bit, so
 each slab of rows is evaluated from its diagonal rightwards and mirrored
 below it: every pair's semivariogram is computed once. One rule, for local
@@ -36,10 +37,11 @@ and one of the drift Gram matrix F^T F. Their proven eigenvalue floors tau_K
 and tau_F give, through the null-space form of the saddle-point inverse,
 cond(A) <= ||A||_F (b + max(1/tau_K, s, k/tau_F)), with k = ||K||_F and
 b = (1 + k/tau_K) / sqrt(tau_F) (see _factor_bound). A system passes on that
-bound when it is at most 1e10; every other system gets the SVD's condition
-number, so failures and their messages are the SVD's. tau_F > 0 proves a
-full-rank drift border, so up to width 200 the border's rank is computed
-only for the systems that LU or the bound fail.
+bound when it is at most 1e10; every other system, a failed factor included,
+gets the SVD's condition number, so failures and their messages are the
+SVD's. tau_F > 0 proves a full-rank drift border, so a stack's border ranks
+are computed once, for the systems the bound does not clear (beyond width
+200, every system).
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
@@ -59,6 +61,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .acquisition import PointSet, UtmCrs
 from .errors import ConfigError, DataError, NumericalError
@@ -379,16 +382,33 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     return A
 
 
+def _lapack(gufunc, *stacks) -> np.ndarray:
+    """Apply one of numpy's stacked float64 LAPACK gufuncs (solve,
+    cholesky_lo) to every system of the stacks.
+
+    np.linalg.solve and np.linalg.cholesky call these same gufuncs, but they
+    raise LinAlgError for the whole stack when one system fails (a zero LU
+    pivot, a non-positive Cholesky pivot). Called directly, the gufunc fills
+    a failed system's output with NaN and raises nothing, so every other
+    system of the stack keeps its result, bit for bit the wrappers' result.
+    The floating-point flags are ignored: the wrappers ignore overflow,
+    underflow and division, and the invalid flag only reports the NaN fill."""
+    with np.errstate(all="ignore"):
+        return gufunc(*stacks, signature="d" * len(stacks) + "->d")
+
+
 def _solve_or_fail(
     A: np.ndarray, b: np.ndarray, m: int, targets: list | None, sill=None, tally=None
 ):
     """Solve a stack of bordered systems A x = b (m drift terms) under the
     one failure rule; targets holds each system's target, or is None for the
     one system over all samples. Returns (ok, sol, measure, value, failed):
-    ok masks the systems that passed, value is the conditioning measure per
-    solved system (NaN elsewhere), measure names it for a log note ("cond ≤":
-    an upper bound from _factor_bound, exact where it fails; or "residual")
-    and failed maps a stack position to its reason.
+    ok masks the systems that passed, sol holds their solutions (the LU
+    solution of an ill-conditioned system too, zeros for a singular one),
+    value is the conditioning measure per solved system (NaN elsewhere),
+    measure names it for a log note ("cond ≤": an upper bound from
+    _factor_bound, exact where it fails; or "residual") and failed maps a
+    stack position to its reason.
 
     sill, the semivariogram model's sill, declares A a stack of kriging
     systems as _bordered builds them, which _factor_bound may clear; without
@@ -396,12 +416,13 @@ def _solve_or_fail(
     counts the systems cleared by their factors ("certified") and those
     judged by an SVD ("svd").
 
-    A degree-1 drift border F (n, 3) of rank below 3 fails the system,
-    though LU may "solve" it with a tiny pivot. A system the factors clear
-    has a proven tau_F > 0, so a full-rank border; up to width 200 the rank
-    is computed only for the other systems that LU solved. The residual
-    test beyond width 200 cannot tell, so a wider system has its rank
-    checked first."""
+    One pass: one batched LU solve, whose NaN rows mark the systems LU
+    rejected; the certificate on the solved systems; one rank check of the
+    degree-1 drift border F (n, 3) over every system not certified, since a
+    border of rank below 3 fails its system though LU may "solve" it with a
+    tiny pivot (a certified system has a proven tau_F > 0, so a full-rank
+    border; the residual test beyond width 200 cannot tell, so there every
+    system is checked); then the SVD or the residual for the rest."""
     L, w = b.shape
     n = w - m
     failed = {}
@@ -411,54 +432,38 @@ def _solve_or_fail(
         cause = _diagnose_singular(A[j, :n, n:])
         failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
 
-    def full_rank(rows):
-        # fail the systems at rows whose drift border is rank-deficient;
-        # returns which of them have a full-rank border
-        if m != 3:
-            return np.ones(len(rows), dtype=bool)
-        rank = np.linalg.matrix_rank(A[rows, :n, n:])
-        for j, r in zip(rows[rank < 3], rank[rank < 3]):
-            fail(j, "singular", f"drift border of rank {r}")
-        return rank == 3
-
-    ok = np.ones(L, dtype=bool)
-    if w > 200:
-        ok = full_rank(np.arange(L))
-    sol = np.zeros((L, w))
-    Ao, bo = (A, b) if ok.all() else (A[ok], b[ok])
-    try:
-        sol[ok] = np.linalg.solve(Ao, bo[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # one singular system fails the whole stack: solve them one by one
-        for j in np.flatnonzero(ok):
-            try:
-                sol[j] = np.linalg.solve(A[j], b[j])
-            except np.linalg.LinAlgError:
-                ok[j] = False
-                if full_rank(np.array([j]))[0]:
-                    fail(j, "singular", "LU found a zero pivot")
-        Ao, bo = A[ok], b[ok]
-
+    sol = _lapack(_umath_linalg.solve, A, b[..., None])[..., 0]
+    solved = ~np.isnan(sol).all(axis=1)
+    ok = solved.copy()
     value = np.full(L, np.nan)
+    if w <= 200 and sill is not None:
+        value[ok] = _factor_bound(A if ok.all() else A[ok], m, sill)
+    certified = value <= _BOUND_LIMIT
+    if w <= 200 and tally is not None:
+        tally["certified"] += int(certified.sum())
+        tally["svd"] += int((solved & ~certified).sum())
+
+    rest = np.flatnonzero(~certified)
+    if m == 3 and len(rest):
+        rank = np.linalg.matrix_rank(A[rest, :n, n:])
+        for j, r in zip(rest[rank < 3], rank[rank < 3]):
+            fail(j, "singular", f"drift border of rank {r}")
+        ok[rest[rank < 3]] = False
+        rest = rest[rank == 3]
+    for j in rest[~solved[rest]]:
+        fail(j, "singular", "LU found a zero pivot")
+    sol[~ok] = 0.0
+    value[~ok] = np.nan
+    rest = rest[solved[rest]]
+
     if w <= 200:
         measure, name, limit = "cond ≤", "cond", _COND_LIMIT
-        if sill is not None:
-            value[ok] = _factor_bound(Ao, m, sill)
-        slow = np.flatnonzero(ok & ~(value <= _BOUND_LIMIT))
-        if tally is not None:
-            tally["certified"] += int(ok.sum()) - len(slow)
-            tally["svd"] += len(slow)
-        if len(slow):
-            rank_ok = full_rank(slow)
-            singular = slow[~rank_ok]
-            ok[singular] = False
-            sol[singular] = 0.0
-            value[singular] = np.nan
-            slow = slow[rank_ok]
-            value[slow] = np.linalg.cond(A[slow])
+        if len(rest):
+            value[rest] = np.linalg.cond(A[rest])
     else:
         measure = name = "residual"
         limit = 1e-6
+        Ao, bo = A[ok], b[ok]
         resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
         value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
     for j in np.flatnonzero(ok & ~(value <= limit)):
@@ -514,14 +519,12 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
     of
       slack = 8 w^2 u (mag + c) + 2^-999    (w = n + m, the system width),
     and tau = fl(c - slack) <= c - slack / 2 (slack >= 2 u c) is proven.
-    K is shifted by s / 1024 on the common path. F^T F (3 x 3) is shifted by
+    K is shifted by s / 1024; a system whose factor does not complete gets
+    no bound (inf), and the SVD judges it. F^T F (3 x 3) is shifted by
     det / (2 e2), e2 the sum of its principal 2 x 2 minors: e2 >= l2 l3, the
     product of its two larger eigenvalues, so in exact arithmetic the shift
     is at most lmin / 2.
 
-    A slab of K factors that fails as a whole (numpy raises for the stack)
-    is tried again with each system shifted by the smallest tau_K whose
-    bound would still be half of _BOUND_LIMIT, then one system at a time.
     The final bound takes a factor 1 + 2^-20 for the rounding of the norms
     (relative 1.01 w^2 u <= 2^-37 up to width 200) and of its own few
     operations, and 2^-500 on k for underflowed squares (||A||_F >= 1, from
@@ -557,41 +560,21 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
             K = sv[:, None, None] - G
             k[sl] = np.sqrt(np.einsum("ijk,ijk->i", K, K)) + 2.0**-500
             shift = sv / 1024.0
-            done = _chol_completes(K, shift)
-            if done is None:
-                # shift each system by the smallest tau_K that could still
-                # pass, then, if the stack still fails, one at a time
-                q = 0.5 * _BOUND_LIMIT / norm_A[sl] - rho[sl] - np.maximum(sv, rho2[sl] * k[sl])
-                need = np.where(q > 0, (rho[sl] * k[sl] + 1.0) / q, np.nan)
-                shift = need + 2.0 * slack(k[sl], need)
-                tried = np.flatnonzero(shift > 0)
-
-                def attempt(rows):
-                    return _chol_completes(sv[rows, None, None] - G[rows], shift[rows])
-
-                passed = attempt(tried)
-                if passed is None:
-                    passed = [bool(attempt([j])) for j in tried]
-                done = np.zeros(len(sv), dtype=bool)
-                done[tried] = passed
-            tau_K[sl] = np.where(done, shift - slack(k[sl], shift), np.nan)
+            tau_K[sl] = np.where(_chol_completes(K, shift), shift - slack(k[sl], shift), np.nan)
         h = 1.0 / tau_K
         b = rho * (1.0 + h * k)
         bound = (1.0 + 2.0**-20) * norm_A * (b + np.maximum(h, np.maximum(s, rho2 * k)))
     return np.where((tau_K > 0) & (tau_F > 0) & (s >= 0) & (bound < np.inf), bound, np.inf)
 
 
-def _chol_completes(K: np.ndarray, shift: np.ndarray):
+def _chol_completes(K: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Whether the floating-point Cholesky factorisation of each K_j -
-    shift_j I runs to completion, as a mask; None when numpy's factorisation
-    of the stack raises. K is shifted in place (einsum's diagonal is a
-    writeable view)."""
+    shift_j I runs to completion, as a mask. K is shifted in place (einsum's
+    diagonal is a writeable view)."""
     np.einsum("ijj->ij", K)[...] -= shift[:, None]
-    try:
-        diag = np.einsum("ijj->ij", np.linalg.cholesky(K))
-    except np.linalg.LinAlgError:
-        return None
-    # a NaN or inf anywhere in the factor reaches a later pivot
+    # a failed factor is all NaN, and a NaN or inf anywhere in a completed
+    # one reaches a later pivot
+    diag = np.einsum("ijj->ij", _lapack(_umath_linalg.cholesky_lo, K))
     return (diag.min(axis=1) > 0) & (diag.max(axis=1) < np.inf)
 
 

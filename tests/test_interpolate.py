@@ -2,6 +2,7 @@
 
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -661,6 +662,28 @@ def _centred_stack(model, offsets, degree):
     return A, b
 
 
+def test_stacked_lapack_fails_one_system_alone():
+    # numpy's private gufuncs behind np.linalg.solve and np.linalg.cholesky:
+    # a failed system is a NaN row, with no exception and no warning
+    from numpy.linalg import _umath_linalg
+
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 6, 6))
+    A = B @ B.transpose(0, 2, 1) + 6.0 * np.eye(6)
+    A[1, 3, :] = A[1, :, 3] = 0.0  # exactly singular: a zero row and column
+    A[2] *= -1.0  # negative definite, but regular
+    b = rng.normal(size=(3, 6, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = interpolate._lapack(_umath_linalg.solve, A, b)
+        chol = interpolate._lapack(_umath_linalg.cholesky_lo, A)
+    assert sol.shape == b.shape and chol.shape == A.shape
+    assert np.isnan(sol[1]).all() and not np.isnan(sol[[0, 2]]).any()
+    assert np.isnan(chol[1:]).all() and not np.isnan(chol[0]).any()
+    assert np.array_equal(sol[[0, 2]], np.linalg.solve(A[[0, 2]], b[[0, 2]]))
+    assert np.array_equal(chol[0], np.linalg.cholesky(A[0]))
+
+
 class TestConditionBound:
     """_solve_or_fail's bound against the SVD rule it replaced."""
 
@@ -724,10 +747,11 @@ class TestConditionBound:
             np.linalg, "matrix_rank", lambda M: ranks.append(len(M)) or matrix_rank(M)
         )
         for names, want_ranks in [
-            # one batched LU, then the rank of the two systems the factors
-            # do not clear
+            # one batched LU, then one rank check of the two systems the
+            # factors do not clear
             (["regular", "nearly collinear", "ill-conditioned", "regular too"], 2),
-            # LU raises for the stack: one by one, a rank for each failure
+            # LU rejects the collinear system alone: the same one rank check
+            # covers it too
             (["regular", "collinear", "nearly collinear", "ill-conditioned", "regular too"], 3),
         ]:
             ranks.clear()
@@ -739,7 +763,7 @@ class TestConditionBound:
             ok, sol, measure, value, failed = interpolate._solve_or_fail(
                 A, b, 3, targets, SPH.sill
             )
-            assert sum(ranks) == want_ranks
+            assert ranks == [want_ranks]
             want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
             assert ok.tolist() == [name.startswith("regular") for name in names]
             assert np.array_equal(ok, want_ok)
@@ -848,9 +872,10 @@ class TestFactorCertificate:
 
     def _solve_counting_factors(self, A, b, monkeypatch):
         sizes = []
-        cholesky = np.linalg.cholesky
+        completes = interpolate._chol_completes
         monkeypatch.setattr(
-            np.linalg, "cholesky", lambda M: sizes.append(len(M)) or cholesky(M)
+            interpolate, "_chol_completes",
+            lambda K, shift: sizes.append(len(K)) or completes(K, shift),
         )
         targets = [[float(j), 0.5] for j in range(len(A))]
         tally = {"certified": 0, "svd": 0}
@@ -864,15 +889,20 @@ class TestFactorCertificate:
         assert np.all(value >= svd_cond)
         return sizes, tally, value, svd_cond
 
-    def test_slab_retried_at_the_budget_shift(self, monkeypatch):
-        # a pair 1 cm apart puts lmin(K) near 3e-4 s, under the common shift
-        # s / 1024: the slab fails, and passes again shifted by the smallest
-        # tau_K each bound allows
+    def test_slab_mates_keep_their_bounds_beside_a_failed_factor(self, monkeypatch):
+        # a pair 1 cm apart puts lmin(K) near 3e-4 s, under the shift
+        # s / 1024: that system's factor fails, and it alone goes to the SVD
         A, b = self._stack([None, None, 0.01, None])
-        sizes, tally, value, _ = self._solve_counting_factors(A, b, monkeypatch)
-        assert sizes == [4, 4]
-        assert tally == {"certified": 4, "svd": 0}
-        assert np.all(value <= interpolate._BOUND_LIMIT)
+        sizes, tally, value, svd_cond = self._solve_counting_factors(A, b, monkeypatch)
+        assert sizes == [4]
+        assert tally == {"certified": 3, "svd": 1}
+        assert value[2] == svd_cond[2]
+        # the others keep the bounds they get in a slab without it, far
+        # under the limit
+        mates = [0, 1, 3]
+        alone = interpolate._factor_bound(A[mates], 3, 2.0)
+        assert np.array_equal(value[mates], alone)
+        assert np.all(alone < 1e7)
 
     def test_system_without_a_covariance_factor_goes_to_the_svd(self, monkeypatch):
         # G -> 2sJ - G makes K = -K(before): negative definite, while A keeps
@@ -881,8 +911,8 @@ class TestFactorCertificate:
         n = 16
         A[3, :n, :n] = 2 * 2.0 - A[3, :n, :n]
         sizes, tally, value, svd_cond = self._solve_counting_factors(A, b, monkeypatch)
-        # the slab, its retry, then one system at a time
-        assert sizes == [5, 5, 1, 1, 1, 1, 1]
+        # one factorisation of the whole slab
+        assert sizes == [5]
         assert tally == {"certified": 4, "svd": 1}
         assert value[3] == svd_cond[3]
 

@@ -1,6 +1,8 @@
 """Pipeline tests: config parsing, exporters, end-to-end runs, CLI."""
 
+import contextlib
 import hashlib
+import io
 import logging
 import math
 import re
@@ -8,7 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dsmkit.interpolate as interpolate
 import dsmkit.pipeline as pipeline
 from _oracles import cli_parser_reference, dihedral_roughness_reference
 from dsmkit.acquisition import (
@@ -583,6 +588,51 @@ class TestDihedralRoughness:
         assert dihedral_roughness(m) == dihedral_roughness_reference(m)
 
 
+@st.composite
+def _awkward_point_files(draw):
+    """Small WGS-84 point files over the demo rectangle: a lattice of one or
+    more rows, with a tight cluster at its first sample, exact duplicates,
+    and constant, varied or near-limit altitudes. Returns the file's text."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    lats = [48.7242] if rows == 1 else [48.7224 + 0.0036 * i / (rows - 1) for i in range(rows)]
+    lons = [7.3368 + 0.0036 * (j + 0.5) / cols for j in range(cols)]
+    pts = [(lat, lon) for lat in lats for lon in lons]
+    step = draw(st.sampled_from([1e-12, 1e-9, 1e-7]))  # degrees
+    lat0, lon0 = pts[0]
+    pts += [(lat0 + step * k, lon0 + step * (k % 2)) for k in range(1, draw(st.integers(1, 4)))]
+    base = draw(st.sampled_from([400.0, 9e4, -9e4]))
+    amp = draw(st.sampled_from([0.0, 7.0, 1e4 * math.copysign(1.0, -base)]))
+    samples = [(lat, lon, base + amp * (7 * i % 13) / 13) for i, (lat, lon) in enumerate(pts)]
+    samples += [samples[i % len(samples)] for i in draw(st.lists(st.integers(0, 99), max_size=3))]
+    return "".join(f"{lat!r} {lon!r} {z!r}\n" for lat, lon, z in samples)
+
+
+@settings(max_examples=8, deadline=None)
+@given(text=_awkward_point_files())
+def test_awkward_point_files_exit_cleanly(text, tmp_path_factory):
+    # every run either writes finite elevations or fails with a clean exit
+    # code, no traceback, no numpy warning and no partial artifact
+    path = tmp_path_factory.mktemp("pts") / "points.txt"
+    path.write_text(text)
+    for method in ("uk", "idw"):
+        for neighbors in ("16", "global"):
+            out = path.parent / f"{method}-{neighbors}"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["run", "--input", str(path), "--method", method,
+                             "--neighbors", neighbors, "--spacing", "20", "--out", str(out)])
+            err = err.getvalue()
+            assert code in (0, 1, 2, 3), err
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            if code:
+                assert not out.exists() or list(out.iterdir()) == [], err
+            else:
+                z = read_obj(out / f"dsm_{method}.obj").vertices[:, 2]
+                assert np.all(np.isfinite(z))
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(
@@ -725,6 +775,31 @@ class TestCli:
             "altitude -1e+300 m is outside [-100000, 100000] m\n"
         )
         assert not out.exists()
+
+    def test_gaussian_fit_fails_every_system_one_factorisation_per_slab(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the demo's gaussian fit has nugget 0, so every kriging system is
+        # numerically singular and the lift aborts; each slab of its stacks
+        # is factored once on the way
+        sizes = []
+        completes = interpolate._chol_completes
+        monkeypatch.setattr(
+            interpolate, "_chol_completes",
+            lambda K, shift: sizes.append(len(K)) or completes(K, shift),
+        )
+        out = tmp_path / "o"
+        code = main(["run", "--variogram", "gaussian", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert len(sizes) == 114 and sum(sizes) == 4592
+        assert err == (
+            "error: stage 'lift': kriging failed at 4592 of 4592 vertices (first: "
+            "[0, 1, 2, 3, 4]); vertex 0: ill-conditioned kriging system at target "
+            "(377676.93424786313, 5397925.722704333): cond 2.18e+16 > 1e+12; "
+            "the variogram produced a singular coefficient block\n"
+        )
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_altitude_bound_is_inclusive(self, tmp_path):
         path = tmp_path / "edge.txt"
