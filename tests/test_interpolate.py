@@ -308,6 +308,24 @@ class TestGridIndex:
         ):
             self._check(locs, targets, (1, 2, 4, 19, 20, None))
 
+    @pytest.mark.parametrize("x", [0.7e-9, 0.75e-9, 0.8e-9])
+    def test_every_predictor_snaps_to_the_first_knn_sample(self, x):
+        # two samples 1.5e-9 m apart, both within the coincidence tolerance
+        # of a target between them: the nearer one, or the lower index on a
+        # tie (x = 0.75e-9), is the one every predictor snaps to
+        rng = np.random.default_rng(62)
+        pair = [[1.5e-9, 0.0], [0.0, 0.0]]
+        locs = np.vstack([rng.uniform(20.0, 100.0, (30, 2)), pair])
+        vals = rng.uniform(0, 10, len(locs))
+        target = [[x, 0.0]]
+        first = GridIndex(locs).knn(np.array(target), 1)[0, 0]
+        assert first == {0.7e-9: 31, 0.75e-9: 30, 0.8e-9: 30}[x]
+        for neighborhood in (4, None):
+            sys = KrigingSystem(locs, vals, SPH, 1, neighborhood)
+            assert uk_predict(sys, target)[0] == vals[first]
+        for cfg in (IdwConfig(), IdwConfig(2.0, 4)):
+            assert idw_predict(locs, vals, target, cfg)[0] == vals[first]
+
 
 class TestIdw:
     def test_exact_at_sample(self):
@@ -471,11 +489,10 @@ class TestLiftMesh:
         rng = np.random.default_rng(5)
         xy = rng.uniform(0, 100, size=(30, 2))
         samples = _utm_pointset(xy, rng.uniform(0, 10, 30))
-        lifted, summary = lift_mesh(planar, samples, IdwConfig())
+        lifted, _ = lift_mesh(planar, samples, IdwConfig())
         assert np.array_equal(lifted.triangles, planar.triangles)
         assert np.array_equal(lifted.boundary_flags, planar.boundary_flags)
         assert lifted.is_3d
-        assert summary.quality.min_angle > 0
 
     def test_requires_planar_mesh(self):
         planar = self._planar()
@@ -524,6 +541,26 @@ class TestLiftAgainstOracle:
         )
         assert list(summary.fallback_vertices) == fallbacks
         assert np.max(np.abs(lifted.vertices[:, 2] - want)) <= 1e-9
+
+    def test_wide_local_systems_are_counted_by_the_residual_rule(self, caplog):
+        # up to width 200 a local system is judged by its factors or the
+        # SVD; beyond it, by its residual, and the note counts those
+        rng = np.random.default_rng(63)
+        xy = rng.uniform(0, 200, (260, 2))
+        z = 400.0 + 0.05 * xy[:, 0] + rng.uniform(0, 3, 260)
+        planar = delaunay_triangulate(rng.uniform(20, 180, (12, 2)))
+        model = VariogramModel("spherical", 0.2, 2.0, 80.0)
+        notes = {}
+        for k in (197, 198):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+                lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, 1, k))
+            notes[k] = [r.getMessage() for r in caplog.records
+                        if r.getMessage().startswith("uk lift:")]
+        assert re.search(r"worst cond ≤ \S+, 12 systems certified by their factors, 0 by SVD, "
+                         r"0 fallbacks", notes[197][0])
+        assert re.search(r"worst residual \S+, 12 systems judged by their residual, 0 fallbacks",
+                         notes[198][0])
 
     @staticmethod
     def _line_and_scatter():
@@ -618,6 +655,31 @@ class TestLiftAgainstOracle:
             "kriging fell back to IDW at 2 vertices: [0, 2]; vertex 0: ill-conditioned "
             f"kriging system at target ({targets[0][0]}, {targets[0][1]}): cond "
         )
+
+    def test_fallback_runs_on_the_kriging_index(self, monkeypatch):
+        # the two failed vertices fall back to IDW over the kriging
+        # system's own index: one GridIndex per lift, and no second check
+        # of the samples through idw_predict
+        sys, targets = _micrometre_pair(8)
+        gx, gy = np.meshgrid(np.linspace(0, 25, 15), np.linspace(75, 100, 15))
+        verts = np.vstack([targets, np.column_stack([gx.ravel(), gy.ravel()])])
+        planar = delaunay_triangulate(verts)
+        samples = _utm_pointset(sys.locations, sys.values)
+        calls = []
+        init = GridIndex.__init__
+        monkeypatch.setattr(
+            GridIndex, "__init__", lambda self, locs: calls.append("index") or init(self, locs)
+        )
+        idw_predict_ = interpolate.idw_predict
+        monkeypatch.setattr(
+            interpolate, "idw_predict", lambda *a: calls.append("idw_predict") or idw_predict_(*a)
+        )
+        lifted, summary = lift_mesh(planar, samples, UkConfig(sys.model, 1, 8))
+        assert summary.fallback_vertices == (0, 2)
+        assert calls == ["index"]
+        monkeypatch.undo()
+        idw = idw_predict(sys.locations, sys.values, targets[[0, 2]], IdwConfig(2.0, 8))
+        assert np.array_equal(lifted.vertices[[0, 2], 2], idw)
 
     def test_fallback_warning_names_the_first_reason(self, caplog):
         xy, z = self._line_and_scatter()
@@ -873,10 +935,13 @@ class TestFactorCertificate:
     def _solve_counting_factors(self, A, b, monkeypatch):
         sizes = []
         completes = interpolate._chol_completes
-        monkeypatch.setattr(
-            interpolate, "_chol_completes",
-            lambda K, shift: sizes.append(len(K)) or completes(K, shift),
-        )
+
+        def count(B, shift):
+            if B.shape[1] == 16:  # a factor of K, not of F^T F (3 x 3)
+                sizes.append(len(B))
+            return completes(B, shift)
+
+        monkeypatch.setattr(interpolate, "_chol_completes", count)
         targets = [[float(j), 0.5] for j in range(len(A))]
         tally = {"certified": 0, "svd": 0}
         got = interpolate._solve_or_fail(A, b, 3, targets, 2.0, tally)
@@ -888,6 +953,29 @@ class TestFactorCertificate:
         assert np.array_equal(sol, want_sol)
         assert np.all(value >= svd_cond)
         return sizes, tally, value, svd_cond
+
+    def test_factor_completes_where_numpy_cholesky_succeeds(self):
+        # the F^T F factor (3 x 3) goes through the same routine as K's; a
+        # NaN can pass LAPACK's pivot test and come out in the factor, so
+        # success is a factor without an exception, with a finite positive
+        # diagonal
+        rng = np.random.default_rng(64)
+        F = np.concatenate([np.ones((8, 16, 1)), rng.uniform(-10, 10, (8, 16, 2))], axis=2)
+        P = np.matmul(F.transpose(0, 2, 1), F)
+        lmin = np.linalg.eigvalsh(P)[:, 0]
+        shift = lmin / 2
+        shift[[1, 4]] = 1.5 * lmin[[1, 4]]  # past the smallest eigenvalue
+        P[5, 2, 1] = P[5, 1, 2] = np.nan
+        P[6, 0, 0] = np.nan
+        want = []
+        for B, c in zip(P, shift):
+            try:
+                diag = np.diag(np.linalg.cholesky(B - c * np.eye(3)))
+            except np.linalg.LinAlgError:
+                diag = np.array([np.nan])
+            want.append(bool(np.all(np.isfinite(diag) & (diag > 0))))
+        assert want == [True, False, True, True, False, False, False, True]
+        assert interpolate._chol_completes(P, shift).tolist() == want
 
     def test_slab_mates_keep_their_bounds_beside_a_failed_factor(self, monkeypatch):
         # a pair 1 cm apart puts lmin(K) near 3e-4 s, under the shift

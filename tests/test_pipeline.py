@@ -633,6 +633,57 @@ def test_awkward_point_files_exit_cleanly(text, tmp_path_factory):
                 assert np.all(np.isfinite(z))
 
 
+class TestSweepOutcomes:
+    """The adversarial sweep's inputs of ROADMAP item 1 that are still open,
+    pinned as they run today, at spacing 20 (a fraction of a second a run)."""
+
+    @staticmethod
+    def _run(tmp_path, rows, *argv):
+        path = tmp_path / "points.txt"
+        path.write_text("".join(f"{lat!r} {lon!r} {z!r}\n" for lat, lon, z in rows))
+        out = tmp_path / "o"
+        code = main(["run", "--input", str(path), "--spacing", "20", "--out", str(out), *argv])
+        return code, out
+
+    # 200 samples on one parallel: every local drift border is collinear
+    ROW = [(48.7242, 7.3368 + 0.0036 * j / 199, 400.0 + j % 7) for j in range(200)]
+    # the 100-sample lattice over the demo rectangle plus a copy of sample 5
+    LATTICE = [(48.7224 + 0.0036 * i / 9, 7.3368 + 0.0036 * j / 9, 400.0 + (3 * i + 5 * j) % 11)
+               for i in range(10) for j in range(10)]
+    DUPLICATE = LATTICE + LATTICE[5:6]
+
+    def test_one_row_fails_every_local_system(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, self.ROW, "--neighbors", "16")
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: stage 'lift': kriging failed at 315 of 315 vertices")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1(a): the global system (cond 1.26e12) passes the residual rule "
+        "and the lift exports z in [-28777, 29582] m",
+    )
+    def test_one_row_fails_the_global_system(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, self.ROW, "--neighbors", "global")
+        assert code == 3, capsys.readouterr().err
+
+    # ROADMAP 1(d) will choose one policy for duplicate samples, applied at
+    # acquire for both methods, and change these two outcomes on purpose
+    def test_duplicate_sample_fails_the_kriging_lift(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, self.DUPLICATE, "--method", "uk")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'lift': samples 5 and 100 coincide within 1e-09 m\n"
+        )
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_duplicate_sample_lifts_with_idw(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, self.DUPLICATE, "--method", "idw")
+        assert code == 0, capsys.readouterr().err
+        assert np.all(np.isfinite(read_obj(out / "dsm_idw.obj").vertices[:, 2]))
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(
@@ -784,10 +835,13 @@ class TestCli:
         # is factored once on the way
         sizes = []
         completes = interpolate._chol_completes
-        monkeypatch.setattr(
-            interpolate, "_chol_completes",
-            lambda K, shift: sizes.append(len(K)) or completes(K, shift),
-        )
+
+        def count(B, shift):
+            if B.shape[1] == 16:  # a factor of K, not of F^T F (3 x 3)
+                sizes.append(len(B))
+            return completes(B, shift)
+
+        monkeypatch.setattr(interpolate, "_chol_completes", count)
         out = tmp_path / "o"
         code = main(["run", "--variogram", "gaussian", "--out", str(out)])
         err = capsys.readouterr().err

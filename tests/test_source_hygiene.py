@@ -1,0 +1,69 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+no module imports a name it never uses, and no module-level private function
+or class goes unreferenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dsmkit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# imported only to be re-exported: the pipeline's scan limit, enforced by ScanSpec
+REEXPORTS = {("pipeline", "MAX_SCAN_NODES")}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Name bound by each import of the module -> line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _names(tree: ast.Module) -> set:
+    """Names read or written as variables anywhere in the module."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = _names(tree)
+    unused = [
+        f"{path.name}:{line} {name}"
+        for name, line in _imported(tree).items()
+        if name not in used and (path.stem, name) not in REEXPORTS
+    ]
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    trees = {path: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
