@@ -3,8 +3,8 @@
 Two sources: whitespace-separated point files (one `lat lon alt` per line,
 '#' comments), and a row-major lattice scan of a pluggable elevation
 provider that mirrors the screen-grid extraction workflow the point-file
-format comes from. Synthetic analytic providers stand in for a live
-elevation service.
+format comes from. A synthetic terrain, one row of the TERRAIN_KINDS table
+of analytic fields, stands in for a live elevation service.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DsmError, ParseError
 from .geodesy import (
-    FALSE_NORTHING_SOUTH,
     GeoPoint,
     UtmPoint,
     check_utm_frame,
@@ -272,10 +271,11 @@ def clip_to_region(ps: PointSet, rect: Rect, rect_crs=None) -> PointSet:
 
 
 class SyntheticTerrain(ElevationProvider):
-    """Analytic elevation field evaluated in projected meters.
+    """Analytic elevation field of one TERRAIN_KINDS kind, in projected meters.
 
-    Queries are projected into the UTM zone of the configured origin; the
-    field is a function of the easting/northing offset from that origin.
+    Queries are projected into the UTM frame (zone and hemisphere) of the
+    origin, so the field, a function of the easting/northing offset from the
+    origin, is continuous across the equator.
     """
 
     def __init__(self, kind: str, origin: GeoPoint, params: dict):
@@ -283,7 +283,7 @@ class SyntheticTerrain(ElevationProvider):
         self.origin = origin
         self.params = dict(params)
         u = wgs84_to_utm(origin)
-        self._zone = u.zone
+        self._frame = (u.zone, u.hemisphere)
         self._origin_e = u.easting
         self._origin_n = u.northing
 
@@ -292,60 +292,54 @@ class SyntheticTerrain(ElevationProvider):
 
     def elevations(self, latitudes, longitudes) -> np.ndarray:
         lat = np.asarray(latitudes, dtype=float)
-        easting, northing = utm_forward(lat, longitudes, self._zone)
+        easting, northing = utm_forward(lat, longitudes, *self._frame)
         dx = easting - self._origin_e
         dy = northing - self._origin_n
         return self._evaluate(dx, dy).reshape(lat.shape)
 
     def _evaluate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        # transcendental calls go through `math` (see geodesy.elementwise)
-        raise NotImplementedError
+        field, _ = TERRAIN_KINDS[self.kind]
+        return field(dx, dy, **self.params)
 
 
-class _Constant(SyntheticTerrain):
-    def _evaluate(self, dx, dy):
-        return np.full(dx.shape, float(self.params["base"]))
+def _constant(dx, dy, base):
+    return np.full(dx.shape, float(base))
 
 
-class _InclinedPlane(SyntheticTerrain):
-    def _evaluate(self, dx, dy):
-        return self.params["base"] + self.params["slope_x"] * dx + self.params["slope_y"] * dy
+def _inclined_plane(dx, dy, base, slope_x, slope_y):
+    return base + slope_x * dx + slope_y * dy
 
 
-class _GaussianHill(SyntheticTerrain):
-    def _evaluate(self, dx, dy):
-        p = self.params
-        rx = dx - p["center_x"]
-        ry = dy - p["center_y"]
-        return p["base"] + p["amplitude"] * elementwise(
-            math.exp, -(rx * rx + ry * ry) / (2.0 * p["sigma"] ** 2)
-        )
+def _gaussian_hill(dx, dy, base, amplitude, sigma, center_x, center_y):
+    rx = dx - center_x
+    ry = dy - center_y
+    return base + amplitude * elementwise(math.exp, -(rx * rx + ry * ry) / (2.0 * sigma**2))
 
 
-class _Ridge(SyntheticTerrain):
-    def _evaluate(self, dx, dy):
-        p = self.params
-        theta = math.radians(p["angle_deg"])
-        # perpendicular distance from the ridge line through the origin
-        d = -dx * math.sin(theta) + dy * math.cos(theta)
-        return p["base"] + p["amplitude"] * elementwise(math.exp, -d * d / (2.0 * p["sigma"] ** 2))
+def _ridge(dx, dy, base, amplitude, sigma, angle_deg):
+    theta = math.radians(angle_deg)
+    # perpendicular distance from the ridge line through the origin
+    d = -dx * math.sin(theta) + dy * math.cos(theta)
+    return base + amplitude * elementwise(math.exp, -d * d / (2.0 * sigma**2))
 
 
-# Each terrain kind's provider class and the parameters it takes, with their
-# defaults; the pipeline's config checks read the parameter names from here.
+# Each terrain kind's field, a function of the offsets (dx, dy) in meters from
+# the origin whose transcendental calls go through `math` (see
+# geodesy.elementwise), and the parameters it takes, with their defaults; the
+# pipeline's config checks read the parameter names from here.
 TERRAIN_KINDS = {
-    "constant": (_Constant, {"base": 0.0}),
-    "inclined_plane": (_InclinedPlane, {"base": 0.0, "slope_x": 0.0, "slope_y": 0.0}),
+    "constant": (_constant, {"base": 0.0}),
+    "inclined_plane": (_inclined_plane, {"base": 0.0, "slope_x": 0.0, "slope_y": 0.0}),
     "gaussian_hill": (
-        _GaussianHill,
+        _gaussian_hill,
         {"base": 0.0, "amplitude": 1.0, "sigma": 1.0, "center_x": 0.0, "center_y": 0.0},
     ),
-    "ridge": (_Ridge, {"base": 0.0, "amplitude": 1.0, "sigma": 1.0, "angle_deg": 0.0}),
+    "ridge": (_ridge, {"base": 0.0, "amplitude": 1.0, "sigma": 1.0, "angle_deg": 0.0}),
 }
 
 
 def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvider:
-    """Build a deterministic analytic provider.
+    """Build a deterministic analytic provider of a TERRAIN_KINDS kind.
 
     Kinds and parameters (all meters unless noted):
       constant:       base
@@ -354,7 +348,7 @@ def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvide
       ridge:          base, amplitude, sigma, angle_deg (ridge azimuth)
     """
     try:
-        cls, defaults = TERRAIN_KINDS[kind]
+        _, defaults = TERRAIN_KINDS[kind]
     except KeyError:
         raise ConfigError(
             f"unknown terrain kind {kind!r}; expected one of {sorted(TERRAIN_KINDS)}"
@@ -368,14 +362,15 @@ def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvide
             raise ConfigError(f"terrain parameter {name}={v!r} must be a finite number")
     if "sigma" in merged and merged["sigma"] <= 0:
         raise ConfigError(f"terrain sigma must be positive, got {merged['sigma']}")
-    return cls(kind, origin, merged)
+    return SyntheticTerrain(kind, origin, merged)
 
 
 def convert_pointset(ps: PointSet, target) -> PointSet:
     """Re-express a point set in another CRS.
 
-    target is "wgs84", "utm" (zone picked from the centroid), or a UtmCrs.
-    Converting WGS-84 to UTM forces every point into one zone.
+    target is "wgs84", "utm" (frame picked from the centroid), or a UtmCrs.
+    Converting to UTM projects every point, on either side of the equator,
+    into the one target frame (zone and hemisphere); the result converts back.
     """
     if len(ps) == 0:
         raise DataError("cannot convert an empty point set")
@@ -405,13 +400,5 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
         lat, lon = ps.y, ps.x
     else:
         lat, lon = utm_inverse(ps.x, ps.y, ps.crs.zone, ps.crs.hemisphere)
-    easting, northing = utm_forward(lat, lon, target.zone)
-    # a point on the other side of the equator is forced into the target
-    # hemisphere's false-northing frame
-    if target.hemisphere == "south":
-        other = lat >= 0.0
-        northing[other] += FALSE_NORTHING_SOUTH
-    else:
-        other = lat < 0.0
-        northing[other] -= FALSE_NORTHING_SOUTH
+    easting, northing = utm_forward(lat, lon, target.zone, target.hemisphere)
     return PointSet.from_arrays(easting, northing, ps.z, target)

@@ -4,6 +4,8 @@ Forward and inverse transverse Mercator use the 6th-order Krüger series in
 the third flattening n, which is accurate to well under a millimeter inside
 a UTM zone. The series exist once, over arrays (`utm_forward`,
 `utm_inverse`); `wgs84_to_utm` and `utm_to_wgs84` are one-point wrappers.
+Both take one frame, a zone and a hemisphere, which alone fixes the false
+northing: projections are continuous across the equator and convert back.
 Degree/minute/second parsing accepts both ASCII and typographic marks.
 """
 
@@ -92,12 +94,12 @@ class GeoPoint:
         object.__setattr__(self, "longitude", normalize_longitude(self.longitude))
 
 
-def check_utm_frame(zone, hemisphere: str | None = None) -> None:
-    """Raise DataError unless `zone` is an int in [1, 60] and `hemisphere`,
-    when given, is 'north' or 'south'."""
+def check_utm_frame(zone, hemisphere: str) -> None:
+    """Raise DataError unless `zone` is an int in [1, 60] and `hemisphere`
+    is 'north' or 'south'."""
     if not (isinstance(zone, int) and 1 <= zone <= 60):
         raise DataError(f"UTM zone {zone!r} outside [1, 60]")
-    if hemisphere is not None and hemisphere not in ("north", "south"):
+    if hemisphere not in ("north", "south"):
         raise DataError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
 
 
@@ -189,12 +191,16 @@ def _tau_from_tau_prime(taup: np.ndarray) -> np.ndarray:
     return tau
 
 
-def utm_forward(latitudes, longitudes, zone: int) -> tuple[np.ndarray, np.ndarray]:
-    """Project arrays of WGS-84 latitudes/longitudes (degrees) into one UTM
-    zone: (eastings, northings) in meters. A point south of the equator gets
-    the southern false northing, as in wgs84_to_utm.
+def utm_forward(
+    latitudes, longitudes, zone: int, hemisphere: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project arrays of WGS-84 latitudes/longitudes (degrees) into the UTM
+    frame of one zone and hemisphere: (eastings, northings) in meters. Every
+    point gets the frame's false northing, so the northings are continuous
+    across the equator: a southern point in a northern frame has a negative
+    northing.
     """
-    check_utm_frame(zone)
+    check_utm_frame(zone, hemisphere)
     lat = np.array(latitudes, dtype=float).ravel()
     lon = normalize_longitudes(longitudes)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
@@ -221,27 +227,28 @@ def utm_forward(latitudes, longitudes, zone: int) -> tuple[np.ndarray, np.ndarra
 
     easting = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
     northing = UTM_SCALE * _RECTIFYING_RADIUS * xi
-    south = lat < 0.0
-    northing[south] += FALSE_NORTHING_SOUTH
+    if hemisphere == "south":
+        northing += FALSE_NORTHING_SOUTH
     return easting, northing
 
 
 def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of utm_forward for points of one zone and hemisphere:
-    (latitudes, longitudes) in degrees."""
+    """Inverse of utm_forward in the frame of one zone and hemisphere:
+    (latitudes, longitudes) in degrees. A northing may lie up to 1e7 m on
+    either side of the frame's false northing, so every point utm_forward
+    projects into the frame comes back, from either side of the equator."""
     check_utm_frame(zone, hemisphere)
     east = np.array(eastings, dtype=float).ravel()
     north = np.array(northings, dtype=float).ravel()
     bad = ~((100000.0 < east) & (east < 900000.0))
     if bad.any():
         raise DataError(f"easting {east[bad][0].item()} outside (100000, 900000)")
-    bad = ~((0.0 <= north) & (north < 10000000.0))
+    offset = north - (FALSE_NORTHING_SOUTH if hemisphere == "south" else 0.0)
+    bad = ~(np.abs(offset) <= 10000000.0)
     if bad.any():
-        raise DataError(f"northing {north[bad][0].item()} outside [0, 10000000)")
-
-    if hemisphere == "south":
-        north = north - FALSE_NORTHING_SOUTH
-    xi = north / (UTM_SCALE * _RECTIFYING_RADIUS)
+        raise DataError(f"northing {north[bad][0].item()} more than 10000000 m from the "
+                        f"false northing of a {hemisphere}ern frame")
+    xi = offset / (UTM_SCALE * _RECTIFYING_RADIUS)
     eta = (east - FALSE_EASTING) / (UTM_SCALE * _RECTIFYING_RADIUS)
 
     xi_p = xi.copy()
@@ -269,8 +276,8 @@ def wgs84_to_utm(p: GeoPoint, zone: int | None = None) -> UtmPoint:
     """
     if zone is None:
         zone = utm_zone_for(p.longitude, p.latitude)
-    easting, northing = utm_forward([p.latitude], [p.longitude], zone)
     hemisphere = "north" if p.latitude >= 0.0 else "south"
+    easting, northing = utm_forward([p.latitude], [p.longitude], zone, hemisphere)
     return UtmPoint(easting.item(), northing.item(), zone, hemisphere, p.altitude)
 
 

@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
-    MAX_SCAN_NODES,  # re-exported: ScanSpec enforces it
     TERRAIN_KINDS,
     PointSet,
     ScanSpec,
@@ -458,10 +457,13 @@ def acquire(config: PipelineConfig) -> PointSet:
 def prepare_samples(config: PipelineConfig) -> Samples:
     """Acquire, clip to the region (in the region's CRS) and convert to the
     config's UTM frame."""
-    acquired = acquire(config)
+    acquired = inside = acquire(config)
     if config.region_crs == "utm":
-        acquired = convert_pointset(acquired, config.utm_crs)
-    inside = clip_to_region(acquired, config.region)
+        # a sample beyond the UTM band has no UTM coordinates: no UTM region holds it
+        inside = clip_to_region(acquired, Rect(-180.0, -UTM_LAT_BAND, 180.0, UTM_LAT_BAND))
+        if len(inside):
+            inside = convert_pointset(inside, config.utm_crs)
+    inside = clip_to_region(inside, config.region)
     if len(inside) == 0:
         raise DataError("no samples inside the target region after clipping")
     return Samples(convert_pointset(inside, config.utm_crs), len(acquired))

@@ -686,9 +686,10 @@ def _chain_reference(segments, edge_points):
 # row-loop variogram that the array code paths replaced.
 
 
-def wgs84_to_utm_reference(latitude, longitude, zone):
-    """(easting, northing) of one point by the scalar Krüger series, with the
-    southern false northing south of the equator."""
+def wgs84_to_utm_reference(latitude, longitude, zone, hemisphere):
+    """(easting, northing) of one point in the frame of `zone` and
+    `hemisphere` by the scalar Krüger series: the southern false northing
+    when the frame is southern, whichever side of the equator the point is."""
     from dsmkit.geodesy import (
         _ALPHA,
         _RECTIFYING_RADIUS,
@@ -713,7 +714,7 @@ def wgs84_to_utm_reference(latitude, longitude, zone):
         eta += alpha * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
     easting = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
     northing = UTM_SCALE * _RECTIFYING_RADIUS * xi
-    if latitude < 0.0:
+    if hemisphere == "south":
         northing += FALSE_NORTHING_SOUTH
     return easting, northing
 
@@ -795,10 +796,7 @@ def convert_pointset_reference(ps, target):
         return PointSet(geo, WGS84)
     out = []
     for g in ps:
-        e, n = wgs84_to_utm_reference(g.latitude, g.longitude, target.zone)
-        hemisphere = "north" if g.latitude >= 0.0 else "south"
-        if hemisphere != target.hemisphere:
-            n += 10000000.0 if target.hemisphere == "south" else -10000000.0
+        e, n = wgs84_to_utm_reference(g.latitude, g.longitude, target.zone, target.hemisphere)
         out.append(UtmPoint(e, n, target.zone, target.hemisphere, g.altitude))
     return PointSet(out, target)
 

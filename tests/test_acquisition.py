@@ -228,6 +228,27 @@ class TestSyntheticTerrain:
         q = utm_to_wgs84(UtmPoint(500500.0, 0.0, 32, "north"))
         assert t.elevation_at(q.latitude, q.longitude) == pytest.approx(120.0, abs=1e-6)
 
+    def test_gaussian_hill_is_symmetric_across_the_equator(self):
+        # queries on both sides of the equator go into the origin's frame,
+        # so the southern half is not evaluated 10,000 km from the origin
+        t = synthetic_terrain(
+            "gaussian_hill", self.ORIGIN, base=400.0, amplitude=60.0, sigma=80.0
+        )
+        north = t.elevation_at(1e-4, 9.0)
+        assert north == t.elevation_at(-1e-4, 9.0)
+        assert north == pytest.approx(459.43, abs=0.01)
+
+    def test_inclined_plane_is_continuous_across_the_equator(self):
+        # the origin lies south of the equator: its frame is southern
+        t = synthetic_terrain("inclined_plane", GeoPoint(-1e-4, 9.0), base=400.0, slope_y=0.01)
+        lat = np.linspace(-1e-4, 1e-4, 21)
+        z = t.elevations(lat, np.full(lat.shape, 9.0))
+        step = np.diff(z)
+        assert np.all((0.011 < step) & (step < 0.0111))
+        _, n_origin = wgs84_to_utm_reference(-1e-4, 9.0, 32, "south")
+        _, n_north = wgs84_to_utm_reference(1e-4, 9.0, 32, "south")
+        assert z[-1] == pytest.approx(400.0 + 0.01 * (n_north - n_origin), abs=1e-9)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             synthetic_terrain("volcano", self.ORIGIN)
@@ -286,6 +307,19 @@ class TestConvertPointSet:
         with pytest.raises(DataError):
             convert_pointset(PointSet([], WGS84), "utm")
 
+    @pytest.mark.parametrize("target", [UtmCrs(32, "north"), UtmCrs(32, "south")])
+    def test_forced_frame_round_trips_across_the_equator(self, target):
+        # half the points lie across the equator from the frame's hemisphere
+        lat = np.array([0.001, -0.001, 0.3, -0.3, 2.0, -2.0])
+        lon = np.array([9.0, 9.001, 8.9, 9.2, 8.7, 9.3])
+        ps = PointSet.from_arrays(lon, lat, np.arange(6.0), WGS84)
+        forced = convert_pointset(ps, target)
+        assert forced.crs == target
+        back = convert_pointset(forced, "wgs84")
+        assert np.abs(back.y - lat).max() <= 1e-12
+        assert np.abs(back.x - lon).max() <= 1e-12
+        assert np.array_equal(back.z, ps.z)
+
     def test_coords_arrays(self):
         ps = PointSet([GeoPoint(1.0, 2.0, 3.0)], WGS84)
         assert np.allclose(ps.coords(), [[2.0, 1.0]])
@@ -333,10 +367,10 @@ class TestColumnarPointSet:
     def test_scan_matches_scalar_evaluation(self):
         # the hill evaluated point by point through the scalar series
         ps = self._scan()
-        e0, n0 = wgs84_to_utm_reference(48.7242, 7.3386, 32)
+        e0, n0 = wgs84_to_utm_reference(48.7242, 7.3386, 32, "north")
         expected = []
         for p in ps:
-            e, n = wgs84_to_utm_reference(p.latitude, p.longitude, 32)
+            e, n = wgs84_to_utm_reference(p.latitude, p.longitude, 32, "north")
             dx, dy = e - e0, n - n0
             expected.append(400.0 + 60.0 * math.exp(-(dx * dx + dy * dy) / (2.0 * 80.0**2)))
         assert ps.z.tolist() == expected

@@ -201,13 +201,14 @@ class TestArraySeries:
 
     @pytest.mark.parametrize("zone", [31, 32])
     def test_forward_matches_scalar_series(self, zone):
-        easting, northing = utm_forward(self.LAT, self.LON, zone)
-        ref = [
-            wgs84_to_utm_reference(a, b, zone)
-            for a, b in zip(self.LAT.tolist(), self.LON.tolist())
-        ]
-        assert np.array_equal(easting, [e for e, _ in ref])
-        assert np.array_equal(northing, [n for _, n in ref])
+        for hemisphere in ("north", "south"):
+            easting, northing = utm_forward(self.LAT, self.LON, zone, hemisphere)
+            ref = [
+                wgs84_to_utm_reference(a, b, zone, hemisphere)
+                for a, b in zip(self.LAT.tolist(), self.LON.tolist())
+            ]
+            assert np.array_equal(easting, [e for e, _ in ref])
+            assert np.array_equal(northing, [n for _, n in ref])
 
     @pytest.mark.parametrize("hemisphere", ["north", "south"])
     def test_inverse_matches_scalar_series(self, hemisphere):
@@ -228,7 +229,9 @@ class TestArraySeries:
     def test_point_wrappers_are_one_element_series(self):
         for lat, lon in zip(self.LAT.tolist()[::37], self.LON.tolist()[::37]):
             u = wgs84_to_utm(GeoPoint(lat, lon, 5.0))
-            assert (u.easting, u.northing) == wgs84_to_utm_reference(lat, lon, u.zone)
+            assert (u.easting, u.northing) == wgs84_to_utm_reference(
+                lat, lon, u.zone, u.hemisphere
+            )
             assert u.hemisphere == ("north" if lat >= 0 else "south") and u.altitude == 5.0
             g = utm_to_wgs84(u)
             assert (g.latitude, g.longitude) == utm_to_wgs84_reference(
@@ -237,13 +240,17 @@ class TestArraySeries:
 
     def test_out_of_band_and_non_finite_rejected(self):
         with pytest.raises(DataError, match="UTM band"):
-            utm_forward([10.0, 84.5], [7.0, 7.0], 32)
+            utm_forward([10.0, 84.5], [7.0, 7.0], 32, "north")
         with pytest.raises(DataError, match="non-finite"):
-            utm_forward([float("nan")], [7.0], 32)
+            utm_forward([float("nan")], [7.0], 32, "north")
         with pytest.raises(DataError, match="easting"):
             utm_inverse([500000.0, 50000.0], [0.0, 0.0], 32, "north")
+        with pytest.raises(DataError, match="^northing -10000000.5 more than 10000000 m"):
+            utm_inverse([500000.0, 500000.0], [-9999999.5, -10000000.5], 32, "north")
+        with pytest.raises(DataError, match="^northing 20000000.5 more than 10000000 m"):
+            utm_inverse([500000.0], [20000000.5], 32, "south")
         with pytest.raises(DataError, match="zone"):
-            utm_forward([10.0], [7.0], 61)
+            utm_forward([10.0], [7.0], 61, "north")
 
     @pytest.mark.parametrize(
         "make",

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsmkit.acquisition as acquisition
 import dsmkit.interpolate as interpolate
 import dsmkit.pipeline as pipeline
 from _oracles import cli_parser_reference, dihedral_roughness_reference
@@ -165,9 +166,39 @@ class TestConfig:
         assert report.clipped_count == 12 * 18
         assert (report.zone, report.hemisphere) == (32, "north")
 
+    def test_equator_demo_lifts_inside_the_field(self, tmp_path):
+        # the demo hill moved onto the equator: its southern half is
+        # evaluated in the run's one frame, so the kriged surface stays
+        # inside the field's [400, 460] m (criterion 12's bound)
+        cfg = tmp_path / "equator.cfg"
+        cfg.write_text("lat_min = -0.0018\nlat_max = 0.0018\nlon_min = 9.0\nlon_max = 9.0036\n"
+                       "spacing = 20\nmethod = uk\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        z = read_obj(out / "dsm_uk.obj").vertices[:, 2]
+        assert 400.0 - 1e-6 <= z.min() and z.max() <= 460.0 + 1e-6
+
+    def test_utm_region_drops_a_sample_beyond_the_utm_band(self, tmp_path, capsys):
+        # a sample at 85.5 N has no UTM coordinates, so no UTM region holds
+        # it: the run clips it away, as a WGS-84 region run does
+        path = tmp_path / "points.txt"
+        lattice = "".join(
+            f"{48.7224 + 0.0036 * i / 9!r} {7.3368 + 0.0036 * j / 9!r} {400.0 + i + j!r}\n"
+            for i in range(10) for j in range(10)
+        )
+        path.write_text(lattice + "85.5 7.34 400\n")
+        cfg = tmp_path / "utm.cfg"
+        cfg.write_text("region_crs = utm\nzone = 32\nspacing = 20\nx_min = 377676.93\n"
+                       "x_max = 377950.41\ny_min = 5397925.72\ny_max = 5398331.65\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--input", str(path), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = dict(line.split(",") for line in (out / "report.csv").read_text().splitlines())
+        assert (report["sample_count"], report["clipped_count"]) == ("101", "100")
+
     def test_scan_node_cap(self):
         # config only: nothing is allocated for a rejected scan
-        cap = pipeline.MAX_SCAN_NODES
+        cap = acquisition.MAX_SCAN_NODES
         assert PipelineConfig.from_mapping({"rows": "2", "cols": str(cap // 2)}).cols == cap // 2
         with pytest.raises(ConfigError, match="scan has"):
             PipelineConfig.from_mapping({"rows": "2", "cols": str(cap // 2 + 1)})

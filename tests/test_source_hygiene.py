@@ -9,8 +9,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsmkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# imported only to be re-exported: the pipeline's scan limit, enforced by ScanSpec
-REEXPORTS = {("pipeline", "MAX_SCAN_NODES")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -42,7 +40,7 @@ def test_every_imported_name_is_used(path):
     unused = [
         f"{path.name}:{line} {name}"
         for name, line in _imported(tree).items()
-        if name not in used and (path.stem, name) not in REEXPORTS
+        if name not in used
     ]
     assert unused == []
 
