@@ -35,6 +35,8 @@ _N = WGS84_F / (2.0 - WGS84_F)  # third flattening
 _RECTIFYING_RADIUS = (WGS84_A / (1.0 + _N)) * (
     1.0 + _N**2 / 4.0 + _N**4 / 64.0 + _N**6 / 256.0
 )
+# the poles' northing from the equator, the scaled quarter meridian (≈9997964.9 m)
+_POLE_NORTHING = UTM_SCALE * _RECTIFYING_RADIUS * math.pi / 2.0
 
 # Krüger series coefficients in the third flattening, to order n^6.
 _ALPHA = (
@@ -234,9 +236,10 @@ def utm_forward(
 
 def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of utm_forward in the frame of one zone and hemisphere:
-    (latitudes, longitudes) in degrees. A northing may lie up to 1e7 m on
-    either side of the frame's false northing, so every point utm_forward
-    projects into the frame comes back, from either side of the equator."""
+    (latitudes, longitudes) in degrees. A northing may lie on either side of
+    the equator, up to a pole, so every point utm_forward projects into the
+    frame comes back; one past a pole raises DataError instead of coming
+    back mirrored onto the meridian opposite the zone."""
     check_utm_frame(zone, hemisphere)
     east = np.array(eastings, dtype=float).ravel()
     north = np.array(northings, dtype=float).ravel()
@@ -244,10 +247,11 @@ def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.nda
     if bad.any():
         raise DataError(f"easting {east[bad][0].item()} outside (100000, 900000)")
     offset = north - (FALSE_NORTHING_SOUTH if hemisphere == "south" else 0.0)
-    bad = ~(np.abs(offset) <= 10000000.0)
+    bad = ~(np.abs(offset) <= _POLE_NORTHING)
     if bad.any():
-        raise DataError(f"northing {north[bad][0].item()} more than 10000000 m from the "
-                        f"false northing of a {hemisphere}ern frame")
+        i = int(np.argmax(bad))
+        raise DataError(f"point {i}: northing {north[i].item()} lies beyond the pole, "
+                        f"{_POLE_NORTHING:.1f} m from the equator of a {hemisphere}ern frame")
     xi = offset / (UTM_SCALE * _RECTIFYING_RADIUS)
     eta = (east - FALSE_EASTING) / (UTM_SCALE * _RECTIFYING_RADIUS)
 

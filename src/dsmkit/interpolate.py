@@ -328,6 +328,14 @@ class UkConfig:
     neighborhood: int | None = 16
 
 
+# the cause _diagnose_singular gives when the drift border is sound, and the
+# remedy a lift abort names when every failed system is ill-conditioned by it:
+# a model without a nugget (a gaussian fit, say) is numerically singular once
+# samples lie much closer together than its range (Posa 1989)
+_VARIOGRAM_CAUSE = "the variogram produced a singular coefficient block"
+_VARIOGRAM_REMEDY = "give the variogram a nugget (variogram_c0 > 0) or use another variogram kind"
+
+
 def _diagnose_singular(border: np.ndarray) -> str:
     """Name the likely cause of a failed system from its drift border
     (n, m). Centred coordinates whose smallest-to-largest singular value
@@ -343,7 +351,7 @@ def _diagnose_singular(border: np.ndarray) -> str:
                 f"drift term '{term}' is linearly dependent on the previous terms "
                 f"(collinear samples: spread ratio {s[1] / s[0]:.2g})"
             )
-    return "the variogram produced a singular coefficient block"
+    return _VARIOGRAM_CAUSE
 
 
 def _samples(locations, values) -> tuple[np.ndarray, np.ndarray]:
@@ -789,7 +797,8 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     system fails (rank-deficient drift, singular or ill-conditioned) falls
     back to IDW and is flagged, and a warning names the first failed
     vertex's reason; when more than 1% fail, NumericalError aborts the lift
-    with that reason instead.
+    with that reason instead, and names a remedy when the variogram made
+    every failed system ill-conditioned.
     """
     if planar.is_3d:
         raise DataError("lift_mesh expects a planar (2D) mesh")
@@ -817,6 +826,11 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         if fallbacks:
             first = f"vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
             if len(fallbacks) > 0.01 * len(verts):
+                if all(
+                    errors[v].startswith("ill-conditioned") and errors[v].endswith(_VARIOGRAM_CAUSE)
+                    for v in fallbacks
+                ):
+                    first += f"; {_VARIOGRAM_REMEDY}"
                 raise NumericalError(
                     f"kriging failed at {len(fallbacks)} of {len(verts)} vertices "
                     f"(first: {fallbacks[:5]}); {first}"

@@ -208,10 +208,15 @@ def seed_region(
     vertices exactly on the edges, and a grid interior.
 
     strategy "jittered" offsets interior vertices by a uniform perturbation
-    of up to 0.3 of the per-axis step, drawn from a seeded generator.
+    of up to 0.3 of the per-axis step: x then y per vertex, in row-major
+    order, from the stream of numpy's `default_rng(seed).uniform(-0.3, 0.3)`
+    (PCG64), drawn bit for bit by `_pcg64_uniform` without numpy.random. The
+    seed must be a non-negative integer.
     """
     if strategy not in SEED_STRATEGIES:
         raise ConfigError(f"unknown seeding strategy {strategy!r}")
+    if strategy == "jittered" and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     nrows, ncols = seed_grid_shape(rect, target_spacing)
     xs = np.linspace(rect.x_min, rect.x_max, ncols)
     ys = np.linspace(rect.y_min, rect.y_max, nrows)
@@ -225,11 +230,124 @@ def seed_region(
         interior = (
             (ii.ravel() > 0) & (ii.ravel() < nrows - 1) & (jj.ravel() > 0) & (jj.ravel() < ncols - 1)
         )
-        rng = np.random.default_rng(seed)
-        offsets = rng.uniform(-0.3, 0.3, size=(int(interior.sum()), 2))
+        offsets = _pcg64_uniform(int(seed), 2 * int(interior.sum()), -0.3, 0.3).reshape(-1, 2)
         pts[interior, 0] += offsets[:, 0] * step_x
         pts[interior, 1] += offsets[:, 1] * step_y
     return pts
+
+
+# numpy's PCG64 (O'Neill 2014, XSL-RR 128/64) as seeded by its SeedSequence.
+# The 128-bit arithmetic runs in Python ints for scalars and in (hi, lo)
+# uint64 halves for arrays; every array constant is an np.uint64, so array
+# products wrap silently and promote alike under numpy 1.x and 2.x.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# draws per vectorised block: bounds the temporaries at about 2 MB
+_PCG_BLOCK = 1 << 14
+_U11, _U32, _U58, _U63, _U64 = (np.uint64(s) for s in (11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+
+
+def _pcg64_first_state(seed: int) -> tuple[int, int]:
+    """(state of the first draw, increment) of numpy's PCG64(SeedSequence(seed)).
+
+    SeedSequence hashes the seed's 32-bit words into a pool of four, takes
+    four 64-bit words from the pool, and PCG64 seeds from them: state from
+    the first two (high, low), increment from the last two.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state32.append(value ^ value >> 16)
+    w = [state32[2 * k] | state32[2 * k + 1] << 32 for k in range(4)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    # srandom: step from 0, add the initial state, step; a draw steps first
+    state = (inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _mul_add(hi, lo, a: int, c: int):
+    """(x * a + c) mod 2**128 for the uint64 halves (hi, lo) of an array x;
+    the high half of lo * a's low word comes from 32-bit limbs."""
+    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & _MASK64)
+    a1, a0 = np.uint64(a >> 32 & _MASK32), np.uint64(a & _MASK32)
+    x1, x0 = lo >> _U32, lo & _LOW32
+    p01, p10 = x0 * a1, x1 * a0
+    mid = (x0 * a0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    out_hi = x1 * a1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    out_hi += hi * a_lo + lo * a_hi + np.uint64(c >> 64)
+    c_lo = np.uint64(c & _MASK64)
+    out_lo = lo * a_lo + c_lo
+    out_hi += out_lo < c_lo
+    return out_hi, out_lo
+
+
+def _pcg64_uniform(seed: int, n: int, low: float, high: float) -> np.ndarray:
+    """numpy's `default_rng(seed).uniform(low, high, n)`, bit for bit.
+
+    The first block of states is filled by doubling, X[m:2m] = A_m X[:m] + C_m
+    with (A_m, C_m) the LCG's m-step jump; each later block is the one
+    before it jumped by the block length.
+    """
+    state, inc = _pcg64_first_state(seed)
+    mult = _PCG_MULT
+    out = np.empty(n)
+    size = min(n, _PCG_BLOCK)
+    hi, lo = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    if size:
+        hi[0], lo[0] = np.uint64(state >> 64), np.uint64(state & _MASK64)
+    m = 1
+    while m < size:
+        k = min(m, size - m)
+        hi[m : m + k], lo[m : m + k] = _mul_add(hi[:k], lo[:k], mult, inc)
+        mult, inc = mult * mult & _MASK128, (mult + 1) * inc & _MASK128
+        m += k
+    # a full first block has a power-of-two length, so (mult, inc) now jump by it
+    for start in range(0, n, _PCG_BLOCK):
+        if start:
+            hi, lo = _mul_add(hi, lo, mult, inc)
+        k = min(size, n - start)
+        # XSL-RR: the halves' xor, rotated right by the state's top 6 bits
+        x = hi[:k] ^ lo[:k]
+        rot = hi[:k] >> _U58
+        x = x >> rot | x << ((_U64 - rot) & _U63)
+        out[start : start + k] = x >> _U11
+    # (x >> 11) * 2**-53, then low + (high - low) * u, as numpy rounds them
+    out *= 2.0**-53
+    out *= high - low
+    out += low
+    return out
 
 
 def _doubled_area(a, b, c):

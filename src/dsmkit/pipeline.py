@@ -277,6 +277,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
             )
+        # under grid seeding too, which ignores it: a config valid under one
+        # strategy stays valid under the other
+        seed = number("seed", int)
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
         spacing = positive("spacing")
         mesh_region = utm_extent(region, utm_crs) if region_crs == "wgs84" else region
         seed_grid_shape(mesh_region, spacing)
@@ -312,7 +317,7 @@ class PipelineConfig:
             drift=drift,
             neighbors=neighbors,
             power=positive("power"),
-            seed=number("seed", int),
+            seed=seed,
             out_dir=Path(raw["out"]),
             formats=formats,
             contour_levels=at_least("contour_levels", 0),

@@ -13,6 +13,12 @@ import numpy as np
 from dsmkit.errors import DataError
 
 
+def uniform_reference(seed: int, n: int, low: float, high: float) -> np.ndarray:
+    """numpy's own `default_rng(seed).uniform(low, high, n)`: the PCG64
+    stream that mesh seeding reproduces without numpy.random."""
+    return np.random.default_rng(seed).uniform(low, high, n)
+
+
 def circumcircle_violations(points: np.ndarray, triangles: np.ndarray, rel_tol=1e-9) -> int:
     """Count (triangle, point) pairs where a non-vertex point lies strictly
     inside a triangle's circumcircle, via explicit circumcenters."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import utm_to_wgs84_reference, wgs84_to_utm_reference
+from dsmkit import geodesy
 from dsmkit.acquisition import UtmCrs
 from dsmkit.errors import DataError, ParseError
 from dsmkit.geodesy import (
@@ -245,12 +246,33 @@ class TestArraySeries:
             utm_forward([float("nan")], [7.0], 32, "north")
         with pytest.raises(DataError, match="easting"):
             utm_inverse([500000.0, 50000.0], [0.0, 0.0], 32, "north")
-        with pytest.raises(DataError, match="^northing -10000000.5 more than 10000000 m"):
-            utm_inverse([500000.0, 500000.0], [-9999999.5, -10000000.5], 32, "north")
-        with pytest.raises(DataError, match="^northing 20000000.5 more than 10000000 m"):
-            utm_inverse([500000.0], [20000000.5], 32, "south")
+        with pytest.raises(DataError, match="^point 1: northing -9997965.0 lies beyond the pole"):
+            utm_inverse([500000.0, 500000.0], [-9997964.0, -9997965.0], 32, "north")
+        with pytest.raises(DataError, match="^point 0: northing 19997965.0 lies beyond the pole"):
+            utm_inverse([500000.0], [19997965.0], 32, "south")
+        with pytest.raises(DataError, match="^point 0: northing nan lies beyond the pole"):
+            utm_inverse([500000.0], [float("nan")], 32, "north")
         with pytest.raises(DataError, match="zone"):
             utm_forward([10.0], [7.0], 61, "north")
+
+    @pytest.mark.parametrize(
+        "northing, hemisphere",
+        [(9999000.0, "north"), (0.0, "south")],
+    )
+    def test_northing_past_the_pole_rejected(self, northing, hemisphere):
+        # ROADMAP 1(f): these came back mirrored, at 89.9907 and -89.98
+        # degrees on the meridian opposite zone 32 (longitude -171)
+        with pytest.raises(DataError, match=(
+            rf"^point 0: northing {northing!r} lies beyond the pole, 9997964.9 m from the "
+            rf"equator of a {hemisphere}ern frame$"
+        )):
+            utm_inverse([500000.0], [northing], 32, hemisphere)
+
+    def test_the_poles_come_back(self):
+        pole = geodesy._POLE_NORTHING
+        lat, lon = utm_inverse([500000.0, 500000.0], [pole, -pole], 32, "north")
+        assert lat.tolist() == pytest.approx([90.0, -90.0], abs=1e-9)
+        assert lon.tolist() == [9.0, 9.0]
 
     @pytest.mark.parametrize(
         "make",

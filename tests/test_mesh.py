@@ -23,8 +23,9 @@ from _oracles import (
     rotation_canonical,
     triangle_min_angles,
     triangulate_reference,
+    uniform_reference,
 )
-from dsmkit import delaunay
+from dsmkit import delaunay, mesh
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geometry import Rect
 from dsmkit.mesh import (
@@ -447,6 +448,39 @@ class TestSeedRegion:
     def test_spacing_too_large(self):
         with pytest.raises(ConfigError):
             seed_region(Rect(0, 0, 10, 10), 50.0)
+
+    def test_jitter_is_numpy_default_rng_stream(self):
+        # x then y per interior vertex, row by row, scaled by the 1 m step
+        rect = Rect(0, 0, 10, 8)
+        grid = seed_region(rect, 1.0, strategy="grid")
+        interior = (grid[:, 0] > 0) & (grid[:, 0] < 10) & (grid[:, 1] > 0) & (grid[:, 1] < 8)
+        offsets = uniform_reference(7, 2 * int(interior.sum()), -0.3, 0.3).reshape(-1, 2)
+        grid[interior] += offsets
+        assert np.array_equal(seed_region(rect, 1.0, strategy="jittered", seed=7), grid)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer, got -1$"):
+            seed_region(Rect(0, 0, 10, 10), 1.0, strategy="jittered", seed=-1)
+
+
+class TestPcg64Uniform:
+    """mesh._pcg64_uniform against numpy's generator, across the seed's
+    32-bit word counts (1, 2, 3 and more than the pool's 4) and the block
+    boundaries of its vectorised jump-ahead."""
+
+    LENGTHS = [0, 1, 2, 3, 63, 64, 65, 2 * mesh._PCG_BLOCK + 5]
+
+    @pytest.mark.parametrize(
+        "seed", [*range(11), 42, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3, 2**160 + 9]
+    )
+    def test_bit_identical_to_numpy(self, seed):
+        for n in self.LENGTHS:
+            got = mesh._pcg64_uniform(seed, n, -0.3, 0.3)
+            assert np.array_equal(got, uniform_reference(seed, n, -0.3, 0.3)), n
+
+    def test_other_bounds(self):
+        want = uniform_reference(5, 1000, 2.0, 7.5)
+        assert np.array_equal(mesh._pcg64_uniform(5, 1000, 2.0, 7.5), want)
 
 
 def _square_fan(center=(0.2, 0.3)):

@@ -744,6 +744,8 @@ class TestCli:
         # the first failed vertex's condition number, as the SVD measures it
         cond = {20: "5.07e+16", 50: "5.2e+16", 100: "2e+16"}[rows]
         assert f": cond {cond} > 1e+12; drift term 'y'" in err
+        # collinear samples, not the variogram: no variogram remedy
+        assert "variogram_c0" not in err
         assert "Traceback" not in err
         for name in ("dsm_uk.obj", "dsm_uk.vtk", "report.csv"):
             assert not (out / name).exists()
@@ -882,9 +884,40 @@ class TestCli:
             "error: stage 'lift': kriging failed at 4592 of 4592 vertices (first: "
             "[0, 1, 2, 3, 4]); vertex 0: ill-conditioned kriging system at target "
             "(377676.93424786313, 5397925.722704333): cond 2.18e+16 > 1e+12; "
-            "the variogram produced a singular coefficient block\n"
+            "the variogram produced a singular coefficient block; give the variogram a "
+            "nugget (variogram_c0 > 0) or use another variogram kind\n"
         )
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_gaussian_fit_abort_names_the_remedy(self, tmp_path, capsys):
+        # ROADMAP 1(g): the demo scan's gaussian fit has nugget 0, so every
+        # system of a 24-vertex mesh is ill-conditioned by the variogram alone
+        out = tmp_path / "o"
+        code = main(["run", "--variogram", "gaussian", "--spacing", "80", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: stage 'lift': kriging failed at 24 of 24 vertices")
+        assert err.endswith(
+            ": cond 2.18e+16 > 1e+12; the variogram produced a singular coefficient block; "
+            "give the variogram a nugget (variogram_c0 > 0) or use another variogram kind\n"
+        )
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("strategy", ["jittered", "grid"])
+    def test_negative_seed_is_rejected_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, strategy
+    ):
+        # the jittered seeding used to run acquire and then exit 1 with
+        # numpy's traceback; grid seeding ignored the seed
+        monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
+        cfg = self._cfg(tmp_path, [f"seed_strategy = {strategy}"])
+        out = tmp_path / "o"
+        code = main(["run", "--config", cfg, "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_altitude_bound_is_inclusive(self, tmp_path):
         path = tmp_path / "edge.txt"

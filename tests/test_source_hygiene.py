@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, and no module-level private function
-or class goes unreferenced."""
+no module imports a name it never uses, no module-level private function
+or class goes unreferenced, and no module uses numpy.random (mesh seeding
+draws numpy's stream itself, so no run pays that import)."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,48 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def _numpy_random_uses(tree: ast.Module) -> list:
+    """Line numbers of every `np.random` / `numpy.random` attribute and of
+    every import of numpy.random or of a name from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nrng = np.random.default_rng(1)",
+        "import numpy\nnumpy.random.seed(1)",
+        "import numpy.random",
+        "from numpy.random import default_rng",
+        "from numpy import random",
+    ],
+)
+def test_numpy_random_check_sees_every_form(source):
+    assert _numpy_random_uses(ast.parse(source)) != []
+
+
+def test_no_module_uses_numpy_random():
+    uses = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _numpy_random_uses(_tree(path))
+    ]
+    assert uses == []

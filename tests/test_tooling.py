@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps dsmkit functions by
 module and name, and its hooks read sizes off their arguments and results.
 These tests read its target lists and hooks; they change neither. The last
-three run in a subprocess: one checks that the tracer still sees the Delaunay
+four run in a subprocess: one checks that the tracer still sees the Delaunay
 engine's exact fallbacks, the others guard what a benchmarked process
 imports."""
 
@@ -129,6 +129,20 @@ def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
         f"assert main(['run', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         f"assert main(['compare', '--out', {str(tmp_path / 'compare')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
+    )
+    result = _run_python(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_demo_run_never_imports_numpy_random(tmp_path):
+    # the jittered seeds are numpy's PCG64 stream drawn by dsmkit.mesh, so
+    # the default run no longer pays numpy.random's import (about 15 ms, 2 MB)
+    code = (
+        "import sys\n"
+        "from dsmkit.cli import main\n"
+        f"assert main(['run', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
