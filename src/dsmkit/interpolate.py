@@ -29,22 +29,21 @@ alone (see _lapack). The chunk size is a fixed byte budget divided by the
 size of one system. The semivariogram block is symmetric bit for bit, so
 each slab of rows is evaluated from its diagonal rightwards and mirrored
 below it: every pair's semivariogram is computed once. One rule, for local
-stacks and the global system alike, fails a system whose degree-1 drift
-border is rank-deficient, that LU finds singular, or that is ill-conditioned
-(2-norm condition number above 1e12 up to width 200, relative residual above
-1e-6 beyond); it fails only its own targets, with a message naming the cause
-and the measured value. A kriging system's condition number is bounded from
-above by two small Cholesky factorisations, not by an SVD or an inverse: one
-of the covariance block K = sJ - G (s the sill, J = 11^T), shifted by s/1024,
-and one of the drift Gram matrix F^T F. Their proven eigenvalue floors tau_K
-and tau_F give, through the null-space form of the saddle-point inverse,
+stacks and the global system alike and at every width, fails a system whose
+degree-1 drift border is rank-deficient, that LU finds singular, or that is
+ill-conditioned (2-norm condition number above 1e12); it fails only its own
+targets, with a message naming the cause and the measured value. A kriging
+system's condition number is bounded from above by two small Cholesky
+factorisations, not by an SVD or an inverse: one of the covariance block
+K = sJ - G (s the sill, J = 11^T), shifted by s/1024, and one of the drift
+Gram matrix F^T F. Their proven eigenvalue floors tau_K and tau_F give,
+through the null-space form of the saddle-point inverse,
 cond(A) <= ||A||_F (b + max(1/tau_K, s, k/tau_F)), with k = ||K||_F and
 b = (1 + k/tau_K) / sqrt(tau_F) (see _factor_bound). A system passes on that
-bound when it is at most 1e10; every other system, a failed factor included,
+bound when it is at most 1e11; every other system, a failed factor included,
 gets the SVD's condition number, so failures and their messages are the
 SVD's. tau_F > 0 proves a full-rank drift border, so a stack's border ranks
-are computed once, for the systems the bound does not clear (beyond width
-200, every system).
+are computed once, for the systems the bound does not clear.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
@@ -76,9 +75,11 @@ logger = logging.getLogger(__name__)
 
 COINCIDENT_TOL = 1e-9  # meters; closer targets snap to the sample value
 _COND_LIMIT = 1e12  # largest 2-norm condition number a system may have
-# a system passes on a proven condition bound only this far under the limit,
-# which leaves room for the rounding in the bound itself
-_BOUND_LIMIT = _COND_LIMIT / 100
+# a system passes on its proven bound, which carries its own rounding, up to
+# a tenth of the limit: the SVD's relative error there (about w u 1e11, w the
+# width) is far under the gap, so a certified system also passes the SVD rule
+_BOUND_LIMIT = _COND_LIMIT / 10
+_BOUND_WIDTH = 1 << 15  # widest system whose rounding _factor_bound proves
 _CHUNK_BYTES = 1 << 20  # float64 work per chunk of targets
 _SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
 _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
@@ -328,25 +329,29 @@ class UkConfig:
     neighborhood: int | None = 16
 
 
-# the cause _diagnose_singular gives when the drift border is sound, and the
-# remedy a lift abort names when every failed system is ill-conditioned by it:
-# a model without a nugget (a gaussian fit, say) is numerically singular once
-# samples lie much closer together than its range (Posa 1989)
+# the cause _diagnose_singular gives when it cannot blame the drift border,
+# and the remedy a lift abort names when it is every failure's cause under a
+# model without a nugget: such a model (a gaussian fit, say) is numerically
+# singular once samples lie much closer together than its range (Posa 1989)
 _VARIOGRAM_CAUSE = "the variogram produced a singular coefficient block"
 _VARIOGRAM_REMEDY = "give the variogram a nugget (variogram_c0 > 0) or use another variogram kind"
 
 
-def _diagnose_singular(border: np.ndarray) -> str:
+def _diagnose_singular(border: np.ndarray, sound: bool) -> str:
     """Name the likely cause of a failed system from its drift border
-    (n, m). Centred coordinates whose smallest-to-largest singular value
-    ratio r is at most 1/sqrt(_COND_LIMIT) are collinear: a border alone
-    puts the condition number near 1/r^2."""
+    (n, m). A border alone puts the condition number near 1/r^2, r the
+    smallest-to-largest singular value ratio of its centred coordinates, so
+    they are collinear at r <= _COND_LIMIT^-1/2. Where the system's K
+    factored at its shift (sound, see _factor_bound), its variogram block is
+    sound, and a border that brings half the limit's orders of magnitude,
+    r <= _COND_LIMIT^-1/4, is blamed as well."""
     if border.shape[1] == 3:
         c = border[:, 1:] - border[:, 1:].mean(axis=0)
         s = np.linalg.svd(c, compute_uv=False)
         tol = s[0] / math.sqrt(_COND_LIMIT)
-        if s[1] <= tol:
-            term = "x" if np.linalg.norm(c[:, 0]) <= tol else "y"
+        if s[1] <= (math.sqrt(s[0] * tol) if sound else tol):
+            # x is the dependent term when its own spread is the smallest
+            term = "x" if np.linalg.norm(c[:, 0]) <= max(tol, 2.0 * s[1]) else "y"
             return (
                 f"drift term '{term}' is linearly dependent on the previous terms "
                 f"(collinear samples: spread ratio {s[1] / s[0]:.2g})"
@@ -399,9 +404,9 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     return A
 
 
-def _lapack(gufunc, *stacks) -> np.ndarray:
+def _lapack(gufunc, *stacks, out=None) -> np.ndarray:
     """Apply one of numpy's stacked float64 LAPACK gufuncs (solve,
-    cholesky_lo) to every system of the stacks.
+    cholesky_lo) to every system of the stacks, into out if given.
 
     np.linalg.solve and np.linalg.cholesky call these same gufuncs, but they
     raise LinAlgError for the whole stack when one system fails (a zero LU
@@ -411,7 +416,7 @@ def _lapack(gufunc, *stacks) -> np.ndarray:
     The floating-point flags are ignored: the wrappers ignore overflow,
     underflow and division, and the invalid flag only reports the NaN fill."""
     with np.errstate(all="ignore"):
-        return gufunc(*stacks, signature="d" * len(stacks) + "->d")
+        return gufunc(*stacks, signature="d" * len(stacks) + "->d", out=out)
 
 
 def _solve_or_fail(
@@ -419,45 +424,43 @@ def _solve_or_fail(
 ):
     """Solve a stack of bordered systems A x = b (m drift terms) under the
     one failure rule; targets holds each system's target, or is None for the
-    one system over all samples. Returns (ok, sol, measure, value, failed):
-    ok masks the systems that passed, sol holds their solutions (the LU
-    solution of an ill-conditioned system too, zeros for a singular one),
-    value is the conditioning measure per solved system (NaN elsewhere),
-    measure names it for a log note ("cond ≤": an upper bound from
-    _factor_bound, exact where it fails; or "residual") and failed maps a
+    one system over all samples. Returns (ok, sol, value, failed): ok masks
+    the systems that passed, sol holds their solutions (the LU solution of
+    an ill-conditioned system too, zeros for a singular one), value is an
+    upper bound on each solved system's 2-norm condition number (from
+    _factor_bound, exact where that fails; NaN elsewhere) and failed maps a
     stack position to its reason.
 
     sill, the semivariogram model's sill, declares A a stack of kriging
     systems as _bordered builds them, which _factor_bound may clear; without
-    it every system up to width 200 is judged by the SVD. tally, a dict,
-    counts the systems cleared by their factors ("certified") and those
-    judged by an SVD ("svd"), or beyond width 200 those judged by their
-    residual ("residual").
+    it every system is judged by the SVD. tally, a dict, counts the systems
+    cleared by their factors ("certified") and those judged by an SVD
+    ("svd").
 
-    One pass: one batched LU solve, whose NaN rows mark the systems LU
-    rejected; the certificate on the solved systems; one rank check of the
-    degree-1 drift border F (n, 3) over every system not certified, since a
-    border of rank below 3 fails its system though LU may "solve" it with a
-    tiny pivot (a certified system has a proven tau_F > 0, so a full-rank
-    border; the residual test beyond width 200 cannot tell, so there every
-    system is checked); then the SVD or the residual for the rest."""
+    One pass, the same at every width: one batched LU solve, whose NaN rows
+    mark the systems LU rejected; the certificate on the solved systems; one
+    rank check of the degree-1 drift border F (n, 3) over every system not
+    certified, since a border of rank below 3 fails its system though LU may
+    "solve" it with a tiny pivot (a certified system has a proven tau_F > 0,
+    so a full-rank border); then the SVD for the rest."""
     L, w = b.shape
     n = w - m
     failed = {}
+    sound = np.zeros(L, dtype=bool)  # K factored: a sound variogram block
 
     def fail(j, kind, measured):
         where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
-        cause = _diagnose_singular(A[j, :n, n:])
+        cause = _diagnose_singular(A[j, :n, n:], sound[j])
         failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
 
     sol = _lapack(_umath_linalg.solve, A, b[..., None])[..., 0]
     solved = ~np.isnan(sol).all(axis=1)
     ok = solved.copy()
     value = np.full(L, np.nan)
-    if w <= 200 and sill is not None:
-        value[ok] = _factor_bound(A if ok.all() else A[ok], m, sill)
+    if sill is not None:
+        value[ok], sound[ok] = _factor_bound(A if ok.all() else A[ok], m, sill)
     certified = value <= _BOUND_LIMIT
-    if w <= 200 and tally is not None:
+    if tally is not None:
         tally["certified"] += int(certified.sum())
         tally["svd"] += int((solved & ~certified).sum())
 
@@ -473,31 +476,22 @@ def _solve_or_fail(
     sol[~ok] = 0.0
     value[~ok] = np.nan
     rest = rest[solved[rest]]
-
-    if w <= 200:
-        measure, name, limit = "cond ≤", "cond", _COND_LIMIT
-        if len(rest):
-            value[rest] = np.linalg.cond(A[rest])
-    else:
-        measure = name = "residual"
-        limit = 1e-6
-        Ao, bo = A[ok], b[ok]
-        resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
-        value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
-        if tally is not None:
-            tally["residual"] += len(bo)
-    for j in np.flatnonzero(ok & ~(value <= limit)):
+    if len(rest):
+        value[rest] = np.linalg.cond(A[rest])
+    for j in np.flatnonzero(ok & ~(value <= _COND_LIMIT)):
         ok[j] = False
-        fail(j, "ill-conditioned", f"{name} {value[j]:.3g} > {limit:g}")
-    return ok, sol, measure, value, failed
+        fail(j, "ill-conditioned", f"cond {value[j]:.3g} > {_COND_LIMIT:g}")
+    return ok, sol, value, failed
 
 
-def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
+def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
     """Per system of the stack A of bordered kriging systems: a proven upper
-    bound on its 2-norm condition number, or inf where none is proven.
+    bound on its 2-norm condition number, or inf where none is proven; and
+    a mask of the systems whose covariance block K factored at its shift.
 
     A = [[G, F], [F^T, 0]] must be symmetric, as _bordered builds it, with
-    F's first column all ones; sill is a number s >= 0.
+    F's first column all ones, and at most _BOUND_WIDTH wide; sill is a
+    number s >= 0.
     The bound rests on two Cholesky factors per system, of the covariance
     block K = sJ - G (J = 11^T) and of the drift Gram matrix F^T F, both by
     _chol_completes (LAPACK's potrf on the stack).
@@ -531,15 +525,17 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
     is a product with a rounded reciprocal, as in LAPACK. The column norms
     of R are then <= (b_ii / (1 - g))^1/2, so ||E||_2 <= (g / (1 - g))
     tr(B) and lmin(B) >= -1.01 (n+2) u tr(B) (Rump 2006, BIT 46:433).
-    Underflow adds at most 2^-1022 to a product or quotient, so under
-    2^-1005 (1 + max b_ii) to ||E||_2 for n <= 200. So B is factored
-    shifted by c, and Weyl's inequality adds up the rounding: in K~ = fl(s
-    - G) (u |K| per entry), in F^T F (gamma_n ||F||_F^2), in the shift (u
-    per diagonal entry) and in the factorisation. With mag the Frobenius
-    norm of K~, or the trace of the computed F^T F, all of it is below half
-    of
-      slack = 8 w^2 u (mag + c) + 2^-999    (w = n + m, the system width),
-    and tau = fl(c - slack) <= c - slack / 2 (slack >= 2 u c) is proven.
+    Underflow adds at most 2^-1022 to a product or quotient (flushed or
+    not), so at most n (n+1) 2^-1022 (1 + max b_ii) to ||E||_2 (r_ii <=
+    1 + b_ii scales a quotient's). So B is factored shifted by c, and
+    Weyl's inequality adds up the rounding: in K~ = fl(s - G) (u |K| per
+    entry), in F^T F (gamma_n ||F||_F^2), in the shift (u per diagonal
+    entry), in the factorisation, and their underflow. With mag the
+    Frobenius norm of K~ (tr(B) <= 1.01 sqrt(n) mag), or the trace of the
+    computed F^T F, all of it is under 4 w^2 u (mag + c) + w^2 2^-1022, half
+    of slack = w^2 (8 u (mag + c) + 2^-1021) (w = n + m, the system width,
+    any with (n+2) u < 0.001), and tau = fl(c - slack) <= c - slack / 2
+    (slack >= 2 u c) is proven.
     K is shifted by s / 1024; a system whose factor does not complete gets
     no bound (inf), and the SVD judges it. F^T F (3 x 3) is shifted by
     det / (2 e2), e2 the sum of its principal 2 x 2 minors: e2 >= l2 l3, the
@@ -547,16 +543,20 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
     is at most lmin / 2.
 
     The final bound takes a factor 1 + 2^-20 for the rounding of the norms
-    (relative 1.01 w^2 u <= 2^-37 up to width 200) and of its own few
-    operations, and 2^-500 on k for underflowed squares (||A||_F >= 1, from
-    the ones column, needs no such term)."""
+    (relative 1.01 w^2 u <= 2^-22.9 up to width _BOUND_WIDTH = 2^15, the one
+    limit on the width: a wider system gets no bound) and of its own few
+    operations, and 2^-495 on k for underflowed squares (k loses under
+    n 2^-511; ||A||_F >= 1, from the ones column, needs no such term)."""
     L, w, _ = A.shape
     n = w - m
+    sound = np.zeros(L, dtype=bool)
+    if w > _BOUND_WIDTH:
+        return np.full(L, np.inf), sound
     s = np.full(L, float(sill))
     u = 2.0**-53
 
     def slack(mag, c):
-        return 8.0 * w * w * u * (mag + c) + 2.0**-999
+        return w * w * (8.0 * u * (mag + c) + 2.0**-1021)
 
     with np.errstate(all="ignore"):
         if m == 1:
@@ -580,23 +580,25 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> np.ndarray:
             sl = slice(lo, min(lo + step, L))
             G, sv = A[sl, :n, :n], s[sl]
             K = sv[:, None, None] - G
-            k[sl] = np.sqrt(np.einsum("ijk,ijk->i", K, K)) + 2.0**-500
+            k[sl] = np.sqrt(np.einsum("ijk,ijk->i", K, K)) + 2.0**-495
             shift = sv / 1024.0
-            tau_K[sl] = np.where(_chol_completes(K, shift), shift - slack(k[sl], shift), np.nan)
+            sound[sl] = _chol_completes(K, shift)
+            tau_K[sl] = np.where(sound[sl], shift - slack(k[sl], shift), np.nan)
         h = 1.0 / tau_K
         b = rho * (1.0 + h * k)
         bound = (1.0 + 2.0**-20) * norm_A * (b + np.maximum(h, np.maximum(s, rho2 * k)))
-    return np.where((tau_K > 0) & (tau_F > 0) & (s >= 0) & (bound < np.inf), bound, np.inf)
+    proven = (tau_K > 0) & (tau_F > 0) & (s >= 0) & (bound < np.inf)
+    return np.where(proven, bound, np.inf), sound
 
 
 def _chol_completes(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Whether the floating-point Cholesky factorisation of each B_j -
     shift_j I runs to completion, as a mask. B is shifted in place (einsum's
-    diagonal is a writeable view)."""
+    diagonal is a writeable view), then overwritten by its factor."""
     np.einsum("ijj->ij", B)[...] -= shift[:, None]
     # a failed factor is all NaN, and a NaN or inf anywhere in a completed
     # one reaches a later pivot
-    diag = np.einsum("ijj->ij", _lapack(_umath_linalg.cholesky_lo, B))
+    diag = np.einsum("ijj->ij", _lapack(_umath_linalg.cholesky_lo, B, out=B))
     return (diag.min(axis=1) > 0) & (diag.max(axis=1) < np.inf)
 
 
@@ -605,9 +607,9 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
     (tally as for _solve_or_fail).
 
     Returns (sample_indices, weights, drift_multipliers, prediction,
-    variance, errors, measure, value): one row per target up to errors,
-    which maps a failed row to its message (its prediction is NaN); value
-    holds the conditioning measure of each system solved (NaN elsewhere).
+    variance, errors, value): one row per target up to errors, which maps a
+    failed row to its message (its prediction is NaN); value holds the
+    condition bound of each system solved (NaN elsewhere).
     """
     idx = sys.index.knn(x0, sys.neighborhood)
     locs = sys.locations[idx]
@@ -634,9 +636,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
     b = np.zeros((len(live), n + m))
     b[:, :n] = model_gamma(sys.model, dist[live])
     b[:, n] = 1.0
-    ok, sol, measure, value, failed = _solve_or_fail(
-        A, b, m, x0[live].tolist(), sys.model.sill, tally
-    )
+    ok, sol, value, failed = _solve_or_fail(A, b, m, x0[live].tolist(), sys.model.sill, tally)
     errors = {int(live[j]): why for j, why in failed.items()}
     live, b, sol = live[ok], b[ok], sol[ok]
 
@@ -649,7 +649,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
     mu[live] = mult
     prediction[live] = _rowdot(w, vals[live])
     variance[live] = _rowdot(w, b[:, :n]) + sol[:, n]
-    return idx, weights, mu, prediction, variance, errors, measure, value
+    return idx, weights, mu, prediction, variance, errors, value
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -679,7 +679,7 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
 
     A = _bordered(sys.model, c[None], F[None])
     rhs = np.concatenate([sys.values, np.zeros(m)])
-    ok, sol, measure, value, failed = _solve_or_fail(A, rhs[None], m, None, sys.model.sill)
+    ok, sol, value, failed = _solve_or_fail(A, rhs[None], m, None, sys.model.sill)
     if not ok[0]:
         return out, dict.fromkeys(live.tolist(), failed[0]), f"global neighbourhood, {failed[0]}"
     alpha = sol[0]
@@ -694,12 +694,12 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
         if m == 3:
             z += t @ alpha[n + 1 :] / half
         out[rows] = z
-    return out, {}, f"global neighbourhood, {measure} {value[0]:.3g}"
+    return out, {}, f"global neighbourhood, cond ≤ {value[0]:.3g}"
 
 
 def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, str]:
     """Predictions for many targets, {target position: error message}, and
-    a one-line note naming the path and its worst conditioning measure."""
+    a one-line note naming the path and its worst condition bound."""
     n = len(sys.locations)
     if sys.neighborhood is None or sys.neighborhood >= n:
         return _krige_global(sys, targets)
@@ -708,20 +708,17 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
     out = np.empty(len(targets))
     errors = {}
     worst = np.nan
-    tally = {"certified": 0, "svd": 0, "residual": 0}
+    tally = {"certified": 0, "svd": 0}
     for s in range(0, len(targets), step):
-        *_, prediction, _, chunk_errors, measure, value = _krige_chunk(
+        *_, prediction, _, chunk_errors, value = _krige_chunk(
             sys, targets[s : s + step], tally
         )
         out[s : s + step] = prediction
         errors.update((s + row, msg) for row, msg in chunk_errors.items())
         worst = np.fmax.reduce(value, initial=worst)
-    if width <= 200:
-        judged = f"{tally['certified']} systems certified by their factors, {tally['svd']} by SVD"
-    else:
-        judged = f"{tally['residual']} systems judged by their residual"
     return out, errors, (
-        f"local neighbourhood of {sys.neighborhood}, worst {measure} {worst:.3g}, {judged}"
+        f"local neighbourhood of {sys.neighborhood}, worst cond ≤ {worst:.3g}, "
+        f"{tally['certified']} systems certified by their factors, {tally['svd']} by SVD"
     )
 
 
@@ -797,8 +794,8 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     system fails (rank-deficient drift, singular or ill-conditioned) falls
     back to IDW and is flagged, and a warning names the first failed
     vertex's reason; when more than 1% fail, NumericalError aborts the lift
-    with that reason instead, and names a remedy when the variogram made
-    every failed system ill-conditioned.
+    with that reason instead, and names a remedy when a variogram without a
+    nugget made every failed system ill-conditioned.
     """
     if planar.is_3d:
         raise DataError("lift_mesh expects a planar (2D) mesh")
@@ -826,7 +823,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
         if fallbacks:
             first = f"vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
             if len(fallbacks) > 0.01 * len(verts):
-                if all(
+                if method.model.nugget == 0 and all(
                     errors[v].startswith("ill-conditioned") and errors[v].endswith(_VARIOGRAM_CAUSE)
                     for v in fallbacks
                 ):

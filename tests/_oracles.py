@@ -212,14 +212,9 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         raise singular() from None
-    # an ill-conditioned system fails like a singular one: 2-norm condition
-    # number up to width 200, relative residual beyond
-    if n + m <= 200:
-        conditioning, limit = np.linalg.cond(A), 1e12
-    else:
-        conditioning = np.linalg.norm(A @ sol - b) / max(1.0, np.linalg.norm(b))
-        limit = 1e-6
-    if not conditioning <= limit:
+    # an ill-conditioned system (2-norm condition number above 1e12) fails
+    # like a singular one
+    if not np.linalg.cond(A) <= 1e12:
         raise singular()
 
     weights = sol[:n]
@@ -229,9 +224,11 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
     return weights, mu, float(weights @ vals), float(weights @ b[:n] + sol[n:] @ f0), idx
 
 
-def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
+def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets, sill=None):
     """interpolate._solve_or_fail as it was before the condition bound:
-    np.linalg.cond (an SVD) of every solved system up to width 200. Returns
+    np.linalg.cond (an SVD) of every solved system, at every width. With a
+    sill, a failed system whose covariance block sJ - G factors at the shift
+    sill / 1024 (np.linalg.cholesky) is blamed on its drift border. Returns
     (ok, sol, value, failed)."""
     from dsmkit.interpolate import _diagnose_singular
 
@@ -239,9 +236,18 @@ def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
     n = w - m
     failed = {}
 
+    def sound(j):
+        if sill is None:
+            return False
+        try:
+            R = np.linalg.cholesky(sill - A[j, :n, :n] - sill / 1024.0 * np.eye(n))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(np.diag(R)) & (np.diag(R) > 0)))
+
     def fail(j, kind, measured):
         where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
-        cause = _diagnose_singular(A[j, :n, n:])
+        cause = _diagnose_singular(A[j, :n, n:], sound(j))
         failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
 
     ok = np.ones(L, dtype=bool)
@@ -264,16 +270,10 @@ def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
         Ao, bo = A[ok], b[ok]
 
     value = np.full(L, np.nan)
-    if w <= 200:
-        measure, limit = "cond", 1e12
-        value[ok] = np.linalg.cond(Ao)
-    else:
-        measure, limit = "residual", 1e-6
-        resid = np.linalg.norm(np.matmul(Ao, sol[ok, :, None])[..., 0] - bo, axis=-1)
-        value[ok] = resid / np.maximum(1.0, np.linalg.norm(bo, axis=-1))
-    for j in np.flatnonzero(ok & ~(value <= limit)):
+    value[ok] = np.linalg.cond(Ao)
+    for j in np.flatnonzero(ok & ~(value <= 1e12)):
         ok[j] = False
-        fail(j, "ill-conditioned", f"{measure} {value[j]:.3g} > {limit:g}")
+        fail(j, "ill-conditioned", f"cond {value[j]:.3g} > 1e+12")
     return ok, sol, value, failed
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dsmkit.interpolate as interpolate
 from _oracles import (
+    SingularSystem,
     assemble_uk_system,
     cond_bound_reference,
     gauss_solve,
@@ -23,7 +24,7 @@ from _oracles import (
 )
 from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError, NumericalError
-from dsmkit.geodesy import UtmPoint
+from dsmkit.geodesy import UtmPoint, utm_forward
 from dsmkit.geometry import Rect
 from dsmkit.interpolate import (
     GridIndex,
@@ -429,14 +430,14 @@ def _utm_pointset(xy, z):
     return PointSet(pts, crs)
 
 
-def _micrometre_pair(neighborhood):
-    """A kriging system whose samples include two a micrometre apart, and
-    three targets: every system that holds both samples is numerically
-    singular, but LU still solves it."""
+def _micrometre_pair(neighborhood, scattered=40):
+    """A kriging system whose samples include two a micrometre apart (after
+    scattered others), and three targets: every system that holds both
+    samples is numerically singular, but LU still solves it."""
     rng = np.random.default_rng(10)
-    xy = np.vstack([rng.uniform(0, 100, (40, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
+    xy = np.vstack([rng.uniform(0, 100, (scattered, 2)), [[50.0, 50.0], [50.0 + 1e-6, 50.0]]])
     model = VariogramModel("gaussian", 0, 2, 50)
-    sys = KrigingSystem(xy, rng.uniform(0, 10, 42), model, 1, neighborhood)
+    sys = KrigingSystem(xy, rng.uniform(0, 10, scattered + 2), model, 1, neighborhood)
     return sys, np.array([[50.3, 50.2], [10.0, 90.0], [49.5, 50.5]])
 
 
@@ -542,25 +543,49 @@ class TestLiftAgainstOracle:
         assert list(summary.fallback_vertices) == fallbacks
         assert np.max(np.abs(lifted.vertices[:, 2] - want)) <= 1e-9
 
-    def test_wide_local_systems_are_counted_by_the_residual_rule(self, caplog):
-        # up to width 200 a local system is judged by its factors or the
-        # SVD; beyond it, by its residual, and the note counts those
+    def test_wide_local_systems_are_certified_by_their_factors(self, caplog):
+        # one rule at every width: past width 200 (k = 198 at drift degree
+        # 1) a local system is certified by its factors as below it
         rng = np.random.default_rng(63)
         xy = rng.uniform(0, 200, (260, 2))
         z = 400.0 + 0.05 * xy[:, 0] + rng.uniform(0, 3, 260)
         planar = delaunay_triangulate(rng.uniform(20, 180, (12, 2)))
         model = VariogramModel("spherical", 0.2, 2.0, 80.0)
-        notes = {}
         for k in (197, 198):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
                 lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, 1, k))
-            notes[k] = [r.getMessage() for r in caplog.records
-                        if r.getMessage().startswith("uk lift:")]
-        assert re.search(r"worst cond ≤ \S+, 12 systems certified by their factors, 0 by SVD, "
-                         r"0 fallbacks", notes[197][0])
-        assert re.search(r"worst residual \S+, 12 systems judged by their residual, 0 fallbacks",
-                         notes[198][0])
+            notes = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("uk lift:")]
+            assert re.search(r"worst cond ≤ \S+, 12 systems certified by their factors, "
+                             r"0 by SVD, 0 fallbacks", notes[0])
+
+    def test_global_uk_system_is_certified_without_an_svd(self, monkeypatch, caplog):
+        # the benchmark's global_uk config: its one 354-wide system passes on
+        # its two factors, with no inverse and no SVD of the system or of its
+        # drift border
+        cfg = PipelineConfig.from_mapping(
+            {"rows": 16, "cols": 32, "spacing": 15, "neighbors": "global"}
+        )
+        prepared = prepare_samples(cfg)
+        planar, _, _ = build_planar_mesh(cfg)
+        model, _ = variogram_model(cfg, prepared)
+        calls = []
+        for name in ("cond", "matrix_rank", "inv"):
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, f=getattr(np.linalg, name), name=name: (
+                    calls.append(name) or f(*a)
+                ),
+            )
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+            _, summary = lift_mesh(planar, prepared.utm, UkConfig(model, cfg.drift, None))
+        monkeypatch.undo()
+        assert calls == []
+        assert summary.fallback_vertices == ()
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
+        assert notes[0].startswith(
+            "uk lift: 351 samples, 532 vertices, global neighbourhood, cond ≤ 2.9e+09, 0 fallbacks"
+        )
 
     @staticmethod
     def _line_and_scatter():
@@ -656,6 +681,21 @@ class TestLiftAgainstOracle:
             f"kriging system at target ({targets[0][0]}, {targets[0][1]}): cond "
         )
 
+    @pytest.mark.parametrize("k", [197, 198])
+    def test_wide_ill_conditioned_system_fails(self, k):
+        # 258 scattered samples and the pair: the system at k = 198 is wider
+        # than 200, and fails by its condition number as the one at k = 197
+        # does
+        sys, targets = _micrometre_pair(k, scattered=258)
+        with pytest.raises(
+            NumericalError,
+            match=r"^target 0: ill-conditioned kriging system at target \(50\.3, 50\.2\): "
+            r"cond \S+ > 1e\+12; the variogram produced a singular coefficient block$",
+        ):
+            uk_predict(sys, targets[:1])
+        with pytest.raises(SingularSystem):
+            uk_solve_reference(sys.locations, sys.values, sys.model, 1, k, targets[0])
+
     def test_fallback_runs_on_the_kriging_index(self, monkeypatch):
         # the two failed vertices fall back to IDW over the kriging
         # system's own index: one GridIndex per lift, and no second check
@@ -724,6 +764,26 @@ def _centred_stack(model, offsets, degree):
     return A, b
 
 
+@pytest.mark.parametrize(
+    "r, sound, swap, cause",
+    [
+        (1e-7, False, False, "drift term 'y'"),
+        (1e-4, False, False, "the variogram"),
+        (1e-4, True, False, "drift term 'y'"),
+        (1e-4, True, True, "drift term 'x'"),
+        (1e-2, True, False, "the variogram"),
+    ],
+)
+def test_a_sound_covariance_block_blames_a_nearly_collinear_border(r, sound, swap, cause):
+    # samples along a line with an alternating offset of relative size r: a
+    # border is collinear at a spread ratio up to 1e-6, and to blame up to
+    # 1e-3 when the system's covariance block factored
+    t = np.linspace(-1.0, 1.0, 20)
+    xy = np.column_stack([t, r * (-1.0) ** np.arange(20)])
+    border = np.column_stack([np.ones(20), xy[:, ::-1] if swap else xy])
+    assert interpolate._diagnose_singular(border, sound).startswith(cause)
+
+
 def test_stacked_lapack_fails_one_system_alone():
     # numpy's private gufuncs behind np.linalg.solve and np.linalg.cholesky:
     # a failed system is a NaN row, with no exception and no warning
@@ -769,12 +829,11 @@ class TestConditionBound:
         A = 10.0**log_scale * np.array(stack)
         b = rng.normal(size=(len(A), w))
         targets = [[float(j), 0.5] for j in range(len(A))]
-        ok, sol, measure, value, failed = interpolate._solve_or_fail(A, b, m, targets)
+        ok, sol, value, failed = interpolate._solve_or_fail(A, b, m, targets)
         want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
         assert np.array_equal(ok, want_ok)
         assert failed == want_failed
         assert np.array_equal(sol, want_sol)
-        assert measure == "cond ≤"
         # a passing system's value bounds its condition number from above
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
 
@@ -822,11 +881,11 @@ class TestConditionBound:
             targets = [[float(j), 0.5] for j in range(len(A))]
             # one sill for the stack: 2.5 keeps the gaussian system's
             # K = sJ - G positive definite, which the certificate needs
-            ok, sol, measure, value, failed = interpolate._solve_or_fail(
+            ok, sol, value, failed = interpolate._solve_or_fail(A, b, 3, targets, SPH.sill)
+            assert ranks == [want_ranks]
+            want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(
                 A, b, 3, targets, SPH.sill
             )
-            assert ranks == [want_ranks]
-            want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
             assert ok.tolist() == [name.startswith("regular") for name in names]
             assert np.array_equal(ok, want_ok)
             assert failed == want_failed
@@ -880,17 +939,16 @@ class TestFactorCertificate:
         m = A.shape[1] - k
         targets = [[float(j), 0.5] for j in range(len(A))]
         tally = {"certified": 0, "svd": 0}
-        ok, sol, measure, value, failed = interpolate._solve_or_fail(
-            A, b, m, targets, model.sill, tally
+        ok, sol, value, failed = interpolate._solve_or_fail(A, b, m, targets, model.sill, tally)
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(
+            A, b, m, targets, model.sill
         )
-        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
         assert np.array_equal(ok, want_ok)
         assert failed == want_failed
         assert np.array_equal(sol, want_sol)
-        assert measure == "cond ≤"
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
         # what the factors clear, they clear with a bound on the exact cond
-        bound = interpolate._factor_bound(A, m, model.sill)
+        bound, _ = interpolate._factor_bound(A, m, model.sill)
         cleared = bound <= interpolate._BOUND_LIMIT
         assert np.all(bound[cleared] >= np.linalg.cond(A[cleared]))
         assert tally["certified"] == np.count_nonzero(cleared & ok)
@@ -914,7 +972,7 @@ class TestFactorCertificate:
         monkeypatch.undo()
         assert len(errors) == 219
         inverse_cleared = factors_cleared = 0
-        for A, bound in stacks:
+        for A, (bound, _) in stacks:
             by_inverse = cond_bound_reference(A) <= interpolate._BOUND_LIMIT
             assert np.all(bound[by_inverse] <= interpolate._BOUND_LIMIT)
             inverse_cleared += by_inverse.sum()
@@ -946,8 +1004,8 @@ class TestFactorCertificate:
         tally = {"certified": 0, "svd": 0}
         got = interpolate._solve_or_fail(A, b, 3, targets, 2.0, tally)
         monkeypatch.undo()
-        ok, sol, _, value, failed = got
-        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
+        ok, sol, value, failed = got
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets, 2.0)
         assert np.array_equal(ok, want_ok) and ok.all()
         assert failed == want_failed == {}
         assert np.array_equal(sol, want_sol)
@@ -988,7 +1046,7 @@ class TestFactorCertificate:
         # the others keep the bounds they get in a slab without it, far
         # under the limit
         mates = [0, 1, 3]
-        alone = interpolate._factor_bound(A[mates], 3, 2.0)
+        alone, _ = interpolate._factor_bound(A[mates], 3, 2.0)
         assert np.array_equal(value[mates], alone)
         assert np.all(alone < 1e7)
 
@@ -1045,6 +1103,37 @@ class TestGlobalNeighbourhood:
         pred = uk_predict(sys, targets)
         assert np.max(np.abs(pred - single)) <= 1e-8
         assert np.array_equal(pred[-3:], z[:3])
+
+    @pytest.mark.parametrize("nugget, sill, range_", [(0.0, 4.0, 1.0), (1.0, 5.0, 100.0)])
+    def test_one_row_fails_like_the_references(self, nugget, sill, range_, monkeypatch):
+        # ROADMAP 1(a): 200 samples along one parallel. The one global system
+        # (width 203) is ill-conditioned by its nearly collinear drift
+        # border, not by the variogram, whose covariance block factors; the
+        # SVD reference fails it too
+        lat, lon = np.full(200, 48.7242), 7.3368 + 0.0036 * np.arange(200) / 199
+        xy = np.column_stack(utm_forward(lat, lon, 32, "north"))
+        z = 400.0 + np.arange(200) % 7
+        model = VariogramModel("spherical", nugget, sill, range_)
+        target = xy[50] + [0.3, 0.0]
+        stacks = []
+        solve_or_fail = interpolate._solve_or_fail
+        monkeypatch.setattr(
+            interpolate, "_solve_or_fail", lambda *a: stacks.append(a) or solve_or_fail(*a)
+        )
+        with pytest.raises(
+            NumericalError,
+            match=r"^target 0: ill-conditioned kriging system over all samples: cond \S+ > "
+            r"1e\+12; drift term 'y' is linearly dependent on the previous terms \(collinear "
+            r"samples: spread ratio 6\.1e-06\)$",
+        ):
+            uk_predict(KrigingSystem(xy, z, model, 1, None), [target])
+        monkeypatch.undo()
+        ((A, b, m, targets, s),) = stacks
+        assert A.shape == (1, 203, 203)
+        ok, _, _, failed = solve_or_fail(A, b, m, targets, s)
+        want_ok, _, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets, s)
+        assert not ok[0] and not want_ok[0] and svd_cond[0] > 1e12
+        assert failed == want_failed
 
     def test_collinear_samples_name_drift_term(self):
         locs = np.column_stack([np.linspace(0, 10, 6), np.linspace(0, 20, 6)])
