@@ -22,12 +22,13 @@ Universal kriging solves the bordered semivariogram system (weights
 constrained to reproduce the drift basis at the target) by dense LU. A local
 (k-nearest) neighbourhood differs per target: coordinates are centered on
 the target before assembly for conditioning, and the drift multipliers are
-reported in the original basis. Targets are processed in chunks: a chunk's
-local systems are assembled as one (chunk, k+m, k+m) stack and solved by one
-call of numpy's stacked LAPACK solve, in which a system that LU rejects fails
-alone (see _lapack). The chunk size is a fixed byte budget divided by the
-size of one system. The semivariogram block is symmetric bit for bit, so
-each slab of rows is evaluated from its diagonal rightwards and mirrored
+reported in the original basis. One kNN query serves all targets, and
+targets are processed in chunks that slice its rows: a chunk's local systems
+are assembled as one (chunk, k+m, k+m) stack and solved by one call of
+numpy's stacked LAPACK solve, in which a system that LU rejects fails alone
+(see _lapack). The chunk size is a fixed byte budget divided by the size of
+one system. The semivariogram block is symmetric bit for bit, so each slab
+of rows is evaluated in place from its diagonal rightwards and mirrored
 below it: every pair's semivariogram is computed once. One rule, for local
 stacks and the global system alike and at every width, fails a system whose
 degree-1 drift border is rank-deficient, that LU finds singular, or that is
@@ -69,7 +70,7 @@ from numpy.linalg import _umath_linalg
 from .acquisition import PointSet, UtmCrs
 from .errors import ConfigError, DataError, NumericalError
 from .mesh import TriMesh
-from .variogram import VariogramModel, model_gamma
+from .variogram import VariogramModel, _gamma
 
 logger = logging.getLogger(__name__)
 
@@ -384,19 +385,27 @@ def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray
     sample coordinates d (stack, n, 2) and drift columns F (stack, n, m)."""
     L, n, m = F.shape
     A = np.zeros((L, n + m, n + m))
-    # fill the semivariogram block a few rows at a time: full-size
-    # temporaries, freed after every target of a large system, made the
-    # allocator hand their pages back and fault them in again per target.
+    # fill the semivariogram block a few rows at a time, in two slab
+    # buffers allocated once: full-size temporaries, freed after every
+    # target of a large system, made the allocator hand their pages back
+    # and fault them in again per target.
     # G is symmetric bit for bit (x - y == -(y - x) and hypot ignores
     # signs), so a slab of rows [r, r + s) is evaluated at the columns >= r
     # only and its transpose fills the columns [r, r + s) below it
     slab = max(1, _SLAB_ELEMS // max(1, L * n))
+    dx = np.ascontiguousarray(d[..., 0])
+    dy = np.ascontiguousarray(d[..., 1])
+    g_buf = np.empty(L * min(slab, n) * n)
+    e_buf = np.empty_like(g_buf)
     for r in range(0, n, slab):
         s = slice(r, min(r + slab, n))
-        pair_dist = np.hypot(
-            d[:, s, None, 0] - d[:, None, r:, 0], d[:, s, None, 1] - d[:, None, r:, 1]
-        )
-        g = model_gamma(model, pair_dist)
+        shape = (L, s.stop - r, n - r)
+        size = shape[0] * shape[1] * shape[2]
+        g = g_buf[:size].reshape(shape)
+        e = e_buf[:size].reshape(shape)
+        np.subtract(dx[:, s, None], dx[:, None, r:], out=g)
+        np.subtract(dy[:, s, None], dy[:, None, r:], out=e)
+        _gamma(model, np.hypot(g, e, out=g), g, e)
         A[:, s, r:n] = g
         A[:, r:n, s] = g.transpose(0, 2, 1)
     A[:, :n, n:] = F
@@ -602,16 +611,15 @@ def _chol_completes(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (diag.min(axis=1) > 0) & (diag.max(axis=1) < np.inf)
 
 
-def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
-    """Assemble and solve the target-centered UK systems of targets x0
-    (tally as for _solve_or_fail).
+def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, idx: np.ndarray, tally=None):
+    """Assemble and solve the target-centered UK systems of targets x0 from
+    their kNN rows idx (tally as for _solve_or_fail).
 
     Returns (sample_indices, weights, drift_multipliers, prediction,
     variance, errors, value): one row per target up to errors, which maps a
     failed row to its message (its prediction is NaN); value holds the
     condition bound of each system solved (NaN elsewhere).
     """
-    idx = sys.index.knn(x0, sys.neighborhood)
     locs = sys.locations[idx]
     vals = sys.values[idx]
     t, n = idx.shape
@@ -634,7 +642,8 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, tally=None):
         F = np.concatenate([F, d[live]], axis=2)
     A = _bordered(sys.model, d[live], F)
     b = np.zeros((len(live), n + m))
-    b[:, :n] = model_gamma(sys.model, dist[live])
+    g = dist[live]
+    b[:, :n] = _gamma(sys.model, g, g)
     b[:, n] = 1.0
     ok, sol, value, failed = _solve_or_fail(A, b, m, x0[live].tolist(), sys.model.sill, tally)
     errors = {int(live[j]): why for j, why in failed.items()}
@@ -684,12 +693,20 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
         return out, dict.fromkeys(live.tolist(), failed[0]), f"global neighbourhood, {failed[0]}"
     alpha = sol[0]
 
-    # about eight (chunk, n) float64 temporaries per chunk of targets
+    # a chunk's semivariograms are evaluated in place, in two (chunk, n)
+    # float64 buffers allocated once: a quarter of its budget of 64 bytes
+    # per target-sample pair
     step = _chunk_size(64 * n)
+    cx, cy = np.ascontiguousarray(c.T)
+    g_buf = np.empty((min(step, len(live)), n))
+    e_buf = np.empty_like(g_buf)
     for s in range(0, len(live), step):
         rows = live[s : s + step]
         t = targets[rows] - center
-        g = model_gamma(sys.model, np.hypot(c[:, 0] - t[:, :1], c[:, 1] - t[:, 1:]))
+        g, e = g_buf[: len(rows)], e_buf[: len(rows)]
+        np.subtract(cx, t[:, :1], out=g)
+        np.subtract(cy, t[:, 1:], out=e)
+        _gamma(sys.model, np.hypot(g, e, out=g), g, e)
         z = g @ alpha[:n] + alpha[n]
         if m == 3:
             z += t @ alpha[n + 1 :] / half
@@ -709,9 +726,10 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
     errors = {}
     worst = np.nan
     tally = {"certified": 0, "svd": 0}
+    idx = sys.index.knn(targets, sys.neighborhood)
     for s in range(0, len(targets), step):
         *_, prediction, _, chunk_errors, value = _krige_chunk(
-            sys, targets[s : s + step], tally
+            sys, targets[s : s + step], idx[s : s + step], tally
         )
         out[s : s + step] = prediction
         errors.update((s + row, msg) for row, msg in chunk_errors.items())
@@ -727,7 +745,10 @@ def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
     x0 = np.asarray(target, dtype=float)
     if x0.shape != (2,):
         raise DataError(f"target must be a 2D location, got shape {x0.shape}")
-    idx, weights, mu, prediction, variance, errors, *_ = _krige_chunk(sys, _targets(x0))
+    x0 = _targets(x0)
+    idx, weights, mu, prediction, variance, errors, *_ = _krige_chunk(
+        sys, x0, sys.index.knn(x0, sys.neighborhood)
+    )
     if errors:
         raise NumericalError(errors[0])
     return KrigingSolution(weights[0], mu[0], float(prediction[0]), float(variance[0]), idx[0])

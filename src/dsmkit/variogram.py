@@ -44,6 +44,13 @@ class ExperimentalVariogram:
         counts = np.asarray(self.pair_counts, dtype=np.int64)
         if not (len(lags) == len(gammas) == len(counts)):
             raise DataError("variogram bin arrays must have equal length")
+        # NaN passes every comparison test below, so finiteness comes first
+        if not np.all(np.isfinite(lags)):
+            raise DataError("lag centers must be finite")
+        if not np.all(np.isfinite(gammas)):
+            raise DataError("semivariances must be finite")
+        if not (self.max_lag > 0 and math.isfinite(self.max_lag)):
+            raise DataError(f"max_lag must be positive and finite, got {self.max_lag}")
         if len(lags) and np.any(np.diff(lags) <= 0):
             raise DataError("lag centers must be strictly increasing")
         if np.any(counts < 1):
@@ -129,6 +136,7 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     bin_buf = np.empty(cap, dtype=np.intp)
     ok_buf = np.empty(cap, dtype=bool)
     stop_list = stops.tolist()
+    lower = {}  # block height -> np.tril_indices of its lower triangle
     # A pair's bin is trunc(q), where q is its distance in bin widths,
     # computed in float32 from coordinates centred on the bounding-box
     # midpoint and scaled by 1/width:
@@ -173,6 +181,14 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     #   pair is redone. inf - inf gives a NaN q, and frac NaN, which the
     #   test ~(frac >= edge) also redoes; it runs before the clamp. For
     #   n_bins >= 2**23, where top is not a float32, edge > 1/2 as well.
+    # - The tail. A cell of row i at or past the row's stop pairs i with a
+    #   sample whose |dy| exceeds max_lag (see _row_stops), which the oracle
+    #   drops (d >= max_lag). The cases above spill it unmasked: with
+    #   frac >= edge, D <= N gives trunc(q) == trunc(Q) >= n_bins and D > N
+    #   gives q > n_bins; any other is redone, and np.hypot's d >= max_lag
+    #   sends it to top. So only each block's lower triangle, the self pairs
+    #   and the pairs of earlier rows, is masked; the redo tally counts the
+    #   pairs inside each row's window only, tail redos left out.
     # frac itself is exact (Sterbenz), and the z terms stay float64.
     with np.errstate(over="ignore", invalid="ignore"):
         xs = (x - (0.5 * x.min() + 0.5 * x.max())) / width
@@ -200,14 +216,15 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
             np.abs(u, out=u)
             np.minimum(t, top, out=t)
             np.copyto(b, t, casting="unsafe")
-            # row r of the block pairs with columns [r, hi); the cells
-            # outside are spilled and never redone
-            his = [stop - i - 1 for stop in stop_list[i:k]]
-            for r, hi in enumerate(his):
-                u[r, :r] = np.inf
-                u[r, hi:] = np.inf
-                b[r, :r] = n_bins
-                b[r, hi:] = n_bins
+            # row r of the block pairs with columns [r, hi): its cells left
+            # of r (its self pair and pairs of earlier rows) are spilled and
+            # never redone; its tail, [hi, end), needs no mask (see above)
+            if k - i not in lower:
+                lower[k - i] = np.tril_indices(k - i, -1)
+            low_rows, low_cols = lower[k - i]
+            low = low_rows * shape[1] + low_cols
+            u_buf[low] = np.inf
+            bin_buf[low] = n_bins
             np.greater_equal(u, edge, out=ok)
             if not ok.all():
                 near = np.flatnonzero(~ok)
@@ -216,12 +233,12 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
                 cols += i + 1
                 d = np.hypot(x[cols] - x[rows], y[cols] - y[rows])
                 bin_buf[near] = np.where(d < max_lag, d / width, top).astype(np.intp)
-                redone += len(near)
+                redone += int(np.count_nonzero(cols < stops[rows]))
             np.subtract(z[i + 1 : end], z[i:k, None], out=sq)
             np.multiply(sq, sq, out=sq)
             # one bincount per row, rows in order: the sums stay
             # bit-identical to a scan over every pair
-            for r, hi in enumerate(his):
+            for r, hi in enumerate(stop - i - 1 for stop in stop_list[i:k]):
                 if hi > r:
                     row = np.bincount(b[r, r:hi], weights=sq[r, r:hi], minlength=n_bins + 1)
                     sums += row[:n_bins]
@@ -281,24 +298,53 @@ def model_gamma(model: VariogramModel, h):
     Returns exactly 0 at h = 0; the nugget applies for any h > 0.
     """
     h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise DataError("lag distance must be non-negative")
-    values = model.nugget + model.partial_sill * _unit_shape(model.kind, h_arr, model.range_)
-    values = np.where(h_arr == 0.0, 0.0, values)
-    if np.isscalar(h) or np.ndim(h) == 0:
-        return float(values)
-    return values
+    if h_arr.ndim == 0:
+        return float(_gamma(model, h_arr))
+    return _gamma(model, h_arr, np.empty_like(h_arr))
 
 
-def _unit_shape(kind: str, h: np.ndarray, a) -> np.ndarray:
-    # model with c0 = 0, c = 1 at range a (a float, or a column of ranges);
-    # model_gamma sets h = 0 to 0
+def _gamma(model: VariogramModel, h: np.ndarray, out=None, scratch=None):
+    """model_gamma of the lags h, into out and scratch as _unit_shape
+    evaluates them; out may be h itself. A NaN or negative lag raises."""
+    lo = h.min(initial=np.inf)
+    if not lo >= 0.0:
+        raise DataError(f"lag distance must be non-negative, got {lo}")
+    zero = h == 0.0 if lo == 0.0 else None  # before out, maybe h, is written
+    v = _unit_shape(model.kind, h, model.range_, out, scratch)
+    v = np.add(np.multiply(v, model.partial_sill, out=out), model.nugget, out=out)
+    if zero is not None:
+        if out is None:  # a 0-d h, which is 0
+            return 0.0
+        np.copyto(out, 0.0, where=zero)
+    return v
+
+
+def _unit_shape(kind: str, h, a, out=None, scratch=None):
+    """The model with c0 = 0, c = 1 at range a (a float, or a column of
+    ranges) at the lags h; model_gamma sets h = 0 to 0.
+
+    With out, an array of the result's shape (h itself, say), in place
+    there and, for the spherical cube, in scratch (allocated if None);
+    without, into new values, as for a 0-d h. Both run these operations in
+    this order:
+      spherical    t = min(h / a, 1),  1.5 t - 0.5 t**3
+      gaussian     1 - exp(-3 (h / a)**2)
+      exponential  1 - exp(-3 h / a)
+    ** rounds as numpy's operator does: by libm's pow on a numpy scalar,
+    which can differ in the last bit from np.power (np.square for 2) on an
+    array."""
     if kind == "spherical":
-        t = np.minimum(h / a, 1.0)
-        return 1.5 * t - 0.5 * t**3
+        t = np.minimum(np.divide(h, a, out=out), 1.0, out=out)
+        cube = t**3 if out is None else np.power(t, 3, out=scratch)
+        cube *= 0.5
+        return np.subtract(np.multiply(t, 1.5, out=out), cube, out=out)
     if kind == "gaussian":
-        return 1.0 - np.exp(-3.0 * (h / a) ** 2)
-    return 1.0 - np.exp(-3.0 * h / a)
+        v = np.divide(h, a, out=out)
+        v = v**2 if out is None else np.square(v, out=out)
+        v = np.multiply(v, -3.0, out=out)
+    else:
+        v = np.divide(np.multiply(h, -3.0, out=out), a, out=out)
+    return np.subtract(1.0, np.exp(v, out=out), out=out)
 
 
 def _wls(kind, h, g, w, a):

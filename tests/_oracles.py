@@ -107,6 +107,26 @@ def spherical_gamma(c0: float, c: float, a: float, h):
     return np.where(h == 0.0, 0.0, out)
 
 
+def model_gamma_reference(model, h):
+    """variogram.model_gamma as one allocating expression per kind: a new
+    array for every operation, np.where for the zero lag."""
+    h_arr = np.asarray(h, dtype=float)
+    if np.any(h_arr < 0):
+        raise DataError("lag distance must be non-negative")
+    a = model.range_
+    if model.kind == "spherical":
+        t = np.minimum(h_arr / a, 1.0)
+        shape = 1.5 * t - 0.5 * t**3
+    elif model.kind == "gaussian":
+        shape = 1.0 - np.exp(-3.0 * (h_arr / a) ** 2)
+    else:
+        shape = 1.0 - np.exp(-3.0 * h_arr / a)
+    values = np.where(h_arr == 0.0, 0.0, model.nugget + model.partial_sill * shape)
+    if np.isscalar(h) or np.ndim(h) == 0:
+        return float(values)
+    return values
+
+
 def assemble_uk_system(locations, values, gamma_fn, target, drift_degree):
     """Assemble the bordered kriging matrix in original coordinates."""
     locs = np.asarray(locations, dtype=float)

@@ -44,7 +44,7 @@ from dsmkit.pipeline import (
     prepare_samples,
     variogram_model,
 )
-from dsmkit.variogram import MODEL_KINDS, VariogramModel
+from dsmkit.variogram import MODEL_KINDS, VariogramModel, model_gamma
 
 SPH = VariogramModel("spherical", 0.5, 2.0, 8.0)
 
@@ -485,6 +485,26 @@ class TestLiftMesh:
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.triangles, m2.triangles)
 
+    def test_one_knn_query_for_all_chunks(self, monkeypatch):
+        # 1,000 vertices make three chunks of local systems, which slice one
+        # kNN query; the only other query is _check_distinct's
+        calls = []
+        knn = interpolate.GridIndex.knn
+
+        def counted(index, targets, k):
+            calls.append((len(targets), k))
+            return knn(index, targets, k)
+
+        monkeypatch.setattr(interpolate.GridIndex, "knn", counted)
+        rng = np.random.default_rng(71)
+        xy = rng.uniform(0, 100, size=(300, 2))
+        planar = delaunay_triangulate(rng.uniform(0, 100, size=(1000, 2)))
+        assert 2 * interpolate._chunk_size(8 * 19 * 19) < 1000
+        cfg = UkConfig(VariogramModel("spherical", 0.3, 2.0, 40.0), 1, 16)
+        _, summary = lift_mesh(planar, _utm_pointset(xy, rng.uniform(100, 200, 300)), cfg)
+        assert summary.fallback_vertices == ()
+        assert calls == [(300, 2), (1000, 16)]
+
     def test_connectivity_and_flags_preserved(self):
         planar = self._planar()
         rng = np.random.default_rng(5)
@@ -759,7 +779,7 @@ def _centred_stack(model, offsets, degree):
         F = np.concatenate([F, offsets], axis=2)
     A = interpolate._bordered(model, offsets, F)
     b = np.zeros((L, n + F.shape[2]))
-    b[:, :n] = interpolate.model_gamma(model, np.hypot(offsets[..., 0], offsets[..., 1]))
+    b[:, :n] = model_gamma(model, np.hypot(offsets[..., 0], offsets[..., 1]))
     b[:, n] = 1.0
     return A, b
 

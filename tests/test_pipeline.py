@@ -396,6 +396,23 @@ class TestRun:
         }
         assert digests == DEMO_SHA256
 
+    def test_demo_lift_queries_the_index_once(self, tmp_path, monkeypatch, caplog):
+        calls = []
+        knn = interpolate.GridIndex.knn
+
+        def counted(index, targets, k):
+            calls.append((len(targets), k))
+            return knn(index, targets, k)
+
+        monkeypatch.setattr(interpolate.GridIndex, "knn", counted)
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.interpolate"):
+            run(PipelineConfig.from_mapping({"out": str(tmp_path)}))
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
+        assert len(notes) == 1
+        assert notes[0].endswith(", 0 fallbacks, 227654 kNN candidates scanned")
+        # _check_distinct's query of the samples, then one for every vertex
+        assert calls == [(3403, 2), (4592, 16)]
+
     @pytest.mark.parametrize("argv, config, want", SUBCOMMAND_SHA256)
     def test_subcommand_artifacts_keep_their_sha256(self, tmp_path, argv, config, want):
         cfg = tmp_path / "c.cfg"

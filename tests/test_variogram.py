@@ -13,6 +13,7 @@ from _oracles import (
     _wls_for_range_reference,
     empirical_variogram_reference,
     fit_model_reference,
+    model_gamma_reference,
     spherical_gamma,
 )
 from dsmkit import variogram
@@ -20,6 +21,7 @@ from dsmkit.acquisition import PointSet, UtmCrs
 from dsmkit.errors import ConfigError, DataError
 from dsmkit.geodesy import UtmPoint
 from dsmkit.variogram import (
+    MODEL_KINDS,
     ExperimentalVariogram,
     VariogramModel,
     empirical_variogram,
@@ -347,6 +349,39 @@ class TestBlocks:
         assert empty[0] < y.size - 1
         _assert_matches_row_loop(ps, 2.0, 4)
 
+    def test_tail_pair_just_past_max_lag_is_spilled_unmasked(self, budget, caplog):
+        # samples 0-2 in a row and 3 dy = max_lag (1 + 1e-8) above sample
+        # 0: past its row's stop, but inside the block of rows 0 and 1 that
+        # sample 1 (whose window holds 3) extends. A cluster 80 m up holds
+        # the longest row, so rows 0 and 1 share a block at every budget,
+        # and puts the centred, scaled northings of 0 and 3 in two float32
+        # binades whose roundings take the pair's quotient one float32 ulp
+        # below n_bins: only the np.hypot redo keeps it out of the last bin.
+        max_lag, n_bins = 10.0, 5
+        width = max_lag / n_bins
+        top = 80.0 - 2.8 * 2.0**-19
+        y = np.concatenate([[0.0, 0.5, 1.0, max_lag * (1 + 1e-8)], top - 0.125 * np.arange(8)[::-1]])
+        x = np.concatenate([[0.0, 1.0, 2.0, 0.0], 0.25 * np.arange(8)])
+        ps = PointSet.from_arrays(x, y, np.random.default_rng(67).normal(size=x.size), CRS)
+        stops = variogram._row_stops(ps.y, max_lag)
+        cap = max(budget, int((stops - np.arange(1, x.size + 1)).max()))
+        blocks = list(variogram._row_blocks(stops.tolist(), cap))
+        assert stops[0] == 3 and any(i == 0 and k >= 2 and end > 3 for i, k, end in blocks)
+        assert math.hypot(x[3] - x[0], y[3] - y[0]) >= max_lag
+        scaled = ((y - (0.5 * y.min() + 0.5 * y.max())) / width).astype(np.float32)
+        assert n_bins - 1e-5 < abs(scaled[3] - scaled[0]) < n_bins
+
+        caplog.set_level(logging.DEBUG, logger="dsmkit.variogram")
+        ev = _assert_matches_row_loop(ps, max_lag, n_bins)
+        near = sum(
+            math.hypot(x[j] - x[i], y[j] - y[i]) < max_lag
+            for i in range(x.size) for j in range(i + 1, x.size)
+        )
+        assert ev.pair_counts.sum() == near
+        # no pair inside a row's window is near a bin edge: the tail redo
+        # is not counted
+        assert _redo_log(caplog)[3] == 0
+
     def test_non_monotone_stops(self, budget):
         # northings in a zigzag: a row's window can end before the previous one's
         rng = np.random.default_rng(53)
@@ -421,6 +456,35 @@ class TestModelGamma:
         m = VariogramModel("spherical", 0.0, 1.0, 10.0)
         with pytest.raises(DataError):
             model_gamma(m, -1.0)
+
+    def test_nan_lag_rejected(self):
+        m = VariogramModel("spherical", 0.0, 1.0, 10.0)
+        for h in (math.nan, np.array([[1.0, math.nan], [2.0, 3.0]])):
+            with pytest.raises(DataError, match="non-negative"):
+                model_gamma(m, h)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_in_place_evaluation_matches_the_allocating_oracle(self, kind):
+        # zero, inside the range, at it and beyond it; numpy rounds ** on a
+        # numpy scalar (libm's pow) differently from np.power on an array,
+        # so the many lags inside the range check that scalars keep theirs
+        m = VariogramModel(kind, 0.3, 2.5, 40.0)
+        rng = np.random.default_rng(61)
+        lags = np.concatenate([[0.0, 17.3, 40.0, 95.0], rng.uniform(0.0, 40.0, 400)])
+        for h in lags:
+            for given in (float(h), np.asarray(h)):
+                got = model_gamma(m, given)
+                assert type(got) is float
+                assert np.array_equal(got, model_gamma_reference(m, given))
+        grid = rng.permutation(np.resize(lags, (46, 351)).ravel()).reshape(46, 351)
+        for given in (grid, grid.T, grid[::3, 1::2]):
+            before = given.copy()
+            got = model_gamma(m, given)
+            assert np.array_equal(got, model_gamma_reference(m, given))
+            assert np.array_equal(given, before)
+        zero_d = np.asarray(17.3)
+        model_gamma(m, zero_d)
+        assert zero_d == 17.3
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
@@ -570,3 +634,19 @@ class TestExperimentalVariogramValidation:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DataError):
             ExperimentalVariogram([1.0], [-0.1], [1], 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lag_rejected(self, bad):
+        with pytest.raises(DataError, match="lag centers must be finite"):
+            ExperimentalVariogram([1.0, bad, 3.0], [1.0, 1.5, 2.0], [3, 3, 3], 4.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        # a NaN gamma once gave a fit of partial sill 0 and range 0.078
+        with pytest.raises(DataError, match="semivariances must be finite"):
+            ExperimentalVariogram([1.0, 2.0, 3.0], [1.0, bad, 2.0], [3, 3, 3], 4.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -4.0])
+    def test_non_finite_or_non_positive_max_lag_rejected(self, bad):
+        with pytest.raises(DataError, match="max_lag must be positive and finite"):
+            ExperimentalVariogram([1.0, 2.0, 3.0], [1.0, 1.5, 2.0], [3, 3, 3], bad)
