@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .acquisition import convert_pointset
-from .errors import ConfigError, DataError, DsmError, NumericalError
+from .errors import ConfigError, DsmError
 from .pipeline import (
     DEFAULTS,
     PipelineConfig,
@@ -234,18 +234,9 @@ def main(argv=None) -> int:
     handler, _ = _COMMANDS[args.command]
     try:
         return handler(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except DsmError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return e.exit_code
 
 
 if __name__ == "__main__":

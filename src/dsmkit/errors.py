@@ -1,16 +1,20 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError -> 3.
+Each class carries the exit code the CLI returns for it: ConfigError 1,
+DataError (and any other DsmError) 2, NumericalError 3.
 """
 
 
 class DsmError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ConfigError(DsmError):
     """Invalid configuration: bad option values, unknown keys, unsupported modes."""
+
+    exit_code = 1
 
 
 class DataError(DsmError):
@@ -34,3 +38,5 @@ class ParseError(DataError):
 
 class NumericalError(DsmError):
     """Numerical failure: singular systems, non-convergence."""
+
+    exit_code = 3

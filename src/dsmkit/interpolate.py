@@ -87,11 +87,14 @@ _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
 
 
 def drift_basis(degree: int, x) -> np.ndarray:
-    """Polynomial drift terms at a planar location: [1] or [1, x, y]."""
+    """Polynomial drift terms at planar locations x of shape (..., 2), one
+    (2,) point or a stack: [1] of shape (..., 1) or [1, x, y] of (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    ones = np.ones(x.shape[:-1] + (1,))
     if degree == 0:
-        return np.array([1.0])
+        return ones
     if degree == 1:
-        return np.array([1.0, float(x[0]), float(x[1])])
+        return np.concatenate([ones, x], axis=-1)
     raise ConfigError(f"unsupported drift degree {degree}; only 0 and 1 are available")
 
 
@@ -637,10 +640,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, idx: np.ndarray, tally=None
     prediction[snap] = vals[snap, 0]
 
     live = np.flatnonzero(~snap)
-    F = np.ones((len(live), n, 1))
-    if sys.drift_degree == 1:
-        F = np.concatenate([F, d[live]], axis=2)
-    A = _bordered(sys.model, d[live], F)
+    A = _bordered(sys.model, d[live], drift_basis(sys.drift_degree, d[live]))
     b = np.zeros((len(live), n + m))
     g = dist[live]
     b[:, :n] = _gamma(sys.model, g, g)
@@ -675,9 +675,6 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
     c = locs - center
     # distinct samples, at least two: the span is positive
     half = 0.5 * float((locs.max(axis=0) - locs.min(axis=0)).max())
-    F = np.ones((n, m))
-    if m == 3:
-        F[:, 1:] = c / half
     out = np.full(len(targets), np.nan)
 
     nearest = sys.index.knn(targets, 1)[:, 0]
@@ -686,7 +683,7 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
     out[snap] = sys.values[nearest[snap]]
     live = np.flatnonzero(~snap)
 
-    A = _bordered(sys.model, c[None], F[None])
+    A = _bordered(sys.model, c[None], drift_basis(sys.drift_degree, c / half)[None])
     rhs = np.concatenate([sys.values, np.zeros(m)])
     ok, sol, value, failed = _solve_or_fail(A, rhs[None], m, None, sys.model.sill)
     if not ok[0]:

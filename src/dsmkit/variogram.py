@@ -293,55 +293,48 @@ def _row_stops(y: np.ndarray, max_lag: float) -> np.ndarray:
 
 
 def model_gamma(model: VariogramModel, h):
-    """Evaluate the theoretical semivariogram at lag h (scalar or array).
+    """Evaluate the theoretical semivariogram at lag h: a float for a
+    scalar or 0-d h, else a new array of h's shape (any shape, any
+    strides; h is left as it is).
 
-    Returns exactly 0 at h = 0; the nugget applies for any h > 0.
+    Returns exactly 0 at h = 0; the nugget applies for any h > 0. A scalar
+    runs through the same ufunc loops as an array, so it gets the bits it
+    would get as an element of one.
     """
     h_arr = np.asarray(h, dtype=float)
-    if h_arr.ndim == 0:
-        return float(_gamma(model, h_arr))
-    return _gamma(model, h_arr, np.empty_like(h_arr))
+    v = _gamma(model, h_arr, np.empty_like(h_arr))
+    return float(v) if v.ndim == 0 else v
 
 
-def _gamma(model: VariogramModel, h: np.ndarray, out=None, scratch=None):
+def _gamma(model: VariogramModel, h: np.ndarray, out: np.ndarray, scratch=None):
     """model_gamma of the lags h, into out and scratch as _unit_shape
     evaluates them; out may be h itself. A NaN or negative lag raises."""
     lo = h.min(initial=np.inf)
     if not lo >= 0.0:
         raise DataError(f"lag distance must be non-negative, got {lo}")
     zero = h == 0.0 if lo == 0.0 else None  # before out, maybe h, is written
-    v = _unit_shape(model.kind, h, model.range_, out, scratch)
-    v = np.add(np.multiply(v, model.partial_sill, out=out), model.nugget, out=out)
+    _unit_shape(model.kind, h, model.range_, out, scratch)
+    np.add(np.multiply(out, model.partial_sill, out=out), model.nugget, out=out)
     if zero is not None:
-        if out is None:  # a 0-d h, which is 0
-            return 0.0
         np.copyto(out, 0.0, where=zero)
-    return v
+    return out
 
 
-def _unit_shape(kind: str, h, a, out=None, scratch=None):
+def _unit_shape(kind: str, h, a, out: np.ndarray, scratch=None):
     """The model with c0 = 0, c = 1 at range a (a float, or a column of
-    ranges) at the lags h; model_gamma sets h = 0 to 0.
-
-    With out, an array of the result's shape (h itself, say), in place
-    there and, for the spherical cube, in scratch (allocated if None);
-    without, into new values, as for a 0-d h. Both run these operations in
-    this order:
-      spherical    t = min(h / a, 1),  1.5 t - 0.5 t**3
-      gaussian     1 - exp(-3 (h / a)**2)
-      exponential  1 - exp(-3 h / a)
-    ** rounds as numpy's operator does: by libm's pow on a numpy scalar,
-    which can differ in the last bit from np.power (np.square for 2) on an
-    array."""
+    ranges) at the lags h, in place in out, an array of the result's shape
+    (h itself, say), and, for the spherical cube, in scratch (allocated if
+    None); model_gamma sets h = 0 to 0. The operations, in this order:
+      spherical    t = min(h / a, 1),  1.5 t - 0.5 np.power(t, 3)
+      gaussian     1 - exp(-3 np.square(h / a))
+      exponential  1 - exp(-3 h / a)"""
     if kind == "spherical":
         t = np.minimum(np.divide(h, a, out=out), 1.0, out=out)
-        cube = t**3 if out is None else np.power(t, 3, out=scratch)
+        cube = np.power(t, 3, out=scratch)
         cube *= 0.5
         return np.subtract(np.multiply(t, 1.5, out=out), cube, out=out)
     if kind == "gaussian":
-        v = np.divide(h, a, out=out)
-        v = v**2 if out is None else np.square(v, out=out)
-        v = np.multiply(v, -3.0, out=out)
+        v = np.multiply(np.square(np.divide(h, a, out=out), out=out), -3.0, out=out)
     else:
         v = np.divide(np.multiply(h, -3.0, out=out), a, out=out)
     return np.subtract(1.0, np.exp(v, out=out), out=out)
@@ -357,7 +350,7 @@ def _wls(kind, h, g, w, a):
     replaces the best so far only when its sse is smaller by more than
     1e-18. Every sum runs along a contiguous row of bins, as a 1-D sum
     would, so each range's result is the same whatever else a holds."""
-    v = _unit_shape(kind, h, a[:, None])
+    v = _unit_shape(kind, h, a[:, None], np.empty((len(a), len(h))))
     wv = w * v
     sw = w.sum()
     swv = wv.sum(axis=1)

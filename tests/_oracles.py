@@ -107,20 +107,24 @@ def spherical_gamma(c0: float, c: float, a: float, h):
     return np.where(h == 0.0, 0.0, out)
 
 
+def unit_shape_reference(kind, h, a):
+    """The model with c0 = 0, c = 1 at range a and lags h, as one allocating
+    expression per kind: a new array for every operation."""
+    if kind == "spherical":
+        t = np.minimum(h / a, 1.0)
+        return 1.5 * t - 0.5 * t**3
+    if kind == "gaussian":
+        return 1.0 - np.exp(-3.0 * (h / a) ** 2)
+    return 1.0 - np.exp(-3.0 * h / a)
+
+
 def model_gamma_reference(model, h):
-    """variogram.model_gamma as one allocating expression per kind: a new
-    array for every operation, np.where for the zero lag."""
+    """variogram.model_gamma from unit_shape_reference, with np.where for
+    the zero lag."""
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise DataError("lag distance must be non-negative")
-    a = model.range_
-    if model.kind == "spherical":
-        t = np.minimum(h_arr / a, 1.0)
-        shape = 1.5 * t - 0.5 * t**3
-    elif model.kind == "gaussian":
-        shape = 1.0 - np.exp(-3.0 * (h_arr / a) ** 2)
-    else:
-        shape = 1.0 - np.exp(-3.0 * h_arr / a)
+    shape = unit_shape_reference(model.kind, h_arr, model.range_)
     values = np.where(h_arr == 0.0, 0.0, model.nugget + model.partial_sill * shape)
     if np.isscalar(h) or np.ndim(h) == 0:
         return float(values)
@@ -191,8 +195,6 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
     Returns (weights, drift_multipliers, prediction, variance, indices) or
     raises SingularSystem when the drift border is rank-deficient, LU fails
     or the solved system is ill-conditioned."""
-    from dsmkit.variogram import model_gamma
-
     x0 = np.asarray(target, dtype=float)
     idx = nearest_subset(locations, x0, k)
     locs = locations[idx]
@@ -216,7 +218,7 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
     d = locs - x0
     pair_dist = np.hypot(d[:, 0, None] - d[None, :, 0], d[:, 1, None] - d[None, :, 1])
     A = np.zeros((n + m, n + m))
-    A[:n, :n] = model_gamma(model, pair_dist)
+    A[:n, :n] = model_gamma_reference(model, pair_dist)
     if drift_degree == 0:
         F = np.ones((n, 1))
         f0 = np.array([1.0])
@@ -227,7 +229,7 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
             raise singular()
     A[:n, n:] = F
     A[n:, :n] = F.T
-    b = np.concatenate([model_gamma(model, dist), f0])
+    b = np.concatenate([model_gamma_reference(model, dist), f0])
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -851,9 +853,7 @@ def empirical_variogram_reference(samples, max_lag, n_bins):
 
 def _wls_for_range_reference(kind, h, g, w, a):
     """Best (c0, c) >= 0 for one fixed range; returns (sse, c0, c)."""
-    from dsmkit.variogram import _unit_shape
-
-    v = _unit_shape(kind, h, a)
+    v = unit_shape_reference(kind, h, a)
     sw = w.sum()
     swv = (w * v).sum()
     swvv = (w * v * v).sum()

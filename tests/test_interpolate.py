@@ -59,9 +59,19 @@ class TestDriftBasis:
     def test_origin(self):
         assert drift_basis(1, (0.0, 0.0)).tolist() == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_stack_matches_per_point_calls(self, degree):
+        x = np.random.default_rng(24).uniform(-50.0, 50.0, (4, 16, 2))
+        got = drift_basis(degree, x)
+        assert got.shape == (4, 16, 1 + 2 * degree)
+        for i, j in np.ndindex(4, 16):
+            assert np.array_equal(got[i, j], drift_basis(degree, x[i, j]))
+
     def test_degree_two_rejected(self):
         with pytest.raises(ConfigError):
             drift_basis(2, (0.0, 0.0))
+        with pytest.raises(ConfigError):
+            drift_basis(2, np.zeros((4, 16, 2)))
 
 
 class TestUkSolve:

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, no module-level private function
-or class goes unreferenced, and no module uses numpy.random (mesh seeding
-draws numpy's stream itself, so no run pays that import)."""
+or class goes unreferenced, no module uses numpy.random (mesh seeding
+draws numpy's stream itself, so no run pays that import), and the test
+oracles evaluate no semivariogram with the code they check."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsmkit"
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -111,3 +113,24 @@ def test_no_module_uses_numpy_random():
         for line in _numpy_random_uses(_tree(path))
     ]
     assert uses == []
+
+
+def _variogram_imports(tree: ast.Module) -> list:
+    """Every name the module imports from dsmkit.variogram, the module
+    itself included, as "line name"."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == "dsmkit.variogram"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dsmkit.variogram":
+            names += [f"{node.lineno} {a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dsmkit":
+            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == "variogram"]
+    return names
+
+
+def test_oracles_take_only_the_model_type_from_the_variogram_module():
+    # the oracles write the semivariogram out themselves, so a wrong shape
+    # in dsmkit.variogram cannot pass the tests that compare against them
+    imported = _variogram_imports(_tree(ORACLES))
+    assert [name for name in imported if not name.endswith(" VariogramModel")] == []

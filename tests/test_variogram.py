@@ -467,15 +467,19 @@ class TestModelGamma:
     def test_in_place_evaluation_matches_the_allocating_oracle(self, kind):
         # zero, inside the range, at it and beyond it; numpy rounds ** on a
         # numpy scalar (libm's pow) differently from np.power on an array,
-        # so the many lags inside the range check that scalars keep theirs
+        # so a scalar must get the bits of the same lag inside an array:
+        # 29.280247826262432 is a spherical lag where the two roundings differ
         m = VariogramModel(kind, 0.3, 2.5, 40.0)
         rng = np.random.default_rng(61)
-        lags = np.concatenate([[0.0, 17.3, 40.0, 95.0], rng.uniform(0.0, 40.0, 400)])
+        lags = np.concatenate(
+            [[0.0, 17.3, 40.0, 95.0, 29.280247826262432], rng.uniform(0.0, 40.0, 400)]
+        )
         for h in lags:
+            want = model_gamma_reference(m, np.array([h]))[0]
             for given in (float(h), np.asarray(h)):
                 got = model_gamma(m, given)
                 assert type(got) is float
-                assert np.array_equal(got, model_gamma_reference(m, given))
+                assert got == want
         grid = rng.permutation(np.resize(lags, (46, 351)).ravel()).reshape(46, 351)
         for given in (grid, grid.T, grid[::3, 1::2]):
             before = given.copy()
