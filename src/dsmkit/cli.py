@@ -74,8 +74,7 @@ def _config_from_args(args) -> PipelineConfig:
     return config_from_sources(args.config, overrides)
 
 
-def _cmd_scan(args) -> int:
-    config = _config_from_args(args)
+def _cmd_scan(config: PipelineConfig) -> int:
     with Stage("acquire"):
         ps = acquire(config)
     with Stage("export"):
@@ -85,8 +84,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_convert(args) -> int:
-    config = _config_from_args(args)
+def _cmd_convert(config: PipelineConfig) -> int:
     if config.input == "synthetic":
         raise ConfigError("convert needs --input pointing at a point file")
     with Stage("acquire"):
@@ -103,8 +101,7 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_mesh(args) -> int:
-    config = _config_from_args(args)
+def _cmd_mesh(config: PipelineConfig) -> int:
     with Stage("mesh"):
         planar, q_before, q_after = build_planar_mesh(config)
     with Stage("export"):
@@ -124,8 +121,7 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _cmd_variogram(args) -> int:
-    config = _config_from_args(args)
+def _cmd_variogram(config: PipelineConfig) -> int:
     with Stage("acquire"):
         samples = prepare_samples(config)
     with Stage("variogram"):
@@ -142,8 +138,7 @@ def _cmd_variogram(args) -> int:
     return 0
 
 
-def _cmd_lift(args) -> int:
-    config = _config_from_args(args)
+def _cmd_lift(config: PipelineConfig) -> int:
     # the DSM alone: the full run without its CSV artifacts
     mesh_formats = tuple(f for f in config.formats if f != "csv")
     report = run(replace(config, formats=mesh_formats))
@@ -156,8 +151,7 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = _config_from_args(args)
+def _cmd_run(config: PipelineConfig) -> int:
     report = run(config)
     print(f"samples: {report.sample_count} acquired, {report.clipped_count} in region")
     print(
@@ -183,8 +177,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    config = _config_from_args(args)
+def _cmd_compare(config: PipelineConfig) -> int:
     cmp = compare_methods(config)
     with Stage("export"):
         path = ensure_dir(config.out_dir) / "compare.csv"
@@ -233,7 +226,7 @@ def main(argv=None) -> int:
     )
     handler, _ = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return handler(_config_from_args(args))
     except DsmError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

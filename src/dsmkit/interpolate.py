@@ -86,16 +86,20 @@ _SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
 _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
 
 
+def drift_terms(degree: int) -> int:
+    """The number of drift terms of a drift degree: 1 for degree 0 ([1]),
+    3 for degree 1 ([1, x, y]); any other degree is a ConfigError."""
+    if degree not in (0, 1):
+        raise ConfigError(f"unsupported drift degree {degree}; only 0 and 1 are available")
+    return 1 + 2 * degree
+
+
 def drift_basis(degree: int, x) -> np.ndarray:
     """Polynomial drift terms at planar locations x of shape (..., 2), one
     (2,) point or a stack: [1] of shape (..., 1) or [1, x, y] of (..., 3)."""
     x = np.asarray(x, dtype=float)
     ones = np.ones(x.shape[:-1] + (1,))
-    if degree == 0:
-        return ones
-    if degree == 1:
-        return np.concatenate([ones, x], axis=-1)
-    raise ConfigError(f"unsupported drift degree {degree}; only 0 and 1 are available")
+    return ones if drift_terms(degree) == 1 else np.concatenate([ones, x], axis=-1)
 
 
 def _chunk_size(bytes_per_target: int) -> int:
@@ -272,10 +276,6 @@ class KrigingSystem:
 
     def __post_init__(self):
         locs, vals = _samples(self.locations, self.values)
-        if self.drift_degree not in (0, 1):
-            raise ConfigError(
-                f"unsupported drift degree {self.drift_degree}; only 0 and 1 are available"
-            )
         need = self.n_drift_terms + 1
         if len(locs) < need:
             raise DataError(
@@ -294,7 +294,7 @@ class KrigingSystem:
 
     @property
     def n_drift_terms(self) -> int:
-        return 1 if self.drift_degree == 0 else 3
+        return drift_terms(self.drift_degree)
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,11 @@ def _samples(locations, values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _targets(targets) -> np.ndarray:
-    t = np.asarray(targets, dtype=float).reshape(-1, 2)
+    """Target locations, one (2,) point or (n, 2), as a finite (n, 2) array."""
+    t = np.asarray(targets, dtype=float)
+    if t.shape != (2,) and (t.ndim != 2 or t.shape[1] != 2):
+        raise DataError(f"targets must be one (2,) location or (n, 2), got shape {t.shape}")
+    t = t.reshape(-1, 2)
     if not np.all(np.isfinite(t)):
         raise DataError("non-finite target location")
     return t

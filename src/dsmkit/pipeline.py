@@ -45,7 +45,7 @@ from .acquisition import (
 from .errors import ConfigError, DataError, DsmError, ParseError
 from .geodesy import UTM_LAT_BAND, GeoPoint, utm_zone_for
 from .geometry import Rect
-from .interpolate import IdwConfig, LiftSummary, UkConfig, lift_mesh
+from .interpolate import IdwConfig, LiftSummary, UkConfig, drift_terms, lift_mesh
 from .mesh import (
     SEED_STRATEGIES,
     MeshQuality,
@@ -258,13 +258,12 @@ class PipelineConfig:
             raise ConfigError(f"unknown formats: {sorted(bad)}")
 
         drift = number("drift", int)
-        if drift not in (0, 1):
-            raise ConfigError(f"drift must be 0 or 1, got {drift}")
+        terms = drift_terms(drift)  # a bad degree fails under idw too
 
         # the lift keys are checked here so a bad value fails before any stage
         neighbors = None if raw["neighbors"] == "global" else number("neighbors", int)
         # kriging needs one sample more than it has drift terms
-        least = (2 if drift == 0 else 4) if method == "uk" else 1
+        least = terms + 1 if method == "uk" else 1
         if neighbors is not None and neighbors < least:
             raise ConfigError(
                 f"neighbors must be 'global' or at least {least} "

@@ -22,7 +22,8 @@ MODEL_KINDS = ("spherical", "gaussian", "exponential")
 
 # cells of the (rows x columns) rectangle empirical_variogram bins at a time
 _BLOCK_PAIRS = 1 << 15
-# golden-section steps fit_model evaluates per _wls call (2^(_AHEAD+1) - 2 ranges)
+# golden-section steps whose branches fit_model profiles ahead in one _wls
+# call: x1, x2 and each branch's new point, at most 2^(_AHEAD+1) ranges
 _AHEAD = 4
 
 logger = logging.getLogger(__name__)
@@ -391,8 +392,9 @@ def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramMo
     deterministic coarse grid over (0, 2 max_lag] followed by golden-section
     refinement; nugget and partial sill solve in closed form for each
     candidate range (non-negativity by active set). The 256 grid ranges are
-    profiled in one array pass of _wls, which the refinement calls with the
-    ranges of four steps at a time, so the formulas exist once.
+    profiled in one array pass of _wls; the refinement is one golden-section
+    loop whose _wls calls each prefetch the ranges of its next _AHEAD + 1
+    steps, so the formulas exist once.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown variogram kind {kind!r}; expected {MODEL_KINDS}")
@@ -412,41 +414,34 @@ def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramMo
     lo = grid[k - 1] if k > 0 else grid[0] / 2.0
     hi = grid[k + 1] if k < len(grid) - 1 else a_max
 
-    # golden-section refinement of the profiled objective, _AHEAD steps per
-    # _wls call: the call profiles the new point of both branches of each
-    # of the next _AHEAD comparisons (2 + 4 + ... points), and the steps are
-    # then replayed, so the points and comparisons are those of one step
-    # per call
+    # golden-section refinement of the profiled objective. step is the one
+    # step formula: keep [lo, x2] or [x1, hi] of the bracket (lo, hi, x1, x2)
+    # and place the new point. When x1 or x2 has no sse yet, one _wls call
+    # profiles both and the new point of every branch of the next _AHEAD
+    # steps, so the loop runs _AHEAD + 1 steps per call
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = _wls(kind, h, g, w, np.array([x1, x2]))[0].tolist()
-    steps = 0
-    while steps < 120 and hi - lo > 1e-12 * max(1.0, hi):
-        # the states (lo, hi, x1, x2) after each branch, level by level;
-        # branch 2i of a level's state i keeps [lo, x2], 2i + 1 keeps [x1, hi]
-        levels = [[(lo, hi, x1, x2)]]
-        for _ in range(_AHEAD):
-            levels.append([
-                state
-                for a, b, p, q in levels[-1]
-                for state in ((a, q, q - inv_phi * (q - a), p), (p, b, q, p + inv_phi * (b - p)))
-            ])
-        new = [state[2 + i % 2] for level in levels[1:] for i, state in enumerate(level)]
-        f_new = _wls(kind, h, g, w, np.array(new))[0].tolist()
-        i = start = 0
-        for level in levels[1:]:
-            if steps == 120 or hi - lo <= 1e-12 * max(1.0, hi):
-                break
-            i = 2 * i + (not f1 <= f2)
-            lo, hi, x1, x2 = level[i]
-            if i % 2 == 0:
-                f1, f2 = f_new[start + i], f1
-            else:
-                f1, f2 = f2, f_new[start + i]
-            start += len(level)
-            steps += 1
 
-    a_best = 0.5 * (lo + hi)
+    def step(bracket, keep_left):
+        lo, hi, x1, x2 = bracket
+        if keep_left:
+            return lo, x2, x2 - inv_phi * (x2 - lo), x1
+        return x1, hi, x2, x1 + inv_phi * (hi - x1)
+
+    bracket = (lo, hi, hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo))
+    sse = {}
+    for _ in range(120):
+        lo, hi, x1, x2 = bracket
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        if x1 not in sse or x2 not in sse:
+            points, branches = [x1, x2], [bracket]
+            for _ in range(_AHEAD):
+                branches = [step(b, keep) for b in branches for keep in (True, False)]
+                points += [p for b in branches for p in b[2:]]
+            points = [p for p in dict.fromkeys(points) if p not in sse]
+            sse.update(zip(points, _wls(kind, h, g, w, np.array(points))[0].tolist()))
+        bracket = step(bracket, sse[x1] <= sse[x2])
+
+    a_best = 0.5 * (bracket[0] + bracket[1])
     _, c0, c = _wls(kind, h, g, w, np.array([a_best]))
     return VariogramModel(kind, float(c0[0]), float(c[0]), float(a_best))

@@ -285,6 +285,23 @@ class TestConvertPointSet:
         assert convert_pointset(ps, "utm") is ps
         assert convert_pointset(ps, crs) is ps
 
+    def test_wgs84_to_wgs84_identity(self):
+        ps = PointSet([GeoPoint(48.7, 7.33, 1.0)], WGS84)
+        assert convert_pointset(ps, "wgs84") is ps
+        assert convert_pointset(ps, WGS84) is ps
+
+    def test_utm_to_another_utm_frame(self):
+        # the same as the round trip through WGS-84, one point at a time
+        lat, lon = (a.ravel() for a in np.meshgrid([47.9, 48.0, 48.1], [5.8, 5.95, 6.05, 6.2]))
+        ps = PointSet.from_arrays(lon, lat, np.arange(lat.size, dtype=float), WGS84)
+        in32 = convert_pointset(ps, UtmCrs(32, "north"))
+        target = UtmCrs(31, "north")
+        got = convert_pointset(in32, target)
+        want = convert_pointset_reference(convert_pointset_reference(in32, None), target)
+        assert got.crs == target
+        for a, b in zip(_columns(got), _columns(want)):
+            assert np.array_equal(a, b)
+
     def test_round_trip_identity(self):
         ps = PointSet(
             [GeoPoint(48.7 + 0.001 * k, 7.33 + 0.001 * k, float(k)) for k in range(20)],

@@ -58,6 +58,9 @@ class TestParseDms:
     def test_unicode_marks(self):
         assert parse_dms("N48°43′20.64″") == pytest.approx(48.7224)
 
+    def test_inner_spaces(self):
+        assert parse_dms("N 48° 43' 20.64\"") == parse_dms("N48°43'20.64\"")
+
     def test_malformed_reports_offset(self):
         with pytest.raises(ParseError) as err:
             parse_dms("N48°43'20.64")  # missing second mark
@@ -91,6 +94,8 @@ class TestUtmZone:
         assert normalize_longitude(180.0) == -180.0
         assert normalize_longitude(-180.0) == -180.0
         assert normalize_longitude(370.0) == pytest.approx(10.0)
+        # % lands on 180 for a hair below -180: wrapped back to -180
+        assert normalize_longitude(-180.00000000000003) == -180.0
 
 
 class TestForwardProjection:

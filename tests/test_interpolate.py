@@ -432,6 +432,25 @@ class TestIdw:
             IdwConfig(power=0.0)
 
 
+_FOUR = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_PREDICTORS = {
+    "uk": lambda targets: uk_predict(KrigingSystem(_FOUR, np.arange(4.0), SPH, 1, None), targets),
+    "idw": lambda targets: idw_predict(_FOUR, np.arange(4.0), targets),
+}
+
+
+@pytest.mark.parametrize("predictor", sorted(_PREDICTORS))
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2)])
+def test_predictors_reject_a_target_array_of_another_shape(predictor, shape):
+    # a (2, 3) array once read as three points, a (3,) list as numpy's own
+    # reshape error
+    targets = np.full(shape, 0.5)
+    with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+        _PREDICTORS[predictor](targets)
+    assert _PREDICTORS[predictor](np.full((3, 2), 0.5)).shape == (3,)
+    assert _PREDICTORS[predictor]([0.5, 0.5]).shape == (1,)
+
+
 def _utm_pointset(xy, z):
     crs = UtmCrs(32, "north")
     pts = [

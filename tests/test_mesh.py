@@ -532,6 +532,28 @@ class TestLaplacianSmooth:
         with pytest.raises(DataError):
             laplacian_smooth(m, 1)
 
+    def test_moves_that_flip_a_shared_triangle_are_reverted(self, monkeypatch):
+        # the fifth draw (17 points): moves the per-vertex guard accepts
+        # flip a shared triangle together in the first sweep
+        rng = np.random.default_rng(0)
+        corners = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
+        for _ in range(5):
+            pts = np.vstack([corners, rng.uniform(0, 10, (rng.integers(6, 14), 2))])
+        assert len(pts) == 17
+        m0 = delaunay_triangulate(pts)
+        calls = []
+        area = mesh._doubled_area
+        monkeypatch.setattr(mesh, "_doubled_area", lambda *a: calls.append(1) or area(*a))
+        m1 = laplacian_smooth(m0, 1)
+        # three corner guards, one check per pass of the revert loop (two
+        # when it reverts once) and the new mesh's own check
+        assert len(calls) == 6
+        m1 = TriMesh(m1.vertices, m1.triangles)  # CCW and valid
+        assert np.array_equal(m1.triangles, m0.triangles)
+        bmask = m0.boundary_flags
+        assert np.array_equal(m1.vertices[bmask], m0.vertices[bmask])
+        assert not np.array_equal(m1.vertices, m0.vertices)
+
 
 class TestMeshQuality:
     def test_equilateral(self):

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, no module-level private function
-or class goes unreferenced, no module uses numpy.random (mesh seeding
+no module imports a name it never uses, no module-level private function,
+class or constant goes unreferenced, no module uses numpy.random (mesh seeding
 draws numpy's stream itself, so no run pays that import), and the test
 oracles evaluate no semivariogram with the code they check."""
 
@@ -48,26 +48,61 @@ def test_every_imported_name_is_used(path):
     assert unused == []
 
 
-def test_every_private_function_and_class_is_referenced():
-    trees = {path: _tree(path) for path in sorted(SRC.glob("*.py"))}
+def _referenced(trees) -> set:
+    """Names the modules read: as variables, as attributes or by import."""
     referenced = set()
-    for tree in trees.values():
-        referenced |= _names(tree)
+    for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unread_private_constants(trees: dict) -> list:
+    """Every module-level private name bound by an assignment that no
+    module reads, as "module:line name"."""
+    referenced = _referenced(trees.values())
+    return [
+        f"{name}:{node.lineno} {target.id}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and _private(target.id)
+        and target.id not in referenced
+    ]
+
+
+def test_every_private_function_and_class_is_referenced():
+    trees = {path: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    referenced = _referenced(trees.values())
     unreferenced = [
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        and _private(node.name)
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_unread_private_constant_check_sees_one():
+    tree = ast.parse("_A = 1\n_B: int = 2\n_C = 3\n__all__ = []\nx = _C + other._B\n")
+    assert _unread_private_constants({"m": tree}) == ["m:1 _A"]
+
+
+def test_every_private_constant_is_read():
+    trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_constants(trees) == []
 
 
 def _numpy_random_uses(tree: ast.Module) -> list:

@@ -588,7 +588,7 @@ class TestFitAgainstReference:
         ev = empirical_variogram(samples, cfg.variogram_max_lag, cfg.variogram_bins)
         _assert_fit_matches_reference(ev)
 
-    def test_refinement_profiles_four_steps_per_call(self, monkeypatch):
+    def test_refinement_profiles_five_steps_per_call(self, monkeypatch):
         from dsmkit.pipeline import PipelineConfig, prepare_samples
 
         cfg = PipelineConfig.from_mapping({})
@@ -600,10 +600,11 @@ class TestFitAgainstReference:
             sizes.clear()
             fit = fit_model(ev, kind)
             assert fit == fit_model_reference(ev, kind)
-            # the grid, the first two points, 2 + 4 + 8 + 16 points per four
-            # golden-section steps, and the fitted range
-            assert sizes[:2] == [256, 2] and sizes[-1] == 1
-            assert set(sizes[2:-1]) == {30} and len(sizes) <= 17
+            # the grid, then per call at most x1, x2 and the new points of
+            # the next four steps' branches (2 + 4 + 8 + 16), five steps per
+            # call, and the fitted range
+            assert sizes[0] == 256 and sizes[-1] == 1
+            assert max(sizes[1:-1]) <= 32 and len(sizes) <= 12
 
     @settings(max_examples=30, deadline=None)
     @given(
