@@ -19,40 +19,47 @@ that sample's value exactly, when their hypot distance is below
 COINCIDENT_TOL.
 
 Universal kriging solves the bordered semivariogram system (weights
-constrained to reproduce the drift basis at the target) by dense LU. A local
-(k-nearest) neighbourhood differs per target: coordinates are centered on
-the target before assembly for conditioning, and the drift multipliers are
-reported in the original basis. One kNN query serves all targets, and
-targets are processed in chunks that slice its rows: a chunk's local systems
-are assembled as one (chunk, k+m, k+m) stack and solved by one call of
-numpy's stacked LAPACK solve, in which a system that LU rejects fails alone
-(see _lapack). The chunk size is a fixed byte budget divided by the size of
-one system. The semivariogram block is symmetric bit for bit, so each slab
-of rows is evaluated in place from its diagonal rightwards and mirrored
-below it: every pair's semivariogram is computed once. One rule, for local
-stacks and the global system alike and at every width, fails a system whose
-degree-1 drift border is rank-deficient, that LU finds singular, or that is
-ill-conditioned (2-norm condition number above 1e12); it fails only its own
-targets, with a message naming the cause and the measured value. A kriging
-system's condition number is bounded from above by two small Cholesky
-factorisations, not by an SVD or an inverse: one of the covariance block
-K = sJ - G (s the sill, J = 11^T), shifted by s/1024, and one of the drift
-Gram matrix F^T F. Their proven eigenvalue floors tau_K and tau_F give,
-through the null-space form of the saddle-point inverse,
-cond(A) <= ||A||_F (b + max(1/tau_K, s, k/tau_F)), with k = ||K||_F and
+constrained to reproduce the drift basis at the target) by dense LU, in one
+form for every system: the semivariogram at unit sill (nugget and partial
+sill over the sill), and x/y drift columns divided by a length. Weights do
+not change when either is scaled, so no prediction changes, but the matrix
+and the verdict on it do not depend on the elevation unit; multipliers and
+variance are scaled back. A local (k-nearest) neighbourhood differs per
+target: coordinates are centered on it, the length is its k-th neighbour's
+distance, and the drift multipliers are reported in the original basis. One
+kNN query serves all targets, and targets are processed in chunks that slice
+its rows: a chunk's local systems are assembled as one (chunk, k+m, k+m)
+stack and solved by one call of numpy's stacked LAPACK solve, in which a
+system that LU rejects fails alone (see _lapack). The chunk size is a fixed
+byte budget divided by the size of one system. The semivariogram block is
+symmetric bit for bit, so each slab of rows is evaluated in place from its
+diagonal rightwards and mirrored below it: every pair's semivariogram is
+computed once.
+
+One rule, for local stacks and the global system alike and at every width,
+fails a system whose degree-1 drift border is collinear (its centred
+coordinates' spread ratio under 1e-3, from their 2 x 2 scatter matrix), that
+LU finds singular, or that is ill-conditioned (2-norm condition number above
+1e12); it fails only its own targets, with a message naming the cause and
+the measured value. The border test runs first, so any other failure is the
+variogram's. A system's condition number is bounded from above by two small
+Cholesky factorisations, not by an SVD or an inverse: one of the unit-sill
+covariance block K = J - G (J = 11^T), shifted by 1/1024, and one of the
+drift Gram matrix F^T F. Their proven eigenvalue floors tau_K and tau_F
+give, through the null-space form of the saddle-point inverse,
+cond(A) <= ||A||_F (b + max(1/tau_K, 1, k/tau_F)), with k = ||K||_F and
 b = (1 + k/tau_K) / sqrt(tau_F) (see _factor_bound). A system passes on that
 bound when it is at most 1e11; every other system, a failed factor included,
 gets the SVD's condition number, so failures and their messages are the
-SVD's. tau_F > 0 proves a full-rank drift border, so a stack's border ranks
-are computed once, for the systems the bound does not clear.
+SVD's.
 
 A global neighbourhood (all samples) gives every target the same system once
 it is centered on the sample centroid, so predictions solve it once, in dual
 form (Royer & Vieira 1984; Cressie 1993, 3.4): alpha = A^-1 [z; 0], and
-z(x0) = gamma(|x_i - x0|) . alpha_w + f(x0) . alpha_mu. The x/y drift
-columns are scaled by the samples' half-span so the border is O(1). If that
-system fails, every target off the samples fails. uk_solve, which reports
-weights and variance, always solves the target-centered system.
+z(x0) = gamma(|x_i - x0|) . alpha_w + f(x0) . alpha_mu, with gamma at unit
+sill. Its drift length is the samples' half-span. If that system fails,
+every target off the samples fails. uk_solve, which reports weights and
+variance, always solves the target-centered system.
 
 IDW implements the classic Shepard weighting on the same index and chunks.
 A UK lift's IDW fallback runs on the kriging system's own index and samples.
@@ -81,6 +88,9 @@ _COND_LIMIT = 1e12  # largest 2-norm condition number a system may have
 # width) is far under the gap, so a certified system also passes the SVD rule
 _BOUND_LIMIT = _COND_LIMIT / 10
 _BOUND_WIDTH = 1 << 15  # widest system whose rounding _factor_bound proves
+# least spread ratio of a degree-1 drift border, which alone puts cond near
+# 1/r^2: scattered samples measured 0.2 and above, samples on a line 1e-5
+_SPREAD_LIMIT = 1e-3
 _CHUNK_BYTES = 1 << 20  # float64 work per chunk of targets
 _SLAB_ELEMS = 1 << 14  # float64 elements per semivariogram-block temporary
 _CELL_OCCUPANCY = 2.0  # mean samples per grid cell
@@ -287,6 +297,11 @@ class KrigingSystem:
                 f"neighborhood {self.neighborhood} too small for drift degree "
                 f"{self.drift_degree} (needs >= {need})"
             )
+        if self.model.sill == 0:
+            raise DataError(
+                "the variogram has zero sill, so kriging is undefined; use method = idw "
+                "or a model with a positive sill"
+            )
         self.index = GridIndex(locs)
         _check_distinct(self.index)
         self.locations = locs
@@ -295,6 +310,12 @@ class KrigingSystem:
     @property
     def n_drift_terms(self) -> int:
         return drift_terms(self.drift_degree)
+
+    @property
+    def unit_model(self) -> VariogramModel:
+        """The model at unit sill, from which every kriging system is built."""
+        m = self.model
+        return VariogramModel(m.kind, m.nugget / m.sill, m.partial_sill / m.sill, m.range_)
 
 
 @dataclass(frozen=True)
@@ -333,34 +354,24 @@ class UkConfig:
     neighborhood: int | None = 16
 
 
-# the cause _diagnose_singular gives when it cannot blame the drift border,
-# and the remedy a lift abort names when it is every failure's cause under a
-# model without a nugget: such a model (a gaussian fit, say) is numerically
-# singular once samples lie much closer together than its range (Posa 1989)
+# the cause of every failure past the border test, and the remedy a lift
+# abort names when it is every failure's cause under a model without a
+# nugget: such a model (a gaussian fit, say) is numerically singular once
+# samples lie much closer together than its range (Posa 1989)
 _VARIOGRAM_CAUSE = "the variogram produced a singular coefficient block"
 _VARIOGRAM_REMEDY = "give the variogram a nugget (variogram_c0 > 0) or use another variogram kind"
 
 
-def _diagnose_singular(border: np.ndarray, sound: bool) -> str:
-    """Name the likely cause of a failed system from its drift border
-    (n, m). A border alone puts the condition number near 1/r^2, r the
-    smallest-to-largest singular value ratio of its centred coordinates, so
-    they are collinear at r <= _COND_LIMIT^-1/2. Where the system's K
-    factored at its shift (sound, see _factor_bound), its variogram block is
-    sound, and a border that brings half the limit's orders of magnitude,
-    r <= _COND_LIMIT^-1/4, is blamed as well."""
-    if border.shape[1] == 3:
-        c = border[:, 1:] - border[:, 1:].mean(axis=0)
-        s = np.linalg.svd(c, compute_uv=False)
-        tol = s[0] / math.sqrt(_COND_LIMIT)
-        if s[1] <= (math.sqrt(s[0] * tol) if sound else tol):
-            # x is the dependent term when its own spread is the smallest
-            term = "x" if np.linalg.norm(c[:, 0]) <= max(tol, 2.0 * s[1]) else "y"
-            return (
-                f"drift term '{term}' is linearly dependent on the previous terms "
-                f"(collinear samples: spread ratio {s[1] / s[0]:.2g})"
-            )
-    return _VARIOGRAM_CAUSE
+def _spread_ratio(xy: np.ndarray) -> np.ndarray:
+    """Per border of the stack xy (L, 2, n), its x and y drift rows: the
+    smaller-to-larger singular value ratio of the centred coordinates, from
+    their scatter matrix [[a, e], [e, d]], whose eigenvalues have
+    l1 = (a + d)/2 + hypot((a - d)/2, e) and l1 l2 = ad - e^2 (clipped at 0)."""
+    c = xy - xy.mean(axis=2, keepdims=True)
+    S = np.matmul(c, c.transpose(0, 2, 1))
+    a, d, e = S[:, 0, 0], S[:, 1, 1], S[:, 0, 1]
+    l1 = 0.5 * (a + d) + np.hypot(0.5 * (a - d), e)
+    return np.sqrt(np.maximum(a * d - e * e, 0.0)) / l1
 
 
 def _samples(locations, values) -> tuple[np.ndarray, np.ndarray]:
@@ -435,86 +446,75 @@ def _lapack(gufunc, *stacks, out=None) -> np.ndarray:
         return gufunc(*stacks, signature="d" * len(stacks) + "->d", out=out)
 
 
-def _solve_or_fail(
-    A: np.ndarray, b: np.ndarray, m: int, targets: list | None, sill=None, tally=None
-):
-    """Solve a stack of bordered systems A x = b (m drift terms) under the
-    one failure rule; targets holds each system's target, or is None for the
-    one system over all samples. Returns (ok, sol, value, failed): ok masks
-    the systems that passed, sol holds their solutions (the LU solution of
-    an ill-conditioned system too, zeros for a singular one), value is an
-    upper bound on each solved system's 2-norm condition number (from
-    _factor_bound, exact where that fails; NaN elsewhere) and failed maps a
-    stack position to its reason.
-
-    sill, the semivariogram model's sill, declares A a stack of kriging
-    systems as _bordered builds them, which _factor_bound may clear; without
-    it every system is judged by the SVD. tally, a dict, counts the systems
-    cleared by their factors ("certified") and those judged by an SVD
+def _solve_or_fail(A: np.ndarray, b: np.ndarray, m: int, targets: list | None, tally=None):
+    """Solve a stack of bordered kriging systems A x = b (m drift terms), as
+    _bordered builds them in the one form, under the one failure rule;
+    targets holds each system's target, or is None for the one system over
+    all samples. Returns (ok, sol, value, failed): ok masks the systems that
+    passed, sol holds their solutions (the LU solution of an ill-conditioned
+    system too, zeros for any other failure), value is an upper bound on each
+    solved system's 2-norm condition number (from _factor_bound, exact where
+    that fails; NaN elsewhere) and failed maps a stack position to its
+    reason. tally, a dict, counts the systems failed by their drift border
+    ("border"), cleared by their factors ("certified") and judged by an SVD
     ("svd").
 
-    One pass, the same at every width: one batched LU solve, whose NaN rows
-    mark the systems LU rejected; the certificate on the solved systems; one
-    rank check of the degree-1 drift border F (n, 3) over every system not
-    certified, since a border of rank below 3 fails its system though LU may
-    "solve" it with a tiny pivot (a certified system has a proven tau_F > 0,
-    so a full-rank border); then the SVD for the rest."""
+    One pass, the same at every width: the border test at drift degree 1;
+    one batched LU solve of the rest, whose NaN rows mark the systems LU
+    rejected; the certificate on the solved systems; the SVD for the rest."""
     L, w = b.shape
     n = w - m
     failed = {}
-    sound = np.zeros(L, dtype=bool)  # K factored: a sound variogram block
 
-    def fail(j, kind, measured):
-        where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
-        cause = _diagnose_singular(A[j, :n, n:], sound[j])
-        failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
+    def where(j):
+        return "over all samples" if targets is None else f"at target {tuple(targets[j])}"
 
-    sol = _lapack(_umath_linalg.solve, A, b[..., None])[..., 0]
-    solved = ~np.isnan(sol).all(axis=1)
-    ok = solved.copy()
+    ok = np.ones(L, dtype=bool)
+    if m == 3:
+        r = _spread_ratio(A[:, n + 1 :, :n])
+        ok = r >= _SPREAD_LIMIT
+        for j in np.flatnonzero(~ok):
+            failed[int(j)] = (
+                f"collinear drift border in the kriging system {where(j)}: "
+                f"spread ratio {r[j]:.2g} < {_SPREAD_LIMIT:g}"
+            )
+    sol = np.zeros((L, w))
+    sol[ok] = _lapack(_umath_linalg.solve, A if ok.all() else A[ok], b[ok][..., None])[..., 0]
+    solved = ok & ~np.isnan(sol).all(axis=1)
     value = np.full(L, np.nan)
-    if sill is not None:
-        value[ok], sound[ok] = _factor_bound(A if ok.all() else A[ok], m, sill)
+    value[solved] = _factor_bound(A if solved.all() else A[solved], m)
     certified = value <= _BOUND_LIMIT
-    if tally is not None:
-        tally["certified"] += int(certified.sum())
-        tally["svd"] += int((solved & ~certified).sum())
-
-    rest = np.flatnonzero(~certified)
-    if m == 3 and len(rest):
-        rank = np.linalg.matrix_rank(A[rest, :n, n:])
-        for j, r in zip(rest[rank < 3], rank[rank < 3]):
-            fail(j, "singular", f"drift border of rank {r}")
-        ok[rest[rank < 3]] = False
-        rest = rest[rank == 3]
-    for j in rest[~solved[rest]]:
-        fail(j, "singular", "LU found a zero pivot")
-    sol[~ok] = 0.0
-    value[~ok] = np.nan
-    rest = rest[solved[rest]]
+    rest = np.flatnonzero(solved & ~certified)
     if len(rest):
         value[rest] = np.linalg.cond(A[rest])
+    if tally is not None:
+        tally["border"] += L - int(ok.sum())
+        tally["certified"] += int(certified.sum())
+        tally["svd"] += len(rest)
     for j in np.flatnonzero(ok & ~(value <= _COND_LIMIT)):
-        ok[j] = False
-        fail(j, "ill-conditioned", f"cond {value[j]:.3g} > {_COND_LIMIT:g}")
-    return ok, sol, value, failed
+        kind, measured = (
+            ("ill-conditioned", f"cond {value[j]:.3g} > {_COND_LIMIT:g}") if solved[j]
+            else ("singular", "LU found a zero pivot")
+        )
+        failed[int(j)] = f"{kind} kriging system {where(j)}: {measured}; {_VARIOGRAM_CAUSE}"
+    sol[ok & ~solved] = 0.0
+    return ok & (value <= _COND_LIMIT), sol, value, failed
 
 
-def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
+def _factor_bound(A: np.ndarray, m: int) -> np.ndarray:
     """Per system of the stack A of bordered kriging systems: a proven upper
-    bound on its 2-norm condition number, or inf where none is proven; and
-    a mask of the systems whose covariance block K factored at its shift.
+    bound on its 2-norm condition number, or inf where none is proven.
 
     A = [[G, F], [F^T, 0]] must be symmetric, as _bordered builds it, with
-    F's first column all ones, and at most _BOUND_WIDTH wide; sill is a
-    number s >= 0.
+    F's first column all ones, and at most _BOUND_WIDTH wide; G is the
+    semivariogram at unit sill, though the bound holds for any symmetric G.
     The bound rests on two Cholesky factors per system, of the covariance
-    block K = sJ - G (J = 11^T) and of the drift Gram matrix F^T F, both by
+    block K = J - G (J = 11^T) and of the drift Gram matrix F^T F, both by
     _chol_completes (LAPACK's potrf on the stack).
 
     The bound. Let lmin(K) >= tau_K > 0 and lmin(F^T F) >= tau_F > 0, and
     h = 1/tau_K, rho = tau_F^-1/2, k >= ||K||_F, b = rho (1 + h k). Then
-    ||A^-1||_2 <= b + max(h, s, rho^2 k), so cond(A) <= ||A||_F times that.
+    ||A^-1||_2 <= b + max(h, 1, rho^2 k), so cond(A) <= ||A||_F times that.
     Proof (the null-space form of a saddle-point inverse; Benzi, Golub &
     Liesen 2005, Acta Numerica 14:1, section 6). Let F = QR (tau_F > 0, so
     R is invertible) and Z an orthonormal basis of the null space of F^T.
@@ -524,10 +524,10 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
       (1,1) block of A^-1: -Z M^-1 Z^T, norm <= h;
       (1,2) block: (I - P) Q R^-T, P = Z M^-1 Z^T K, norm <= (1 + h k) rho;
       (2,2) block: -R^-1 Q^T G (I - P) Q R^-T. J Z = 0 gives J (I - P) = J
-      and R^-1 Q^T 1 = e1, so it is -s e1 e1^T + R^-1 Q^T C Q R^-T with
+      and R^-1 Q^T 1 = e1, so it is -e1 e1^T + R^-1 Q^T C Q R^-T with
       C = K - K Z M^-1 Z^T K = K^1/2 (I - W) K^1/2, W the orthogonal
       projector onto the range of K^1/2 Z: C is PSD with ||C|| <= k, and a
-      difference of two PSD matrices has norm <= max(s, rho^2 k).
+      difference of two PSD matrices has norm <= max(1, rho^2 k).
     A^-1 is symmetric, and the 2-norm of a block matrix is at most that of
     its matrix of block norms, [[h, b], [b, c]]: at most max(h, c) + b.
     tau_F > 0 also proves the drift border has full rank.
@@ -544,7 +544,7 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
     Underflow adds at most 2^-1022 to a product or quotient (flushed or
     not), so at most n (n+1) 2^-1022 (1 + max b_ii) to ||E||_2 (r_ii <=
     1 + b_ii scales a quotient's). So B is factored shifted by c, and
-    Weyl's inequality adds up the rounding: in K~ = fl(s - G) (u |K| per
+    Weyl's inequality adds up the rounding: in K~ = fl(1 - G) (u |K| per
     entry), in F^T F (gamma_n ||F||_F^2), in the shift (u per diagonal
     entry), in the factorisation, and their underflow. With mag the
     Frobenius norm of K~ (tr(B) <= 1.01 sqrt(n) mag), or the trace of the
@@ -552,7 +552,7 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
     of slack = w^2 (8 u (mag + c) + 2^-1021) (w = n + m, the system width,
     any with (n+2) u < 0.001), and tau = fl(c - slack) <= c - slack / 2
     (slack >= 2 u c) is proven.
-    K is shifted by s / 1024; a system whose factor does not complete gets
+    K is shifted by 1 / 1024; a system whose factor does not complete gets
     no bound (inf), and the SVD judges it. F^T F (3 x 3) is shifted by
     det / (2 e2), e2 the sum of its principal 2 x 2 minors: e2 >= l2 l3, the
     product of its two larger eigenvalues, so in exact arithmetic the shift
@@ -565,10 +565,8 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
     n 2^-511; ||A||_F >= 1, from the ones column, needs no such term)."""
     L, w, _ = A.shape
     n = w - m
-    sound = np.zeros(L, dtype=bool)
     if w > _BOUND_WIDTH:
-        return np.full(L, np.inf), sound
-    s = np.full(L, float(sill))
+        return np.full(L, np.inf)
     u = 2.0**-53
 
     def slack(mag, c):
@@ -594,17 +592,15 @@ def _factor_bound(A: np.ndarray, m: int, sill) -> tuple[np.ndarray, np.ndarray]:
         step = max(1, _SLAB_ELEMS // (w * w))
         for lo in range(0, L, step):
             sl = slice(lo, min(lo + step, L))
-            G, sv = A[sl, :n, :n], s[sl]
-            K = sv[:, None, None] - G
+            K = 1.0 - A[sl, :n, :n]
             k[sl] = np.sqrt(np.einsum("ijk,ijk->i", K, K)) + 2.0**-495
-            shift = sv / 1024.0
-            sound[sl] = _chol_completes(K, shift)
-            tau_K[sl] = np.where(sound[sl], shift - slack(k[sl], shift), np.nan)
+            shift = np.full(len(K), 1.0 / 1024.0)
+            tau_K[sl] = np.where(_chol_completes(K, shift), shift - slack(k[sl], shift), np.nan)
         h = 1.0 / tau_K
         b = rho * (1.0 + h * k)
-        bound = (1.0 + 2.0**-20) * norm_A * (b + np.maximum(h, np.maximum(s, rho2 * k)))
-    proven = (tau_K > 0) & (tau_F > 0) & (s >= 0) & (bound < np.inf)
-    return np.where(proven, bound, np.inf), sound
+        bound = (1.0 + 2.0**-20) * norm_A * (b + np.maximum(h, np.maximum(1.0, rho2 * k)))
+    proven = (tau_K > 0) & (tau_F > 0) & (bound < np.inf)
+    return np.where(proven, bound, np.inf)
 
 
 def _chol_completes(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -636,7 +632,8 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, idx: np.ndarray, tally=None
     prediction = np.full(t, np.nan)
     variance = np.zeros(t)
 
-    # center on the target: drift columns become [1, dx, dy], rhs [1, 0, 0]
+    # the one form: drift columns [1, dx/l, dy/l], centered on the target, l
+    # its k-th neighbour's distance; rhs [gamma/sill, 1, 0, 0]
     d = locs - x0[:, None, :]
     dist = np.hypot(d[..., 0], d[..., 1])
     snap = dist[:, 0] < COINCIDENT_TOL
@@ -644,24 +641,27 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, idx: np.ndarray, tally=None
     prediction[snap] = vals[snap, 0]
 
     live = np.flatnonzero(~snap)
-    A = _bordered(sys.model, d[live], drift_basis(sys.drift_degree, d[live]))
+    d, length = d[live], dist[live, -1:]
+    unit = sys.unit_model
+    A = _bordered(unit, d, drift_basis(sys.drift_degree, d / length[..., None]))
     b = np.zeros((len(live), n + m))
     g = dist[live]
-    b[:, :n] = _gamma(sys.model, g, g)
+    b[:, :n] = _gamma(unit, g, g)
     b[:, n] = 1.0
-    ok, sol, value, failed = _solve_or_fail(A, b, m, x0[live].tolist(), sys.model.sill, tally)
+    ok, sol, value, failed = _solve_or_fail(A, b, m, x0[live].tolist(), tally)
     errors = {int(live[j]): why for j, why in failed.items()}
-    live, b, sol = live[ok], b[ok], sol[ok]
+    live, b, sol, length = live[ok], b[ok], sol[ok], length[ok]
 
     w = sol[:, :n]
     weights[live] = w
-    mult = sol[:, n:].copy()
+    mult = sys.model.sill * sol[:, n:]
     if sys.drift_degree == 1:
-        # express multipliers in the uncentered basis [1, x, y]
+        # express multipliers in the uncentered, unscaled basis [1, x, y]
+        mult[:, 1:] /= length
         mult[:, 0] -= mult[:, 1] * x0[live, 0] + mult[:, 2] * x0[live, 1]
     mu[live] = mult
     prediction[live] = _rowdot(w, vals[live])
-    variance[live] = _rowdot(w, b[:, :n]) + sol[:, n]
+    variance[live] = sys.model.sill * (_rowdot(w, b[:, :n]) + sol[:, n])
     return idx, weights, mu, prediction, variance, errors, value
 
 
@@ -687,9 +687,10 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
     out[snap] = sys.values[nearest[snap]]
     live = np.flatnonzero(~snap)
 
-    A = _bordered(sys.model, c[None], drift_basis(sys.drift_degree, c / half)[None])
+    unit = sys.unit_model
+    A = _bordered(unit, c[None], drift_basis(sys.drift_degree, c / half)[None])
     rhs = np.concatenate([sys.values, np.zeros(m)])
-    ok, sol, value, failed = _solve_or_fail(A, rhs[None], m, None, sys.model.sill)
+    ok, sol, value, failed = _solve_or_fail(A, rhs[None], m, None)
     if not ok[0]:
         return out, dict.fromkeys(live.tolist(), failed[0]), f"global neighbourhood, {failed[0]}"
     alpha = sol[0]
@@ -707,7 +708,7 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
         g, e = g_buf[: len(rows)], e_buf[: len(rows)]
         np.subtract(cx, t[:, :1], out=g)
         np.subtract(cy, t[:, 1:], out=e)
-        _gamma(sys.model, np.hypot(g, e, out=g), g, e)
+        _gamma(unit, np.hypot(g, e, out=g), g, e)
         z = g @ alpha[:n] + alpha[n]
         if m == 3:
             z += t @ alpha[n + 1 :] / half
@@ -726,7 +727,7 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
     out = np.empty(len(targets))
     errors = {}
     worst = np.nan
-    tally = {"certified": 0, "svd": 0}
+    tally = {"border": 0, "certified": 0, "svd": 0}
     idx = sys.index.knn(targets, sys.neighborhood)
     for s in range(0, len(targets), step):
         *_, prediction, _, chunk_errors, value = _krige_chunk(
@@ -737,6 +738,7 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
         worst = np.fmax.reduce(value, initial=worst)
     return out, errors, (
         f"local neighbourhood of {sys.neighborhood}, worst cond ≤ {worst:.3g}, "
+        f"{tally['border']} collinear drift borders, "
         f"{tally['certified']} systems certified by their factors, {tally['svd']} by SVD"
     )
 
@@ -813,7 +815,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
 
     samples must be a projected (UTM) PointSet in the same zone as the mesh
     coordinates. method is a UkConfig or IdwConfig. A vertex whose kriging
-    system fails (rank-deficient drift, singular or ill-conditioned) falls
+    system fails (collinear drift border, singular or ill-conditioned) falls
     back to IDW and is flagged, and a warning names the first failed
     vertex's reason; when more than 1% fail, NumericalError aborts the lift
     with that reason instead, and names a remedy when a variogram without a
@@ -846,8 +848,7 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
             first = f"vertex {fallbacks[0]}: {errors[fallbacks[0]]}"
             if len(fallbacks) > 0.01 * len(verts):
                 if method.model.nugget == 0 and all(
-                    errors[v].startswith("ill-conditioned") and errors[v].endswith(_VARIOGRAM_CAUSE)
-                    for v in fallbacks
+                    errors[v].startswith("ill-conditioned") for v in fallbacks
                 ):
                     first += f"; {_VARIOGRAM_REMEDY}"
                 raise NumericalError(

@@ -73,6 +73,11 @@ logger = logging.getLogger(__name__)
 # way, and small enough that every squared difference and every kriging sum
 # of them stays far inside the float range
 MAX_ALTITUDE = 1e5
+# the most variogram bins and contour levels a config may ask for: each bin
+# and level costs memory or a pass over the mesh, so a huge count would
+# exhaust memory, or spin after every expensive stage, instead of failing
+MAX_VARIOGRAM_BINS = 10_000
+MAX_CONTOUR_LEVELS = 1_000
 
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
@@ -174,10 +179,12 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
             return value
 
-        def at_least(key, least):
+        def at_least(key, least, most=None):
             value = number(key, int)
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ConfigError(f"{key} must be <= {most:,}, got {value}")
             return value
 
         region_crs = raw["region_crs"]
@@ -288,7 +295,7 @@ class PipelineConfig:
         rows, cols = number("rows", int), number("cols", int)
         ScanSpec(region, rows, cols)  # checks both counts and the node cap
         # fit_model needs three filled bins, so a fitted model needs three bins
-        variogram_bins = at_least("variogram_bins", 1 if explicit else 3)
+        variogram_bins = at_least("variogram_bins", 1 if explicit else 3, MAX_VARIOGRAM_BINS)
         # blank: half the diagonal of the mesh rectangle
         max_lag = (positive("variogram_max_lag") if raw["variogram_max_lag"]
                    else 0.5 * math.hypot(mesh_region.width, mesh_region.height))
@@ -319,7 +326,7 @@ class PipelineConfig:
             seed=seed,
             out_dir=Path(raw["out"]),
             formats=formats,
-            contour_levels=at_least("contour_levels", 0),
+            contour_levels=at_least("contour_levels", 0, MAX_CONTOUR_LEVELS),
         )
 
 

@@ -5,6 +5,7 @@ are computed from explicit circumcenters, kriging systems are solved by a
 local Gaussian elimination, and variogram values are evaluated from scratch.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -160,7 +161,6 @@ def assemble_uk_system(locations, values, gamma_fn, target, drift_degree):
 # target, and one IDW call per target.
 
 COINCIDENT_TOL = 1e-9
-_DRIFT_NAMES = ("1", "x", "y")
 
 
 def nearest_subset(locations: np.ndarray, target, k) -> np.ndarray:
@@ -177,24 +177,21 @@ class SingularSystem(Exception):
     """The reference solver's failure: the message names the cause."""
 
 
-def _diagnose_singular(locs: np.ndarray, degree: int) -> str:
-    if degree == 1:
-        F = np.column_stack([np.ones(len(locs)), locs[:, 0], locs[:, 1]])
-        for col in range(1, 3):
-            if np.linalg.matrix_rank(F[:, : col + 1]) <= col:
-                return (
-                    f"drift term '{_DRIFT_NAMES[col]}' is linearly dependent on the "
-                    "previous terms (degenerate sample geometry, e.g. collinear samples)"
-                )
-    return "the variogram produced a singular coefficient block"
+def spread_ratio_reference(xy: np.ndarray) -> np.ndarray:
+    """Per border of the stack xy (L, n, 2): the smaller-to-larger singular
+    value ratio of the centred coordinates, by numpy's SVD."""
+    s = np.linalg.svd(xy - xy.mean(axis=1, keepdims=True), compute_uv=False)
+    return s[:, 1] / s[:, 0]
 
 
 def uk_solve_reference(locations, values, model, drift_degree, k, target):
-    """One target's universal kriging solution, assembled and solved alone.
+    """One target's universal kriging solution, assembled and solved alone
+    in the one form: the semivariogram at unit sill, and the x/y drift
+    columns divided by the distance to the last of the k nearest samples.
 
     Returns (weights, drift_multipliers, prediction, variance, indices) or
-    raises SingularSystem when the drift border is rank-deficient, LU fails
-    or the solved system is ill-conditioned."""
+    raises SingularSystem when the drift border's spread ratio is under
+    1e-3, LU fails or the solved system is ill-conditioned."""
     x0 = np.asarray(target, dtype=float)
     idx = nearest_subset(locations, x0, k)
     locs = locations[idx]
@@ -209,93 +206,84 @@ def uk_solve_reference(locations, values, model, drift_degree, k, target):
         weights[nearest] = 1.0
         return weights, np.zeros(m), float(vals[nearest]), 0.0, idx
 
-    def singular():
-        return SingularSystem(
-            f"singular kriging system at target {tuple(x0)}: "
-            + _diagnose_singular(locs, drift_degree)
-        )
-
+    sill = model.nugget + model.partial_sill
+    unit = dataclasses.replace(
+        model, nugget=model.nugget / sill, partial_sill=model.partial_sill / sill
+    )
+    length = dist[-1]
     d = locs - x0
     pair_dist = np.hypot(d[:, 0, None] - d[None, :, 0], d[:, 1, None] - d[None, :, 1])
     A = np.zeros((n + m, n + m))
-    A[:n, :n] = model_gamma_reference(model, pair_dist)
+    A[:n, :n] = model_gamma_reference(unit, pair_dist)
     if drift_degree == 0:
         F = np.ones((n, 1))
-        f0 = np.array([1.0])
     else:
-        F = np.column_stack([np.ones(n), d[:, 0], d[:, 1]])
-        f0 = np.array([1.0, 0.0, 0.0])
-        if np.linalg.matrix_rank(F) < 3:
-            raise singular()
+        F = np.column_stack([np.ones(n), d[:, 0] / length, d[:, 1] / length])
+        if spread_ratio_reference(F[None, :, 1:])[0] < 1e-3:
+            raise SingularSystem(f"collinear drift border at target {tuple(x0)}")
     A[:n, n:] = F
     A[n:, :n] = F.T
-    b = np.concatenate([model_gamma_reference(model, dist), f0])
+    b = np.zeros(n + m)
+    b[:n] = model_gamma_reference(unit, dist)
+    b[n] = 1.0
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        raise singular() from None
+        raise SingularSystem(f"singular kriging system at target {tuple(x0)}") from None
     # an ill-conditioned system (2-norm condition number above 1e12) fails
     # like a singular one
     if not np.linalg.cond(A) <= 1e12:
-        raise singular()
+        raise SingularSystem(f"ill-conditioned kriging system at target {tuple(x0)}")
 
     weights = sol[:n]
-    mu = sol[n:].copy()
+    mu = sill * sol[n:]
     if drift_degree == 1:
+        mu[1:] /= length
         mu[0] -= mu[1] * x0[0] + mu[2] * x0[1]
-    return weights, mu, float(weights @ vals), float(weights @ b[:n] + sol[n:] @ f0), idx
+    return weights, mu, float(weights @ vals), float(sill * (weights @ b[:n] + sol[n])), idx
 
 
-def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets, sill=None):
-    """interpolate._solve_or_fail as it was before the condition bound:
-    np.linalg.cond (an SVD) of every solved system, at every width. With a
-    sill, a failed system whose covariance block sJ - G factors at the shift
-    sill / 1024 (np.linalg.cholesky) is blamed on its drift border. Returns
-    (ok, sol, value, failed)."""
-    from dsmkit.interpolate import _diagnose_singular
-
+def solve_or_fail_reference(A: np.ndarray, b: np.ndarray, m: int, targets):
+    """interpolate._solve_or_fail's rule with numpy's SVD alone: a degree-1
+    system whose drift border has a spread ratio under 1e-3 (by SVD) fails
+    by that border; the rest are solved by LU, and np.linalg.cond (an SVD)
+    of every solved system fails it above 1e12. Returns (ok, sol, value,
+    failed)."""
     L, w = b.shape
     n = w - m
     failed = {}
 
-    def sound(j):
-        if sill is None:
-            return False
-        try:
-            R = np.linalg.cholesky(sill - A[j, :n, :n] - sill / 1024.0 * np.eye(n))
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.all(np.isfinite(np.diag(R)) & (np.diag(R) > 0)))
+    def where(j):
+        return "over all samples" if targets is None else f"at target {tuple(targets[j])}"
 
     def fail(j, kind, measured):
-        where = "over all samples" if targets is None else f"at target {tuple(targets[j])}"
-        cause = _diagnose_singular(A[j, :n, n:], sound(j))
-        failed[int(j)] = f"{kind} kriging system {where}: {measured}; {cause}"
+        failed[int(j)] = (
+            f"{kind} kriging system {where(j)}: {measured}; "
+            "the variogram produced a singular coefficient block"
+        )
 
     ok = np.ones(L, dtype=bool)
     if m == 3:
-        rank = np.linalg.matrix_rank(A[:, :n, n:])
-        for j in np.flatnonzero(rank < 3):
-            fail(j, "singular", f"drift border of rank {rank[j]}")
-        ok = rank == 3
+        r = spread_ratio_reference(A[:, :n, n + 1 :])
+        for j in np.flatnonzero(~(r >= 1e-3)):
+            failed[int(j)] = (
+                f"collinear drift border in the kriging system {where(j)}: "
+                f"spread ratio {r[j]:.2g} < 0.001"
+            )
+        ok = r >= 1e-3
     sol = np.zeros((L, w))
-    Ao, bo = (A, b) if ok.all() else (A[ok], b[ok])
-    try:
-        sol[ok] = np.linalg.solve(Ao, bo[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for j in np.flatnonzero(ok):
-            try:
-                sol[j] = np.linalg.solve(A[j], b[j])
-            except np.linalg.LinAlgError:
-                ok[j] = False
-                fail(j, "singular", "LU found a zero pivot")
-        Ao, bo = A[ok], b[ok]
-
     value = np.full(L, np.nan)
-    value[ok] = np.linalg.cond(Ao)
-    for j in np.flatnonzero(ok & ~(value <= 1e12)):
-        ok[j] = False
-        fail(j, "ill-conditioned", f"cond {value[j]:.3g} > 1e+12")
+    for j in np.flatnonzero(ok):
+        try:
+            sol[j] = np.linalg.solve(A[j], b[j])
+        except np.linalg.LinAlgError:
+            ok[j] = False
+            fail(j, "singular", "LU found a zero pivot")
+            continue
+        value[j] = np.linalg.cond(A[j])
+        if not value[j] <= 1e12:
+            ok[j] = False
+            fail(j, "ill-conditioned", f"cond {value[j]:.3g} > 1e+12")
     return ok, sol, value, failed
 
 

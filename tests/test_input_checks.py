@@ -124,6 +124,9 @@ CASES = {
     "kriging_neighborhood_too_small": (
         lambda: KrigingSystem(FIVE, np.zeros(5), SPH, drift_degree=1, neighborhood=3),
         ConfigError, "neighborhood 3 too small for drift degree 1"),
+    "kriging_zero_sill": (
+        lambda: KrigingSystem(FIVE, np.zeros(5), VariogramModel("spherical", 0.0, 0.0, 10.0)),
+        DataError, "the variogram has zero sill, so kriging is undefined"),
     "idw_neighborhood_zero": (
         lambda: IdwConfig(neighborhood=0), ConfigError, "neighborhood must be >= 1"),
     "sample_locations_bad_shape": (

@@ -1,6 +1,7 @@
 """Interpolation tests: kriging constraints and oracle, IDW formula, lifts."""
 
 import logging
+import math
 import re
 import warnings
 
@@ -19,6 +20,7 @@ from _oracles import (
     nearest_subset,
     solve_or_fail_reference,
     spherical_gamma,
+    spread_ratio_reference,
     uk_lift_reference,
     uk_solve_reference,
 )
@@ -160,7 +162,7 @@ class TestUkSolve:
         sys = KrigingSystem(locs, vals, SPH, drift_degree=1, neighborhood=None)
         with pytest.raises(NumericalError) as err:
             uk_solve(sys, (5.0, 5.0))
-        assert "drift term 'y'" in str(err.value)
+        assert "collinear drift border" in str(err.value)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(55)
@@ -606,8 +608,8 @@ class TestLiftAgainstOracle:
                 lift_mesh(planar, _utm_pointset(xy, z), UkConfig(model, 1, k))
             notes = [r.getMessage() for r in caplog.records
                      if r.getMessage().startswith("uk lift:")]
-            assert re.search(r"worst cond ≤ \S+, 12 systems certified by their factors, "
-                             r"0 by SVD, 0 fallbacks", notes[0])
+            assert re.search(r"worst cond ≤ \S+, 0 collinear drift borders, 12 systems "
+                             r"certified by their factors, 0 by SVD, 0 fallbacks", notes[0])
 
     def test_global_uk_system_is_certified_without_an_svd(self, monkeypatch, caplog):
         # the benchmark's global_uk config: its one 354-wide system passes on
@@ -633,7 +635,7 @@ class TestLiftAgainstOracle:
         assert summary.fallback_vertices == ()
         notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
         assert notes[0].startswith(
-            "uk lift: 351 samples, 532 vertices, global neighbourhood, cond ≤ 2.9e+09, 0 fallbacks"
+            "uk lift: 351 samples, 532 vertices, global neighbourhood, cond ≤ 7.49e+06, 0 fallbacks"
         )
 
     @staticmethod
@@ -664,11 +666,18 @@ class TestLiftAgainstOracle:
         notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("uk lift:")]
         assert len(notes) == 1
         assert "240 samples, 403 vertices, local neighbourhood of 4, worst cond" in notes[0]
+        # the -v note counts the three borders beside the certified systems
+        assert re.search(r", 3 collinear drift borders, 400 systems certified by their "
+                         r"factors, 0 by SVD, 3 fallbacks", notes[0])
         scanned = re.fullmatch(r".*, 3 fallbacks, (\d+) kNN candidates scanned", notes[0])
         assert scanned and int(scanned[1]) >= 403 * 4
 
         sys = KrigingSystem(xy, z, SPH, 1, 4)
-        with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
+        with pytest.raises(
+            NumericalError,
+            match=r"^target 1: collinear drift border in the kriging system at target "
+            r"\(10\.3, 0\.2\): spread ratio 0 < 0\.001$",
+        ):
             uk_predict(sys, [targets[0], near_line[0]])
 
     def test_more_than_one_percent_failing_aborts(self):
@@ -780,57 +789,81 @@ class TestLiftAgainstOracle:
         first = summary.fallback_vertices[0]
         assert [r.getMessage() for r in caplog.records] == [
             f"kriging fell back to IDW at 2 vertices: {list(summary.fallback_vertices)}; "
-            f"vertex {first}: singular kriging system at target {tuple(targets[first].tolist())}: "
-            "drift border of rank 2; drift term 'y' is linearly dependent on the previous "
-            "terms (collinear samples: spread ratio 0)"
+            f"vertex {first}: collinear drift border in the kriging system at target "
+            f"{tuple(targets[first].tolist())}: spread ratio 0 < 0.001"
         ]
 
 
 def _bordered_with_singular_values(rng, n, m, s):
     """A symmetric [[G, F], [F^T, 0]] of width n + m whose singular values
-    are s[:m], each twice (the border), and s[m:] (G on the border's
-    orthogonal complement)."""
-    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    are in proportion to s[:m], each twice (the border), and s[m:] (G on the
+    border's orthogonal complement), scaled so that F's first column is all
+    ones, as in every kriging system."""
+    V, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, n - 1))]))
     G = (V[:, m:] * (s[m:] * rng.choice([-1.0, 1.0], n - m))) @ V[:, m:].T
     A = np.zeros((n + m, n + m))
     A[:n, :n] = (G + G.T) / 2
     A[:n, n:] = V[:, :m] * s[:m]
     A[n:, :n] = A[:n, n:].T
+    # V's first column is +-1/sqrt(n) to rounding: scale it to ones exactly
+    A /= A[0, n]
+    A[:n, n] = A[n, :n] = 1.0
     return A
 
 
 def _centred_stack(model, offsets, degree):
     """The target-centred kriging systems (A, b) of sample offsets (L, n, 2),
-    assembled as _krige_chunk assembles them."""
+    in the one form as _krige_chunk assembles them: the model at unit sill,
+    and the x/y drift columns divided by each system's largest distance."""
     L, n, _ = offsets.shape
+    unit = VariogramModel(
+        model.kind, model.nugget / model.sill, model.partial_sill / model.sill, model.range_
+    )
+    dist = np.hypot(offsets[..., 0], offsets[..., 1])
     F = np.ones((L, n, 1))
     if degree == 1:
-        F = np.concatenate([F, offsets], axis=2)
-    A = interpolate._bordered(model, offsets, F)
+        F = np.concatenate([F, offsets / dist.max(axis=1)[:, None, None]], axis=2)
+    A = interpolate._bordered(unit, offsets, F)
     b = np.zeros((L, n + F.shape[2]))
-    b[:, :n] = model_gamma(model, np.hypot(offsets[..., 0], offsets[..., 1]))
+    b[:, :n] = model_gamma(unit, dist)
     b[:, n] = 1.0
     return A, b
 
 
-@pytest.mark.parametrize(
-    "r, sound, swap, cause",
-    [
-        (1e-7, False, False, "drift term 'y'"),
-        (1e-4, False, False, "the variogram"),
-        (1e-4, True, False, "drift term 'y'"),
-        (1e-4, True, True, "drift term 'x'"),
-        (1e-2, True, False, "the variogram"),
-    ],
-)
-def test_a_sound_covariance_block_blames_a_nearly_collinear_border(r, sound, swap, cause):
-    # samples along a line with an alternating offset of relative size r: a
-    # border is collinear at a spread ratio up to 1e-6, and to blame up to
-    # 1e-3 when the system's covariance block factored
+_SPREAD = re.compile(r"spread ratio (\S+) <")
+
+
+def _assert_same_failures(failed, want):
+    """failed == want, but for the spread ratio of a collinear border, which
+    the closed form gives to within about 3e-8 of the SVD's (the rounding of
+    its scatter matrix, relative u, is a square's)."""
+    assert failed.keys() == want.keys()
+    for j, why in failed.items():
+        got, ref = _SPREAD.search(why), _SPREAD.search(want[j])
+        assert (got is None) == (ref is None), (why, want[j])
+        if got:
+            r, r_ref = float(got[1]), float(ref[1])
+            assert abs(r - r_ref) <= 0.05 * r_ref + 3e-8, (why, want[j])
+            why = why.replace(got[0], ref[0])
+        assert why == want[j]
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-7, 1e-4, 5.5e-4, 6.5e-4, 1e-2, 0.5])
+@pytest.mark.parametrize("turn", [0.0, 1.0, 2.0])
+def test_spread_ratio_matches_the_svd(r, turn):
+    # samples along a line with an alternating offset of relative size r
+    # (spread ratio about 1.65 r, so 5.5e-4 and 6.5e-4 fall either side of
+    # the limit), turned by `turn` radians and moved off the origin: the
+    # closed form agrees with the SVD to its rounding, and both place the
+    # border against the limit alike
     t = np.linspace(-1.0, 1.0, 20)
     xy = np.column_stack([t, r * (-1.0) ** np.arange(20)])
-    border = np.column_stack([np.ones(20), xy[:, ::-1] if swap else xy])
-    assert interpolate._diagnose_singular(border, sound).startswith(cause)
+    c, s = math.cos(turn), math.sin(turn)
+    xy = xy @ np.array([[c, s], [-s, c]]) + [412.0, -5398.0]
+    got = interpolate._spread_ratio(xy.T[None])[0]
+    want = spread_ratio_reference(xy[None])[0]
+    assert abs(got - want) <= 1e-6 * want + 3e-8
+    assert (got < interpolate._SPREAD_LIMIT) == (want < 1e-3) == (r < 6e-4)
 
 
 def test_stacked_lapack_fails_one_system_alone():
@@ -856,17 +889,16 @@ def test_stacked_lapack_fails_one_system_alone():
 
 
 class TestConditionBound:
-    """_solve_or_fail's bound against the SVD rule it replaced."""
+    """_solve_or_fail's rule against the same rule by numpy's SVD alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         w=st.sampled_from([4, 19, 200]),
         three_drift_terms=st.booleans(),
         log_conds=st.lists(st.floats(0.0, 17.0), min_size=1, max_size=3),
-        log_scale=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_decides_like_the_svd_rule(self, w, three_drift_terms, log_conds, log_scale, seed):
+    def test_decides_like_the_svd_rule(self, w, three_drift_terms, log_conds, seed):
         rng = np.random.default_rng(seed)
         m = 3 if three_drift_terms and w > 4 else 1
         n = w - m
@@ -875,18 +907,18 @@ class TestConditionBound:
             s = 10.0 ** rng.uniform(0.0, log_cond, n)
             s[:2] = 1.0, 10.0**log_cond
             stack.append(_bordered_with_singular_values(rng, n, m, rng.permutation(s)))
-        A = 10.0**log_scale * np.array(stack)
+        A = np.array(stack)
         b = rng.normal(size=(len(A), w))
         targets = [[float(j), 0.5] for j in range(len(A))]
         ok, sol, value, failed = interpolate._solve_or_fail(A, b, m, targets)
         want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
         assert np.array_equal(ok, want_ok)
-        assert failed == want_failed
+        _assert_same_failures(failed, want_failed)
         assert np.array_equal(sol, want_sol)
         # a passing system's value bounds its condition number from above
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
 
-    def test_rank_is_checked_only_where_lu_or_the_bound_fails(self, monkeypatch):
+    def test_border_test_runs_before_lu(self, monkeypatch):
         rng = np.random.default_rng(12)
         t = rng.uniform(-5, 5, 16)
         pair = np.vstack([rng.uniform(-5, 5, (14, 2)), [[1.0, 1.0], [1.0 + 1e-6, 1.0]]])
@@ -895,7 +927,7 @@ class TestConditionBound:
             "regular": (SPH, rng.uniform(-5, 5, (16, 2))),
             # on the line y = 0: a zero drift column, so LU raises
             "collinear": (SPH, np.column_stack([t, np.zeros(16)])),
-            # on y = x / 3: rank 2 to matrix_rank, but LU solves it
+            # on y = x / 3: LU solves it
             "nearly collinear": (SPH, np.column_stack([t, t / 3])),
             # a full-rank border, but two samples a micrometre apart
             "ill-conditioned": (gaussian, pair),
@@ -911,41 +943,40 @@ class TestConditionBound:
         A, b = built["nearly collinear"]
         np.linalg.solve(A, b)
 
-        ranks = []
-        matrix_rank = np.linalg.matrix_rank
-        monkeypatch.setattr(
-            np.linalg, "matrix_rank", lambda M: ranks.append(len(M)) or matrix_rank(M)
-        )
-        for names, want_ranks in [
-            # one batched LU, then one rank check of the two systems the
-            # factors do not clear
-            (["regular", "nearly collinear", "ill-conditioned", "regular too"], 2),
-            # LU rejects the collinear system alone: the same one rank check
-            # covers it too
-            (["regular", "collinear", "nearly collinear", "ill-conditioned", "regular too"], 3),
-        ]:
-            ranks.clear()
-            A = np.array([built[name][0] for name in names])
-            b = np.array([built[name][1] for name in names])
-            targets = [[float(j), 0.5] for j in range(len(A))]
-            # one sill for the stack: 2.5 keeps the gaussian system's
-            # K = sJ - G positive definite, which the certificate needs
-            ok, sol, value, failed = interpolate._solve_or_fail(A, b, 3, targets, SPH.sill)
-            assert ranks == [want_ranks]
-            want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(
-                A, b, 3, targets, SPH.sill
-            )
-            assert ok.tolist() == [name.startswith("regular") for name in names]
-            assert np.array_equal(ok, want_ok)
-            assert failed == want_failed
-            assert np.array_equal(sol, want_sol)
-            assert np.array_equal(np.isnan(value), np.isnan(svd_cond))
-            assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
-            for j, name in enumerate(names):
-                if "collinear" in name:
-                    assert "drift border of rank 2" in failed[j]
-                if name == "ill-conditioned":
-                    assert "ill-conditioned" in failed[j] and value[j] == svd_cond[j]
+        from numpy.linalg import _umath_linalg
+
+        solved = []
+        lapack = interpolate._lapack
+
+        def count(gufunc, *stacks, out=None):
+            if gufunc is _umath_linalg.solve:
+                solved.append(len(stacks[0]))
+            return lapack(gufunc, *stacks, out=out)
+
+        monkeypatch.setattr(interpolate, "_lapack", count)
+        names = ["regular", "collinear", "nearly collinear", "ill-conditioned", "regular too"]
+        A = np.array([built[name][0] for name in names])
+        b = np.array([built[name][1] for name in names])
+        targets = [[float(j), 0.5] for j in range(len(A))]
+        tally = {"border": 0, "certified": 0, "svd": 0}
+        ok, sol, value, failed = interpolate._solve_or_fail(A, b, 3, targets, tally)
+        # both collinear borders fail before the one batched LU, which
+        # solves the other three systems
+        assert solved == [3]
+        assert tally == {"border": 2, "certified": 2, "svd": 1}
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
+        assert ok.tolist() == [name.startswith("regular") for name in names]
+        assert np.array_equal(ok, want_ok)
+        _assert_same_failures(failed, want_failed)
+        assert np.array_equal(sol, want_sol)
+        assert np.array_equal(np.isnan(value), np.isnan(svd_cond))
+        assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
+        for j, name in enumerate(names):
+            if "collinear" in name:
+                assert failed[j].startswith("collinear drift border") and np.isnan(value[j])
+            if name == "ill-conditioned":
+                assert "ill-conditioned" in failed[j] and value[j] == svd_cond[j]
+                assert failed[j].endswith("; the variogram produced a singular coefficient block")
 
 
 class TestFactorCertificate:
@@ -987,25 +1018,24 @@ class TestFactorCertificate:
         A, b = _centred_stack(model, offsets, degree)
         m = A.shape[1] - k
         targets = [[float(j), 0.5] for j in range(len(A))]
-        tally = {"certified": 0, "svd": 0}
-        ok, sol, value, failed = interpolate._solve_or_fail(A, b, m, targets, model.sill, tally)
-        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(
-            A, b, m, targets, model.sill
-        )
+        tally = {"border": 0, "certified": 0, "svd": 0}
+        ok, sol, value, failed = interpolate._solve_or_fail(A, b, m, targets, tally)
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets)
         assert np.array_equal(ok, want_ok)
-        assert failed == want_failed
+        _assert_same_failures(failed, want_failed)
         assert np.array_equal(sol, want_sol)
         assert np.all(value[ok] >= svd_cond[ok] * (1 - 1e-6))
         # what the factors clear, they clear with a bound on the exact cond
-        bound, _ = interpolate._factor_bound(A, m, model.sill)
+        bound = interpolate._factor_bound(A, m)
         cleared = bound <= interpolate._BOUND_LIMIT
         assert np.all(bound[cleared] >= np.linalg.cond(A[cleared]))
         assert tally["certified"] == np.count_nonzero(cleared & ok)
 
     def test_factors_clear_what_the_inverse_cleared(self, monkeypatch):
         # k = 8 gives the demo 219 vertices with nearly collinear samples:
-        # those go to the SVD, and the inverse-based bound the factors
-        # replaced clears none of them either
+        # their borders fail (spread ratio 5.7e-7) before the factors run,
+        # and the inverse-based bound the factors replaced clears the other
+        # systems as the factors do
         cfg = PipelineConfig.from_mapping({})
         prepared = prepare_samples(cfg)
         planar, _, _ = build_planar_mesh(cfg)
@@ -1015,13 +1045,14 @@ class TestFactorCertificate:
         factor_bound = interpolate._factor_bound
         monkeypatch.setattr(
             interpolate, "_factor_bound",
-            lambda A, m, s: stacks.append((A, factor_bound(A, m, s))) or stacks[-1][1],
+            lambda A, m: stacks.append((A, factor_bound(A, m))) or stacks[-1][1],
         )
         _, errors, _ = interpolate._krige(KrigingSystem(xy, z, model, 1, 8), planar.vertices)
         monkeypatch.undo()
         assert len(errors) == 219
+        assert all(why.startswith("collinear drift border") for why in errors.values())
         inverse_cleared = factors_cleared = 0
-        for A, (bound, _) in stacks:
+        for A, bound in stacks:
             by_inverse = cond_bound_reference(A) <= interpolate._BOUND_LIMIT
             assert np.all(bound[by_inverse] <= interpolate._BOUND_LIMIT)
             inverse_cleared += by_inverse.sum()
@@ -1050,11 +1081,11 @@ class TestFactorCertificate:
 
         monkeypatch.setattr(interpolate, "_chol_completes", count)
         targets = [[float(j), 0.5] for j in range(len(A))]
-        tally = {"certified": 0, "svd": 0}
-        got = interpolate._solve_or_fail(A, b, 3, targets, 2.0, tally)
+        tally = {"border": 0, "certified": 0, "svd": 0}
+        got = interpolate._solve_or_fail(A, b, 3, targets, tally)
         monkeypatch.undo()
         ok, sol, value, failed = got
-        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets, 2.0)
+        want_ok, want_sol, svd_cond, want_failed = solve_or_fail_reference(A, b, 3, targets)
         assert np.array_equal(ok, want_ok) and ok.all()
         assert failed == want_failed == {}
         assert np.array_equal(sol, want_sol)
@@ -1085,30 +1116,31 @@ class TestFactorCertificate:
         assert interpolate._chol_completes(P, shift).tolist() == want
 
     def test_slab_mates_keep_their_bounds_beside_a_failed_factor(self, monkeypatch):
-        # a pair 1 cm apart puts lmin(K) near 3e-4 s, under the shift
-        # s / 1024: that system's factor fails, and it alone goes to the SVD
+        # a pair 1 cm apart puts lmin(K) near 3e-4 at unit sill, under the
+        # shift 1/1024: that system's factor fails, and it alone goes to the
+        # SVD
         A, b = self._stack([None, None, 0.01, None])
         sizes, tally, value, svd_cond = self._solve_counting_factors(A, b, monkeypatch)
         assert sizes == [4]
-        assert tally == {"certified": 3, "svd": 1}
+        assert tally == {"border": 0, "certified": 3, "svd": 1}
         assert value[2] == svd_cond[2]
         # the others keep the bounds they get in a slab without it, far
         # under the limit
         mates = [0, 1, 3]
-        alone, _ = interpolate._factor_bound(A[mates], 3, 2.0)
+        alone = interpolate._factor_bound(A[mates], 3)
         assert np.array_equal(value[mates], alone)
         assert np.all(alone < 1e7)
 
     def test_system_without_a_covariance_factor_goes_to_the_svd(self, monkeypatch):
-        # G -> 2sJ - G makes K = -K(before): negative definite, while A keeps
+        # G -> 2J - G makes K = -K(before): negative definite, while A keeps
         # its null-space block Z^T K Z and its good conditioning
         A, b = self._stack([None, None, None, None, None])
         n = 16
-        A[3, :n, :n] = 2 * 2.0 - A[3, :n, :n]
+        A[3, :n, :n] = 2.0 - A[3, :n, :n]
         sizes, tally, value, svd_cond = self._solve_counting_factors(A, b, monkeypatch)
         # one factorisation of the whole slab
         assert sizes == [5]
-        assert tally == {"certified": 4, "svd": 1}
+        assert tally == {"border": 0, "certified": 4, "svd": 1}
         assert value[3] == svd_cond[3]
 
 
@@ -1156,9 +1188,9 @@ class TestGlobalNeighbourhood:
     @pytest.mark.parametrize("nugget, sill, range_", [(0.0, 4.0, 1.0), (1.0, 5.0, 100.0)])
     def test_one_row_fails_like_the_references(self, nugget, sill, range_, monkeypatch):
         # ROADMAP 1(a): 200 samples along one parallel. The one global system
-        # (width 203) is ill-conditioned by its nearly collinear drift
-        # border, not by the variogram, whose covariance block factors; the
-        # SVD reference fails it too
+        # (width 203) fails by its collinear drift border, not by the
+        # variogram, and the SVD reference fails it alike; so does the
+        # target-centred system that uk_solve builds
         lat, lon = np.full(200, 48.7242), 7.3368 + 0.0036 * np.arange(200) / 199
         xy = np.column_stack(utm_forward(lat, lon, 32, "north"))
         z = 400.0 + np.arange(200) % 7
@@ -1171,24 +1203,25 @@ class TestGlobalNeighbourhood:
         )
         with pytest.raises(
             NumericalError,
-            match=r"^target 0: ill-conditioned kriging system over all samples: cond \S+ > "
-            r"1e\+12; drift term 'y' is linearly dependent on the previous terms \(collinear "
-            r"samples: spread ratio 6\.1e-06\)$",
+            match=r"^target 0: collinear drift border in the kriging system over all "
+            r"samples: spread ratio 6\.1e-06 < 0\.001$",
         ):
             uk_predict(KrigingSystem(xy, z, model, 1, None), [target])
         monkeypatch.undo()
-        ((A, b, m, targets, s),) = stacks
+        ((A, b, m, targets),) = stacks
         assert A.shape == (1, 203, 203)
-        ok, _, _, failed = solve_or_fail(A, b, m, targets, s)
-        want_ok, _, svd_cond, want_failed = solve_or_fail_reference(A, b, m, targets, s)
-        assert not ok[0] and not want_ok[0] and svd_cond[0] > 1e12
-        assert failed == want_failed
+        ok, _, _, failed = solve_or_fail(A, b, m, targets)
+        want_ok, _, _, want_failed = solve_or_fail_reference(A, b, m, targets)
+        assert not ok[0] and not want_ok[0]
+        _assert_same_failures(failed, want_failed)
+        with pytest.raises(NumericalError, match=r"^collinear drift border .* at target"):
+            uk_solve(KrigingSystem(xy, z, model, 1, None), target)
 
     def test_collinear_samples_name_drift_term(self):
         locs = np.column_stack([np.linspace(0, 10, 6), np.linspace(0, 20, 6)])
         sys = KrigingSystem(locs, np.arange(6.0), SPH, drift_degree=1, neighborhood=None)
         assert uk_predict(sys, [locs[2]])[0] == 2.0
-        with pytest.raises(NumericalError, match=r"^target 1: singular .* drift term 'y'"):
+        with pytest.raises(NumericalError, match=r"^target 1: collinear drift border"):
             uk_predict(sys, [locs[2], (5.0, 5.0)])
 
     def test_singular_system_aborts_lift(self):
