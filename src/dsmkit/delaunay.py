@@ -1,4 +1,5 @@
-"""Incremental Delaunay triangulation (Bowyer-Watson) with robust predicates.
+"""Delaunay triangulation by a radial sweep and rounds of Lawson flips, with
+robust predicates.
 
 Orientation and in-circle tests run as floating-point computations guarded by
 forward error bounds (Shewchuk 1997); uncertain signs fall back to exact
@@ -12,25 +13,31 @@ exact predicates (_filters_sound), a choice made once per triangulation.
 The in-circle filter bounds Shewchuk's permanent by the products of the
 lifts (see _INCIRCLE_LIFT_BOUND): fewer operations, and every sign it decides
 the permanent's filter decides the same way.
-`triangulate` is one insertion loop whose hot float filters, the walk's
-orientation and the cavity's in-circle test, are written inline. The hull is
-represented by ghost triangles (third vertex GHOST), which makes insertion
-outside the current hull the same cavity operation as an interior insertion.
 
-Insertion order: a biased randomized insertion order (BRIO; Amenta, Choi &
-Rote 2003). A shuffle, the order of a fixed-seed integer hash of each index
-(splitmix64; no random generator), is cut into rounds that double in size,
-and each round is sorted along a Hilbert curve, so every point is found by a
-short walk from the previous one and opens a small cavity.
+`triangulate` runs in two phases.
+- The sweep (S-hull; Sinclair 2010) adds the points in order of their
+  distance from the circumcentre of a small seed triangle, so each lies
+  outside the hull of those before it, and joins each to every hull edge it
+  sees. A hash of pseudo-angles around that centre names a hull vertex near
+  the point to start from, and the orientation filter decides what it sees.
+  The sweep makes no in-circle test. A point found in or on the hull (float
+  distances can misorder points; `_order` can put any point anywhere) is
+  inserted by an exact split of the triangle or edge that holds it.
+- Lawson flips (Lawson 1977) then run as numpy rounds (_flip_rounds): the
+  queued edges are tested with the in-circle filter in bounded chunks, the
+  signs it leaves are decided exactly in Python, and the illegal edges that
+  do not share a triangle with a smaller illegal edge are flipped at once.
 
 Determinism: an exact in-circle tie (four cocircular points) is decided as if
 every point were lifted off the paraboloid by an infinitesimal amount that
 grows with its input index, the larger index dominating (simulation of
-simplicity; Edelsbrunner & Mücke 1990). The triangle set therefore does not
-depend on the insertion order. Triangles are emitted counter-clockwise,
-rotated to start at their smallest vertex index, in sorted order, so the
-output depends on the point set alone. The ghosts are not emitted: the hull
-is the edges that only one triangle holds, which TriMesh works out.
+simplicity; Edelsbrunner & Mücke 1990). No four points are then cocircular,
+so the Delaunay triangulation is unique, and Lawson's flips reach it from
+any triangulation of the points: the triangle set depends on neither the
+insertion order nor the order of the flips. Triangles are emitted
+counter-clockwise, rotated to start at their smallest vertex index, in sorted
+order, so the output depends on the point set alone. The hull is the edges
+that only one triangle holds, which TriMesh works out.
 """
 
 from __future__ import annotations
@@ -40,8 +47,6 @@ import math
 import numpy as np
 
 from .errors import DataError
-
-GHOST = -1
 
 _EPS = 2.220446049250313e-16
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
@@ -69,10 +74,8 @@ _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 #   det > bound (or -det > bound) here, the permanent's filter says so too.
 _INCIRCLE_LIFT_BOUND = _INCIRCLE_BOUND * (1.0 + 16.0 * _EPS)
 
-# the insertion order must not depend on the run's seed: it is fixed
-_BRIO_SEED = 0x5EED
-_FIRST_ROUND = 64
-_HILBERT_BITS = 16
+# edges per batch of the flip rounds' in-circle filter: bounds the temporaries
+_CHUNK = 1 << 12
 
 
 def _exponents(values):
@@ -167,7 +170,7 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
 def _incircle_filter(ax, ay, bx, by, cx, cy, dx, dy):
     """The in-circle float filter: the sign of the determinant where its
     error bound makes it certain, else 0. Sound only where _filters_sound
-    holds; triangulate's cavity runs the same formula inline."""
+    holds; the flip rounds run the same formula on arrays."""
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
@@ -201,66 +204,6 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     return _incircle_exact(*_exact_integers(values))
 
 
-def _hilbert_keys(xy):
-    """Position of each point along a Hilbert curve over the points' bounding
-    square, on a 2**_HILBERT_BITS grid per side."""
-    side = 1 << _HILBERT_BITS
-    lo = xy.min(axis=0)
-    span = float((xy.max(axis=0) - lo).max()) or 1.0
-    # side / span overflows for a span below about 2**-1008, so a span below
-    # 1/2 is first scaled into [1/2, 1) by 2**shift, and the offsets (at
-    # most the span) with it. Both scalings are exact and side / (span *
-    # 2**shift) is a normal float, so wherever side / span is finite each
-    # product is the same real number as (xy - lo) * (side / span), rounded
-    # the same way
-    shift = max(0, -math.frexp(span)[1])
-    scale = side / math.ldexp(span, shift)
-    q = np.minimum(np.ldexp(xy - lo, shift) * scale, side - 1).astype(np.int64)
-    x, y = q[:, 0], q[:, 1]
-    keys = np.zeros(len(xy), dtype=np.int64)
-    s = side >> 1
-    while s:
-        rx = (x & s) > 0
-        ry = (y & s) > 0
-        keys += s * s * ((3 * rx) ^ ry)
-        flip = rx & ~ry
-        x = np.where(flip, side - 1 - x, x)
-        y = np.where(flip, side - 1 - y, y)
-        x, y = np.where(ry, x, y), np.where(ry, y, x)
-        s >>= 1
-    return keys
-
-
-def _hash_shuffle(n):
-    """A fixed permutation of range(n): the indices in the order of their
-    splitmix64 hashes (Steele, Lea & Flood 2014) from _BRIO_SEED. Its
-    finalizer is a bijection on 64-bit words, so no two hashes tie; uint64
-    arithmetic wraps, as the hash intends. The stable sort is the one the
-    Hilbert rounds use: numpy's default sort would load ~0.3 MB more code."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(_BRIO_SEED)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return np.argsort(z ^ (z >> np.uint64(31)), kind="stable")
-
-
-def _brio_order(points):
-    """Insertion order and its number of rounds: a fixed hash shuffle cut
-    into rounds that double in size (the last holds half the points), each
-    round sorted along the Hilbert curve."""
-    n = len(points)
-    perm = _hash_shuffle(n)
-    keys = _hilbert_keys(np.asarray(points, dtype=float))
-    cuts = [n]
-    while cuts[-1] > _FIRST_ROUND:
-        cuts.append(cuts[-1] // 2)
-    cuts.append(0)
-    cuts.reverse()
-    rounds = [perm[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    order = np.concatenate([r[np.argsort(keys[r], kind="stable")] for r in rounds])
-    return order.tolist(), len(rounds)
-
-
 def first_coincident(xy):
     """For each point of the (n, 2) array xy, the smallest index of a point
     equal to it (its own index when it is the first). One stable sort on
@@ -277,11 +220,156 @@ def first_coincident(xy):
     return first
 
 
-def _within_open_segment(ax, ay, bx, by, qx, qy):
-    # assumes q collinear with a-b; True iff q lies strictly between them
-    if ax != bx:
-        return min(ax, bx) < qx < max(ax, bx)
-    return min(ay, by) < qy < max(ay, by)
+
+
+def _unit_offsets(xy):
+    """The points less their bounding box's centre, scaled by a power of two
+    into [-1, 1]: finite float coordinates at any span, for the sweep's order
+    and hash. Only those heuristics read them; no predicate does."""
+    mid = xy.min(axis=0) / 2 + xy.max(axis=0) / 2
+    with np.errstate(over="ignore"):
+        off = xy - mid
+    if not np.isfinite(off).all():
+        # a span beyond the float range: halve first
+        off = xy / 2 - mid / 2
+    top = float(np.abs(off).max())
+    return np.ldexp(off, -math.frexp(top)[1]) if top else off
+
+
+def _circumcentres(u, i0, i1):
+    """Offsets from u[i0] of the circumcentres of the triangles (i0, i1, k),
+    for every row k of u (non-finite where they are collinear in floats)."""
+    dx, dy = u[i1] - u[i0]
+    ex = u[:, 0] - u[i0, 0]
+    ey = u[:, 1] - u[i0, 1]
+    bl = dx * dx + dy * dy
+    cl = ex * ex + ey * ey
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = 0.5 / (dx * ey - dy * ex)
+        return (ey * bl - dy * cl) * d, (dx * cl - ex * bl) * d
+
+
+def _hash_keys(u, centre, size):
+    """Each point's bucket of `size` by its pseudo-angle around centre, a
+    monotone function of the angle that needs no trigonometry."""
+    dx = u[:, 0] - centre[0]
+    dy = u[:, 1] - centre[1]
+    s = np.abs(dx) + np.abs(dy)
+    p = dx / np.where(s > 0, s, 1.0)
+    angle = np.where(dy > 0, 3.0 - p, 1.0 + p) / 4.0
+    return np.minimum((angle * size).astype(np.int64), size - 1).tolist()
+
+
+def _incircle_signs(x, y, a, b, c, d):
+    """The in-circle float filter of _incircle_filter on arrays of point
+    indices: +1 or -1 where its bound makes the sign certain, else 0. Sound
+    only where _filters_sound holds."""
+    dx = x[d]
+    dy = y[d]
+    adx = x[a] - dx
+    ady = y[a] - dy
+    bdx = x[b] - dx
+    bdy = y[b] - dy
+    cdx = x[c] - dx
+    cdy = y[c] - dy
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = (
+        alift * (bdx * cdy - cdx * bdy)
+        + blift * (cdx * ady - adx * cdy)
+        + clift * (adx * bdy - bdx * ady)
+    )
+    bound = _INCIRCLE_LIFT_BOUND * (alift * blift + blift * clift + clift * alift)
+    return (det > bound).view(np.int8) - (-det > bound).view(np.int8)
+
+
+def _next(s):
+    # the half-edge slot after s in its triangle
+    return s - s % 3 + (s + 1) % 3
+
+
+def _prev(s):
+    return s - s % 3 + (s + 2) % 3
+
+
+def _flip_rounds(tri, twin, xy, sound, in_disk):
+    """Lawson flips to the Delaunay triangulation, in numpy rounds.
+
+    tri[s] is the start vertex of half-edge slot s, which runs to the start
+    of the next slot of its triangle (slots 3t, 3t+1, 3t+2 are triangle t,
+    counter-clockwise); twin[s] is the opposite half-edge, -1 on the hull.
+    Both are int32 arrays, updated in place. Each round tests the queued
+    edges, once each, with the in-circle filter in chunks of _CHUNK (in_disk
+    decides what it leaves, exactly; with unsound filters, everything), and
+    flips the illegal edges that are the smallest illegal edge of both their
+    triangles, so no triangle takes part in two flips of a round. The four
+    outer edges of each flipped quad, and the illegal edges left waiting,
+    make the next round's queue. Returns (rounds, flips).
+    """
+    m = len(tri)
+    x = np.ascontiguousarray(xy[:, 0])
+    y = np.ascontiguousarray(xy[:, 1])
+    # moved[s]: the slot that holds, after this round's flips, the edge slot
+    # s held before them; the identity again between rounds
+    moved = np.arange(m, dtype=np.int32)
+    owner = np.full(m // 3, m, dtype=np.int32)  # a triangle's smallest illegal edge
+    stamp = np.empty(m, dtype=np.int32)
+    queue = np.flatnonzero(twin > moved).astype(np.int32)
+    rounds = flips = 0
+    while len(queue):
+        rounds += 1
+        illegal = []
+        for lo in range(0, len(queue), _CHUNK):
+            # edge a of triangle (a's start, the next, the previous) against
+            # the point across it
+            a = queue[lo : lo + _CHUNK]
+            quad = tri[a], tri[_next(a)], tri[_prev(a)], tri[_prev(twin[a])]
+            signs = _incircle_signs(x, y, *quad) if sound else np.zeros(len(a), np.int8)
+            (undecided,) = np.nonzero(signs == 0)
+            if len(undecided):
+                quads = zip(*(v[undecided].tolist() for v in quad))
+                signs[undecided] = [1 if in_disk(*q) else -1 for q in quads]
+            illegal.append(a[signs > 0])
+        illegal = np.concatenate(illegal)
+        if not len(illegal):
+            break
+        ta = illegal // 3
+        tb = twin[illegal] // 3
+        np.minimum.at(owner, ta, illegal)
+        np.minimum.at(owner, tb, illegal)
+        won = (owner[ta] == illegal) & (owner[tb] == illegal)
+        owner[ta] = owner[tb] = m
+        a = illegal[won]
+        b = twin[a]
+        flips += len(a)
+        al, ar, br, bl = _next(a), _prev(a), _next(b), _prev(b)
+        # triangle (pr, pl, p0) at a, al, ar and (pl, pr, p1) at b, br, bl
+        # become (p1, pl, p0) and (p0, pr, p1): slot a takes the edge bl
+        # held, slot b the edge ar held, and ar, bl hold the new diagonal
+        p0, p1 = tri[ar], tri[bl]
+        tri[a] = p1
+        tri[b] = p0
+        outer = np.concatenate([a, b, al, br])
+        partner = np.concatenate([twin[bl], twin[ar], twin[al], twin[br]])
+        moved[bl] = a
+        moved[ar] = b
+        inner = partner >= 0
+        partner[inner] = moved[partner[inner]]
+        twin[outer] = partner
+        twin[partner[inner]] = outer[inner]
+        twin[ar] = bl
+        twin[bl] = ar
+        queue = np.concatenate([outer, moved[illegal[~won]]])
+        moved[bl] = bl
+        moved[ar] = ar
+        # each interior edge once, by its smaller slot
+        other = twin[queue]
+        queue = np.minimum(queue[other >= 0], other[other >= 0])
+        k = np.arange(len(queue), dtype=np.int32)
+        stamp[queue] = k
+        queue = queue[stamp[queue] == k]
+    return rounds, flips
 
 
 def triangulate(points, _order=None):
@@ -290,9 +378,11 @@ def triangulate(points, _order=None):
     points: sequence of (x, y) float pairs, all distinct.
     Returns (triangles, stats): an (m, 3) int64 array of CCW vertex-index
     triples, each starting at its smallest index, in sorted order, and a dict
-    of counts (points, rounds, created triangles, exact orient and incircle
+    of counts (points, flip rounds, flips, exact orient and incircle
     fallbacks, ties).
-    _order, a permutation of the indices, replaces the BRIO order (tests).
+    _order, a permutation of the indices, replaces the sweep's order (tests):
+    its first non-collinear triple is the seed triangle, and the other
+    points are added in its order.
     """
     n = len(points)
     if n < 3:
@@ -304,10 +394,6 @@ def triangulate(points, _order=None):
         i = int(repeated[0])
         raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
 
-    if _order is None:
-        order, rounds = _brio_order(xy)
-    else:
-        order, rounds = list(_order), 1
     xs = xy[:, 0].tolist()
     ys = xy[:, 1].tolist()
     exact = _exact_integers(xy.ravel())
@@ -315,11 +401,10 @@ def triangulate(points, _order=None):
     iy = exact[1::2]
     del exact
     # where a product may underflow or overflow, an infinite bound sends
-    # every test to the exact predicates: no det exceeds inf, nor the NaN
-    # of inf * 0
-    orient_bound, incircle_bound = _ORIENT_BOUND, _INCIRCLE_LIFT_BOUND
-    if not _filters_sound(xy.ravel()):
-        orient_bound = incircle_bound = math.inf
+    # every orientation test to the exact predicate: no det exceeds inf, nor
+    # the NaN of inf * 0; the in-circle filter is skipped
+    sound = _filters_sound(xy.ravel())
+    orient_bound = _ORIENT_BOUND if sound else math.inf
     exact_orient = exact_incircle = ties = 0
 
     def orient(a, b, c):
@@ -336,55 +421,10 @@ def triangulate(points, _order=None):
         exact_orient += 1
         return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
 
-    i0, i1 = order[0], order[1]
-    for k in range(2, n):
-        third = order[k]
-        if orient(i0, i1, third):
-            break
-    else:
-        raise DataError("all points are collinear; cannot triangulate")
-    i2 = third
-    if orient(i0, i1, i2) < 0:
-        i1, i2 = i2, i1
-
-    # Triangle t has vertices verts[3t:3t+3] (ghosts carry GHOST in the last
-    # slot) and nbrs[3t+i] is the triangle across the edge from slot i to
-    # slot (i+1) % 3. Each insertion adds two triangles, so the final count,
-    # 2n - 2, is allocated up front; an insertion reuses the slots of the
-    # triangles it destroys and takes the next two, fresh and fresh + 1.
-    # Triangle 0 is the seed, 1-3 the ghosts across its edges (i0,i1),
-    # (i1,i2), (i2,i0).
-    slots = 2 * n - 2
-    verts = [0] * (3 * slots)
-    nbrs = [0] * (3 * slots)
-    verts[:12] = (i0, i1, i2, i1, i0, GHOST, i2, i1, GHOST, i0, i2, GHOST)
-    nbrs[:12] = (1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1)
-    fresh = 4
-    last = 0  # a real triangle near the last insertion: walks start here
-    created = 4
-    # mark[t] is 2p + 1 while inserting point p once t is in p's cavity, 2p + 2
-    # once t is known to be outside it: stamps, never cleared
-    mark = [0] * slots
-    # into_p[v] and from_p[v]: flat slots of the new edges (v, p) and (p, v);
-    # GHOST indexes the last entry
-    into_p = [0] * (n + 1)
-    from_p = [0] * (n + 1)
-
-    def in_disk(t, p):
-        # Whether p lies in the (perturbed) circumdisk of triangle t, decided
-        # in exact arithmetic; for a ghost, the open half-plane beyond its
-        # hull edge plus the open edge. The cavity runs the in-circle float
-        # filter itself and calls this for ghosts and the tests it leaves.
+    def in_disk(a, b, c, p):
+        # Whether p lies in the (perturbed) circumdisk of CCW triangle
+        # (a, b, c), decided in exact arithmetic.
         nonlocal exact_incircle, ties
-        a = verts[3 * t]
-        b = verts[3 * t + 1]
-        c = verts[3 * t + 2]
-        if c == GHOST:
-            # stored (a, b, GHOST) for hull edge (b, a): outside is left of a->b
-            o = orient(a, b, p)
-            if o:
-                return o > 0
-            return _within_open_segment(xs[a], ys[a], xs[b], ys[b], xs[p], ys[p])
         exact_incircle += 1
         s = _incircle_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c], ix[p], iy[p])
         if s:
@@ -404,157 +444,201 @@ def triangulate(points, _order=None):
             a, b = c, a
         return orient(a, b, p) > 0
 
-    for p in order[2:]:
-        if p == third:
-            continue
-        px = xs[p]
-        py = ys[p]
+    # The seed triangle: with no _order, the point nearest the box centre,
+    # its nearest neighbour and the third point that makes the smallest
+    # circumcircle with them (the first non-collinear one in that order);
+    # the others follow by distance from its circumcentre, so nearly every
+    # point lies outside the hull of those before it.
+    u = _unit_offsets(xy)
+    if _order is None:
+        i0 = int(np.argmin((u * u).sum(axis=1)))
+        gap = ((u - u[i0]) ** 2).sum(axis=1)
+        gap[i0] = math.inf
+        i1 = int(np.argmin(gap))
+        cx, cy = _circumcentres(u, i0, i1)
+        radius = cx * cx + cy * cy
+        radius[~np.isfinite(radius)] = math.inf
+        candidates = (int(k) for k in np.argsort(radius, kind="stable"))
+    else:
+        order = [int(k) for k in _order]
+        i0, i1 = order[0], order[1]
+        candidates = iter(order[2:])
+    i2 = next((k for k in candidates if k != i0 and k != i1 and orient(i0, i1, k)), None)
+    if i2 is None:
+        raise DataError("all points are collinear; cannot triangulate")
+    if orient(i0, i1, i2) < 0:
+        i1, i2 = i2, i1
+    cx, cy = _circumcentres(u[[i0, i1, i2]], 0, 1)
+    centre = u[i0] + (cx[2], cy[2])
+    if not (np.abs(centre) <= 2).all():
+        centre = u[i0]
+    if _order is None:
+        gap = ((u - centre) ** 2).sum(axis=1)
+        order = np.argsort(gap, kind="stable")
+        rest = np.ones(n, dtype=bool)
+        rest[[i0, i1, i2]] = False
+        order = order[rest[order]].tolist()
+    else:
+        order = [k for k in order if k != i0 and k != i1 and k != i2]
+    # 4 sqrt(n) buckets: with sqrt(n), the sweep over a 12,512-point grid
+    # tested about five hull edges per point; with these, about one
+    size = 4 * math.isqrt(n)
+    keys = _hash_keys(u, centre, size)
+    del u
 
-        # walk to a triangle whose closure holds p, or a ghost whose
-        # half-plane does: step across the first edge p lies right of, an
-        # edge (u, v) tested as orient(u, v, p) on differences to p that the
-        # triangle's edges share
-        t = last
-        for _ in range(3 * fresh + 64):
-            k = 3 * t
-            c = verts[k + 2]
-            if c == GHOST:
-                break
-            a = verts[k]
-            b = verts[k + 1]
-            adx = xs[a] - px
-            ady = ys[a] - py
-            bdx = xs[b] - px
-            bdy = ys[b] - py
-            detleft = adx * bdy
-            detright = ady * bdx
-            det = detleft - detright
-            bound = orient_bound * (abs(detleft) + abs(detright))
-            # not "det <= bound": a NaN from overflow must go to the exact test
-            if not det > bound and (-det > bound or orient(a, b, p) < 0):
-                t = nbrs[k]
-                continue
-            cdx = xs[c] - px
-            cdy = ys[c] - py
-            detleft = bdx * cdy
-            detright = bdy * cdx
-            det = detleft - detright
-            bound = orient_bound * (abs(detleft) + abs(detright))
-            if not det > bound and (-det > bound or orient(b, c, p) < 0):
-                t = nbrs[k + 1]
-                continue
-            detleft = cdx * ady
-            detright = cdy * adx
-            det = detleft - detright
-            bound = orient_bound * (abs(detleft) + abs(detright))
-            if not det > bound and (-det > bound or orient(c, a, p) < 0):
-                t = nbrs[k + 2]
-                continue
-            break
+    # The sweep. Half-edge slots as in _flip_rounds: tri[s] starts slot s,
+    # twin[s] is its opposite (-1 on the hull). The hull is a CCW cycle of
+    # vertices; hull_tri[v] is the slot of hull edge (v, hull_next[v]), and
+    # hull_next[v] == v once v has left the hull. hull_hash maps a bucket of
+    # pseudo-angles to a hull vertex, a place to start the search.
+    tri = [0] * (6 * n)
+    twin = [-1] * (6 * n)
+    tri[:3] = i0, i1, i2
+    top = 3
+    hull_next = [-1] * n
+    hull_prev = [-1] * n
+    hull_tri = [0] * n
+    hull_hash = [-1] * size
+    for s, (v, w) in enumerate(((i0, i1), (i1, i2), (i2, i0))):
+        hull_next[v] = w
+        hull_prev[w] = v
+        hull_tri[v] = s
+        hull_hash[keys[v]] = v
+
+    def link(s, t):
+        # pair slots s and t, or make s a hull edge when t is -1
+        twin[s] = t
+        if t >= 0:
+            twin[t] = s
         else:
-            # walk did not settle (should not happen on a Delaunay mesh): scan,
-            # deciding every in-circle test exactly
-            t = next((s for s in range(fresh) if in_disk(s, p)), None)
-            if t is None:
-                raise DataError(f"point location failed for point {p}")
+            hull_tri[tri[s]] = s
 
-        # grow the cavity: every triangle whose circumdisk holds p; collect its
-        # boundary edges (u, v) with the triangle outside each
-        inside = 2 * p + 1
-        outside = inside + 1
-        mark[t] = inside
-        cavity = [t]
-        edges = []
-        stack = [t]
-        while stack:
-            t = stack.pop()
-            k = 3 * t
-            # edge i runs from slot i to slot (i + 1) % 3
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                nb = nbrs[k + i]
-                m = mark[nb]
-                if m == inside:
-                    continue
-                # the in-circle float filter of _incircle_filter; ghosts and
-                # the tests it cannot decide go to in_disk
-                hit = False
-                if m != outside:
-                    q = 3 * nb
-                    c = verts[q + 2]
-                    if c == GHOST:
-                        hit = in_disk(nb, p)
-                    else:
-                        a = verts[q]
-                        b = verts[q + 1]
-                        adx = xs[a] - px
-                        ady = ys[a] - py
-                        bdx = xs[b] - px
-                        bdy = ys[b] - py
-                        cdx = xs[c] - px
-                        cdy = ys[c] - py
-                        alift = adx * adx + ady * ady
-                        blift = bdx * bdx + bdy * bdy
-                        clift = cdx * cdx + cdy * cdy
-                        det = (
-                            alift * (bdx * cdy - cdx * bdy)
-                            + blift * (cdx * ady - adx * cdy)
-                            + clift * (adx * bdy - bdx * ady)
-                        )
-                        bound = incircle_bound * (alift * blift + blift * clift + clift * alift)
-                        if det > bound:
-                            hit = True
-                        elif not -det > bound:
-                            hit = in_disk(nb, p)
-                if hit:
-                    mark[nb] = inside
-                    cavity.append(nb)
-                    stack.append(nb)
-                else:
-                    mark[nb] = outside
-                    edges.append((verts[k + i], verts[k + j], nb))
+    def split(p):
+        # Insert p, in or on the hull, by an exact split of the triangle or
+        # edge that holds it: 1 -> 3 inside a triangle, 2 -> 4 on an interior
+        # edge, 1 -> 2 on a hull edge.
+        nonlocal top
+        for t in range(0, top, 3):
+            a, b, c = tri[t : t + 3]
+            sides = orient(a, b, p), orient(b, c, p), orient(c, a, p)
+            if min(sides) >= 0:
+                break
+        else:
+            raise DataError(f"point location failed for point {p}")
+        if 0 not in sides:
+            tb, tc = twin[t + 1], twin[t + 2]
+            t1, t2 = top, top + 3
+            top += 6
+            tri[t + 2] = p
+            tri[t1 : t1 + 3] = b, c, p
+            tri[t2 : t2 + 3] = c, a, p
+            link(t1, tb)
+            link(t2, tc)
+            link(t + 1, t1 + 2)
+            link(t + 2, t2 + 1)
+            link(t1 + 1, t2 + 2)
+            return
+        # p lies on the open edge (a, b) of triangle (a, b, c)
+        k = sides.index(0)
+        sab, sbc, sca = t + k, t + (k + 1) % 3, t + (k + 2) % 3
+        a, b, c = tri[sab], tri[sbc], tri[sca]
+        g, tbc, tca = twin[sab], twin[sbc], twin[sca]
+        t1 = top
+        top += 3
+        tri[t : t + 3] = a, p, c
+        tri[t1 : t1 + 3] = p, b, c
+        link(t + 2, tca)
+        link(t1 + 1, tbc)
+        link(t + 1, t1 + 2)
+        if g < 0:
+            link(t, -1)
+            link(t1, -1)
+            hull_next[a] = hull_prev[b] = p
+            hull_prev[p], hull_next[p] = a, b
+            hull_hash[keys[p]] = p
+            return
+        # and on the open edge (b, a) of triangle (b, a, d) across it
+        g0 = g - g % 3
+        g1, g2 = g0 + (g + 1) % 3, g0 + (g + 2) % 3
+        d = tri[g2]
+        tad, tdb = twin[g1], twin[g2]
+        t2 = top
+        top += 3
+        tri[g0 : g0 + 3] = b, p, d
+        tri[t2 : t2 + 3] = p, a, d
+        link(g0 + 2, tdb)
+        link(t2 + 1, tad)
+        link(t, t2)
+        link(t1, g0)
+        link(g0 + 1, t2 + 2)
 
-        # one new triangle per boundary edge (u, v): (u, v, p), or a ghost
-        # when u or v is GHOST; the cavity's slots are reused, two added
-        cavity.append(fresh)
-        cavity.append(fresh + 1)
-        fresh += 2
-        created += len(edges)
-        for (u, v, out), nt in zip(edges, cavity, strict=True):
-            k = 3 * nt
-            if v == GHOST:
-                verts[k : k + 3] = (p, u, GHOST)
-                nbrs[k + 1], into_p[v], from_p[u] = out, k + 2, k
-            elif u == GHOST:
-                verts[k : k + 3] = (v, p, GHOST)
-                nbrs[k + 2], into_p[v], from_p[u] = out, k, k + 1
-            else:
-                verts[k : k + 3] = (u, v, p)
-                nbrs[k], into_p[v], from_p[u] = out, k + 1, k + 2
-                last = nt
-            m = 3 * out
-            if verts[m] == v:
-                nbrs[m] = nt
-            elif verts[m + 1] == v:
-                nbrs[m + 1] = nt
-            else:
-                nbrs[m + 2] = nt
-        # the boundary is a cycle: each of its vertices ends one edge and
-        # starts the next, so (v, p) and (p, v) are both new
-        for _, v, _ in edges:
-            k = into_p[v]
-            j = from_p[v]
-            nbrs[k] = j // 3
-            nbrs[j] = k // 3
+    for p in order:
+        # a live hull vertex near p's angle
+        key = keys[p]
+        for j in range(size):
+            s = hull_hash[(key + j) % size]
+            if s >= 0 and hull_next[s] != s:
+                break
+        # the first hull edge (e, hull_next[e]) p sees strictly, walking
+        # forward from just before s; none when p is in or on the hull
+        start = e = hull_prev[s]
+        while orient(e, hull_next[e], p) >= 0:
+            e = hull_next[e]
+            if e == start:
+                split(p)
+                break
+        else:
+            # join p to every hull edge it sees, forward from e, then back
+            # from e when the search started inside the visible chain
+            v = hull_next[e]
+            t = top
+            top += 3
+            tri[t : t + 3] = e, p, v
+            link(t + 2, hull_tri[e])
+            ep, pv = t, t + 1
+            while True:
+                w = hull_next[v]
+                if orient(v, w, p) >= 0:
+                    break
+                t = top
+                top += 3
+                tri[t : t + 3] = v, p, w
+                link(t, pv)
+                link(t + 2, hull_tri[v])
+                pv = t + 1
+                hull_next[v] = v
+                v = w
+            if e == start:
+                while True:
+                    r = hull_prev[e]
+                    if orient(r, e, p) >= 0:
+                        break
+                    t = top
+                    top += 3
+                    tri[t : t + 3] = r, p, e
+                    link(t + 1, ep)
+                    link(t + 2, hull_tri[r])
+                    ep = t
+                    hull_next[e] = e
+                    e = r
+            hull_next[e] = hull_prev[v] = p
+            hull_prev[p], hull_next[p] = e, v
+            hull_tri[e], hull_tri[p] = ep, pv
+            hull_hash[keys[p]] = p
+            hull_hash[keys[e]] = e
 
-    tris = np.array(verts, dtype=np.int64).reshape(-1, 3)
-    tris = tris[tris[:, 2] != GHOST]
+    tri = np.array(tri[:top], dtype=np.int32)
+    twin = np.array(twin[:top], dtype=np.int32)
+    rounds, flips = _flip_rounds(tri, twin, xy, sound, in_disk)
+
+    tris = tri.reshape(-1, 3).astype(np.int64)
     start = tris.argmin(axis=1)
     tris = tris[np.arange(len(tris))[:, None], (start[:, None] + np.arange(3)) % 3]
     tris = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
     stats = {
         "points": n,
         "rounds": rounds,
-        "created": created,
+        "flips": flips,
         "exact_orient": exact_orient,
         "exact_incircle": exact_incircle,
         "ties": ties,

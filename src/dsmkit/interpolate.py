@@ -269,12 +269,14 @@ def _check_distinct(index: GridIndex, tol: float = COINCIDENT_TOL):
         raise DataError(f"samples {lo[first]} and {hi[first]} coincide within {tol} m")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrigingSystem:
     """Samples plus variogram model and solver configuration.
 
     neighborhood: None for a global system, or the number of nearest samples
     to rebuild the system from per target (ties by sample index).
+    Frozen, and it keeps read-only copies of the locations and values: the
+    checks below and the neighbour index stay true of what it solves with.
     """
 
     locations: np.ndarray
@@ -302,10 +304,14 @@ class KrigingSystem:
                 "the variogram has zero sill, so kriging is undefined; use method = idw "
                 "or a model with a positive sill"
             )
-        self.index = GridIndex(locs)
-        _check_distinct(self.index)
-        self.locations = locs
-        self.values = vals
+        locs, vals = locs.copy(), vals.copy()
+        locs.setflags(write=False)
+        vals.setflags(write=False)
+        index = GridIndex(locs)
+        _check_distinct(index)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "locations", locs)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_drift_terms(self) -> int:

@@ -170,8 +170,8 @@ def delaunay_triangulate(points) -> TriMesh:
         )
     tris, stats = delaunay.triangulate(unique)
     logger.debug(
-        "delaunay: %(points)d points, %(rounds)d BRIO rounds, %(created)d triangles "
-        "created, exact fallbacks %(exact_orient)d orient / %(exact_incircle)d "
+        "delaunay: %(points)d points, %(rounds)d flip rounds, %(flips)d flips, "
+        "exact fallbacks %(exact_orient)d orient / %(exact_incircle)d "
         "incircle, %(ties)d cocircular ties decided by input index",
         stats,
     )

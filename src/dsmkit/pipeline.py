@@ -73,11 +73,13 @@ logger = logging.getLogger(__name__)
 # way, and small enough that every squared difference and every kriging sum
 # of them stays far inside the float range
 MAX_ALTITUDE = 1e5
-# the most variogram bins and contour levels a config may ask for: each bin
-# and level costs memory or a pass over the mesh, so a huge count would
-# exhaust memory, or spin after every expensive stage, instead of failing
+# the most variogram bins, contour levels and smoothing sweeps a config may
+# ask for: each bin, level and sweep costs memory or a pass over the mesh
+# (a sweep of the demo's 4,592 vertices takes about 3.5 ms), so a huge count
+# would exhaust memory, or spin, instead of failing
 MAX_VARIOGRAM_BINS = 10_000
 MAX_CONTOUR_LEVELS = 1_000
+MAX_SMOOTH_ITERS = 1_000
 
 # Haut-Barr-sized demo: synthetic gaussian hill over the published corner
 # rectangle, 50 x 100 scan, 5 m mesh, kriging with a fitted spherical model.
@@ -313,7 +315,7 @@ class PipelineConfig:
             cols=cols,
             margin=margin,
             spacing=spacing,
-            smooth_iters=at_least("smooth_iters", 0),
+            smooth_iters=at_least("smooth_iters", 0, MAX_SMOOTH_ITERS),
             seed_strategy=seed_strategy,
             method=method,
             variogram_kind=kind,

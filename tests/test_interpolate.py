@@ -1,5 +1,6 @@
 """Interpolation tests: kriging constraints and oracle, IDW formula, lifts."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -87,6 +88,23 @@ class TestUkSolve:
         w = np.zeros(8)
         w[np.nonzero(sol.sample_indices == 3)[0][0]] = 1.0
         assert np.array_equal(sol.weights, w)
+
+    def test_system_is_frozen_and_owns_its_samples(self):
+        # a reassigned model would skip the zero-sill check (a bare
+        # ZeroDivisionError), and a caller's later change to its arrays would
+        # reach predictions behind a stale neighbour index
+        rng = np.random.default_rng(4)
+        locs = rng.uniform(0, 10, size=(30, 2))
+        vals = rng.uniform(0, 10, size=30)
+        sys = KrigingSystem(locs, vals, SPH, drift_degree=1, neighborhood=8)
+        target = [(5.0, 5.0)]
+        before = uk_predict(sys, target)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.model = VariogramModel("spherical", 0.0, 0.0, 5.0)
+        locs += 1000.0
+        vals[:] = 0.0
+        assert np.array_equal(uk_predict(sys, target), before)
+        assert not (sys.locations.flags.writeable or sys.values.flags.writeable)
 
     def test_two_symmetric_samples_half_weights(self):
         locs = np.array([[-1.0, 0.0], [1.0, 0.0]])

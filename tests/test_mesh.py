@@ -231,6 +231,7 @@ class TestDelaunayOrderIndependence:
 
     @pytest.mark.parametrize("strategy, seed", [("grid", 0), ("jittered", 0), ("jittered", 7)])
     def test_brio_order_gives_the_reference_triangles(self, strategy, seed):
+        # the default order, the radial sweep's, on mesh seeds
         rect = Rect(684000.0, 5400000.0, 684400.0, 5400300.0)
         pts = [tuple(p) for p in seed_region(rect, 10.0, strategy, seed).tolist()]
         ref, ref_hull = triangulate_reference(pts)
@@ -239,7 +240,7 @@ class TestDelaunayOrderIndependence:
         assert set(triples) == rotation_canonical(ref) and len(tris) == len(ref)
         assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
         assert triples == sorted(triples) and all(t[0] == min(t) for t in triples)
-        assert stats["rounds"] > 1
+        assert stats["rounds"] > 1 and stats["flips"] > 0
 
     def test_errors_name_input_indices(self):
         with pytest.raises(DataError, match="point 4: coincides with point 1"):
@@ -252,16 +253,16 @@ class TestDelaunayOrderIndependence:
 
     def test_debug_line_reports_the_counts(self, caplog):
         # the engine's own tally: a change in the sequence of predicates it
-        # evaluates (walk, cavity, seed step, ties) shows up here
+        # evaluates (seed step, sweep, flip rounds, ties) shows up here
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
         jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
         for pts, counts in [
             (np.column_stack([xs.ravel(), ys.ravel()]),
-             "48 points, 1 BRIO rounds, 236 triangles created, "
-             "exact fallbacks 58 orient / 52 incircle, 52 cocircular ties"),
+             "48 points, 3 flip rounds, 31 flips, "
+             "exact fallbacks 44 orient / 35 incircle, 35 cocircular ties"),
             (jittered,
-             "1271 points, 6 BRIO rounds, 7420 triangles created, "
-             "exact fallbacks 496 orient / 0 incircle, 0 cocircular ties"),
+             "1271 points, 12 flip rounds, 3385 flips, "
+             "exact fallbacks 161 orient / 3 incircle, 3 cocircular ties"),
         ]:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
@@ -286,21 +287,63 @@ class TestDelaunayOrderIndependence:
 
 
     def test_subnormal_lattice_alone_orders_without_warnings(self):
-        # a span of 3 * 2**-1074: side / span overflows, so the Hilbert keys
-        # are computed on the span scaled into [1/2, 1)
+        # a span of 3 * 2**-1074: squared distances and pseudo-angles on the
+        # raw coordinates would be 0 and 0 / 0, so the sweep's order and hash
+        # read offsets scaled into [-1, 1]
         tiny = 2.0**-1074
         pts = [(i * tiny, j * tiny) for i in range(4) for j in range(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tris, _ = delaunay.triangulate(pts)
-            keys = delaunay._hilbert_keys(np.array(pts))
         ref, _ = triangulate_reference(pts)
         assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
-        # a power-of-two scale moves neither the keys nor the triangles
-        for shift in (60, 1100, 1150):
-            scaled = np.ldexp(np.array(pts), shift)
-            assert np.array_equal(delaunay._hilbert_keys(scaled), keys)
-            assert np.array_equal(delaunay.triangulate(scaled)[0], tris)
+        # a power-of-two scale, or one that centres the lattice on a span
+        # beyond the float range (6 * 2**1022), moves no triangle, and the
+        # offsets stay finite and of unit size
+        lattices = [np.ldexp(np.array(pts), shift) for shift in (0, 60, 1100, 1150)]
+        lattices.append(np.array([(i * 2.0**1022, j * 2.0**1022) for i in (-3, -1, 1, 3)
+                                  for j in (-3, -1, 1, 3)]))
+        for scaled in lattices:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                offsets = delaunay._unit_offsets(scaled)
+                assert np.array_equal(delaunay.triangulate(scaled)[0], tris)
+            assert np.isfinite(offsets).all() and 0.5 <= np.abs(offsets).max() <= 1.0
+
+    @staticmethod
+    def _assert_reference_in_any_order(pts, rng):
+        ref, _ = triangulate_reference(pts)
+        tris, _ = delaunay.triangulate(pts)
+        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+        order = rng.permutation(len(pts))
+        assert np.array_equal(delaunay.triangulate(pts, _order=order)[0], tris)
+
+    @pytest.mark.parametrize("exponent", [-300, -250, -200, -100, 0, 100, 200])
+    def test_spans_across_the_float_range_give_the_reference_triangles(self, exponent):
+        # on raw coordinates the sweep's squared distances underflow to 0 or
+        # overflow to inf at these spans, and its pseudo-angles turn NaN
+        rng = np.random.default_rng(exponent + 300)
+        pts = [tuple(p) for p in (rng.uniform(-1.0, 1.0, (40, 2)) * 10.0**exponent).tolist()]
+        self._assert_reference_in_any_order(pts, rng)
+
+    @pytest.mark.parametrize("span", [1e-6, 1e-3, 1.0, 1e3])
+    def test_utm_offsets_give_the_reference_triangles(self, span):
+        # at a 1e-6 span the coordinates sit on a few hundred float steps:
+        # collinear and cocircular points, and the sweep's float distances
+        # tie or misorder points
+        rng = np.random.default_rng(int(-math.log10(span)) + 10)
+        xy = np.array([684321.0, 5398765.0]) + rng.uniform(0.0, span, (60, 2))
+        xy = xy[delaunay.first_coincident(xy) == np.arange(len(xy))]
+        self._assert_reference_in_any_order([tuple(p) for p in xy.tolist()], rng)
+
+    def test_mixed_magnitudes_give_the_reference_triangles(self):
+        # the float distance order cannot tell the points near 1e-200 apart,
+        # so some of them lie in the hull of those added before them and
+        # are inserted by an exact split
+        rng = np.random.default_rng(1)
+        xy = np.concatenate([rng.uniform(-1.0, 1.0, (25, 2)) * 1e-200,
+                             rng.uniform(-1.0, 1.0, (15, 2)) * 1e100])
+        self._assert_reference_in_any_order([tuple(p) for p in xy.tolist()], rng)
 
     def test_filters_are_sound_within_the_exponent_bounds(self):
         # see _filters_sound: products of up to four coordinate differences
@@ -403,6 +446,25 @@ def test_lift_bounded_incircle_filter_decides_only_exact_signs(c):
     if sign:
         assert sign == incircle_fraction(*c)
         assert incircle_filter_reference(*c) == sign
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.lists(_SPANNING, min_size=8, max_size=8), min_size=1, max_size=7),
+        st.lists(_ON_PLACED_LATTICE, min_size=1, max_size=7),
+        st.lists(_NEAR_COCIRCULAR, min_size=1, max_size=7),
+    )
+)
+def test_batched_incircle_filter_matches_the_scalar_one(quads):
+    # the flip rounds' filter on index arrays against _incircle_filter one
+    # quad at a time, where the filters are sound
+    xy = np.array(quads).reshape(-1, 2)
+    if not delaunay._filters_sound(xy.ravel()):
+        return
+    a, b, c, d = np.arange(len(xy)).reshape(-1, 4).T
+    signs = delaunay._incircle_signs(xy[:, 0], xy[:, 1], a, b, c, d)
+    assert signs.tolist() == [delaunay._incircle_filter(*q) for q in quads]
 
 
 class TestSeedRegion:

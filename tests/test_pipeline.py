@@ -1145,6 +1145,7 @@ class TestCli:
             # past their upper limits
             ["variogram_bins = 10000000000000"],
             ["contour_levels = 1001"],
+            ["--smooth-iters", "1001"],
             # a synthetic scan needs a wgs84 region
             ["region_crs = utm", "zone = 32", "x_min = 0", "x_max = 300",
              "y_min = 0", "y_max = 400"],

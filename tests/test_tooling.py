@@ -150,17 +150,19 @@ def test_demo_run_never_imports_numpy_random(tmp_path):
 
 
 def test_grid_mesh_never_imports_numpy_random(tmp_path):
-    # the insertion order's shuffle is an integer hash, not numpy's RNG, and
-    # grid seeding draws no jitter: importing numpy.random would cost about
-    # 15 ms and 2 MB of every `dsmkit mesh` run
+    # the triangulation's order is a sort by distance, not a random shuffle,
+    # and grid seeding draws no jitter: importing numpy.random would cost
+    # about 15 ms and 2 MB of every `dsmkit mesh` run. Nor may the flip
+    # rounds reach np.unique, whose first 1-D call imports numpy.ma (about
+    # 16 ms)
     config = tmp_path / "grid.cfg"
     config.write_text("seed_strategy = grid\nspacing = 20\n")
     code = (
         "import sys\n"
         "from dsmkit.cli import main\n"
         f"assert main(['mesh', '--config', {str(config)!r}, '--out', {str(tmp_path / 'm')!r}]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False False"
