@@ -24,9 +24,13 @@ the permanent's filter decides the same way.
   distances can misorder points; `_order` can put any point anywhere) is
   inserted by an exact split of the triangle or edge that holds it.
 - Lawson flips (Lawson 1977) then run as numpy rounds (_flip_rounds): the
-  queued edges are tested with the in-circle filter in bounded chunks, the
-  signs it leaves are decided exactly in Python, and the illegal edges that
-  do not share a triangle with a smaller illegal edge are flipped at once.
+  queued edges are tested with the in-circle filter in bounded chunks, and
+  the illegal edges that do not share a triangle with a smaller illegal edge
+  are flipped at once. The quads a chunk's filter leaves open go to one
+  batch decision as index arrays: _incircle_exact decides each, and the
+  cocircular ties among them are settled on arrays by the index-lifting rule
+  below, whose orientation tests go exact only where the orientation filter
+  leaves the sign open.
 
 Determinism: an exact in-circle tie (four cocircular points) is decided as if
 every point were lifted off the paraboloid by an infinitesimal amount that
@@ -284,6 +288,20 @@ def _incircle_signs(x, y, a, b, c, d):
     return (det > bound).view(np.int8) - (-det > bound).view(np.int8)
 
 
+def _orient_signs(x, y, a, b, c, bound):
+    """orient2d's float filter on arrays of point indices, with `bound` in
+    place of _ORIENT_BOUND (inf decides nothing): +1 or -1 where the error
+    bound makes the sign certain, else 0."""
+    cx = x[c]
+    cy = y[c]
+    with np.errstate(over="ignore", invalid="ignore"):
+        detleft = (x[a] - cx) * (y[b] - cy)
+        detright = (y[a] - cy) * (x[b] - cx)
+        det = detleft - detright
+        bound = bound * (np.abs(detleft) + np.abs(detright))
+        return (det > bound).view(np.int8) - (-det > bound).view(np.int8)
+
+
 def _next(s):
     # the half-edge slot after s in its triangle
     return s - s % 3 + (s + 1) % 3
@@ -300,9 +318,12 @@ def _flip_rounds(tri, twin, xy, sound, in_disk):
     of the next slot of its triangle (slots 3t, 3t+1, 3t+2 are triangle t,
     counter-clockwise); twin[s] is the opposite half-edge, -1 on the hull.
     Both are int32 arrays, updated in place. Each round tests the queued
-    edges, once each, with the in-circle filter in chunks of _CHUNK (in_disk
-    decides what it leaves, exactly; with unsound filters, everything), and
-    flips the illegal edges that are the smallest illegal edge of both their
+    edges, once each, with the in-circle filter in chunks of _CHUNK. The
+    quads it leaves open (with unsound filters, all of them) go to
+    in_disk(a, b, c, p) at once, one index array per corner, which returns
+    their exact signs: +1 where p lies in the circumdisk of CCW triangle
+    (a, b, c), else -1. The round flips
+    the illegal edges that are the smallest illegal edge of both their
     triangles, so no triangle takes part in two flips of a round. The four
     outer edges of each flipped quad, and the illegal edges left waiting,
     make the next round's queue. Returns (rounds, flips).
@@ -328,8 +349,7 @@ def _flip_rounds(tri, twin, xy, sound, in_disk):
             signs = _incircle_signs(x, y, *quad) if sound else np.zeros(len(a), np.int8)
             (undecided,) = np.nonzero(signs == 0)
             if len(undecided):
-                quads = zip(*(v[undecided].tolist() for v in quad))
-                signs[undecided] = [1 if in_disk(*q) else -1 for q in quads]
+                signs[undecided] = in_disk(*(v[undecided] for v in quad))
             illegal.append(a[signs > 0])
         illegal = np.concatenate(illegal)
         if not len(illegal):
@@ -422,27 +442,48 @@ def triangulate(points, _order=None):
         return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
 
     def in_disk(a, b, c, p):
-        # Whether p lies in the (perturbed) circumdisk of CCW triangle
-        # (a, b, c), decided in exact arithmetic.
+        # For arrays of quads the filter left open: +1 where p lies in the
+        # (perturbed) circumdisk of CCW triangle (a, b, c), else -1, decided
+        # in exact arithmetic.
         nonlocal exact_incircle, ties
-        exact_incircle += 1
-        s = _incircle_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c], ix[p], iy[p])
-        if s:
-            return s > 0
+        exact_incircle += len(p)
+        signs = np.array(
+            [
+                _incircle_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k], ix[q], iy[q])
+                for i, j, k, q in zip(a.tolist(), b.tolist(), c.tolist(), p.tolist())
+            ],
+            dtype=np.int8,
+        )
+        (tie,) = np.nonzero(signs == 0)
+        if not len(tie):
+            return signs
         # Cocircular: lift point i by eps**f(i), f growing with i. The largest
         # index decides; its term is orient(b, c, p) for a, orient(c, a, p)
         # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
         # distinct cocircular points are never collinear, so the term is
         # never zero.
-        ties += 1
-        top = max(a, b, c)
-        if p > top:
-            return False
-        if top == a:
-            a, b = b, c
-        elif top == b:
-            a, b = c, a
-        return orient(a, b, p) > 0
+        ties += len(tie)
+        a, b, c, p = a[tie], b[tie], c[tie], p[tie]
+        top = np.maximum(np.maximum(a, b), c)
+        u = np.where(top == a, b, np.where(top == b, c, a))
+        v = np.where(top == a, c, np.where(top == b, a, b))
+        (lifted,) = np.nonzero(p < top)
+        side = np.full(len(tie), -1, dtype=np.int8)
+        side[lifted] = orient_signs(u[lifted], v[lifted], p[lifted])
+        signs[tie] = side
+        return signs
+
+    def orient_signs(a, b, c):
+        # orient on arrays of point indices, with the exact fallbacks counted
+        nonlocal exact_orient
+        signs = _orient_signs(xy[:, 0], xy[:, 1], a, b, c, orient_bound)
+        (open_,) = np.nonzero(signs == 0)
+        exact_orient += len(open_)
+        signs[open_] = [
+            _orient_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k])
+            for i, j, k in zip(a[open_].tolist(), b[open_].tolist(), c[open_].tolist())
+        ]
+        return signs
 
     # The seed triangle: with no _order, the point nearest the box centre,
     # its nearest neighbour and the third point that makes the smallest

@@ -89,14 +89,28 @@ class TriMesh:
         return np.column_stack(np.divmod(self._edge_key, self.n_vertices))
 
     def vertex_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge-connected neighbors in CSR layout (indptr, indices)."""
-        e = self.edges()
-        both = np.concatenate([e, e[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=self.n_vertices)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr, both[:, 1].copy()
+        """Edge-connected neighbors in CSR layout (indptr, indices), each
+        vertex's in ascending order: its lower neighbours, then its higher.
+
+        The edges (lo, hi) come sorted by lo, then hi, so each vertex's
+        higher neighbours are one run of them in order; a stable sort by hi
+        puts each vertex's lower neighbours in one run, in order, too."""
+        n = self.n_vertices
+        lo, hi = np.divmod(self._edge_key, n)
+        below = np.bincount(hi, minlength=n)
+        above = np.bincount(lo, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(below + above, out=indptr[1:])
+        # the k-th edge in (lo, hi) order is preceded, in its vertex's run
+        # of higher neighbours, by all edges of smaller lo; the lower
+        # neighbours of lo and of every smaller vertex come before it too
+        k = np.arange(len(lo))
+        indices = np.empty(2 * len(lo), dtype=np.int64)
+        indices[k + np.cumsum(below)[lo]] = hi
+        order = np.argsort(hi, kind="stable")
+        up = hi[order]
+        indices[k + (np.cumsum(above) - above)[up]] = lo[order]
+        return indptr, indices
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
         """New positions of the same vertices, checked as the constructor
@@ -128,7 +142,15 @@ def _checked_vertices(vertices, t) -> np.ndarray:
     if len(t) and (t.min() < 0 or t.max() >= len(v)):
         raise DataError("triangle index out of range")
     if len(t):
-        bad = np.nonzero(_doubled_area(*v[t.T]) <= 0.0)[0]
+        a, b, c = t.T
+        x, y = v[:, 0], v[:, 1]
+        # products over- or underflow at extreme spans: a doubled area that
+        # is not positive and finite is decided again, exactly
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = _doubled_area(x[a], y[a], x[b], y[b], x[c], y[c])
+        (bad,) = np.nonzero(~((area > 0.0) & (area < math.inf)))
+        if len(bad):
+            bad = bad[_exact_orientations(v, t[bad]) <= 0]
         if len(bad):
             raise DataError(
                 f"{len(bad)} triangles are degenerate or clockwise in plan view "
@@ -136,6 +158,13 @@ def _checked_vertices(vertices, t) -> np.ndarray:
             )
     v.setflags(write=False)
     return v
+
+
+def _exact_orientations(v, t) -> np.ndarray:
+    """Signs of the plan-view orientations of triangles t over vertices v,
+    exact: the corners' x, y as delaunay's integers on one scale."""
+    ints = delaunay._exact_integers(v[t.ravel(), :2].ravel())
+    return np.array([delaunay._orient_exact(*ints[k : k + 6]) for k in range(0, len(ints), 6)])
 
 
 @dataclass(frozen=True)
@@ -350,12 +379,10 @@ def _pcg64_uniform(seed: int, n: int, low: float, high: float) -> np.ndarray:
     return out
 
 
-def _doubled_area(a, b, c):
+def _doubled_area(ax, ay, bx, by, cx, cy):
     """Twice the signed plan-view area of the triangles with corners a, b, c
-    (rows of x, y[, z]): positive when counter-clockwise, (b-a) x (c-a)."""
-    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
+    (coordinate columns): positive when counter-clockwise, (b-a) x (c-a)."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
@@ -366,7 +393,8 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
     vertices never move. A move that would flip or flatten any incident
     triangle is rejected for that vertex for that sweep; if simultaneous
     accepted moves still produce a flipped triangle, the involved vertices
-    are reverted until the mesh is valid again.
+    are reverted until the mesh is valid again. The sweeps gather from 1-D
+    x and y columns, not from (n, 2) rows.
     """
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
@@ -375,53 +403,51 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
     if iterations == 0 or m.n_triangles == 0:
         return m
 
-    verts = m.vertices.copy()
+    n = m.n_vertices
+    x = m.vertices[:, 0].copy()
+    y = m.vertices[:, 1].copy()
     tris = m.triangles
+    corners = a, b, c = tris.T
     interior = ~m.boundary_flags
     indptr, indices = m.vertex_neighbors()
     counts = np.diff(indptr).astype(float)
     counts[counts == 0] = 1.0
-    src = np.repeat(np.arange(m.n_vertices), np.diff(indptr))
+    src = np.repeat(np.arange(n), np.diff(indptr))
 
     for _ in range(iterations):
         # bincount adds each vertex's neighbours in order, as np.add.at does
-        sums = np.column_stack([
-            np.bincount(src, weights=verts[indices, c], minlength=m.n_vertices)
-            for c in range(verts.shape[1])
-        ])
-        proposal = sums / counts[:, None]
-
-        candidate = verts.copy()
-        candidate[interior] = proposal[interior]
+        px = np.bincount(src, weights=x[indices], minlength=n) / counts
+        py = np.bincount(src, weights=y[indices], minlength=n) / counts
+        cx = np.where(interior, px, x)
+        cy = np.where(interior, py, y)
 
         # per-vertex guard against the pre-sweep positions of the others
-        rejected = np.zeros(m.n_vertices, dtype=bool)
-        for corner in range(3):
-            moved = tris[:, corner]
-            o1 = tris[:, (corner + 1) % 3]
-            o2 = tris[:, (corner + 2) % 3]
-            bad = _doubled_area(candidate[moved], verts[o1], verts[o2]) <= 0.0
+        rejected = np.zeros(n, dtype=bool)
+        for k in range(3):
+            moved, o1, o2 = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
+            bad = _doubled_area(cx[moved], cy[moved], x[o1], y[o1], x[o2], y[o2]) <= 0.0
             rejected[moved[bad]] = True
 
         accept = interior & ~rejected
-        new_verts = verts.copy()
-        new_verts[accept] = proposal[accept]
+        nx = np.where(accept, px, x)
+        ny = np.where(accept, py, y)
 
         # simultaneous moves can conspire against a shared triangle: revert
-        moved_mask = accept.copy()
         while True:
-            bad_tris = np.nonzero(_doubled_area(*new_verts[tris.T]) <= 0.0)[0]
+            area = _doubled_area(nx[a], ny[a], nx[b], ny[b], nx[c], ny[c])
+            bad_tris = np.nonzero(area <= 0.0)[0]
             if not len(bad_tris):
                 break
             culprits = np.unique(tris[bad_tris].ravel())
-            culprits = culprits[moved_mask[culprits]]
+            culprits = culprits[accept[culprits]]
             if not len(culprits):  # pre-existing degenerate input; give up
                 break
-            new_verts[culprits] = verts[culprits]
-            moved_mask[culprits] = False
-        verts = new_verts
+            nx[culprits] = x[culprits]
+            ny[culprits] = y[culprits]
+            accept[culprits] = False
+        x, y = nx, ny
 
-    return m.with_vertices(verts)
+    return m.with_vertices(np.column_stack([x, y]))
 
 
 def mesh_quality(m: TriMesh) -> MeshQuality:
@@ -433,17 +459,20 @@ def mesh_quality(m: TriMesh) -> MeshQuality:
     """
     if m.n_triangles == 0:
         raise DataError("mesh has no triangles")
-    v = m.vertices
-    t = m.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    lab = np.linalg.norm(b - a, axis=1)
-    lbc = np.linalg.norm(c - b, axis=1)
-    lca = np.linalg.norm(a - c, axis=1)
+    # the corners' coordinate columns: a[k] is coordinate k of each first corner
+    a, b, c = ([col[i] for col in m.vertices.T] for i in m.triangles.T)
+    lab = _lengths(a, b)
+    lbc = _lengths(b, c)
+    lca = _lengths(c, a)
 
-    if v.shape[1] == 3:
-        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    if m.is_3d:
+        u = [q - p for p, q in zip(a, b)]
+        w = [q - p for p, q in zip(a, c)]
+        # the cross product u x w, component by component, as np.cross forms it
+        normal = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        area = 0.5 * np.sqrt(_squares(normal))
     else:
-        area = 0.5 * np.abs(_doubled_area(a, b, c))
+        area = 0.5 * np.abs(_doubled_area(*a, *b, *c))
 
     good = area > 0.0
     degenerate = tuple(int(i) for i in np.nonzero(~good)[0])
@@ -472,6 +501,20 @@ def mesh_quality(m: TriMesh) -> MeshQuality:
         worst_aspect_ratio=float(aspect.max()),
         degenerate=degenerate,
     )
+
+
+def _squares(components):
+    """The sum of squares of a list of columns, added in order, as
+    np.linalg.norm(..., axis=1) adds a row's."""
+    total = components[0] * components[0]
+    for d in components[1:]:
+        total = total + d * d
+    return total
+
+
+def _lengths(p, q):
+    """Euclidean distances between the points of coordinate columns p and q."""
+    return np.sqrt(_squares([qk - pk for pk, qk in zip(p, q)]))
 
 
 def extract_contours(m: TriMesh, levels) -> list:

@@ -586,6 +586,102 @@ def rotation_canonical(triangles) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Planar mesh products on (n, 2) rows of vertices: smoothing, quality and the
+# neighbour table as the package computed them before it gathered coordinate
+# columns, with the edges and the boundary found by a row-wise unique.
+
+
+def vertex_neighbors_reference(n_vertices, triangles):
+    """TriMesh.vertex_neighbors by a lexsort of both directions of every
+    edge: (indptr, indices)."""
+    e = edges_reference(triangles)
+    both = np.concatenate([e, e[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    counts = np.bincount(both[:, 0], minlength=n_vertices)
+    return np.concatenate([[0], np.cumsum(counts)]), both[:, 1].copy()
+
+
+def _doubled_area_rows(a, b, c):
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+
+
+def laplacian_smooth_reference(vertices, triangles, iterations) -> np.ndarray:
+    """laplacian_smooth's vertices after `iterations` Jacobi sweeps on rows:
+    the same guard per corner and the same revert loop."""
+    verts = np.array(vertices, dtype=float)
+    tris = np.asarray(triangles, dtype=np.int64)
+    n = len(verts)
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    edges, held = np.unique(e, axis=0, return_counts=True)
+    interior = np.ones(n, dtype=bool)
+    interior[edges[held == 1]] = False
+    indptr, indices = vertex_neighbors_reference(n, tris)
+    counts = np.diff(indptr).astype(float)
+    counts[counts == 0] = 1.0
+    src = np.repeat(np.arange(n), np.diff(indptr))
+
+    for _ in range(iterations):
+        sums = np.column_stack([
+            np.bincount(src, weights=verts[indices, c], minlength=n) for c in range(2)
+        ])
+        proposal = sums / counts[:, None]
+        candidate = verts.copy()
+        candidate[interior] = proposal[interior]
+        rejected = np.zeros(n, dtype=bool)
+        for corner in range(3):
+            moved = tris[:, corner]
+            o1 = tris[:, (corner + 1) % 3]
+            o2 = tris[:, (corner + 2) % 3]
+            bad = _doubled_area_rows(candidate[moved], verts[o1], verts[o2]) <= 0.0
+            rejected[moved[bad]] = True
+        accept = interior & ~rejected
+        new_verts = verts.copy()
+        new_verts[accept] = proposal[accept]
+        moved_mask = accept.copy()
+        while True:
+            bad_tris = np.nonzero(_doubled_area_rows(*new_verts[tris.T]) <= 0.0)[0]
+            if not len(bad_tris):
+                break
+            culprits = np.unique(tris[bad_tris].ravel())
+            culprits = culprits[moved_mask[culprits]]
+            if not len(culprits):
+                break
+            new_verts[culprits] = verts[culprits]
+            moved_mask[culprits] = False
+        verts = new_verts
+    return verts
+
+
+def mesh_quality_reference(vertices, triangles) -> tuple:
+    """mesh_quality on rows, with np.linalg.norm and np.cross: (min angle,
+    mean min angle, worst aspect ratio, degenerate triangle indices)."""
+    v = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64)
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    lab = np.linalg.norm(b - a, axis=1)
+    lbc = np.linalg.norm(c - b, axis=1)
+    lca = np.linalg.norm(a - c, axis=1)
+    if v.shape[1] == 3:
+        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    else:
+        area = 0.5 * np.abs(_doubled_area_rows(a, b, c))
+    good = area > 0.0
+
+    def angle(opposite, s1, s2):
+        cosv = (s1**2 + s2**2 - opposite**2) / (2.0 * s1 * s2)
+        return np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
+
+    ab, bc, ca = lab[good], lbc[good], lca[good]
+    min_angles = np.minimum(np.minimum(angle(bc, ab, ca), angle(ca, ab, bc)), angle(ab, bc, ca))
+    inradius = area[good] / (0.5 * (ab + bc + ca))
+    aspect = np.maximum(np.maximum(ab, bc), ca) / (2.0 * inradius)
+    degenerate = tuple(int(i) for i in np.nonzero(~good)[0])
+    return float(min_angles.min()), float(min_angles.mean()), float(aspect.max()), degenerate
+
+
+# ---------------------------------------------------------------------------
 # Mesh products after the lift: the per-triangle walks that the edge table of
 # TriMesh replaced, each pairing edges in a dict of its own.
 

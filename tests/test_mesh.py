@@ -3,7 +3,7 @@
 import logging
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +19,14 @@ from _oracles import (
     euler_characteristic,
     incircle_filter_reference,
     incircle_fraction,
+    laplacian_smooth_reference,
+    mesh_quality_reference,
     orient_fraction,
     rotation_canonical,
     triangle_min_angles,
     triangulate_reference,
     uniform_reference,
+    vertex_neighbors_reference,
 )
 from dsmkit import delaunay, mesh
 from dsmkit.errors import ConfigError, DataError
@@ -112,6 +115,39 @@ class TestTriMesh:
         got, want = m.edges(), edges_reference(m.triangles)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "config", [{}, {"seed_strategy": "grid", "spacing": "3"}, None, "isolated"],
+        ids=["demo", "mesh_grid", "empty", "isolated"],
+    )
+    def test_neighbors_match_lexsort_reference(self, config):
+        if config is None:
+            m = TriMesh(np.zeros((0, 2)), np.zeros((0, 3)))
+        elif config == "isolated":
+            # vertices 0 and 5 on no triangle; 4 has neighbours on both sides
+            m = TriMesh([[9, 9], [0, 0], [1, 0], [1, 1], [0, 1], [5, 5], [2, 0.5]],
+                        [[1, 2, 4], [2, 3, 4], [2, 6, 3]])
+        else:
+            m, _, _ = build_planar_mesh(PipelineConfig.from_mapping(config))
+        got = m.vertex_neighbors()
+        want = vertex_neighbors_reference(m.n_vertices, m.triangles)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("span", [1e-200, 1e200])
+    def test_extreme_spans_pass_the_orientation_check(self, span):
+        # the float doubled areas underflow to 0 or overflow to inf and NaN
+        # here, so the check decides those triangles exactly
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 2)) * span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = delaunay_triangulate(pts)
+            # a clockwise triangle is still rejected, a counter-clockwise one kept
+            with pytest.raises(DataError, match="1 triangles are degenerate or clockwise"):
+                TriMesh([[0, 0], [span, 0], [0, span]], [[0, 2, 1]])
+            TriMesh([[0, 0], [span, 0], [0, span]], [[0, 1, 2]])
+        assert np.array_equal(m.triangles, delaunay.triangulate(pts)[0])
 
 
 class TestDelaunay:
@@ -269,6 +305,33 @@ class TestDelaunayOrderIndependence:
                 delaunay_triangulate(pts)
             (line,) = [m for m in caplog.messages if m.startswith("delaunay:")]
             assert line == f"delaunay: {counts} decided by input index"
+
+    def test_debug_line_reports_the_grid_ties(self, caplog):
+        # mesh_grid's seeds: every cell of the grid is a cocircular tie
+        config = PipelineConfig.from_mapping({"seed_strategy": "grid", "spacing": "3"})
+        pts = seed_region(config.mesh_region, config.spacing, config.seed_strategy)
+        with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
+            delaunay_triangulate(pts)
+        (line,) = [m for m in caplog.messages if m.startswith("delaunay:")]
+        assert line == (
+            "delaunay: 12512 points, 13 flip rounds, 48606 flips, "
+            "exact fallbacks 4238 orient / 12285 incircle, "
+            "12285 cocircular ties decided by input index"
+        )
+
+    def test_shuffled_lattice_gives_the_reference_triangles(self):
+        # a 20 x 20 lattice in shuffled index order: every cell is a tie that
+        # the index-lifting rule decides, on indices in no spatial order
+        rng = np.random.default_rng(20)
+        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+        xy = np.column_stack([xs.ravel(), ys.ravel()])[rng.permutation(400)]
+        pts = [tuple(p) for p in xy.tolist()]
+        ref, ref_hull = triangulate_reference(pts)
+        for order in (None, rng.permutation(400)):
+            tris, stats = delaunay.triangulate(pts, _order=order)
+            assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+            assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
+            assert stats["ties"] > 0
 
     @pytest.mark.parametrize("far", [2.0**-200, 1e300], ids=["one-scale", "scale-overflows"])
     def test_subnormal_and_far_coordinates_give_the_reference_triangles(self, far):
@@ -467,6 +530,31 @@ def test_batched_incircle_filter_matches_the_scalar_one(quads):
     assert signs.tolist() == [delaunay._incircle_filter(*q) for q in quads]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.lists(_SPANNING, min_size=6, max_size=6), min_size=1, max_size=7),
+        st.lists(_ON_A_LATTICE.map(lambda c: c[:6]), min_size=1, max_size=7),
+    )
+)
+def test_batched_orient_filter_decides_only_exact_signs(triples):
+    # the tie decider's orientation filter on index arrays: with the engine's
+    # bound (infinite where the filters are unsound) every sign it gives is
+    # the exact one, and an infinite bound gives none, without warnings
+    xy = np.array(triples).reshape(-1, 2)
+    a, b, c = np.arange(len(xy)).reshape(-1, 3).T
+    sound = delaunay._filters_sound(xy.ravel())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs = delaunay._orient_signs(
+            xy[:, 0], xy[:, 1], a, b, c, delaunay._ORIENT_BOUND if sound else math.inf
+        )
+        blind = delaunay._orient_signs(xy[:, 0], xy[:, 1], a, b, c, math.inf)
+    assert not blind.any()
+    for sign, t in zip(signs.tolist(), triples):
+        assert sign in (0, orient_fraction(*t))
+
+
 class TestSeedRegion:
     def test_counting_oracle(self):
         pts = seed_region(Rect(0, 0, 300, 400), 100.0, strategy="grid")
@@ -552,6 +640,17 @@ def _square_fan(center=(0.2, 0.3)):
     )
 
 
+def _reverting_mesh():
+    # the fifth draw (17 points): moves the per-vertex guard accepts flip a
+    # shared triangle together in the first sweep
+    rng = np.random.default_rng(0)
+    corners = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
+    for _ in range(5):
+        pts = np.vstack([corners, rng.uniform(0, 10, (rng.integers(6, 14), 2))])
+    assert len(pts) == 17
+    return delaunay_triangulate(pts)
+
+
 class TestLaplacianSmooth:
     def test_single_interior_vertex_to_centroid(self):
         m = laplacian_smooth(_square_fan((0.2, 0.3)), 1)
@@ -595,14 +694,7 @@ class TestLaplacianSmooth:
             laplacian_smooth(m, 1)
 
     def test_moves_that_flip_a_shared_triangle_are_reverted(self, monkeypatch):
-        # the fifth draw (17 points): moves the per-vertex guard accepts
-        # flip a shared triangle together in the first sweep
-        rng = np.random.default_rng(0)
-        corners = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
-        for _ in range(5):
-            pts = np.vstack([corners, rng.uniform(0, 10, (rng.integers(6, 14), 2))])
-        assert len(pts) == 17
-        m0 = delaunay_triangulate(pts)
+        m0 = _reverting_mesh()
         calls = []
         area = mesh._doubled_area
         monkeypatch.setattr(mesh, "_doubled_area", lambda *a: calls.append(1) or area(*a))
@@ -641,6 +733,51 @@ class TestMeshQuality:
         m = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 1]], [[0, 1, 2]])
         q = mesh_quality(m)
         assert 0 < q.min_angle <= 60.0
+
+
+class TestSmoothingAndQualityMatchOracles:
+    """Smoothing and quality on coordinate columns equal the row oracles, bit
+    for bit."""
+
+    @pytest.mark.parametrize(
+        "config", [{}, {"seed_strategy": "grid", "spacing": "3"}], ids=["demo", "mesh_grid"]
+    )
+    def test_config_meshes(self, config):
+        config = PipelineConfig.from_mapping(config)
+        seeds = seed_region(config.mesh_region, config.spacing, config.seed_strategy, config.seed)
+        planar = delaunay_triangulate(seeds)
+        smoothed = laplacian_smooth(planar, config.smooth_iters)
+        want = laplacian_smooth_reference(planar.vertices, planar.triangles, config.smooth_iters)
+        assert np.array_equal(smoothed.vertices, want)
+        for m in (planar, smoothed):
+            assert astuple(mesh_quality(m)) == mesh_quality_reference(
+                m.vertices, m.triangles
+            )
+
+    def test_reverting_mesh(self, monkeypatch):
+        m0 = _reverting_mesh()
+        calls = []
+        area = mesh._doubled_area
+        monkeypatch.setattr(mesh, "_doubled_area", lambda *a: calls.append(1) or area(*a))
+        m1 = laplacian_smooth(m0, 3)
+        monkeypatch.undo()
+        # three guards and one check a sweep, and the new mesh's check: the
+        # revert loop ran when there are more
+        assert len(calls) > 3 * 4 + 1
+        assert np.array_equal(m1.vertices, laplacian_smooth_reference(m0.vertices, m0.triangles, 3))
+        assert astuple(mesh_quality(m1)) == mesh_quality_reference(m1.vertices, m1.triangles)
+
+    def test_3d_mesh(self):
+        m = _lifted_grid(lambda x, y: 30.0 * math.sin(x / 40.0) * math.cos(y / 70.0))
+        assert astuple(mesh_quality(m)) == mesh_quality_reference(m.vertices, m.triangles)
+
+    def test_degenerate_triangles(self):
+        # the second triangle is counter-clockwise, exactly, but its area
+        # underflows to 0: it is left out of the aggregates and reported
+        m = TriMesh([[2, 0], [3, 0], [2, 1], [0, 0], [1e-200, 0], [0, 1e-200]],
+                    [[0, 1, 2], [3, 4, 5]])
+        got = astuple(mesh_quality(m))
+        assert got == mesh_quality_reference(m.vertices, m.triangles) and got[3] == (1,)
 
 
 def _lifted_grid(f, half=200.0, spacing=10.0):

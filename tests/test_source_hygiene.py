@@ -2,7 +2,8 @@
 no module imports a name it never uses, no module-level private function,
 class or constant goes unreferenced, no module uses numpy.random (mesh seeding
 draws numpy's stream itself, so no run pays that import), and the test
-oracles evaluate no semivariogram with the code they check."""
+oracles evaluate no semivariogram with the code they check and never import
+the mesh module."""
 
 import ast
 from pathlib import Path
@@ -150,22 +151,37 @@ def test_no_module_uses_numpy_random():
     assert uses == []
 
 
-def _variogram_imports(tree: ast.Module) -> list:
-    """Every name the module imports from dsmkit.variogram, the module
-    itself included, as "line name"."""
+def _module_imports(tree: ast.Module, module: str) -> list:
+    """Every name the tree imports from dsmkit.<module>, the module itself
+    included, as "line name"."""
+    full = f"dsmkit.{module}"
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == "dsmkit.variogram"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "dsmkit.variogram":
+            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == full]
+        elif isinstance(node, ast.ImportFrom) and node.module == full:
             names += [f"{node.lineno} {a.name}" for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module == "dsmkit":
-            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == "variogram"]
+            names += [f"{node.lineno} {a.name}" for a in node.names if a.name == module]
     return names
+
+
+def test_module_import_check_sees_every_form():
+    tree = ast.parse(
+        "import dsmkit.mesh\nfrom dsmkit.mesh import TriMesh\nfrom dsmkit import mesh, delaunay"
+    )
+    assert _module_imports(tree, "mesh") == ["1 dsmkit.mesh", "2 TriMesh", "3 mesh"]
 
 
 def test_oracles_take_only_the_model_type_from_the_variogram_module():
     # the oracles write the semivariogram out themselves, so a wrong shape
     # in dsmkit.variogram cannot pass the tests that compare against them
-    imported = _variogram_imports(_tree(ORACLES))
+    imported = _module_imports(_tree(ORACLES), "variogram")
     assert [name for name in imported if not name.endswith(" VariogramModel")] == []
+
+
+def test_oracles_never_import_the_mesh_module():
+    # the smoothing, quality and neighbour oracles work on arrays of their
+    # own, so a change to dsmkit.mesh cannot pass the tests that compare
+    # against them
+    assert _module_imports(_tree(ORACLES), "mesh") == []
