@@ -1,12 +1,13 @@
-"""Delaunay triangulation by a radial sweep and rounds of Lawson flips, with
-robust predicates.
+"""Delaunay triangulation by rounds of Lawson flips from a lattice start or a
+radial sweep, with robust predicates.
 
 Orientation and in-circle tests run as floating-point computations guarded by
 forward error bounds (Shewchuk 1997); uncertain signs fall back to exact
 integer arithmetic, so cocircular and collinear configurations are decided
-exactly. The integers are made once per triangulation: every coordinate is
-an integer multiple of one power of two, found from the smallest nonzero
-|coordinate| (as_integer_ratio serves when that scale overflows a float).
+exactly. The integers are made once per triangulation, at its first exact
+test: every coordinate is an integer multiple of one power of two, found
+from the smallest nonzero |coordinate| (as_integer_ratio serves when that
+scale overflows a float).
 The filters' error bounds hold only while no product underflows or
 overflows; coordinates whose exponents allow that send every test to the
 exact predicates (_filters_sound), a choice made once per triangulation.
@@ -15,6 +16,12 @@ lifts (see _INCIRCLE_LIFT_BOUND): fewer operations, and every sign it decides
 the permanent's filter decides the same way.
 
 `triangulate` runs in two phases.
+- The start. Points laid out as a row-major lattice whose border lies on
+  the sides of an axis-aligned rectangle, as seed_region lays out its seeds,
+  start from the lattice itself (_lattice_start): each cell splits along a
+  diagonal whose two triangles are counter-clockwise by exact tests, and
+  the docstring there shows that this triangulates the points. Any other
+  points, or points that fail those checks, take the radial sweep.
 - The sweep (S-hull; Sinclair 2010) adds the points in order of their
   distance from the circumcentre of a small seed triangle, so each lies
   outside the hull of those before it, and joins each to every hull edge it
@@ -38,7 +45,7 @@ grows with its input index, the larger index dominating (simulation of
 simplicity; Edelsbrunner & Mücke 1990). No four points are then cocircular,
 so the Delaunay triangulation is unique, and Lawson's flips reach it from
 any triangulation of the points: the triangle set depends on neither the
-insertion order nor the order of the flips. Triangles are emitted
+start, the insertion order nor the order of the flips. Triangles are emitted
 counter-clockwise, rotated to start at their smallest vertex index, in sorted
 order, so the output depends on the point set alone. The hull is the edges
 that only one triangle holds, which TriMesh works out.
@@ -224,8 +231,6 @@ def first_coincident(xy):
     return first
 
 
-
-
 def _unit_offsets(xy):
     """The points less their bounding box's centre, scaled by a power of two
     into [-1, 1]: finite float coordinates at any span, for the sweep's order
@@ -311,7 +316,7 @@ def _prev(s):
     return s - s % 3 + (s + 2) % 3
 
 
-def _flip_rounds(tri, twin, xy, sound, in_disk):
+def _flip_rounds(tri, twin, pred):
     """Lawson flips to the Delaunay triangulation, in numpy rounds.
 
     tri[s] is the start vertex of half-edge slot s, which runs to the start
@@ -320,17 +325,16 @@ def _flip_rounds(tri, twin, xy, sound, in_disk):
     Both are int32 arrays, updated in place. Each round tests the queued
     edges, once each, with the in-circle filter in chunks of _CHUNK. The
     quads it leaves open (with unsound filters, all of them) go to
-    in_disk(a, b, c, p) at once, one index array per corner, which returns
-    their exact signs: +1 where p lies in the circumdisk of CCW triangle
-    (a, b, c), else -1. The round flips
-    the illegal edges that are the smallest illegal edge of both their
-    triangles, so no triangle takes part in two flips of a round. The four
-    outer edges of each flipped quad, and the illegal edges left waiting,
-    make the next round's queue. Returns (rounds, flips).
+    pred.in_disk(a, b, c, p) at once, one index array per corner, which
+    returns their exact signs: +1 where p lies in the circumdisk of CCW
+    triangle (a, b, c), else -1. The round flips the illegal edges that are
+    the smallest illegal edge of both their triangles, so no triangle takes
+    part in two flips of a round. The four outer edges of each flipped quad,
+    and the illegal edges left waiting, make the next round's queue. Returns
+    (rounds, flips).
     """
     m = len(tri)
-    x = np.ascontiguousarray(xy[:, 0])
-    y = np.ascontiguousarray(xy[:, 1])
+    x, y = pred.x, pred.y
     # moved[s]: the slot that holds, after this round's flips, the edge slot
     # s held before them; the identity again between rounds
     moved = np.arange(m, dtype=np.int32)
@@ -346,10 +350,10 @@ def _flip_rounds(tri, twin, xy, sound, in_disk):
             # the point across it
             a = queue[lo : lo + _CHUNK]
             quad = tri[a], tri[_next(a)], tri[_prev(a)], tri[_prev(twin[a])]
-            signs = _incircle_signs(x, y, *quad) if sound else np.zeros(len(a), np.int8)
+            signs = _incircle_signs(x, y, *quad) if pred.sound else np.zeros(len(a), np.int8)
             (undecided,) = np.nonzero(signs == 0)
             if len(undecided):
-                signs[undecided] = in_disk(*(v[undecided] for v in quad))
+                signs[undecided] = pred.in_disk(*(v[undecided] for v in quad))
             illegal.append(a[signs > 0])
         illegal = np.concatenate(illegal)
         if not len(illegal):
@@ -392,61 +396,51 @@ def _flip_rounds(tri, twin, xy, sound, in_disk):
     return rounds, flips
 
 
-def triangulate(points, _order=None):
-    """Delaunay-triangulate unique 2D points.
+class _Predicates:
+    """The array and exact predicates of one triangulation, with their tallies.
 
-    points: sequence of (x, y) float pairs, all distinct.
-    Returns (triangles, stats): an (m, 3) int64 array of CCW vertex-index
-    triples, each starting at its smallest index, in sorted order, and a dict
-    of counts (points, flip rounds, flips, exact orient and incircle
-    fallbacks, ties).
-    _order, a permutation of the indices, replaces the sweep's order (tests):
-    its first non-collinear triple is the seed triangle, and the other
-    points are added in its order.
+    Where a product may underflow or overflow (_filters_sound fails), an
+    infinite orient_bound sends every orientation test to the exact
+    predicate (no det exceeds inf, nor the NaN of inf * 0) and the in-circle
+    filter is skipped. The exact integers are made at the first exact test,
+    so a triangulation that needs none never makes them.
     """
-    n = len(points)
-    if n < 3:
-        raise DataError(f"triangulation needs at least 3 points, got {n}")
-    xy = np.asarray(points, dtype=float)
-    first = first_coincident(xy)
-    (repeated,) = np.nonzero(first != np.arange(n))
-    if len(repeated):
-        i = int(repeated[0])
-        raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
 
-    xs = xy[:, 0].tolist()
-    ys = xy[:, 1].tolist()
-    exact = _exact_integers(xy.ravel())
-    ix = exact[0::2]
-    iy = exact[1::2]
-    del exact
-    # where a product may underflow or overflow, an infinite bound sends
-    # every orientation test to the exact predicate: no det exceeds inf, nor
-    # the NaN of inf * 0; the in-circle filter is skipped
-    sound = _filters_sound(xy.ravel())
-    orient_bound = _ORIENT_BOUND if sound else math.inf
-    exact_orient = exact_incircle = ties = 0
+    def __init__(self, xy):
+        self.xy = xy
+        self.x = np.ascontiguousarray(xy[:, 0])
+        self.y = np.ascontiguousarray(xy[:, 1])
+        self.sound = _filters_sound(xy.ravel())
+        self.orient_bound = _ORIENT_BOUND if self.sound else math.inf
+        self.exact_orient = self.exact_incircle = self.ties = 0
+        self._integers = None
 
-    def orient(a, b, c):
-        # orient2d of points a, b and c, with the exact fallbacks counted
-        nonlocal exact_orient
-        detleft = (xs[a] - xs[c]) * (ys[b] - ys[c])
-        detright = (ys[a] - ys[c]) * (xs[b] - xs[c])
-        det = detleft - detright
-        bound = orient_bound * (abs(detleft) + abs(detright))
-        if det > bound:
-            return 1
-        if -det > bound:
-            return -1
-        exact_orient += 1
-        return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
+    def integers(self):
+        """(ix, iy): every point's x and y as Python ints on one scale."""
+        if self._integers is None:
+            exact = _exact_integers(self.xy.ravel())
+            self._integers = exact[0::2], exact[1::2]
+        return self._integers
 
-    def in_disk(a, b, c, p):
-        # For arrays of quads the filter left open: +1 where p lies in the
-        # (perturbed) circumdisk of CCW triangle (a, b, c), else -1, decided
-        # in exact arithmetic.
-        nonlocal exact_incircle, ties
-        exact_incircle += len(p)
+    def orient_signs(self, a, b, c):
+        """orient2d on arrays of point indices, the exact fallbacks counted."""
+        signs = _orient_signs(self.x, self.y, a, b, c, self.orient_bound)
+        (open_,) = np.nonzero(signs == 0)
+        if len(open_):
+            self.exact_orient += len(open_)
+            ix, iy = self.integers()
+            signs[open_] = [
+                _orient_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k])
+                for i, j, k in zip(a[open_].tolist(), b[open_].tolist(), c[open_].tolist())
+            ]
+        return signs
+
+    def in_disk(self, a, b, c, p):
+        """For arrays of quads the in-circle filter left open: +1 where p
+        lies in the (perturbed) circumdisk of CCW triangle (a, b, c), else
+        -1, decided in exact arithmetic."""
+        self.exact_incircle += len(p)
+        ix, iy = self.integers()
         signs = np.array(
             [
                 _incircle_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k], ix[q], iy[q])
@@ -462,28 +456,105 @@ def triangulate(points, _order=None):
         # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
         # distinct cocircular points are never collinear, so the term is
         # never zero.
-        ties += len(tie)
+        self.ties += len(tie)
         a, b, c, p = a[tie], b[tie], c[tie], p[tie]
         top = np.maximum(np.maximum(a, b), c)
         u = np.where(top == a, b, np.where(top == b, c, a))
         v = np.where(top == a, c, np.where(top == b, a, b))
         (lifted,) = np.nonzero(p < top)
         side = np.full(len(tie), -1, dtype=np.int8)
-        side[lifted] = orient_signs(u[lifted], v[lifted], p[lifted])
+        side[lifted] = self.orient_signs(u[lifted], v[lifted], p[lifted])
         signs[tie] = side
         return signs
 
-    def orient_signs(a, b, c):
-        # orient on arrays of point indices, with the exact fallbacks counted
-        nonlocal exact_orient
-        signs = _orient_signs(xy[:, 0], xy[:, 1], a, b, c, orient_bound)
-        (open_,) = np.nonzero(signs == 0)
-        exact_orient += len(open_)
-        signs[open_] = [
-            _orient_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k])
-            for i, j, k in zip(a[open_].tolist(), b[open_].tolist(), c[open_].tolist())
-        ]
-        return signs
+
+def _lattice_start(xy, pred):
+    """tri and twin (as in _flip_rounds) of the triangulation that a lattice
+    of points already forms, or None when the points are not one.
+
+    The lattice is row-major, rows by cols, cols the leading run of points at
+    the first point's y, and its border lies on the sides of an axis-aligned
+    rectangle: the first and the last row each at one y, the first and the
+    last column each at one x, each of the four runs strictly increasing
+    along its side. seed_region lays its seeds out so. Each cell (a, b, c,
+    d), counter-clockwise from its lower left corner, splits along b-d, the
+    diagonal the tie rule keeps on a square, where both its triangles are
+    strictly counter-clockwise, else along a-c where those are; a cell with
+    neither leaves the points to the sweep. The orientation tests are exact.
+
+    Why the cells' triangles triangulate the points. Each edge inside the
+    lattice is held by two triangles that run it in opposite directions, so
+    around a point q on no edge the triangles' boundaries wind as often in
+    sum as the lattice border, which runs once counter-clockwise round the
+    rectangle: once for q inside it, never for q outside. A strictly
+    counter-clockwise triangle winds once round the points inside it and
+    never round the others, so each such q inside the rectangle lies in
+    exactly one triangle and none outside it: the triangles' interiors are
+    disjoint and they cover the rectangle, the points' hull. Every point is
+    a corner of a cell and so of a triangle. No point lies inside a triangle
+    or on an edge that does not end at it: the triangles at the point hold
+    interior points right by it, which that triangle, or the triangles on
+    the edge's two sides, would cover a second time. So Lawson's flips reach
+    the Delaunay triangulation from this start as from the sweep's.
+    """
+    n = len(xy)
+    x, y = pred.x, pred.y
+    (off,) = np.nonzero(y != y[0])
+    cols = int(off[0]) if len(off) else n
+    if cols < 2 or n % cols or n < 2 * cols:
+        return None
+    rows = n // cols
+    gx = x.reshape(rows, cols)
+    gy = y.reshape(rows, cols)
+    sides = (gy[0], gx[0]), (gy[-1], gx[-1]), (gx[:, 0], gy[:, 0]), (gx[:, -1], gy[:, -1])
+    if not all((fixed == fixed[0]).all() and (np.diff(run) > 0).all() for fixed, run in sides):
+        return None
+    corner = np.arange(n, dtype=np.int32).reshape(rows, cols)
+    a, b = corner[:-1, :-1].ravel(), corner[:-1, 1:].ravel()
+    d, c = corner[1:, :-1].ravel(), corner[1:, 1:].ravel()
+    across = (pred.orient_signs(a, b, d) <= 0) | (pred.orient_signs(b, c, d) <= 0)
+    (k,) = np.nonzero(across)
+    if len(k) and (
+        (pred.orient_signs(a[k], b[k], c[k]) <= 0) | (pred.orient_signs(a[k], c[k], d[k]) <= 0)
+    ).any():
+        return None
+    # triangles (a, b, d) and (b, c, d), or (a, b, c) and (a, c, d) across a-c
+    tri = np.column_stack([a, b, np.where(across, c, d), np.where(across, a, b), c, d]).ravel()
+    # an edge's two half-edges share a key; a hull edge's is alone. The keys
+    # rise nearly cell by cell, and the stable sort takes such runs whole:
+    # half the time of the default sort on mesh_grid, and less memory
+    end = tri.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    key = np.minimum(tri, end).astype(np.int64) * n + np.maximum(tri, end)
+    order = np.argsort(key, kind="stable")
+    (pair,) = np.nonzero(key[order[1:]] == key[order[:-1]])
+    s, t = order[pair], order[pair + 1]
+    twin = np.full(len(tri), -1, dtype=np.int32)
+    twin[s] = t
+    twin[t] = s
+    return tri, twin
+
+
+def _sweep(xy, pred, _order):
+    """tri and twin (as in _flip_rounds) of a triangulation of the points by
+    the radial sweep, with _order as in triangulate."""
+    n = len(xy)
+    xs = xy[:, 0].tolist()
+    ys = xy[:, 1].tolist()
+    orient_bound = pred.orient_bound
+
+    def orient(a, b, c):
+        # orient2d of points a, b and c, with the exact fallbacks counted
+        detleft = (xs[a] - xs[c]) * (ys[b] - ys[c])
+        detright = (ys[a] - ys[c]) * (xs[b] - xs[c])
+        det = detleft - detright
+        bound = orient_bound * (abs(detleft) + abs(detright))
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        pred.exact_orient += 1
+        ix, iy = pred.integers()
+        return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
 
     # The seed triangle: with no _order, the point nearest the box centre,
     # its nearest neighbour and the third point that makes the smallest
@@ -668,9 +739,37 @@ def triangulate(points, _order=None):
             hull_hash[keys[p]] = p
             hull_hash[keys[e]] = e
 
-    tri = np.array(tri[:top], dtype=np.int32)
-    twin = np.array(twin[:top], dtype=np.int32)
-    rounds, flips = _flip_rounds(tri, twin, xy, sound, in_disk)
+    return np.array(tri[:top], dtype=np.int32), np.array(twin[:top], dtype=np.int32)
+
+
+def triangulate(points, _order=None):
+    """Delaunay-triangulate unique 2D points.
+
+    points: sequence of (x, y) float pairs, all distinct.
+    Returns (triangles, stats): an (m, 3) int64 array of CCW vertex-index
+    triples, each starting at its smallest index, in sorted order, and a dict
+    of counts (points, flip rounds, flips, exact orient and incircle
+    fallbacks, ties).
+    The flips start from the lattice the points form when they form one
+    (_lattice_start), else from the radial sweep.
+    _order, a permutation of the indices, replaces the sweep's order (tests)
+    and always takes the sweep: its first non-collinear triple is the seed
+    triangle, and the other points are added in its order.
+    """
+    n = len(points)
+    if n < 3:
+        raise DataError(f"triangulation needs at least 3 points, got {n}")
+    xy = np.asarray(points, dtype=float)
+    first = first_coincident(xy)
+    (repeated,) = np.nonzero(first != np.arange(n))
+    if len(repeated):
+        i = int(repeated[0])
+        raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
+
+    pred = _Predicates(xy)
+    lattice = _lattice_start(xy, pred) if _order is None else None
+    tri, twin = lattice if lattice is not None else _sweep(xy, pred, _order)
+    rounds, flips = _flip_rounds(tri, twin, pred)
 
     tris = tri.reshape(-1, 3).astype(np.int64)
     start = tris.argmin(axis=1)
@@ -680,8 +779,8 @@ def triangulate(points, _order=None):
         "points": n,
         "rounds": rounds,
         "flips": flips,
-        "exact_orient": exact_orient,
-        "exact_incircle": exact_incircle,
-        "ties": ties,
+        "exact_orient": pred.exact_orient,
+        "exact_incircle": pred.exact_incircle,
+        "ties": pred.ties,
     }
     return tris, stats

@@ -379,6 +379,15 @@ def _pcg64_uniform(seed: int, n: int, low: float, high: float) -> np.ndarray:
     return out
 
 
+def _unit_exponent(v) -> int:
+    """The k for which 2**-k puts the largest |coordinate| of v in [0.5, 1)
+    (0 when all are 0). Smoothing and quality run on coordinates scaled by
+    2**-k, so their areas and lengths neither underflow nor overflow at any
+    span; a power-of-two scale is exact, so on any other mesh they compute
+    the same values times a power of two, and the same ratios and angles."""
+    return math.frexp(float(np.abs(v).max()))[1]
+
+
 def _doubled_area(ax, ay, bx, by, cx, cy):
     """Twice the signed plan-view area of the triangles with corners a, b, c
     (coordinate columns): positive when counter-clockwise, (b-a) x (c-a)."""
@@ -394,7 +403,8 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
     triangle is rejected for that vertex for that sweep; if simultaneous
     accepted moves still produce a flipped triangle, the involved vertices
     are reverted until the mesh is valid again. The sweeps gather from 1-D
-    x and y columns, not from (n, 2) rows.
+    x and y columns, scaled by a power of two (_unit_exponent) so that the
+    guard's areas hold at any span.
     """
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
@@ -404,8 +414,9 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
         return m
 
     n = m.n_vertices
-    x = m.vertices[:, 0].copy()
-    y = m.vertices[:, 1].copy()
+    shift = _unit_exponent(m.vertices)
+    x0 = x = np.ldexp(m.vertices[:, 0], -shift)
+    y0 = y = np.ldexp(m.vertices[:, 1], -shift)
     tris = m.triangles
     corners = a, b, c = tris.T
     interior = ~m.boundary_flags
@@ -447,20 +458,25 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
             accept[culprits] = False
         x, y = nx, ny
 
-    return m.with_vertices(np.column_stack([x, y]))
+    # a vertex that never moved keeps its bits, even one so much smaller
+    # than the largest that the scaling rounded it
+    moved = ((x != x0) | (y != y0))[:, None]
+    return m.with_vertices(np.where(moved, np.ldexp(np.column_stack([x, y]), shift), m.vertices))
 
 
 def mesh_quality(m: TriMesh) -> MeshQuality:
     """Per-triangle smallest interior angle and aspect ratio, aggregated.
 
     Works on planar and lifted meshes (angles are measured in the vertex
-    dimension). Degenerate (zero-area) triangles are excluded from the
-    aggregates and reported by index.
+    dimension), on coordinates scaled by a power of two (_unit_exponent).
+    Degenerate (zero-area) triangles are excluded from the aggregates and
+    reported by index.
     """
     if m.n_triangles == 0:
         raise DataError("mesh has no triangles")
+    v = np.ldexp(m.vertices, -_unit_exponent(m.vertices))
     # the corners' coordinate columns: a[k] is coordinate k of each first corner
-    a, b, c = ([col[i] for col in m.vertices.T] for i in m.triangles.T)
+    a, b, c = ([col[i] for col in v.T] for i in m.triangles.T)
     lab = _lengths(a, b)
     lbc = _lengths(b, c)
     lca = _lengths(c, a)

@@ -1,10 +1,12 @@
 """Mesh tests: Delaunay property, seeding, smoothing, quality, contours."""
 
+import contextlib
 import logging
 import math
 import warnings
 from dataclasses import astuple, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,6 +243,23 @@ def _triples(tris):
     return [tuple(t) for t in tris.tolist()]
 
 
+@contextlib.contextmanager
+def _sweep_start():
+    """triangulate with the lattice start switched off: every input takes
+    the radial sweep."""
+    with mock.patch.object(delaunay, "_lattice_start", lambda xy, pred: None):
+        yield
+
+
+@contextlib.contextmanager
+def _sweeps():
+    """A list that gets one entry each time triangulate enters the sweep."""
+    calls = []
+    sweep = delaunay._sweep
+    with mock.patch.object(delaunay, "_sweep", lambda *a: calls.append(1) or sweep(*a)):
+        yield calls
+
+
 class TestDelaunayOrderIndependence:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -267,11 +286,13 @@ class TestDelaunayOrderIndependence:
 
     @pytest.mark.parametrize("strategy, seed", [("grid", 0), ("jittered", 0), ("jittered", 7)])
     def test_brio_order_gives_the_reference_triangles(self, strategy, seed):
-        # the default order, the radial sweep's, on mesh seeds
+        # the radial sweep's own order on mesh seeds, with the lattice start
+        # switched off
         rect = Rect(684000.0, 5400000.0, 684400.0, 5400300.0)
         pts = [tuple(p) for p in seed_region(rect, 10.0, strategy, seed).tolist()]
         ref, ref_hull = triangulate_reference(pts)
-        tris, stats = delaunay.triangulate(pts)
+        with _sweep_start():
+            tris, stats = delaunay.triangulate(pts)
         triples = _triples(tris)
         assert set(triples) == rotation_canonical(ref) and len(tris) == len(ref)
         assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
@@ -287,35 +308,51 @@ class TestDelaunayOrderIndependence:
         with pytest.raises(DataError, match="collinear"):
             delaunay.triangulate([(float(i), 2.0 * i) for i in range(40)])
 
-    def test_debug_line_reports_the_counts(self, caplog):
-        # the engine's own tally: a change in the sequence of predicates it
-        # evaluates (seed step, sweep, flip rounds, ties) shows up here
-        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
-        jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
-        for pts, counts in [
-            (np.column_stack([xs.ravel(), ys.ravel()]),
-             "48 points, 3 flip rounds, 31 flips, "
-             "exact fallbacks 44 orient / 35 incircle, 35 cocircular ties"),
-            (jittered,
-             "1271 points, 12 flip rounds, 3385 flips, "
-             "exact fallbacks 161 orient / 3 incircle, 3 cocircular ties"),
-        ]:
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
-                delaunay_triangulate(pts)
-            (line,) = [m for m in caplog.messages if m.startswith("delaunay:")]
-            assert line == f"delaunay: {counts} decided by input index"
-
-    def test_debug_line_reports_the_grid_ties(self, caplog):
-        # mesh_grid's seeds: every cell of the grid is a cocircular tie
-        config = PipelineConfig.from_mapping({"seed_strategy": "grid", "spacing": "3"})
-        pts = seed_region(config.mesh_region, config.spacing, config.seed_strategy)
+    @staticmethod
+    def _debug_line(caplog, pts):
+        caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dsmkit.mesh"):
             delaunay_triangulate(pts)
         (line,) = [m for m in caplog.messages if m.startswith("delaunay:")]
-        assert line == (
-            "delaunay: 12512 points, 13 flip rounds, 48606 flips, "
-            "exact fallbacks 4238 orient / 12285 incircle, "
+        return line
+
+    def test_debug_line_reports_the_counts(self, caplog):
+        # the engine's own tally: a change in the sequence of predicates it
+        # evaluates (seed step, sweep, flip rounds, ties) shows up here.
+        # Both inputs are lattices, so the sweep runs only when forced.
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
+        jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
+        for pts, sweep, lattice in [
+            (np.column_stack([xs.ravel(), ys.ravel()]),
+             "48 points, 3 flip rounds, 31 flips, "
+             "exact fallbacks 44 orient / 35 incircle, 35 cocircular ties",
+             "48 points, 1 flip rounds, 0 flips, "
+             "exact fallbacks 0 orient / 35 incircle, 35 cocircular ties"),
+            (jittered,
+             "1271 points, 12 flip rounds, 3385 flips, "
+             "exact fallbacks 161 orient / 3 incircle, 3 cocircular ties",
+             "1271 points, 2 flip rounds, 601 flips, "
+             "exact fallbacks 0 orient / 0 incircle, 0 cocircular ties"),
+        ]:
+            with _sweep_start():
+                assert self._debug_line(caplog, pts) == f"delaunay: {sweep} decided by input index"
+            assert self._debug_line(caplog, pts) == f"delaunay: {lattice} decided by input index"
+
+    def test_debug_line_reports_the_grid_ties(self, caplog):
+        # mesh_grid's seeds: every cell of the grid is a cocircular tie. The
+        # sweep flips its way there; the lattice start splits every cell
+        # along the diagonal the tie rule keeps, so nothing flips.
+        config = PipelineConfig.from_mapping({"seed_strategy": "grid", "spacing": "3"})
+        pts = seed_region(config.mesh_region, config.spacing, config.seed_strategy)
+        with _sweep_start():
+            assert self._debug_line(caplog, pts) == (
+                "delaunay: 12512 points, 13 flip rounds, 48606 flips, "
+                "exact fallbacks 4238 orient / 12285 incircle, "
+                "12285 cocircular ties decided by input index"
+            )
+        assert self._debug_line(caplog, pts) == (
+            "delaunay: 12512 points, 1 flip rounds, 0 flips, "
+            "exact fallbacks 0 orient / 12285 incircle, "
             "12285 cocircular ties decided by input index"
         )
 
@@ -414,6 +451,115 @@ class TestDelaunayOrderIndependence:
         for lo, hi, sound in [(-189, 253, True), (-190, 0, False), (0, 254, False)]:
             values = np.array([0.0, 2.0 ** (lo - 1), -(2.0 ** (hi - 1))])
             assert delaunay._filters_sound(values) is sound
+
+
+# the benchmark's four workload configs: demo_uk, mesh_grid, dense_scan, global_uk
+_WORKLOAD_CONFIGS = {
+    "demo": {},
+    "mesh_grid": {"seed_strategy": "grid", "spacing": "3"},
+    "dense_scan": {"rows": "120", "cols": "240", "spacing": "20"},
+    "global_uk": {"rows": "16", "cols": "32", "spacing": "15", "neighbors": "global"},
+}
+
+
+class TestLatticeStart:
+    """Seeds that form a lattice start the flips from its cells and give the
+    sweep's triangles; points that fail the lattice checks take the sweep."""
+
+    @staticmethod
+    def _assert_the_sweeps_triangles(pts):
+        with _sweeps() as calls:
+            tris, stats = delaunay.triangulate(pts)
+        assert not calls
+        with _sweep_start():
+            want, _ = delaunay.triangulate(pts)
+        assert np.array_equal(tris, want)
+        return stats
+
+    @pytest.mark.parametrize("config", _WORKLOAD_CONFIGS.values(), ids=_WORKLOAD_CONFIGS)
+    def test_workload_seeds_give_the_sweeps_triangles(self, config):
+        config = PipelineConfig.from_mapping(config)
+        # grid seeding ignores the seed
+        for strategy, seed in [("grid", 0)] + [("jittered", seed) for seed in range(11)]:
+            pts = seed_region(config.mesh_region, config.spacing, strategy, seed)
+            self._assert_the_sweeps_triangles(pts)
+
+    @pytest.mark.parametrize("strategy", mesh.SEED_STRATEGIES)
+    def test_scaled_case_seeds_give_the_sweeps_triangles(self, strategy):
+        # the 1.25 m mesh of the scaled case: 71,720 seeds
+        config = PipelineConfig.from_mapping({"rows": "200", "cols": "400", "spacing": "1.25"})
+        pts = seed_region(config.mesh_region, config.spacing, strategy, config.seed)
+        assert len(pts) == 71720
+        self._assert_the_sweeps_triangles(pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        origin=st.sampled_from([(0.0, 0.0), (-250.0, 1e3), (684000.0, 5400000.0)]),
+        width=st.floats(1.0, 1000.0),
+        aspect=st.floats(0.25, 4.0),
+        steps=st.floats(1.2, 20.0),
+        strategy=st.sampled_from(mesh.SEED_STRATEGIES),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_rectangles_give_the_sweeps_triangles(
+        self, origin, width, aspect, steps, strategy, seed
+    ):
+        height = width * aspect
+        rect = Rect(origin[0], origin[1], origin[0] + width, origin[1] + height)
+        pts = seed_region(rect, min(width, height) / steps, strategy, seed)
+        self._assert_the_sweeps_triangles(pts)
+
+    @pytest.mark.parametrize("exponent", [-1074, 300])
+    def test_unsound_filters_decide_the_cells_exactly(self, exponent):
+        # a 5 x 4 lattice of multiples of 2**-1074 (subnormals) or of 2**300:
+        # products would underflow or overflow, so every orientation test of
+        # the cells goes exact
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
+        pts = np.ldexp(np.column_stack([xs.ravel(), ys.ravel()]), exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = self._assert_the_sweeps_triangles(pts)
+        assert stats["exact_orient"] >= 2 * 12 and stats["flips"] == 0
+
+    @staticmethod
+    def _assert_the_sweep_runs(pts):
+        # through delaunay_triangulate, which drops duplicates first
+        with _sweeps() as calls:
+            m = delaunay_triangulate(pts)
+        assert calls == [1]
+        ref, ref_hull = triangulate_reference([tuple(p) for p in m.vertices.tolist()])
+        assert set(_triples(m.triangles)) == rotation_canonical(ref)
+        assert len(m.triangles) == len(ref) and m.boundary_flags.tolist() == ref_hull
+
+    # 7 columns and 5 rows over a 60 x 40 rectangle
+    _SEEDS = seed_region(Rect(0.0, 0.0, 60.0, 40.0), 10.0, "jittered", 3)
+
+    def test_a_folded_cell_takes_the_sweep(self):
+        pts = self._SEEDS.copy()
+        pts[[9, 10]] = pts[[10, 9]]  # two interior seeds of row 1 swapped
+        self._assert_the_sweep_runs(pts)
+
+    @pytest.mark.parametrize("seed, axis, step", [(3, 1, 0.5), (13, 0, 0.5), (34, 1, -0.5)],
+                             ids=["bottom", "right", "top"])
+    def test_a_border_seed_off_the_rectangle_takes_the_sweep(self, seed, axis, step):
+        pts = self._SEEDS.copy()
+        pts[seed, axis] += step
+        self._assert_the_sweep_runs(pts)
+
+    def test_duplicate_seeds_take_the_sweep(self, caplog):
+        pts = self._SEEDS.copy()
+        pts[16] = pts[15]
+        self._assert_the_sweep_runs(pts)
+        assert "deduplicated 1 duplicate points (34 unique remain)" in caplog.messages
+
+    @pytest.mark.parametrize("config", _WORKLOAD_CONFIGS.values(), ids=_WORKLOAD_CONFIGS)
+    def test_the_mesh_stage_never_takes_the_sweep(self, config, monkeypatch):
+        # a silent fallback would only slow the mesh stage down
+        def sweep(*args):
+            raise AssertionError("the mesh stage took the sweep")
+
+        monkeypatch.setattr(delaunay, "_sweep", sweep)
+        build_planar_mesh(PipelineConfig.from_mapping(config))
 
 
 # magnitudes from 1e-300 to 1e300, and small integers scaled by one power of
@@ -778,6 +924,56 @@ class TestSmoothingAndQualityMatchOracles:
                     [[0, 1, 2], [3, 4, 5]])
         got = astuple(mesh_quality(m))
         assert got == mesh_quality_reference(m.vertices, m.triangles) and got[3] == (1,)
+
+
+class TestSmoothingAndQualityAtExtremeSpans:
+    """Smoothing and quality scale the coordinates by a power of two, so at
+    spans where the raw areas underflow or overflow they still test every
+    move and measure every triangle."""
+
+    _UNIT = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 2))
+
+    @pytest.mark.parametrize("shift", [-664, 664], ids=["2**-664", "2**664"])
+    def test_power_of_two_spans_match_the_unit_span(self, shift):
+        # spans near 1e-200 and 1e200, exactly 2**shift times the unit one
+        unit = delaunay_triangulate(self._UNIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = delaunay_triangulate(np.ldexp(self._UNIT, shift))
+            quality = mesh_quality(m)
+            smoothed = laplacian_smooth(m, 3)
+        assert np.array_equal(m.triangles, unit.triangles)
+        assert quality == mesh_quality(unit) and not quality.degenerate
+        want = laplacian_smooth(unit, 3).vertices
+        assert np.array_equal(smoothed.vertices, np.ldexp(want, shift))
+        assert not np.array_equal(want, unit.vertices)
+
+    @pytest.mark.parametrize("span", [1e-200, 1e200])
+    def test_decimal_spans_smooth_and_measure_without_warnings(self, span):
+        unit = delaunay_triangulate(self._UNIT)
+        unit_smoothed = laplacian_smooth(unit, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = delaunay_triangulate(self._UNIT * span)
+            smoothed = laplacian_smooth(m, 3)
+            pairs = [(mesh_quality(m), mesh_quality(unit)),
+                     (mesh_quality(smoothed), mesh_quality(unit_smoothed))]
+        for got, want in pairs:
+            assert got.degenerate == () == want.degenerate
+            assert astuple(got)[:3] == pytest.approx(astuple(want)[:3], rel=1e-9)
+        moved = (smoothed.vertices != m.vertices).any(axis=1)
+        assert np.array_equal(moved, (unit_smoothed.vertices != unit.vertices).any(axis=1))
+
+    def test_a_vertex_that_never_moves_keeps_its_bits(self):
+        # the boundary vertex at x = 2**-1074 rounds to 0 on the scale of
+        # the far corners; it comes back as it went in
+        far = 2.0**1000
+        m = TriMesh([[-far, -far], [2.0**-1074, -far], [far, -far], [far, far], [-far, far],
+                     [1.0, 2.0]],
+                    [[0, 1, 5], [1, 2, 5], [2, 3, 5], [3, 4, 5], [4, 0, 5]])
+        smoothed = laplacian_smooth(m, 1)
+        assert np.array_equal(smoothed.vertices[:5], m.vertices[:5])
+        assert not np.array_equal(smoothed.vertices[5], m.vertices[5])
 
 
 def _lifted_grid(f, half=200.0, spacing=10.0):

@@ -97,7 +97,9 @@ def _run_python(code, cwd):
 
 def test_tracer_counts_every_exact_fallback_of_the_engine(tmp_path):
     # the engine calls _orient_exact and _incircle_exact through module
-    # globals, so the tracer's patched wrappers see each call
+    # globals, so the tracer's patched wrappers see each call. The grid's
+    # points are listed in reverse, which is no lattice start, so the sweep
+    # makes exact orientation tests too.
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = (
         "import sys\n"
@@ -108,7 +110,7 @@ def test_tracer_counts_every_exact_fallback_of_the_engine(tmp_path):
         "tracer = tracing.Tracer('t')\n"
         "assert not tracing.patch(tracer.wrappers())\n"
         "xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))\n"
-        "_, stats = delaunay.triangulate(np.column_stack([xs.ravel(), ys.ravel()]))\n"
+        "_, stats = delaunay.triangulate(np.column_stack([xs.ravel(), ys.ravel()])[::-1])\n"
         "counts = tracer.counts\n"
         "print(counts['delaunay.exact_orient_fallbacks'], stats['exact_orient'],\n"
         "      counts['delaunay.exact_incircle_fallbacks'], stats['exact_incircle'])\n"
