@@ -5,9 +5,9 @@ Orientation and in-circle tests run as floating-point computations guarded by
 forward error bounds (Shewchuk 1997); uncertain signs fall back to exact
 integer arithmetic, so cocircular and collinear configurations are decided
 exactly. The integers are made once per triangulation, at its first exact
-test: every coordinate is an integer multiple of one power of two, found
-from the smallest nonzero |coordinate| (as_integer_ratio serves when that
-scale overflows a float).
+test or for the sweep's order: every coordinate is an integer multiple of
+one power of two, found from the smallest nonzero |coordinate|
+(as_integer_ratio serves when that scale overflows a float).
 The filters' error bounds hold only while no product underflows or
 overflows; coordinates whose exponents allow that send every test to the
 exact predicates (_filters_sound), a choice made once per triangulation.
@@ -22,14 +22,13 @@ the permanent's filter decides the same way.
   diagonal whose two triangles are counter-clockwise by exact tests, and
   the docstring there shows that this triangulates the points. Any other
   points, or points that fail those checks, take the radial sweep.
-- The sweep (S-hull; Sinclair 2010) adds the points in order of their
-  distance from the circumcentre of a small seed triangle, so each lies
-  outside the hull of those before it, and joins each to every hull edge it
-  sees. A hash of pseudo-angles around that centre names a hull vertex near
-  the point to start from, and the orientation filter decides what it sees.
-  The sweep makes no in-circle test. A point found in or on the hull (float
-  distances can misorder points; `_order` can put any point anywhere) is
-  inserted by an exact split of the triangle or edge that holds it.
+- The sweep (S-hull; Sinclair 2010) adds the points in order of their exact
+  distance from the point nearest the box centre, so each lies outside the
+  closed hull of those before it (the proof is in _sweep's docstring), and
+  joins each to every hull edge it sees. A hash of pseudo-angles around a
+  point inside the seed triangle names a hull vertex near the point to start
+  from, and the orientation filter decides what it sees. The sweep makes no
+  in-circle test and has one insertion case.
 - Lawson flips (Lawson 1977) then run as numpy rounds (_flip_rounds): the
   queued edges are tested with the in-circle filter in bounded chunks, and
   the illegal edges that do not share a triangle with a smaller illegal edge
@@ -245,19 +244,6 @@ def _unit_offsets(xy):
     return np.ldexp(off, -math.frexp(top)[1]) if top else off
 
 
-def _circumcentres(u, i0, i1):
-    """Offsets from u[i0] of the circumcentres of the triangles (i0, i1, k),
-    for every row k of u (non-finite where they are collinear in floats)."""
-    dx, dy = u[i1] - u[i0]
-    ex = u[:, 0] - u[i0, 0]
-    ey = u[:, 1] - u[i0, 1]
-    bl = dx * dx + dy * dy
-    cl = ex * ex + ey * ey
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = 0.5 / (dx * ey - dy * ex)
-        return (ey * bl - dy * cl) * d, (dx * cl - ex * bl) * d
-
-
 def _hash_keys(u, centre, size):
     """Each point's bucket of `size` by its pseudo-angle around centre, a
     monotone function of the angle that needs no trigonometry."""
@@ -402,8 +388,9 @@ class _Predicates:
     Where a product may underflow or overflow (_filters_sound fails), an
     infinite orient_bound sends every orientation test to the exact
     predicate (no det exceeds inf, nor the NaN of inf * 0) and the in-circle
-    filter is skipped. The exact integers are made at the first exact test,
-    so a triangulation that needs none never makes them.
+    filter is skipped. The exact integers are made at the first exact test
+    or for the sweep's order, so a lattice start that needs none never makes
+    them.
     """
 
     def __init__(self, xy):
@@ -534,12 +521,31 @@ def _lattice_start(xy, pred):
     return tri, twin
 
 
-def _sweep(xy, pred, _order):
+def _sweep(xy, pred):
     """tri and twin (as in _flip_rounds) of a triangulation of the points by
-    the radial sweep, with _order as in triangulate."""
+    the radial sweep, which joins each point to the hull edges it sees.
+
+    The order is exact. i0 is the point nearest the bounding box's centre,
+    and every point follows in order of its exact squared distance from i0,
+    on the integers of pred (ties by index). i1 is the next point, i2 the
+    first after it that is not collinear with i0 and i1, and the seed
+    triangle (i0, i1, i2) is followed by the rest in that order.
+
+    Why each later point lies outside the closed hull of those before it, so
+    that it strictly sees a hull edge, the one case the sweep inserts. A
+    point after i2 is at least as far from i0 as every point before it, so
+    it lies on the boundary circle of a closed disk that holds them all,
+    and it differs from each of them: a point of a circle is in the hull of
+    points of its disk only if it is one of them. A point skipped while
+    choosing i2 lies on the line through i0 and i1, and the points before
+    it are i2 and points of that line, no farther from i0 than it and none
+    equal to it; so it ends the segment they span, and it lies outside
+    their hull, which meets the line only in that segment.
+    """
     n = len(xy)
     xs = xy[:, 0].tolist()
     ys = xy[:, 1].tolist()
+    ix, iy = pred.integers()
     orient_bound = pred.orient_bound
 
     def orient(a, b, c):
@@ -553,49 +559,24 @@ def _sweep(xy, pred, _order):
         if -det > bound:
             return -1
         pred.exact_orient += 1
-        ix, iy = pred.integers()
         return _orient_exact(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c])
 
-    # The seed triangle: with no _order, the point nearest the box centre,
-    # its nearest neighbour and the third point that makes the smallest
-    # circumcircle with them (the first non-collinear one in that order);
-    # the others follow by distance from its circumcentre, so nearly every
-    # point lies outside the hull of those before it.
     u = _unit_offsets(xy)
-    if _order is None:
-        i0 = int(np.argmin((u * u).sum(axis=1)))
-        gap = ((u - u[i0]) ** 2).sum(axis=1)
-        gap[i0] = math.inf
-        i1 = int(np.argmin(gap))
-        cx, cy = _circumcentres(u, i0, i1)
-        radius = cx * cx + cy * cy
-        radius[~np.isfinite(radius)] = math.inf
-        candidates = (int(k) for k in np.argsort(radius, kind="stable"))
-    else:
-        order = [int(k) for k in _order]
-        i0, i1 = order[0], order[1]
-        candidates = iter(order[2:])
-    i2 = next((k for k in candidates if k != i0 and k != i1 and orient(i0, i1, k)), None)
+    i0 = int(np.argmin((u * u).sum(axis=1)))
+    x0, y0 = ix[i0], iy[i0]
+    order = sorted(range(n), key=lambda k: (ix[k] - x0) ** 2 + (iy[k] - y0) ** 2)
+    i1 = order[1]
+    i2 = next((k for k in order[2:] if orient(i0, i1, k)), None)
     if i2 is None:
         raise DataError("all points are collinear; cannot triangulate")
+    order = [k for k in order[2:] if k != i2]
     if orient(i0, i1, i2) < 0:
         i1, i2 = i2, i1
-    cx, cy = _circumcentres(u[[i0, i1, i2]], 0, 1)
-    centre = u[i0] + (cx[2], cy[2])
-    if not (np.abs(centre) <= 2).all():
-        centre = u[i0]
-    if _order is None:
-        gap = ((u - centre) ** 2).sum(axis=1)
-        order = np.argsort(gap, kind="stable")
-        rest = np.ones(n, dtype=bool)
-        rest[[i0, i1, i2]] = False
-        order = order[rest[order]].tolist()
-    else:
-        order = [k for k in order if k != i0 and k != i1 and k != i2]
-    # 4 sqrt(n) buckets: with sqrt(n), the sweep over a 12,512-point grid
-    # tested about five hull edges per point; with these, about one
+    # 4 sqrt(n) buckets of pseudo-angle around a point inside the seed
+    # triangle: with sqrt(n), the sweep over a 12,512-point grid made about
+    # 7.7 orientation tests per point; with these, about 4
     size = 4 * math.isqrt(n)
-    keys = _hash_keys(u, centre, size)
+    keys = _hash_keys(u, u[[i0, i1, i2]].mean(axis=0), size)
     del u
 
     # The sweep. Half-edge slots as in _flip_rounds: tri[s] starts slot s,
@@ -618,71 +599,9 @@ def _sweep(xy, pred, _order):
         hull_hash[keys[v]] = v
 
     def link(s, t):
-        # pair slots s and t, or make s a hull edge when t is -1
+        # pair slots s and t
         twin[s] = t
-        if t >= 0:
-            twin[t] = s
-        else:
-            hull_tri[tri[s]] = s
-
-    def split(p):
-        # Insert p, in or on the hull, by an exact split of the triangle or
-        # edge that holds it: 1 -> 3 inside a triangle, 2 -> 4 on an interior
-        # edge, 1 -> 2 on a hull edge.
-        nonlocal top
-        for t in range(0, top, 3):
-            a, b, c = tri[t : t + 3]
-            sides = orient(a, b, p), orient(b, c, p), orient(c, a, p)
-            if min(sides) >= 0:
-                break
-        else:
-            raise DataError(f"point location failed for point {p}")
-        if 0 not in sides:
-            tb, tc = twin[t + 1], twin[t + 2]
-            t1, t2 = top, top + 3
-            top += 6
-            tri[t + 2] = p
-            tri[t1 : t1 + 3] = b, c, p
-            tri[t2 : t2 + 3] = c, a, p
-            link(t1, tb)
-            link(t2, tc)
-            link(t + 1, t1 + 2)
-            link(t + 2, t2 + 1)
-            link(t1 + 1, t2 + 2)
-            return
-        # p lies on the open edge (a, b) of triangle (a, b, c)
-        k = sides.index(0)
-        sab, sbc, sca = t + k, t + (k + 1) % 3, t + (k + 2) % 3
-        a, b, c = tri[sab], tri[sbc], tri[sca]
-        g, tbc, tca = twin[sab], twin[sbc], twin[sca]
-        t1 = top
-        top += 3
-        tri[t : t + 3] = a, p, c
-        tri[t1 : t1 + 3] = p, b, c
-        link(t + 2, tca)
-        link(t1 + 1, tbc)
-        link(t + 1, t1 + 2)
-        if g < 0:
-            link(t, -1)
-            link(t1, -1)
-            hull_next[a] = hull_prev[b] = p
-            hull_prev[p], hull_next[p] = a, b
-            hull_hash[keys[p]] = p
-            return
-        # and on the open edge (b, a) of triangle (b, a, d) across it
-        g0 = g - g % 3
-        g1, g2 = g0 + (g + 1) % 3, g0 + (g + 2) % 3
-        d = tri[g2]
-        tad, tdb = twin[g1], twin[g2]
-        t2 = top
-        top += 3
-        tri[g0 : g0 + 3] = b, p, d
-        tri[t2 : t2 + 3] = p, a, d
-        link(g0 + 2, tdb)
-        link(t2 + 1, tad)
-        link(t, t2)
-        link(t1, g0)
-        link(g0 + 1, t2 + 2)
+        twin[t] = s
 
     for p in order:
         # a live hull vertex near p's angle
@@ -692,57 +611,55 @@ def _sweep(xy, pred, _order):
             if s >= 0 and hull_next[s] != s:
                 break
         # the first hull edge (e, hull_next[e]) p sees strictly, walking
-        # forward from just before s; none when p is in or on the hull
+        # forward from just before s; the order makes sure there is one
         start = e = hull_prev[s]
         while orient(e, hull_next[e], p) >= 0:
             e = hull_next[e]
             if e == start:
-                split(p)
+                raise RuntimeError(f"internal error: point {p} sees no hull edge in the sweep")
+        # join p to every hull edge it sees, forward from e, then back from
+        # e when the search started inside the visible chain
+        v = hull_next[e]
+        t = top
+        top += 3
+        tri[t : t + 3] = e, p, v
+        link(t + 2, hull_tri[e])
+        ep, pv = t, t + 1
+        while True:
+            w = hull_next[v]
+            if orient(v, w, p) >= 0:
                 break
-        else:
-            # join p to every hull edge it sees, forward from e, then back
-            # from e when the search started inside the visible chain
-            v = hull_next[e]
             t = top
             top += 3
-            tri[t : t + 3] = e, p, v
-            link(t + 2, hull_tri[e])
-            ep, pv = t, t + 1
+            tri[t : t + 3] = v, p, w
+            link(t, pv)
+            link(t + 2, hull_tri[v])
+            pv = t + 1
+            hull_next[v] = v
+            v = w
+        if e == start:
             while True:
-                w = hull_next[v]
-                if orient(v, w, p) >= 0:
+                r = hull_prev[e]
+                if orient(r, e, p) >= 0:
                     break
                 t = top
                 top += 3
-                tri[t : t + 3] = v, p, w
-                link(t, pv)
-                link(t + 2, hull_tri[v])
-                pv = t + 1
-                hull_next[v] = v
-                v = w
-            if e == start:
-                while True:
-                    r = hull_prev[e]
-                    if orient(r, e, p) >= 0:
-                        break
-                    t = top
-                    top += 3
-                    tri[t : t + 3] = r, p, e
-                    link(t + 1, ep)
-                    link(t + 2, hull_tri[r])
-                    ep = t
-                    hull_next[e] = e
-                    e = r
-            hull_next[e] = hull_prev[v] = p
-            hull_prev[p], hull_next[p] = e, v
-            hull_tri[e], hull_tri[p] = ep, pv
-            hull_hash[keys[p]] = p
-            hull_hash[keys[e]] = e
+                tri[t : t + 3] = r, p, e
+                link(t + 1, ep)
+                link(t + 2, hull_tri[r])
+                ep = t
+                hull_next[e] = e
+                e = r
+        hull_next[e] = hull_prev[v] = p
+        hull_prev[p], hull_next[p] = e, v
+        hull_tri[e], hull_tri[p] = ep, pv
+        hull_hash[keys[p]] = p
+        hull_hash[keys[e]] = e
 
     return np.array(tri[:top], dtype=np.int32), np.array(twin[:top], dtype=np.int32)
 
 
-def triangulate(points, _order=None):
+def triangulate(points):
     """Delaunay-triangulate unique 2D points.
 
     points: sequence of (x, y) float pairs, all distinct.
@@ -751,10 +668,7 @@ def triangulate(points, _order=None):
     of counts (points, flip rounds, flips, exact orient and incircle
     fallbacks, ties).
     The flips start from the lattice the points form when they form one
-    (_lattice_start), else from the radial sweep.
-    _order, a permutation of the indices, replaces the sweep's order (tests)
-    and always takes the sweep: its first non-collinear triple is the seed
-    triangle, and the other points are added in its order.
+    (_lattice_start), else from the radial sweep (_sweep).
     """
     n = len(points)
     if n < 3:
@@ -767,8 +681,8 @@ def triangulate(points, _order=None):
         raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
 
     pred = _Predicates(xy)
-    lattice = _lattice_start(xy, pred) if _order is None else None
-    tri, twin = lattice if lattice is not None else _sweep(xy, pred, _order)
+    lattice = _lattice_start(xy, pred)
+    tri, twin = lattice if lattice is not None else _sweep(xy, pred)
     rounds, flips = _flip_rounds(tri, twin, pred)
 
     tris = tri.reshape(-1, 3).astype(np.int64)

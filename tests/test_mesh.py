@@ -268,20 +268,24 @@ class TestDelaunayOrderIndependence:
             st.lists(st.sampled_from(_LATTICE), min_size=3, max_size=len(_LATTICE), unique=True)
         )
         x0, y0, step = data.draw(st.sampled_from(_PLACEMENTS))
-        pts = [(x0 + step * i, y0 + step * j) for i, j in nodes]
-        order = data.draw(st.permutations(range(len(pts))))
+        # the nodes in a drawn input order: the sweep's order breaks distance
+        # ties, and the tie rule cocircular ones, by input index
+        order = data.draw(st.permutations(nodes))
+        pts = [(x0 + step * i, y0 + step * j) for i, j in order]
         try:
             ref, ref_hull = triangulate_reference(pts)
         except DataError:
-            with pytest.raises(DataError, match="collinear"):
-                delaunay.triangulate(pts, _order=order)
+            with _sweep_start(), pytest.raises(DataError, match="collinear"):
+                delaunay.triangulate(pts)
             return
-        tris, stats = delaunay.triangulate(pts, _order=order)
+        with _sweep_start():
+            tris, stats = delaunay.triangulate(pts)
+        triples = _triples(tris)
         assert len(tris) == len(ref)
-        assert set(_triples(tris)) == rotation_canonical(ref)
+        assert set(triples) == rotation_canonical(ref)
         assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
-        # canonical output: the same array whatever the insertion order
-        assert np.array_equal(tris, delaunay.triangulate(pts)[0])
+        # canonical output: rotated to the smallest index, in sorted order
+        assert triples == sorted(triples) and all(t[0] == min(t) for t in triples)
         assert stats["points"] == len(pts)
 
     @pytest.mark.parametrize("strategy, seed", [("grid", 0), ("jittered", 0), ("jittered", 7)])
@@ -324,13 +328,13 @@ class TestDelaunayOrderIndependence:
         jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
         for pts, sweep, lattice in [
             (np.column_stack([xs.ravel(), ys.ravel()]),
-             "48 points, 3 flip rounds, 31 flips, "
+             "48 points, 3 flip rounds, 32 flips, "
              "exact fallbacks 44 orient / 35 incircle, 35 cocircular ties",
              "48 points, 1 flip rounds, 0 flips, "
              "exact fallbacks 0 orient / 35 incircle, 35 cocircular ties"),
             (jittered,
              "1271 points, 12 flip rounds, 3385 flips, "
-             "exact fallbacks 161 orient / 3 incircle, 3 cocircular ties",
+             "exact fallbacks 136 orient / 3 incircle, 3 cocircular ties",
              "1271 points, 2 flip rounds, 601 flips, "
              "exact fallbacks 0 orient / 0 incircle, 0 cocircular ties"),
         ]:
@@ -346,8 +350,8 @@ class TestDelaunayOrderIndependence:
         pts = seed_region(config.mesh_region, config.spacing, config.seed_strategy)
         with _sweep_start():
             assert self._debug_line(caplog, pts) == (
-                "delaunay: 12512 points, 13 flip rounds, 48606 flips, "
-                "exact fallbacks 4238 orient / 12285 incircle, "
+                "delaunay: 12512 points, 12 flip rounds, 48544 flips, "
+                "exact fallbacks 4202 orient / 12285 incircle, "
                 "12285 cocircular ties decided by input index"
             )
         assert self._debug_line(caplog, pts) == (
@@ -361,11 +365,11 @@ class TestDelaunayOrderIndependence:
         # the index-lifting rule decides, on indices in no spatial order
         rng = np.random.default_rng(20)
         xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
-        xy = np.column_stack([xs.ravel(), ys.ravel()])[rng.permutation(400)]
-        pts = [tuple(p) for p in xy.tolist()]
-        ref, ref_hull = triangulate_reference(pts)
-        for order in (None, rng.permutation(400)):
-            tris, stats = delaunay.triangulate(pts, _order=order)
+        xy = np.column_stack([xs.ravel(), ys.ravel()])
+        for order in (rng.permutation(400), rng.permutation(400)):
+            pts = [tuple(p) for p in xy[order].tolist()]
+            ref, ref_hull = triangulate_reference(pts)
+            tris, stats = delaunay.triangulate(pts)
             assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
             assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
             assert stats["ties"] > 0
@@ -379,11 +383,11 @@ class TestDelaunayOrderIndependence:
         tiny = 2.0**-1074
         pts = [(i * tiny, j * tiny) for i in range(4) for j in range(4)]
         pts += [(far * x, far * y) for x, y in [(1, 0), (0, 1), (-1, 0.3), (0.7, -0.9), (1.1, 1.2)]]
-        ref, _ = triangulate_reference(pts)
-        tris, stats = delaunay.triangulate(pts)
-        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
-        assert np.array_equal(tris, delaunay.triangulate(pts, _order=range(len(pts) - 1, -1, -1))[0])
-        assert stats["exact_incircle"] > 0 and stats["ties"] > 0
+        for order in (pts, pts[::-1]):
+            ref, _ = triangulate_reference(order)
+            tris, stats = delaunay.triangulate(order)
+            assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+            assert stats["exact_incircle"] > 0 and stats["ties"] > 0
 
 
     def test_subnormal_lattice_alone_orders_without_warnings(self):
@@ -412,11 +416,12 @@ class TestDelaunayOrderIndependence:
 
     @staticmethod
     def _assert_reference_in_any_order(pts, rng):
-        ref, _ = triangulate_reference(pts)
-        tris, _ = delaunay.triangulate(pts)
-        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
-        order = rng.permutation(len(pts))
-        assert np.array_equal(delaunay.triangulate(pts, _order=order)[0], tris)
+        # the points as given and in a random input order
+        for order in (range(len(pts)), rng.permutation(len(pts))):
+            permuted = [pts[k] for k in order]
+            ref, _ = triangulate_reference(permuted)
+            tris, _ = delaunay.triangulate(permuted)
+            assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
 
     @pytest.mark.parametrize("exponent", [-300, -250, -200, -100, 0, 100, 200])
     def test_spans_across_the_float_range_give_the_reference_triangles(self, exponent):
@@ -437,13 +442,27 @@ class TestDelaunayOrderIndependence:
         self._assert_reference_in_any_order([tuple(p) for p in xy.tolist()], rng)
 
     def test_mixed_magnitudes_give_the_reference_triangles(self):
-        # the float distance order cannot tell the points near 1e-200 apart,
-        # so some of them lie in the hull of those added before them and
-        # are inserted by an exact split
+        # float distances from the points near 1e100 cannot tell those near
+        # 1e-200 apart; the sweep orders them by exact distance
         rng = np.random.default_rng(1)
         xy = np.concatenate([rng.uniform(-1.0, 1.0, (25, 2)) * 1e-200,
                              rng.uniform(-1.0, 1.0, (15, 2)) * 1e100])
         self._assert_reference_in_any_order([tuple(p) for p in xy.tolist()], rng)
+
+    def test_mixed_magnitudes_take_few_exact_orientation_tests(self):
+        # no point of the exact distance order lies in the hull of those
+        # before it, so the sweep never scans the triangles for one: such a
+        # scan per misordered point near 1e-200 takes over 300,000 exact
+        # orientation tests on this input
+        rng = np.random.default_rng(1)
+        xy = np.concatenate([rng.uniform(-1.0, 1.0, (500, 2)) * 1e-200,
+                             rng.uniform(-1.0, 1.0, (500, 2)) * 1e100])
+        pts = [tuple(p) for p in xy.tolist()]
+        ref, ref_hull = triangulate_reference(pts)
+        tris, stats = delaunay.triangulate(pts)
+        assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+        assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
+        assert stats["exact_orient"] <= 20_000
 
     def test_filters_are_sound_within_the_exponent_bounds(self):
         # see _filters_sound: products of up to four coordinate differences

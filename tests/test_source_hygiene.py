@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, no module-level private function,
-class or constant goes unreferenced, no module uses numpy.random (mesh seeding
+class or constant goes unreferenced, no function takes a parameter whose name
+starts with an underscore (a hook for tests), no module uses numpy.random (mesh seeding
 draws numpy's stream itself, so no run pays that import), and the test
 oracles evaluate no semivariogram with the code they check and never import
 the mesh module."""
@@ -104,6 +105,42 @@ def test_unread_private_constant_check_sees_one():
 def test_every_private_constant_is_read():
     trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_constants(trees) == []
+
+
+def _underscore_parameters(tree: ast.Module) -> list:
+    """Every parameter of a function or lambda whose name starts with an
+    underscore, as "line function parameter"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            name = getattr(node, "name", "lambda")
+            found += [f"{node.lineno} {name} {a.arg}" for a in every if a and a.arg.startswith("_")]
+    return found
+
+
+def test_underscore_parameter_check_sees_every_form():
+    tree = ast.parse(
+        "def f(a, _b=None, *_c, _d, **_e): pass\n"
+        "def g(_h, /): pass\n"
+        "k = lambda _m: _m\n"
+        "def n(p, *q, r, **s): pass\n"
+    )
+    assert _underscore_parameters(tree) == [
+        "1 f _b", "1 f _c", "1 f _d", "1 f _e", "2 g _h", "3 lambda _m"
+    ]
+
+
+def test_no_function_takes_an_underscore_parameter():
+    # a parameter only tests pass (an insertion order, say) keeps code alive
+    # that no caller of the package reaches
+    found = [
+        f"{path.name}:{entry}"
+        for path in MODULES
+        for entry in _underscore_parameters(_tree(path))
+    ]
+    assert found == []
 
 
 def _numpy_random_uses(tree: ast.Module) -> list:
