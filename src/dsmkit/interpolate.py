@@ -104,6 +104,20 @@ def drift_terms(degree: int) -> int:
     return 1 + 2 * degree
 
 
+def least_samples(degree: int) -> int:
+    """The fewest samples kriging with a drift of this degree solves from:
+    one more than its drift terms."""
+    return drift_terms(degree) + 1
+
+
+def check_sample_count(count: int, degree: int) -> None:
+    """DataError unless `count` samples are enough to krige with a drift of
+    this degree (least_samples)."""
+    need = least_samples(degree)
+    if count < need:
+        raise DataError(f"need at least {need} samples for drift degree {degree}, got {count}")
+
+
 def drift_basis(degree: int, x) -> np.ndarray:
     """Polynomial drift terms at planar locations x of shape (..., 2), one
     (2,) point or a stack: [1] of shape (..., 1) or [1, x, y] of (..., 3)."""
@@ -288,12 +302,8 @@ class KrigingSystem:
 
     def __post_init__(self):
         locs, vals = _samples(self.locations, self.values)
-        need = self.n_drift_terms + 1
-        if len(locs) < need:
-            raise DataError(
-                f"need at least {need} samples for drift degree {self.drift_degree}, "
-                f"got {len(locs)}"
-            )
+        check_sample_count(len(locs), self.drift_degree)
+        need = least_samples(self.drift_degree)
         if self.neighborhood is not None and self.neighborhood < need:
             raise ConfigError(
                 f"neighborhood {self.neighborhood} too small for drift degree "

@@ -45,7 +45,14 @@ from .acquisition import (
 from .errors import ConfigError, DataError, DsmError, ParseError
 from .geodesy import UTM_LAT_BAND, GeoPoint, utm_zone_for
 from .geometry import Rect
-from .interpolate import IdwConfig, LiftSummary, UkConfig, drift_terms, lift_mesh
+from .interpolate import (
+    IdwConfig,
+    LiftSummary,
+    UkConfig,
+    check_sample_count,
+    least_samples,
+    lift_mesh,
+)
 from .mesh import (
     SEED_STRATEGIES,
     MeshQuality,
@@ -267,12 +274,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown formats: {sorted(bad)}")
 
         drift = number("drift", int)
-        terms = drift_terms(drift)  # a bad degree fails under idw too
+        kriged = least_samples(drift)  # a bad degree fails under idw too
 
         # the lift keys are checked here so a bad value fails before any stage
         neighbors = None if raw["neighbors"] == "global" else number("neighbors", int)
-        # kriging needs one sample more than it has drift terms
-        least = terms + 1 if method == "uk" else 1
+        least = kriged if method == "uk" else 1
         if neighbors is not None and neighbors < least:
             raise ConfigError(
                 f"neighbors must be 'global' or at least {least} "
@@ -535,6 +541,8 @@ def run(config: PipelineConfig) -> RunReport:
     """Execute the full workflow and write the configured artifacts."""
     with Stage("acquire"):
         samples = prepare_samples(config)
+        if config.method == "uk":
+            check_sample_count(len(samples.utm), config.drift)
     with Stage("mesh"):
         planar, q_before, q_after = build_planar_mesh(config)
     model, ev = None, None
@@ -590,6 +598,7 @@ def compare_methods(config: PipelineConfig) -> MethodComparison:
     """Lift one planar mesh with both methods and compare the surfaces."""
     with Stage("acquire"):
         samples = prepare_samples(config)
+        check_sample_count(len(samples.utm), config.drift)
     with Stage("mesh"):
         planar, _, _ = build_planar_mesh(config)
     with Stage("variogram"):

@@ -121,6 +121,9 @@ CASES = {
     "kriging_too_few_samples": (
         lambda: KrigingSystem(FIVE[:3], np.zeros(3), SPH, drift_degree=1),
         DataError, "need at least 4 samples for drift degree 1, got 3"),
+    "kriging_too_few_samples_drift_0": (
+        lambda: KrigingSystem(FIVE[:1], np.zeros(1), SPH, drift_degree=0),
+        DataError, "need at least 2 samples for drift degree 0, got 1"),
     "kriging_neighborhood_too_small": (
         lambda: KrigingSystem(FIVE, np.zeros(5), SPH, drift_degree=1, neighborhood=3),
         ConfigError, "neighborhood 3 too small for drift degree 1"),

@@ -323,15 +323,16 @@ class TestDelaunayOrderIndependence:
     def test_debug_line_reports_the_counts(self, caplog):
         # the engine's own tally: a change in the sequence of predicates it
         # evaluates (seed step, sweep, flip rounds, ties) shows up here.
-        # Both inputs are lattices, so the sweep runs only when forced.
+        # Both inputs are lattices, so the sweep runs only when forced; the
+        # 8 x 6 one is rectilinear, so its start evaluates nothing.
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
         jittered = seed_region(Rect(684000.0, 5400000.0, 684400.0, 5400300.0), 10.0, "jittered", 7)
         for pts, sweep, lattice in [
             (np.column_stack([xs.ravel(), ys.ravel()]),
              "48 points, 3 flip rounds, 32 flips, "
              "exact fallbacks 44 orient / 35 incircle, 35 cocircular ties",
-             "48 points, 1 flip rounds, 0 flips, "
-             "exact fallbacks 0 orient / 35 incircle, 35 cocircular ties"),
+             "48 points, 0 flip rounds, 0 flips, "
+             "exact fallbacks 0 orient / 0 incircle, 0 cocircular ties"),
             (jittered,
              "1271 points, 12 flip rounds, 3385 flips, "
              "exact fallbacks 136 orient / 3 incircle, 3 cocircular ties",
@@ -345,7 +346,8 @@ class TestDelaunayOrderIndependence:
     def test_debug_line_reports_the_grid_ties(self, caplog):
         # mesh_grid's seeds: every cell of the grid is a cocircular tie. The
         # sweep flips its way there; the lattice start splits every cell
-        # along the diagonal the tie rule keeps, so nothing flips.
+        # along the diagonal the tie rule keeps, and as the lattice is
+        # rectilinear that start is already Delaunay: no flip round runs.
         config = PipelineConfig.from_mapping({"seed_strategy": "grid", "spacing": "3"})
         pts = seed_region(config.mesh_region, config.spacing, config.seed_strategy)
         with _sweep_start():
@@ -355,9 +357,9 @@ class TestDelaunayOrderIndependence:
                 "12285 cocircular ties decided by input index"
             )
         assert self._debug_line(caplog, pts) == (
-            "delaunay: 12512 points, 1 flip rounds, 0 flips, "
-            "exact fallbacks 0 orient / 12285 incircle, "
-            "12285 cocircular ties decided by input index"
+            "delaunay: 12512 points, 0 flip rounds, 0 flips, "
+            "exact fallbacks 0 orient / 0 incircle, "
+            "0 cocircular ties decided by input index"
         )
 
     def test_shuffled_lattice_gives_the_reference_triangles(self):
@@ -495,13 +497,23 @@ class TestLatticeStart:
         assert np.array_equal(tris, want)
         return stats
 
+    @staticmethod
+    def _assert_the_path(stats, strategy):
+        # grid seeds form a rectilinear lattice, already Delaunay: no flip
+        # round and no exact in-circle test; a seeding change that loses
+        # that layout fails here instead of only slowing the mesh stage
+        if strategy == "grid":
+            assert stats["rounds"] == stats["exact_incircle"] == 0
+        else:
+            assert stats["rounds"] >= 1
+
     @pytest.mark.parametrize("config", _WORKLOAD_CONFIGS.values(), ids=_WORKLOAD_CONFIGS)
     def test_workload_seeds_give_the_sweeps_triangles(self, config):
         config = PipelineConfig.from_mapping(config)
         # grid seeding ignores the seed
         for strategy, seed in [("grid", 0)] + [("jittered", seed) for seed in range(11)]:
             pts = seed_region(config.mesh_region, config.spacing, strategy, seed)
-            self._assert_the_sweeps_triangles(pts)
+            self._assert_the_path(self._assert_the_sweeps_triangles(pts), strategy)
 
     @pytest.mark.parametrize("strategy", mesh.SEED_STRATEGIES)
     def test_scaled_case_seeds_give_the_sweeps_triangles(self, strategy):
@@ -509,7 +521,73 @@ class TestLatticeStart:
         config = PipelineConfig.from_mapping({"rows": "200", "cols": "400", "spacing": "1.25"})
         pts = seed_region(config.mesh_region, config.spacing, strategy, config.seed)
         assert len(pts) == 71720
-        self._assert_the_sweeps_triangles(pts)
+        self._assert_the_path(self._assert_the_sweeps_triangles(pts), strategy)
+
+    @staticmethod
+    def _rectilinear(rng, rows, cols, offset=(0.0, 0.0), unit=1.0):
+        # row-major nodes of distinct, sorted, non-uniform x and y runs:
+        # cumulative sums of integer steps 1..40, times unit, plus offset
+        xs, ys = (offset[k] + unit * np.cumsum(rng.integers(1, 41, count)).astype(float)
+                  for k, count in enumerate((cols, rows)))
+        gx, gy = np.meshgrid(xs, ys)
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    # (rows, cols, offset, unit): small lattices, strips, UTM-sized
+    # offsets, and spans where _filters_sound fails (subnormal multiples of
+    # 2**-1074, and about 1e200)
+    _RECTILINEAR = {
+        "small": (5, 6, (0.0, 0.0), 1.0),
+        "small_fractional": (6, 4, (-3.5, 2.25), 0.1),
+        "strip_2xn": (2, 30, (0.0, 0.0), 0.37),
+        "strip_nx2": (30, 2, (0.0, 0.0), 0.37),
+        "utm": (7, 8, (684321.0, 5398765.0), 0.01),
+        "utm_large": (40, 60, (684321.0, 5398765.0), 0.3),
+        "subnormal": (5, 7, (0.0, 0.0), 2.0**-1074),
+        "far": (6, 5, (0.0, 0.0), 1e198),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", _RECTILINEAR)
+    def test_rectilinear_lattices_are_already_delaunay(self, case, seed):
+        # oracle: the flip rounds, run on the lattice start, flip nothing and
+        # keep its triangles; the forced sweep, and the reference on small
+        # lattices, give the same triangles
+        rows, cols, offset, unit = self._RECTILINEAR[case]
+        xy = self._rectilinear(np.random.default_rng(seed), rows, cols, offset, unit)
+        if case in ("subnormal", "far"):
+            assert not delaunay._filters_sound(xy.ravel())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = self._assert_the_sweeps_triangles(xy)
+            tris, _ = delaunay.triangulate(xy)
+            pred = delaunay._Predicates(xy)
+            tri, settled = delaunay._lattice_start(xy, pred)
+            assert settled
+            flipped = tri.copy()
+            assert delaunay._flip_rounds(flipped, delaunay._twins(flipped, len(xy)), pred) == (1, 0)
+        assert stats["rounds"] == stats["flips"] == stats["exact_orient"] == 0
+        assert stats["exact_incircle"] == stats["ties"] == 0
+        assert np.array_equal(flipped, tri)
+        assert set(_triples(tris)) == rotation_canonical(tri.reshape(-1, 3).tolist())
+        if len(xy) <= 60:
+            pts = [tuple(p) for p in xy.tolist()]
+            ref, ref_hull = triangulate_reference(pts)
+            assert set(_triples(tris)) == rotation_canonical(ref) and len(tris) == len(ref)
+            assert TriMesh(pts, tris).boundary_flags.tolist() == ref_hull
+
+    @pytest.mark.parametrize("case", ["small", "utm", "subnormal", "far"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_lattice_one_ulp_off_rectilinear_runs_the_flips(self, case, axis):
+        rows, cols, offset, unit = self._RECTILINEAR[case]
+        xy = self._rectilinear(np.random.default_rng(7), rows, cols, offset, unit)
+        k = 2 * cols + 2  # an interior point
+        xy[k, axis] = np.nextafter(xy[k, axis], np.inf)
+        pred = delaunay._Predicates(xy)
+        assert delaunay._lattice_start(xy, pred)[1] is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = self._assert_the_sweeps_triangles(xy)
+        assert stats["rounds"] >= 1
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -531,14 +609,18 @@ class TestLatticeStart:
     @pytest.mark.parametrize("exponent", [-1074, 300])
     def test_unsound_filters_decide_the_cells_exactly(self, exponent):
         # a 5 x 4 lattice of multiples of 2**-1074 (subnormals) or of 2**300:
-        # products would underflow or overflow, so every orientation test of
-        # the cells goes exact
+        # products would underflow or overflow. The rectilinear lattice needs
+        # no test; with one interior point moved off its row, every
+        # orientation test of the cells goes exact
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
-        pts = np.ldexp(np.column_stack([xs.ravel(), ys.ravel()]), exponent)
+        xy = 4.0 * np.column_stack([xs.ravel(), ys.ravel()])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = self._assert_the_sweeps_triangles(pts)
-        assert stats["exact_orient"] >= 2 * 12 and stats["flips"] == 0
+            stats = self._assert_the_sweeps_triangles(np.ldexp(xy, exponent))
+            assert stats["rounds"] == stats["exact_orient"] == stats["exact_incircle"] == 0
+            xy[7, 1] += 1.0
+            stats = self._assert_the_sweeps_triangles(np.ldexp(xy, exponent))
+        assert stats["exact_orient"] >= 2 * 12 and stats["rounds"] >= 1
 
     @staticmethod
     def _assert_the_sweep_runs(pts):

@@ -1022,6 +1022,48 @@ class TestCli:
         )
         assert not out.exists()
 
+    _MODEL = ["variogram_c0 = 0", "variogram_c = 5", "variogram_a = 100"]
+
+    # a 2 x 2 scan keeps 1 sample in the region, a 2 x 3 scan 2; these runs
+    # used to fail at the variogram or the lift, after the mesh stage
+    @pytest.mark.parametrize(
+        "argv, lines, message",
+        [
+            (["run"], ["rows = 2", "cols = 2"], "need at least 4 samples for drift degree 1, got 1"),
+            (["run"], ["rows = 2", "cols = 3", *_MODEL],
+             "need at least 4 samples for drift degree 1, got 2"),
+            (["run", "--drift", "0"], ["rows = 2", "cols = 2"],
+             "need at least 2 samples for drift degree 0, got 1"),
+            (["lift"], ["rows = 2", "cols = 3", *_MODEL],
+             "need at least 4 samples for drift degree 1, got 2"),
+            (["compare"], ["rows = 2", "cols = 2"],
+             "need at least 4 samples for drift degree 1, got 1"),
+            (["compare", "--method", "idw"], ["rows = 2", "cols = 3", *_MODEL],
+             "need at least 4 samples for drift degree 1, got 2"),
+        ],
+        ids=["run_one_sample", "run_explicit_model", "run_drift_0", "lift_explicit_model",
+             "compare_one_sample", "compare_under_idw"],
+    )
+    def test_too_few_samples_to_krige_fail_at_acquire(
+        self, tmp_path, capsys, monkeypatch, argv, lines, message
+    ):
+        monkeypatch.setattr(pipeline, "build_planar_mesh", _stage_ran)
+        out = tmp_path / "o"
+        code = main([*argv, "--config", self._cfg(tmp_path, lines), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == f"error: stage 'acquire': {message}\n"
+        assert not out.exists()
+
+    def test_idw_lifts_from_one_sample(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--config", self._cfg(tmp_path, ["rows = 2", "cols = 2"]),
+                     "--method", "idw", "--spacing", "30", "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == 0
+        assert "samples: 4 acquired, 1 in region" in stdout
+        assert (out / "dsm_idw.obj").exists()
+
     def test_gaussian_fit_fails_every_system_one_factorisation_per_slab(
         self, tmp_path, capsys, monkeypatch
     ):
