@@ -63,6 +63,10 @@ class PointSet:
     from GeoPoint/UtmPoint objects with `PointSet(points, crs)` or from
     columns with `PointSet.from_arrays`; iterating makes the point objects
     on demand.
+
+    `projected` is None, or the same samples, row for row, in the UTM frame
+    a synthetic terrain projected them into to evaluate its field (see
+    scan_grid); clip_to_region keeps its rows with the set's.
     """
 
     def __init__(self, points=(), crs: Wgs84Crs | UtmCrs = WGS84):
@@ -83,10 +87,15 @@ class PointSet:
         self._store(x, y, z, crs)
 
     @classmethod
-    def from_arrays(cls, x, y, z, crs: Wgs84Crs | UtmCrs = WGS84) -> "PointSet":
+    def from_arrays(
+        cls, x, y, z, crs: Wgs84Crs | UtmCrs = WGS84, projected: "PointSet | None" = None
+    ) -> "PointSet":
         """A point set over copies of the columns x, y, z (see the class)."""
         ps = cls.__new__(cls)
         ps._store(x, y, z, crs)
+        if projected is not None and len(projected) != len(ps):
+            raise DataError(f"{len(ps)} points, but {len(projected)} projected")
+        ps.projected = projected
         return ps
 
     def _store(self, x, y, z, crs):
@@ -112,6 +121,7 @@ class PointSet:
         self._xy = xy
         self.x, self.y, self.z = xy[:, 0], xy[:, 1], z
         self.crs = crs
+        self.projected = None
 
     def __len__(self):
         return len(self.z)
@@ -130,6 +140,12 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({len(self)} points, {self.crs!r})"
+
+    def take(self, rows) -> "PointSet":
+        """The points `rows` (a boolean mask or indices) selects, in order,
+        with the same rows of `projected`."""
+        projected = None if self.projected is None else self.projected.take(rows)
+        return PointSet.from_arrays(self.x[rows], self.y[rows], self.z[rows], self.crs, projected)
 
     def coords(self) -> np.ndarray:
         """Plan-view coordinates, shape (n, 2): (lon, lat) or (easting, northing)."""
@@ -234,6 +250,10 @@ def scan_grid(provider: ElevationProvider, spec: ScanSpec) -> PointSet:
     Point (i, j) sits at latitude lat_max - i*dlat, longitude
     lon_min + j*dlon with dlat = height/rows, dlon = width/cols, so the
     last row/column stops one step short of the far edges (half-open).
+
+    A SyntheticTerrain projects each node once, into its frame, to evaluate
+    its field; those eastings and northings become the scan's `projected`
+    point set.
     """
     r = spec.region
     dlat = r.height / spec.rows
@@ -241,10 +261,14 @@ def scan_grid(provider: ElevationProvider, spec: ScanSpec) -> PointSet:
     lat, lon = np.meshgrid(
         r.y_max - np.arange(spec.rows) * dlat, r.x_min + np.arange(spec.cols) * dlon, indexing="ij"
     )
-    # a provider need not subclass ElevationProvider: elevation_at will do
-    elevations = getattr(type(provider), "elevations", ElevationProvider.elevations)
+    terrain = isinstance(provider, SyntheticTerrain)
     try:
-        alt = np.asarray(elevations(provider, lat, lon), dtype=float)
+        if terrain:
+            easting, northing, alt = provider.sample(lat, lon)
+        else:
+            # a provider need not subclass ElevationProvider: elevation_at will do
+            elevations = getattr(type(provider), "elevations", ElevationProvider.elevations)
+            alt = np.asarray(elevations(provider, lat, lon), dtype=float)
     except DsmError:
         raise
     except Exception as e:
@@ -255,11 +279,13 @@ def scan_grid(provider: ElevationProvider, spec: ScanSpec) -> PointSet:
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
         raise DataError(f"elevation provider returned {alt[i, j].item()!r} at node ({i}, {j})")
-    return PointSet.from_arrays(lon, lat, alt, WGS84)
+    projected = PointSet.from_arrays(easting, northing, alt, provider.frame) if terrain else None
+    return PointSet.from_arrays(lon, lat, alt, WGS84, projected)
 
 
 def clip_to_region(ps: PointSet, rect: Rect, rect_crs=None) -> PointSet:
-    """Keep points inside rect (boundary inclusive), preserving order.
+    """Keep points inside rect (boundary inclusive), preserving order, and
+    the same rows of the set's `projected` point set.
 
     rect is interpreted in the point set's CRS; pass rect_crs to assert it.
     """
@@ -267,15 +293,15 @@ def clip_to_region(ps: PointSet, rect: Rect, rect_crs=None) -> PointSet:
         raise DataError(f"clip rectangle CRS {rect_crs!r} does not match point set {ps.crs!r}")
     x, y = ps.x, ps.y
     keep = (rect.x_min <= x) & (x <= rect.x_max) & (rect.y_min <= y) & (y <= rect.y_max)
-    return PointSet.from_arrays(x[keep], y[keep], ps.z[keep], ps.crs)
+    return ps.take(keep)
 
 
 class SyntheticTerrain(ElevationProvider):
     """Analytic elevation field of one TERRAIN_KINDS kind, in projected meters.
 
-    Queries are projected into the UTM frame (zone and hemisphere) of the
-    origin, so the field, a function of the easting/northing offset from the
-    origin, is continuous across the equator.
+    Queries are projected into `frame`, the UTM frame (zone and hemisphere)
+    of the origin, so the field, a function of the easting/northing offset
+    from the origin, is continuous across the equator.
     """
 
     def __init__(self, kind: str, origin: GeoPoint, params: dict):
@@ -283,7 +309,7 @@ class SyntheticTerrain(ElevationProvider):
         self.origin = origin
         self.params = dict(params)
         u = wgs84_to_utm(origin)
-        self._frame = (u.zone, u.hemisphere)
+        self.frame = UtmCrs(u.zone, u.hemisphere)
         self._origin_e = u.easting
         self._origin_n = u.northing
 
@@ -291,11 +317,16 @@ class SyntheticTerrain(ElevationProvider):
         return self.elevations(np.array([latitude]), np.array([longitude])).item()
 
     def elevations(self, latitudes, longitudes) -> np.ndarray:
+        return self.sample(latitudes, longitudes)[2]
+
+    def sample(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eastings, northings, elevations) at arrays of positions of one
+        shape, in that shape: each position is projected once into `frame`,
+        and the field is evaluated there."""
         lat = np.asarray(latitudes, dtype=float)
-        easting, northing = utm_forward(lat, longitudes, *self._frame)
-        dx = easting - self._origin_e
-        dy = northing - self._origin_n
-        return self._evaluate(dx, dy).reshape(lat.shape)
+        easting, northing = utm_forward(lat, longitudes, self.frame.zone, self.frame.hemisphere)
+        z = self._evaluate(easting - self._origin_e, northing - self._origin_n)
+        return easting.reshape(lat.shape), northing.reshape(lat.shape), z.reshape(lat.shape)
 
     def _evaluate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         field, _ = TERRAIN_KINDS[self.kind]

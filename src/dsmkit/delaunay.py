@@ -702,9 +702,7 @@ def triangulate(points):
     triples, each starting at its smallest index, in sorted order, and a dict
     of counts (points, flip rounds, flips, exact orient and incircle
     fallbacks, ties).
-    The flips start from the lattice the points form when they form one
-    (_lattice_start), else from the radial sweep (_sweep); a rectilinear
-    lattice is already Delaunay, and no flip round runs on it.
+    Two coincident points raise DataError.
     """
     n = len(points)
     if n < 3:
@@ -715,7 +713,20 @@ def triangulate(points):
     if len(repeated):
         i = int(repeated[0])
         raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
+    return _triangulate(xy)
 
+
+def _triangulate(xy):
+    """triangulate's work on an (n, 2) float array of distinct points, which
+    its caller has checked (mesh.delaunay_triangulate drops coincident ones).
+
+    The flips start from the lattice the points form when they form one
+    (_lattice_start), else from the radial sweep (_sweep); a rectilinear
+    lattice is already Delaunay, and no flip round runs on it.
+    """
+    n = len(xy)
+    if n < 3:
+        raise DataError(f"triangulation needs at least 3 points, got {n}")
     pred = _Predicates(xy)
     lattice = _lattice_start(xy, pred)
     if lattice is None:

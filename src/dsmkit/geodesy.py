@@ -6,6 +6,9 @@ a UTM zone. The series exist once, over arrays (`utm_forward`,
 `utm_inverse`); `wgs84_to_utm` and `utm_to_wgs84` are one-point wrappers.
 Both take one frame, a zone and a hemisphere, which alone fixes the false
 northing: projections are continuous across the equator and convert back.
+`utm_forward` evaluates the terms of latitude alone once per distinct
+latitude and those of longitude alone once per distinct longitude, and every
+transcendental call is `math`'s (see `elementwise`).
 Degree/minute/second parsing accepts both ASCII and typographic marks.
 """
 
@@ -193,6 +196,21 @@ def _tau_from_tau_prime(taup: np.ndarray) -> np.ndarray:
     return tau
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) of a 1-D float array: its distinct bit patterns,
+    so -0.0 and 0.0 stay apart, and where each element's lies in them
+    (distinct[inverse] is `values`, bit for bit). A sort, not np.unique,
+    whose first 1-D call imports numpy.ma."""
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    ranked = bits[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ranked[starts].view(float), inverse
+
+
 def utm_forward(
     latitudes, longitudes, zone: int, hemisphere: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +218,10 @@ def utm_forward(
     frame of one zone and hemisphere: (eastings, northings) in meters. Every
     point gets the frame's false northing, so the northings are continuous
     across the equator: a southern point in a northern frame has a negative
-    northing.
+    northing. The terms of latitude alone (tan φ and τ′) run once per
+    distinct latitude, and those of longitude alone (cos λ and sin λ) once
+    per distinct longitude, so a lattice of r rows and c columns pays them
+    r and c times, not r·c; each point gets the bits a one-point call gives.
     """
     check_utm_frame(zone, hemisphere)
     lat = np.array(latitudes, dtype=float).ravel()
@@ -215,9 +236,12 @@ def utm_forward(
     phi = lat * (math.pi / 180.0)  # math.radians, bit for bit
     lam = normalize_longitudes(lon - zone_central_meridian(zone)) * (math.pi / 180.0)
 
-    taup = _tau_prime(elementwise(math.tan, phi))
-    cos_lam = elementwise(math.cos, lam)
-    sin_lam = elementwise(math.sin, lam)
+    # the terms of latitude alone, and of longitude alone, once per distinct value
+    phis, at_phi = _distinct(phi)
+    lams, at_lam = _distinct(lam)
+    taup = _tau_prime(elementwise(math.tan, phis))[at_phi]
+    cos_lam = elementwise(math.cos, lams)[at_lam]
+    sin_lam = elementwise(math.sin, lams)[at_lam]
     xi_p = elementwise(math.atan2, taup, cos_lam)
     eta_p = elementwise(math.asinh, sin_lam / elementwise(math.hypot, taup, cos_lam))
 

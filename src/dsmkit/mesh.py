@@ -197,7 +197,7 @@ def delaunay_triangulate(points) -> TriMesh:
         logger.warning(
             "deduplicated %d duplicate points (%d unique remain)", duplicates, len(unique)
         )
-    tris, stats = delaunay.triangulate(unique)
+    tris, stats = delaunay._triangulate(unique)
     logger.debug(
         "delaunay: %(points)d points, %(rounds)d flip rounds, %(flips)d flips, "
         "exact fallbacks %(exact_orient)d orient / %(exact_incircle)d "

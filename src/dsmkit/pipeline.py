@@ -1,8 +1,8 @@
-"""End-to-end workflow: acquire -> clip -> convert -> mesh -> interpolate ->
-export, plus a two-method comparison and the mesh/CSV writers.
+"""End-to-end workflow: acquire -> clip -> convert -> variogram -> mesh ->
+interpolate -> export, plus a two-method comparison and the mesh/CSV writers.
 
 The workflow is a chain of stage functions (`acquire`/`prepare_samples`,
-`build_planar_mesh`, `variogram_model`, `lift_surface`, then the writers),
+`variogram_model`, `build_planar_mesh`, `lift_surface`, then the writers),
 each called inside a `Stage`, which times it, names it in errors and removes
 its partial artifacts. `run`, `compare_methods` and every CLI subcommand
 compose these.
@@ -475,7 +475,11 @@ def acquire(config: PipelineConfig) -> PointSet:
 
 def prepare_samples(config: PipelineConfig) -> Samples:
     """Acquire, clip to the region (in the region's CRS) and convert to the
-    config's UTM frame."""
+    config's UTM frame.
+
+    A synthetic scan is not converted: its terrain projected every node into
+    that frame to evaluate its field (both frames are the region centre's),
+    and the clip kept those rows of its `projected` point set."""
     acquired = inside = acquire(config)
     if config.region_crs == "utm":
         # a sample beyond the UTM band has no UTM coordinates: no UTM region holds it
@@ -485,6 +489,8 @@ def prepare_samples(config: PipelineConfig) -> Samples:
     inside = clip_to_region(inside, config.region)
     if len(inside) == 0:
         raise DataError("no samples inside the target region after clipping")
+    if config.input == "synthetic":
+        return Samples(inside.projected, len(acquired))
     return Samples(convert_pointset(inside, config.utm_crs), len(acquired))
 
 
@@ -543,12 +549,13 @@ def run(config: PipelineConfig) -> RunReport:
         samples = prepare_samples(config)
         if config.method == "uk":
             check_sample_count(len(samples.utm), config.drift)
-    with Stage("mesh"):
-        planar, q_before, q_after = build_planar_mesh(config)
+    # the variogram reads no mesh: samples it cannot fit fail before meshing
     model, ev = None, None
     if config.method == "uk":
         with Stage("variogram"):
             model, ev = variogram_model(config, samples)
+    with Stage("mesh"):
+        planar, q_before, q_after = build_planar_mesh(config)
     with Stage("lift") as lift:
         lifted, summary = lift_surface(config, planar, samples, model)
     with Stage("export") as export:
@@ -599,10 +606,10 @@ def compare_methods(config: PipelineConfig) -> MethodComparison:
     with Stage("acquire"):
         samples = prepare_samples(config)
         check_sample_count(len(samples.utm), config.drift)
-    with Stage("mesh"):
-        planar, _, _ = build_planar_mesh(config)
     with Stage("variogram"):
         model, _ = variogram_model(config, samples)
+    with Stage("mesh"):
+        planar, _, _ = build_planar_mesh(config)
     with Stage("lift"):
         uk_mesh, _ = lift_surface(replace(config, method="uk"), planar, samples, model)
         idw_mesh, _ = lift_surface(replace(config, method="idw"), planar, samples, model)

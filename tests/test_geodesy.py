@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import utm_to_wgs84_reference, wgs84_to_utm_reference
 from dsmkit import geodesy
@@ -294,3 +296,70 @@ class TestArraySeries:
                 make(zone, "north")
         with pytest.raises(DataError, match="^hemisphere must be 'north' or 'south', got 'west'$"):
             make(32, "west")
+
+
+# Latitudes and longitudes around zone 31 (central meridian 3 degrees E), with
+# both signs of zero, the equator's nearest neighbours, the central meridian
+# (lambda = +0.0) and the 0 degree zone edge.
+_LATITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9]), st.floats(-84.0, 84.0)
+)
+_LONGITUDES = st.one_of(st.sampled_from([0.0, -0.0, 3.0, 6.0]), st.floats(-3.0, 9.0))
+_FRAMES = st.sampled_from(["north", "south"])
+
+
+def _assert_one_point_bits(lat, lon, hemisphere):
+    """utm_forward over the arrays, in zone 31 and `hemisphere`, gives each
+    point the bits of a one-point call: wgs84_to_utm where the point's own
+    hemisphere is the frame's, else the one-point series in the frame."""
+    easting, northing = utm_forward(lat, lon, 31, hemisphere)
+    want = []
+    for a, b in zip(lat.tolist(), lon.tolist()):
+        if ("north" if a >= 0.0 else "south") == hemisphere:
+            u = wgs84_to_utm(GeoPoint(a, b), 31)
+            want.append((u.easting, u.northing))
+        else:
+            want.append(tuple(v.item() for v in utm_forward([a], [b], 31, hemisphere)))
+    assert easting.tobytes() == np.array([e for e, _ in want]).tobytes()
+    assert northing.tobytes() == np.array([n for _, n in want]).tobytes()
+
+
+class TestForwardOncePerDistinctValue:
+    """utm_forward evaluates the latitude-only and longitude-only terms once
+    per distinct bit pattern; every point keeps the bits of its own call,
+    the sign of a zero included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_LATITUDES, min_size=1, max_size=6),
+        st.lists(_LONGITUDES, min_size=1, max_size=6),
+        _FRAMES,
+    )
+    @example([0.0, -0.0, 0.5, -0.5], [0.0, -0.0, 3.0], "north")
+    @example([0.0, -0.0, 0.5, -0.5], [0.0, -0.0, 3.0], "south")
+    def test_lattice(self, lats, lons, hemisphere):
+        lat, lon = (a.ravel() for a in np.meshgrid(lats, lons, indexing="ij"))
+        _assert_one_point_bits(lat, lon, hemisphere)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_LATITUDES, min_size=1, max_size=4),
+        st.lists(_LONGITUDES, min_size=1, max_size=4),
+        _FRAMES,
+        st.data(),
+    )
+    def test_scattered_with_repeats(self, lats, lons, hemisphere, data):
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, len(lats) - 1), st.integers(0, len(lons) - 1)),
+            min_size=1, max_size=24,
+        ))
+        lat = np.array([lats[i] for i, _ in picks])
+        lon = np.array([lons[j] for _, j in picks])
+        _assert_one_point_bits(lat, lon, hemisphere)
+
+    def test_signed_zeros_stay_apart(self):
+        # a dedupe on values, not bits, would give both zeros one sign
+        values = np.array([0.0, -0.0, 0.0, 2.5, -0.0])
+        distinct, inverse = geodesy._distinct(values)
+        assert len(distinct) == 3
+        assert distinct[inverse].tobytes() == values.tobytes()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmkit.acquisition as acquisition
+import dsmkit.geodesy as geodesy
 import dsmkit.interpolate as interpolate
 import dsmkit.pipeline as pipeline
 from _oracles import cli_parser_reference, dihedral_roughness_reference
@@ -110,6 +111,28 @@ BAD_VALUES = {
 }
 
 
+# The run's frame for a scan of the demo, of regions on the zone 31/32 edge
+# at 6 degrees E and of regions across the equator.
+FRAME_CASES = [
+    ({}, UtmCrs(32, "north")),
+    # scans straddling 6 degrees E, the zone 31/32 edge
+    ({"lon_min": "5.995", "lon_max": "6.002"}, UtmCrs(31, "north")),
+    ({"lon_min": "5.998", "lon_max": "6.005"}, UtmCrs(32, "north")),
+    ({"lon_min": "5.998", "lon_max": "6.002"}, UtmCrs(32, "north")),
+    # scans across the equator
+    ({"lat_min": "-0.001", "lat_max": "0.002"}, UtmCrs(32, "north")),
+    ({"lat_min": "-0.0005", "lat_max": "0.0025"}, UtmCrs(32, "north")),
+    # scans centred on the equator: a centroid within rounding of 0 is on
+    # it, so north
+    ({"lat_min": "-0.001", "lat_max": "0.001"}, UtmCrs(32, "north")),
+    ({"lat_min": "-0.001", "lat_max": "0.001", "rows": "12", "cols": "18"},
+     UtmCrs(32, "north")),
+    ({"lat_min": "-0.0015", "lat_max": "0.0015"}, UtmCrs(32, "north")),
+]
+FRAME_CASE_IDS = ["demo", "6E_west", "6E_east", "6E_centred", "equator", "equator_2",
+                  "equator_centred", "equator_centred_12x18", "equator_centred_wide"]
+
+
 class TestConfig:
     def test_region_across_the_equator_meshes_in_one_frame(self):
         # every corner goes into the run's false-northing frame, so the
@@ -122,27 +145,7 @@ class TestConfig:
         assert 300.0 < cfg.mesh_region.height < 400.0
         assert cfg.mesh_region.y_min < 0.0 < cfg.mesh_region.y_max
 
-    @pytest.mark.parametrize(
-        "region, frame",
-        [
-            ({}, UtmCrs(32, "north")),
-            # scans straddling 6 degrees E, the zone 31/32 edge
-            ({"lon_min": "5.995", "lon_max": "6.002"}, UtmCrs(31, "north")),
-            ({"lon_min": "5.998", "lon_max": "6.005"}, UtmCrs(32, "north")),
-            ({"lon_min": "5.998", "lon_max": "6.002"}, UtmCrs(32, "north")),
-            # scans across the equator
-            ({"lat_min": "-0.001", "lat_max": "0.002"}, UtmCrs(32, "north")),
-            ({"lat_min": "-0.0005", "lat_max": "0.0025"}, UtmCrs(32, "north")),
-            # scans centred on the equator: a centroid within rounding of 0
-            # is on it, so north
-            ({"lat_min": "-0.001", "lat_max": "0.001"}, UtmCrs(32, "north")),
-            ({"lat_min": "-0.001", "lat_max": "0.001", "rows": "12", "cols": "18"},
-             UtmCrs(32, "north")),
-            ({"lat_min": "-0.0015", "lat_max": "0.0015"}, UtmCrs(32, "north")),
-        ],
-        ids=["demo", "6E_west", "6E_east", "6E_centred", "equator", "equator_2",
-             "equator_centred", "equator_centred_12x18", "equator_centred_wide"],
-    )
+    @pytest.mark.parametrize("region, frame", FRAME_CASES, ids=FRAME_CASE_IDS)
     def test_config_frame_is_the_scanned_samples_centroid_frame(self, region, frame):
         # a run takes the region centre's frame; on a scan it is the frame
         # `convert` picks from the clipped samples' centroid
@@ -150,6 +153,17 @@ class TestConfig:
         clipped = clip_to_region(pipeline.acquire(cfg), cfg.region)
         assert cfg.utm_crs == convert_pointset(clipped, "utm").crs == frame
         assert prepare_samples(cfg).utm.crs == frame
+
+    @pytest.mark.parametrize("region, frame", FRAME_CASES, ids=FRAME_CASE_IDS)
+    def test_scanned_samples_are_the_converted_clip_bit_for_bit(self, region, frame):
+        # the terrain's projection of the scan, clipped, against projecting
+        # the clipped scan again: the same columns, and -0.0 is not 0.0
+        cfg = PipelineConfig.from_mapping(region)
+        want = convert_pointset(clip_to_region(pipeline.acquire(cfg), cfg.region), cfg.utm_crs)
+        got = prepare_samples(cfg).utm
+        assert got.crs == want.crs == frame
+        for a, b in [(got.x, want.x), (got.y, want.y), (got.z, want.z)]:
+            assert a.tobytes() == b.tobytes()
 
     def test_point_file_across_the_zone_edge_takes_the_region_centre_zone(self, tmp_path):
         # every sample lies west of 6 degrees E (zone 31); the region's
@@ -426,6 +440,23 @@ class TestRun:
         assert notes[0].endswith(", 0 fallbacks, 227654 kNN candidates scanned")
         # _check_distinct's query of the samples, then one for every vertex
         assert calls == [(3403, 2), (4592, 16)]
+
+    def test_demo_projects_each_scan_point_once(self, monkeypatch):
+        # the terrain's origin, then the 5,000 scan nodes; the 3,403 kept
+        # samples are rows of that projection, not projected again
+        cfg = PipelineConfig.from_mapping({})
+        calls = []
+        forward = geodesy.utm_forward
+
+        def counted(latitudes, longitudes, zone, hemisphere):
+            calls.append(np.size(latitudes))
+            return forward(latitudes, longitudes, zone, hemisphere)
+
+        monkeypatch.setattr(geodesy, "utm_forward", counted)
+        monkeypatch.setattr(acquisition, "utm_forward", counted)
+        samples = prepare_samples(cfg)
+        assert calls == [1, 5000]
+        assert (samples.acquired_count, len(samples.utm)) == (5000, 3403)
 
     @pytest.mark.parametrize("argv, config, want", SUBCOMMAND_SHA256)
     def test_subcommand_artifacts_keep_their_sha256(self, tmp_path, argv, config, want):
@@ -924,6 +955,13 @@ class TestCli:
         text = (tmp_path / "s" / "points.txt").read_text()
         assert len([l for l in text.splitlines() if l and not l.startswith("#")]) == 12 * 18
 
+    def test_demo_scan_point_file_keeps_its_sha256(self, tmp_path):
+        # the scan carries the terrain's projection; the file is still the
+        # WGS-84 lattice and its altitudes, to the byte
+        assert main(["scan", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "points.txt").read_bytes()).hexdigest()
+        assert digest == "7ca9020093e1ed44fd70ecafba56dcd39c5543d4f2bd46e3049b935958a8838b"
+
     def test_scan_then_convert(self, tmp_path):
         main(["scan", "--config", self._cfg(tmp_path), "--out", str(tmp_path / "s")])
         code = main(
@@ -1053,6 +1091,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err == f"error: stage 'acquire': {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unfittable_samples_fail_at_the_variogram_before_the_mesh(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # the variogram reads no mesh, so it runs first: the 2 samples of a
+        # 2 x 3 scan fill one bin, and the run stops before meshing
+        monkeypatch.setattr(pipeline, "build_planar_mesh", _stage_ran)
+        out = tmp_path / "o"
+        cfg = self._cfg(tmp_path, ["rows = 2", "cols = 3"])
+        code = main([command, "--config", cfg, "--drift", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "error: stage 'variogram': model fitting needs at least 3 bins, got 1\n"
         assert not out.exists()
 
     def test_idw_lifts_from_one_sample(self, tmp_path, capsys):
