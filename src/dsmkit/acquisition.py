@@ -402,6 +402,8 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
     target is "wgs84", "utm" (frame picked from the centroid), or a UtmCrs.
     Converting to UTM projects every point, on either side of the equator,
     into the one target frame (zone and hemisphere); the result converts back.
+    A set whose `projected` set is in the target frame already has those
+    coordinates: that set is the result.
     """
     if len(ps) == 0:
         raise DataError("cannot convert an empty point set")
@@ -427,6 +429,8 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
 
     if ps.crs == target:
         return ps
+    if ps.projected is not None and ps.projected.crs == target:
+        return ps.projected
     if isinstance(ps.crs, Wgs84Crs):
         lat, lon = ps.y, ps.x
     else:

@@ -13,7 +13,11 @@ overflows; coordinates whose exponents allow that send every test to the
 exact predicates (_filters_sound), a choice made once per triangulation.
 The in-circle filter bounds Shewchuk's permanent by the products of the
 lifts (see _INCIRCLE_LIFT_BOUND): fewer operations, and every sign it decides
-the permanent's filter decides the same way.
+the permanent's filter decides the same way. Each filter exists once, on
+arrays of point indices (_orient_signs, _incircle_signs), and _Predicates
+backs it with the exact fallback; the public orient2d and incircle run
+_Predicates on a three- or four-point array. Only the sweep keeps a scalar
+orientation filter of its own, as it tests one point at a time.
 
 `triangulate` runs in two phases.
 - The start. Points laid out as a row-major lattice whose border lies on
@@ -31,12 +35,15 @@ the permanent's filter decides the same way.
   joins each to every hull edge it sees. A hash of pseudo-angles around a
   point inside the seed triangle names a hull vertex near the point to start
   from, and the orientation filter decides what it sees. The sweep makes no
-  in-circle test and has one insertion case.
+  in-circle test, has one insertion case and emits triangles only.
 - Lawson flips (Lawson 1977) then run as numpy rounds (_flip_rounds) on
-  every other start: the queued edges are tested with the in-circle filter
-  in bounded chunks, and the illegal edges that do not share a triangle
-  with a smaller illegal edge are flipped at once. The quads a chunk's filter leaves open go to one
-  batch decision as index arrays: _incircle_exact decides each, and the
+  every start but a rectilinear lattice, which is already Delaunay. The
+  start's half-edges are paired once, by one sort of their keys lo * n + hi
+  (_twins over half_edges, the key TriMesh pairs its edges by too). The
+  queued edges are tested with the in-circle filter in bounded chunks, and
+  the illegal edges that do not share a triangle with a smaller illegal
+  edge are flipped at once. The quads a chunk's filter leaves open go to
+  one batch decision as index arrays: _incircle_exact decides each, and the
   cocircular ties among them are settled on arrays by the index-lifting rule
   below, whose orientation tests go exact only where the orientation filter
   leaves the sign open.
@@ -150,21 +157,6 @@ def _orient_exact(ax, ay, bx, by, cx, cy):
     return (det > 0) - (det < 0)
 
 
-def orient2d(ax, ay, bx, by, cx, cy):
-    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear."""
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    values = np.array([ax, ay, bx, by, cx, cy], dtype=float)
-    if _filters_sound(values):
-        if det > _ORIENT_BOUND * detsum:
-            return 1
-        if -det > _ORIENT_BOUND * detsum:
-            return -1
-    return _orient_exact(*_exact_integers(values))
-
-
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
     adx = ax - dx
     ady = ay - dy
@@ -180,41 +172,21 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
     return (det > 0) - (det < 0)
 
 
-def _incircle_filter(ax, ay, bx, by, cx, cy, dx, dy):
-    """The in-circle float filter: the sign of the determinant where its
-    error bound makes it certain, else 0. Sound only where _filters_sound
-    holds; the flip rounds run the same formula on arrays."""
-    adx = ax - dx
-    ady = ay - dy
-    bdx = bx - dx
-    bdy = by - dy
-    cdx = cx - dx
-    cdy = cy - dy
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bdx * cdy - cdx * bdy)
-        + blift * (cdx * ady - adx * cdy)
-        + clift * (adx * bdy - bdx * ady)
-    )
-    bound = _INCIRCLE_LIFT_BOUND * (alift * blift + blift * clift + clift * alift)
-    if det > bound:
-        return 1
-    if -det > bound:
-        return -1
-    return 0
+# the corners of a lone triangle or quad, as index arrays of one element
+_CORNERS = tuple(np.arange(4)[:, None])
+
+
+def orient2d(ax, ay, bx, by, cx, cy):
+    """Sign of the signed area of triangle (a, b, c): +1 CCW, -1 CW, 0 collinear."""
+    pred = _Predicates(np.array([[ax, ay], [bx, by], [cx, cy]], dtype=float))
+    return int(pred.orient_signs(*_CORNERS[:3])[0])
 
 
 def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     """+1 iff d lies strictly inside the circumcircle of CCW triangle (a, b, c),
     -1 strictly outside, 0 on it."""
-    values = np.array([ax, ay, bx, by, cx, cy, dx, dy], dtype=float)
-    if _filters_sound(values):
-        sign = _incircle_filter(ax, ay, bx, by, cx, cy, dx, dy)
-        if sign:
-            return sign
-    return _incircle_exact(*_exact_integers(values))
+    pred = _Predicates(np.array([[ax, ay], [bx, by], [cx, cy], [dx, dy]], dtype=float))
+    return int(pred.incircle_signs(*_CORNERS)[0])
 
 
 def first_coincident(xy):
@@ -259,9 +231,9 @@ def _hash_keys(u, centre, size):
 
 
 def _incircle_signs(x, y, a, b, c, d):
-    """The in-circle float filter of _incircle_filter on arrays of point
-    indices: +1 or -1 where its bound makes the sign certain, else 0. Sound
-    only where _filters_sound holds."""
+    """The in-circle float filter on arrays of point indices: +1 or -1 where
+    its bound (_INCIRCLE_LIFT_BOUND) makes the sign of incircle(a, b, c, d)
+    certain, else 0. Sound only where _filters_sound holds."""
     dx = x[d]
     dy = y[d]
     adx = x[a] - dx
@@ -310,20 +282,20 @@ def _flip_rounds(tri, twin, pred):
 
     tri[s] is the start vertex of half-edge slot s, which runs to the start
     of the next slot of its triangle (slots 3t, 3t+1, 3t+2 are triangle t,
-    counter-clockwise); twin[s] is the opposite half-edge, -1 on the hull.
-    Both are int32 arrays, updated in place. Each round tests the queued
-    edges, once each, with the in-circle filter in chunks of _CHUNK. The
-    quads it leaves open (with unsound filters, all of them) go to
-    pred.in_disk(a, b, c, p) at once, one index array per corner, which
-    returns their exact signs: +1 where p lies in the circumdisk of CCW
-    triangle (a, b, c), else -1. The round flips the illegal edges that are
-    the smallest illegal edge of both their triangles, so no triangle takes
-    part in two flips of a round. The four outer edges of each flipped quad,
-    and the illegal edges left waiting, make the next round's queue. Returns
-    (rounds, flips).
+    counter-clockwise); twin[s] is the opposite half-edge, -1 on the hull,
+    as _twins pairs them for any start. Both are int32 arrays, updated in
+    place. Each round tests the queued edges, once each, in chunks of
+    _CHUNK: pred.incircle_signs(a, b, c, p), one index array per corner,
+    runs the one in-circle filter and decides exactly the quads it leaves
+    open (with unsound filters, all of them), and pred.tie_signs settles the
+    cocircular ones. An edge is illegal where p lies in the (perturbed)
+    circumdisk of CCW triangle (a, b, c). The round flips the illegal edges
+    that are the smallest illegal edge of both their triangles, so no
+    triangle takes part in two flips of a round. The four outer edges of
+    each flipped quad, and the illegal edges left waiting, make the next
+    round's queue. Returns (rounds, flips).
     """
     m = len(tri)
-    x, y = pred.x, pred.y
     # moved[s]: the slot that holds, after this round's flips, the edge slot
     # s held before them; the identity again between rounds
     moved = np.arange(m, dtype=np.int32)
@@ -339,10 +311,10 @@ def _flip_rounds(tri, twin, pred):
             # the point across it
             a = queue[lo : lo + _CHUNK]
             quad = tri[a], tri[_next(a)], tri[_prev(a)], tri[_prev(twin[a])]
-            signs = _incircle_signs(x, y, *quad) if pred.sound else np.zeros(len(a), np.int8)
-            (undecided,) = np.nonzero(signs == 0)
-            if len(undecided):
-                signs[undecided] = pred.in_disk(*(v[undecided] for v in quad))
+            signs = pred.incircle_signs(*quad)
+            (tie,) = np.nonzero(signs == 0)
+            if len(tie):
+                signs[tie] = pred.tie_signs(*(v[tie] for v in quad))
             illegal.append(a[signs > 0])
         illegal = np.concatenate(illegal)
         if not len(illegal):
@@ -386,7 +358,9 @@ def _flip_rounds(tri, twin, pred):
 
 
 class _Predicates:
-    """The array and exact predicates of one triangulation, with their tallies.
+    """The predicates of one triangulation on arrays of point indices, with
+    their tallies: the one orientation and the one in-circle float filter,
+    each backed by the exact predicate where it leaves the sign open.
 
     Where a product may underflow or overflow (_filters_sound fails), an
     infinite orient_bound sends every orientation test to the exact
@@ -425,37 +399,39 @@ class _Predicates:
             ]
         return signs
 
-    def in_disk(self, a, b, c, p):
-        """For arrays of quads the in-circle filter left open: +1 where p
-        lies in the (perturbed) circumdisk of CCW triangle (a, b, c), else
-        -1, decided in exact arithmetic."""
-        self.exact_incircle += len(p)
-        ix, iy = self.integers()
-        signs = np.array(
-            [
+    def incircle_signs(self, a, b, c, p):
+        """incircle on arrays of point indices, the exact fallbacks counted."""
+        if self.sound:
+            signs = _incircle_signs(self.x, self.y, a, b, c, p)
+        else:
+            signs = np.zeros(len(p), dtype=np.int8)
+        (open_,) = np.nonzero(signs == 0)
+        if len(open_):
+            self.exact_incircle += len(open_)
+            ix, iy = self.integers()
+            signs[open_] = [
                 _incircle_exact(ix[i], iy[i], ix[j], iy[j], ix[k], iy[k], ix[q], iy[q])
-                for i, j, k, q in zip(a.tolist(), b.tolist(), c.tolist(), p.tolist())
-            ],
-            dtype=np.int8,
-        )
-        (tie,) = np.nonzero(signs == 0)
-        if not len(tie):
-            return signs
-        # Cocircular: lift point i by eps**f(i), f growing with i. The largest
-        # index decides; its term is orient(b, c, p) for a, orient(c, a, p)
-        # for b, orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three
-        # distinct cocircular points are never collinear, so the term is
-        # never zero.
-        self.ties += len(tie)
-        a, b, c, p = a[tie], b[tie], c[tie], p[tie]
+                for i, j, k, q in zip(*(v[open_].tolist() for v in (a, b, c, p)))
+            ]
+        return signs
+
+    def tie_signs(self, a, b, c, p):
+        """For arrays of cocircular quads: +1 where p lies in the perturbed
+        circumdisk of CCW triangle (a, b, c), else -1.
+
+        Point i is lifted by eps**f(i), f growing with i. The largest index
+        decides; its term is orient(b, c, p) for a, orient(c, a, p) for b,
+        orient(a, b, p) for c and -orient(a, b, c) < 0 for p. Three distinct
+        cocircular points are never collinear, so the term is never zero.
+        """
+        self.ties += len(p)
         top = np.maximum(np.maximum(a, b), c)
         u = np.where(top == a, b, np.where(top == b, c, a))
         v = np.where(top == a, c, np.where(top == b, a, b))
         (lifted,) = np.nonzero(p < top)
-        side = np.full(len(tie), -1, dtype=np.int8)
+        side = np.full(len(p), -1, dtype=np.int8)
         side[lifted] = self.orient_signs(u[lifted], v[lifted], p[lifted])
-        signs[tie] = side
-        return signs
+        return side
 
 
 def _lattice_start(xy, pred):
@@ -538,15 +514,24 @@ def _lattice_start(xy, pred):
     return tri, settled
 
 
+def half_edges(tri, n):
+    """Each half-edge's start and end vertex and its key lo * n + hi (int64),
+    for triangles tri of n points: an (m, 3) array, or the flat slots of
+    _flip_rounds. Half-edge 3t + k runs from corner k of triangle t to
+    corner k + 1; an edge's two half-edges share a key."""
+    start = tri.ravel()
+    end = tri.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    key = np.minimum(start, end).astype(np.int64, copy=False) * n + np.maximum(start, end)
+    return start, end, key
+
+
 def _twins(tri, n):
     """twin (as in _flip_rounds) of the half-edges tri of a triangulation of
-    n points."""
-    # an edge's two half-edges share a key; a hull edge's is alone. A
-    # lattice start's keys rise nearly cell by cell, and the stable sort
+    n points: the two half-edges of a key pair up, a hull edge's is alone."""
+    # A lattice start's keys rise nearly cell by cell, and the stable sort
     # takes such runs whole: half the time of the default sort on a
     # 12,512-point lattice, and less memory
-    end = tri.reshape(-1, 3)[:, [1, 2, 0]].ravel()
-    key = np.minimum(tri, end).astype(np.int64) * n + np.maximum(tri, end)
+    key = half_edges(tri, n)[2]
     order = np.argsort(key, kind="stable")
     (pair,) = np.nonzero(key[order[1:]] == key[order[:-1]])
     s, t = order[pair], order[pair + 1]
@@ -557,8 +542,10 @@ def _twins(tri, n):
 
 
 def _sweep(xy, pred):
-    """tri and twin (as in _flip_rounds) of a triangulation of the points by
-    the radial sweep, which joins each point to the hull edges it sees.
+    """tri (as in _flip_rounds) of a triangulation of the points by the
+    radial sweep, which joins each point to the hull edges it sees. It keeps
+    the hull and no adjacency: _twins pairs the half-edges afterwards, as it
+    does a lattice start's.
 
     The order is exact. i0 is the point nearest the bounding box's centre,
     and every point follows in order of its exact squared distance from i0,
@@ -614,29 +601,18 @@ def _sweep(xy, pred):
     keys = _hash_keys(u, u[[i0, i1, i2]].mean(axis=0), size)
     del u
 
-    # The sweep. Half-edge slots as in _flip_rounds: tri[s] starts slot s,
-    # twin[s] is its opposite (-1 on the hull). The hull is a CCW cycle of
-    # vertices; hull_tri[v] is the slot of hull edge (v, hull_next[v]), and
-    # hull_next[v] == v once v has left the hull. hull_hash maps a bucket of
-    # pseudo-angles to a hull vertex, a place to start the search.
-    tri = [0] * (6 * n)
-    twin = [-1] * (6 * n)
-    tri[:3] = i0, i1, i2
-    top = 3
+    # The sweep. tri lists the triangles' corners, counter-clockwise. The
+    # hull is a CCW cycle of vertices; hull_next[v] == v once v has left
+    # it. hull_hash maps a bucket of pseudo-angles to a hull vertex, a place
+    # to start the search.
+    tri = [i0, i1, i2]
     hull_next = [-1] * n
     hull_prev = [-1] * n
-    hull_tri = [0] * n
     hull_hash = [-1] * size
-    for s, (v, w) in enumerate(((i0, i1), (i1, i2), (i2, i0))):
+    for v, w in ((i0, i1), (i1, i2), (i2, i0)):
         hull_next[v] = w
         hull_prev[w] = v
-        hull_tri[v] = s
         hull_hash[keys[v]] = v
-
-    def link(s, t):
-        # pair slots s and t
-        twin[s] = t
-        twin[t] = s
 
     for p in order:
         # a live hull vertex near p's angle
@@ -655,21 +631,12 @@ def _sweep(xy, pred):
         # join p to every hull edge it sees, forward from e, then back from
         # e when the search started inside the visible chain
         v = hull_next[e]
-        t = top
-        top += 3
-        tri[t : t + 3] = e, p, v
-        link(t + 2, hull_tri[e])
-        ep, pv = t, t + 1
+        tri += e, p, v
         while True:
             w = hull_next[v]
             if orient(v, w, p) >= 0:
                 break
-            t = top
-            top += 3
-            tri[t : t + 3] = v, p, w
-            link(t, pv)
-            link(t + 2, hull_tri[v])
-            pv = t + 1
+            tri += v, p, w
             hull_next[v] = v
             v = w
         if e == start:
@@ -677,39 +644,41 @@ def _sweep(xy, pred):
                 r = hull_prev[e]
                 if orient(r, e, p) >= 0:
                     break
-                t = top
-                top += 3
-                tri[t : t + 3] = r, p, e
-                link(t + 1, ep)
-                link(t + 2, hull_tri[r])
-                ep = t
+                tri += r, p, e
                 hull_next[e] = e
                 e = r
         hull_next[e] = hull_prev[v] = p
         hull_prev[p], hull_next[p] = e, v
-        hull_tri[e], hull_tri[p] = ep, pv
         hull_hash[keys[p]] = p
         hull_hash[keys[e]] = e
 
-    return np.array(tri[:top], dtype=np.int32), np.array(twin[:top], dtype=np.int32)
+    return np.array(tri, dtype=np.int32)
+
+
+def checked_points(points):
+    """points as an (n, 2) float array of finite coordinates, else DataError."""
+    xy = np.asarray(points, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise DataError(f"expected (n, 2) points, got shape {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise DataError("points contain non-finite coordinates")
+    return xy
 
 
 def triangulate(points):
     """Delaunay-triangulate unique 2D points.
 
-    points: sequence of (x, y) float pairs, all distinct.
+    points: (n, 2) finite float coordinates, all distinct.
     Returns (triangles, stats): an (m, 3) int64 array of CCW vertex-index
     triples, each starting at its smallest index, in sorted order, and a dict
     of counts (points, flip rounds, flips, exact orient and incircle
     fallbacks, ties).
-    Two coincident points raise DataError.
+    Points of another shape, non-finite or coincident points, or fewer
+    than 3, raise DataError.
     """
-    n = len(points)
-    if n < 3:
-        raise DataError(f"triangulation needs at least 3 points, got {n}")
-    xy = np.asarray(points, dtype=float)
+    xy = checked_points(points)
     first = first_coincident(xy)
-    (repeated,) = np.nonzero(first != np.arange(n))
+    (repeated,) = np.nonzero(first != np.arange(len(xy)))
     if len(repeated):
         i = int(repeated[0])
         raise DataError(f"cannot insert point {i}: coincides with point {first[i]}")
@@ -721,20 +690,17 @@ def _triangulate(xy):
     its caller has checked (mesh.delaunay_triangulate drops coincident ones).
 
     The flips start from the lattice the points form when they form one
-    (_lattice_start), else from the radial sweep (_sweep); a rectilinear
-    lattice is already Delaunay, and no flip round runs on it.
+    (_lattice_start), else from the radial sweep (_sweep), over the
+    half-edges _twins pairs; a rectilinear lattice is already Delaunay, and
+    no flip round runs on it.
     """
     n = len(xy)
     if n < 3:
         raise DataError(f"triangulation needs at least 3 points, got {n}")
     pred = _Predicates(xy)
     lattice = _lattice_start(xy, pred)
-    if lattice is None:
-        tri, twin = _sweep(xy, pred)
-        rounds, flips = _flip_rounds(tri, twin, pred)
-    else:
-        tri, settled = lattice
-        rounds, flips = (0, 0) if settled else _flip_rounds(tri, _twins(tri, n), pred)
+    tri, settled = (_sweep(xy, pred), False) if lattice is None else lattice
+    rounds, flips = (0, 0) if settled else _flip_rounds(tri, _twins(tri, n), pred)
 
     tris = tri.reshape(-1, 3).astype(np.int64)
     start = tris.argmin(axis=1)

@@ -31,8 +31,8 @@ class TriMesh:
     vertices: (n, 2) or (n, 3) float positions in meters; triangles: (m, 3)
     vertex-index triples, counter-clockwise in plan view, no edge shared by
     more than two triangles. The edge table pairs half-edges 3t + k (corner
-    k to k+1 of triangle t) by one stable sort of their keys lo * n + hi:
-    per edge, in key order (an edge's id is its rank), `_edge_key` holds its
+    k to k+1 of triangle t) by one stable sort of their keys lo * n + hi
+    (delaunay.half_edges): per edge, in key order (an edge's id is its rank), `_edge_key` holds its
     key and `_edge_halves` its lower and higher half-edge (-1 if none).
     """
 
@@ -46,7 +46,7 @@ class TriMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
 
-        _, _, key = _half_edges(t, len(v))
+        _, _, key = delaunay.half_edges(t, len(v))
         # stable, so each edge's half-edges stay in triangle order
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -123,12 +123,6 @@ class TriMesh:
         return m
 
 
-def _half_edges(t, n):
-    """Each half-edge's start and end vertex and its key lo * n + hi."""
-    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
-    return a, b, np.minimum(a, b) * n + np.maximum(a, b)
-
-
 def _checked_vertices(vertices, t) -> np.ndarray:
     """vertices as a read-only float array, checked: (n, 2) or (n, 3), finite,
     and every triangle of t in range and counter-clockwise in plan view."""
@@ -150,7 +144,7 @@ def _checked_vertices(vertices, t) -> np.ndarray:
             area = _doubled_area(x[a], y[a], x[b], y[b], x[c], y[c])
         (bad,) = np.nonzero(~((area > 0.0) & (area < math.inf)))
         if len(bad):
-            bad = bad[_exact_orientations(v, t[bad]) <= 0]
+            bad = bad[delaunay._Predicates(v[:, :2]).orient_signs(a[bad], b[bad], c[bad]) <= 0]
         if len(bad):
             raise DataError(
                 f"{len(bad)} triangles are degenerate or clockwise in plan view "
@@ -158,13 +152,6 @@ def _checked_vertices(vertices, t) -> np.ndarray:
             )
     v.setflags(write=False)
     return v
-
-
-def _exact_orientations(v, t) -> np.ndarray:
-    """Signs of the plan-view orientations of triangles t over vertices v,
-    exact: the corners' x, y as delaunay's integers on one scale."""
-    ints = delaunay._exact_integers(v[t.ravel(), :2].ravel())
-    return np.array([delaunay._orient_exact(*ints[k : k + 6]) for k in range(0, len(ints), 6)])
 
 
 @dataclass(frozen=True)
@@ -185,12 +172,7 @@ def delaunay_triangulate(points) -> TriMesh:
     a warning. Fewer than 3 unique points, or an entirely collinear set,
     raises DataError.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DataError(f"expected (n, 2) points, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("points contain non-finite coordinates")
-
+    arr = delaunay.checked_points(points)
     unique = arr[delaunay.first_coincident(arr) == np.arange(len(arr))]
     duplicates = len(arr) - len(unique)
     if duplicates:
@@ -551,7 +533,7 @@ def extract_contours(m: TriMesh, levels) -> list:
     spacing = float(diffs.min()) if len(diffs) else 1.0
     nudge = 1e-9 * (spacing if spacing > 0 else 1.0)
 
-    a, b, key = _half_edges(m.triangles, m.n_vertices)
+    a, b, key = delaunay.half_edges(m.triangles, m.n_vertices)
     edge_of = np.searchsorted(m._edge_key, key)
     x, y, z = m.vertices.T
     # an edge is cut along its lower half-edge: the orientation of the

@@ -475,11 +475,7 @@ def acquire(config: PipelineConfig) -> PointSet:
 
 def prepare_samples(config: PipelineConfig) -> Samples:
     """Acquire, clip to the region (in the region's CRS) and convert to the
-    config's UTM frame.
-
-    A synthetic scan is not converted: its terrain projected every node into
-    that frame to evaluate its field (both frames are the region centre's),
-    and the clip kept those rows of its `projected` point set."""
+    config's UTM frame."""
     acquired = inside = acquire(config)
     if config.region_crs == "utm":
         # a sample beyond the UTM band has no UTM coordinates: no UTM region holds it
@@ -489,8 +485,6 @@ def prepare_samples(config: PipelineConfig) -> Samples:
     inside = clip_to_region(inside, config.region)
     if len(inside) == 0:
         raise DataError("no samples inside the target region after clipping")
-    if config.input == "synthetic":
-        return Samples(inside.projected, len(acquired))
     return Samples(convert_pointset(inside, config.utm_crs), len(acquired))
 
 

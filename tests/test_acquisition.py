@@ -302,6 +302,24 @@ class TestConvertPointSet:
         for a, b in zip(_columns(got), _columns(want)):
             assert np.array_equal(a, b)
 
+    def test_a_scan_is_projected_into_any_frame_but_its_terrains(self):
+        # a synthetic scan carries its terrain frame's coordinates: converting
+        # it to that frame returns them; any other frame gets the scan's own
+        # longitudes and latitudes projected
+        terrain = synthetic_terrain(
+            "gaussian_hill", GeoPoint(48.0, 6.1), base=400.0, amplitude=60.0, sigma=80.0
+        )
+        scan = scan_grid(terrain, ScanSpec(Rect(5.9, 47.95, 6.1, 48.05), 4, 6))
+        frame = scan.projected.crs
+        assert frame == UtmCrs(32, "north")
+        assert convert_pointset(scan, frame) is scan.projected
+        plain = PointSet.from_arrays(scan.x, scan.y, scan.z, WGS84)
+        for target in (UtmCrs(31, "north"), UtmCrs(32, "south")):
+            got = convert_pointset(scan, target)
+            assert got.crs == target
+            for a, b in zip(_columns(got), _columns(convert_pointset(plain, target))):
+                assert np.array_equal(a, b)
+
     def test_round_trip_identity(self):
         ps = PointSet(
             [GeoPoint(48.7 + 0.001 * k, 7.33 + 0.001 * k, float(k)) for k in range(20)],

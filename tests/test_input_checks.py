@@ -17,6 +17,7 @@ from dsmkit.acquisition import (
     synthetic_terrain,
 )
 from dsmkit.cli import main
+from dsmkit.delaunay import triangulate
 from dsmkit.errors import ConfigError, DataError, ParseError
 from dsmkit.geodesy import GeoPoint, UtmPoint, parse_dms
 from dsmkit.geometry import Rect
@@ -164,6 +165,15 @@ CASES = {
         DataError, "expected (n, 2) points, got shape (4, 3)"),
     "delaunay_not_finite": (
         lambda: delaunay_triangulate(SQUARE[:3] + [[np.inf, 0.5]]),
+        DataError, "points contain non-finite coordinates"),
+    "triangulate_bad_shape": (
+        lambda: triangulate(np.zeros((4, 3))),
+        DataError, "expected (n, 2) points, got shape (4, 3)"),
+    "triangulate_flat": (
+        lambda: triangulate([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+        DataError, "expected (n, 2) points, got shape (6,)"),
+    "triangulate_not_finite": (
+        lambda: triangulate(SQUARE[:3] + [[np.nan, 0.5]]),
         DataError, "points contain non-finite coordinates"),
     "seed_grid_spacing_not_positive": (
         lambda: seed_grid_shape(Rect(0, 0, 10, 10), 0.0),

@@ -303,6 +303,63 @@ class TestDelaunayOrderIndependence:
         assert triples == sorted(triples) and all(t[0] == min(t) for t in triples)
         assert stats["rounds"] > 1 and stats["flips"] > 0
 
+    @staticmethod
+    def _assert_the_raw_sweep_triangulates(xy):
+        # the sweep emits triangles and no adjacency, so before any flip
+        # they must triangulate the points on their own: TriMesh accepts
+        # them (counter-clockwise, no edge held thrice), every point is a
+        # corner, and the edges one triangle holds run once round the convex
+        # hull, counter-clockwise, every point on or left of each and none
+        # strictly inside one; Euler's formula then counts the triangles
+        n = len(xy)
+        tri = delaunay._sweep(xy, delaunay._Predicates(xy))
+        m = TriMesh(xy, tri.reshape(-1, 3))
+        assert set(tri.tolist()) == set(range(n))
+        start, end, _ = delaunay.half_edges(tri, n)
+        lone = m._edge_halves[m._edge_halves[:, 1] < 0, 0]
+        hull = dict(zip(start[lone].tolist(), end[lone].tolist()))
+        assert len(hull) == len(lone)
+        v = first = next(iter(hull))
+        cycle = set()
+        for _ in hull:
+            cycle.add(v)
+            v = hull[v]
+        assert v == first and cycle == set(hull)
+        q = xy.tolist()
+        for a, b in hull.items():
+            for k, p in enumerate(q):
+                side = orient_fraction(*q[a], *q[b], *p)
+                assert side >= 0
+                if side == 0 and k not in (a, b):
+                    # collinear with the edge, so beyond one of its ends
+                    assert not all(min(u, w) <= c <= max(u, w) for u, w, c in zip(q[a], q[b], p))
+        assert len(m.triangles) == 2 * n - len(hull) - 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_raw_sweep_triangulates_lattice_subsets(self, data):
+        nodes = data.draw(
+            st.lists(st.sampled_from(_LATTICE), min_size=3, max_size=len(_LATTICE), unique=True)
+        )
+        x0, y0, step = data.draw(st.sampled_from(_PLACEMENTS))
+        xy = np.array([(x0 + step * i, y0 + step * j) for i, j in nodes])
+        try:
+            self._assert_the_raw_sweep_triangulates(xy)
+        except DataError as e:
+            assert "collinear" in str(e)
+
+    def test_the_raw_sweep_triangulates(self):
+        rng = np.random.default_rng(5)
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
+        for xy in [
+            seed_region(Rect(0.0, 0.0, 60.0, 40.0), 10.0, "jittered", 3),
+            np.column_stack([xs.ravel(), ys.ravel()])[::-1],
+            rng.uniform(-1.0, 1.0, (200, 2)),
+            np.concatenate([rng.uniform(-1.0, 1.0, (25, 2)) * 1e-200,
+                            rng.uniform(-1.0, 1.0, (15, 2)) * 1e100]),
+        ]:
+            self._assert_the_raw_sweep_triangulates(xy)
+
     def test_errors_name_input_indices(self):
         with pytest.raises(DataError, match="point 4: coincides with point 1"):
             delaunay.triangulate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (1.0, 0.0)])
@@ -750,31 +807,13 @@ def test_lift_bounded_incircle_filter_decides_only_exact_signs(c):
     # the filter runs only where _filters_sound holds; there, each sign it
     # decides is the exact one, and the permanent-bounded filter it replaced
     # decides the same sign (its bound covers that filter's)
-    if not delaunay._filters_sound(np.array(c)):
+    xy = np.array(c).reshape(4, 2)
+    if not delaunay._filters_sound(xy.ravel()):
         return
-    sign = delaunay._incircle_filter(*c)
+    (sign,) = delaunay._incircle_signs(xy[:, 0], xy[:, 1], *np.arange(4)[:, None]).tolist()
     if sign:
         assert sign == incircle_fraction(*c)
         assert incircle_filter_reference(*c) == sign
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.lists(st.lists(_SPANNING, min_size=8, max_size=8), min_size=1, max_size=7),
-        st.lists(_ON_PLACED_LATTICE, min_size=1, max_size=7),
-        st.lists(_NEAR_COCIRCULAR, min_size=1, max_size=7),
-    )
-)
-def test_batched_incircle_filter_matches_the_scalar_one(quads):
-    # the flip rounds' filter on index arrays against _incircle_filter one
-    # quad at a time, where the filters are sound
-    xy = np.array(quads).reshape(-1, 2)
-    if not delaunay._filters_sound(xy.ravel()):
-        return
-    a, b, c, d = np.arange(len(xy)).reshape(-1, 4).T
-    signs = delaunay._incircle_signs(xy[:, 0], xy[:, 1], a, b, c, d)
-    assert signs.tolist() == [delaunay._incircle_filter(*q) for q in quads]
 
 
 @settings(max_examples=300, deadline=None)

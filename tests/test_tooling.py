@@ -2,8 +2,8 @@
 module and name, and its hooks read sizes off their arguments and results.
 These tests read its target lists and hooks; they change neither. The last
 four run in a subprocess: one checks that the tracer still sees the Delaunay
-engine's exact fallbacks, the others guard what a benchmarked process
-imports."""
+engine's exact fallbacks and its public predicates, the others guard what a
+benchmarked process imports."""
 
 import importlib
 import importlib.util
@@ -99,7 +99,9 @@ def test_tracer_counts_every_exact_fallback_of_the_engine(tmp_path):
     # the engine calls _orient_exact and _incircle_exact through module
     # globals, so the tracer's patched wrappers see each call. The grid's
     # points are listed in reverse, which is no lattice start, so the sweep
-    # makes exact orientation tests too.
+    # makes exact orientation tests too. The public predicates, on a
+    # collinear triple and a cocircular quad, are counted once each, and so
+    # is the exact fallback each of them takes.
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = (
         "import sys\n"
@@ -114,12 +116,19 @@ def test_tracer_counts_every_exact_fallback_of_the_engine(tmp_path):
         "counts = tracer.counts\n"
         "print(counts['delaunay.exact_orient_fallbacks'], stats['exact_orient'],\n"
         "      counts['delaunay.exact_incircle_fallbacks'], stats['exact_incircle'])\n"
+        "counts.clear()\n"
+        "assert delaunay.orient2d(0.0, 0.0, 1.0, 1.0, 3.0, 3.0) == 0\n"
+        "assert delaunay.incircle(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0) == 0\n"
+        "print(*(counts['delaunay.' + k] for k in ('orient_calls', 'incircle_calls',\n"
+        "      'exact_orient_fallbacks', 'exact_incircle_fallbacks')))\n"
     )
     result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
-    traced_orient, orient, traced_incircle, incircle = map(int, result.stdout.split())
+    engine, public = result.stdout.splitlines()
+    traced_orient, orient, traced_incircle, incircle = map(int, engine.split())
     assert traced_orient == orient > 0
     assert traced_incircle == incircle > 0
+    assert public.split() == ["1", "1", "1", "1"]
 
 
 def test_demo_run_and_compare_never_import_numpy_ma(tmp_path):
