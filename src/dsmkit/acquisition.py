@@ -10,6 +10,7 @@ of analytic fields, stands in for a live elevation service.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .geodesy import (
     normalize_longitudes,
     utm_forward,
     utm_inverse,
-    utm_zone_for,
+    utm_frame,
     wgs84_to_utm,
 )
 from .geometry import Rect
@@ -356,8 +357,7 @@ def _ridge(dx, dy, base, amplitude, sigma, angle_deg):
 
 # Each terrain kind's field, a function of the offsets (dx, dy) in meters from
 # the origin whose transcendental calls go through `math` (see
-# geodesy.elementwise), and the parameters it takes, with their defaults; the
-# pipeline's config checks read the parameter names from here.
+# geodesy.elementwise), and the parameters it takes, with their defaults.
 TERRAIN_KINDS = {
     "constant": (_constant, {"base": 0.0}),
     "inclined_plane": (_inclined_plane, {"base": 0.0, "slope_x": 0.0, "slope_y": 0.0}),
@@ -368,9 +368,49 @@ TERRAIN_KINDS = {
     "ridge": (_ridge, {"base": 0.0, "amplitude": 1.0, "sigma": 1.0, "angle_deg": 0.0}),
 }
 
+# The largest |center_x| and |center_y|, in meters. The gaussian hill squares
+# its distance from the centre, (dx - center_x)**2 + (dy - center_y)**2: with
+# the centre and the scan's offsets (dx, dy) from the origin within 1e150 m,
+# each square is at most 4e300 and their sum is finite. Those offsets are
+# differences of UTM coordinates, below 1e7 m inside a zone.
+MAX_TERRAIN_CENTER = 1e150
+
+
+def terrain_parameters(kind: str, params: dict) -> dict:
+    """The parameters a terrain of `kind` runs with: its TERRAIN_KINDS
+    defaults, updated by the entries of `params` it takes. Every value of
+    `params`, taken or not, must be a finite number, a sigma positive with
+    2 sigma**2 (the fields' divisor) a normal float, and a centre within
+    MAX_TERRAIN_CENTER; raises ConfigError otherwise, and for an unknown kind."""
+    try:
+        _, defaults = TERRAIN_KINDS[kind]
+    except KeyError:
+        raise ConfigError(
+            f"unknown terrain kind {kind!r}; expected one of {sorted(TERRAIN_KINDS)}"
+        ) from None
+    for name, v in params.items():
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"terrain parameter {name}={v!r} must be a finite number")
+        if name == "sigma" and not (v > 0 and _normal_square(v)):
+            raise ConfigError(
+                f"terrain sigma must be positive, with 2 sigma**2 a normal float, got {v!r}"
+            )
+        if name in ("center_x", "center_y") and not abs(v) <= MAX_TERRAIN_CENTER:
+            raise ConfigError(
+                f"terrain {name} must lie within +-{MAX_TERRAIN_CENTER:g} m, got {v!r}"
+            )
+    return {**defaults, **{name: v for name, v in params.items() if name in defaults}}
+
+
+def _normal_square(sigma: float) -> bool:
+    try:
+        return sys.float_info.min <= 2.0 * sigma**2 < math.inf
+    except OverflowError:  # float ** float raises where float * float gives inf
+        return False
+
 
 def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvider:
-    """Build a deterministic analytic provider of a TERRAIN_KINDS kind.
+    """A deterministic analytic provider of a kind (see terrain_parameters).
 
     Kinds and parameters (all meters unless noted):
       constant:       base
@@ -378,28 +418,17 @@ def synthetic_terrain(kind: str, origin: GeoPoint, **params) -> ElevationProvide
       gaussian_hill:  base, amplitude, sigma, center_x, center_y
       ridge:          base, amplitude, sigma, angle_deg (ridge azimuth)
     """
-    try:
-        _, defaults = TERRAIN_KINDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown terrain kind {kind!r}; expected one of {sorted(TERRAIN_KINDS)}"
-        ) from None
-    unknown = set(params) - set(defaults)
+    merged = terrain_parameters(kind, params)
+    unknown = set(params) - set(merged)
     if unknown:
         raise ConfigError(f"unknown {kind} parameters: {sorted(unknown)}")
-    merged = {**defaults, **params}
-    for name, v in merged.items():
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError(f"terrain parameter {name}={v!r} must be a finite number")
-    if "sigma" in merged and merged["sigma"] <= 0:
-        raise ConfigError(f"terrain sigma must be positive, got {merged['sigma']}")
     return SyntheticTerrain(kind, origin, merged)
 
 
 def convert_pointset(ps: PointSet, target) -> PointSet:
     """Re-express a point set in another CRS.
 
-    target is "wgs84", "utm" (frame picked from the centroid), or a UtmCrs.
+    target is "wgs84", "utm" (the centroid's frame, utm_frame), or a UtmCrs.
     Converting to UTM projects every point, on either side of the equator,
     into the one target frame (zone and hemisphere); the result converts back.
     A set whose `projected` set is in the target frame already has those
@@ -417,13 +446,19 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
     if target == "utm":
         if isinstance(ps.crs, UtmCrs):
             return ps
+        lon = ps.x.tolist()
+        # a set spanning more than 180 degrees of longitude lies across the
+        # antimeridian: its centroid is taken with the western longitudes
+        # carried past 180
+        if max(lon) - min(lon) > 180.0:
+            lon = [v + 360.0 if v < 0.0 else v for v in lon]
         # sum() adds left to right; np.sum's pairwise order could move a
         # centroid that sits on a zone edge into the other zone
-        c_lon = sum(ps.x.tolist()) / len(ps)
+        c_lon = sum(lon) / len(ps)
         c_lat = sum(ps.y.tolist()) / len(ps)
-        # a centroid within the sum's rounding error of 0 is on the equator: north
+        # a centroid within the sum's rounding error of 0 is on the equator
         tie = len(ps) * 2.0**-53 * float(np.abs(ps.y).max())
-        target = UtmCrs(utm_zone_for(c_lon, c_lat), "south" if c_lat < -tie else "north")
+        target = UtmCrs(*utm_frame(c_lon, 0.0 if abs(c_lat) <= tie else c_lat))
     elif not isinstance(target, UtmCrs):
         raise ConfigError(f"unknown target CRS {target!r}")
 

@@ -129,11 +129,19 @@ def utm_zone_for(longitude: float, latitude: float) -> int:
     """Standard UTM zone number for a longitude, clamped to [1, 60].
 
     Latitude is accepted for interface symmetry; the plain 6-degree zoning
-    rule ignores it.
+    rule ignores it. A non-finite longitude raises DataError.
     """
+    if not math.isfinite(longitude):
+        raise DataError(f"non-finite longitude {longitude!r}")
     lon = normalize_longitude(longitude)
     zone = int(math.floor((lon + 180.0) / 6.0)) + 1
     return min(60, max(1, zone))
+
+
+def utm_frame(longitude: float, latitude: float) -> tuple[int, str]:
+    """(zone, hemisphere) of the UTM frame of a position: the zone of its
+    longitude, and 'north' at or above the equator, 'south' below it."""
+    return utm_zone_for(longitude, latitude), "north" if latitude >= 0.0 else "south"
 
 
 def zone_central_meridian(zone: int) -> float:
@@ -299,12 +307,11 @@ def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.nda
 def wgs84_to_utm(p: GeoPoint, zone: int | None = None) -> UtmPoint:
     """Project a geographic point to UTM on the WGS-84 ellipsoid.
 
-    The zone defaults to the point's own 6-degree zone; pass an explicit
-    zone to keep a whole dataset in one projection frame.
+    The frame is the point's own (utm_frame); pass an explicit zone to keep
+    a whole dataset in one projection frame.
     """
-    if zone is None:
-        zone = utm_zone_for(p.longitude, p.latitude)
-    hemisphere = "north" if p.latitude >= 0.0 else "south"
+    own_zone, hemisphere = utm_frame(p.longitude, p.latitude)
+    zone = own_zone if zone is None else zone
     easting, northing = utm_forward([p.latitude], [p.longitude], zone, hemisphere)
     return UtmPoint(easting.item(), northing.item(), zone, hemisphere, p.altitude)
 

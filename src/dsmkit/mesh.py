@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +41,11 @@ class TriMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.triangles, dtype=np.int64)
+        t = np.asarray(self.triangles)
+        # int64 would truncate a fractional entry and wrap a non-finite one
+        if t.dtype.kind == "f" and not np.all((np.trunc(t) == t) & (np.abs(t) < 2.0**62)):
+            raise DataError("triangle entries must be whole numbers")
+        t = np.asarray(t, dtype=np.int64)
         v = _checked_vertices(self.vertices, t)
         t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -212,6 +217,15 @@ def seed_grid_shape(rect: Rect, target_spacing: float) -> tuple[int, int]:
     return nrows, ncols
 
 
+def check_seeding(strategy: str, seed) -> None:
+    """Raise ConfigError unless strategy is one of SEED_STRATEGIES and seed a
+    non-negative integer, under grid seeding too, which ignores the seed."""
+    if strategy not in SEED_STRATEGIES:
+        raise ConfigError(f"unknown seeding strategy {strategy!r}; expected {SEED_STRATEGIES}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def seed_region(
     rect: Rect, target_spacing: float, strategy: str = "jittered", seed: int = 42
 ) -> np.ndarray:
@@ -221,13 +235,10 @@ def seed_region(
     strategy "jittered" offsets interior vertices by a uniform perturbation
     of up to 0.3 of the per-axis step: x then y per vertex, in row-major
     order, from the stream of numpy's `default_rng(seed).uniform(-0.3, 0.3)`
-    (PCG64), drawn bit for bit by `_pcg64_uniform` without numpy.random. The
-    seed must be a non-negative integer.
+    (PCG64), drawn bit for bit by `_pcg64_uniform` without numpy.random.
+    check_seeding checks the strategy and the seed.
     """
-    if strategy not in SEED_STRATEGIES:
-        raise ConfigError(f"unknown seeding strategy {strategy!r}")
-    if strategy == "jittered" and seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    check_seeding(strategy, seed)
     nrows, ncols = seed_grid_shape(rect, target_spacing)
     xs = np.linspace(rect.x_min, rect.x_max, ncols)
     ys = np.linspace(rect.y_min, rect.y_max, nrows)

@@ -10,8 +10,13 @@ compose these.
 Configuration is a flat key = value text file (see DEFAULTS for the full key
 set and the bundled demo config for a commented example). Every key is
 checked in `PipelineConfig.from_mapping`, so a bad value fails before any
-stage runs; every artifact a run writes is byte-identical across runs for a
-fixed config and seed.
+stage runs. A rule of a module that applies the key is that module's check,
+which the config calls: the terrain's (`acquisition.terrain_parameters`),
+the UTM frame's (`geodesy.utm_frame`), seeding's (`mesh.check_seeding`,
+`mesh.seed_grid_shape`), the variogram's (`variogram.check_model_kind`,
+`VariogramModel`, `bin_width`) and IDW's (`interpolate.IdwConfig`). Every
+artifact a run writes is byte-identical across runs for a fixed config and
+seed.
 
 The config also fixes the run's one UTM frame (`utm_crs`) and the rectangle
 the mesh covers in it (`mesh_region`), so meshing reads no samples.
@@ -30,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
-    TERRAIN_KINDS,
     PointSet,
     ScanSpec,
+    SyntheticTerrain,
     UtmCrs,
     Wgs84Crs,
     clip_to_region,
@@ -40,10 +45,10 @@ from .acquisition import (
     parse_point_file,
     scan_grid,
     serialize_point_file,
-    synthetic_terrain,
+    terrain_parameters,
 )
 from .errors import ConfigError, DataError, DsmError, ParseError
-from .geodesy import UTM_LAT_BAND, GeoPoint, utm_zone_for
+from .geodesy import UTM_LAT_BAND, GeoPoint, utm_frame
 from .geometry import Rect
 from .interpolate import (
     IdwConfig,
@@ -54,9 +59,9 @@ from .interpolate import (
     lift_mesh,
 )
 from .mesh import (
-    SEED_STRATEGIES,
     MeshQuality,
     TriMesh,
+    check_seeding,
     delaunay_triangulate,
     dihedral_roughness,
     extract_contours,
@@ -66,10 +71,10 @@ from .mesh import (
     seed_region,
 )
 from .variogram import (
-    MODEL_KINDS,
     ExperimentalVariogram,
     VariogramModel,
     bin_width,
+    check_model_kind,
     empirical_variogram,
     fit_model,
 )
@@ -176,18 +181,6 @@ class PipelineConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw[key]!r}") from None
 
-        def positive(key):
-            value = number(key)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{key} must be positive and finite, got {raw[key]!r}")
-            return value
-
-        def finite(key):
-            value = number(key)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
-            return value
-
         def at_least(key, least, most=None):
             value = number(key, int)
             if value < least:
@@ -206,10 +199,7 @@ class PipelineConfig:
                     f"longitudes [{region.x_min}, {region.x_max}] must lie in [-180, 180]"
                 )
             # the run's one UTM frame, for the samples and the mesh alike
-            center_lon, center_lat = region.center
-            utm_crs = UtmCrs(
-                utm_zone_for(center_lon, center_lat), "north" if center_lat >= 0 else "south"
-            )
+            utm_crs = UtmCrs(*utm_frame(*region.center))
         elif region_crs == "utm":
             if not raw["zone"]:
                 raise ConfigError("utm region needs a zone")
@@ -223,19 +213,15 @@ class PipelineConfig:
         else:
             raise ConfigError(f"region_crs must be wgs84 or utm, got {region_crs!r}")
 
-        # the scan keys: a bad value used to fail only once acquisition began
+        # the scan keys: acquisition checks the terrain without building it
         terrain = raw["terrain"]
-        if terrain not in TERRAIN_KINDS:
-            raise ConfigError(f"terrain must be one of {sorted(TERRAIN_KINDS)}, got {terrain!r}")
         terrain_params = {
-            k.removeprefix("terrain_"): finite(k) for k in DEFAULTS if k.startswith("terrain_")
+            k.removeprefix("terrain_"): number(k) for k in DEFAULTS if k.startswith("terrain_")
         }
-        _, takes = TERRAIN_KINDS[terrain]
-        if "sigma" in takes:
-            positive("terrain_sigma")
-        margin = finite("margin")
-        if not margin > -0.5:
-            raise ConfigError(f"margin must be > -0.5, got {raw['margin']!r}")
+        terrain_parameters(terrain, terrain_params)
+        margin = number("margin")
+        if not -0.5 < margin < math.inf:
+            raise ConfigError(f"margin must be finite and > -0.5, got {raw['margin']!r}")
         if region_crs == "wgs84":
             # a synthetic scan covers the region plus its margin
             scanned = region.expanded(margin) if raw["input"] == "synthetic" else region
@@ -249,8 +235,7 @@ class PipelineConfig:
         if method not in ("uk", "idw"):
             raise ConfigError(f"method must be uk or idw, got {method!r}")
         kind = raw["variogram"]
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"variogram must be one of {MODEL_KINDS}, got {kind!r}")
+        check_model_kind(kind)
 
         explicit = None
         explicit_fields = [raw["variogram_c0"], raw["variogram_c"], raw["variogram_a"]]
@@ -276,7 +261,7 @@ class PipelineConfig:
         drift = number("drift", int)
         kriged = least_samples(drift)  # a bad degree fails under idw too
 
-        # the lift keys are checked here so a bad value fails before any stage
+        # the lift keys
         neighbors = None if raw["neighbors"] == "global" else number("neighbors", int)
         least = kriged if method == "uk" else 1
         if neighbors is not None and neighbors < least:
@@ -285,18 +270,11 @@ class PipelineConfig:
                 f"(method {method}, drift {drift}), got {neighbors}"
             )
 
-        # so are the mesh, variogram and contour keys
+        # the mesh, variogram and contour keys
         seed_strategy = raw["seed_strategy"]
-        if seed_strategy not in SEED_STRATEGIES:
-            raise ConfigError(
-                f"seed_strategy must be one of {SEED_STRATEGIES}, got {seed_strategy!r}"
-            )
-        # under grid seeding too, which ignores it: a config valid under one
-        # strategy stays valid under the other
         seed = number("seed", int)
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-        spacing = positive("spacing")
+        check_seeding(seed_strategy, seed)
+        spacing = number("spacing")
         mesh_region = utm_extent(region, utm_crs) if region_crs == "wgs84" else region
         seed_grid_shape(mesh_region, spacing)
 
@@ -305,7 +283,7 @@ class PipelineConfig:
         # fit_model needs three filled bins, so a fitted model needs three bins
         variogram_bins = at_least("variogram_bins", 1 if explicit else 3, MAX_VARIOGRAM_BINS)
         # blank: half the diagonal of the mesh rectangle
-        max_lag = (positive("variogram_max_lag") if raw["variogram_max_lag"]
+        max_lag = (number("variogram_max_lag") if raw["variogram_max_lag"]
                    else 0.5 * math.hypot(mesh_region.width, mesh_region.height))
         bin_width(max_lag, variogram_bins)
 
@@ -330,7 +308,7 @@ class PipelineConfig:
             variogram_max_lag=max_lag,
             drift=drift,
             neighbors=neighbors,
-            power=positive("power"),
+            power=IdwConfig(power=number("power")).power,
             seed=seed,
             out_dir=Path(raw["out"]),
             formats=formats,
@@ -448,10 +426,9 @@ def acquire(config: PipelineConfig) -> PointSet:
     +-MAX_ALTITUDE."""
     if config.input == "synthetic":
         r = config.region
-        center = GeoPoint(0.5 * (r.y_min + r.y_max), 0.5 * (r.x_min + r.x_max))
-        _, takes = TERRAIN_KINDS[config.terrain]
-        params = {name: config.terrain_params[name] for name in takes}
-        provider = synthetic_terrain(config.terrain, center, **params)
+        lon, lat = r.center  # whose frame is config.utm_crs
+        params = terrain_parameters(config.terrain, config.terrain_params)
+        provider = SyntheticTerrain(config.terrain, GeoPoint(lat, lon), params)
         extended = r.expanded(config.margin)
         ps = scan_grid(provider, ScanSpec(extended, config.rows, config.cols))
     else:

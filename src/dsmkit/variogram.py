@@ -68,6 +68,12 @@ class ExperimentalVariogram:
         return len(self.lags)
 
 
+def check_model_kind(kind: str) -> None:
+    """Raise ConfigError unless kind is one of MODEL_KINDS."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown variogram kind {kind!r}; expected {MODEL_KINDS}")
+
+
 @dataclass(frozen=True)
 class VariogramModel:
     """Theoretical semivariogram: gamma(0) = 0 with a nugget jump at 0+."""
@@ -78,8 +84,7 @@ class VariogramModel:
     range_: float
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown variogram kind {self.kind!r}; expected {MODEL_KINDS}")
+        check_model_kind(self.kind)
         if not (self.nugget >= 0 and math.isfinite(self.nugget)):
             raise ConfigError(f"nugget must be >= 0, got {self.nugget}")
         if not (self.partial_sill >= 0 and math.isfinite(self.partial_sill)):
@@ -396,8 +401,7 @@ def fit_model(ev: ExperimentalVariogram, kind: str = "spherical") -> VariogramMo
     loop whose _wls calls each prefetch the ranges of its next _AHEAD + 1
     steps, so the formulas exist once.
     """
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown variogram kind {kind!r}; expected {MODEL_KINDS}")
+    check_model_kind(kind)
     if len(ev) < 3:
         raise DataError(f"model fitting needs at least 3 bins, got {len(ev)}")
 

@@ -19,7 +19,7 @@ from dsmkit.acquisition import (
 from dsmkit.cli import main
 from dsmkit.delaunay import triangulate
 from dsmkit.errors import ConfigError, DataError, ParseError
-from dsmkit.geodesy import GeoPoint, UtmPoint, parse_dms
+from dsmkit.geodesy import GeoPoint, UtmPoint, parse_dms, utm_zone_for
 from dsmkit.geometry import Rect
 from dsmkit.interpolate import (
     IdwConfig,
@@ -105,9 +105,22 @@ CASES = {
     "terrain_sigma_not_positive": (
         lambda: synthetic_terrain("gaussian_hill", GeoPoint(48.0, 7.0), sigma=0.0),
         ConfigError, "terrain sigma must be positive"),
+    # 2 sigma**2 overflowed (an OverflowError at the scan) or underflowed to
+    # 0 (a NaN elevation); the centre's square overflowed to a flat field
+    "terrain_sigma_square_overflows": (
+        lambda: synthetic_terrain("gaussian_hill", GeoPoint(48.0, 7.0), sigma=1e300),
+        ConfigError, "with 2 sigma**2 a normal float, got 1e+300"),
+    "terrain_sigma_square_underflows": (
+        lambda: synthetic_terrain("ridge", GeoPoint(48.0, 7.0), sigma=1e-300),
+        ConfigError, "with 2 sigma**2 a normal float, got 1e-300"),
+    "terrain_center_too_far": (
+        lambda: synthetic_terrain("gaussian_hill", GeoPoint(48.0, 7.0), center_x=1e300),
+        ConfigError, "terrain center_x must lie within +-1e+150 m, got 1e+300"),
     "convert_unknown_target": (
         lambda: convert_pointset(UTM_SAMPLES, "ecef"),
         ConfigError, "unknown target CRS 'ecef'"),
+    "utm_zone_of_nan": (
+        lambda: utm_zone_for(float("nan"), 0.0), DataError, "non-finite longitude nan"),
     "utm_point_not_finite": (
         lambda: UtmPoint(500000.0, float("nan"), 32, "north"),
         DataError, "non-finite UtmPoint"),
@@ -157,6 +170,9 @@ CASES = {
     "trimesh_vertices_not_finite": (
         lambda: TriMesh([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]]),
         DataError, "vertices contain non-finite coordinates"),
+    "trimesh_fractional_triangle": (
+        lambda: TriMesh(SQUARE[:3], np.array([[0, 1, 2]]) + 0.5),
+        DataError, "triangle entries must be whole numbers"),
     "trimesh_triangles_bad_shape": (
         lambda: TriMesh(SQUARE, [[0, 1, 2, 3]]),
         DataError, "triangles must be (m, 3), got (1, 4)"),
@@ -181,6 +197,14 @@ CASES = {
     "seed_region_unknown_strategy": (
         lambda: seed_region(Rect(0, 0, 10, 10), 1.0, strategy="hex"),
         ConfigError, "unknown seeding strategy 'hex'"),
+    # the seed was truncated to int (1.5 drew seed 1's stream), and grid
+    # seeding took any seed
+    "seed_region_fractional_seed": (
+        lambda: seed_region(Rect(0, 0, 10, 10), 5.0, "jittered", 1.5),
+        ConfigError, "seed must be a non-negative integer, got 1.5"),
+    "seed_region_negative_grid_seed": (
+        lambda: seed_region(Rect(0, 0, 10, 10), 5.0, "grid", -1),
+        ConfigError, "seed must be a non-negative integer, got -1"),
     "smooth_negative_iterations": (
         lambda: laplacian_smooth(ONE_TRIANGLE, -1),
         ConfigError, "iterations must be >= 0, got -1"),

@@ -971,6 +971,19 @@ class TestCli:
         text = (tmp_path / "c" / "points_utm.txt").read_text()
         assert "zone=32" in text.splitlines()[0]
 
+    def test_convert_across_the_antimeridian(self, tmp_path):
+        # the centroid's longitude is taken across the antimeridian: zone 60,
+        # not zone 40 of the plain mean, 59.98, where no easting converts back
+        points = tmp_path / "am.txt"
+        points.write_text("10.0 179.9 5\n10.001 -179.9 6\n10.002 179.95 7\n")
+        assert main(["convert", "--input", str(points), "--out", str(tmp_path / "c")]) == 0
+        header, *rows = (tmp_path / "c" / "points_utm.txt").read_text().splitlines()
+        assert header.endswith("(utm zone=60 hemisphere=north)")
+        east, north, _ = np.array([row.split() for row in rows], dtype=float).T
+        lat, lon = geodesy.utm_inverse(east, north, 60, "north")
+        assert np.abs(lat - [10.0, 10.001, 10.002]).max() <= 1e-9
+        assert np.abs(lon - [179.9, -179.9, 179.95]).max() <= 1e-9
+
     def test_mesh_subcommand(self, tmp_path, capsys):
         code = main(
             ["mesh", "--config", self._cfg(tmp_path), "--spacing", "30", "--out", str(tmp_path / "m")]
@@ -1174,6 +1187,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["terrain_sigma = 1e300", "terrain_sigma = 1e-300", "terrain_center_x = 1e300"]
+    )
+    def test_terrain_the_field_cannot_evaluate_is_rejected_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, line
+    ):
+        # each exited 2, at stage 'acquire' (an OverflowError, a NaN
+        # elevation) or at the variogram's zero sill, after numpy warnings
+        monkeypatch.setattr(pipeline.Stage, "__enter__", _stage_ran)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", self._cfg(tmp_path, [line]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: terrain ") and "Traceback" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()
 
     def test_altitude_bound_is_inclusive(self, tmp_path):

@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, no module-level private function,
-class or constant goes unreferenced, no function takes a parameter whose name
-starts with an underscore (a hook for tests), no module uses numpy.random (mesh seeding
-draws numpy's stream itself, so no run pays that import), and the test
+class or constant goes unreferenced, no exception message is raised in two
+places, no function takes a parameter whose name starts with an underscore
+(a hook for tests), no module uses numpy.random (mesh seeding draws numpy's
+stream itself, so no run pays that import), and the test
 oracles evaluate no semivariogram with the code they check and never import
 the mesh module."""
 
@@ -105,6 +106,47 @@ def test_unread_private_constant_check_sees_one():
 def test_every_private_constant_is_read():
     trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_constants(trees) == []
+
+
+def _message_text(node: ast.expr) -> str | None:
+    """The constant text of an exception message: a string literal, or an
+    f-string's literal parts with {} for each field; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def _repeated_raise_messages(trees: dict) -> list:
+    """Every constant message text that more than one raise statement
+    gives its exception as the first argument, as "text at module:line,
+    ..."; a text of fields alone is no rule and is left out."""
+    places = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                text = _message_text(node.exc.args[0])
+                if text and text.replace("{}", "").strip():
+                    places.setdefault(text, []).append(f"{name}:{node.lineno}")
+    return [f"{text!r} at {', '.join(at)}" for text, at in places.items() if len(at) > 1]
+
+
+def test_repeated_raise_message_check_sees_one():
+    trees = {
+        "a": ast.parse('raise E(f"seed {s} bad")\nraise E("plain")\nraise E(f"{x}")\n'),
+        "b": ast.parse(
+            'if x:\n    raise F(f"seed {t} bad") from None\nraise E(msg)\nraise E(f"{y}")\n'
+        ),
+    }
+    assert _repeated_raise_messages(trees) == ["'seed {} bad' at a:1, b:2"]
+
+
+def test_every_raise_message_is_written_once():
+    # a message raised in two places is a rule written twice: the copies
+    # can drift apart, so each rule lives in one function that callers call
+    trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    assert _repeated_raise_messages(trees) == []
 
 
 def _underscore_parameters(tree: ast.Module) -> list:
