@@ -20,6 +20,8 @@ from .errors import ConfigError, DataError, DsmError, ParseError
 from .geodesy import (
     GeoPoint,
     UtmPoint,
+    check_eastings,
+    check_latitudes,
     check_utm_frame,
     elementwise,
     normalize_longitudes,
@@ -28,7 +30,7 @@ from .geodesy import (
     utm_frame,
     wgs84_to_utm,
 )
-from .geometry import Rect
+from .geometry import Rect, coordinate_array
 
 
 @dataclass(frozen=True)
@@ -102,20 +104,13 @@ class PointSet:
     def _store(self, x, y, z, crs):
         if not isinstance(crs, (Wgs84Crs, UtmCrs)):
             raise DataError(f"unknown point-set CRS {crs!r}")
-        xy = np.column_stack([np.ravel(x), np.ravel(y)]).astype(float, copy=False)
-        z = np.array(z, dtype=float).ravel()
-        if len(xy) != len(z):
-            raise DataError(f"column lengths differ: {len(xy)} positions, {len(z)} altitudes")
-        finite = np.isfinite(xy).all(axis=1) & np.isfinite(z)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise DataError(f"point {k}: non-finite coordinates {xy[k].tolist() + [z[k].item()]}")
+        columns = [np.ravel(x), np.ravel(y), np.ravel(z)]
+        if len({len(c) for c in columns}) > 1:
+            raise DataError(f"column lengths differ: x, y, z have {[len(c) for c in columns]}")
+        xyz = coordinate_array(np.column_stack(columns), "point", (3,))
+        xy, z = xyz[:, :2].copy(), xyz[:, 2].copy()
         if isinstance(crs, Wgs84Crs):
-            lat = xy[:, 1]
-            outside = ~((lat >= -90.0) & (lat <= 90.0))
-            if outside.any():
-                k = int(np.argmax(outside))
-                raise DataError(f"point {k}: latitude {lat[k].item()} outside [-90, 90]")
+            check_latitudes(xy[:, 1])
             xy[:, 0] = normalize_longitudes(xy[:, 0])
         xy.setflags(write=False)
         z.setflags(write=False)
@@ -209,7 +204,7 @@ def parse_point_file(text: str) -> PointSet:
     Blank lines and lines starting with '#' are skipped. Extra trailing
     fields on a line are ignored.
     """
-    points = []
+    rows, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -228,13 +223,13 @@ def parse_point_file(text: str) -> PointSet:
             if not math.isfinite(v):
                 raise ParseError(f"non-finite {name} {token!r}", line=lineno)
             values.append(v)
-        try:
-            points.append(GeoPoint(*values))
-        except DataError as e:
-            raise ParseError(str(e), line=lineno) from None
-    if not points:
+        rows.append(values)
+        lines.append(lineno)
+    if not rows:
         raise DataError("point file contains no data points")
-    return PointSet(points, WGS84)
+    lat, lon, alt = np.array(rows).T
+    check_latitudes(lat, lines)
+    return PointSet.from_arrays(lon, lat, alt)
 
 
 def serialize_point_file(ps: PointSet) -> str:
@@ -331,7 +326,10 @@ class SyntheticTerrain(ElevationProvider):
 
     def _evaluate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         field, _ = TERRAIN_KINDS[self.kind]
-        return field(dx, dy, **self.params)
+        # a field past the float range comes out inf or nan, which scan_grid
+        # names, instead of as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return field(dx, dy, **self.params)
 
 
 def _constant(dx, dy, base):
@@ -471,4 +469,5 @@ def convert_pointset(ps: PointSet, target) -> PointSet:
     else:
         lat, lon = utm_inverse(ps.x, ps.y, ps.crs.zone, ps.crs.hemisphere)
     easting, northing = utm_forward(lat, lon, target.zone, target.hemisphere)
+    check_eastings(easting)
     return PointSet.from_arrays(easting, northing, ps.z, target)

@@ -67,6 +67,7 @@ import math
 import numpy as np
 
 from .errors import DataError
+from .geometry import coordinate_array
 
 _EPS = 2.220446049250313e-16
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
@@ -655,16 +656,6 @@ def _sweep(xy, pred):
     return np.array(tri, dtype=np.int32)
 
 
-def checked_points(points):
-    """points as an (n, 2) float array of finite coordinates, else DataError."""
-    xy = np.asarray(points, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise DataError(f"expected (n, 2) points, got shape {xy.shape}")
-    if not np.isfinite(xy).all():
-        raise DataError("points contain non-finite coordinates")
-    return xy
-
-
 def triangulate(points):
     """Delaunay-triangulate unique 2D points.
 
@@ -676,7 +667,7 @@ def triangulate(points):
     Points of another shape, non-finite or coincident points, or fewer
     than 3, raise DataError.
     """
-    xy = checked_points(points)
+    xy = coordinate_array(points, "point")
     first = first_coincident(xy)
     (repeated,) = np.nonzero(first != np.arange(len(xy)))
     if len(repeated):

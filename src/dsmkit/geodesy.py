@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
+from .geometry import coordinate_array
 
 # WGS-84 ellipsoid
 WGS84_A = 6378137.0
@@ -82,6 +83,47 @@ def normalize_longitude(longitude: float) -> float:
     return lon
 
 
+def _check_inside(values, inside, name: str, interval: str, lines=None) -> None:
+    """DataError naming the first of `values` that the mask `inside` leaves out, and
+    its index in an array; given each value's line in `lines`, a ParseError."""
+    if not inside.all():
+        k = int(np.argmin(inside.ravel()))
+        text = f"{name} {values.ravel()[k].item()!r} outside {interval}"
+        if lines is not None:
+            raise ParseError(text, line=lines[k])
+        raise DataError(f"point {k}: {text}" if values.ndim else text)
+
+
+def check_latitudes(latitudes, lines=None) -> None:
+    """DataError unless every latitude (a float or an array) is in [-90, 90];
+    given `lines`, the line number of each latitude, a ParseError."""
+    lat = np.asarray(latitudes, dtype=float)
+    _check_inside(lat, (lat >= -90.0) & (lat <= 90.0), "latitude", "[-90, 90]", lines)
+
+
+def in_utm_band(latitudes) -> np.ndarray:
+    """Mask of the latitudes (degrees) that UTM projects: |latitude| <= UTM_LAT_BAND."""
+    return np.abs(latitudes) <= UTM_LAT_BAND
+
+
+def check_utm_band(latitudes, name: str = "latitude") -> None:
+    """DataError unless every latitude (a float or an array; a `name`) is in_utm_band."""
+    lat = np.asarray(latitudes, dtype=float)
+    band = f"the UTM band [-{UTM_LAT_BAND:g}, {UTM_LAT_BAND:g}]"
+    _check_inside(lat, in_utm_band(lat), name, band)
+
+
+def in_easting_range(eastings) -> np.ndarray:
+    """Mask of the eastings (meters) in (100000, 900000): those utm_inverse takes."""
+    return (100000.0 < eastings) & (eastings < 900000.0)
+
+
+def check_eastings(eastings) -> None:
+    """DataError unless every easting (an array) is in_easting_range."""
+    east = np.asarray(eastings, dtype=float)
+    _check_inside(east, in_easting_range(east), "easting", "(100000, 900000)")
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     """Geographic sample: latitude/longitude in degrees, altitude in meters."""
@@ -91,11 +133,8 @@ class GeoPoint:
     altitude: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.latitude) and math.isfinite(self.longitude)
-                and math.isfinite(self.altitude)):
-            raise DataError(f"non-finite GeoPoint: {self}")
-        if not -90.0 <= self.latitude <= 90.0:
-            raise DataError(f"latitude {self.latitude} outside [-90, 90]")
+        coordinate_array([self.latitude, self.longitude, self.altitude], "GeoPoint", (3,), (1,))
+        check_latitudes(self.latitude)
         object.__setattr__(self, "longitude", normalize_longitude(self.longitude))
 
 
@@ -119,9 +158,7 @@ class UtmPoint:
     altitude: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.easting) and math.isfinite(self.northing)
-                and math.isfinite(self.altitude)):
-            raise DataError(f"non-finite UtmPoint: {self}")
+        coordinate_array([self.easting, self.northing, self.altitude], "UtmPoint", (3,), (1,))
         check_utm_frame(self.zone, self.hemisphere)
 
 
@@ -233,13 +270,9 @@ def utm_forward(
     """
     check_utm_frame(zone, hemisphere)
     lat = np.array(latitudes, dtype=float).ravel()
+    coordinate_array(np.column_stack([lat, np.ravel(longitudes)]), "point")
+    check_utm_band(lat)
     lon = normalize_longitudes(longitudes)
-    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
-        raise DataError("non-finite latitude or longitude")
-    outside = np.abs(lat) > UTM_LAT_BAND
-    if outside.any():
-        bad = lat[outside][0].item()
-        raise DataError(f"latitude {bad} outside the UTM band [-{UTM_LAT_BAND}, {UTM_LAT_BAND}]")
 
     phi = lat * (math.pi / 180.0)  # math.radians, bit for bit
     lam = normalize_longitudes(lon - zone_central_meridian(zone)) * (math.pi / 180.0)
@@ -275,9 +308,7 @@ def utm_inverse(eastings, northings, zone: int, hemisphere: str) -> tuple[np.nda
     check_utm_frame(zone, hemisphere)
     east = np.array(eastings, dtype=float).ravel()
     north = np.array(northings, dtype=float).ravel()
-    bad = ~((100000.0 < east) & (east < 900000.0))
-    if bad.any():
-        raise DataError(f"easting {east[bad][0].item()} outside (100000, 900000)")
+    check_eastings(east)
     offset = north - (FALSE_NORTHING_SOUTH if hemisphere == "south" else 0.0)
     bad = ~(np.abs(offset) <= _POLE_NORTHING)
     if bad.any():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,18 @@ class Rect:
             (self.x_max, self.y_max),
             (self.x_min, self.y_max),
         ]
+
+
+def coordinate_array(values, what: str, widths=(2,), ndims=(2,)) -> np.ndarray:
+    """values as a finite (n, w) float array, w in `widths` (a (w,) point as one row if 1
+    is in `ndims`); DataError names a bad shape, or the first non-finite `what`."""
+    xy = np.asarray(values, dtype=float)
+    if not (xy.ndim in ndims and xy.shape[-1] in widths):
+        forms = " or ".join(f"({w},)" if d == 1 else f"(n, {w})" for d in ndims for w in widths)
+        raise DataError(f"{what} coordinates must be {forms}, got shape {xy.shape}")
+    rows = np.atleast_2d(xy)
+    if not np.isfinite(rows).all():
+        k = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        at = f"{what} {k}" if xy.ndim == 2 else what
+        raise DataError(f"{at}: non-finite coordinates {rows[k].tolist()}")
+    return rows

@@ -76,6 +76,7 @@ from numpy.linalg import _umath_linalg
 
 from .acquisition import PointSet, UtmCrs
 from .errors import ConfigError, DataError, NumericalError
+from .geometry import coordinate_array
 from .mesh import TriMesh
 from .variogram import VariogramModel, _gamma
 
@@ -116,6 +117,29 @@ def check_sample_count(count: int, degree: int) -> None:
     need = least_samples(degree)
     if count < need:
         raise DataError(f"need at least {need} samples for drift degree {degree}, got {count}")
+
+
+def check_neighborhood(neighborhood: int | None, drift_degree: int | None = None) -> None:
+    """ConfigError unless `neighborhood` is None (every sample) or at least the
+    samples one system needs: least_samples(drift_degree), 1 for IDW (None)."""
+    least = 1 if drift_degree is None else least_samples(drift_degree)
+    if neighborhood is not None and neighborhood < least:
+        method = "IDW" if drift_degree is None else f"drift degree {drift_degree}"
+        raise ConfigError(f"neighborhood {neighborhood} too small for {method} (needs >= {least})")
+
+
+def check_positive_sill(model: VariogramModel) -> None:
+    """DataError unless the sill is positive: at zero every system is singular."""
+    if not model.sill > 0:
+        raise DataError(
+            "the variogram has zero sill, so kriging is undefined; use method = idw or an "
+            "explicit model (variogram_c0, variogram_c, variogram_a) with a positive sill"
+        )
+
+
+def coincident(distances: np.ndarray) -> np.ndarray:
+    """Mask of the distances (meters) at which two positions coincide."""
+    return distances < COINCIDENT_TOL
 
 
 def drift_basis(degree: int, x) -> np.ndarray:
@@ -268,19 +292,19 @@ class GridIndex:
         return done, np.take_along_axis(cand[done], srt[done, :k], axis=1)
 
 
-def _check_distinct(index: GridIndex, tol: float = COINCIDENT_TOL):
-    """Raise DataError when two samples lie within tol of each other."""
+def _check_distinct(index: GridIndex):
+    """Raise DataError when two samples coincide."""
     locs = index.locations
     own = np.arange(len(locs))
     # each sample's two nearest include itself or a coincident twin
     pair = index.knn(locs, 2)
     other = np.where(pair[:, 0] == own, pair[:, 1], pair[:, 0])
-    close = np.hypot(locs[:, 0] - locs[other, 0], locs[:, 1] - locs[other, 1]) < tol
+    close = coincident(np.hypot(locs[:, 0] - locs[other, 0], locs[:, 1] - locs[other, 1]))
     if close.any():
         lo = np.minimum(own, other)[close]
         hi = np.maximum(own, other)[close]
         first = np.lexsort((lo, hi))[0]
-        raise DataError(f"samples {lo[first]} and {hi[first]} coincide within {tol} m")
+        raise DataError(f"samples {lo[first]} and {hi[first]} coincide within {COINCIDENT_TOL} m")
 
 
 @dataclass(frozen=True)
@@ -303,17 +327,8 @@ class KrigingSystem:
     def __post_init__(self):
         locs, vals = _samples(self.locations, self.values)
         check_sample_count(len(locs), self.drift_degree)
-        need = least_samples(self.drift_degree)
-        if self.neighborhood is not None and self.neighborhood < need:
-            raise ConfigError(
-                f"neighborhood {self.neighborhood} too small for drift degree "
-                f"{self.drift_degree} (needs >= {need})"
-            )
-        if self.model.sill == 0:
-            raise DataError(
-                "the variogram has zero sill, so kriging is undefined; use method = idw "
-                "or a model with a positive sill"
-            )
+        check_neighborhood(self.neighborhood, self.drift_degree)
+        check_positive_sill(self.model)
         locs, vals = locs.copy(), vals.copy()
         locs.setflags(write=False)
         vals.setflags(write=False)
@@ -357,8 +372,7 @@ class IdwConfig:
     def __post_init__(self):
         if not (self.power > 0 and math.isfinite(self.power)):
             raise ConfigError(f"IDW power must be positive, got {self.power}")
-        if self.neighborhood is not None and self.neighborhood < 1:
-            raise ConfigError(f"neighborhood must be >= 1, got {self.neighborhood}")
+        check_neighborhood(self.neighborhood)
 
 
 @dataclass(frozen=True)
@@ -392,26 +406,13 @@ def _spread_ratio(xy: np.ndarray) -> np.ndarray:
 
 def _samples(locations, values) -> tuple[np.ndarray, np.ndarray]:
     """Sample locations (n, 2) and values (n,) as float arrays, all finite."""
-    locs = np.asarray(locations, dtype=float)
+    locs = coordinate_array(locations, "sample")
     vals = np.asarray(values, dtype=float)
-    if locs.ndim != 2 or locs.shape[1] != 2:
-        raise DataError(f"locations must be (n, 2), got {locs.shape}")
     if vals.shape != (len(locs),):
         raise DataError("values length must match locations")
-    if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(vals))):
+    if not np.all(np.isfinite(vals)):
         raise DataError("non-finite sample data")
     return locs, vals
-
-
-def _targets(targets) -> np.ndarray:
-    """Target locations, one (2,) point or (n, 2), as a finite (n, 2) array."""
-    t = np.asarray(targets, dtype=float)
-    if t.shape != (2,) and (t.ndim != 2 or t.shape[1] != 2):
-        raise DataError(f"targets must be one (2,) location or (n, 2), got shape {t.shape}")
-    t = t.reshape(-1, 2)
-    if not np.all(np.isfinite(t)):
-        raise DataError("non-finite target location")
-    return t
 
 
 def _bordered(model: VariogramModel, d: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -652,7 +653,7 @@ def _krige_chunk(sys: KrigingSystem, x0: np.ndarray, idx: np.ndarray, tally=None
     # its k-th neighbour's distance; rhs [gamma/sill, 1, 0, 0]
     d = locs - x0[:, None, :]
     dist = np.hypot(d[..., 0], d[..., 1])
-    snap = dist[:, 0] < COINCIDENT_TOL
+    snap = coincident(dist[:, 0])
     weights[snap, 0] = 1.0
     prediction[snap] = vals[snap, 0]
 
@@ -699,7 +700,7 @@ def _krige_global(sys: KrigingSystem, targets: np.ndarray):
 
     nearest = sys.index.knn(targets, 1)[:, 0]
     gap = np.hypot(targets[:, 0] - locs[nearest, 0], targets[:, 1] - locs[nearest, 1])
-    snap = gap < COINCIDENT_TOL
+    snap = coincident(gap)
     out[snap] = sys.values[nearest[snap]]
     live = np.flatnonzero(~snap)
 
@@ -761,10 +762,7 @@ def _krige(sys: KrigingSystem, targets: np.ndarray) -> tuple[np.ndarray, dict, s
 
 def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
     """Solve the universal kriging system for one target location."""
-    x0 = np.asarray(target, dtype=float)
-    if x0.shape != (2,):
-        raise DataError(f"target must be a 2D location, got shape {x0.shape}")
-    x0 = _targets(x0)
+    x0 = coordinate_array(target, "target", ndims=(1,))
     idx, weights, mu, prediction, variance, errors, *_ = _krige_chunk(
         sys, x0, sys.index.knn(x0, sys.neighborhood)
     )
@@ -775,7 +773,7 @@ def uk_solve(sys: KrigingSystem, target) -> KrigingSolution:
 
 def uk_predict(sys: KrigingSystem, targets) -> np.ndarray:
     """Kriging predictions for many targets, in input order."""
-    out, errors, _ = _krige(sys, _targets(targets))
+    out, errors, _ = _krige(sys, coordinate_array(targets, "target", ndims=(1, 2)))
     if errors:
         i = min(errors)
         raise NumericalError(f"target {i}: {errors[i]}")
@@ -791,7 +789,8 @@ def idw_predict(locations, values, targets, cfg: IdwConfig = IdwConfig()) -> np.
     locs, values = _samples(locations, values)
     if len(locs) == 0:
         raise DataError("IDW needs at least one sample")
-    return _idw(GridIndex(locs), values, _targets(targets), cfg.power, cfg.neighborhood)
+    targets = coordinate_array(targets, "target", ndims=(1, 2))
+    return _idw(GridIndex(locs), values, targets, cfg.power, cfg.neighborhood)
 
 
 def _idw(index: GridIndex, values: np.ndarray, targets: np.ndarray, power: float, k):
@@ -807,7 +806,7 @@ def _idw(index: GridIndex, values: np.ndarray, targets: np.ndarray, power: float
         d = np.hypot(locs[idx, 0] - t[:, :1], locs[idx, 1] - t[:, 1:])
         vals = values[idx]
         chunk = vals[:, 0].copy()
-        live = d[:, 0] >= COINCIDENT_TOL
+        live = ~coincident(d[:, 0])
         dl = d[live]
         # normalize by the smallest distance so huge powers cannot overflow
         w = (dl[:, :1] / dl) ** power
@@ -837,16 +836,12 @@ def lift_mesh(planar: TriMesh, samples: PointSet, method) -> tuple[TriMesh, Lift
     with that reason instead, and names a remedy when a variogram without a
     nugget made every failed system ill-conditioned.
     """
-    if planar.is_3d:
-        raise DataError("lift_mesh expects a planar (2D) mesh")
     if not isinstance(samples.crs, UtmCrs):
         raise DataError("lift_mesh needs projected (UTM) samples")
-    if len(samples) == 0:
-        raise DataError("no samples to interpolate from")
 
     xy = samples.coords()
     z = samples.altitudes()
-    verts = _targets(planar.vertices)
+    verts = coordinate_array(planar.vertices, "planar vertex")
     fallbacks = []
 
     if isinstance(method, IdwConfig):

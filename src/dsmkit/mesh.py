@@ -15,7 +15,7 @@ import numpy as np
 from . import delaunay
 from .errors import ConfigError, DataError
 from .geodesy import elementwise
-from .geometry import Rect
+from .geometry import Rect, coordinate_array
 
 logger = logging.getLogger(__name__)
 
@@ -131,11 +131,7 @@ class TriMesh:
 def _checked_vertices(vertices, t) -> np.ndarray:
     """vertices as a read-only float array, checked: (n, 2) or (n, 3), finite,
     and every triangle of t in range and counter-clockwise in plan view."""
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] not in (2, 3):
-        raise DataError(f"vertices must be (n, 2) or (n, 3), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DataError("vertices contain non-finite coordinates")
+    v = coordinate_array(vertices, "vertex", (2, 3))
     if t.ndim != 2 or t.shape[1] != 3:
         raise DataError(f"triangles must be (m, 3), got {t.shape}")
     if len(t) and (t.min() < 0 or t.max() >= len(v)):
@@ -177,7 +173,7 @@ def delaunay_triangulate(points) -> TriMesh:
     a warning. Fewer than 3 unique points, or an entirely collinear set,
     raises DataError.
     """
-    arr = delaunay.checked_points(points)
+    arr = coordinate_array(points, "point")
     unique = arr[delaunay.first_coincident(arr) == np.arange(len(arr))]
     duplicates = len(arr) - len(unique)
     if duplicates:
@@ -401,8 +397,7 @@ def laplacian_smooth(m: TriMesh, iterations: int) -> TriMesh:
     """
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
-    if m.is_3d:
-        raise DataError("laplacian_smooth expects a planar (2D) mesh")
+    coordinate_array(m.vertices, "planar vertex")
     if iterations == 0 or m.n_triangles == 0:
         return m
 
@@ -535,8 +530,7 @@ def extract_contours(m: TriMesh, levels) -> list:
     exactly at a level are nudged up by 1e-9 of the level spacing first.
     Returns one list of (k, 2) plan-view polyline arrays per level.
     """
-    if not m.is_3d:
-        raise DataError("contour extraction needs a lifted (3D) mesh")
+    coordinate_array(m.vertices, "lifted vertex", (3,))
     levels = [float(l) for l in levels]
     if not levels:
         return []
@@ -609,10 +603,8 @@ def _chain_segments(segments, cx, cy):
 
 def dihedral_roughness(m: TriMesh) -> float:
     """Mean angle (degrees) between normals of triangles sharing an edge."""
-    if not m.is_3d:
-        raise DataError("roughness needs a lifted (3D) mesh")
     tris = m.triangles
-    v = m.vertices
+    v = coordinate_array(m.vertices, "lifted vertex", (3,))
     normals = np.cross(v[tris[:, 1]] - v[tris[:, 0]], v[tris[:, 2]] - v[tris[:, 0]])
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -11,12 +11,12 @@ Configuration is a flat key = value text file (see DEFAULTS for the full key
 set and the bundled demo config for a commented example). Every key is
 checked in `PipelineConfig.from_mapping`, so a bad value fails before any
 stage runs. A rule of a module that applies the key is that module's check,
-which the config calls: the terrain's (`acquisition.terrain_parameters`),
-the UTM frame's (`geodesy.utm_frame`), seeding's (`mesh.check_seeding`,
-`mesh.seed_grid_shape`), the variogram's (`variogram.check_model_kind`,
-`VariogramModel`, `bin_width`) and IDW's (`interpolate.IdwConfig`). Every
-artifact a run writes is byte-identical across runs for a fixed config and
-seed.
+which the config calls (its DataError is a ConfigError): `acquisition`'s
+terrain_parameters, `geodesy`'s utm_frame and check_utm_band, `mesh`'s
+check_seeding and seed_grid_shape, `variogram`'s check_model_kind,
+VariogramModel and bin_width, `interpolate`'s IdwConfig, check_neighborhood
+and check_positive_sill. Every artifact a run writes is byte-identical
+across runs for a fixed config and seed.
 
 The config also fixes the run's one UTM frame (`utm_crs`) and the rectangle
 the mesh covers in it (`mesh_region`), so meshing reads no samples.
@@ -48,14 +48,23 @@ from .acquisition import (
     terrain_parameters,
 )
 from .errors import ConfigError, DataError, DsmError, ParseError
-from .geodesy import UTM_LAT_BAND, GeoPoint, utm_frame
-from .geometry import Rect
+from .geodesy import (
+    GeoPoint,
+    check_utm_band,
+    in_easting_range,
+    in_utm_band,
+    utm_forward,
+    utm_frame,
+)
+from .geometry import Rect, coordinate_array
 from .interpolate import (
     IdwConfig,
     LiftSummary,
     UkConfig,
+    check_neighborhood,
+    check_positive_sill,
     check_sample_count,
-    least_samples,
+    drift_terms,
     lift_mesh,
 )
 from .mesh import (
@@ -170,6 +179,13 @@ class PipelineConfig:
 
     @staticmethod
     def from_mapping(mapping: dict) -> "PipelineConfig":
+        try:
+            return PipelineConfig._parse(mapping)
+        except DataError as e:  # from the check of a module that applies a key
+            raise ConfigError(str(e)) from None
+
+    @staticmethod
+    def _parse(mapping: dict) -> "PipelineConfig":
         unknown = set(mapping) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -205,10 +221,7 @@ class PipelineConfig:
                 raise ConfigError("utm region needs a zone")
             if raw["input"] == "synthetic":
                 raise ConfigError("synthetic scanning needs a wgs84 region")
-            try:
-                utm_crs = UtmCrs(number("zone", int), raw["hemisphere"])
-            except DataError as e:
-                raise ConfigError(str(e)) from None
+            utm_crs = UtmCrs(number("zone", int), raw["hemisphere"])
             region = Rect(number("x_min"), number("y_min"), number("x_max"), number("y_max"))
         else:
             raise ConfigError(f"region_crs must be wgs84 or utm, got {region_crs!r}")
@@ -225,11 +238,8 @@ class PipelineConfig:
         if region_crs == "wgs84":
             # a synthetic scan covers the region plus its margin
             scanned = region.expanded(margin) if raw["input"] == "synthetic" else region
-            if scanned.y_min < -UTM_LAT_BAND or scanned.y_max > UTM_LAT_BAND:
-                raise ConfigError(
-                    f"acquired latitudes [{scanned.y_min:.9g}, {scanned.y_max:.9g}] "
-                    f"leave the UTM band [-{UTM_LAT_BAND:g}, {UTM_LAT_BAND:g}]"
-                )
+            check_utm_band(scanned.y_min, "acquired latitude")
+            check_utm_band(scanned.y_max, "acquired latitude")
 
         method = raw["method"]
         if method not in ("uk", "idw"):
@@ -247,11 +257,8 @@ class PipelineConfig:
             explicit = VariogramModel(
                 kind, number("variogram_c0"), number("variogram_c"), number("variogram_a")
             )
-            # a zero sill makes every kriging system singular; IDW ignores it
-            if method == "uk" and explicit.sill == 0:
-                raise ConfigError(
-                    "method uk needs a positive sill: variogram_c0 + variogram_c is 0"
-                )
+            if method == "uk":  # IDW ignores the model
+                check_positive_sill(explicit)
 
         formats = tuple(f for f in raw["format"].split(",") if f)
         bad = set(formats) - {"obj", "vtk", "csv"}
@@ -259,16 +266,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown formats: {sorted(bad)}")
 
         drift = number("drift", int)
-        kriged = least_samples(drift)  # a bad degree fails under idw too
+        drift_terms(drift)  # a bad degree fails under idw too
 
         # the lift keys
         neighbors = None if raw["neighbors"] == "global" else number("neighbors", int)
-        least = kriged if method == "uk" else 1
-        if neighbors is not None and neighbors < least:
-            raise ConfigError(
-                f"neighbors must be 'global' or at least {least} "
-                f"(method {method}, drift {drift}), got {neighbors}"
-            )
+        check_neighborhood(neighbors, drift if method == "uk" else None)
 
         # the mesh, variogram and contour keys
         seed_strategy = raw["seed_strategy"]
@@ -455,10 +457,13 @@ def prepare_samples(config: PipelineConfig) -> Samples:
     config's UTM frame."""
     acquired = inside = acquire(config)
     if config.region_crs == "utm":
-        # a sample beyond the UTM band has no UTM coordinates: no UTM region holds it
-        inside = clip_to_region(acquired, Rect(-180.0, -UTM_LAT_BAND, 180.0, UTM_LAT_BAND))
-        if len(inside):
-            inside = convert_pointset(inside, config.utm_crs)
+        # a sample beyond the UTM band, or past the eastings of the run's
+        # frame, has no coordinates in it: no UTM region holds it
+        inside = acquired.take(in_utm_band(acquired.y))
+        crs = config.utm_crs
+        easting, northing = utm_forward(inside.y, inside.x, crs.zone, crs.hemisphere)
+        kept = in_easting_range(easting)
+        inside = PointSet.from_arrays(easting[kept], northing[kept], inside.z[kept], crs)
     inside = clip_to_region(inside, config.region)
     if len(inside) == 0:
         raise DataError("no samples inside the target region after clipping")
@@ -486,20 +491,13 @@ def build_planar_mesh(config: PipelineConfig):
 
 
 def variogram_model(config: PipelineConfig, samples: Samples):
-    """(model, empirical-or-None): the configured model, or one fitted to
-    the experimental variogram out to `variogram_max_lag`. A fitted model of
-    zero sill (every pair in range has equal elevations) makes every
-    kriging system singular, so it is rejected here, before the lift."""
+    """(model, empirical-or-None): the configured model, or one of positive
+    sill fitted to the experimental variogram out to `variogram_max_lag`."""
     if config.explicit_model is not None:
         return config.explicit_model, None
     ev = empirical_variogram(samples.utm, config.variogram_max_lag, config.variogram_bins)
     model = fit_model(ev, config.variogram_kind)
-    if model.sill == 0:
-        raise DataError(
-            "the fitted variogram has zero sill (every sample pair within max_lag has the "
-            "same elevation), so kriging is undefined; use method = idw or an explicit "
-            "model (variogram_c0, variogram_c, variogram_a)"
-        )
+    check_positive_sill(model)
     return model, ev
 
 
@@ -605,8 +603,7 @@ def contour_levels(z_min: float, z_max: float, count: int) -> list:
 
 def export_mesh(m: TriMesh, fmt: str, path) -> None:
     """Write a lifted mesh as Wavefront OBJ or legacy ASCII VTK PolyData."""
-    if not m.is_3d:
-        raise DataError("export needs a lifted (3D) mesh; add elevations first")
+    coordinate_array(m.vertices, "lifted vertex", (3,))
     if m.n_triangles == 0 or m.n_vertices == 0:
         raise DataError("refusing to export an empty mesh")
     nv, nt = m.n_vertices, m.n_triangles

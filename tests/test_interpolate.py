@@ -433,9 +433,9 @@ class TestIdw:
 
     def test_non_finite_input_rejected(self):
         locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DataError, match="non-finite target"):
+        with pytest.raises(DataError, match=r"^target 0: non-finite coordinates \[0.5, nan\]$"):
             idw_predict(locs, [1.0, 2.0, 3.0], [[0.5, np.nan]])
-        with pytest.raises(DataError, match="non-finite sample"):
+        with pytest.raises(DataError, match=r"^sample 3: non-finite coordinates \[nan, 0.0\]$"):
             idw_predict(np.vstack([locs, [[np.nan, 0.0]]]), [1.0, 2.0, 3.0, 4.0], [[0.5, 0.5]])
         # a non-finite value once came back as a nan or inf prediction
         for bad in (np.nan, np.inf, -np.inf):
@@ -444,7 +444,7 @@ class TestIdw:
             with pytest.raises(DataError, match="non-finite sample data"):
                 KrigingSystem(np.vstack([locs, [[1.0, 1.0]]]), [1.0, bad, 2.0, 3.0], SPH, 1, None)
         sys = KrigingSystem(np.vstack([locs, [[1.0, 1.0]]]), np.arange(4.0), SPH, 1, None)
-        with pytest.raises(DataError, match="non-finite target"):
+        with pytest.raises(DataError, match=r"^target 1: non-finite coordinates \[inf, 0.0\]$"):
             uk_predict(sys, [[0.5, 0.5], [np.inf, 0.0]])
 
     def test_bad_power_rejected(self):

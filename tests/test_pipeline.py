@@ -193,14 +193,15 @@ class TestConfig:
         assert 400.0 - 1e-6 <= z.min() and z.max() <= 460.0 + 1e-6
 
     def test_utm_region_drops_a_sample_beyond_the_utm_band(self, tmp_path, capsys):
-        # a sample at 85.5 N has no UTM coordinates, so no UTM region holds
-        # it: the run clips it away, as a WGS-84 region run does
+        # a sample at 85.5 N has no UTM coordinates, and one at 60 E none in
+        # zone 32 (its easting leaves (100000, 900000)), so no UTM region
+        # holds them: the run clips them away, as a WGS-84 region run does
         path = tmp_path / "points.txt"
         lattice = "".join(
             f"{48.7224 + 0.0036 * i / 9!r} {7.3368 + 0.0036 * j / 9!r} {400.0 + i + j!r}\n"
             for i in range(10) for j in range(10)
         )
-        path.write_text(lattice + "85.5 7.34 400\n")
+        path.write_text(lattice + "85.5 7.34 400\n" + "48.72 60.0 400\n")
         cfg = tmp_path / "utm.cfg"
         cfg.write_text("region_crs = utm\nzone = 32\nspacing = 20\nx_min = 377676.93\n"
                        "x_max = 377950.41\ny_min = 5397925.72\ny_max = 5398331.65\n")
@@ -208,7 +209,7 @@ class TestConfig:
         code = main(["run", "--config", str(cfg), "--input", str(path), "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         report = dict(line.split(",") for line in (out / "report.csv").read_text().splitlines())
-        assert (report["sample_count"], report["clipped_count"]) == ("101", "100")
+        assert (report["sample_count"], report["clipped_count"]) == ("102", "100")
 
     def test_variogram_bins_and_contour_levels_have_upper_limits(self):
         # config only: a huge count used to pass this check and reach
@@ -1028,7 +1029,7 @@ class TestCli:
                      "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith("error: stage 'variogram': the fitted variogram has zero sill")
+        assert err.startswith("error: stage 'variogram': the variogram has zero sill")
         assert "method = idw" in err and "explicit model" in err
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
@@ -1048,7 +1049,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert got == code, err
         if code:
-            assert err == "error: method uk needs a positive sill: variogram_c0 + variogram_c is 0\n"
+            assert err == (
+                "error: the variogram has zero sill, so kriging is undefined; use method = idw "
+                "or an explicit model (variogram_c0, variogram_c, variogram_a) with a positive "
+                "sill\n"
+            )
             assert not out.exists()
 
     @pytest.mark.parametrize("method", ["uk", "idw"])

@@ -1,13 +1,14 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, no module-level private function,
 class or constant goes unreferenced, no exception message is raised in two
-places, no function takes a parameter whose name starts with an underscore
-(a hook for tests), no module uses numpy.random (mesh seeding draws numpy's
-stream itself, so no run pays that import), and the test
-oracles evaluate no semivariogram with the code they check and never import
-the mesh module."""
+places, no module constant is compared in two functions, no function takes a
+parameter whose name starts with an underscore (a hook for tests), no module
+uses numpy.random (mesh seeding draws numpy's stream itself, so no run pays
+that import), and the test oracles evaluate no semivariogram with the code
+they check and never import the mesh module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,72 @@ def test_every_raise_message_is_written_once():
     # can drift apart, so each rule lives in one function that callers call
     trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
     assert _repeated_raise_messages(trees) == []
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+def _module_constants(trees) -> set:
+    """The UPPER_CASE names the modules bind at module level."""
+    return {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    }
+
+
+def _constants_compared_twice(trees: dict) -> list:
+    """Every module constant that an ordering or equality comparison (<,
+    <=, >, >=, ==, !=) reads in more than one function, as "NAME in
+    module:function, ..."; membership tests (in, not in) are left out, and
+    code outside any function counts as the function <module>."""
+    constants = _module_constants(trees.values())
+    places = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where.split(':')[0]}:{child.name}"
+            elif isinstance(child, ast.Compare) and any(
+                isinstance(op, _ORDERINGS) for op in child.ops
+            ):
+                for sub in ast.walk(child):
+                    name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                    if name in constants:
+                        places.setdefault(name, {})[where] = None
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, f"{module}:<module>")
+    return [f"{name} in {', '.join(at)}" for name, at in sorted(places.items()) if len(at) > 1]
+
+
+def test_constant_comparison_check_sees_one():
+    trees = {
+        "a": ast.parse(
+            "LIMIT = 1\n_TOL = 2.0\nKINDS = ()\n"
+            "def f(x):\n    return x < LIMIT or x > 2 * LIMIT\n"
+            "def g(x):\n    return x in KINDS and abs(x) >= _TOL\n"
+        ),
+        "b": ast.parse(
+            "from a import LIMIT, KINDS\n"
+            "def h(x):\n    return -LIMIT <= x\n"
+            "def k(x):\n    return x not in KINDS or x == Other.KINDS\n"
+        ),
+    }
+    assert _constants_compared_twice(trees) == ["LIMIT in a:f, b:h"]
+
+
+def test_every_limit_constant_is_compared_in_one_function():
+    # a limit compared in two functions is a rule written twice: the
+    # function that owns the rule compares it, and every other site calls
+    # that function
+    trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    assert _constants_compared_twice(trees) == []
 
 
 def _underscore_parameters(tree: ast.Module) -> list:
