@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +22,28 @@ from .errors import ConfigError, DataError
 
 MODEL_KINDS = ("spherical", "gaussian", "exponential")
 
-# cells of the (rows x columns) rectangle empirical_variogram bins at a time
-_BLOCK_PAIRS = 1 << 15
+# cells of the (rows x columns) rectangle empirical_variogram bins at a time,
+# unless _BLOCK_ROWS of the longest rows take more
+_BLOCK_PAIRS = 1 << 16
+_BLOCK_ROWS = 4
+# pairs per run of blocks: a scan has one run per _THREAD_PAIRS pairs, up to
+# one per usable CPU, and each run after the first gets a thread, which
+# costs about a millisecond to start and to share the GIL with
+_THREAD_PAIRS = 1 << 20
+# (row, bin) sums of a block, and of all the rows worker threads store for
+# the fold, at most: 8 MB of float64 (the 200 x 400 scaled case stores 545k)
+_ROW_SUMS = 1 << 20
 # golden-section steps whose branches fit_model profiles ahead in one _wls
 # call: x1, x2 and each branch's new point, at most 2^(_AHEAD+1) ranges
 _AHEAD = 4
 
 logger = logging.getLogger(__name__)
+
+
+def check_max_lag(max_lag: float) -> None:
+    """Raise DataError unless max_lag is positive and finite."""
+    if not (max_lag > 0 and math.isfinite(max_lag)):
+        raise DataError(f"max_lag must be positive and finite, got {max_lag}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +67,7 @@ class ExperimentalVariogram:
             raise DataError("lag centers must be finite")
         if not np.all(np.isfinite(gammas)):
             raise DataError("semivariances must be finite")
-        if not (self.max_lag > 0 and math.isfinite(self.max_lag)):
-            raise DataError(f"max_lag must be positive and finite, got {self.max_lag}")
+        check_max_lag(self.max_lag)
         if len(lags) and np.any(np.diff(lags) <= 0):
             raise DataError("lag centers must be strictly increasing")
         if np.any(counts < 1):
@@ -98,9 +114,9 @@ class VariogramModel:
 
 
 def bin_width(max_lag: float, n_bins: int) -> float:
-    """max_lag / n_bins, which must be a normal float so that 1 / width is finite."""
-    if not (max_lag > 0 and math.isfinite(max_lag)):
-        raise ConfigError(f"max_lag must be positive, got {max_lag}")
+    """max_lag / n_bins, which must be a normal float so that 1 / width is
+    finite; a max_lag that is not positive and finite raises DataError."""
+    check_max_lag(max_lag)
     if n_bins < 1:
         raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
     width = max_lag / n_bins
@@ -129,20 +145,30 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     # row i pairs with the samples in [i + 1, stop_i)
     row_pairs = stops - np.arange(1, n + 1)
     scanned = int(row_pairs.sum())
-    top = np.float32(n_bins + 0.5)
-    sums = np.zeros(n_bins)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    redone = 0
-    # block buffers, allocated once; a block of rows [i, k) works on the
-    # rectangle of columns [i + 1, end) and uses the first (k - i) * (end - i - 1)
-    cap = max(_BLOCK_PAIRS, int(row_pairs.max()))
-    t_buf = np.empty(cap, dtype=np.float32)
-    u_buf = np.empty(cap, dtype=np.float32)
-    sq_buf = np.empty(cap)
-    bin_buf = np.empty(cap, dtype=np.intp)
-    ok_buf = np.empty(cap, dtype=bool)
-    stop_list = stops.tolist()
-    lower = {}  # block height -> np.tril_indices of its lower triangle
+    # The kernel bins rows in blocks: a block of rows [i, k) works on the
+    # rectangle of columns [i + 1, end), at most cap cells and at most
+    # _ROW_SUMS (row, bin) sums. cap is 2**16, or four of the longest rows
+    # (_BLOCK_ROWS), so that a block's fixed cost (two dozen numpy calls,
+    # each a chance for the threads to wait on each other for the GIL)
+    # stays small against its cells. One weighted bincount on the key
+    # (r + 1) * (n_bins + 1) + bin of block row r, in row-major order,
+    # gives every row's bin sums, each (row, bin) slot adding its pairs in
+    # the order a bincount of the row alone would, and _fold adds the rows
+    # to sums one after another. The blocks are cut into runs of
+    # consecutive blocks (see _THREAD_PAIRS): the calling thread bins the
+    # first run and folds as it goes, and a thread per other run stores its
+    # rows' sums, which are folded after the joins. So sums gets the same
+    # additions in the same order for any number of runs; the counts and
+    # the redo tally are integers. A run's buffers take 16 bytes a cell
+    # (1 MB at 2**16): t and u are the float32 halves of one float64
+    # buffer, which then holds the squared z differences, plus the intp
+    # bins. The calling thread allocates them and the stored row sums, so
+    # that no worker grows a malloc arena of its own.
+    cap = max(_BLOCK_PAIRS, _BLOCK_ROWS * int(row_pairs.max()))
+    blocks = list(_row_blocks(stops.tolist(), cap, max(1, _ROW_SUMS // (n_bins + 1))))
+    runs = _runs(blocks, min(_usable_cpus(), scanned // _THREAD_PAIRS))
+    if sum(run[-1][1] - run[0][0] for run in runs[1:]) * n_bins > _ROW_SUMS:
+        runs = [blocks]  # the workers would store too many row sums
     # A pair's bin is trunc(q), where q is its distance in bin widths,
     # computed in float32 from coordinates centred on the bounding-box
     # midpoint and scaled by 1/width:
@@ -200,55 +226,38 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
         xs = (x - (0.5 * x.min() + 0.5 * x.max())) / width
         ys = (y - (0.5 * y.min() + 0.5 * y.max())) / width
         reach = max(np.abs(xs).max(), np.abs(ys).max())
+        edge = np.float32(8.0 * 2.0**-24 * (reach + n_bins + 1))
         xs = xs.astype(np.float32)
         ys = ys.astype(np.float32)
-        edge = np.float32(8.0 * 2.0**-24 * (reach + n_bins + 1))
-        for i, k, end in _row_blocks(stop_list, cap):
-            shape = (k - i, end - i - 1)
-            size = shape[0] * shape[1]
-            t = t_buf[:size].reshape(shape)
-            u = u_buf[:size].reshape(shape)
-            sq = sq_buf[:size].reshape(shape)
-            b = bin_buf[:size].reshape(shape)
-            ok = ok_buf[:size].reshape(shape)
-            np.subtract(xs[i + 1 : end], xs[i:k, None], out=t)
-            np.subtract(ys[i + 1 : end], ys[i:k, None], out=u)
-            np.multiply(t, t, out=t)
-            np.multiply(u, u, out=u)
-            np.add(t, u, out=t)
-            np.sqrt(t, out=t)
-            np.rint(t, out=u)
-            np.subtract(t, u, out=u)
-            np.abs(u, out=u)
-            np.minimum(t, top, out=t)
-            np.copyto(b, t, casting="unsafe")
-            # row r of the block pairs with columns [r, hi): its cells left
-            # of r (its self pair and pairs of earlier rows) are spilled and
-            # never redone; its tail, [hi, end), needs no mask (see above)
-            if k - i not in lower:
-                lower[k - i] = np.tril_indices(k - i, -1)
-            low_rows, low_cols = lower[k - i]
-            low = low_rows * shape[1] + low_cols
-            u_buf[low] = np.inf
-            bin_buf[low] = n_bins
-            np.greater_equal(u, edge, out=ok)
-            if not ok.all():
-                near = np.flatnonzero(~ok)
-                rows, cols = np.divmod(near, shape[1])
-                rows += i
-                cols += i + 1
-                d = np.hypot(x[cols] - x[rows], y[cols] - y[rows])
-                bin_buf[near] = np.where(d < max_lag, d / width, top).astype(np.intp)
-                redone += int(np.count_nonzero(cols < stops[rows]))
-            np.subtract(z[i + 1 : end], z[i:k, None], out=sq)
-            np.multiply(sq, sq, out=sq)
-            # one bincount per row, rows in order: the sums stay
-            # bit-identical to a scan over every pair
-            for r, hi in enumerate(stop - i - 1 for stop in stop_list[i:k]):
-                if hi > r:
-                    row = np.bincount(b[r, r:hi], weights=sq[r, r:hi], minlength=n_bins + 1)
-                    sums += row[:n_bins]
-            counts += np.bincount(bin_buf[:size], minlength=n_bins + 1)[:n_bins]
+    scan = _Scan(x, y, z, xs, ys, stops, max_lag, width, n_bins, edge, cap)
+
+    sums = np.zeros(n_bins)
+    outs = [sums, *(np.zeros((run[-1][1] - run[0][0] + 1, n_bins)) for run in runs[1:])]
+    buffers = [(np.empty(cap), np.empty(cap, dtype=np.intp)) for _ in runs]
+    stop = threading.Event()
+    results = [None] * len(runs)
+    threads = []
+    try:
+        for p in range(1, len(runs)):
+            thread = threading.Thread(
+                target=_work, args=(scan, runs[p], buffers[p], outs[p], stop, results, p)
+            )
+            thread.start()
+            threads.append(thread)
+        counts, redone = _bin_run(scan, runs[0], buffers[0], sums, stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results[1:]:
+        if isinstance(result, BaseException):
+            raise result
+    for (run_counts, run_redone), held in zip(results[1:], outs[1:]):
+        counts += run_counts
+        redone += run_redone
+        _fold(sums, held)
 
     logger.debug(
         "variogram: %d samples, %d pairs scanned, %d binned, %d redone with np.hypot",
@@ -262,16 +271,144 @@ def empirical_variogram(samples: PointSet, max_lag: float, n_bins: int = 15) -> 
     return ExperimentalVariogram(centers[filled], gammas, counts[filled], max_lag)
 
 
-def _row_blocks(stops: list, cap: int):
+@dataclass(frozen=True)
+class _Scan:
+    """What every run of one empirical_variogram scan reads: the samples,
+    their centred, scaled float32 coordinates xs and ys, the row stops, the
+    bins and the redo margin edge; cap cells fit a run's buffers."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    stops: np.ndarray
+    max_lag: float
+    width: float
+    n_bins: int
+    edge: np.float32
+    cap: int
+
+
+def _bin_run(scan: _Scan, run: list, buffers: tuple, out: np.ndarray, stop: threading.Event):
+    """Bin the blocks (i, k, end) of run in buffers (see empirical_variogram),
+    until stop is set; returns (counts, redone). Each block's row sums are
+    folded into out at once if out is the (n_bins,) sums, else stored in
+    out, a (rows + 1, n_bins) array whose row 1 takes the run's first row."""
+    x, y, z, stops = scan.x, scan.y, scan.z, scan.stops
+    n_bins, cap = scan.n_bins, scan.cap
+    slots = n_bins + 1
+    top = np.float32(n_bins + 0.5)
+    sq_buf, bin_buf = buffers
+    halves = sq_buf.view(np.float32)
+    base = run[0][0] - 1 if run else 0
+    counts = np.zeros(n_bins, dtype=np.int64)
+    redone = 0
+    lower = {}  # block height -> np.tril_indices of its lower triangle
+    # a new thread starts with numpy's default error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, k, end in run:
+            if stop.is_set():
+                break
+            shape = (k - i, end - i - 1)
+            size = shape[0] * shape[1]
+            t = halves[:size].reshape(shape)
+            u_flat = halves[cap : cap + size]
+            u = u_flat.reshape(shape)
+            sq = sq_buf[:size].reshape(shape)
+            b = bin_buf[:size].reshape(shape)
+            np.subtract(scan.xs[i + 1 : end], scan.xs[i:k, None], out=t)
+            np.subtract(scan.ys[i + 1 : end], scan.ys[i:k, None], out=u)
+            np.multiply(t, t, out=t)
+            np.multiply(u, u, out=u)
+            np.add(t, u, out=t)
+            np.sqrt(t, out=t)
+            np.rint(t, out=u)
+            np.subtract(t, u, out=u)
+            np.abs(u, out=u)
+            np.minimum(t, top, out=t)
+            np.copyto(b, t, casting="unsafe")
+            # row r of the block pairs with columns [r, hi): its cells left
+            # of r (its self pair and pairs of earlier rows) are spilled and
+            # never redone; its tail, [hi, end), needs no mask (see
+            # empirical_variogram)
+            if k - i not in lower:
+                lower[k - i] = np.tril_indices(k - i, -1)
+            low_rows, low_cols = lower[k - i]
+            low = low_rows * shape[1] + low_cols
+            u_flat[low] = np.inf
+            bin_buf[low] = n_bins
+            if not u.min() >= scan.edge:  # a NaN frac gives a NaN min
+                near = np.flatnonzero(~(u_flat >= scan.edge))
+                rows, cols = np.divmod(near, shape[1])
+                rows += i
+                cols += i + 1
+                d = np.hypot(x[cols] - x[rows], y[cols] - y[rows])
+                bin_buf[near] = np.where(d < scan.max_lag, d / scan.width, top).astype(np.intp)
+                redone += int(np.count_nonzero(cols < stops[rows]))
+            counts += np.bincount(bin_buf[:size], minlength=slots)[:n_bins]
+            np.subtract(z[i + 1 : end], z[i:k, None], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(b, np.arange(slots, (shape[0] + 1) * slots, slots)[:, None], out=b)
+            row_sums = np.bincount(
+                bin_buf[:size], weights=sq_buf[:size], minlength=(shape[0] + 1) * slots
+            ).reshape(-1, slots)[:, :n_bins]
+            if out.ndim == 1:
+                _fold(out, row_sums)
+            else:
+                out[i - base : k - base] = row_sums[1:]
+    return counts, redone
+
+
+def _fold(sums: np.ndarray, rows: np.ndarray) -> None:
+    """Add rows 1, 2, ... of the (row, bin) sums rows to sums, one row
+    after another, in place; row 0 is overwritten."""
+    rows[0] = sums
+    np.add.accumulate(rows, axis=0, out=rows)
+    sums[:] = rows[-1]
+
+
+def _work(scan: _Scan, run: list, buffers: tuple, out: np.ndarray, stop: threading.Event,
+          results: list, index: int) -> None:
+    """A worker thread's body: results[index] is _bin_run's result for run,
+    or the exception it raised, which also stops every other run."""
+    try:
+        results[index] = _bin_run(scan, run, buffers, out, stop)
+    except BaseException as e:
+        results[index] = e
+        stop.set()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _runs(blocks: list, parts: int) -> list:
+    """blocks cut into at most `parts` runs of consecutive blocks with
+    about equal cells: each block joins the run that holds its middle cell,
+    so no run is empty and there are never more runs than blocks."""
+    if parts < 2 or len(blocks) < 2:
+        return [blocks]
+    cells = np.array([(k - i) * (end - i - 1) for i, k, end in blocks], dtype=float)
+    middle = np.cumsum(cells) - 0.5 * cells
+    part = (middle * (parts / cells.sum())).astype(np.intp)
+    cuts = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(blocks)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _row_blocks(stops: list, cap: int, height: int):
     """Blocks (i, k, end) of consecutive rows [i, k) that have pairs, each
-    grown while its rectangle of columns [i + 1, end), end the largest stop
-    of its rows, has at most `cap` cells. A row longer than `cap` is a
-    block of its own."""
+    grown while it has at most `height` rows and its rectangle of columns
+    [i + 1, end), end the largest stop of its rows, has at most `cap`
+    cells. A row longer than `cap` is a block of its own."""
     last = len(stops) - 1
     i = 0
     while i < last:
         end, k = stops[i], i + 1
-        while k < last and (k + 1 - i) * (max(end, stops[k]) - i - 1) <= cap:
+        while k < last and k - i < height and (k + 1 - i) * (max(end, stops[k]) - i - 1) <= cap:
             end = max(end, stops[k])
             k += 1
         if end > i + 1:

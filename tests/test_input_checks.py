@@ -244,7 +244,7 @@ CASES = {
         lambda: ExperimentalVariogram([1.0, 2.0], [0.1], [1, 1], 3.0),
         DataError, "variogram bin arrays must have equal length"),
     "bin_width_bad_max_lag": (
-        lambda: bin_width(0.0, 10), ConfigError, "max_lag must be positive, got 0.0"),
+        lambda: bin_width(0.0, 10), DataError, "max_lag must be positive and finite, got 0.0"),
     "bin_width_bad_n_bins": (
         lambda: bin_width(10.0, 0), ConfigError, "n_bins must be >= 1, got 0"),
     "variogram_of_one_sample": (

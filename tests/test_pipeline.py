@@ -247,6 +247,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_mapping({"spacing": "five"})
 
+    @pytest.mark.parametrize("bad", ["0", "-5", "nan", "inf"])
+    def test_max_lag_rule_of_the_variogram_module_is_a_config_error(self, bad):
+        # bin_width raises the DataError of ExperimentalVariogram's check
+        with pytest.raises(ConfigError, match="^max_lag must be positive and finite, got"):
+            PipelineConfig.from_mapping({"variogram_max_lag": bad})
+
     def test_global_neighbors(self):
         cfg = PipelineConfig.from_mapping({"neighbors": "global"})
         assert cfg.neighbors is None
@@ -1283,6 +1289,7 @@ class TestCli:
              "y_min = 0", "y_max = 400"],
             # max_lag / variogram_bins rounds to 0: a bin width below the normal range
             ["variogram_max_lag = 5e-324"],
+            ["variogram_max_lag = 0"],
             # a fitted model needs three bins; before, this ran every stage
             # up to the fit
             ["variogram_bins = 2"],

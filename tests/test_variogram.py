@@ -3,6 +3,8 @@
 import logging
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -131,6 +133,19 @@ def _reordered(ps, order):
     return PointSet.from_arrays(ps.x[order], ps.y[order], ps.z[order], ps.crs)
 
 
+# usable CPUs, the last more than any input here has blocks
+WORKERS = [1, 2, 3, 1000]
+
+
+def _split(monkeypatch, budget, workers):
+    """Bin in blocks of at most `budget` cells (a longer row alone), cut into
+    one run for each of `workers` CPUs however few the pairs."""
+    monkeypatch.setattr(variogram, "_BLOCK_PAIRS", budget)
+    monkeypatch.setattr(variogram, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(variogram, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(variogram, "_THREAD_PAIRS", 1)
+
+
 class TestAgainstRowLoop:
     """Bit-for-bit agreement with the masked per-sample scan over every pair."""
 
@@ -200,7 +215,9 @@ class TestAgainstRowLoop:
         ev = _assert_matches_row_loop(ps, 8 * width, 8)
         assert ev.lags.tolist() == [4.5 * width]
 
-    def test_coordinates_near_1e200(self):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_coordinates_near_1e200(self, monkeypatch, workers):
+        _split(monkeypatch, 64, workers)
         # a lattice at 1e200 with pairs on every bin edge, and the same
         # lattice near the origin: its pairs with the far one square to inf
         gx, gy = np.meshgrid(np.arange(6.0), np.arange(5.0))
@@ -271,7 +288,11 @@ class TestFloat32Bound:
         assert ev.pair_counts.sum() > 0
         assert _redo_log(caplog)[3] > 0
 
-    def test_float32_overflow_of_a_scaled_coordinate(self):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_float32_overflow_of_a_scaled_coordinate(self, monkeypatch, workers):
+        # one block per row, so that with workers the overflows happen in
+        # a worker thread, under its own numpy error state
+        _split(monkeypatch, 1, workers)
         # With width 2**-100 the centred, scaled x of a and b is 2**128 -
         # 2**103, which rounds to float32 inf, and that of c is 2**75 lower,
         # which rounds to the largest float32: a and b are 3 widths apart
@@ -315,12 +336,20 @@ class TestFloat32Bound:
 
 
 class TestBlocks:
-    """Rows are binned in blocks of at most _BLOCK_PAIRS rectangle cells;
-    every block split must give the hypot scan's counts and gammas."""
+    """Rows are binned in blocks of at most _BLOCK_PAIRS rectangle cells,
+    cut into one run per usable CPU; every block split and every number of
+    runs must give the hypot scan's counts and gammas."""
 
-    @pytest.fixture(params=[1, 5, 64, 1 << 15])
+    @pytest.fixture(params=[1, 5, 64, 1 << 15, 1 << 16])
     def budget(self, request, monkeypatch):
         monkeypatch.setattr(variogram, "_BLOCK_PAIRS", request.param)
+        monkeypatch.setattr(variogram, "_BLOCK_ROWS", 1)
+        return request.param
+
+    @pytest.fixture(autouse=True, params=WORKERS)
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(variogram, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(variogram, "_THREAD_PAIRS", 1)
         return request.param
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -365,7 +394,8 @@ class TestBlocks:
         ps = PointSet.from_arrays(x, y, np.random.default_rng(67).normal(size=x.size), CRS)
         stops = variogram._row_stops(ps.y, max_lag)
         cap = max(budget, int((stops - np.arange(1, x.size + 1)).max()))
-        blocks = list(variogram._row_blocks(stops.tolist(), cap))
+        height = variogram._ROW_SUMS // (n_bins + 1)
+        blocks = list(variogram._row_blocks(stops.tolist(), cap, height))
         assert stops[0] == 3 and any(i == 0 and k >= 2 and end > 3 for i, k, end in blocks)
         assert math.hypot(x[3] - x[0], y[3] - y[0]) >= max_lag
         scaled = ((y - (0.5 * y.min() + 0.5 * y.max())) / width).astype(np.float32)
@@ -391,6 +421,124 @@ class TestBlocks:
         stops = variogram._row_stops(ps.y, 4.0)
         assert (np.diff(stops) < 0).any()
         _assert_matches_row_loop(ps, 4.0, 5)
+
+
+class TestThreads:
+    """The runs after the first are binned on worker threads."""
+
+    @staticmethod
+    def _lattice(side):
+        gx, gy = np.meshgrid(np.arange(float(side)), np.arange(float(side)))
+        z = np.random.default_rng(71).normal(size=gx.size)
+        return PointSet.from_arrays(gx.ravel(), gy.ravel(), z, CRS)
+
+    def test_runs_are_contiguous_balanced_and_never_more_than_the_blocks(self):
+        blocks = [(i, i + 1, i + 2 + i % 3) for i in range(10)]
+        for parts in (1, 2, 3, 10, 1000):
+            runs = variogram._runs(blocks, parts)
+            assert [b for run in runs for b in run] == blocks
+            assert all(runs) and len(runs) == min(parts, len(blocks))
+        cells = [sum(e - i - 1 for i, _, e in run) for run in variogram._runs(blocks, 2)]
+        assert cells == [9, 10]
+        assert variogram._runs(blocks[:1], 8) == [blocks[:1]]
+        assert variogram._runs([], 8) == [[]]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_bin_their_runs(self, monkeypatch, workers):
+        _split(monkeypatch, 64, workers)
+        threads = []
+        work = variogram._work
+        monkeypatch.setattr(
+            variogram, "_work",
+            lambda *args: threads.append(threading.current_thread()) or work(*args),
+        )
+        _assert_matches_row_loop(self._lattice(12), 6.0, 9)
+        assert len(threads) == workers - 1
+        assert threading.main_thread() not in threads
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # eight threads switching every microsecond: a lost or misplaced row
+        # sum would change the gammas' bits
+        _split(monkeypatch, 64, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                _assert_matches_row_loop(self._lattice(16), 7.0, 11)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    def test_a_one_block_input_starts_no_thread(self, monkeypatch):
+        # the 100-sample lattice is one block of 4,950 cells
+        _split(monkeypatch, 1 << 16, 2)
+        monkeypatch.setattr(variogram.threading, "Thread", self._no_thread)
+        _assert_matches_row_loop(self._lattice(10), 20.0, 15)
+
+    def test_fewer_pairs_than_a_thread_needs_start_no_thread(self, monkeypatch):
+        # 28 blocks of the 144-sample lattice, but 8,136 pairs in all
+        monkeypatch.setattr(variogram, "_BLOCK_PAIRS", 64)
+        monkeypatch.setattr(variogram, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(variogram.threading, "Thread", self._no_thread)
+        _assert_matches_row_loop(self._lattice(12), 6.0, 9)
+
+    @pytest.mark.parametrize("row_sums, height", [(64, 6), (10, 1)])
+    def test_row_sums_bound_the_blocks_and_the_stored_rows(self, monkeypatch, row_sums, height):
+        # 10 sums a row: at most row_sums // 10 rows a block, and the
+        # second run's rows are more than the workers may store
+        _split(monkeypatch, 1 << 16, 2)
+        monkeypatch.setattr(variogram, "_ROW_SUMS", row_sums)
+        monkeypatch.setattr(variogram.threading, "Thread", self._no_thread)
+        heights = []
+        bin_run = variogram._bin_run
+
+        def spy(scan, run, *args):
+            heights.extend(k - i for i, k, _ in run)
+            return bin_run(scan, run, *args)
+
+        monkeypatch.setattr(variogram, "_bin_run", spy)
+        _assert_matches_row_loop(self._lattice(12), 6.0, 9)
+        assert max(heights) == height
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        _split(monkeypatch, 64, 3)
+        raised = []
+        bin_run = variogram._bin_run
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                return bin_run(*args)
+            raised.append(ValueError("worker failed"))
+            raise raised[-1]
+
+        monkeypatch.setattr(variogram, "_bin_run", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="worker failed") as caught:
+            empirical_variogram(self._lattice(12), 6.0, 9)
+        assert any(caught.value is e for e in raised)  # the object itself
+        assert threading.active_count() == before
+
+    def test_a_caller_exception_stops_the_workers(self, monkeypatch):
+        _split(monkeypatch, 64, 2)
+        bin_run = variogram._bin_run
+        binned = []
+
+        def caller_fails(scan, run, buffers, out, stop):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            assert stop.wait(60)  # the worker starts after the caller has failed
+            binned.append(bin_run(scan, run, buffers, out, stop)[0].sum())
+            return None
+
+        monkeypatch.setattr(variogram, "_bin_run", caller_fails)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            empirical_variogram(self._lattice(12), 6.0, 9)
+        assert threading.active_count() == before
+        assert binned == [0]
 
 
 class TestRedoLog:
